@@ -10,10 +10,10 @@ __version__ = "0.1.0"
 
 from .grid import GridSpec, NodeClass, ScalarField, classify_nodes, interior_ball_nodes
 from .grid import read_field, write_field
-from .operators import OperatorParams, apply_divergence, apply_nondivergence
+from .operators import apply_divergence, apply_nondivergence
 from .operators import consistency_residual, homogeneity_check
 from .solver import EnergyProblem, SolveConfig, SolveReport, energy, energy_gradient
-from .solver import mollify_rhs, solve_dirichlet
+from .solver import solve_dirichlet
 from .barrier import BarrierParams, barrier_field, comparison_check, linf_bound_check
 from .barrier import min_barrier_M, verify_supersolution
 from .moduli import HolderModulus, LipschitzModulus
@@ -21,6 +21,6 @@ from .jets import JetMatrices, build_jet_matrices, check_eq_n_epsilon, feasible_
 from .jets import index_set, min_eig_bound_check, pair_conclusions_check, test_vector
 from .claims import RegimeParams, claims_check, regime_params, zt_check
 from .regularity import ExperimentRecord, estimate_constant, holder_seminorm
-from .regularity import lipschitz_seminorm, normalize_solution
+from .regularity import lipschitz_seminorm
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -62,9 +62,15 @@ def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
         raise ValueError("the barrier uses the distance to the unit sphere; ball grids only")
     if grid.dimension != params.N:
         raise ValueError(f"params.N = {params.N} but grid dimension is {grid.dimension}")
-    d = 1.0 - np.sqrt(_radius_squared(grid))
-    vals = params.boundary_sup + params.M * (1.0 - 1.0 / (1.0 + d))
-    vals = np.where(nonexterior_mask(grid), vals, np.nan)
+    # in place, so a 3D grid holds two node arrays at a time, not four
+    d = np.sqrt(_radius_squared(grid))
+    np.subtract(1.0, d, out=d)
+    vals = 1.0 + d
+    np.divide(1.0, vals, out=vals)
+    np.subtract(1.0, vals, out=vals)
+    vals *= params.M
+    vals += params.boundary_sup
+    vals[~nonexterior_mask(grid)] = np.nan
     return ScalarField(grid, vals)
 
 

@@ -6,12 +6,13 @@ Subcommands: solve, verify-lemmas, measure-regularity, convergence-study.
 Exit codes: 0 success, 1 declared check failed, 2 config error, 3 runtime
 error.  Outputs are CSVs (first line: tool version + config hash) plus
 optional SVG line plots; reruns with the same seed are byte-identical.
-PSEUDOPLAP_THREADS caps sweep workers (0 or unset = auto).
+PSEUDOPLAP_THREADS caps sweep workers (0 or unset = auto; a malformed value exits 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,17 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import BarrierParams, comparison_check, linf_bound_check, min_barrier_M
-from .barrier import supersolution_tolerance, verify_supersolution
+from .barrier import linf_bound_check
 from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_claims_sweep
-from .claims import regime_params, zt_check
+from .claims import regime_params
 from .config import ConfigError, RawConfig, parse_config
 from .grid import GridSpec, ScalarField, write_field
-from .jets import min_eig_bound_check, build_jet_matrices, feasible_pair_sample
-from .jets import pair_conclusions_check
+from .lemmas import barrier_rows, comparison_rows, min_eig_rows, pair_rows, zt_rows
 from .manufactured import closed_form_1d, make_boundary, make_f_field, separable_reference
 from .manufactured import separable_trace, sweep_presets, zero_boundary
-from .moduli import HolderModulus, LipschitzModulus
 from .grid import nonexterior_mask, node_coordinates
 from .regularity import ExperimentRecord, estimate_constant, holder_seminorm
 from .regularity import lipschitz_seminorm, records_to_csv
@@ -38,14 +36,14 @@ from .solver import EnergyProblem, SolveConfig, solve_dirichlet
 
 
 def _threads() -> int:
-    raw = os.environ.get("PSEUDOPLAP_THREADS", "0")
+    raw = os.environ.get("PSEUDOPLAP_THREADS") or "0"
     try:
         t = int(raw)
     except ValueError:
-        t = 0
-    if t <= 0:
-        t = min(4, os.cpu_count() or 1)
-    return t
+        t = -1
+    if t < 0:
+        raise ConfigError(f"PSEUDOPLAP_THREADS: expected a non-negative integer, got {raw!r}")
+    return t or min(4, os.cpu_count() or 1)
 
 
 def _par_map(fn, items):
@@ -87,174 +85,30 @@ def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
 
 
 def _solver_config(cfg: RawConfig) -> SolveConfig:
-    grad_tol = cfg.get_float("solver", "grad_tol", 1e-8)
-    if not grad_tol > 0:
-        cfg.fail("solver", "grad_tol", "must be positive")
-    max_iters = cfg.get_int("solver", "max_iters", 200_000)
-    if max_iters < 1:
-        cfg.fail("solver", "max_iters", "must be >= 1")
-    armijo_c = cfg.get_float("solver", "armijo_c", 1e-4)
-    if not 0 < armijo_c < 1:
-        cfg.fail("solver", "armijo_c", "must be in (0, 1)")
-    backtrack = cfg.get_float("solver", "backtrack_factor", 0.5)
-    if not 0 < backtrack < 1:
-        cfg.fail("solver", "backtrack_factor", "must be in (0, 1)")
-    return SolveConfig(grad_tol=grad_tol, max_iters=max_iters, armijo_c=armijo_c,
-                       backtrack_factor=backtrack)
+    try:
+        return SolveConfig(grad_tol=cfg.get_float("solver", "grad_tol", 1e-8),
+                           max_iters=cfg.get_int("solver", "max_iters", 200_000),
+                           armijo_c=cfg.get_float("solver", "armijo_c", 1e-4),
+                           backtrack_factor=cfg.get_float("solver", "backtrack_factor", 0.5))
+    except ValueError as exc:  # SolveConfig names the offending field first
+        cfg.fail("solver", str(exc).split()[0], str(exc))
 
 
 def run_solve(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
     grid = _build_grid(cfg)
     prob = _build_problem(cfg, grid)
-    u, rep = solve_dirichlet(prob, _solver_config(cfg))
+    solver_cfg = _solver_config(cfg)
+    u, rep = solve_dirichlet(prob, solver_cfg)
     write_field(outdir / "solution.csv", u)
     bound, ok_bound = linf_bound_check(u, prob.f, prob.boundary_data, prob.p,
-                                       solver_tol=10 * _solver_config(cfg).grad_tol)
+                                       solver_tol=10 * solver_cfg.grad_tol)
     write_csv(outdir / "solve_report.csv",
               ["converged", "iterations", "final_energy", "final_grad_sup",
-               "divergence_residual", "sup_norm", "linf_bound"],
+               "sup_norm", "linf_bound"],
               [[rep.converged, rep.iterations, rep.final_energy, rep.final_grad_sup,
-                rep.divergence_residual, u.sup_norm(), bound]], chash)
+                u.sup_norm(), bound]], chash)
     return [("solver_converged", rep.converged, f"residual {rep.final_grad_sup:.3e}"),
             ("linf_bound", ok_bound, f"sup|u| = {u.sup_norm():.6g} <= {bound:.6g}")]
-
-
-def _barrier_rows(cfg: RawConfig):
-    n = cfg.get_int("lemmas", "barrier_nodes", 129)
-    p_list = cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0])
-    n_list = cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int)
-    rows = []
-    ok = True
-    for N in n_list:
-        grid = GridSpec(N, n, "ball")
-        for p in p_list:
-            M = min_barrier_M(p, N, 1.0)
-            params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
-            viol = verify_supersolution(grid, params, 1.0, 3.0 * grid.spacing)
-            tol = supersolution_tolerance(grid, params, 1.0)
-            rows.append([p, N, n, M, viol, tol, viol <= tol])
-            ok = ok and viol <= tol
-    return rows, ok
-
-
-def _min_eig_rows(cfg: RawConfig, rng: np.random.Generator):
-    samples = cfg.get_int("lemmas", "min_eig_samples", 1000)
-    rows = []
-    worst = np.inf
-    for branch in ("small", "large"):
-        done = 0
-        while done < samples:
-            N = int(rng.integers(1, 4))
-            gamma = float(rng.uniform(0.1, 0.9))
-            if branch == "small":
-                p = float(rng.uniform(2.05, 4.0))
-                if rng.random() < 0.3:  # Lipschitz moduli satisfy the same bound
-                    tau = float(rng.uniform(0.05, 0.45))
-                    modulus = LipschitzModulus(tau, 0.9 / (1.0 + tau))
-                else:
-                    modulus = HolderModulus(gamma)
-                s = 10.0 ** rng.uniform(-4.0, -0.33)
-                eps = None
-            else:
-                p = float(rng.uniform(4.0, 8.0))
-                modulus = HolderModulus(gamma)
-                eps = (1.0 - gamma) / (2.0 * max(p - 4.0, 0.25))
-                s = 10.0 ** rng.uniform(-6.0, -1.5)
-            x = rng.standard_normal(N)
-            x *= s / np.linalg.norm(x)
-            try:
-                ray, bound, slack = min_eig_bound_check(x, p, eps, modulus, branch=branch)
-            except ValueError:
-                continue  # rejected sample (empty index set / damped inequality fails)
-            rel = slack / max(1.0, abs(bound))
-            worst = min(worst, rel)
-            rows.append([branch, p, N, gamma, s, ray, bound, slack, rel])
-            done += 1
-    return rows, worst
-
-
-def _pair_rows(cfg: RawConfig, rng: np.random.Generator):
-    samples = cfg.get_int("lemmas", "pair_samples", 500)
-    per = max(1, samples // len(REGIMES))
-    rows = []
-    worst = np.inf
-    for regime in REGIMES:
-        done = 0
-        attempts = 0
-        while done < per and attempts < 50 * per:
-            attempts += 1
-            N = int(rng.integers(1, 4))
-            p = DEFAULT_REGIME_P[regime] + float(rng.uniform(-0.4, 0.4))
-            p = min(max(p, 2.1), 8.0)
-            p = min(p, 4.0) if regime.endswith("small_p") else max(p, 4.0)
-            params = regime_params(regime, p, N)
-            modulus = params.modulus()
-            # p >= 4 needs the damped inequality: sample below the regime threshold
-            if params.eps is not None:
-                s = params.delta_N * 10.0 ** rng.uniform(-1.5, -0.1)
-            else:
-                s = 10.0 ** rng.uniform(-4.0, -1.5)
-            x = rng.standard_normal(N)
-            x *= s / np.linalg.norm(x)
-            M = float(rng.uniform(1.5, 50.0))
-            try:
-                jm = build_jet_matrices(x, M, p, modulus)
-                X, Y = feasible_pair_sample(x, M, p, modulus, rng)
-                rep = pair_conclusions_check(X, Y, jm, eps=params.eps)
-            except ValueError:
-                continue
-            rel = rep.min_relative_slack()
-            worst = min(worst, rel)
-            rows.append([regime, p, N, M, s, rep.slack_all, rep.slack_small,
-                         rep.slack_large, rep.slack_norm, rel])
-            done += 1
-        if done < per:
-            raise RuntimeError(f"could not draw {per} feasible pairs for {regime}")
-    return rows, worst
-
-
-def _zt_rows(cfg: RawConfig, rng: np.random.Generator):
-    samples = cfg.get_int("lemmas", "zt_samples", 10_000)
-    rows = []
-    worst = np.inf
-    for _ in range(samples):
-        N = int(rng.integers(1, 4))
-        p = float(rng.uniform(2.05, 8.0))
-        theta = float(rng.uniform(1e-3, 1.0)) * min(1.0, p - 2.0)
-        Z = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-        T = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-        slack = zt_check(Z, T, theta, p)
-        rhs = slack + abs(np.linalg.norm(Z) ** (p - 2) - np.linalg.norm(T) ** (p - 2))
-        rel = slack / max(1.0, rhs)
-        worst = min(worst, rel)
-        rows.append([p, N, theta, slack, rel])
-    return rows, worst
-
-
-def _comparison_rows(n: int, p: float, pairs: int, rng: np.random.Generator):
-    from .manufactured import gaussian_field
-
-    grid = GridSpec(2, n, "ball")
-    solver_cfg = SolveConfig(grad_tol=1e-6)
-    rows = []
-    ok = True
-    for trial in range(pairs):
-        f2 = gaussian_field(grid, amp=float(rng.uniform(-2, 2)),
-                            center=rng.uniform(-0.5, 0.5, 2),
-                            sigma=float(rng.uniform(0.2, 0.5)))
-        bump = gaussian_field(grid, amp=float(rng.uniform(0.1, 2.0)),
-                              center=rng.uniform(-0.5, 0.5, 2),
-                              sigma=float(rng.uniform(0.2, 0.5)))
-        f1 = ScalarField(grid, f2.values + bump.values)
-        a = rng.uniform(-0.5, 0.5, 3)
-        boundary = lambda pts, a=a: a[0] + a[1] * pts[:, 0] + a[2] * pts[:, 1]
-        u, _ = solve_dirichlet(EnergyProblem(grid, p, f1, boundary), solver_cfg)
-        v, _ = solve_dirichlet(EnergyProblem(grid, p, f2, boundary), solver_cfg)
-        res = comparison_check(u, v, p, tol=1e-5)
-        rows.append([trial, res.premise_holds, res.conclusion_holds, res.operator_gap,
-                     res.boundary_gap, res.interior_gap, res.conclusion_tol])
-        ok = ok and res.premise_holds and res.conclusion_holds
-    return rows, ok
 
 
 def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
@@ -263,27 +117,30 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
     checks = []
 
     if cfg.get_bool("lemmas", "run_barrier", True):
-        rows, ok = _barrier_rows(cfg)
+        rows, ok = barrier_rows(
+            cfg.get_int("lemmas", "barrier_nodes", 129),
+            cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0]),
+            cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int))
         write_csv(outdir / "barrier_checks.csv",
                   ["p", "N", "nodes", "M", "violation", "tolerance", "pass"], rows, chash)
         checks.append(("barrier_supersolution", ok, f"{len(rows)} (p, N) cases"))
 
     if cfg.get_bool("lemmas", "run_min_eig", True):
-        rows, worst = _min_eig_rows(cfg, rngs[0])
+        rows, worst = min_eig_rows(rngs[0], cfg.get_int("lemmas", "min_eig_samples", 1000))
         write_csv(outdir / "min_eig_samples.csv",
                   ["branch", "p", "N", "gamma", "s", "rayleigh", "bound", "slack",
                    "rel_slack"], rows, chash)
         checks.append(("min_eig_bound", worst >= -1e-9, f"worst rel slack {worst:.3e}"))
 
     if cfg.get_bool("lemmas", "run_pair", True):
-        rows, worst = _pair_rows(cfg, rngs[1])
+        rows, worst = pair_rows(rngs[1], cfg.get_int("lemmas", "pair_samples", 500))
         write_csv(outdir / "pair_samples.csv",
                   ["regime", "p", "N", "M", "s", "slack_all", "slack_small",
                    "slack_large", "slack_norm", "rel_slack"], rows, chash)
         checks.append(("pair_conclusions", worst >= -1e-9, f"worst rel slack {worst:.3e}"))
 
     if cfg.get_bool("lemmas", "run_zt", True):
-        rows, worst = _zt_rows(cfg, rngs[2])
+        rows, worst = zt_rows(rngs[2], cfg.get_int("lemmas", "zt_samples", 10_000))
         write_csv(outdir / "zt_samples.csv",
                   ["p", "N", "theta", "slack", "rel_slack"], rows, chash)
         checks.append(("zt_inequality", worst >= -1e-12, f"worst rel slack {worst:.3e}"))
@@ -292,7 +149,7 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
         pairs = cfg.get_int("lemmas", "comparison_pairs", 5)
         n = cfg.get_int("lemmas", "comparison_nodes", 33)
         p = cfg.get_float("lemmas", "comparison_p", 3.0)
-        rows, ok = _comparison_rows(n, p, pairs, np.random.default_rng(root.spawn(1)[0]))
+        rows, ok, _ = comparison_rows(np.random.default_rng(root.spawn(1)[0]), n, p, pairs)
         write_csv(outdir / "comparison_checks.csv",
                   ["trial", "premise", "conclusion", "operator_gap", "boundary_gap",
                    "interior_gap", "conclusion_tol"], rows, chash)
@@ -348,11 +205,11 @@ def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) 
             lip_seminorm=lipschitz_seminorm(u, r),
             holder_seminorms={g: holder_seminorm(u, r, g) for g in gammas},
         )
-        return rec, rep.converged, u
+        return rec, rep.converged
 
     results = _par_map(one, presets)
-    records = [r for r, _, _ in results]
-    all_conv = all(c for _, c, _ in results)
+    records = [rec for rec, _ in results]
+    converged = [conv for _, conv in results]
     records_to_csv(outdir / "records.csv", records, chash)
     c_emp = estimate_constant(records)
 
@@ -360,27 +217,33 @@ def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) 
     label0, f0 = presets[0]
     base = next(rec for rec in records if rec.f_label == label0)
     scale_rows = [[1.0, base.ratio, 0.0]]
-    drift = 0.0
+    rels = []
     for lam in lambdas:
         f_l = ScalarField(grid, lam ** (p - 1.0) * f0.values)
-        cfg_l = SolveConfig(grad_tol=solver_cfg.grad_tol * lam ** (p - 1.0),
-                            max_iters=solver_cfg.max_iters,
-                            armijo_c=solver_cfg.armijo_c,
-                            backtrack_factor=solver_cfg.backtrack_factor)
-        u_l, _ = solve_dirichlet(EnergyProblem(grid, p, f_l, zero_boundary), cfg_l)
+        cfg_l = dataclasses.replace(solver_cfg, grad_tol=solver_cfg.grad_tol * lam ** (p - 1.0))
+        u_l, rep_l = solve_dirichlet(EnergyProblem(grid, p, f_l, zero_boundary), cfg_l)
+        converged.append(rep_l.converged)
         ratio_l = lipschitz_seminorm(u_l, r) / (u_l.sup_norm()
                                                 + f_l.sup_norm("interior") ** (1 / (p - 1)))
-        rel = abs(ratio_l - base.ratio) / base.ratio
-        drift = max(drift, rel)
-        scale_rows.append([lam, ratio_l, rel])
+        # a solve stopped before u moved off 0 inside the radius leaves no ratio to compare
+        rels.append(abs(ratio_l - base.ratio) / base.ratio if base.ratio else np.nan)
+        scale_rows.append([lam, ratio_l, rels[-1]])
+    if base.ratio:
+        drift = max([0.0, *rels])
+        scaling = ("scaling_invariance", drift <= 1e-6, f"max rel drift {drift:.3e}")
+    else:
+        drift = np.nan
+        scaling = ("scaling_invariance", False, "base ratio is 0: relative drift undefined")
     write_csv(outdir / "scaling_invariance.csv",
               ["lambda", "ratio", "rel_drift"], scale_rows, chash)
     write_csv(outdir / "regularity_summary.csv",
               ["p", "N", "r", "empirical_C", "scaling_drift"],
               [[p, grid.dimension, r, c_emp, drift]], chash)
-    return [("all_solves_converged", all_conv, f"{len(records)} presets"),
+    return [("all_solves_converged", all(converged),
+             f"{sum(converged)} of {len(converged)} solves converged "
+             f"({len(records)} presets + {len(lambdas)} scaling)"),
             ("empirical_C_finite", bool(np.isfinite(c_emp)), f"C = {c_emp:.6g}"),
-            ("scaling_invariance", drift <= 1e-6, f"max rel drift {drift:.3e}")]
+            scaling]
 
 
 def run_convergence_study(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:

@@ -64,7 +64,3 @@ def spectral_norm(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     w, _ = jacobi_eigh(a)
     return float(np.abs(w).max())
-
-
-def eigenvalues(a: np.ndarray) -> np.ndarray:
-    return jacobi_eigh(a)[0]

@@ -1,0 +1,182 @@
+"""Seeded samplers for the lemma checks, one per family.
+
+Every sampling decision lives here: the distributions drawn from, the rule
+for rejecting a draw, and the attempt cap.  The `verify-lemmas` subcommand
+and the acceptance suite call the same functions, so the suite certifies the
+sampler the CLI ships.  Each sampler returns the CSV rows of its family plus
+either the worst relative slack (the check passes when it stays above a
+small negative tolerance) or a pass flag.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .barrier import BarrierParams, comparison_check, min_barrier_M
+from .barrier import supersolution_tolerance, verify_supersolution
+from .claims import DEFAULT_REGIME_P, REGIMES, regime_params, zt_check
+from .grid import GridSpec, ScalarField
+from .jets import build_jet_matrices, feasible_pair_sample, min_eig_bound_check
+from .jets import pair_conclusions_check
+from .manufactured import gaussian_field
+from .moduli import HolderModulus, LipschitzModulus
+from .solver import EnergyProblem, SolveConfig, solve_dirichlet
+
+
+def lipschitz_modulus(tau: float) -> LipschitzModulus:
+    """The sampled Lipschitz modulus: omega0 = 1/(2(1+tau)) keeps w' in [1/2, 1) on (0, 1)."""
+    return LipschitzModulus(tau, 0.5 / (1.0 + tau))
+
+
+def barrier_rows(nodes: int, p_list, n_list):
+    """Discrete supersolution check of the minimal barrier on the unit ball, per (N, p).
+
+    Rows: p, N, nodes, M, violation, tolerance, pass.
+    """
+    rows = []
+    ok = True
+    for N in n_list:
+        grid = GridSpec(N, nodes, "ball")
+        for p in p_list:
+            M = min_barrier_M(p, N, 1.0)
+            params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
+            viol = verify_supersolution(grid, params, 1.0, 3.0 * grid.spacing)
+            tol = supersolution_tolerance(grid, params, 1.0)
+            rows.append([p, N, nodes, M, viol, tol, viol <= tol])
+            ok = ok and viol <= tol
+    return rows, ok
+
+
+def min_eig_rows(rng: np.random.Generator, samples: int):
+    """`samples` accepted draws per branch (small p, then large p) of the eigenvalue bound.
+
+    Rows: branch, p, N, gamma, s, rayleigh, bound, slack, rel_slack.
+    """
+    rows = []
+    worst = np.inf
+    for branch in ("small", "large"):
+        done = 0
+        while done < samples:
+            N = int(rng.integers(1, 4))
+            gamma = float(rng.uniform(0.1, 0.9))
+            if branch == "small":
+                p = float(rng.uniform(2.05, 4.0))
+                if rng.random() < 0.3:  # Lipschitz moduli satisfy the same bound
+                    modulus = lipschitz_modulus(float(rng.uniform(0.05, 0.45)))
+                else:
+                    modulus = HolderModulus(gamma)
+                s = 10.0 ** rng.uniform(-4.0, -0.33)
+                eps = None
+            else:
+                p = float(rng.uniform(4.0, 8.0))
+                modulus = HolderModulus(gamma)
+                eps = (1.0 - gamma) / (2.0 * max(p - 4.0, 0.25))
+                s = 10.0 ** rng.uniform(-6.0, -1.5)
+            x = rng.standard_normal(N)
+            x *= s / np.linalg.norm(x)
+            try:
+                ray, bound, slack = min_eig_bound_check(x, p, eps, modulus, branch=branch)
+            except ValueError:
+                continue  # rejected sample (empty index set / damped inequality fails)
+            rel = slack / max(1.0, abs(bound))
+            worst = min(worst, rel)
+            rows.append([branch, p, N, gamma, s, ray, bound, slack, rel])
+            done += 1
+    return rows, worst
+
+
+def pair_rows(rng: np.random.Generator, samples: int):
+    """`samples // 4` feasible doubling pairs per regime, at most 50 attempts per pair.
+
+    Raises RuntimeError when a regime's attempts run out.
+    Rows: regime, p, N, M, s, slack_all, slack_small, slack_large, slack_norm, rel_slack.
+    """
+    per = max(1, samples // len(REGIMES))
+    rows = []
+    worst = np.inf
+    for regime in REGIMES:
+        done = 0
+        attempts = 0
+        while done < per and attempts < 50 * per:
+            attempts += 1
+            N = int(rng.integers(1, 4))
+            p = DEFAULT_REGIME_P[regime] + float(rng.uniform(-0.4, 0.4))
+            p = min(max(p, 2.1), 8.0)
+            p = min(p, 4.0) if regime.endswith("small_p") else max(p, 4.0)
+            params = regime_params(regime, p, N)
+            modulus = params.modulus()
+            # p >= 4 needs the damped inequality: sample below the regime threshold
+            if params.eps is not None:
+                s = params.delta_N * 10.0 ** rng.uniform(-1.5, -0.1)
+            else:
+                s = 10.0 ** rng.uniform(-4.0, -1.5)
+            x = rng.standard_normal(N)
+            x *= s / np.linalg.norm(x)
+            M = float(rng.uniform(1.5, 50.0))
+            try:
+                jm = build_jet_matrices(x, M, p, modulus)
+                X, Y = feasible_pair_sample(x, M, p, modulus, rng)
+                rep = pair_conclusions_check(X, Y, jm, eps=params.eps)
+            except ValueError:
+                continue
+            rel = rep.min_relative_slack()
+            worst = min(worst, rel)
+            rows.append([regime, p, N, M, s, rep.slack_all, rep.slack_small,
+                         rep.slack_large, rep.slack_norm, rel])
+            done += 1
+        if done < per:
+            raise RuntimeError(f"could not draw {per} feasible pairs for {regime}")
+    return rows, worst
+
+
+def zt_rows(rng: np.random.Generator, samples: int):
+    """Random draws of the power-gap (Z/T) inequality over p in [2.05, 8).
+
+    Rows: p, N, theta, slack, rel_slack.
+    """
+    rows = []
+    worst = np.inf
+    for _ in range(samples):
+        N = int(rng.integers(1, 4))
+        p = float(rng.uniform(2.05, 8.0))
+        theta = float(rng.uniform(1e-3, 1.0)) * min(1.0, p - 2.0)
+        Z = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
+        T = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
+        slack = zt_check(Z, T, theta, p)
+        rhs = slack + abs(np.linalg.norm(Z) ** (p - 2) - np.linalg.norm(T) ** (p - 2))
+        rel = slack / max(1.0, rhs)
+        worst = min(worst, rel)
+        rows.append([p, N, theta, slack, rel])
+    return rows, worst
+
+
+def comparison_rows(rng: np.random.Generator, nodes: int, p: float, pairs: int):
+    """Solved pairs on the 2D ball with f1 >= f2 and shared affine boundary data.
+
+    Returns (rows, ok, solves): rows are trial, premise, conclusion,
+    operator_gap, boundary_gap, interior_gap, conclusion_tol; solves lists
+    (u, report, f, boundary) for each of the 2 * pairs solves.
+    """
+    grid = GridSpec(2, nodes, "ball")
+    solver_cfg = SolveConfig(grad_tol=1e-6)
+    rows = []
+    ok = True
+    solves = []
+    for trial in range(pairs):
+        f2 = gaussian_field(grid, amp=float(rng.uniform(-2, 2)),
+                            center=rng.uniform(-0.5, 0.5, 2),
+                            sigma=float(rng.uniform(0.2, 0.5)))
+        bump = gaussian_field(grid, amp=float(rng.uniform(0.1, 2.0)),
+                              center=rng.uniform(-0.5, 0.5, 2),
+                              sigma=float(rng.uniform(0.2, 0.5)))
+        f1 = ScalarField(grid, f2.values + bump.values)  # f1 >= f2 nodewise
+        a = rng.uniform(-0.5, 0.5, 3)
+        boundary = lambda pts, a=a: a[0] + a[1] * pts[:, 0] + a[2] * pts[:, 1]
+        u, rep_u = solve_dirichlet(EnergyProblem(grid, p, f1, boundary), solver_cfg)
+        v, rep_v = solve_dirichlet(EnergyProblem(grid, p, f2, boundary), solver_cfg)
+        solves += [(u, rep_u, f1, boundary), (v, rep_v, f2, boundary)]
+        res = comparison_check(u, v, p, tol=1e-5)
+        rows.append([trial, res.premise_holds, res.conclusion_holds, res.operator_gap,
+                     res.boundary_gap, res.interior_gap, res.conclusion_tol])
+        ok = ok and res.premise_holds and res.conclusion_holds
+    return rows, ok, solves

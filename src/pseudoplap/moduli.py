@@ -77,10 +77,6 @@ class LipschitzModulus:
         s = np.asarray(s, dtype=float)
         return -self.omega0 * self.tau * (1.0 + self.tau) * s ** (self.tau - 1.0)
 
-    def prime_window(self) -> float:
-        """Largest delta with delta^tau omega0 (1+tau) < 1/2, so w' in [1/2, 1) below it."""
-        return (0.5 / (self.omega0 * (1.0 + self.tau))) ** (1.0 / self.tau)
-
 
 Modulus = Union[HolderModulus, LipschitzModulus]
 

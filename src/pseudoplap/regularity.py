@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, interior_ball_nodes, interior_mask, node_coordinates
+from .grid import ScalarField, interior_ball_nodes, node_coordinates
 from .reporting import write_csv
 
 _CHUNK = 512
@@ -58,23 +58,6 @@ def holder_seminorm(u: ScalarField, r: float, gamma: float) -> float:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     return _pair_scan(u, r, gamma)
-
-
-def normalize_solution(u: ScalarField, f: ScalarField, p: float):
-    """Rescale (u, f) -> (v, f~) with scale s = sup|u| + sup|f|^{1/(p-1)}.
-
-    Then sup|v| <= 1, sup|f~| <= 1, and operator residuals scale by s^{1-p}.
-    """
-    if not p > 2:
-        raise ValueError(f"p must be > 2, got {p}")
-    u_sup = u.sup_norm()
-    f_sup = float(np.nanmax(np.abs(f.values[interior_mask(f.grid)])))
-    s = u_sup + f_sup ** (1.0 / (p - 1.0))
-    if s == 0.0:
-        raise ValueError("both fields vanish; nothing to normalize")
-    v = ScalarField(u.grid, u.values / s)
-    ft = ScalarField(f.grid, f.values / s ** (p - 1.0))
-    return v, ft
 
 
 @dataclass(frozen=True)

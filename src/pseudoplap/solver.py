@@ -89,7 +89,6 @@ class SolveReport:
     iterations: int
     final_energy: float
     final_grad_sup: float  # sup |gradient| / h^N == sup |A_div(u) - (p-1) f|
-    divergence_residual: float
     wall_time: float
     energy_history: list = field(default_factory=list, repr=False)
 
@@ -265,53 +264,8 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         iterations=iterations,
         final_energy=J_u,
         final_grad_sup=sup_r,
-        divergence_residual=sup_r,
         wall_time=time.perf_counter() - t0,
         energy_history=history,
     )
     return ScalarField(prob.grid, u), report
 
-
-def _shifted(a: np.ndarray, delta, fill=0.0) -> np.ndarray:
-    out = np.full_like(a, fill)
-    src = []
-    dst = []
-    for d in delta:
-        if d >= 0:
-            src.append(slice(d, None) if d else slice(None))
-            dst.append(slice(None, -d) if d else slice(None))
-        else:
-            src.append(slice(None, d))
-            dst.append(slice(-d, None))
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
-def mollify_rhs(f: ScalarField, radius: float) -> ScalarField:
-    """Normalized box average over set nodes within the given Euclidean radius.
-
-    The kernel is renormalized per node over available neighbours, so the
-    sup-norm never increases and constants are preserved exactly.  This is
-    the fixed-grid stand-in for smoothing rough right-hand sides by
-    continuous approximation; there is no exact discrete analogue of that
-    limit here.
-    """
-    grid = f.grid
-    h = grid.spacing
-    if radius < h * (1.0 - 1e-12):
-        raise ValueError(f"radius must be >= spacing {h}, got {radius}")
-    k = int(np.floor(radius / h + 1e-12))
-    valid = np.isfinite(f.values)
-    vals = np.where(valid, f.values, 0.0)
-    cnt = valid.astype(float)
-    acc_v = np.zeros_like(vals)
-    acc_c = np.zeros_like(cnt)
-    for delta in np.ndindex(*(2 * k + 1,) * grid.dimension):
-        d = tuple(i - k for i in delta)
-        if sum(x * x for x in d) * h * h > radius * radius * (1 + 1e-12):
-            continue
-        acc_v += _shifted(vals, d)
-        acc_c += _shifted(cnt, d)
-    out = np.full(grid.node_shape, np.nan)
-    out[valid] = acc_v[valid] / acc_c[valid]
-    return ScalarField(grid, out)

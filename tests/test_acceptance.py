@@ -19,17 +19,14 @@ import time
 import numpy as np
 import pytest
 
-from pseudoplap.barrier import BarrierParams, comparison_check, linf_bound_check
-from pseudoplap.barrier import min_barrier_M, supersolution_tolerance, verify_supersolution
+from pseudoplap.barrier import linf_bound_check
 from pseudoplap.claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep
-from pseudoplap.claims import evaluate_claims_sweep, regime_params, zt_check
+from pseudoplap.claims import evaluate_claims_sweep, regime_params
 from pseudoplap.grid import GridSpec, ScalarField, node_coordinates
 from pseudoplap.grid import nonexterior_mask
-from pseudoplap.jets import build_jet_matrices, feasible_pair_sample, min_eig_bound_check
-from pseudoplap.jets import pair_conclusions_check
+from pseudoplap.lemmas import barrier_rows, comparison_rows, min_eig_rows, pair_rows, zt_rows
 from pseudoplap.manufactured import closed_form_1d, constant_field, gaussian_field
 from pseudoplap.manufactured import separable_reference, separable_trace, zero_boundary
-from pseudoplap.moduli import HolderModulus, LipschitzModulus
 from pseudoplap.operators import apply_divergence, apply_nondivergence, homogeneity_check
 from pseudoplap.regularity import ExperimentRecord, estimate_constant, lipschitz_seminorm
 from pseudoplap.solver import EnergyProblem, SolveConfig, solve_dirichlet
@@ -104,27 +101,11 @@ def test_criterion_03_homogeneity():
 
 def test_criterion_04_comparison():
     t0 = time.perf_counter()
-    g = GridSpec(2, 65)
-    rng = np.random.default_rng(2024)
-    failures = []
-    for trial in range(50):
-        f2 = gaussian_field(g, amp=float(rng.uniform(-2, 2)),
-                            center=rng.uniform(-0.5, 0.5, 2),
-                            sigma=float(rng.uniform(0.2, 0.5)))
-        bump = gaussian_field(g, amp=float(rng.uniform(0.1, 2.0)),
-                              center=rng.uniform(-0.5, 0.5, 2),
-                              sigma=float(rng.uniform(0.2, 0.5)))
-        f1 = ScalarField(g, f2.values + bump.values)  # f1 >= f2 nodewise
-        a = rng.uniform(-0.5, 0.5, 3)
-
-        def boundary(pts, a=a):
-            return a[0] + a[1] * pts[:, 0] + a[2] * pts[:, 1]
-
-        u, _ = _solve(g, 3.0, f1, boundary, 1e-6)
-        v, _ = _solve(g, 3.0, f2, boundary, 1e-6)
-        res = comparison_check(u, v, 3.0, tol=1e-5)
-        if not (res.premise_holds and res.conclusion_holds):
-            failures.append((trial, res))
+    rows, _, solves = comparison_rows(np.random.default_rng(2024), 65, 3.0, 50)
+    for u, rep, f, boundary in solves:
+        assert rep.converged, f"solver did not converge (residual {rep.final_grad_sup:.3e})"
+        SOLVES.append((u, f, boundary, 3.0))
+    failures = [row for row in rows if not (row[1] and row[2])]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 600.0
     _report("comparison", ok, f"50 pairs, {len(failures)} counterexamples, {elapsed:.0f}s")
@@ -132,16 +113,10 @@ def test_criterion_04_comparison():
 
 def test_criterion_05_barrier():
     t0 = time.perf_counter()
-    worst_gap = -np.inf
-    for N in (1, 2, 3):
-        g = GridSpec(N, 129)
-        for p in (2.5, 3.0, 4.0, 5.0, 6.0):
-            M = min_barrier_M(p, N, 1.0)
-            params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
-            viol = verify_supersolution(g, params, 1.0, 3.0 * g.spacing)
-            tol = supersolution_tolerance(g, params, 1.0)
-            worst_gap = max(worst_gap, viol - tol)
-            assert viol <= tol, (p, N, viol, tol)
+    rows, _ = barrier_rows(129, (2.5, 3.0, 4.0, 5.0, 6.0), (1, 2, 3))
+    for p, N, _, _, viol, tol, _ in rows:
+        assert viol <= tol, (p, N, viol, tol)
+    worst_gap = max(viol - tol for *_, viol, tol, _ in rows)
     # explicit sup-norm bound on representative solves plus everything the
     # suite has solved so far
     g1 = GridSpec(1, 129)
@@ -162,91 +137,25 @@ def test_criterion_05_barrier():
 
 def test_criterion_06_min_eig_bounds():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7_001)
-    worst = np.inf
-    for branch in ("small", "large"):
-        done = 0
-        while done < 1000:
-            N = int(rng.integers(1, 4))
-            gamma = float(rng.uniform(0.1, 0.9))
-            if branch == "small":
-                p = float(rng.uniform(2.05, 4.0))
-                eps = None
-                if rng.random() < 0.3:
-                    tau = float(rng.uniform(0.05, 0.45))
-                    modulus = LipschitzModulus(tau, 0.5 / (1.0 + tau))
-                else:
-                    modulus = HolderModulus(gamma)
-                s = 10.0 ** rng.uniform(-4, -0.33)
-            else:
-                p = float(rng.uniform(4.0, 8.0))
-                modulus = HolderModulus(gamma)
-                eps = (1.0 - gamma) / (2.0 * max(p - 4.0, 0.25))
-                s = 10.0 ** rng.uniform(-6, -1.5)
-            x = rng.standard_normal(N)
-            x *= s / np.linalg.norm(x)
-            try:
-                _, bound, slack = min_eig_bound_check(x, p, eps, modulus, branch=branch)
-            except ValueError:
-                continue
-            worst = min(worst, slack / max(1.0, abs(bound)))
-            done += 1
+    rows, worst = min_eig_rows(np.random.default_rng(7_001), 1000)
     elapsed = time.perf_counter() - t0
-    ok = worst >= -1e-9 and elapsed < 30.0
-    _report("min_eig_bounds", ok, f"2000 samples, worst rel slack {worst:.3e}, {elapsed:.1f}s")
+    ok = len(rows) == 2000 and worst >= -1e-9 and elapsed < 30.0
+    _report("min_eig_bounds", ok,
+            f"{len(rows)} samples, worst rel slack {worst:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_07_pair_conclusions():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7_002)
-    worst = np.inf
-    total = 0
-    for regime in REGIMES:
-        done = 0
-        attempts = 0
-        while done < 125 and attempts < 10_000:
-            attempts += 1
-            N = int(rng.integers(1, 4))
-            p = DEFAULT_REGIME_P[regime] + float(rng.uniform(-0.4, 0.4))
-            p = min(max(p, 2.1), 8.0)
-            p = min(p, 4.0) if regime.endswith("small_p") else max(p, 4.0)
-            params = regime_params(regime, p, N)
-            modulus = params.modulus()
-            if params.eps is not None:
-                s = params.delta_N * 10.0 ** rng.uniform(-1.5, -0.1)
-            else:
-                s = 10.0 ** rng.uniform(-4.0, -1.5)
-            x = rng.standard_normal(N)
-            x *= s / np.linalg.norm(x)
-            M = float(rng.uniform(1.5, 50.0))
-            try:
-                jm = build_jet_matrices(x, M, p, modulus)
-                X, Y = feasible_pair_sample(x, M, p, modulus, rng)
-                rep = pair_conclusions_check(X, Y, jm, eps=params.eps)
-            except ValueError:
-                continue
-            worst = min(worst, rep.min_relative_slack())
-            done += 1
-        total += done
+    rows, worst = pair_rows(np.random.default_rng(7_002), 500)
     elapsed = time.perf_counter() - t0
-    ok = total == 500 and worst >= -1e-9 and elapsed < 60.0
+    ok = len(rows) == 500 and worst >= -1e-9 and elapsed < 60.0
     _report("pair_conclusions", ok,
-            f"{total} feasible pairs, worst rel slack {worst:.3e}, {elapsed:.1f}s")
+            f"{len(rows)} feasible pairs, worst rel slack {worst:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_08_zt_inequality():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7_003)
-    worst = np.inf
-    for _ in range(10_000):
-        N = int(rng.integers(1, 4))
-        p = float(rng.uniform(2.05, 8.0))
-        theta = float(rng.uniform(1e-3, 1.0)) * min(1.0, p - 2.0)
-        Z = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-        T = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-        slack = zt_check(Z, T, theta, p)
-        rhs = slack + abs(np.linalg.norm(Z) ** (p - 2) - np.linalg.norm(T) ** (p - 2))
-        worst = min(worst, slack / max(1.0, rhs))
+    _, worst = zt_rows(np.random.default_rng(7_003), 10_000)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-12 and elapsed < 5.0
     _report("zt_inequality", ok, f"10^4 samples, worst rel slack {worst:.3e}, {elapsed:.1f}s")

@@ -36,6 +36,24 @@ boundary = zero
 grad_tol = 1e-7
 """
 
+# a 2D n = 33 copy of configs/regularity_2d.ini
+REGULARITY_33 = """
+[problem]
+p = 3.0
+dimension = 2
+nodes = 33
+shape = ball
+
+[solver]
+grad_tol = 1e-8
+max_iters = {max_iters}
+
+[regularity]
+radius = 0.5
+gammas = 0.5
+scaling_lambdas = {lambdas}
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -71,6 +89,12 @@ def test_main_config_error_exit_2(tmp_path, capsys):
 
 def test_main_missing_config_exit_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_solver_config_error_names_line(tmp_path, capsys):
+    path = write(tmp_path, "neg.ini", SOLVE_TINY.replace("grad_tol = 1e-7", "grad_tol = -1"))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:11: [solver] grad_tol: grad_tol must be positive" in capsys.readouterr().err
 
 
 def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
@@ -171,6 +195,39 @@ scaling_lambdas = 2.0
         assert proc.returncode == 0, proc.stderr
         outs.append((out / "records.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("threads", ["one", "-2"])
+def test_malformed_threads_exit_2(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("PSEUDOPLAP_THREADS", threads)
+    path = write(tmp_path, "reg.ini", REGULARITY_33.format(max_iters=5, lambdas="0.1"))
+    assert main(["measure-regularity", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "PSEUDOPLAP_THREADS" in capsys.readouterr().err
+
+
+def _regularity_summary(tmp_path, max_iters, lambdas):
+    path = write(tmp_path, "reg.ini", REGULARITY_33.format(max_iters=max_iters, lambdas=lambdas))
+    out = tmp_path / "out"
+    code = main(["measure-regularity", "--config", path, "--seed", "0", "--out", str(out)])
+    rows = (out / "summary.csv").read_text().splitlines()[2:]
+    return code, {name: (ok, detail) for name, ok, detail in (r.split(",", 2) for r in rows)}
+
+
+def test_regularity_reports_unconverged_scaling_solve(tmp_path):
+    # every preset converges within 4000 iterations; the lambda = 1e-4 copy of
+    # the first one does not, because the solver's diagonal floor of 1 binds
+    code, summary = _regularity_summary(tmp_path, 4000, "0.0001")
+    assert code == 1
+    assert summary["all_solves_converged"] == (
+        "false", "10 of 11 solves converged (10 presets + 1 scaling)")
+
+
+def test_regularity_zero_base_ratio_fails_check(tmp_path):
+    # after 5 iterations u is still flat inside the radius for the first preset
+    code, summary = _regularity_summary(tmp_path, 5, "0.1, 10")
+    assert code == 1
+    assert summary["scaling_invariance"] == ("false", "base ratio is 0: relative drift undefined")
+    assert summary["all_solves_converged"][0] == "false"
 
 
 def test_console_entry_point_runs():

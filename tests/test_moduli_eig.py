@@ -36,7 +36,7 @@ def test_lipschitz_requires_s0_above_one():
 
 def test_lipschitz_prime_window():
     m = LipschitzModulus(0.25, 0.5)
-    delta = m.prime_window()
+    delta = (0.5 / (m.omega0 * (1.0 + m.tau))) ** (1.0 / m.tau)  # delta^tau omega0 (1+tau) = 1/2
     for s in np.linspace(1e-6, delta * 0.999, 50):
         assert 0.5 <= m.omega_prime(s) < 1.0
 

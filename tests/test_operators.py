@@ -4,7 +4,6 @@ import pytest
 from pseudoplap.grid import GridSpec, ScalarField, interior_mask, nonexterior_mask
 from pseudoplap.manufactured import closed_form_1d
 from pseudoplap.operators import (
-    OperatorParams,
     apply_divergence,
     apply_nondivergence,
     consistency_residual,
@@ -20,12 +19,10 @@ def random_field(grid, seed=0, scale=1.0):
     return ScalarField(grid, vals)
 
 
-def test_operator_params_validation():
-    with pytest.raises(ValueError):
-        OperatorParams(2.0)
-    with pytest.raises(ValueError):
-        OperatorParams(3.0, "weak")
-    assert OperatorParams(2.5).form == "divergence"
+def test_unknown_form_rejected():
+    u = random_field(GridSpec(2, 9))
+    with pytest.raises(ValueError, match="form must be one of"):
+        homogeneity_check(u, 3.0, 2.0, "weak")
 
 
 def test_phi_p_odd_monotone():

@@ -3,13 +3,11 @@ import pytest
 
 from pseudoplap.grid import GridSpec, ScalarField, interior_ball_nodes, node_coordinates
 from pseudoplap.manufactured import closed_form_1d, constant_field, zero_boundary
-from pseudoplap.operators import consistency_residual
 from pseudoplap.regularity import (
     ExperimentRecord,
     estimate_constant,
     holder_seminorm,
     lipschitz_seminorm,
-    normalize_solution,
     records_to_csv,
 )
 from pseudoplap.solver import EnergyProblem, SolveConfig, solve_dirichlet
@@ -76,28 +74,6 @@ def test_pair_scan_input_validation():
         lipschitz_seminorm(u, 0.99)
     with pytest.raises(ValueError):
         holder_seminorm(u, 0.5, 1.5)
-
-
-def test_normalize_solution():
-    g = GridSpec(2, 33)
-    p = 3.0
-    f = constant_field(g, 2.0)
-    u, _ = solve_dirichlet(EnergyProblem(g, p, f, zero_boundary), SolveConfig(grad_tol=1e-7))
-    v, ft = normalize_solution(u, f, p)
-    assert v.sup_norm() <= 1.0 + 1e-12
-    assert ft.sup_norm("interior") <= 1.0 + 1e-12
-    s = u.sup_norm() + f.sup_norm("interior") ** (1.0 / (p - 1.0))
-    res_orig = consistency_residual(u, f, p, "divergence")
-    res_norm = consistency_residual(v, ft, p, "divergence")
-    # exact by homogeneity; fp wiggle because the residual sits at the solver floor
-    assert res_norm == pytest.approx(res_orig / s ** (p - 1.0), rel=1e-5)
-
-
-def test_normalize_rejects_zero():
-    g = GridSpec(2, 9)
-    zero = ScalarField.from_function(g, lambda pts: np.zeros(len(pts)))
-    with pytest.raises(ValueError):
-        normalize_solution(zero, zero, 3.0)
 
 
 def test_estimate_constant_single_and_mixed():

@@ -6,7 +6,7 @@ from pseudoplap.grid import nonexterior_mask
 from pseudoplap.manufactured import closed_form_1d, constant_field, zero_boundary
 from pseudoplap.operators import apply_divergence
 from pseudoplap.solver import EnergyProblem, SolveConfig, energy, energy_gradient
-from pseudoplap.solver import mollify_rhs, solve_dirichlet
+from pseudoplap.solver import solve_dirichlet
 
 
 def shared_boundary_field(grid, seed, boundary_vals=None):
@@ -108,7 +108,6 @@ def test_solve_report_contract():
     # accepted iterates have non-increasing energy up to rounding slack
     E = np.array(rep.energy_history)
     assert (np.diff(E) <= 1e-12 * np.maximum(1.0, np.abs(E[:-1]))).all()
-    assert rep.divergence_residual == rep.final_grad_sup
 
 
 def test_solve_nonconvergence_reported_not_raised():
@@ -162,39 +161,6 @@ def test_solver_stationarity_matches_divergence_form():
     mask = interior_mask(g)
     res = np.abs(out.values[mask] - 2.0 * f.values[mask]).max()
     assert res <= rep.final_grad_sup * (1 + 1e-12)
-
-
-def test_mollify_constant_unchanged():
-    g = GridSpec(2, 17)
-    f = constant_field(g, 2.5)
-    out = mollify_rhs(f, 2.0 * g.spacing)
-    mask = np.isfinite(f.values)
-    assert np.allclose(out.values[mask], 2.5)
-
-
-def test_mollify_sup_norm_never_increases():
-    g = GridSpec(2, 17)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        vals = np.where(nonexterior_mask(g), rng.standard_normal(g.node_shape), np.nan)
-        f = ScalarField(g, vals)
-        out = mollify_rhs(f, 2.0 * g.spacing)
-        assert out.sup_norm() <= f.sup_norm() + 1e-14
-
-
-def test_mollify_checkerboard_contracts():
-    from pseudoplap.manufactured import checkerboard_field
-
-    g = GridSpec(2, 17)
-    f = checkerboard_field(g, 1.0)
-    out = mollify_rhs(f, 2.0 * g.spacing)
-    assert out.sup_norm() < f.sup_norm()
-
-
-def test_mollify_rejects_small_radius():
-    g = GridSpec(2, 17)
-    with pytest.raises(ValueError):
-        mollify_rhs(constant_field(g, 1.0), 0.5 * g.spacing)
 
 
 def test_energy_problem_validation():
