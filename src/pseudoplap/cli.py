@@ -103,11 +103,12 @@ def run_solve(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
     bound, ok_bound = linf_bound_check(u, prob.f, prob.boundary_data, prob.p,
                                        solver_tol=10 * solver_cfg.grad_tol)
     write_csv(outdir / "solve_report.csv",
-              ["converged", "iterations", "final_energy", "final_grad_sup",
-               "sup_norm", "linf_bound"],
-              [[rep.converged, rep.iterations, rep.final_energy, rep.final_grad_sup,
-                u.sup_norm(), bound]], chash)
-    return [("solver_converged", rep.converged, f"residual {rep.final_grad_sup:.3e}"),
+              ["converged", "reason", "iterations", "inner_iterations", "final_energy",
+               "final_grad_sup", "sup_norm", "linf_bound"],
+              [[rep.converged, rep.reason, rep.iterations, rep.inner_iterations,
+                rep.final_energy, rep.final_grad_sup, u.sup_norm(), bound]], chash)
+    return [("solver_converged", rep.converged,
+             f"{rep.reason}: residual {rep.final_grad_sup:.3e}"),
             ("linf_bound", ok_bound, f"sup|u| = {u.sup_norm():.6g} <= {bound:.6g}")]
 
 

@@ -8,6 +8,7 @@ SVG plots are plain polylines emitted directly, no plotting dependency.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 
@@ -29,11 +30,12 @@ def format_cell(v) -> str:
 
 
 def write_csv(path, columns, rows, cfg_hash: str = "none") -> None:
-    with open(path, "w") as fh:
+    """Write a report CSV; a cell holding a comma, quote or newline is quoted."""
+    with open(path, "w", newline="") as fh:
         fh.write(f"# tool=pseudoplap-{__version__} config_hash={cfg_hash}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def _ticks(lo: float, hi: float, count: int = 5):

@@ -9,11 +9,25 @@ Its exact gradient at an interior node is [-A_div(u) + (p-1) f] h^N with
 A_div the divergence-form operator, so driving the gradient per unit volume
 to zero solves the discrete equation A_div(u) = (p-1) f.
 
-The minimizer is found by gradient descent in the diagonally scaled metric
-(the exact Hessian diagonal, floored at one, as the scaling) with Armijo
-backtracking from unit step.  Accepted iterates have non-increasing energy
-up to a floating-point rounding slack of a few ulps of J, which keeps the
-line search honest when the target residual sits near the arithmetic floor.
+The minimizer is found by an inexact Newton method.  Each step solves
+H s = r for the residual r = A_div(u) - (p-1) f, where
+
+    H s = -div((p-1) (|D_i u|^(p-2) + reg) D_i s)      per link
+
+is the energy Hessian per unit volume with its degenerate link weights lifted
+by reg = clip(sup|r|, 1e-12, 1e-2).  Conjugate gradients preconditioned by
+the diagonal of H solve it to the relative tolerance min(0.5, sqrt(sup|r|)),
+an Eisenstat-Walker forcing term, so far-off steps stay cheap and the last
+ones converge superlinearly.  The step is taken with Armijo backtracking on J
+from unit step.  Accepted iterates have non-increasing energy up to a
+floating-point rounding slack of a few ulps of J, which keeps the line search
+honest when the target residual sits near the arithmetic floor.
+
+A solve stops for one of three reasons, kept in `SolveReport.reason`:
+"converged" when sup|r| <= grad_tol; "max_iters" when it runs out of Newton
+steps; "stalled" at the rounding floor, when a step changes J by no more
+than the rounding slack without lowering sup|r| (that step is not taken), or
+when the line search cannot certify any step.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ class EnergyProblem:
 @dataclass
 class SolveConfig:
     grad_tol: float = 1e-8  # sup-norm of the energy gradient per unit cell volume
-    max_iters: int = 200_000
+    max_iters: int = 200_000  # Newton steps
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     initial_guess: str = "zero_extended_boundary"
@@ -86,7 +100,10 @@ class SolveConfig:
 @dataclass
 class SolveReport:
     converged: bool
-    iterations: int
+    reason: str  # "converged", "max_iters" or "stalled"
+    iterations: int  # Newton steps
+    inner_iterations: int  # PCG iterations over all Newton steps
+    backtracks: int  # step halvings over all line searches
     final_energy: float
     final_grad_sup: float  # sup |gradient| / h^N == sup |A_div(u) - (p-1) f|
     wall_time: float
@@ -99,80 +116,145 @@ def _link_masks(grid: GridSpec) -> tuple:
     ok = nonexterior_mask(grid)
     masks = []
     for ax in range(grid.dimension):
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
-        m = ok[tuple(lo)] & ok[tuple(hi)]
+        lo, hi, _ = _axis_slices(grid.dimension, ax)
+        m = ok[lo] & ok[hi]
         m.setflags(write=False)
         masks.append(m)
     return tuple(masks)
 
 
+def _axis_slices(ndim: int, ax: int) -> tuple:
+    """(lo, hi, core) along ax: drop the last, the first, and both end entries.
+
+    v[hi] - v[lo] are the forward differences of a node array, one per link;
+    flux[hi] - flux[lo] are the backward differences of a link array, which
+    land on the nodes v[core].
+    """
+    lo, hi, core = ([slice(None)] * ndim for _ in range(3))
+    lo[ax], hi[ax], core[ax] = slice(None, -1), slice(1, None), slice(1, -1)
+    return tuple(lo), tuple(hi), tuple(core)
+
+
 class _Workspace:
-    """Raw-array kernels shared by the public energy/gradient/solver entry points."""
+    """Raw-array kernels and buffers shared by the public energy/gradient/solver entry points.
+
+    `energy(v)` keeps v and its link weights |D_i v|^(p-2).  `residual()`
+    reuses them, and `newton_step` turns the weights into the Hessian's, so
+    the power is taken once per evaluated field.  The buffers are allocated
+    once per solve; `spare` serves PCG as scratch and, between Newton steps,
+    the line search as its trial point.
+    """
 
     def __init__(self, prob: EnergyProblem):
         g = prob.grid
-        self.grid = g
         self.p = prob.p
         self.h = g.spacing
         self.hN = self.h**g.dimension
-        self.ndim = g.dimension
         self.interior = interior_mask(g)
-        self.links = _link_masks(g)
-        self.f_int = np.where(self.interior, prob.f.values, 0.0)
+        self.outside = ~self.interior
+        self.n_interior = int(self.interior.sum())
+        self.f = prob.f.values  # finite on the interior; may be NaN elsewhere
+        self.off_links = tuple(~m for m in _link_masks(g))
+        self.axes = [_axis_slices(g.dimension, ax) for ax in range(g.dimension)]
+        self.v = None
+        self.weights = [np.empty(m.shape) for m in self.off_links]
+        self.resid, self.step, self.inv_diag, self.cg_dir, self.spare = (
+            np.zeros(g.node_shape) for _ in range(5))
 
-    def _axis_slices(self, ax):
-        lo = [slice(None)] * self.ndim
-        hi = [slice(None)] * self.ndim
-        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
-        return tuple(lo), tuple(hi)
+    def _diffs(self, v: np.ndarray, ax: int) -> np.ndarray:
+        """D_i v along ax on the links, 0 on links that touch an exterior (NaN) node."""
+        lo, hi, _ = self.axes[ax]
+        d = v[hi] - v[lo]
+        d /= self.h
+        np.copyto(d, 0.0, where=self.off_links[ax])
+        return d
 
     def energy(self, v: np.ndarray) -> float:
-        p, h = self.p, self.h
+        """J(v); keeps v and |D_i v|^(p-2) for `residual` and `newton_step`."""
+        p = self.p
+        self.v = v
         link_sum = 0.0
-        for ax in range(self.ndim):
-            lo, hi = self._axis_slices(ax)
-            d = (v[hi] - v[lo]) / h
-            link_sum += float(np.where(self.links[ax], np.abs(d) ** p, 0.0).sum())
-        fu = float((self.f_int * np.where(self.interior, v, 0.0)).sum())
+        for ax, w in enumerate(self.weights):
+            d = self._diffs(v, ax)
+            np.abs(d, out=w)
+            w **= p - 2.0
+            d *= d
+            link_sum += float(np.vdot(w, d))  # |d|^(p-2) d^2 = |d|^p
+        fu = float(np.where(self.interior, self.f * v, 0.0).sum())
         return (link_sum / p + (p - 1.0) * fu) * self.hN
 
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        """A_div(v) - (p-1) f on interior nodes, zero elsewhere (= -gradient/h^N)."""
-        p, h = self.p, self.h
-        out = np.zeros_like(v)
-        for ax in range(self.ndim):
-            lo, hi = self._axis_slices(ax)
-            d = (v[hi] - v[lo]) / h
-            flux = np.where(self.links[ax], np.abs(d) ** (p - 2.0) * d, 0.0)
-            core = [slice(None)] * self.ndim
-            core[ax] = slice(1, -1)
-            flo, fhi = self._axis_slices(ax)
-            out[tuple(core)] += (flux[fhi] - flux[flo]) / h
-        out -= (p - 1.0) * self.f_int
-        out[~self.interior] = 0.0
+    def residual(self) -> np.ndarray:
+        """A_div(v) - (p-1) f on interior nodes, zero elsewhere (= -gradient/h^N),
+        for the v of the last `energy` call; written into `self.resid`."""
+        out = self.resid
+        out.fill(0.0)
+        for ax, ((lo, hi, core), w) in enumerate(zip(self.axes, self.weights)):
+            flux = self._diffs(self.v, ax)
+            flux *= w
+            out[core] += (flux[hi] - flux[lo]) / self.h
+        out -= (self.p - 1.0) * self.f
+        out[self.outside] = 0.0
         return out
 
-    def inv_scaling(self, v: np.ndarray) -> np.ndarray:
-        """Per-node diagonal of the energy Hessian per unit volume, floored at 1.
+    def _hess_apply(self, s: np.ndarray, out: np.ndarray) -> None:
+        out.fill(0.0)
+        for (lo, hi, core), c in zip(self.axes, self.weights):
+            flux = s[hi] - s[lo]
+            flux *= c
+            out[core] -= flux[hi] - flux[lo]
+        np.copyto(out, 0.0, where=self.outside)
 
-        The exact diagonal is (p-1) sum over the node's links of
-        |D_i^+ v|^{p-2} / h^2; flooring keeps steps finite where every
-        incident gradient degenerates.
+    def newton_step(self, reg: float, rtol: float) -> tuple:
+        """Solve H s = r into `self.step` by Jacobi-preconditioned CG, r being the
+        last `residual()`; returns (CG iterations, r.s).
+
+        H is the Hessian per unit volume at the v of the last `energy` call,
+        with reg added to every link weight; the weights are overwritten by
+        H's, and `self.resid` by CG's residual.  H is symmetric positive
+        definite on the interior, so a curvature that is not positive means
+        non-finite input and raises.  CG starts from s = 0 and stops once
+        |r - H s| <= rtol |r| in the 2-norm, or after one iteration per
+        interior node.  Every CG iterate s has r.s = s.H s > 0, so it is a
+        descent direction for J.
         """
-        p, h = self.p, self.h
-        total = np.zeros_like(v)
-        for ax in range(self.ndim):
-            lo, hi = self._axis_slices(ax)
-            dabs = np.where(self.links[ax], np.abs((v[hi] - v[lo]) / h), 0.0) ** (p - 2.0)
-            core = [slice(None)] * self.ndim
-            core[ax] = slice(1, -1)
-            clo = [slice(None)] * self.ndim
-            chi = [slice(None)] * self.ndim
-            clo[ax], chi[ax] = slice(None, -1), slice(1, None)
-            total[tuple(core)] += dabs[tuple(clo)] + dabs[tuple(chi)]
-        return np.maximum(1.0, (p - 1.0) * total / (h * h))
+        scale = (self.p - 1.0) / (self.h * self.h)
+        diag = self.inv_diag
+        diag.fill(0.0)
+        for (lo, hi, core), off, c in zip(self.axes, self.off_links, self.weights):
+            c += reg
+            c *= scale
+            np.copyto(c, 0.0, where=off)
+            diag[core] += c[lo] + c[hi]
+        np.divide(1.0, diag, out=diag, where=self.interior)
+        np.copyto(diag, 0.0, where=self.outside)
+
+        # work holds H d, then the preconditioned residual z
+        s, res, d, work = self.step, self.resid, self.cg_dir, self.spare
+        s.fill(0.0)
+        np.multiply(res, diag, out=d)
+        rz = float(np.vdot(res, d))
+        stop = rtol * rtol * float(np.vdot(res, res))
+        k = 0
+        while k < self.n_interior:
+            k += 1
+            self._hess_apply(d, work)
+            curv = float(np.vdot(d, work))
+            if not curv > 0.0:
+                raise RuntimeError(f"PCG: curvature {curv!r} is not positive")
+            alpha = rz / curv
+            work *= alpha
+            res -= work
+            np.multiply(d, alpha, out=work)
+            s += work
+            if float(np.vdot(res, res)) <= stop:
+                break
+            np.multiply(res, diag, out=work)
+            rz_next = float(np.vdot(res, work))
+            d *= rz_next / rz
+            d += work
+            rz = rz_next
+        self._hess_apply(s, work)
+        return k, float(np.vdot(s, work))
 
 
 def energy(u: ScalarField, prob: EnergyProblem) -> float:
@@ -192,7 +274,8 @@ def energy_gradient(u: ScalarField, prob: EnergyProblem) -> ScalarField:
     if not np.isfinite(u.values[mask]).all():
         node = tuple(int(i) for i in np.argwhere(mask & ~np.isfinite(u.values))[0])
         raise ValueError(f"gradient stencil touches unset node {node}")
-    g = -ws.residual(u.values) * ws.hN
+    ws.energy(u.values)
+    g = -ws.residual() * ws.hN
     g[~ws.interior] = np.nan
     return ScalarField(prob.grid, g)
 
@@ -217,9 +300,10 @@ def _initial_values(prob: EnergyProblem, cfg: SolveConfig) -> np.ndarray:
 def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     """Minimize J over interior values; returns (ScalarField, SolveReport).
 
-    Stops when sup|gradient|/h^N <= grad_tol or after max_iters iterations;
-    non-convergence is reported, not raised.  A NaN appearing in the line
-    search raises RuntimeError.
+    Stops when sup|gradient|/h^N <= grad_tol, after max_iters Newton steps,
+    or when stalled at the rounding floor; non-convergence is reported in
+    `SolveReport.reason`, not raised.  A non-finite energy, at the start or
+    in the line search, raises RuntimeError.
     """
     cfg = cfg or SolveConfig()
     ws = _Workspace(prob)
@@ -228,44 +312,54 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     c, shrink = cfg.armijo_c, cfg.backtrack_factor
 
     J_u = ws.energy(u)
+    if not np.isfinite(J_u):
+        raise RuntimeError("non-finite energy in line search")
     history = [J_u] if cfg.track_energy else []
-    r_u = ws.residual(u)
-    sup_r = float(np.abs(r_u).max())
-    iterations = 0
-    converged = sup_r <= cfg.grad_tol
-    stalled = False
+    sup_r = float(np.abs(ws.residual()).max())
+    iterations = inner = backtracks = 0
+    reason = "converged" if sup_r <= cfg.grad_tol else "max_iters"  # until it ends otherwise
 
-    while not converged and not stalled and iterations < cfg.max_iters:
+    while reason == "max_iters" and iterations < cfg.max_iters:
         iterations += 1
-        d = r_u / ws.inv_scaling(u)
-        slope = -ws.hN * float((r_u * d).sum())  # <grad J, d>, negative
+        cg_iters, r_dot_s = ws.newton_step(min(max(sup_r, 1e-12), 1e-2), min(0.5, np.sqrt(sup_r)))
+        inner += cg_iters
+        slope = -ws.hN * r_dot_s  # <grad J, s>, negative
+        z = ws.spare  # the trial point; swapped with u when accepted
         alpha = 1.0
-        stalled = True
         for _ in range(cfg.max_backtracks):
-            z = u + alpha * d
+            np.multiply(ws.step, alpha, out=z)
+            z += u
             J_z = ws.energy(z)
             if np.isnan(J_z):
                 raise RuntimeError("non-finite energy in line search")
             slack = 8.0 * _EPS * max(abs(J_u), abs(J_z))
             if J_z <= J_u + c * alpha * slope + slack:
-                u, J_u, stalled = z, J_z, False
                 break
             alpha *= shrink
-        if stalled:
-            break  # cannot certify descent at rounding level
-        r_u = ws.residual(u)
-        sup_r = float(np.abs(r_u).max())
+            backtracks += 1
+        else:
+            reason = "stalled"  # cannot certify descent at rounding level
+            break
+        sup_z = float(np.abs(ws.residual()).max())
+        if J_u - J_z <= slack and not sup_z < sup_r:
+            reason = "stalled"  # no progress above rounding level: keep u
+            break
+        u, ws.spare = z, u
+        J_u, sup_r = J_z, sup_z
         if cfg.track_energy:
             history.append(J_u)
-        converged = sup_r <= cfg.grad_tol
+        if sup_r <= cfg.grad_tol:
+            reason = "converged"
 
     report = SolveReport(
-        converged=converged,
+        converged=reason == "converged",
+        reason=reason,
         iterations=iterations,
+        inner_iterations=inner,
+        backtracks=backtracks,
         final_energy=J_u,
         final_grad_sup=sup_r,
         wall_time=time.perf_counter() - t0,
         energy_history=history,
     )
     return ScalarField(prob.grid, u), report
-

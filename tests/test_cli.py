@@ -1,12 +1,17 @@
+import csv
+import dataclasses
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pseudoplap import cli
 from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
-from pseudoplap.grid import read_field
+from pseudoplap.grid import ScalarField, nonexterior_mask, read_field
+from pseudoplap.solver import SolveReport
 
 LEMMAS_MICRO = """
 [lemmas]
@@ -61,6 +66,14 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def read_summary(out):
+    """summary.csv as {check: (pass, detail)}; every row must hold exactly 3 fields."""
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    assert all(len(row) == 3 for row in rows), rows
+    return {name: (ok, detail) for name, ok, detail in rows}
+
+
 def test_parse_config_happy(tmp_path):
     cfg = parse_config(write(tmp_path, "a.ini", "[s]\nkey = 3.5\nflag = true\n"))
     assert cfg.get_float("s", "key") == 3.5
@@ -103,8 +116,10 @@ def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
     assert main(["solve", "--config", path, "--seed", "3", "--out", str(out)]) == 0
     field = read_field(out / "solution.csv")
     assert field.grid.nodes_per_axis == 33
-    assert "PASS solver_converged" in capsys.readouterr().out
-    assert (out / "summary.csv").exists()
+    assert "PASS solver_converged: converged: residual" in capsys.readouterr().out
+    with open(out / "solve_report.csv", newline="") as fh:
+        report = list(csv.DictReader(fh.readlines()[1:]))[0]
+    assert report["reason"] == "converged" and int(report["inner_iterations"]) > 0
 
 
 def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
@@ -115,6 +130,7 @@ def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
     for name in ("barrier_checks.csv", "min_eig_samples.csv", "pair_samples.csv",
                  "zt_samples.csv", "summary.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert read_summary(out_a)["barrier_supersolution"][1] == "2 (p, N) cases"
     # a different seed changes the sampled rows
     out_c = tmp_path / "c"
     assert main(["verify-lemmas", "--config", path, "--seed", "10", "--out", str(out_c)]) == 0
@@ -166,6 +182,7 @@ plots = true
     assert main(["convergence-study", "--config", path, "--out", str(out)]) == 0
     assert (out / "convergence.csv").exists()
     assert (out / "error_vs_h.svg").read_text().startswith("<svg")
+    assert read_summary(out)["errors_decreasing"][1].startswith("errors ['")
 
 
 def test_regularity_threads_deterministic(tmp_path):
@@ -209,21 +226,45 @@ def _regularity_summary(tmp_path, max_iters, lambdas):
     path = write(tmp_path, "reg.ini", REGULARITY_33.format(max_iters=max_iters, lambdas=lambdas))
     out = tmp_path / "out"
     code = main(["measure-regularity", "--config", path, "--seed", "0", "--out", str(out)])
-    rows = (out / "summary.csv").read_text().splitlines()[2:]
-    return code, {name: (ok, detail) for name, ok, detail in (r.split(",", 2) for r in rows)}
+    return code, read_summary(out)
 
 
-def test_regularity_reports_unconverged_scaling_solve(tmp_path):
-    # every preset converges within 4000 iterations; the lambda = 1e-4 copy of
-    # the first one does not, because the solver's diagonal floor of 1 binds
+def _replace_one_solve(monkeypatch, which, solve):
+    """Let `solve` stand in for the CLI's solve_dirichlet on its `which`-th call
+    (0-based); one thread keeps the call order fixed."""
+    real = cli.solve_dirichlet
+    calls = []
+
+    def patched(prob, cfg):
+        calls.append(prob)
+        return (solve if len(calls) - 1 == which else real)(prob, cfg)
+
+    monkeypatch.setenv("PSEUDOPLAP_THREADS", "1")
+    monkeypatch.setattr(cli, "solve_dirichlet", patched)
+
+
+def test_regularity_reports_unconverged_scaling_solve(tmp_path, monkeypatch):
+    # the ten presets are solved first; the scaling solve (call 10) gets one Newton step
+    real = cli.solve_dirichlet
+    _replace_one_solve(monkeypatch, 10,
+                       lambda prob, cfg: real(prob, dataclasses.replace(cfg, max_iters=1)))
     code, summary = _regularity_summary(tmp_path, 4000, "0.0001")
     assert code == 1
     assert summary["all_solves_converged"] == (
         "false", "10 of 11 solves converged (10 presets + 1 scaling)")
 
 
-def test_regularity_zero_base_ratio_fails_check(tmp_path):
-    # after 5 iterations u is still flat inside the radius for the first preset
+def _flat_unconverged_solve(prob, cfg):
+    """A solve stopped before u moved off its flat initial guess."""
+    u = ScalarField(prob.grid, np.where(nonexterior_mask(prob.grid), 0.0, np.nan))
+    return u, SolveReport(converged=False, reason="max_iters", iterations=cfg.max_iters,
+                          inner_iterations=0, backtracks=0, final_energy=0.0,
+                          final_grad_sup=float("inf"), wall_time=0.0)
+
+
+def test_regularity_zero_base_ratio_fails_check(tmp_path, monkeypatch):
+    # the first preset's solve leaves u flat inside the radius
+    _replace_one_solve(monkeypatch, 0, _flat_unconverged_solve)
     code, summary = _regularity_summary(tmp_path, 5, "0.1, 10")
     assert code == 1
     assert summary["scaling_invariance"] == ("false", "base ratio is 0: relative drift undefined")

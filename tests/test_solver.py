@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from descent_reference import descent_solve
 from pseudoplap.grid import GridSpec, ScalarField, boundary_mask, interior_mask
 from pseudoplap.grid import nonexterior_mask
-from pseudoplap.manufactured import closed_form_1d, constant_field, zero_boundary
+from pseudoplap.manufactured import closed_form_1d, constant_field, sweep_presets
+from pseudoplap.manufactured import zero_boundary
 from pseudoplap.operators import apply_divergence
-from pseudoplap.solver import EnergyProblem, SolveConfig, energy, energy_gradient
-from pseudoplap.solver import solve_dirichlet
+from pseudoplap.solver import EnergyProblem, SolveConfig, _Workspace, energy
+from pseudoplap.solver import energy_gradient, solve_dirichlet
 
 
 def shared_boundary_field(grid, seed, boundary_vals=None):
@@ -81,18 +83,19 @@ def test_solve_trivial_converges_immediately():
     g = GridSpec(2, 17)
     prob = EnergyProblem(g, 3.0, constant_field(g, 0.0), zero_boundary)
     u, rep = solve_dirichlet(prob)
-    assert rep.converged and rep.iterations == 0
+    assert rep.converged and rep.reason == "converged" and rep.iterations == 0
     assert np.allclose(u.values[nonexterior_mask(g)], 0.0)
 
 
 def test_solve_1d_closed_form():
-    g = GridSpec(1, 129)
-    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
-    u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-8))
-    assert rep.converged
     u_fn, _ = closed_form_1d(3.0, 1.0)
-    err = np.abs(u.values - u_fn(g.axis_coords()))[nonexterior_mask(g)].max()
-    assert err <= 5.0 * g.spacing
+    for n in (129, 513, 1025):
+        g = GridSpec(1, n)
+        prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
+        u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-8))
+        assert rep.converged, (n, rep)
+        err = np.abs(u.values - u_fn(g.axis_coords()))[nonexterior_mask(g)].max()
+        assert err <= 5.0 * g.spacing
 
 
 def test_solve_report_contract():
@@ -115,7 +118,46 @@ def test_solve_nonconvergence_reported_not_raised():
     prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
     u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-12, max_iters=10))
     assert not rep.converged
-    assert rep.iterations == 10
+    assert rep.reason == "max_iters" and rep.iterations == 10
+
+
+def test_solve_stalls_at_rounding_floor():
+    # a residual of 1e-16 is below what double precision resolves here (~1e-12)
+    g = GridSpec(1, 129)
+    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
+    _, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-16))
+    assert not rep.converged
+    assert rep.reason == "stalled" and rep.iterations <= 100
+
+
+@pytest.mark.parametrize("dim, nodes", [(1, 129), (2, 33)])
+def test_solve_matches_descent_reference(dim, nodes):
+    # Both solves stop at sup|A_div(u) - (p-1) f| <= tol, so their residuals
+    # differ by at most 2 tol.  To first order u_newton - u_descent =
+    # H^-1 (r_newton - r_descent), H the Hessian at the solution; H is an
+    # M-matrix, so sup|H^-1 g| <= sup|g| sup(H^-1 1).  sup(H^-1 1) is
+    # 1/(3 sqrt 2) ~ 0.236 in 1D (the closed form of -(2 sqrt(2|x|) w')' = 1
+    # with w(+-1) = 0) and measures 0.17 on the 2D n=33 ball; 0.25 covers both.
+    g = GridSpec(dim, nodes)
+    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
+    cfg = SolveConfig(grad_tol=1e-8)
+    u, rep = solve_dirichlet(prob, cfg)
+    ref, _, ref_converged = descent_solve(prob, cfg)
+    assert rep.converged and ref_converged
+    mask = nonexterior_mask(g)
+    assert np.abs(u.values - ref)[mask].max() <= 2.0 * cfg.grad_tol * 0.25
+
+
+def test_solve_small_scale_copy_converges():
+    # the lambda = 1e-4 copy of measure-regularity's first preset: f and
+    # grad_tol scaled by lambda^(p-1) = 1e-8.  Descent, whose step metric was
+    # floored at 1, had not converged here after 20,000 iterations.
+    g = GridSpec(2, 33)
+    _, f0 = sweep_presets(g, np.random.default_rng(0))[0]
+    f = ScalarField(g, 1e-8 * f0.values)
+    _, rep = solve_dirichlet(EnergyProblem(g, 3.0, f, zero_boundary),
+                             SolveConfig(grad_tol=1e-16))
+    assert rep.converged, rep
 
 
 def test_solve_scaling_relation():
@@ -141,6 +183,15 @@ def test_solve_nan_in_line_search_raises():
     cfg = SolveConfig(initial_guess="user_field", initial_field=ScalarField(g, vals))
     with pytest.raises(RuntimeError, match="non-finite energy"):
         solve_dirichlet(prob, cfg)
+
+
+def test_pcg_raises_on_nan():
+    g = GridSpec(1, 9)
+    ws = _Workspace(EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary))
+    ws.energy(np.zeros(9))
+    ws.residual()[4] = np.nan
+    with pytest.raises(RuntimeError, match="PCG: curvature"):
+        ws.newton_step(1e-2, 0.5)
 
 
 def test_solve_user_initial_field():
