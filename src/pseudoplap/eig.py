@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def _rotate_rows(m: list, i: int, j: int, c: float, s: float) -> None:
+    """Rows i, j of the list of rows m <- (c r_i - s r_j, s r_i + c r_j)."""
+    x, y = m[i], m[j]
+    m[i] = [c * xk - s * yk for xk, yk in zip(x, y)]
+    m[j] = [s * xk + c * yk for xk, yk in zip(x, y)]
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
@@ -10,31 +19,43 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
 
     Sweeps until the off-diagonal Frobenius norm is <= tol * ||a||_F.
     Returns (w, V) with w ascending and V's columns the matching eigenvectors.
+    Raises FloatingPointError on a non-finite entry and ValueError when a is
+    not square or not symmetric to within 1e-12 * max(1, max |a_ij|).
+
+    The rotations run on Python floats: numpy's per-slice overhead would
+    dominate at these sizes.  Each rotation updates columns i, j, then rows
+    i, j, then V's columns i, j, element by element in IEEE double, as the
+    textbook method (Golub & Van Loan, Matrix Computations, 8.5) does on
+    arrays.  The norms that decide when to stop are taken with numpy.
     """
     A = np.array(a, dtype=float, copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
+    amax = float(np.abs(A).max())
+    if not math.isfinite(amax):
+        raise FloatingPointError("matrix has a non-finite entry")
+    if not float(np.abs(A - A.T).max()) <= 1e-12 * max(1.0, amax):
         raise ValueError("matrix is not symmetric")
     A = 0.5 * (A + A.T)
     n = A.shape[0]
-    V = np.eye(n)
     norm = np.linalg.norm(A)
     if norm == 0.0 or n == 1:
-        w = np.diag(A).copy()
+        w = A.diagonal().copy()
         order = np.argsort(w, kind="stable")
-        return w[order], V[:, order]
+        return w[order], np.eye(n)[:, order]
     target = tol * norm
+    rows = A.tolist()
+    vcols = np.eye(n).tolist()  # V's columns, so a rotation of V is one of rows
     for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
+        off = np.sqrt(max(0.0, (A * A).sum() - (A.diagonal() ** 2).sum()))
         if off <= target:
             break
         for i in range(n - 1):
             for j in range(i + 1, n):
-                aij = A[i, j]
-                diff = A[j, j] - A[i, i]
+                aij = rows[i][j]
+                diff = rows[j][j] - rows[i][i]
                 if abs(aij) <= 1e-300 or abs(aij) < 1e-200 * abs(diff):
-                    A[i, j] = A[j, i] = 0.0  # rotation would underflow; off-diag negligible
+                    rows[i][j] = rows[j][i] = 0.0  # rotation would underflow; off-diag negligible
                     continue
                 theta = diff / (2.0 * aij)
                 if theta == 0.0:
@@ -42,22 +63,20 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
                 elif abs(theta) > 1e100:  # theta^2 would overflow; t ~ 1/(2 theta)
                     t = 0.5 / theta
                 else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot_i = c * A[:, i] - s * A[:, j]
-                rot_j = s * A[:, i] + c * A[:, j]
-                A[:, i], A[:, j] = rot_i, rot_j
-                rot_i = c * A[i, :] - s * A[j, :]
-                rot_j = s * A[i, :] + c * A[j, :]
-                A[i, :], A[j, :] = rot_i, rot_j
-                A[i, j] = A[j, i] = 0.0
-                rot_i = c * V[:, i] - s * V[:, j]
-                rot_j = s * V[:, i] + c * V[:, j]
-                V[:, i], V[:, j] = rot_i, rot_j
-    w = np.diag(A).copy()
+                for r in rows:  # columns i, j
+                    x, y = r[i], r[j]
+                    r[i] = c * x - s * y
+                    r[j] = s * x + c * y
+                _rotate_rows(rows, i, j, c, s)
+                rows[i][j] = rows[j][i] = 0.0
+                _rotate_rows(vcols, i, j, c, s)
+        A = np.array(rows)
+    w = A.diagonal().copy()
     order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return w[order], np.array(vcols)[order].T
 
 
 def spectral_norm(a: np.ndarray) -> float:

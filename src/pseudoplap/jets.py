@@ -26,6 +26,7 @@ feasible_pair_sample constructs random pairs satisfying that inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,15 @@ _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
 
 @dataclass(frozen=True)
 class JetMatrices:
+    """The matrices at x of one jet, with the scalars that built them.
+
+    `h1_norm` and `ht_norm` are the spectral norms |H1| and |Htilde|, taken
+    once per instance by `spectral_norm` and cached: the pair sampler and the
+    conclusions check reuse them on every attempt.  For N >= 2 they agree
+    with the closed forms max(|w''|, w'/s) and max(|betaH w''|, alphaH w'/s)
+    to rounding; for N = 1 only the radial eigenvalue w'' (betaH w'') exists.
+    """
+
     x: np.ndarray
     M: float
     p: float
@@ -57,6 +67,14 @@ class JetMatrices:
     @property
     def N(self) -> int:
         return len(self.x)
+
+    @cached_property
+    def h1_norm(self) -> float:
+        return spectral_norm(self.H1)
+
+    @cached_property
+    def ht_norm(self) -> float:
+        return spectral_norm(self.Htilde)
 
     def theta_norm_sq(self) -> float:
         return float(np.max(np.diag(self.Theta)) ** 2)
@@ -204,10 +222,10 @@ def _pair_feasible(X: np.ndarray, Y: np.ndarray, jm: JetMatrices):
     n = jm.N
     M = jm.M
     c = 2.0 * M + 1.0
-    h1_norm = spectral_norm(jm.H1)
+    h1_norm = jm.h1_norm
     D = np.block([[X - c * np.eye(n), np.zeros((n, n))],
                   [np.zeros((n, n)), Y - c * np.eye(n)]])
-    scale = max(1.0, M * spectral_norm(jm.Htilde), 6.0 * M * h1_norm)
+    scale = max(1.0, M * jm.ht_norm, 6.0 * M * h1_norm)
     lower = float(jacobi_eigh(D + 6.0 * M * h1_norm * np.eye(2 * n))[0][0])
     upper = float(jacobi_eigh(M * _doubling_block(jm.Htilde) - D)[0][0])
     ok = lower >= -_FEAS_TOL * scale and upper >= -_FEAS_TOL * scale
@@ -225,8 +243,7 @@ def feasible_pair_sample(x, M: float, p: float, modulus: Modulus, rng) -> tuple:
     jm = build_jet_matrices(x, M, p, modulus)
     n = jm.N
     c = 2.0 * M + 1.0
-    ht_norm = spectral_norm(jm.Htilde)
-    h1_norm = spectral_norm(jm.H1)
+    ht_norm = jm.ht_norm
     for _ in range(100):
         A = rng.standard_normal((n, n))
         S = 0.5 * (A + A.T)
@@ -236,9 +253,8 @@ def feasible_pair_sample(x, M: float, p: float, modulus: Modulus, rng) -> tuple:
         X = c * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
         Y = X.copy()
         ok, _ = _pair_feasible(X, Y, jm)
-        norm_sum = spectral_norm(X - c * np.eye(n)) + spectral_norm(Y - c * np.eye(n))
-        if ok and norm_sum <= 6.0 * M * h1_norm * (1.0 + 1e-12):
-            return X, Y
+        if ok and 2.0 * spectral_norm(X - c * np.eye(n)) <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
+            return X, Y  # Y == X, so 2 |X-cId| is the norm sum, exactly
     raise RuntimeError(
         "no feasible pair in 100 attempts; the unperturbed point is always feasible, "
         "so this indicates a bug"
@@ -315,7 +331,7 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
         slack_large = bound_large - lam1
 
     norm_sum = spectral_norm(X - c * np.eye(n)) + spectral_norm(Y - c * np.eye(n))
-    bound_norm = 6.0 * M * spectral_norm(jm.H1)
+    bound_norm = 6.0 * M * jm.h1_norm
     return PairConclusions(
         lambda_all_max=float(lam_all[-1]), bound_all=bound_all, slack_all=slack_all,
         lambda_min_shifted=lam1, bound_small=bound_small, slack_small=slack_small,

@@ -138,11 +138,12 @@ def _axis_slices(ndim: int, ax: int) -> tuple:
 class _Workspace:
     """Raw-array kernels and buffers shared by the public energy/gradient/solver entry points.
 
-    `energy(v)` keeps v and its link weights |D_i v|^(p-2).  `residual()`
-    reuses them, and `newton_step` turns the weights into the Hessian's, so
-    the power is taken once per evaluated field.  The buffers are allocated
-    once per solve; `spare` serves PCG as scratch and, between Newton steps,
-    the line search as its trial point.
+    `fill_weights(v)` keeps v and its link weights |D_i v|^(p-2); `energy(v)`
+    does so on its way to J(v).  `residual()` reuses them, and `newton_step`
+    turns the weights into the Hessian's, so the power is taken once per
+    evaluated field.  The buffers are allocated once per solve; `spare`
+    serves PCG as scratch and, between Newton steps, the line search as its
+    trial point.
     """
 
     def __init__(self, prob: EnergyProblem):
@@ -169,15 +170,23 @@ class _Workspace:
         np.copyto(d, 0.0, where=self.off_links[ax])
         return d
 
-    def energy(self, v: np.ndarray) -> float:
-        """J(v); keeps v and |D_i v|^(p-2) for `residual` and `newton_step`."""
-        p = self.p
+    def fill_weights(self, v: np.ndarray) -> list:
+        """Keep v and write its link weights |D_i v|^(p-2) for `residual` and
+        `newton_step`; returns the differences D_i v, one array per axis."""
         self.v = v
-        link_sum = 0.0
+        diffs = []
         for ax, w in enumerate(self.weights):
             d = self._diffs(v, ax)
             np.abs(d, out=w)
-            w **= p - 2.0
+            w **= self.p - 2.0
+            diffs.append(d)
+        return diffs
+
+    def energy(self, v: np.ndarray) -> float:
+        """J(v); keeps v and its link weights, as `fill_weights` does."""
+        p = self.p
+        link_sum = 0.0
+        for d, w in zip(self.fill_weights(v), self.weights):
             d *= d
             link_sum += float(np.vdot(w, d))  # |d|^(p-2) d^2 = |d|^p
         fu = float(np.where(self.interior, self.f * v, 0.0).sum())
@@ -185,7 +194,8 @@ class _Workspace:
 
     def residual(self) -> np.ndarray:
         """A_div(v) - (p-1) f on interior nodes, zero elsewhere (= -gradient/h^N),
-        for the v of the last `energy` call; written into `self.resid`."""
+        for the v of the last `fill_weights` or `energy` call; written into
+        `self.resid`."""
         out = self.resid
         out.fill(0.0)
         for ax, ((lo, hi, core), w) in enumerate(zip(self.axes, self.weights)):
@@ -208,11 +218,11 @@ class _Workspace:
         """Solve H s = r into `self.step` by Jacobi-preconditioned CG, r being the
         last `residual()`; returns (CG iterations, r.s).
 
-        H is the Hessian per unit volume at the v of the last `energy` call,
-        with reg added to every link weight; the weights are overwritten by
-        H's, and `self.resid` by CG's residual.  H is symmetric positive
-        definite on the interior, so a curvature that is not positive means
-        non-finite input and raises.  CG starts from s = 0 and stops once
+        H is the Hessian per unit volume at the v of the last `fill_weights`
+        or `energy` call, with reg added to every link weight; the weights are
+        overwritten by H's, and `self.resid` by CG's residual.  H is symmetric
+        positive definite on the interior, so a curvature that is not positive
+        means non-finite input and raises.  CG starts from s = 0 and stops once
         |r - H s| <= rtol |r| in the 2-norm, or after one iteration per
         interior node.  Every CG iterate s has r.s = s.H s > 0, so it is a
         descent direction for J.
@@ -274,7 +284,7 @@ def energy_gradient(u: ScalarField, prob: EnergyProblem) -> ScalarField:
     if not np.isfinite(u.values[mask]).all():
         node = tuple(int(i) for i in np.argwhere(mask & ~np.isfinite(u.values))[0])
         raise ValueError(f"gradient stencil touches unset node {node}")
-    ws.energy(u.values)
+    ws.fill_weights(u.values)
     g = -ws.residual() * ws.hN
     g[~ws.interior] = np.nan
     return ScalarField(prob.grid, g)

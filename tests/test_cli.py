@@ -3,11 +3,13 @@ import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudoplap import cli
+import jacobi_reference
+from pseudoplap import claims, cli, eig, jets
 from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
 from pseudoplap.grid import ScalarField, nonexterior_mask, read_field
@@ -136,6 +138,29 @@ def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
     assert main(["verify-lemmas", "--config", path, "--seed", "10", "--out", str(out_c)]) == 0
     assert (out_a / "min_eig_samples.csv").read_bytes() \
         != (out_c / "min_eig_samples.csv").read_bytes()
+
+
+def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
+    # the float-loop Jacobi kernel must leave every sampled row unchanged
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "verify_lemmas_small.ini")
+    args = ["verify-lemmas", "--config", config, "--seed", "42", "--out"]
+    code = main(args + [str(tmp_path / "shipped")])
+    calls = []
+
+    def reference(a, *rest):
+        calls.append(len(a))
+        return jacobi_reference.jacobi_eigh(a, *rest)
+
+    for module in (eig, jets, claims):
+        monkeypatch.setattr(module, "jacobi_eigh", reference)
+    assert main(args + [str(tmp_path / "reference")]) == code
+    assert calls
+    shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
+    assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
+    assert "pair_samples.csv" in shipped
+    for name in shipped:
+        assert (tmp_path / "shipped" / name).read_bytes() \
+            == (tmp_path / "reference" / name).read_bytes(), name
 
 
 def test_verify_lemmas_claims_failure_exit_1(tmp_path, capsys):

@@ -63,6 +63,26 @@ def test_jet_htilde_closed_form():
             assert rel < 1e-12
 
 
+def test_jet_cached_norms():
+    rng = np.random.default_rng(12)
+    for mod in (HolderModulus(0.3), HolderModulus(0.8), LipschitzModulus(0.2, 0.5)):
+        for _ in range(10):
+            N = int(rng.integers(1, 5))
+            x = random_point(rng, N, 10 ** rng.uniform(-4, -0.7))
+            jm = build_jet_matrices(x, float(rng.uniform(1.1, 40)), 3.3, mod)
+            assert jm.h1_norm == spectral_norm(jm.H1)
+            assert jm.ht_norm == spectral_norm(jm.Htilde)
+            assert jm.h1_norm is jm.h1_norm  # computed once per instance
+            s = np.linalg.norm(x)
+            wp, wpp = float(mod.omega_prime(s)), float(mod.omega_second(s))
+            # in 1D only the radial eigenvalue exists
+            h1 = max(abs(wpp), wp / s) if N > 1 else abs(wpp)
+            ht = max(abs(jm.betaH * wpp), jm.alphaH * wp / s) if N > 1 \
+                else abs(jm.betaH * wpp)
+            assert abs(jm.h1_norm - h1) <= 1e-12 * h1
+            assert abs(jm.ht_norm - ht) <= 1e-12 * ht
+
+
 def test_alpha_beta_ranges():
     rng = np.random.default_rng(3)
     for _ in range(200):

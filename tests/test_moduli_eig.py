@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jacobi_reference
 from pseudoplap.eig import jacobi_eigh, spectral_norm
 from pseudoplap.moduli import HolderModulus, LipschitzModulus, check_validity
 
@@ -71,6 +72,45 @@ def test_jacobi_extreme_scales():
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_jacobi_symmetry_check_is_absolute():
+    # a relative asymmetry of 1e-6 is far above the 1e-12 tolerance
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigh(np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
+    jacobi_eigh(np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_jacobi_rejects_non_finite(bad):
+    a = np.eye(3)
+    a[1, 2] = a[2, 1] = bad
+    # not a ValueError: the samplers skip a draw on ValueError, and must not skip this
+    with pytest.raises(FloatingPointError, match="non-finite") as info:
+        jacobi_eigh(a)
+    assert not isinstance(info.value, ValueError)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 7):
+        for _ in range(30):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 6)
+            yield a + a.T
+        yield np.diag(rng.standard_normal(n))
+        yield np.zeros((n, n))
+    # the underflow branch, entered by |a_01| <= 1e-300 and by |a_01| < 1e-200 |a_11 - a_00|
+    yield np.array([[0.0, 1e-301, 1.0], [1e-301, 1.0, 2.0], [1.0, 2.0, 3.0]])
+    yield np.array([[0.0, 1e-60, 1e145], [1e-60, 1e150, 0.0], [1e145, 0.0, 0.0]])
+    # |theta_01| = 5e109 > 1e100, while a_02 keeps the sweep going: the t ~ 1/(2 theta) branch
+    yield np.array([[0.0, 1.0, 1e105], [1.0, 1e110, 0.0], [1e105, 0.0, 0.0]])
+
+
+def test_jacobi_bitwise_matches_reference():
+    for a in _reference_cases():
+        w, V = jacobi_eigh(a)
+        w_ref, V_ref = jacobi_reference.jacobi_eigh(a)
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref), a
 
 
 def test_spectral_norm():

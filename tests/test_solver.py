@@ -79,6 +79,20 @@ def test_gradient_linear_in_f_shift():
                        atol=64 * np.finfo(float).eps * np.abs(g1.values[mask]).max())
 
 
+@pytest.mark.parametrize("dim,nodes,p", [(1, 33, 3.0), (2, 17, 2.5), (3, 9, 4.0)])
+def test_gradient_equals_energy_path_bitwise(dim, nodes, p):
+    # energy_gradient fills the link weights without the energy sum; the
+    # weights, and so the gradient, are the bits the energy's fill gives
+    g = GridSpec(dim, nodes, "ball")
+    prob = EnergyProblem(g, p, constant_field(g, 0.9), zero_boundary)
+    u = shared_boundary_field(g, 11)
+    ws = _Workspace(prob)
+    ws.energy(u.values)
+    expected = -ws.residual() * ws.hN
+    expected[~ws.interior] = np.nan
+    assert np.array_equal(energy_gradient(u, prob).values, expected, equal_nan=True)
+
+
 def test_solve_trivial_converges_immediately():
     g = GridSpec(2, 17)
     prob = EnergyProblem(g, 3.0, constant_field(g, 0.0), zero_boundary)
