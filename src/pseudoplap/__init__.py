@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .grid import GridSpec, NodeClass, ScalarField, classify_nodes, interior_ball_nodes
 from .grid import read_field, write_field
 from .operators import apply_divergence, apply_nondivergence
-from .operators import consistency_residual, homogeneity_check
+from .operators import homogeneity_check
 from .solver import EnergyProblem, SolveConfig, SolveReport, energy, energy_gradient
 from .solver import solve_dirichlet
 from .barrier import BarrierParams, barrier_field, comparison_check, linf_bound_check

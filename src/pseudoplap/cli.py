@@ -86,10 +86,11 @@ def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
 
 def _solver_config(cfg: RawConfig) -> SolveConfig:
     try:
-        return SolveConfig(grad_tol=cfg.get_float("solver", "grad_tol", 1e-8),
-                           max_iters=cfg.get_int("solver", "max_iters", 200_000),
-                           armijo_c=cfg.get_float("solver", "armijo_c", 1e-4),
-                           backtrack_factor=cfg.get_float("solver", "backtrack_factor", 0.5))
+        return SolveConfig(grad_tol=cfg.get_float("solver", "grad_tol", SolveConfig.grad_tol),
+                           max_iters=cfg.get_int("solver", "max_iters", SolveConfig.max_iters),
+                           armijo_c=cfg.get_float("solver", "armijo_c", SolveConfig.armijo_c),
+                           backtrack_factor=cfg.get_float("solver", "backtrack_factor",
+                                                          SolveConfig.backtrack_factor))
     except ValueError as exc:  # SolveConfig names the offending field first
         cfg.fail("solver", str(exc).split()[0], str(exc))
 

@@ -19,8 +19,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
 
     Sweeps until the off-diagonal Frobenius norm is <= tol * ||a||_F.
     Returns (w, V) with w ascending and V's columns the matching eigenvectors.
-    Raises FloatingPointError on a non-finite entry and ValueError when a is
-    not square or not symmetric to within 1e-12 * max(1, max |a_ij|).
+    Raises FloatingPointError on a non-finite entry or Frobenius norm (entries
+    above about 1e154), and ValueError when a is not square or not symmetric
+    to within 1e-12 * max(1, max |a_ij|).
 
     The rotations run on Python floats: numpy's per-slice overhead would
     dominate at these sizes.  Each rotation updates columns i, j, then rows
@@ -39,6 +40,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     A = 0.5 * (A + A.T)
     n = A.shape[0]
     norm = np.linalg.norm(A)
+    if not math.isfinite(norm):
+        raise FloatingPointError("matrix norm overflows")
     if norm == 0.0 or n == 1:
         w = A.diagonal().copy()
         order = np.argsort(w, kind="stable")

@@ -55,63 +55,64 @@ class GridSpec:
     def node_shape(self) -> tuple:
         return (self.nodes_per_axis,) * self.dimension
 
-    @property
-    def node_count(self) -> int:
-        return self.nodes_per_axis**self.dimension
-
     def axis_coords(self) -> np.ndarray:
         return np.linspace(-1.0, 1.0, self.nodes_per_axis)
 
 
 @functools.lru_cache(maxsize=64)
-def _radius_squared(grid: GridSpec) -> np.ndarray:
-    c = grid.axis_coords()
-    r2 = np.zeros(grid.node_shape)
-    for ax in range(grid.dimension):
-        sh = [1] * grid.dimension
-        sh[ax] = grid.nodes_per_axis
-        r2 = r2 + (c**2).reshape(sh)
+def _radius_squared(grid: GridSpec, combine=np.add) -> np.ndarray:
+    """Per node, the sum (Euclidean norm) or, with np.maximum, the max of x_i^2."""
+    r2 = functools.reduce(combine, np.ix_(*[grid.axis_coords() ** 2] * grid.dimension))
     r2.setflags(write=False)
     return r2
 
 
+@functools.lru_cache(maxsize=None)
+def axis_slices(ndim: int, ax: int) -> tuple:
+    """(lo, hi, core) along ax: drop the last, the first, and both end entries.
+
+    The link layout of every stencil: a[hi] - a[lo] of a node array are its
+    differences across the links along ax, one per link; of a link array they
+    are backward differences, which land on the nodes a[core].
+    """
+    lo, hi, core = ([slice(None)] * ndim for _ in range(3))
+    lo[ax], hi[ax], core[ax] = slice(None, -1), slice(1, None), slice(1, -1)
+    return tuple(lo), tuple(hi), tuple(core)
+
+
 @functools.lru_cache(maxsize=64)
 def _class_array(grid: GridSpec) -> np.ndarray:
-    """Total node classification as an int8 array of NodeClass values."""
-    n = grid.nodes_per_axis
-    if grid.shape == "cube":
-        interior = np.ones(grid.node_shape, dtype=bool)
-        for ax in range(grid.dimension):
-            idx = np.zeros(n, dtype=bool)
-            idx[1:-1] = True
-            sh = [1] * grid.dimension
-            sh[ax] = n
-            interior &= idx.reshape(sh)
-        cls = np.where(interior, NodeClass.INTERIOR, NodeClass.BOUNDARY).astype(np.int8)
-        cls.setflags(write=False)
-        return cls
+    """Total node classification as an int8 array of NodeClass values.
 
-    r2 = _radius_squared(grid)
+    Ball and cube share one rule, in the squared Euclidean or max norm r2:
+    interior is r2 < 1 with every axis neighbour at r2 <= 1.  Nodes on the
+    faces of [-1,1]^N have r2 >= 1, so no neighbour test falls off the grid.
+    """
+    r2 = _radius_squared(grid, np.maximum) if grid.shape == "cube" else _radius_squared(grid)
     in_closed = r2 <= 1.0
-    in_open = r2 < 1.0
-    neighbours_ok = np.ones(grid.node_shape, dtype=bool)
+    interior = r2 < 1.0
     for ax in range(grid.dimension):
-        shifted = np.zeros_like(in_closed)
-        src = [slice(None)] * grid.dimension
-        dst = [slice(None)] * grid.dimension
-        src[ax], dst[ax] = slice(1, None), slice(None, -1)
-        shifted[tuple(dst)] = in_closed[tuple(src)]  # neighbour at +h; off-grid -> False
-        neighbours_ok &= shifted
-        shifted = np.zeros_like(in_closed)
-        src[ax], dst[ax] = slice(None, -1), slice(1, None)
-        shifted[tuple(dst)] = in_closed[tuple(src)]  # neighbour at -h
-        neighbours_ok &= shifted
-    interior = in_open & neighbours_ok
+        lo, hi, _ = axis_slices(grid.dimension, ax)
+        interior[lo] &= in_closed[hi]  # neighbour at +h
+        interior[hi] &= in_closed[lo]  # neighbour at -h
     cls = np.full(grid.node_shape, NodeClass.EXTERIOR, dtype=np.int8)
     cls[in_closed] = NodeClass.BOUNDARY
     cls[interior] = NodeClass.INTERIOR
     cls.setflags(write=False)
     return cls
+
+
+@functools.lru_cache(maxsize=64)
+def link_masks(grid: GridSpec) -> tuple:
+    """Per axis, the links whose two end nodes are both non-exterior."""
+    ok = nonexterior_mask(grid)
+    masks = []
+    for ax in range(grid.dimension):
+        lo, hi, _ = axis_slices(grid.dimension, ax)
+        m = ok[lo] & ok[hi]
+        m.setflags(write=False)
+        masks.append(m)
+    return tuple(masks)
 
 
 def classify_nodes(grid: GridSpec) -> np.ndarray:

@@ -90,12 +90,7 @@ def gaussian_field(grid: GridSpec, amp: float = 1.0, center=None, sigma: float =
 
 def checkerboard_field(grid: GridSpec, amp: float = 1.0) -> ScalarField:
     """Sign-alternating field amp * (-1)^(i1+...+iN) on non-exterior nodes."""
-    parity = np.zeros(grid.node_shape, dtype=int)
-    n = grid.nodes_per_axis
-    for ax in range(grid.dimension):
-        sh = [1] * grid.dimension
-        sh[ax] = n
-        parity = parity + np.arange(n).reshape(sh)
+    parity = np.indices(grid.node_shape).sum(axis=0)
     vals = amp * np.where(parity % 2 == 0, 1.0, -1.0)
     out = np.where(nonexterior_mask(grid), vals, np.nan)
     return ScalarField(grid, out)

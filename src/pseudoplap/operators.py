@@ -9,15 +9,15 @@ interior node are
 using forward/backward, central, and second differences along each axis.
 Both are positively homogeneous of degree p-1 and vanish on affine fields.
 The divergence form is the exact gradient (per unit cell volume) of the
-energy in pseudoplap.solver, so solver stationarity means a small divergence
-residual by construction.
+energy in pseudoplap.solver, which is built on the same link kernels, so
+solver stationarity means a small divergence residual by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import ScalarField, interior_mask, nonexterior_mask
+from .grid import ScalarField, axis_slices, interior_mask, link_masks
 
 FORMS = ("divergence", "nondivergence")
 
@@ -30,17 +30,32 @@ def phi_p(t: np.ndarray, p: float) -> np.ndarray:
 def _check_apply_args(u: ScalarField, p: float) -> None:
     if not p > 2:
         raise ValueError(f"p must be > 2, got {p}")
-    mask = nonexterior_mask(u.grid)
-    bad = mask & ~np.isfinite(u.values)
-    if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"stencil would touch unset node {node}")
+    u.validate_finite()
 
 
-def _core(ndim: int, axis: int):
-    sl = [slice(None)] * ndim
-    sl[axis] = slice(1, -1)
-    return tuple(sl)
+def axis_difference(a: np.ndarray, ax: int) -> np.ndarray:
+    """a[hi] - a[lo] along ax (see grid.axis_slices): across each link for a
+    node array; for a link array, its backward differences on the core nodes."""
+    lo, hi, _ = axis_slices(a.ndim, ax)
+    return a[hi] - a[lo]
+
+
+def link_differences(v: np.ndarray, ax: int, h: float, off: np.ndarray) -> np.ndarray:
+    """D_i v = (v[hi] - v[lo]) / h along ax, one per link; 0 on the links `off`
+    (those that touch an exterior node, where v may be NaN)."""
+    d = axis_difference(v, ax)
+    d /= h
+    np.copyto(d, 0.0, where=off)
+    return d
+
+
+def add_divergence(out: np.ndarray, flux: np.ndarray, ax: int, h: float) -> None:
+    """out[core] += (flux[hi] - flux[lo]) / h: the divergence along ax of a
+    link flux, on the nodes that have a link on both sides."""
+    _, _, core = axis_slices(out.ndim, ax)
+    div = axis_difference(flux, ax)
+    div /= h
+    out[core] += div
 
 
 def apply_divergence(u: ScalarField, p: float) -> ScalarField:
@@ -49,9 +64,9 @@ def apply_divergence(u: ScalarField, p: float) -> ScalarField:
     grid = u.grid
     h = grid.spacing
     out = np.zeros(grid.node_shape)
-    for ax in range(grid.dimension):
-        flux = phi_p(np.diff(u.values, axis=ax) / h, p)
-        out[_core(grid.dimension, ax)] += np.diff(flux, axis=ax) / h
+    for ax, links in enumerate(link_masks(grid)):
+        flux = phi_p(link_differences(u.values, ax, h, ~links), p)
+        add_divergence(out, flux, ax, h)
     out[~interior_mask(grid)] = np.nan
     return ScalarField(grid, out)
 
@@ -65,14 +80,10 @@ def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
     _check_apply_args(u, p)
     grid = u.grid
     h = grid.spacing
-    v = u.values
     out = np.zeros(grid.node_shape)
     for ax in range(grid.dimension):
-        lo = [slice(None)] * grid.dimension
-        hi = [slice(None)] * grid.dimension
-        mid = [slice(None)] * grid.dimension
-        lo[ax], mid[ax], hi[ax] = slice(None, -2), slice(1, -1), slice(2, None)
-        vl, vm, vh = v[tuple(lo)], v[tuple(mid)], v[tuple(hi)]
+        lo, hi, core = axis_slices(grid.dimension, ax)
+        vl, vm, vh = u.values[lo][lo], u.values[core], u.values[hi][hi]  # v[i-1], v[i], v[i+1]
         # in place: two temporaries per axis instead of five, same values bit for bit
         coef = vh - vl
         coef /= 2.0 * h
@@ -83,7 +94,7 @@ def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
         second += vl
         second /= h * h
         coef *= second
-        out[_core(grid.dimension, ax)] += coef
+        out[core] += coef
         del coef, second
     out *= p - 1.0
     out[~interior_mask(grid)] = np.nan
@@ -96,14 +107,6 @@ def _apply(u: ScalarField, p: float, form: str) -> ScalarField:
     if form == "nondivergence":
         return apply_nondivergence(u, p)
     raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-
-
-def consistency_residual(u: ScalarField, f: ScalarField, p: float, form: str) -> float:
-    """Sup over interior nodes of |A_form(u) - (p-1) f|."""
-    op = _apply(u, p, form)
-    mask = interior_mask(u.grid)
-    res = np.abs(op.values[mask] - (p - 1.0) * f.values[mask])
-    return float(res.max())
 
 
 def homogeneity_check(u: ScalarField, p: float, lam: float, form: str) -> float:

@@ -32,14 +32,14 @@ when the line search cannot certify any step.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, node_coordinates
-from .grid import nonexterior_mask
+from .grid import GridSpec, ScalarField, axis_slices, boundary_mask, interior_mask, link_masks
+from .grid import node_coordinates, nonexterior_mask
+from .operators import add_divergence, axis_difference, link_differences
 
 _EPS = float(np.finfo(float).eps)
 
@@ -74,11 +74,10 @@ class EnergyProblem:
 @dataclass
 class SolveConfig:
     grad_tol: float = 1e-8  # sup-norm of the energy gradient per unit cell volume
-    max_iters: int = 200_000  # Newton steps
+    max_iters: int = 1_000  # Newton steps
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
-    initial_guess: str = "zero_extended_boundary"
-    initial_field: ScalarField | None = None
+    initial_field: ScalarField | None = None  # None: the boundary mean extended inside
     max_backtracks: int = 60
     track_energy: bool = False
 
@@ -91,10 +90,6 @@ class SolveConfig:
             raise ValueError("armijo_c must be in (0, 1)")
         if not 0 < self.backtrack_factor < 1:
             raise ValueError("backtrack_factor must be in (0, 1)")
-        if self.initial_guess not in ("zero_extended_boundary", "user_field"):
-            raise ValueError(f"unknown initial_guess {self.initial_guess!r}")
-        if self.initial_guess == "user_field" and self.initial_field is None:
-            raise ValueError("initial_guess='user_field' requires initial_field")
 
 
 @dataclass
@@ -108,31 +103,6 @@ class SolveReport:
     final_grad_sup: float  # sup |gradient| / h^N == sup |A_div(u) - (p-1) f|
     wall_time: float
     energy_history: list = field(default_factory=list, repr=False)
-
-
-@functools.lru_cache(maxsize=64)
-def _link_masks(grid: GridSpec) -> tuple:
-    """Per axis, the links (forward differences) with both endpoints non-exterior."""
-    ok = nonexterior_mask(grid)
-    masks = []
-    for ax in range(grid.dimension):
-        lo, hi, _ = _axis_slices(grid.dimension, ax)
-        m = ok[lo] & ok[hi]
-        m.setflags(write=False)
-        masks.append(m)
-    return tuple(masks)
-
-
-def _axis_slices(ndim: int, ax: int) -> tuple:
-    """(lo, hi, core) along ax: drop the last, the first, and both end entries.
-
-    v[hi] - v[lo] are the forward differences of a node array, one per link;
-    flux[hi] - flux[lo] are the backward differences of a link array, which
-    land on the nodes v[core].
-    """
-    lo, hi, core = ([slice(None)] * ndim for _ in range(3))
-    lo[ax], hi[ax], core[ax] = slice(None, -1), slice(1, None), slice(1, -1)
-    return tuple(lo), tuple(hi), tuple(core)
 
 
 class _Workspace:
@@ -155,28 +125,19 @@ class _Workspace:
         self.outside = ~self.interior
         self.n_interior = int(self.interior.sum())
         self.f = prob.f.values  # finite on the interior; may be NaN elsewhere
-        self.off_links = tuple(~m for m in _link_masks(g))
-        self.axes = [_axis_slices(g.dimension, ax) for ax in range(g.dimension)]
+        self.off_links = tuple(~m for m in link_masks(g))
         self.v = None
         self.weights = [np.empty(m.shape) for m in self.off_links]
         self.resid, self.step, self.inv_diag, self.cg_dir, self.spare = (
             np.zeros(g.node_shape) for _ in range(5))
-
-    def _diffs(self, v: np.ndarray, ax: int) -> np.ndarray:
-        """D_i v along ax on the links, 0 on links that touch an exterior (NaN) node."""
-        lo, hi, _ = self.axes[ax]
-        d = v[hi] - v[lo]
-        d /= self.h
-        np.copyto(d, 0.0, where=self.off_links[ax])
-        return d
 
     def fill_weights(self, v: np.ndarray) -> list:
         """Keep v and write its link weights |D_i v|^(p-2) for `residual` and
         `newton_step`; returns the differences D_i v, one array per axis."""
         self.v = v
         diffs = []
-        for ax, w in enumerate(self.weights):
-            d = self._diffs(v, ax)
+        for ax, (off, w) in enumerate(zip(self.off_links, self.weights)):
+            d = link_differences(v, ax, self.h, off)
             np.abs(d, out=w)
             w **= self.p - 2.0
             diffs.append(d)
@@ -198,20 +159,21 @@ class _Workspace:
         `self.resid`."""
         out = self.resid
         out.fill(0.0)
-        for ax, ((lo, hi, core), w) in enumerate(zip(self.axes, self.weights)):
-            flux = self._diffs(self.v, ax)
+        for ax, (off, w) in enumerate(zip(self.off_links, self.weights)):
+            flux = link_differences(self.v, ax, self.h, off)
             flux *= w
-            out[core] += (flux[hi] - flux[lo]) / self.h
+            add_divergence(out, flux, ax, self.h)
         out -= (self.p - 1.0) * self.f
         out[self.outside] = 0.0
         return out
 
     def _hess_apply(self, s: np.ndarray, out: np.ndarray) -> None:
         out.fill(0.0)
-        for (lo, hi, core), c in zip(self.axes, self.weights):
-            flux = s[hi] - s[lo]
+        for ax, c in enumerate(self.weights):
+            _, _, core = axis_slices(out.ndim, ax)
+            flux = axis_difference(s, ax)
             flux *= c
-            out[core] -= flux[hi] - flux[lo]
+            out[core] -= axis_difference(flux, ax)
         np.copyto(out, 0.0, where=self.outside)
 
     def newton_step(self, reg: float, rtol: float) -> tuple:
@@ -230,7 +192,8 @@ class _Workspace:
         scale = (self.p - 1.0) / (self.h * self.h)
         diag = self.inv_diag
         diag.fill(0.0)
-        for (lo, hi, core), off, c in zip(self.axes, self.off_links, self.weights):
+        for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
+            lo, hi, core = axis_slices(diag.ndim, ax)
             c += reg
             c *= scale
             np.copyto(c, 0.0, where=off)
@@ -269,21 +232,14 @@ class _Workspace:
 
 def energy(u: ScalarField, prob: EnergyProblem) -> float:
     """Grid energy J(u); raises if a needed stencil value is unset."""
-    ws = _Workspace(prob)
-    mask = nonexterior_mask(prob.grid)
-    if not np.isfinite(u.values[mask]).all():
-        node = tuple(int(i) for i in np.argwhere(mask & ~np.isfinite(u.values))[0])
-        raise ValueError(f"energy stencil touches unset node {node}")
-    return ws.energy(u.values)
+    u.validate_finite()
+    return _Workspace(prob).energy(u.values)
 
 
 def energy_gradient(u: ScalarField, prob: EnergyProblem) -> ScalarField:
     """Exact discrete gradient dJ/du = [-A_div(u) + (p-1) f] h^N on interior nodes."""
+    u.validate_finite()
     ws = _Workspace(prob)
-    mask = nonexterior_mask(prob.grid)
-    if not np.isfinite(u.values[mask]).all():
-        node = tuple(int(i) for i in np.argwhere(mask & ~np.isfinite(u.values))[0])
-        raise ValueError(f"gradient stencil touches unset node {node}")
     ws.fill_weights(u.values)
     g = -ws.residual() * ws.hN
     g[~ws.interior] = np.nan
@@ -294,7 +250,7 @@ def _initial_values(prob: EnergyProblem, cfg: SolveConfig) -> np.ndarray:
     grid = prob.grid
     bmask = boundary_mask(grid)
     bvals = prob.boundary_values()
-    if cfg.initial_guess == "user_field":
+    if cfg.initial_field is not None:
         if cfg.initial_field.grid != grid:
             raise ValueError("initial field lives on a different grid")
         v = cfg.initial_field.values.astype(float).copy()

@@ -9,8 +9,8 @@ more iterations per grid refinement, so it suits small grids only.
 
 import numpy as np
 
-from pseudoplap.grid import interior_mask
-from pseudoplap.solver import EnergyProblem, SolveConfig, _initial_values, _link_masks
+from pseudoplap.grid import interior_mask, link_masks
+from pseudoplap.solver import EnergyProblem, SolveConfig, _initial_values
 
 _EPS = float(np.finfo(float).eps)
 
@@ -34,7 +34,7 @@ class _Kernels:
         self.p, self.h, self.ndim = prob.p, g.spacing, g.dimension
         self.hN = self.h**g.dimension
         self.interior = interior_mask(g)
-        self.links = _link_masks(g)
+        self.links = link_masks(g)
         self.f_int = np.where(self.interior, prob.f.values, 0.0)
 
     def energy(self, v):

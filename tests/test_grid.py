@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,36 @@ def test_spacing_exact():
     g = GridSpec(1, 9)
     assert g.spacing == 2.0 / 8.0
     assert g.axis_coords()[0] == -1.0 and g.axis_coords()[-1] == 1.0
+
+
+def brute_force_class(grid, idx):
+    """The module docstring's definition, node by node."""
+    c = grid.axis_coords()
+
+    def in_set(i, closed):
+        if min(i) < 0 or max(i) >= grid.nodes_per_axis:
+            return False
+        x = [c[k] for k in i]
+        if grid.shape == "cube":
+            return closed or max(abs(t) for t in x) < 1.0
+        r2 = sum(t * t for t in x)
+        return r2 <= 1.0 if closed else r2 < 1.0
+
+    neighbours = [tuple(k + s * (a == ax) for a, k in enumerate(idx))
+                  for ax in range(grid.dimension) for s in (-1, 1)]
+    if in_set(idx, False) and all(in_set(nb, True) for nb in neighbours):
+        return NodeClass.INTERIOR
+    return NodeClass.BOUNDARY if in_set(idx, True) else NodeClass.EXTERIOR
+
+
+@pytest.mark.parametrize("nodes", [9, 17])
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_classify_matches_definition(dim, shape, nodes):
+    g = GridSpec(dim, nodes, shape)
+    cls = classify_nodes(g)
+    for idx in itertools.product(range(nodes), repeat=dim):
+        assert cls[idx] == brute_force_class(g, idx), idx
 
 
 def test_classify_1d_endpoints_boundary():

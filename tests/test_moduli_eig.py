@@ -81,6 +81,13 @@ def test_jacobi_symmetry_check_is_absolute():
     jacobi_eigh(np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]]))
 
 
+def test_jacobi_rejects_norm_overflow():
+    # every entry is finite, but the Frobenius norm is not: the stop target
+    # would be inf, and the kernel would return w = [0, 0] unrotated
+    with pytest.raises(FloatingPointError, match="norm overflows"), np.errstate(over="ignore"):
+        jacobi_eigh(np.array([[0.0, 1e200], [1e200, 0.0]]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_jacobi_rejects_non_finite(bad):
     a = np.eye(3)
