@@ -29,8 +29,8 @@ from .lemmas import barrier_rows, comparison_rows, min_eig_rows, pair_rows, zt_r
 from .manufactured import closed_form_1d, make_boundary, make_f_field, separable_reference
 from .manufactured import separable_trace, sweep_presets, zero_boundary
 from .grid import nonexterior_mask, node_coordinates
-from .regularity import ExperimentRecord, estimate_constant, holder_seminorm
-from .regularity import lipschitz_seminorm, records_to_csv
+from .regularity import ExperimentRecord, estimate_constant, lipschitz_seminorm
+from .regularity import records_to_csv, seminorms
 from .reporting import config_hash, svg_line_plot, write_csv
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
 
@@ -193,6 +193,17 @@ def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) 
     r = cfg.get_float("regularity", "radius", 0.5)
     gammas = cfg.get_list("regularity", "gammas", [0.5])
     lambdas = cfg.get_list("regularity", "scaling_lambdas", [0.1, 10.0])
+    r_max = 1.0 - 2.0 * grid.spacing
+    if not 0.0 < r < r_max:
+        cfg.fail("regularity", "radius",
+                 f"radius must be in (0, 1 - 2h) = (0, {r_max:.6g}), got {r}")
+    for g in gammas:
+        if not 0.0 < g < 1.0:
+            cfg.fail("regularity", "gammas", f"every gamma must be in (0, 1), got {g}")
+    for lam in lambdas:
+        if not (np.isfinite(lam) and lam > 0.0):
+            cfg.fail("regularity", "scaling_lambdas",
+                     f"every lambda must be finite and > 0, got {lam}")
     solver_cfg = _solver_config(cfg)
     rng = np.random.default_rng(seed)
     presets = sweep_presets(grid, rng)
@@ -201,11 +212,11 @@ def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) 
         label, f = case
         prob = EnergyProblem(grid, p, f, zero_boundary)
         u, rep = solve_dirichlet(prob, solver_cfg)
+        lip, holder = seminorms(u, r, gammas)
         rec = ExperimentRecord(
             p=p, N=grid.dimension, r=r, f_label=label,
             u_sup=u.sup_norm(), f_sup=f.sup_norm("interior"),
-            lip_seminorm=lipschitz_seminorm(u, r),
-            holder_seminorms={g: holder_seminorm(u, r, g) for g in gammas},
+            lip_seminorm=lip, holder_seminorms=holder,
         )
         return rec, rep.converged
 

@@ -294,8 +294,8 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
     values = np.full(grid.node_shape, np.nan)
     values[tuple(idx.T)] = vals
     field = ScalarField(grid, values)
-    missing = nonexterior_mask(grid) & ~np.isfinite(values)
-    if missing.any():
-        node = tuple(int(i) for i in np.argwhere(missing)[0])
-        raise FieldFormatError(f"{path}: missing value for non-exterior node {node}")
+    try:
+        field.validate_finite()  # every row is finite, so a non-finite node has no row
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: missing row: {exc}") from exc
     return field

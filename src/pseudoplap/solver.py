@@ -253,6 +253,10 @@ def _initial_values(prob: EnergyProblem, cfg: SolveConfig) -> np.ndarray:
     if cfg.initial_field is not None:
         if cfg.initial_field.grid != grid:
             raise ValueError("initial field lives on a different grid")
+        try:
+            cfg.initial_field.validate_finite()
+        except ValueError as exc:
+            raise ValueError(f"initial_field: {exc}") from exc
         v = cfg.initial_field.values.astype(float).copy()
     else:
         # Boundary mean extended constantly inside: matches the scale the
@@ -268,8 +272,10 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
 
     Stops when sup|gradient|/h^N <= grad_tol, after max_iters Newton steps,
     or when stalled at the rounding floor; non-convergence is reported in
-    `SolveReport.reason`, not raised.  A non-finite energy, at the start or
-    in the line search, raises RuntimeError.
+    `SolveReport.reason`, not raised.  A non-finite value in
+    `cfg.initial_field` on a non-exterior node raises ValueError; a
+    non-finite energy, at the start or in the line search, raises
+    RuntimeError.
     """
     cfg = cfg or SolveConfig()
     ws = _Workspace(prob)
@@ -279,7 +285,7 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
 
     J_u = ws.energy(u)
     if not np.isfinite(J_u):
-        raise RuntimeError("non-finite energy in line search")
+        raise RuntimeError("non-finite energy at the starting field")
     history = [J_u] if cfg.track_energy else []
     sup_r = float(np.abs(ws.residual()).max())
     iterations = inner = backtracks = 0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import jacobi_reference
-from pseudoplap import claims, cli, eig, jets
+import pair_scan_reference
+from pseudoplap import claims, cli, eig, jets, regularity
 from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
 from pseudoplap.grid import ScalarField, nonexterior_mask, read_field
@@ -294,6 +295,59 @@ def test_regularity_zero_base_ratio_fails_check(tmp_path, monkeypatch):
     assert code == 1
     assert summary["scaling_invariance"] == ("false", "base ratio is 0: relative drift undefined")
     assert summary["all_solves_converged"][0] == "false"
+
+
+def test_measure_regularity_csvs_match_reference_scan(tmp_path, monkeypatch):
+    # the one-pass pair scan must leave every measured seminorm unchanged
+    path = write(tmp_path, "reg.ini", REGULARITY_33.format(max_iters=1000, lambdas="0.1, 10"))
+    args = ["measure-regularity", "--config", path, "--seed", "0", "--out"]
+    assert main(args + [str(tmp_path / "shipped")]) == 0
+    calls = []
+
+    def reference(u, r, exponents):
+        calls.append(len(exponents))
+        return [pair_scan_reference.pair_scan(u, r, e) for e in exponents]
+
+    monkeypatch.setattr(regularity, "_pair_scan", reference)
+    assert main(args + [str(tmp_path / "reference")]) == 0
+    assert sorted(calls) == [1, 1] + [2] * 10  # two scaling scans, ten preset scans
+    shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
+    assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
+    assert "records.csv" in shipped
+    for name in shipped:
+        assert (tmp_path / "shipped" / name).read_bytes() \
+            == (tmp_path / "reference" / name).read_bytes(), name
+
+
+def _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, key, bad, message):
+    """A bad [regularity] value exits 2 with its file:line, before any solve runs."""
+    lines = REGULARITY_33.format(max_iters=1000, lambdas="0.1, 10").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {bad}"
+    path = write(tmp_path, "reg.ini", "\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "solve_dirichlet", None)  # a solve would exit 3
+    assert main(["measure-regularity", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:{lineno}: [regularity] {key}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0.99", "0.9375", "0", "-0.5", "nan"])
+def test_regularity_radius_outside_interior_exit_2(tmp_path, monkeypatch, capsys, bad):
+    # at n = 33, 1 - 2h = 0.875
+    _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, "radius", bad,
+                                "radius must be in (0, 1 - 2h) = (0, 0.875)")
+
+
+@pytest.mark.parametrize("bad", ["1.5", "0.5, 1", "0", "nan"])
+def test_regularity_gamma_outside_unit_interval_exit_2(tmp_path, monkeypatch, capsys, bad):
+    _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, "gammas", bad,
+                                "every gamma must be in (0, 1)")
+
+
+@pytest.mark.parametrize("bad", ["-1", "0.1, 0", "inf", "nan"])
+def test_regularity_lambda_not_positive_finite_exit_2(tmp_path, monkeypatch, capsys, bad):
+    # lambda = -1 at p = 3 would re-solve the base problem and pass with drift 0
+    _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, "scaling_lambdas", bad,
+                                "every lambda must be finite and > 0")
 
 
 def test_console_entry_point_runs():

@@ -163,6 +163,17 @@ def test_read_nan_rejected_with_line(tmp_path):
         read_field(path)
 
 
+def test_read_missing_node_rejected(tmp_path):
+    g = GridSpec(1, 9)
+    path = tmp_path / "f.csv"
+    write_field(path, ScalarField(g, np.zeros(9)))
+    lines = path.read_text().splitlines()
+    del lines[4]  # node (3,)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError, match=r"f\.csv: missing row: .*node \(3,\)"):
+        read_field(path, g)
+
+
 def test_read_malformed_row_has_line_number(tmp_path):
     g = GridSpec(1, 9)
     write_field(tmp_path / "f.csv", ScalarField(g, np.zeros(9)))

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import pair_scan_reference as reference
+from pseudoplap import regularity
 from pseudoplap.grid import GridSpec, ScalarField, interior_ball_nodes, node_coordinates
-from pseudoplap.manufactured import closed_form_1d, constant_field, zero_boundary
+from pseudoplap.manufactured import closed_form_1d, constant_field, sweep_presets
+from pseudoplap.manufactured import zero_boundary
 from pseudoplap.regularity import (
     ExperimentRecord,
     estimate_constant,
     holder_seminorm,
     lipschitz_seminorm,
     records_to_csv,
+    seminorms,
 )
 from pseudoplap.solver import EnergyProblem, SolveConfig, solve_dirichlet
 
@@ -74,6 +78,79 @@ def test_pair_scan_input_validation():
         lipschitz_seminorm(u, 0.99)
     with pytest.raises(ValueError):
         holder_seminorm(u, 0.5, 1.5)
+
+
+def assert_matches_reference(u, r, gammas):
+    """Every entry point equals the full K x K reference scan bit for bit."""
+    ref = [reference.pair_scan(u, r, e) for e in (1.0, *gammas)]
+    lip, holder = seminorms(u, r, gammas)
+    assert [lip, *(holder[g] for g in gammas)] == ref
+    assert lipschitz_seminorm(u, r) == ref[0]
+    assert [holder_seminorm(u, r, g) for g in gammas] == ref[1:]
+
+
+def test_seminorms_match_reference_on_sweep_presets():
+    g = GridSpec(2, 33)
+    for _, f in sweep_presets(g, np.random.default_rng(0)):
+        u, _ = solve_dirichlet(EnergyProblem(g, 3.0, f, zero_boundary), SolveConfig())
+        assert_matches_reference(u, 0.5, [0.5])
+
+
+def block_rows_cases(K):
+    """Rows per block: more than K, exactly K, a count K is no multiple of, and 1."""
+    return [K + 3, K, next(b for b in (7, 5, 3) if K % b), 1]
+
+
+# n - 1 = 24 is no power of 2, so the 3D distances depend on the order of the sum
+@pytest.mark.parametrize("dim, nodes, r", [(1, 129, 0.6), (2, 33, 0.2), (2, 33, 0.5),
+                                           (3, 17, 0.6), (3, 25, 0.4)])
+def test_seminorms_match_reference_on_random_fields(monkeypatch, dim, nodes, r):
+    g = GridSpec(dim, nodes)
+    K = len(interior_ball_nodes(g, r))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u = ScalarField.from_function(g, lambda pts: rng.standard_normal(len(pts)))
+        assert_matches_reference(u, r, [0.1, 0.5, 0.9])
+        for rows in block_rows_cases(K):
+            monkeypatch.setattr(regularity, "_BLOCK_ELEMENTS", rows * K)
+            assert_matches_reference(u, r, [0.1, 0.5, 0.9])
+        monkeypatch.undo()
+
+
+def test_block_distances_keep_axis_order():
+    # one flipped rounding rarely moves a max, so pin the distances themselves;
+    # n - 1 = 24 makes about 1 in 10 of them depend on the order of the sum
+    g = GridSpec(3, 25)
+    pts = node_coordinates(g, interior_ball_nodes(g, 0.6))
+    axes = pts.T.copy()
+    for lo, hi in ((0, 50), (200, 263), (len(pts) - 7, len(pts))):
+        full = np.sqrt(((pts[lo:hi, None, :] - pts[None, lo:, :]) ** 2).sum(-1))
+        assert np.array_equal(regularity._distances(axes, lo, hi), full)
+
+
+def test_seminorms_max_pair_in_last_row_block(monkeypatch):
+    # one spike on the last scanned node: the max pair joins it to its neighbour
+    # at distance h, and both lie in the last row block
+    g = GridSpec(2, 33)
+    r = 0.5
+    idx = interior_ball_nodes(g, r)
+    K = len(idx)
+    u = ScalarField.from_function(g, lambda pts: np.zeros(len(pts)))
+    u.values[tuple(idx[-1])] = 1.0
+    for rows in [None, *block_rows_cases(K)[:3]]:
+        if rows is not None:
+            monkeypatch.setattr(regularity, "_BLOCK_ELEMENTS", rows * K)
+        assert lipschitz_seminorm(u, r) == 1.0 / g.spacing
+        assert_matches_reference(u, r, [0.3, 0.7])
+
+
+def test_seminorms_reject_gamma_before_scanning(monkeypatch):
+    g = GridSpec(2, 17)
+    u = ScalarField.from_function(g, lambda pts: pts[:, 0])
+    monkeypatch.setattr(regularity, "_pair_scan", None)  # a scan would raise TypeError
+    for bad in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            seminorms(u, 0.4, [0.5, bad])
 
 
 def test_estimate_constant_single_and_mixed():

@@ -210,13 +210,30 @@ def test_solve_scaling_relation():
     assert np.abs(u_l.values[mask] - lam * u.values[mask]).max() < 1e-7
 
 
-def test_solve_nan_in_line_search_raises():
+def test_solve_nan_in_line_search_raises(monkeypatch):
+    g = GridSpec(1, 9)
+    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
+    real_step = _Workspace.newton_step
+
+    def poisoned_step(ws, reg, rtol):
+        out = real_step(ws, reg, rtol)
+        ws.step[4] = np.nan  # the trial point's energy is NaN
+        return out
+
+    monkeypatch.setattr(_Workspace, "newton_step", poisoned_step)
+    with pytest.raises(RuntimeError, match="non-finite energy in line search"):
+        solve_dirichlet(prob, SolveConfig())
+
+
+@pytest.mark.parametrize("node", [4, 0])
+def test_solve_rejects_nonfinite_initial_field(node):
+    # an interior NaN, and a boundary one that the boundary data would overwrite
     g = GridSpec(1, 9)
     prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
     vals = np.zeros(9)
-    vals[4] = np.nan  # poisoned interior value propagates into the line search
+    vals[node] = np.nan
     cfg = SolveConfig(initial_field=ScalarField(g, vals))
-    with pytest.raises(RuntimeError, match="non-finite energy"):
+    with pytest.raises(ValueError, match=rf"initial_field: .* node \({node},\)"):
         solve_dirichlet(prob, cfg)
 
 
