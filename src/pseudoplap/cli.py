@@ -3,55 +3,46 @@
     pseudoplap <subcommand> --config <path> [--seed <u64>] [--out <dir>]
 
 Subcommands: solve, verify-lemmas, measure-regularity, convergence-study.
-Exit codes: 0 success, 1 declared check failed, 2 config error, 3 runtime
-error.  Outputs are CSVs (first line: tool version + config hash) plus
-optional SVG line plots; reruns with the same seed are byte-identical.
-PSEUDOPLAP_THREADS caps sweep workers (0 or unset = auto; a malformed value exits 2).
+Exit codes: 0 success, 1 declared check failed, 2 config error (including a
+section or key that no subcommand reads), 3 runtime error.  Outputs are CSVs
+(first line: tool version + config hash) plus optional SVG line plots; reruns
+with the same seed are byte-identical.  The experiments themselves live in
+the library (`lemmas`, `regularity.preset_sweep`), which the acceptance suite
+calls too; this module checks the config and writes what they return.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .barrier import linf_bound_check
-from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_claims_sweep
-from .claims import regime_params
+from .claims import REGIMES
 from .config import ConfigError, RawConfig, parse_config
-from .grid import GridSpec, ScalarField, write_field
-from .lemmas import barrier_rows, comparison_rows, min_eig_rows, pair_rows, zt_rows
+from .grid import GridSpec, node_coordinates, nonexterior_mask, write_field
+from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows, zt_rows
 from .manufactured import closed_form_1d, make_boundary, make_f_field, separable_reference
-from .manufactured import separable_trace, sweep_presets, zero_boundary
-from .grid import nonexterior_mask, node_coordinates
-from .regularity import ExperimentRecord, estimate_constant, lipschitz_seminorm
-from .regularity import records_to_csv, seminorms
+from .manufactured import separable_trace, zero_boundary
+from .regularity import estimate_constant, preset_sweep, records_to_csv
 from .reporting import config_hash, svg_line_plot, write_csv
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
 
-
-def _threads() -> int:
-    raw = os.environ.get("PSEUDOPLAP_THREADS") or "0"
-    try:
-        t = int(raw)
-    except ValueError:
-        t = -1
-    if t < 0:
-        raise ConfigError(f"PSEUDOPLAP_THREADS: expected a non-negative integer, got {raw!r}")
-    return t or min(4, os.cpu_count() or 1)
-
-
-def _par_map(fn, items):
-    t = _threads()
-    if t <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        return list(ex.map(fn, items))
+# Every section and key some subcommand reads; anything else in a config exits 2.
+_KNOWN_KEYS = {
+    "problem": {"dimension", "nodes", "shape", "p", "f", "f_value", "f_sigma", "boundary",
+                "boundary_value"},
+    "solver": {"grad_tol", "max_iters"},
+    "lemmas": {"run_barrier", "barrier_nodes", "barrier_p_list", "barrier_N_list",
+               "run_min_eig", "min_eig_samples", "run_pair", "pair_samples", "run_zt",
+               "zt_samples", "run_comparison", "comparison_pairs", "comparison_nodes",
+               "comparison_p", "run_claims", "claims_scales", "claims_N", "claims_M"},
+    "regularity": {"radius", "gammas", "scaling_lambdas"},
+    "convergence": {"nodes_list", "min_order"},
+    "output": {"plots"},
+}
 
 
 def _build_grid(cfg: RawConfig) -> GridSpec:
@@ -87,10 +78,7 @@ def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
 def _solver_config(cfg: RawConfig) -> SolveConfig:
     try:
         return SolveConfig(grad_tol=cfg.get_float("solver", "grad_tol", SolveConfig.grad_tol),
-                           max_iters=cfg.get_int("solver", "max_iters", SolveConfig.max_iters),
-                           armijo_c=cfg.get_float("solver", "armijo_c", SolveConfig.armijo_c),
-                           backtrack_factor=cfg.get_float("solver", "backtrack_factor",
-                                                          SolveConfig.backtrack_factor))
+                           max_iters=cfg.get_int("solver", "max_iters", SolveConfig.max_iters))
     except ValueError as exc:  # SolveConfig names the offending field first
         cfg.fail("solver", str(exc).split()[0], str(exc))
 
@@ -163,13 +151,9 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
         M = cfg.get_float("lemmas", "claims_M", 10.0)
         rows = []
         series = {}
-        for regime in REGIMES:
-            params = regime_params(regime, DEFAULT_REGIME_P[regime], N)
-            reports = claims_scale_sweep(params, M, scales, rngs[3])
-            verdict = evaluate_claims_sweep(reports)
-            for rep in reports:
-                rows.append([regime, rep.p, rep.N, rep.M, rep.s, rep.ratio1, rep.ratio2,
-                             rep.ratio3, rep.in_delta, rep.eq_n_epsilon_ok])
+        for regime in REGIMES:  # one stream, drawn from in REGIMES order
+            regime_rows, verdict, params = claims_rows(rngs[3], regime, N, M, scales)
+            rows += regime_rows
             swept = sorted(verdict["ratio1_by_scale"], reverse=True)
             series[regime] = (swept, [verdict["ratio1_by_scale"][s] for s in swept])
             checks.append((f"claims_{regime}", verdict["ok"], verdict["detail"]))
@@ -204,45 +188,13 @@ def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) 
         if not (np.isfinite(lam) and lam > 0.0):
             cfg.fail("regularity", "scaling_lambdas",
                      f"every lambda must be finite and > 0, got {lam}")
-    solver_cfg = _solver_config(cfg)
-    rng = np.random.default_rng(seed)
-    presets = sweep_presets(grid, rng)
-
-    def one(case):
-        label, f = case
-        prob = EnergyProblem(grid, p, f, zero_boundary)
-        u, rep = solve_dirichlet(prob, solver_cfg)
-        lip, holder = seminorms(u, r, gammas)
-        rec = ExperimentRecord(
-            p=p, N=grid.dimension, r=r, f_label=label,
-            u_sup=u.sup_norm(), f_sup=f.sup_norm("interior"),
-            lip_seminorm=lip, holder_seminorms=holder,
-        )
-        return rec, rep.converged
-
-    results = _par_map(one, presets)
-    records = [rec for rec, _ in results]
-    converged = [conv for _, conv in results]
+    records, scale_rows, converged = preset_sweep(grid, p, r, gammas, lambdas,
+                                                  _solver_config(cfg),
+                                                  np.random.default_rng(seed))
     records_to_csv(outdir / "records.csv", records, chash)
     c_emp = estimate_constant(records)
-
-    # scaling invariance on the first preset
-    label0, f0 = presets[0]
-    base = next(rec for rec in records if rec.f_label == label0)
-    scale_rows = [[1.0, base.ratio, 0.0]]
-    rels = []
-    for lam in lambdas:
-        f_l = ScalarField(grid, lam ** (p - 1.0) * f0.values)
-        cfg_l = dataclasses.replace(solver_cfg, grad_tol=solver_cfg.grad_tol * lam ** (p - 1.0))
-        u_l, rep_l = solve_dirichlet(EnergyProblem(grid, p, f_l, zero_boundary), cfg_l)
-        converged.append(rep_l.converged)
-        ratio_l = lipschitz_seminorm(u_l, r) / (u_l.sup_norm()
-                                                + f_l.sup_norm("interior") ** (1 / (p - 1)))
-        # a solve stopped before u moved off 0 inside the radius leaves no ratio to compare
-        rels.append(abs(ratio_l - base.ratio) / base.ratio if base.ratio else np.nan)
-        scale_rows.append([lam, ratio_l, rels[-1]])
-    if base.ratio:
-        drift = max([0.0, *rels])
+    if scale_rows[0][1]:
+        drift = max(row[2] for row in scale_rows)
         scaling = ("scaling_invariance", drift <= 1e-6, f"max rel drift {drift:.3e}")
     else:
         drift = np.nan
@@ -320,6 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        cfg.reject_unknown(_KNOWN_KEYS)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         chash = config_hash(cfg.text)

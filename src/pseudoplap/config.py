@@ -18,6 +18,7 @@ class ConfigError(Exception):
 class RawConfig:
     path: str
     sections: dict = field(default_factory=dict)  # section -> {key: (value, line)}
+    section_lines: dict = field(default_factory=dict)  # section -> line of its first header
     text: str = ""
 
     def get(self, section: str, key: str, default=None):
@@ -33,11 +34,8 @@ class RawConfig:
             return default
         try:
             return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}:{self.line_of(section, key)}: [{section}] {key}: "
-                f"expected {what}, got {raw!r}"
-            ) from exc
+        except ValueError:
+            self.fail(section, key, f"expected {what}, got {raw!r}")
 
     def get_float(self, section, key, default=None):
         return self._convert(section, key, default, float, "a number")
@@ -57,22 +55,22 @@ class RawConfig:
         return self._convert(section, key, default, conv, "a boolean")
 
     def get_list(self, section, key, default=None, conv=float):
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
+        def items(raw):
             return [conv(t.strip()) for t in raw.split(",") if t.strip()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}:{self.line_of(section, key)}: [{section}] {key}: "
-                f"expected a comma-separated list, got {raw!r}"
-            ) from exc
 
-    def require(self, section, key, getter="get"):
-        val = getattr(self, getter)(section, key)
-        if val is None:
-            raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
-        return val
+        return self._convert(section, key, default, items, "a comma-separated list")
+
+    def reject_unknown(self, known: dict) -> None:
+        """Raise ConfigError at the first section or key, in file order, that
+        `known` (section -> set of keys) does not list."""
+        for section, entries in self.sections.items():
+            if section not in known:
+                raise ConfigError(f"{self.path}:{self.section_lines[section]}: unknown section "
+                                  f"[{section}]; known: {', '.join(sorted(known))}")
+            for key in entries:
+                if key not in known[section]:
+                    self.fail(section, key, "unknown key; known: "
+                              + ", ".join(sorted(known[section])))
 
     def fail(self, section, key, message):
         line = self.line_of(section, key)
@@ -97,6 +95,7 @@ def parse_config(path) -> RawConfig:
             if not section:
                 raise ConfigError(f"{path}:{lineno}: empty section name")
             cfg.sections.setdefault(section, {})
+            cfg.section_lines.setdefault(section, lineno)
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")

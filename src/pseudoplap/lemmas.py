@@ -5,7 +5,7 @@ for rejecting a draw, and the attempt cap.  The `verify-lemmas` subcommand
 and the acceptance suite call the same functions, so the suite certifies the
 sampler the CLI ships.  Each sampler returns the CSV rows of its family plus
 either the worst relative slack (the check passes when it stays above a
-small negative tolerance) or a pass flag.
+small negative tolerance), a pass flag, or the claims verdict and selectors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 
 from .barrier import BarrierParams, comparison_check, min_barrier_M
 from .barrier import supersolution_tolerance, verify_supersolution
-from .claims import DEFAULT_REGIME_P, REGIMES, regime_params, zt_check
+from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_claims_sweep
+from .claims import regime_params, zt_check
 from .grid import GridSpec, ScalarField
 from .jets import build_jet_matrices, feasible_pair_sample, min_eig_bound_check
 from .jets import pair_conclusions_check
@@ -148,6 +149,19 @@ def zt_rows(rng: np.random.Generator, samples: int):
         worst = min(worst, rel)
         rows.append([p, N, theta, slack, rel])
     return rows, worst
+
+
+def claims_rows(rng: np.random.Generator, regime: str, N: int, M: float, scales):
+    """The claims scale sweep of one regime at its default p: (rows, verdict, params),
+    the verdict from `evaluate_claims_sweep`, the regime's selectors as params.
+
+    Rows: regime, p, N, M, s, ratio1, ratio2, ratio3, in_delta, eq_n_epsilon_ok.
+    """
+    params = regime_params(regime, DEFAULT_REGIME_P[regime], N)
+    reports = claims_scale_sweep(params, M, scales, rng)
+    rows = [[regime, rep.p, rep.N, rep.M, rep.s, rep.ratio1, rep.ratio2, rep.ratio3,
+             rep.in_delta, rep.eq_n_epsilon_ok] for rep in reports]
+    return rows, evaluate_claims_sweep(reports), params
 
 
 def comparison_rows(rng: np.random.Generator, nodes: int, p: float, pairs: int):

@@ -15,12 +15,14 @@ ratio, the falsifiable proxy for a uniform interior estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import ScalarField, interior_ball_nodes, node_coordinates
+from .manufactured import sweep_presets, zero_boundary
 from .reporting import write_csv
+from .solver import EnergyProblem, solve_dirichlet
 
 # Entries per row block: 2^15 float64 values, 256 KB per temporary, so a block stays in cache.
 _BLOCK_ELEMENTS = 1 << 15
@@ -144,3 +146,36 @@ def records_to_csv(path, records, cfg_hash: str = "none") -> None:
         row += [rec.holder_seminorms.get(g) for g in gammas]
         rows.append(row)
     write_csv(path, columns, rows, cfg_hash)
+
+
+def preset_sweep(grid, p: float, r: float, gammas, lambdas, solver_cfg, rng):
+    """The experiment of `measure-regularity`: solve and measure each
+    `sweep_presets(grid, rng)` field with zero boundary data, then, per lambda,
+    lambda^(p-1) times the first one with grad_tol scaled alike.
+
+    Returns (records, scaling_rows, converged): a record per preset; rows
+    [lambda, ratio, drift from the base ratio] led by [1.0, base ratio, 0.0],
+    drift NaN when the base ratio is 0; a converged flag per solve, presets first.
+    """
+    presets = sweep_presets(grid, rng)
+    records, converged = [], []
+    for label, f in presets:
+        u, rep = solve_dirichlet(EnergyProblem(grid, p, f, zero_boundary), solver_cfg)
+        lip, holder = seminorms(u, r, gammas)
+        records.append(ExperimentRecord(p=p, N=grid.dimension, r=r, f_label=label,
+                                        u_sup=u.sup_norm(), f_sup=f.sup_norm("interior"),
+                                        lip_seminorm=lip, holder_seminorms=holder))
+        converged.append(rep.converged)
+    base = records[0]
+    scaling_rows = [[1.0, base.ratio, 0.0]]
+    for lam in lambdas:
+        f_l = ScalarField(grid, lam ** (p - 1.0) * presets[0][1].values)
+        cfg_l = replace(solver_cfg, grad_tol=solver_cfg.grad_tol * lam ** (p - 1.0))
+        u_l, rep_l = solve_dirichlet(EnergyProblem(grid, p, f_l, zero_boundary), cfg_l)
+        converged.append(rep_l.converged)
+        ratio = replace(base, u_sup=u_l.sup_norm(), f_sup=f_l.sup_norm("interior"),
+                        lip_seminorm=lipschitz_seminorm(u_l, r), holder_seminorms={}).ratio
+        # a solve stopped before u moved off 0 inside the radius leaves no ratio to compare
+        drift = abs(ratio - base.ratio) / base.ratio if base.ratio else np.nan
+        scaling_rows.append([lam, ratio, drift])
+    return records, scaling_rows, converged

@@ -42,6 +42,10 @@ from .grid import node_coordinates, nonexterior_mask
 from .operators import add_divergence, axis_difference, link_differences
 
 _EPS = float(np.finfo(float).eps)
+# Armijo line search: sufficient decrease, step shrink, halvings before "stalled".
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 60
 
 
 @dataclass
@@ -75,10 +79,7 @@ class EnergyProblem:
 class SolveConfig:
     grad_tol: float = 1e-8  # sup-norm of the energy gradient per unit cell volume
     max_iters: int = 1_000  # Newton steps
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     initial_field: ScalarField | None = None  # None: the boundary mean extended inside
-    max_backtracks: int = 60
     track_energy: bool = False
 
     def __post_init__(self):
@@ -86,10 +87,6 @@ class SolveConfig:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
 
 
 @dataclass
@@ -281,7 +278,6 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     ws = _Workspace(prob)
     t0 = time.perf_counter()
     u = _initial_values(prob, cfg)
-    c, shrink = cfg.armijo_c, cfg.backtrack_factor
 
     J_u = ws.energy(u)
     if not np.isfinite(J_u):
@@ -298,16 +294,16 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         slope = -ws.hN * r_dot_s  # <grad J, s>, negative
         z = ws.spare  # the trial point; swapped with u when accepted
         alpha = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             np.multiply(ws.step, alpha, out=z)
             z += u
             J_z = ws.energy(z)
             if np.isnan(J_z):
                 raise RuntimeError("non-finite energy in line search")
             slack = 8.0 * _EPS * max(abs(J_u), abs(J_z))
-            if J_z <= J_u + c * alpha * slope + slack:
+            if J_z <= J_u + ARMIJO_C * alpha * slope + slack:
                 break
-            alpha *= shrink
+            alpha *= BACKTRACK_FACTOR
             backtracks += 1
         else:
             reason = "stalled"  # cannot certify descent at rounding level

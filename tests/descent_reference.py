@@ -10,7 +10,8 @@ more iterations per grid refinement, so it suits small grids only.
 import numpy as np
 
 from pseudoplap.grid import interior_mask, link_masks
-from pseudoplap.solver import EnergyProblem, SolveConfig, _initial_values
+from pseudoplap.solver import ARMIJO_C, BACKTRACK_FACTOR, MAX_BACKTRACKS, EnergyProblem
+from pseudoplap.solver import SolveConfig, _initial_values
 
 _EPS = float(np.finfo(float).eps)
 
@@ -89,12 +90,12 @@ def descent_solve(prob: EnergyProblem, cfg: SolveConfig):
         d = r_u / ws.inv_scaling(u)
         slope = -ws.hN * float((r_u * d).sum())
         alpha = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             z = u + alpha * d
             J_z = ws.energy(z)
-            if J_z <= J_u + cfg.armijo_c * alpha * slope + 8.0 * _EPS * max(abs(J_u), abs(J_z)):
+            if J_z <= J_u + ARMIJO_C * alpha * slope + 8.0 * _EPS * max(abs(J_u), abs(J_z)):
                 break
-            alpha *= cfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         else:
             break  # cannot certify descent at rounding level
         u, J_u = z, J_z

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +14,8 @@ from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
 from pseudoplap.grid import ScalarField, nonexterior_mask, read_field
 from pseudoplap.solver import SolveReport
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 LEMMAS_MICRO = """
 [lemmas]
@@ -113,6 +114,30 @@ def test_solver_config_error_names_line(tmp_path, capsys):
     assert f"{path}:11: [solver] grad_tol: grad_tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["grad_tl = 1e-14", "armijo_c = 1e-4",
+                                  "backtrack_factor = 0.5"])
+def test_unknown_config_key_exit_2(tmp_path, capsys, line):
+    # a misspelled key, and the line-search knobs that are module constants now
+    path = write(tmp_path, "typo.ini", SOLVE_TINY + line + "\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    key = line.split()[0]
+    assert f"{path}:12: [solver] {key}: unknown key; known: grad_tol, max_iters" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
+def test_shipped_configs_use_known_keys(name):
+    parse_config(CONFIGS / name).reject_unknown(cli._KNOWN_KEYS)
+
+
+def test_unknown_config_section_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "typo.ini", SOLVE_TINY + "\n[solvr]\nmax_iters = 1\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:13: unknown section [solvr]; known: convergence, lemmas, output, " \
+        "problem, regularity, solver" in capsys.readouterr().err
+
+
 def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
     path = write(tmp_path, "solve.ini", SOLVE_TINY)
     out = tmp_path / "out"
@@ -143,7 +168,7 @@ def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
 
 def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
     # the float-loop Jacobi kernel must leave every sampled row unchanged
-    config = str(Path(__file__).resolve().parents[1] / "configs" / "verify_lemmas_small.ini")
+    config = str(CONFIGS / "verify_lemmas_small.ini")
     args = ["verify-lemmas", "--config", config, "--seed", "42", "--out"]
     code = main(args + [str(tmp_path / "shipped")])
     calls = []
@@ -211,43 +236,6 @@ plots = true
     assert read_summary(out)["errors_decreasing"][1].startswith("errors ['")
 
 
-def test_regularity_threads_deterministic(tmp_path):
-    cfg = """
-[problem]
-p = 3.0
-dimension = 2
-nodes = 17
-
-[solver]
-grad_tol = 1e-6
-
-[regularity]
-radius = 0.4
-gammas = 0.5
-scaling_lambdas = 2.0
-"""
-    path = write(tmp_path, "reg.ini", cfg)
-    outs = []
-    for name, threads in (("t1", "1"), ("t2", "3")):
-        out = tmp_path / name
-        env = dict(os.environ, PSEUDOPLAP_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pseudoplap.cli", "measure-regularity",
-             "--config", path, "--seed", "5", "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs.append((out / "records.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
-@pytest.mark.parametrize("threads", ["one", "-2"])
-def test_malformed_threads_exit_2(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("PSEUDOPLAP_THREADS", threads)
-    path = write(tmp_path, "reg.ini", REGULARITY_33.format(max_iters=5, lambdas="0.1"))
-    assert main(["measure-regularity", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert "PSEUDOPLAP_THREADS" in capsys.readouterr().err
-
-
 def _regularity_summary(tmp_path, max_iters, lambdas):
     path = write(tmp_path, "reg.ini", REGULARITY_33.format(max_iters=max_iters, lambdas=lambdas))
     out = tmp_path / "out"
@@ -256,22 +244,21 @@ def _regularity_summary(tmp_path, max_iters, lambdas):
 
 
 def _replace_one_solve(monkeypatch, which, solve):
-    """Let `solve` stand in for the CLI's solve_dirichlet on its `which`-th call
-    (0-based); one thread keeps the call order fixed."""
-    real = cli.solve_dirichlet
+    """Let `solve` stand in for the regularity sweep's solve_dirichlet on its
+    `which`-th call (0-based)."""
+    real = regularity.solve_dirichlet
     calls = []
 
     def patched(prob, cfg):
         calls.append(prob)
         return (solve if len(calls) - 1 == which else real)(prob, cfg)
 
-    monkeypatch.setenv("PSEUDOPLAP_THREADS", "1")
-    monkeypatch.setattr(cli, "solve_dirichlet", patched)
+    monkeypatch.setattr(regularity, "solve_dirichlet", patched)
 
 
 def test_regularity_reports_unconverged_scaling_solve(tmp_path, monkeypatch):
     # the ten presets are solved first; the scaling solve (call 10) gets one Newton step
-    real = cli.solve_dirichlet
+    real = regularity.solve_dirichlet
     _replace_one_solve(monkeypatch, 10,
                        lambda prob, cfg: real(prob, dataclasses.replace(cfg, max_iters=1)))
     code, summary = _regularity_summary(tmp_path, 4000, "0.0001")
@@ -325,7 +312,7 @@ def _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, key, bad, message
     lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
     lines[lineno - 1] = f"{key} = {bad}"
     path = write(tmp_path, "reg.ini", "\n".join(lines) + "\n")
-    monkeypatch.setattr(cli, "solve_dirichlet", None)  # a solve would exit 3
+    monkeypatch.setattr(regularity, "solve_dirichlet", None)  # a solve would exit 3
     assert main(["measure-regularity", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"{path}:{lineno}: [regularity] {key}: {message}" in capsys.readouterr().err
 
