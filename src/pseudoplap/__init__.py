@@ -18,7 +18,8 @@ from .barrier import BarrierParams, barrier_field, comparison_check, linf_bound_
 from .barrier import min_barrier_M, verify_supersolution
 from .moduli import HolderModulus, LipschitzModulus
 from .jets import JetMatrices, build_jet_matrices, check_eq_n_epsilon, feasible_pair_sample
-from .jets import index_set, min_eig_bound_check, pair_conclusions_check, test_vector
+from .jets import index_set, min_eig_bound_check, pair_conclusions_check, sample_pair_conclusions
+from .jets import test_vector
 from .claims import RegimeParams, claims_check, regime_params, zt_check
 from .regularity import ExperimentRecord, estimate_constant, holder_seminorm
 from .regularity import lipschitz_seminorm

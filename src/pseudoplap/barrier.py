@@ -20,9 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, node_coordinates
-from .grid import nonexterior_mask, _radius_squared
-from .operators import apply_divergence, apply_nondivergence
+from .grid import GridSpec, NodeClass, ScalarField, boundary_mask, classify_nodes
+from .grid import interior_mask, node_coordinates, nonexterior_mask, _radius_squared
+from .operators import add_nondivergence, apply_divergence
+
+# Nodes per slab of the streamed supersolution check: at 3D n = 129 a slab is
+# 7 planes, and its few temporaries take about 1 MB each.
+_SLAB_ELEMENTS = 2**17
 
 
 def min_barrier_M(p: float, N: int, f_sup: float) -> float:
@@ -48,30 +52,47 @@ class BarrierParams:
     N: int
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError(f"M must be positive, got {self.M}")
-        if self.boundary_sup < 0:
-            raise ValueError("boundary_sup must be >= 0")
+        # a non-finite M or boundary_sup makes the barrier itself non-finite
+        if not (self.M > 0 and np.isfinite(self.M)):
+            raise ValueError(f"M must be positive and finite, got {self.M}")
+        if not (self.boundary_sup >= 0 and np.isfinite(self.boundary_sup)):
+            raise ValueError(f"boundary_sup must be >= 0 and finite, got {self.boundary_sup}")
         if not self.p > 2:
             raise ValueError(f"p must be > 2, got {self.p}")
 
 
-def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
-    """Barrier evaluated at every non-exterior node; ball-shaped grids only."""
+def _check_barrier_grid(grid: GridSpec, params: BarrierParams) -> None:
     if grid.shape != "ball":
         raise ValueError("the barrier uses the distance to the unit sphere; ball grids only")
     if grid.dimension != params.N:
         raise ValueError(f"params.N = {params.N} but grid dimension is {grid.dimension}")
+
+
+def _barrier_values(r2: np.ndarray, params: BarrierParams) -> np.ndarray:
+    """The barrier at nodes of squared radius r2, as a new array."""
     # in place, so a 3D grid holds two node arrays at a time, not four
-    d = np.sqrt(_radius_squared(grid))
+    d = np.sqrt(r2)
     np.subtract(1.0, d, out=d)
     vals = 1.0 + d
     np.divide(1.0, vals, out=vals)
     np.subtract(1.0, vals, out=vals)
     vals *= params.M
     vals += params.boundary_sup
+    return vals
+
+
+def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
+    """Barrier evaluated at every non-exterior node; ball-shaped grids only."""
+    _check_barrier_grid(grid, params)
+    vals = _barrier_values(_radius_squared(grid), params)
     vals[~nonexterior_mask(grid)] = np.nan
     return ScalarField(grid, vals)
+
+
+def _span(mask: np.ndarray, ax: int) -> slice:
+    """The smallest index range along ax that holds every True entry of mask."""
+    hits = np.flatnonzero(mask.any(axis=tuple(k for k in range(mask.ndim) if k != ax)))
+    return slice(hits[0], hits[-1] + 1)
 
 
 def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
@@ -80,16 +101,41 @@ def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
 
     Non-positive up to discretization error; the barrier is not C^2 at the
     origin, hence the exclusion (at least 2h).
+
+    The check streams slabs of about _SLAB_ELEMENTS nodes along axis 0, each
+    with one halo plane on either side and cropped to the box of its
+    non-exterior nodes, which holds every stencil neighbour of an interior
+    node.  Each node sees the operations of barrier_field and
+    apply_nondivergence in their order, so the max is theirs bit for bit,
+    while the memory stays a few slabs whatever the grid.
     """
     h = grid.spacing
     if exclusion_radius < 2.0 * h * (1.0 - 1e-12):
         raise ValueError(f"exclusion_radius must be >= 2h = {2 * h}, got {exclusion_radius}")
-    b = barrier_field(grid, params)
-    op = apply_nondivergence(b, params.p)
-    sel = interior_mask(grid) & (_radius_squared(grid) >= exclusion_radius**2)
-    if not sel.any():
+    _check_barrier_grid(grid, params)
+    r2, cls = _radius_squared(grid), classify_nodes(grid)
+    n = grid.nodes_per_axis
+    height = max(1, _SLAB_ELEMENTS // n ** (grid.dimension - 1))
+    maxima = []
+    # planes 0 and n-1 lie on faces of the cube, so only halos; every plane
+    # between them holds its axis node |x| = |x_0| < 1, so no box is empty
+    for first in range(1, n - 1, height):
+        planes = slice(first - 1, min(first + height, n - 1) + 1)
+        present = cls[planes] != NodeClass.EXTERIOR
+        box = (planes,) + tuple(_span(present, ax) for ax in range(1, grid.dimension))
+        slab_r2, slab_cls = r2[box], cls[box]
+        vals = _barrier_values(slab_r2, params)
+        vals[slab_cls == NodeClass.EXTERIOR] = np.nan
+        out = np.zeros(vals.shape)
+        add_nondivergence(out, vals, params.p, h)
+        sel = (slab_cls[1:-1] == NodeClass.INTERIOR) & (slab_r2[1:-1] >= exclusion_radius**2)
+        if sel.any():
+            op = out[1:-1][sel]
+            op *= params.p - 1.0
+            maxima.append((op + (params.p - 1.0) * f_sup).max())
+    if not maxima:
         raise ValueError("no interior nodes outside the exclusion radius")
-    return float((op.values[sel] + (params.p - 1.0) * f_sup).max())
+    return float(np.max(maxima))
 
 
 def supersolution_tolerance(grid: GridSpec, params: BarrierParams, f_sup: float) -> float:

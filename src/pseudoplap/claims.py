@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import jacobi_eigh, spectral_norm
-from .jets import build_jet_matrices, check_eq_n_epsilon, feasible_pair_sample, index_set
+from .jets import build_jet_matrices, feasible_pair_sample, index_set
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
 REGIMES = ("holder_small_p", "holder_large_p", "lipschitz_small_p", "lipschitz_large_p")
@@ -198,7 +198,7 @@ def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng,
     q = M * wp * z / s
     qx = q + 2.0 * M * (x_bar - x0)
     qy = q - 2.0 * M * (y_bar - x0)
-    X, Y = feasible_pair_sample(z, M, p, modulus, rng)
+    X, Y = feasible_pair_sample(jm, rng)
 
     mp2 = M ** (p - 2.0)
     lam = jacobi_eigh(mp2 * jm.Theta @ (X + Y) @ jm.Theta)[0]
@@ -216,7 +216,7 @@ def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng,
     ratio3 = float(lhs / denom(params.tau2))
 
     if p > 4.0 and params.eps is not None:
-        eq_ok = check_eq_n_epsilon(z, params.eps, modulus, M=M)
+        eq_ok = jm.eq_n_epsilon(params.eps)
         idx_size = int(len(index_set(z, params.eps)))
     else:
         eq_ok, idx_size = None, None

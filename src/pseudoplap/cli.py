@@ -4,11 +4,12 @@
 
 Subcommands: solve, verify-lemmas, measure-regularity, convergence-study.
 Exit codes: 0 success, 1 declared check failed, 2 config error (including a
-section or key that no subcommand reads), 3 runtime error.  Outputs are CSVs
-(first line: tool version + config hash) plus optional SVG line plots; reruns
-with the same seed are byte-identical.  The experiments themselves live in
-the library (`lemmas`, `regularity.preset_sweep`), which the acceptance suite
-calls too; this module checks the config and writes what they return.
+section or key that the subcommand does not read), 3 runtime error.  Outputs
+are CSVs (first line: tool version + config hash) plus optional SVG line
+plots; reruns with the same seed are byte-identical.  The experiments
+themselves live in the library (`lemmas`, `regularity.preset_sweep`), which
+the acceptance suite calls too; this module checks the config and writes
+what they return.
 """
 
 from __future__ import annotations
@@ -30,18 +31,23 @@ from .regularity import estimate_constant, preset_sweep, records_to_csv
 from .reporting import config_hash, svg_line_plot, write_csv
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
 
-# Every section and key some subcommand reads; anything else in a config exits 2.
+# Per subcommand, every section and key it reads; anything else in its config exits 2.
+_GRID_KEYS = {"dimension", "nodes", "shape"}
+_SOLVER_KEYS = {"grad_tol", "max_iters"}
 _KNOWN_KEYS = {
-    "problem": {"dimension", "nodes", "shape", "p", "f", "f_value", "f_sigma", "boundary",
-                "boundary_value"},
-    "solver": {"grad_tol", "max_iters"},
-    "lemmas": {"run_barrier", "barrier_nodes", "barrier_p_list", "barrier_N_list",
-               "run_min_eig", "min_eig_samples", "run_pair", "pair_samples", "run_zt",
-               "zt_samples", "run_comparison", "comparison_pairs", "comparison_nodes",
-               "comparison_p", "run_claims", "claims_scales", "claims_N", "claims_M"},
-    "regularity": {"radius", "gammas", "scaling_lambdas"},
-    "convergence": {"nodes_list", "min_order"},
-    "output": {"plots"},
+    "solve": {"problem": _GRID_KEYS | {"p", "f", "f_value", "f_sigma", "boundary",
+                                       "boundary_value"},
+              "solver": _SOLVER_KEYS},
+    "verify-lemmas": {
+        "lemmas": {"run_barrier", "barrier_nodes", "barrier_p_list", "barrier_N_list",
+                   "run_min_eig", "min_eig_samples", "run_pair", "pair_samples", "run_zt",
+                   "zt_samples", "run_comparison", "comparison_pairs", "comparison_nodes",
+                   "comparison_p", "run_claims", "claims_scales", "claims_N", "claims_M"},
+        "output": {"plots"}},
+    "measure-regularity": {"problem": _GRID_KEYS | {"p"}, "solver": _SOLVER_KEYS,
+                           "regularity": {"radius", "gammas", "scaling_lambdas"}},
+    "convergence-study": {"problem": {"p", "dimension"}, "solver": _SOLVER_KEYS,
+                          "convergence": {"nodes_list", "min_order"}, "output": {"plots"}},
 }
 
 
@@ -272,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        cfg.reject_unknown(_KNOWN_KEYS)
+        cfg.reject_unknown(_KNOWN_KEYS[args.subcommand])
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         chash = config_hash(cfg.text)

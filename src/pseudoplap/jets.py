@@ -20,7 +20,8 @@ doubling block inequality
 
     -6 M |H1| I_2N <= diag(X, Y) - (2M+1) I_2N <= M [[Ht, -Ht], [-Ht, Ht]].
 
-feasible_pair_sample constructs random pairs satisfying that inequality.
+feasible_pair_sample constructs random pairs satisfying that inequality, and
+sample_pair_conclusions checks the conclusions of one without testing it twice.
 """
 
 from __future__ import annotations
@@ -78,6 +79,18 @@ class JetMatrices:
 
     def theta_norm_sq(self) -> float:
         return float(np.max(np.diag(self.Theta)) ** 2)
+
+    def eq_n_epsilon(self, eps: float) -> bool:
+        """Truth of beta w''(s)(1 - N s^{2e}) + alpha N s^{2e} w'(s)/s <= w''(s)/4.
+
+        alphaH and betaH depend on x, M and the modulus, not on p.
+        """
+        s, n = self.s, self.N
+        wp = float(self.modulus.omega_prime(s))
+        wpp = float(self.modulus.omega_second(s))
+        lhs = self.betaH * wpp * (1.0 - n * s ** (2.0 * eps)) \
+            + self.alphaH * n * s ** (2.0 * eps) * wp / s
+        return bool(lhs <= wpp / 4.0)
 
 
 def _radial_hessian(x: np.ndarray, modulus: Modulus) -> np.ndarray:
@@ -153,18 +166,11 @@ def test_vector(x, p: float, eps: float | None = None) -> np.ndarray:
 
 def check_eq_n_epsilon(x, eps: float, modulus: Modulus, N: int | None = None,
                        M: float | None = None) -> bool:
-    """Truth of beta w''(s)(1 - N s^{2e}) + alpha N s^{2e} w'(s)/s <= w''(s)/4."""
+    """JetMatrices.eq_n_epsilon at x, with the damping of M (default 1)."""
     x = np.asarray(x, dtype=float)
     if N is not None and N != len(x):
         raise ValueError(f"N = {N} does not match len(x) = {len(x)}")
-    n = len(x)
-    jm = _jet(x, modulus=modulus, p=3.0, M=M if M is not None else 1.0)
-    s = jm.s
-    wp = float(modulus.omega_prime(s))
-    wpp = float(modulus.omega_second(s))
-    lhs = jm.betaH * wpp * (1.0 - n * s ** (2.0 * eps)) \
-        + jm.alphaH * n * s ** (2.0 * eps) * wp / s
-    return bool(lhs <= wpp / 4.0)
+    return _jet(x, modulus=modulus, p=3.0, M=M if M is not None else 1.0).eq_n_epsilon(eps)
 
 
 def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
@@ -173,7 +179,7 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
 
     Small branch (p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
     Large branch (p >= 4): requires a nonempty index set and the damped
-    inequality checked by check_eq_n_epsilon; then
+    inequality checked by JetMatrices.eq_n_epsilon; then
     lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
 
     Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H).
@@ -201,7 +207,7 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
         idx = index_set(x, eps)
         if len(idx) == 0:
             raise ValueError("index set is empty")
-        if not check_eq_n_epsilon(x, eps, modulus):
+        if not jm.eq_n_epsilon(eps):
             raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
         w = np.zeros_like(x)  # index-restricted test vector (p = 4 included)
         w[idx] = np.abs(x[idx]) ** ((2.0 - p) / 2.0) * x[idx]
@@ -232,16 +238,15 @@ def _pair_feasible(X: np.ndarray, Y: np.ndarray, jm: JetMatrices):
     return ok, (lower, upper, scale)
 
 
-def feasible_pair_sample(x, M: float, p: float, modulus: Modulus, rng) -> tuple:
-    """Random (X, Y) satisfying the doubling block squeeze, by construction + check.
+def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
+    """Random (X, Y) satisfying the doubling block squeeze at jm, by construction + check.
 
     X = Y = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm
     at most (M/4) |Htilde|; feasibility (and the norm consequence
     |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
     before returning, resampling on failure.
     """
-    jm = build_jet_matrices(x, M, p, modulus)
-    n = jm.N
+    n, M = jm.N, jm.M
     c = 2.0 * M + 1.0
     ht_norm = jm.ht_norm
     for _ in range(100):
@@ -289,7 +294,7 @@ class PairConclusions:
 
 def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
                            eps: float | None = None) -> PairConclusions:
-    """Verify the eigenvalue conclusions for a feasible pair.
+    """Verify the eigenvalue conclusions for a pair, after testing that it is feasible.
 
     Checks, with c = 2M+1 and the weighted matrices A = M^{p-2} Theta(.)Theta:
     every eigenvalue of A(X+Y) is at most 2c M^{p-2} |Theta|^2, the smallest
@@ -300,6 +305,18 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     ok, details = _pair_feasible(X, Y, jm)
     if not ok:
         raise ValueError(f"pair does not satisfy the block squeeze (eigen margins {details})")
+    return _conclusions(X, Y, jm, eps)
+
+
+def sample_pair_conclusions(jm: JetMatrices, rng, eps: float | None = None) -> PairConclusions:
+    """pair_conclusions_check of a pair from feasible_pair_sample, which has
+    already tested the pair's block squeeze."""
+    X, Y = feasible_pair_sample(jm, rng)
+    return _conclusions(X, Y, jm, eps)
+
+
+def _conclusions(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
+                 eps: float | None) -> PairConclusions:
     M, p, n = jm.M, jm.p, jm.N
     s = jm.s
     wp = float(jm.modulus.omega_prime(s))
@@ -324,7 +341,7 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
         idx = index_set(jm.x, eps)
         if len(idx) == 0:
             raise ValueError("index set is empty")
-        if not check_eq_n_epsilon(jm.x, eps, jm.modulus, M=M):
+        if not jm.eq_n_epsilon(eps):
             raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
         bound_large = M ** (p - 1.0) * (1.0 - n * s ** (2.0 * eps)) / len(idx) \
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp

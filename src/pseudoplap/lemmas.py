@@ -17,8 +17,7 @@ from .barrier import supersolution_tolerance, verify_supersolution
 from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_claims_sweep
 from .claims import regime_params, zt_check
 from .grid import GridSpec, ScalarField
-from .jets import build_jet_matrices, feasible_pair_sample, min_eig_bound_check
-from .jets import pair_conclusions_check
+from .jets import build_jet_matrices, min_eig_bound_check, sample_pair_conclusions
 from .manufactured import gaussian_field
 from .moduli import HolderModulus, LipschitzModulus
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
@@ -115,9 +114,8 @@ def pair_rows(rng: np.random.Generator, samples: int):
             x *= s / np.linalg.norm(x)
             M = float(rng.uniform(1.5, 50.0))
             try:
-                jm = build_jet_matrices(x, M, p, modulus)
-                X, Y = feasible_pair_sample(x, M, p, modulus, rng)
-                rep = pair_conclusions_check(X, Y, jm, eps=params.eps)
+                rep = sample_pair_conclusions(build_jet_matrices(x, M, p, modulus), rng,
+                                              eps=params.eps)
             except ValueError:
                 continue
             rel = rep.min_relative_slack()

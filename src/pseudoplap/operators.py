@@ -71,19 +71,12 @@ def apply_divergence(u: ScalarField, p: float) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
-    """(p-1) sum_i |D_i^c u|^{p-2} D_i^2 u on interior nodes; NaN elsewhere.
-
-    Where the central difference vanishes the i-th term is 0, the continuous
-    extension of the degenerate coefficient for p > 2.
-    """
-    _check_apply_args(u, p)
-    grid = u.grid
-    h = grid.spacing
-    out = np.zeros(grid.node_shape)
-    for ax in range(grid.dimension):
-        lo, hi, core = axis_slices(grid.dimension, ax)
-        vl, vm, vh = u.values[lo][lo], u.values[core], u.values[hi][hi]  # v[i-1], v[i], v[i+1]
+def add_nondivergence(out: np.ndarray, v: np.ndarray, p: float, h: float) -> None:
+    """out[core] += |D_i^c v|^{p-2} D_i^2 v along each axis in turn, on the nodes
+    with a neighbour on both sides; the factor p-1 is left to the caller."""
+    for ax in range(v.ndim):
+        lo, hi, core = axis_slices(v.ndim, ax)
+        vl, vm, vh = v[lo][lo], v[core], v[hi][hi]  # v[i-1], v[i], v[i+1]
         # in place: two temporaries per axis instead of five, same values bit for bit
         coef = vh - vl
         coef /= 2.0 * h
@@ -96,6 +89,18 @@ def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
         coef *= second
         out[core] += coef
         del coef, second
+
+
+def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
+    """(p-1) sum_i |D_i^c u|^{p-2} D_i^2 u on interior nodes; NaN elsewhere.
+
+    Where the central difference vanishes the i-th term is 0, the continuous
+    extension of the degenerate coefficient for p > 2.
+    """
+    _check_apply_args(u, p)
+    grid = u.grid
+    out = np.zeros(grid.node_shape)
+    add_nondivergence(out, u.values, p, grid.spacing)
     out *= p - 1.0
     out[~interior_mask(grid)] = np.nan
     return ScalarField(grid, out)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import barrier_reference
+from pseudoplap import barrier
 from pseudoplap.barrier import (
     BarrierParams,
     barrier_field,
@@ -151,3 +153,68 @@ def test_comparison_requires_same_grid():
     v = ScalarField(GridSpec(1, 17), np.zeros(17))
     with pytest.raises(ValueError):
         comparison_check(u, v, 3.0, 1e-6)
+
+
+P_LIST = (2.5, 3.0, 4.0, 5.0, 6.0)
+GRIDS = ((1, 129), (2, 65), (3, 33))
+
+
+def assert_matches_reference(grid, params, f_sup, exclusion_radius):
+    got = verify_supersolution(grid, params, f_sup, exclusion_radius)
+    want = barrier_reference.verify_supersolution(grid, params, f_sup, exclusion_radius)
+    assert got == want and np.signbit(got) == np.signbit(want), (got, want)
+
+
+def minimal_params(p, N, boundary_sup=0.0):
+    return BarrierParams(M=min_barrier_M(p, N, 1.0), boundary_sup=boundary_sup, p=p, N=N)
+
+
+# slab heights: one slab for the whole grid, 1 plane, and 3 planes (at 3D
+# n = 33, n - 2 = 31 is no multiple of 3)
+@pytest.mark.parametrize("slab_planes", [None, 1, 3])
+@pytest.mark.parametrize("N, n", GRIDS)
+@pytest.mark.parametrize("p", P_LIST)
+def test_supersolution_matches_full_field_reference(monkeypatch, slab_planes, N, n, p):
+    grid = GridSpec(N, n)
+    assert n ** N < barrier._SLAB_ELEMENTS  # the default slab holds the whole grid
+    if slab_planes is not None:
+        monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", slab_planes * n ** (N - 1))
+    h = grid.spacing
+    for boundary_sup in (0.0, 0.75):
+        params = minimal_params(p, N, boundary_sup)
+        for f_sup in (1.0, 0.0):
+            # the smallest radius allowed, the default, and ever thinner outer shells
+            for exclusion_radius in (2.0 * h, 3.0 * h, 0.5, 0.8, 1.0 - 3.0 * h):
+                assert_matches_reference(grid, params, f_sup, exclusion_radius)
+
+
+def test_supersolution_exclusion_radius_edge():
+    # nodes at exactly the exclusion radius count, and 2h passes with its 1e-12 slack
+    grid = GridSpec(2, 65)
+    params = minimal_params(3.0, 2)
+    h = grid.spacing
+    for exclusion_radius in (2.0 * h * (1.0 - 1e-12), 0.5, np.nextafter(0.5, 1.0),
+                             np.nextafter(0.5, 0.0)):
+        assert_matches_reference(grid, params, 1.0, exclusion_radius)
+    with pytest.raises(ValueError, match="exclusion_radius"):
+        verify_supersolution(grid, params, 1.0, 2.0 * h * (1.0 - 2e-12))
+
+
+@pytest.mark.parametrize("grid, N, exclusion_radius, match", [
+    (GridSpec(2, 65), 2, 1.0 / 32.0, "exclusion_radius"),
+    (GridSpec(2, 65, "cube"), 2, 0.1, "ball"),
+    (GridSpec(2, 65), 3, 0.1, "grid dimension"),
+    (GridSpec(2, 65), 2, 0.999, "no interior nodes"),
+])
+def test_supersolution_errors_match_reference(grid, N, exclusion_radius, match):
+    params = minimal_params(3.0, N)
+    for check in (verify_supersolution, barrier_reference.verify_supersolution):
+        with pytest.raises(ValueError, match=match):
+            check(grid, params, 1.0, exclusion_radius)
+
+
+def test_barrier_params_reject_non_finite():
+    with pytest.raises(ValueError, match="M"):
+        BarrierParams(M=np.inf, boundary_sup=0.0, p=3.0, N=2)
+    with pytest.raises(ValueError, match="boundary_sup"):
+        BarrierParams(M=1.0, boundary_sup=np.inf, p=3.0, N=2)

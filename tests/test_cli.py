@@ -126,16 +126,52 @@ def test_unknown_config_key_exit_2(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+# the subcommand each shipped config is written for
+SHIPPED = {"convergence_1d.ini": "convergence-study", "regularity_2d.ini": "measure-regularity",
+           "solve_1d.ini": "solve", "verify_lemmas_small.ini": "verify-lemmas"}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
 def test_shipped_configs_use_known_keys(name):
-    parse_config(CONFIGS / name).reject_unknown(cli._KNOWN_KEYS)
+    parse_config(CONFIGS / name).reject_unknown(cli._KNOWN_KEYS[SHIPPED[name]])
 
 
 def test_unknown_config_section_exit_2(tmp_path, capsys):
     path = write(tmp_path, "typo.ini", SOLVE_TINY + "\n[solvr]\nmax_iters = 1\n")
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert f"{path}:13: unknown section [solvr]; known: convergence, lemmas, output, " \
-        "problem, regularity, solver" in capsys.readouterr().err
+    assert f"{path}:13: unknown section [solvr]; known: problem, solver" \
+        in capsys.readouterr().err
+
+
+REGULARITY_TINY = REGULARITY_33.format(max_iters=50, lambdas=10)
+CONVERGENCE_TINY = "[problem]\np = 3.0\ndimension = 1\n[convergence]\nnodes_list = 33, 65\n"
+
+
+@pytest.mark.parametrize("subcommand, text, added, lineno, message", [
+    # keys that another subcommand reads and this one would ignore
+    ("measure-regularity", REGULARITY_TINY, "f = gaussian", 5, "[problem] f: unknown key"),
+    ("measure-regularity", REGULARITY_TINY, "f_value = 7", 5, "[problem] f_value: unknown key"),
+    ("measure-regularity", REGULARITY_TINY, "boundary = affine", 5,
+     "[problem] boundary: unknown key"),
+    ("convergence-study", CONVERGENCE_TINY, "nodes = 999", 3, "[problem] nodes: unknown key"),
+    ("convergence-study", CONVERGENCE_TINY, "shape = cube", 3, "[problem] shape: unknown key"),
+    ("convergence-study", CONVERGENCE_TINY, "f = gaussian", 3, "[problem] f: unknown key"),
+    # sections that another subcommand reads
+    ("verify-lemmas", "[lemmas]\nrun_barrier = false\n", "[solver]\ngrad_tol = 1e-8", 3,
+     "unknown section [solver]; known: lemmas, output"),
+    ("solve", SOLVE_TINY.strip() + "\n", "[output]\nplots = true", 11,
+     "unknown section [output]; known: problem, solver"),
+], ids=["reg-f", "reg-f_value", "reg-boundary", "conv-nodes", "conv-shape", "conv-f",
+        "lemmas-solver", "solve-output"])
+def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcommand, text,
+                                          added, lineno, message):
+    monkeypatch.setitem(cli._RUNNERS, subcommand, lambda *a: pytest.fail("runner called"))
+    lines = text.splitlines()
+    lines.insert(lineno - 1, added)  # the added key or section header lands on lineno
+    path = write(tmp_path, "other.ini", "\n".join(lines) + "\n")
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:{lineno}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):

@@ -9,6 +9,7 @@ from pseudoplap.jets import (
     index_set,
     min_eig_bound_check,
     pair_conclusions_check,
+    sample_pair_conclusions,
     _pair_feasible,
 )
 from pseudoplap.jets import test_vector as make_test_vector
@@ -270,7 +271,7 @@ def test_feasible_pair_sample_properties():
         M = float(rng.uniform(1.5, 60))
         mod = HolderModulus(0.6)
         jm = build_jet_matrices(x, M, 3.0, mod)
-        X, Y = feasible_pair_sample(x, M, 3.0, mod, rng)
+        X, Y = feasible_pair_sample(jm, rng)
         ok, _ = _pair_feasible(X, Y, jm)
         assert ok
         c = 2 * M + 1
@@ -315,3 +316,35 @@ def test_pair_conclusions_rejects_infeasible():
     bad = c * np.eye(2) + 3 * M * spectral_norm(jm.Htilde) * np.eye(2)
     with pytest.raises(ValueError, match="block squeeze"):
         pair_conclusions_check(bad, bad.copy(), jm)
+
+
+def test_sample_pair_conclusions_matches_sample_then_check():
+    from pseudoplap.claims import regime_params
+
+    rng = np.random.default_rng(13)
+    for p, regime in ((3.0, "holder_small_p"), (5.0, "holder_large_p")):
+        params = regime_params(regime, p, 2)
+        for _ in range(10):
+            s = params.delta_N * 10 ** rng.uniform(-1.5, -0.1) if params.eps else 0.01
+            jm = build_jet_matrices(random_point(rng, 2, s), float(rng.uniform(1.5, 50)), p,
+                                    params.modulus())
+            seed = int(rng.integers(2**32))
+            X, Y = feasible_pair_sample(jm, np.random.default_rng(seed))
+            want = pair_conclusions_check(X, Y, jm, eps=params.eps)
+            assert sample_pair_conclusions(jm, np.random.default_rng(seed),
+                                           eps=params.eps) == want
+
+
+def test_jet_eq_n_epsilon_matches_check():
+    # alphaH and betaH do not depend on p, so any jet at (x, M) decides eq N-epsilon
+    rng = np.random.default_rng(14)
+    mod = HolderModulus(0.7)
+    seen = set()
+    for _ in range(50):
+        N = int(rng.integers(1, 4))
+        x = random_point(rng, N, 10 ** rng.uniform(-6, -0.5))
+        M, eps = float(rng.uniform(1.5, 50)), float(rng.uniform(0.05, 0.9))
+        jm = build_jet_matrices(x, M, float(rng.uniform(4, 8)), mod)
+        seen.add(jm.eq_n_epsilon(eps))
+        assert jm.eq_n_epsilon(eps) == check_eq_n_epsilon(x, eps, mod, M=M)
+    assert seen == {True, False}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pseudoplap import claims, jets, lemmas
 from pseudoplap.lemmas import lipschitz_modulus
 
 
@@ -11,3 +12,68 @@ def test_sampled_lipschitz_modulus_keeps_prime_window_on_unit_interval(tau):
     wp = m.omega_prime(s)
     assert (wp >= 0.5).all() and (wp < 1.0).all()
     assert m.s0 > 1.0
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counters for the jets built and the block squeezes tested.
+
+    Every jet goes through jets._jet; each feasibility test records the bytes
+    of the pair it tested, so a pair tested twice shows as a repeat.
+    """
+    counts = {"jets": 0, "tested": []}
+    jet, feasible = jets._jet, jets._pair_feasible
+
+    def counted_jet(*args, **kwargs):
+        counts["jets"] += 1
+        return jet(*args, **kwargs)
+
+    def counted_feasible(X, Y, jm):
+        counts["tested"].append((X.tobytes(), Y.tobytes()))
+        return feasible(X, Y, jm)
+
+    monkeypatch.setattr(jets, "_jet", counted_jet)
+    monkeypatch.setattr(jets, "_pair_feasible", counted_feasible)
+    return counts
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch module.name with a wrapper that counts its calls; returns the count list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_each_pair_tested_once(work):
+    assert work["tested"]
+    assert len(set(work["tested"])) == len(work["tested"])
+
+
+def test_pair_rows_one_jet_per_attempt(work, monkeypatch):
+    attempts = count_calls(monkeypatch, lemmas, "regime_params")  # one per attempt
+    rows, _ = lemmas.pair_rows(np.random.default_rng(3), 16)
+    assert len(rows) == 16
+    assert work["jets"] == len(attempts)
+    assert_each_pair_tested_once(work)
+
+
+def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
+    samples = count_calls(monkeypatch, lemmas, "min_eig_bound_check")
+    rows, _ = lemmas.min_eig_rows(np.random.default_rng(4), 20)
+    assert len(rows) == 40 and {row[0] for row in rows} == {"small", "large"}
+    assert work["jets"] == len(samples)
+
+
+@pytest.mark.parametrize("regime", ["holder_large_p", "lipschitz_small_p"])
+def test_claims_one_jet_per_check(work, monkeypatch, regime):
+    checks = count_calls(monkeypatch, claims, "claims_check")
+    rows, _, _ = lemmas.claims_rows(np.random.default_rng(5), regime, 2, 10.0, [1e-2, 1e-3])
+    assert len(rows) == len(checks) == 10
+    assert work["jets"] == len(checks)
+    assert_each_pair_tested_once(work)
