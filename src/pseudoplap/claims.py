@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import jacobi_eigh, spectral_norm
-from .jets import build_jet_matrices, feasible_pair_sample, index_set
+from .jets import build_jet_matrices, feasible_pair_sample
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
 REGIMES = ("holder_small_p", "holder_large_p", "lipschitz_small_p", "lipschitz_large_p")
@@ -40,6 +40,9 @@ DEFAULT_REGIME_P = {
     "lipschitz_small_p": 2.6,
     "lipschitz_large_p": 6.0,
 }
+# Stands in for the unquantified Hölder constant in the Lipschitz regimes'
+# doubled-maximum cap (C_EMP |xbar-ybar|^gamma / M)^{1/2}; see claims_check.
+C_EMP = 10.0
 
 
 @dataclass(frozen=True)
@@ -160,19 +163,16 @@ class ClaimsReport:
     q_norm: float
     qx_norm: float
     qy_norm: float
-    lambda1: float
     in_delta: bool
     eq_n_epsilon_ok: bool | None
-    index_size: int | None
 
 
-def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng,
-                 c_emp: float = 10.0) -> ClaimsReport:
+def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng) -> ClaimsReport:
     """Measure the three claim ratios at one doubled point (xbar, ybar, x0).
 
     Lipschitz regimes require |xbar-x0| and |ybar-x0| at most
-    (c_emp |xbar-ybar|^gamma / M)^{1/2}, mirroring the penalty-term bound at
-    a doubled maximum; c_emp stands in for the unquantified Hölder constant.
+    (C_EMP |xbar-ybar|^gamma / M)^{1/2}, mirroring the penalty-term bound at
+    a doubled maximum.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
@@ -186,12 +186,12 @@ def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng,
         raise ValueError(f"points have dimension {len(z)}, params expect {n}")
     modulus = params.modulus()
     if params.regime.startswith("lipschitz"):
-        cap = math.sqrt(c_emp * s**params.gamma / M)
+        cap = math.sqrt(C_EMP * s**params.gamma / M)
         for name, pt in (("xbar", x_bar), ("ybar", y_bar)):
             if np.linalg.norm(pt - x0) > cap * (1.0 + 1e-9):
                 raise ValueError(
                     f"|{name} - x0| = {np.linalg.norm(pt - x0):.3g} exceeds the doubled-"
-                    f"maximum cap (c_emp |xbar-ybar|^gamma / M)^(1/2) = {cap:.3g}"
+                    f"maximum cap (C_EMP |xbar-ybar|^gamma / M)^(1/2) = {cap:.3g}"
                 )
     jm = build_jet_matrices(z, M, p, modulus)
     wp = float(modulus.omega_prime(s))
@@ -214,18 +214,12 @@ def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng,
     lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * spectral_norm(X) \
         + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * spectral_norm(Y)
     ratio3 = float(lhs / denom(params.tau2))
-
-    if p > 4.0 and params.eps is not None:
-        eq_ok = jm.eq_n_epsilon(params.eps)
-        idx_size = int(len(index_set(z, params.eps)))
-    else:
-        eq_ok, idx_size = None, None
+    eq_ok = jm.eq_n_epsilon(params.eps) if p > 4.0 and params.eps is not None else None
     return ClaimsReport(
         regime=params.regime, p=p, N=n, M=M, s=s,
         ratio1=ratio1, ratio2=ratio2, ratio2_cap=ratio2_cap, ratio3=ratio3,
-        q_norm=nq, qx_norm=nqx, qy_norm=nqy, lambda1=float(lam[0]),
+        q_norm=nq, qx_norm=nqx, qy_norm=nqy,
         in_delta=bool(s < 0.5 * params.delta_N), eq_n_epsilon_ok=eq_ok,
-        index_size=idx_size,
     )
 
 
@@ -271,15 +265,13 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def claims_scale_sweep(params: RegimeParams, M: float, scales, rng,
-                       samples_per_scale: int = 5, c_emp: float = 10.0,
-                       offset_scale: float = 0.5) -> list:
-    """Run claims_check at each separation scale with seeded geometry.
+def claims_scale_sweep(params: RegimeParams, M: float, scales, rng) -> list:
+    """Run claims_check five times at each separation scale with seeded geometry.
 
     The separation direction is one random unit vector reused at every scale
     (scale-to-scale drift then measures the s-dependence, not directional
-    noise).  x0 offsets follow the regime: a fixed small offset for Hölder,
-    the doubled-maximum cap for Lipschitz.
+    noise).  x0 offsets follow the regime: 0.05 for Hölder, half the
+    doubled-maximum cap for Lipschitz.
     """
     n = params.N
     direction = _unit(rng.standard_normal(n)) if n > 1 else np.ones(1)
@@ -288,12 +280,12 @@ def claims_scale_sweep(params: RegimeParams, M: float, scales, rng,
     reports = []
     for s in scales:
         if params.regime.startswith("lipschitz"):
-            off = offset_scale * math.sqrt(c_emp * s**params.gamma / M)
+            off = 0.5 * math.sqrt(C_EMP * s**params.gamma / M)
         else:
-            off = offset_scale * 0.1
-        for _ in range(samples_per_scale):
+            off = 0.05
+        for _ in range(5):
             x0 = np.zeros(n)
             x_bar = x0 + off * off_dir
             y_bar = x_bar - s * direction
-            reports.append(claims_check(x_bar, y_bar, x0, M, params, rng, c_emp=c_emp))
+            reports.append(claims_check(x_bar, y_bar, x0, M, params, rng))
     return reports

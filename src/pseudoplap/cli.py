@@ -51,20 +51,32 @@ _KNOWN_KEYS = {
 }
 
 
-def _build_grid(cfg: RawConfig) -> GridSpec:
-    dim = cfg.get_int("problem", "dimension", 2)
-    n = cfg.get_int("problem", "nodes", 65)
-    shape = cfg.get("problem", "shape", "ball")
+def _grid_spec(cfg: RawConfig, dim: int, n: int, shape: str, nodes_key: tuple) -> GridSpec:
+    """GridSpec(dim, n, shape), a bad value reported at the key it came from:
+    [problem] dimension or shape, or the (section, key) `nodes_key` for n."""
     try:
         return GridSpec(dim, n, shape)
     except ValueError as exc:
-        cfg.fail("problem", "nodes", str(exc))
+        field = str(exc).split()[0]  # GridSpec names the offending field first
+        section, key = nodes_key if field == "nodes_per_axis" else ("problem", field)
+        cfg.fail(section, key, str(exc))
 
 
-def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
+def _build_grid(cfg: RawConfig) -> GridSpec:
+    return _grid_spec(cfg, cfg.get_int("problem", "dimension", 2),
+                      cfg.get_int("problem", "nodes", 65), cfg.get("problem", "shape", "ball"),
+                      ("problem", "nodes"))
+
+
+def _read_p(cfg: RawConfig) -> float:
     p = cfg.get_float("problem", "p", 3.0)
     if not p > 2:
         cfg.fail("problem", "p", f"p must be > 2, got {p}")
+    return p
+
+
+def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
+    p = _read_p(cfg)
     preset = cfg.get("problem", "f", "constant")
     value = cfg.get_float("problem", "f_value", 1.0)
     sigma = cfg.get_float("problem", "f_sigma", 0.3)
@@ -179,7 +191,7 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
 
 def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
     grid = _build_grid(cfg)
-    p = cfg.get_float("problem", "p", 3.0)
+    p = _read_p(cfg)
     r = cfg.get_float("regularity", "radius", 0.5)
     gammas = cfg.get_list("regularity", "gammas", [0.5])
     lambdas = cfg.get_list("regularity", "scaling_lambdas", [0.1, 10.0])
@@ -218,22 +230,22 @@ def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) 
 
 
 def run_convergence_study(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
-    p = cfg.get_float("problem", "p", 3.0)
+    p = _read_p(cfg)
     dim = cfg.get_int("problem", "dimension", 1)
     nodes_list = cfg.get_list("convergence", "nodes_list", [33, 65, 129], conv=int)
     min_order = cfg.get_float("convergence", "min_order", 0.8)
     solver_cfg = _solver_config(cfg)
+    grids = [_grid_spec(cfg, dim, n, "ball" if dim == 1 else "cube",
+                        ("convergence", "nodes_list")) for n in nodes_list]
     rows = []
     errs = []
-    for n in nodes_list:
+    for grid in grids:
         if dim == 1:
-            grid = GridSpec(1, n, "ball")
             f = make_f_field(grid, "constant", value=1.0)
             boundary = zero_boundary
             exact_fn, _ = closed_form_1d(p, 1.0)
             exact = lambda pts, fn=exact_fn: fn(pts[:, 0])
         else:
-            grid = GridSpec(dim, n, "cube")
             f = make_f_field(grid, "constant", value=float(dim))
             boundary = separable_trace(p)
             exact, _ = separable_reference(p, dim)
@@ -242,7 +254,7 @@ def run_convergence_study(cfg: RawConfig, seed: int, outdir: Path, chash: str) -
         vals = exact(node_coordinates(grid, idx).reshape(len(idx), -1))
         err = float(np.abs(u.values[tuple(idx.T)] - vals).max())
         errs.append(err)
-        rows.append([n, grid.spacing, err, rep.converged, rep.iterations])
+        rows.append([grid.nodes_per_axis, grid.spacing, err, rep.converged, rep.iterations])
     orders = [float(np.log2(errs[i] / errs[i + 1])
                     / np.log2((nodes_list[i + 1] - 1) / (nodes_list[i] - 1)))
               for i in range(len(errs) - 1)]

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 
+TOL = 1e-13
+MAX_SWEEPS = 60
+
 
 def _rotate_rows(m: list, i: int, j: int, c: float, s: float) -> None:
     """Rows i, j of the list of rows m <- (c r_i - s r_j, s r_i + c r_j)."""
@@ -14,11 +17,12 @@ def _rotate_rows(m: list, i: int, j: int, c: float, s: float) -> None:
     m[j] = [s * xk + c * yk for xk, yk in zip(x, y)]
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
+def jacobi_eigh(a: np.ndarray):
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius norm is <= tol * ||a||_F.
-    Returns (w, V) with w ascending and V's columns the matching eigenvectors.
+    Sweeps, at most MAX_SWEEPS times, until the off-diagonal Frobenius norm is
+    <= TOL * ||a||_F.  Returns (w, V) with w ascending and V's columns the
+    matching eigenvectors.
     Raises FloatingPointError on a non-finite entry or Frobenius norm (entries
     above about 1e154), and ValueError when a is not square or not symmetric
     to within 1e-12 * max(1, max |a_ij|).
@@ -46,10 +50,10 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
         w = A.diagonal().copy()
         order = np.argsort(w, kind="stable")
         return w[order], np.eye(n)[:, order]
-    target = tol * norm
+    target = TOL * norm
     rows = A.tolist()
     vcols = np.eye(n).tolist()  # V's columns, so a rotation of V is one of rows
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = np.sqrt(max(0.0, (A * A).sum() - (A.diagonal() ** 2).sum()))
         if off <= target:
             break

@@ -1,4 +1,4 @@
-"""Uniform node-centered grids on [-1,1]^N with unit-ball masking and field I/O.
+"""Uniform node-centered grids on [-1,1]^N with unit-ball masking and field output.
 
 The grid always has an odd number of nodes per axis so the origin is a node.
 Every node is classified exactly once as interior, boundary, or exterior:
@@ -17,7 +17,6 @@ poisons the result instead of silently reading zeros.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -81,8 +80,8 @@ def axis_slices(ndim: int, ax: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _class_array(grid: GridSpec) -> np.ndarray:
-    """Total node classification as an int8 array of NodeClass values.
+def classify_nodes(grid: GridSpec) -> np.ndarray:
+    """Total node classification as a read-only int8 array of NodeClass values.
 
     Ball and cube share one rule, in the squared Euclidean or max norm r2:
     interior is r2 < 1 with every axis neighbour at r2 <= 1.  Nodes on the
@@ -115,21 +114,16 @@ def link_masks(grid: GridSpec) -> tuple:
     return tuple(masks)
 
 
-def classify_nodes(grid: GridSpec) -> np.ndarray:
-    """Classification of every node; entry values are NodeClass members."""
-    return _class_array(grid)
-
-
 def interior_mask(grid: GridSpec) -> np.ndarray:
-    return _class_array(grid) == NodeClass.INTERIOR
+    return classify_nodes(grid) == NodeClass.INTERIOR
 
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
-    return _class_array(grid) == NodeClass.BOUNDARY
+    return classify_nodes(grid) == NodeClass.BOUNDARY
 
 
 def nonexterior_mask(grid: GridSpec) -> np.ndarray:
-    return _class_array(grid) != NodeClass.EXTERIOR
+    return classify_nodes(grid) != NodeClass.EXTERIOR
 
 
 def node_coordinates(grid: GridSpec, multi_index: np.ndarray) -> np.ndarray:
@@ -150,7 +144,7 @@ def interior_ball_nodes(grid: GridSpec, r: float) -> np.ndarray:
         raise ValueError(f"radius must be positive, got {r}")
     sel = _radius_squared(grid) <= r * r
     idx = np.argwhere(sel)
-    cls = _class_array(grid)
+    cls = classify_nodes(grid)
     if not (cls[sel] == NodeClass.INTERIOR).all():
         raise ValueError(
             f"ball of radius {r} reaches the boundary band; "
@@ -174,26 +168,13 @@ class ScalarField:
             )
 
     @classmethod
-    def full(cls, grid: GridSpec, fill: float = np.nan) -> "ScalarField":
-        return cls(grid, np.full(grid.node_shape, fill, dtype=float))
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn, where: str = "nonexterior") -> "ScalarField":
-        """Evaluate a vectorized callable fn(points (k,N)) -> (k,) on node subsets."""
-        mask = {
-            "nonexterior": nonexterior_mask(grid),
-            "interior": interior_mask(grid),
-            "boundary": boundary_mask(grid),
-            "all": np.ones(grid.node_shape, dtype=bool),
-        }[where]
-        idx = np.argwhere(mask)
+    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
+        """Evaluate a vectorized callable fn(points (k,N)) -> (k,) on the non-exterior nodes."""
+        idx = np.argwhere(nonexterior_mask(grid))
         pts = node_coordinates(grid, idx)
         vals = np.full(grid.node_shape, np.nan)
         vals[tuple(idx.T)] = np.asarray(fn(pts), dtype=float)
         return cls(grid, vals)
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
     def sup_norm(self, where: str = "nonexterior") -> float:
         mask = interior_mask(self.grid) if where == "interior" else nonexterior_mask(self.grid)
@@ -208,10 +189,6 @@ class ScalarField:
         if bad.any():
             node = tuple(int(i) for i in np.argwhere(bad)[0])
             raise ValueError(f"non-finite value at non-exterior node {node}")
-
-
-class FieldFormatError(ValueError):
-    """Malformed field file; message carries path and 1-based line number."""
 
 
 def _fmt(x: float) -> str:
@@ -230,72 +207,3 @@ def write_field(path, field: ScalarField) -> None:
         fh.write(header + "\n")
         for row, v in zip(pts.reshape(len(idx), -1), vals):
             fh.write(",".join(_fmt(c) for c in row) + "," + _fmt(v) + "\n")
-
-
-def _infer_grid(dimension: int, coords: np.ndarray, path) -> GridSpec:
-    axis_vals = np.unique(coords[:, 0])
-    n = len(axis_vals)
-    full = n**dimension
-    # A full node set is a cube; for N=1 ball and cube classify identically.
-    shape = "cube" if (len(coords) == full and dimension > 1) else "ball"
-    try:
-        grid = GridSpec(dimension, n, shape)
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: cannot infer a valid grid ({exc})") from exc
-    return grid
-
-
-def read_field(path, grid: GridSpec | None = None) -> ScalarField:
-    """Read a field written by write_field; round-trips bitwise on finite values."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FieldFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[-1] != "value" or any(h != f"x{i + 1}" for i, h in enumerate(header[:-1])):
-        raise FieldFormatError(f"{path}:1: bad header {lines[0]!r}")
-    dimension = len(header) - 1
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != dimension + 1:
-            raise FieldFormatError(
-                f"{path}:{lineno}: expected {dimension + 1} columns, got {len(parts)}"
-            )
-        try:
-            nums = [float(t) for t in parts]
-        except ValueError as exc:
-            raise FieldFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not all(math.isfinite(v) for v in nums):
-            raise FieldFormatError(f"{path}:{lineno}: non-finite entry in {line!r}")
-        rows.append(nums)
-    if not rows:
-        raise FieldFormatError(f"{path}: header only, no field values")
-    data = np.asarray(rows)
-    coords, vals = data[:, :-1], data[:, -1]
-    if grid is None:
-        grid = _infer_grid(dimension, coords, path)
-    elif grid.dimension != dimension:
-        raise FieldFormatError(
-            f"{path}: file has dimension {dimension}, grid expects {grid.dimension}"
-        )
-    h = grid.spacing
-    idx = np.rint((coords + 1.0) / h).astype(int)
-    if (idx < 0).any() or (idx >= grid.nodes_per_axis).any():
-        lineno = int(np.argwhere(((idx < 0) | (idx >= grid.nodes_per_axis)).any(axis=1))[0]) + 2
-        raise FieldFormatError(f"{path}:{lineno}: coordinate outside the grid")
-    snapped = node_coordinates(grid, idx)
-    bad = np.abs(snapped - coords).max(axis=1) > 1e-12
-    if bad.any():
-        lineno = int(np.argwhere(bad)[0]) + 2
-        raise FieldFormatError(f"{path}:{lineno}: coordinate does not lie on the grid")
-    values = np.full(grid.node_shape, np.nan)
-    values[tuple(idx.T)] = vals
-    field = ScalarField(grid, values)
-    try:
-        field.validate_finite()  # every row is finite, so a non-finite node has no row
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: missing row: {exc}") from exc
-    return field

@@ -34,13 +34,13 @@ import numpy as np
 from .eig import jacobi_eigh, spectral_norm
 from .moduli import Modulus, check_validity
 
-REL_SLACK = 1e-9  # relative eigenvalue slack tolerated in the bound checks
 _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
 
 
 @dataclass(frozen=True)
 class JetMatrices:
-    """The matrices at x of one jet, with the scalars that built them.
+    """The matrices at x of one jet, with the scalars that built them:
+    s = |x|, wp = w'(s) and wpp = w''(s).
 
     `h1_norm` and `ht_norm` are the spectral norms |H1| and |Htilde|, taken
     once per instance by `spectral_norm` and cached: the pair sampler and the
@@ -52,7 +52,9 @@ class JetMatrices:
     x: np.ndarray
     M: float
     p: float
-    modulus: Modulus
+    s: float
+    wp: float
+    wpp: float
     H1: np.ndarray
     iota: float
     Htilde: np.ndarray
@@ -60,10 +62,6 @@ class JetMatrices:
     betaH: float
     Theta: np.ndarray
     H: np.ndarray
-
-    @property
-    def s(self) -> float:
-        return float(np.linalg.norm(self.x))
 
     @property
     def N(self) -> int:
@@ -85,20 +83,10 @@ class JetMatrices:
 
         alphaH and betaH depend on x, M and the modulus, not on p.
         """
-        s, n = self.s, self.N
-        wp = float(self.modulus.omega_prime(s))
-        wpp = float(self.modulus.omega_second(s))
+        s, n, wp, wpp = self.s, self.N, self.wp, self.wpp
         lhs = self.betaH * wpp * (1.0 - n * s ** (2.0 * eps)) \
             + self.alphaH * n * s ** (2.0 * eps) * wp / s
         return bool(lhs <= wpp / 4.0)
-
-
-def _radial_hessian(x: np.ndarray, modulus: Modulus) -> np.ndarray:
-    s = float(np.linalg.norm(x))
-    unit = x / s
-    wp = float(modulus.omega_prime(s))
-    wpp = float(modulus.omega_second(s))
-    return (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
 
 
 def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
@@ -109,7 +97,8 @@ def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
         raise ValueError(f"|x| = {s} must be < 1")
     wp = float(modulus.omega_prime(s))
     wpp = float(modulus.omega_second(s))
-    H1 = _radial_hessian(x, modulus)
+    unit = x / s
+    H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
     h1_norm = max(abs(wpp), wp / s)
     iota = 1.0 / (4.0 * M * h1_norm)
     Htilde = H1 + 2.0 * iota * (H1 @ H1)
@@ -118,7 +107,7 @@ def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
     theta_diag = np.abs(wp * x / s) ** ((p - 2.0) / 2.0)
     Theta = np.diag(theta_diag)
     H = Theta @ Htilde @ Theta
-    return JetMatrices(x=x, M=M, p=p, modulus=modulus, H1=H1, iota=iota,
+    return JetMatrices(x=x, M=M, p=p, s=s, wp=wp, wpp=wpp, H1=H1, iota=iota,
                        Htilde=Htilde, alphaH=alphaH, betaH=betaH, Theta=Theta, H=H)
 
 
@@ -142,35 +131,30 @@ def index_set(x, eps: float) -> np.ndarray:
     return np.flatnonzero(np.abs(x) >= s ** (1.0 + eps))
 
 
-def test_vector(x, p: float, eps: float | None = None) -> np.ndarray:
-    """The vector sum_i |x_i|^{(2-p)/2} x_i e_i, restricted to index_set for p > 4.
+def test_vector(x, p: float, idx=None) -> np.ndarray:
+    """The vector sum_{i in idx} |x_i|^{(2-p)/2} x_i e_i; idx defaults to the
+    axes with x_i != 0.
 
     Components with x_i = 0 contribute 0 (continuous extension for p < 4,
     convention at p = 4).
     """
     x = np.asarray(x, dtype=float)
-    if p > 4.0:
-        if eps is None:
-            raise ValueError("p > 4 requires eps for the index set")
-        idx = index_set(x, eps)
-        if len(idx) == 0:
-            raise ValueError("index set is empty; no test vector for p > 4")
-        w = np.zeros_like(x)
-        w[idx] = np.abs(x[idx]) ** ((2.0 - p) / 2.0) * x[idx]
-        return w
+    if idx is None:
+        idx = x != 0.0
     w = np.zeros_like(x)
-    nz = x != 0.0
-    w[nz] = np.abs(x[nz]) ** ((2.0 - p) / 2.0) * x[nz]
+    w[idx] = np.abs(x[idx]) ** ((2.0 - p) / 2.0) * x[idx]
     return w
 
 
-def check_eq_n_epsilon(x, eps: float, modulus: Modulus, N: int | None = None,
-                       M: float | None = None) -> bool:
-    """JetMatrices.eq_n_epsilon at x, with the damping of M (default 1)."""
-    x = np.asarray(x, dtype=float)
-    if N is not None and N != len(x):
-        raise ValueError(f"N = {N} does not match len(x) = {len(x)}")
-    return _jet(x, modulus=modulus, p=3.0, M=M if M is not None else 1.0).eq_n_epsilon(eps)
+def _large_branch_axes(jm: JetMatrices, eps: float) -> np.ndarray:
+    """index_set(x, eps), once the large branch's preconditions hold at jm: the
+    set is nonempty and the damped inequality eq_n_epsilon is true."""
+    idx = index_set(jm.x, eps)
+    if len(idx) == 0:
+        raise ValueError("index set is empty")
+    if not jm.eq_n_epsilon(eps):
+        raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
+    return idx
 
 
 def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
@@ -194,23 +178,15 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
     if branch == "large" and p < 4.0:
         raise ValueError("large branch requires p >= 4")
     jm = _jet(x, p, modulus, M=1.0)  # damping 1/(4 |H1|); M plays no role in H's bound
-    s = jm.s
-    n = len(x)
-    wp = float(modulus.omega_prime(s))
-    wpp = float(modulus.omega_second(s))
+    s, n, wp, wpp = jm.s, jm.N, jm.wp, jm.wpp
     if branch == "small":
-        w = test_vector(x, min(p, 4.0))
+        w = test_vector(x, p)
         bound = n ** (1.0 - p / 2.0) * jm.betaH * wpp * wp ** (p - 2.0)
     else:
         if eps is None:
             raise ValueError("large branch requires eps")
-        idx = index_set(x, eps)
-        if len(idx) == 0:
-            raise ValueError("index set is empty")
-        if not jm.eq_n_epsilon(eps):
-            raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
-        w = np.zeros_like(x)  # index-restricted test vector (p = 4 included)
-        w[idx] = np.abs(x[idx]) ** ((2.0 - p) / 2.0) * x[idx]
+        idx = _large_branch_axes(jm, eps)
+        w = test_vector(x, p, idx)  # index-restricted (p = 4 included)
         bound = (1.0 - n * s ** (2.0 * eps)) / len(idx) \
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
     rayleigh = float(w @ jm.H @ w) / float(w @ w)
@@ -271,7 +247,6 @@ class PairConclusions:
     lambda_all_max: float
     bound_all: float
     slack_all: float
-    lambda_min_shifted: float
     bound_small: float | None
     slack_small: float | None
     bound_large: float | None
@@ -318,9 +293,7 @@ def sample_pair_conclusions(jm: JetMatrices, rng, eps: float | None = None) -> P
 def _conclusions(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
                  eps: float | None) -> PairConclusions:
     M, p, n = jm.M, jm.p, jm.N
-    s = jm.s
-    wp = float(jm.modulus.omega_prime(s))
-    wpp = float(jm.modulus.omega_second(s))
+    s, wp, wpp = jm.s, jm.wp, jm.wpp
     c = 2.0 * M + 1.0
     mp2 = M ** (p - 2.0)
     theta_sq = jm.theta_norm_sq()
@@ -338,11 +311,7 @@ def _conclusions(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     if p >= 4.0:
         if eps is None:
             raise ValueError("p >= 4 requires eps for the large-branch conclusion")
-        idx = index_set(jm.x, eps)
-        if len(idx) == 0:
-            raise ValueError("index set is empty")
-        if not jm.eq_n_epsilon(eps):
-            raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
+        idx = _large_branch_axes(jm, eps)
         bound_large = M ** (p - 1.0) * (1.0 - n * s ** (2.0 * eps)) / len(idx) \
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp
         slack_large = bound_large - lam1
@@ -351,7 +320,7 @@ def _conclusions(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     bound_norm = 6.0 * M * jm.h1_norm
     return PairConclusions(
         lambda_all_max=float(lam_all[-1]), bound_all=bound_all, slack_all=slack_all,
-        lambda_min_shifted=lam1, bound_small=bound_small, slack_small=slack_small,
+        bound_small=bound_small, slack_small=slack_small,
         bound_large=bound_large, slack_large=slack_large,
         norm_sum=norm_sum, bound_norm=bound_norm, slack_norm=float(bound_norm - norm_sum),
     )

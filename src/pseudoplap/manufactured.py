@@ -108,14 +108,14 @@ BOUNDARY_PRESETS = ("zero", "constant", "separable_trace")
 
 
 def make_f_field(grid: GridSpec, preset: str, value: float = 1.0, p: float = 3.0,
-                 sigma: float = 0.3, center=None) -> ScalarField:
+                 sigma: float = 0.3) -> ScalarField:
     if preset == "constant":
         return constant_field(grid, value)
     if preset == "separable":
         _, f_const = separable_reference(p, grid.dimension, value)
         return constant_field(grid, f_const)
     if preset == "gaussian":
-        return gaussian_field(grid, amp=value, center=center, sigma=sigma)
+        return gaussian_field(grid, amp=value, sigma=sigma)
     if preset == "checkerboard":
         return checkerboard_field(grid, amp=value)
     if preset == "radial_ramp":

@@ -19,8 +19,6 @@ import numpy as np
 
 from .grid import ScalarField, axis_slices, interior_mask, link_masks
 
-FORMS = ("divergence", "nondivergence")
-
 
 def phi_p(t: np.ndarray, p: float) -> np.ndarray:
     """Odd monotone kernel |t|^{p-2} t; phi_p(0) = 0 for p > 2."""
@@ -104,26 +102,3 @@ def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
     out *= p - 1.0
     out[~interior_mask(grid)] = np.nan
     return ScalarField(grid, out)
-
-
-def _apply(u: ScalarField, p: float, form: str) -> ScalarField:
-    if form == "divergence":
-        return apply_divergence(u, p)
-    if form == "nondivergence":
-        return apply_nondivergence(u, p)
-    raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-
-
-def homogeneity_check(u: ScalarField, p: float, lam: float, form: str) -> float:
-    """Sup-norm defect of degree-(p-1) homogeneity, |A(lam u) - lam^{p-1} A(u)|.
-
-    Contract: at most 1e-10 * max(1, lam^{p-1} * sup|A(u)|).
-    """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    scaled = ScalarField(u.grid, lam * u.values)
-    a_scaled = _apply(scaled, p, form)
-    a_plain = _apply(u, p, form)
-    mask = interior_mask(u.grid)
-    diff = np.abs(a_scaled.values[mask] - lam ** (p - 1.0) * a_plain.values[mask])
-    return float(diff.max())

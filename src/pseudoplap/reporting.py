@@ -12,6 +12,8 @@ import csv
 import hashlib
 import math
 
+import numpy as np
+
 from . import __version__
 
 
@@ -20,7 +22,7 @@ def config_hash(text: str) -> str:
 
 
 def format_cell(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
@@ -45,9 +47,9 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str,
-                  logx: bool = False, logy: bool = False,
-                  width: int = 640, height: int = 420) -> None:
+                  logx: bool = False, logy: bool = False) -> None:
     """Write a minimal line plot; series maps label -> (xs, ys)."""
+    width, height = 640, 420
 
     def tx(v):
         return math.log10(v) if logx else v

@@ -33,7 +33,7 @@ when the line search cannot certify any step.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class SolveConfig:
     grad_tol: float = 1e-8  # sup-norm of the energy gradient per unit cell volume
     max_iters: int = 1_000  # Newton steps
     initial_field: ScalarField | None = None  # None: the boundary mean extended inside
-    track_energy: bool = False
 
     def __post_init__(self):
         if not self.grad_tol > 0:
@@ -99,7 +98,6 @@ class SolveReport:
     final_energy: float
     final_grad_sup: float  # sup |gradient| / h^N == sup |A_div(u) - (p-1) f|
     wall_time: float
-    energy_history: list = field(default_factory=list, repr=False)
 
 
 class _Workspace:
@@ -282,7 +280,6 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     J_u = ws.energy(u)
     if not np.isfinite(J_u):
         raise RuntimeError("non-finite energy at the starting field")
-    history = [J_u] if cfg.track_energy else []
     sup_r = float(np.abs(ws.residual()).max())
     iterations = inner = backtracks = 0
     reason = "converged" if sup_r <= cfg.grad_tol else "max_iters"  # until it ends otherwise
@@ -314,8 +311,6 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
             break
         u, ws.spare = z, u
         J_u, sup_r = J_z, sup_z
-        if cfg.track_energy:
-            history.append(J_u)
         if sup_r <= cfg.grad_tol:
             reason = "converged"
 
@@ -328,6 +323,5 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         final_energy=J_u,
         final_grad_sup=sup_r,
         wall_time=time.perf_counter() - t0,
-        energy_history=history,
     )
     return ScalarField(prob.grid, u), report

@@ -1,0 +1,63 @@
+"""Every pseudoplap name that the benchmark in perfbench/ binds still resolves.
+
+A traced benchmark run (`perfbench/run.py --trace 1`) wraps each TARGETS
+entry of perfbench/tracing.py by getattr and reads the arguments and results
+of some of them; perfbench also imports names with `from pseudoplap... import`.
+Deleting or renaming one of those names breaks only that run, so this test
+reads the perfbench files with ast, without importing them, and resolves
+each name in the package.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bound_names() -> set:
+    """(module, name) of every TARGETS triple and every `from pseudoplap... import`."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "pseudoplap":
+                names.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign) \
+                    and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                names.update((module, attr) for _, module, attr in ast.literal_eval(node.value))
+    return names
+
+
+def _resolves(module: str, name: str) -> bool:
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:  # `from package import submodule`
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_benchmark_bound_names_resolve():
+    names = _bound_names()
+    assert ("pseudoplap.jets", "pair_conclusions_check") in names  # TARGETS was read
+    assert ("pseudoplap.solver", "energy_gradient") in names  # and the imports
+    missing = sorted(f"{module}.{name}" for module, name in names
+                     if not _resolves(module, name))
+    assert not missing
+
+
+def test_benchmark_hook_call_shapes():
+    # the tracer's hooks read jacobi_eigh's (w, V) and the written file's path, argument 0
+    from pseudoplap.eig import jacobi_eigh
+    from pseudoplap.grid import write_field
+    from pseudoplap.reporting import svg_line_plot, write_csv
+
+    w, V = jacobi_eigh(np.diag([2.0, 1.0]))
+    assert list(w) == [1.0, 2.0] and V.shape == (2, 2)
+    for fn in (write_csv, write_field, svg_line_plot):
+        assert next(iter(inspect.signature(fn).parameters)) == "path", fn.__name__

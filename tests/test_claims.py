@@ -131,7 +131,7 @@ def test_claims_1d_ratio_negative():
 def test_claims_two_point_drift_example():
     rng = np.random.default_rng(3)
     params = regime_params("holder_small_p", 3.0, 2, gamma=0.5)
-    reports = claims_scale_sweep(params, 10.0, [1e-2, 1e-4], rng, samples_per_scale=5)
+    reports = claims_scale_sweep(params, 10.0, [1e-2, 1e-4], rng)
     verdict = evaluate_claims_sweep(reports)
     med = verdict["ratio1_by_scale"]
     scales = sorted(med)
@@ -153,7 +153,7 @@ def test_claims_sweep_passes_for_regime(regime):
 def test_claims_report_flags():
     rng = np.random.default_rng(5)
     params = regime_params("holder_large_p", 5.0, 2)
-    reports = claims_scale_sweep(params, 10.0, [1e-1, 1e-5], rng, samples_per_scale=1)
+    reports = claims_scale_sweep(params, 10.0, [1e-1, 1e-5], rng)
     by_scale = {round(np.log10(r.s)): r for r in reports}
     assert by_scale[-1].eq_n_epsilon_ok is False  # far above the selector threshold
     assert by_scale[-5].in_delta or by_scale[-5].s >= 0.5 * params.delta_N

@@ -12,7 +12,7 @@ import pair_scan_reference
 from pseudoplap import claims, cli, eig, jets, regularity
 from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
-from pseudoplap.grid import ScalarField, nonexterior_mask, read_field
+from pseudoplap.grid import ScalarField, nonexterior_mask
 from pseudoplap.solver import SolveReport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -174,12 +174,62 @@ def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcomm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("subcommand, text, old, new, message", [
+    ("measure-regularity", REGULARITY_TINY, "p = 3.0", "p = 2.0",
+     "[problem] p: p must be > 2, got 2.0"),
+    ("convergence-study", CONVERGENCE_TINY, "p = 3.0", "p = 1.5",
+     "[problem] p: p must be > 2, got 1.5"),
+    ("convergence-study", CONVERGENCE_TINY, "nodes_list = 33, 65", "nodes_list = 33, 64",
+     "[convergence] nodes_list: nodes_per_axis must be odd and >= 9, got 64"),
+    ("solve", SOLVE_TINY, "dimension = 1", "dimension = 4",
+     "[problem] dimension: dimension must be 1, 2 or 3, got 4"),
+], ids=["reg-p", "conv-p", "conv-even-nodes", "solve-dimension"])
+def test_bad_config_value_exit_2(tmp_path, monkeypatch, capsys, subcommand, text, old, new,
+                                 message):
+    for module in (cli, regularity):  # every value is checked before the first solve
+        monkeypatch.setattr(module, "solve_dirichlet", lambda *a: pytest.fail("solve ran"))
+    lineno = text.splitlines().index(old) + 1
+    path = write(tmp_path, "bad.ini", text.replace(old, new))
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:{lineno}: {message}" in capsys.readouterr().err
+
+
+# a small run of each subcommand that writes every CSV the subcommand can write,
+# with the number of those CSVs
+EVERY_CSV = {
+    "solve": (SOLVE_TINY, 3),
+    "verify-lemmas": (LEMMAS_MICRO.replace("run_claims = false", "run_claims = true\n"
+                                           "claims_scales = 0.1, 0.01\nrun_comparison = true\n"
+                                           "comparison_pairs = 1\ncomparison_nodes = 17"), 7),
+    "measure-regularity": (REGULARITY_TINY, 4),
+    "convergence-study": (CONVERGENCE_TINY.replace("33, 65", "17, 33"), 3),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(EVERY_CSV))
+def test_boolean_cells_spelled_true_false(tmp_path, subcommand):
+    out = tmp_path / "out"
+    text, count = EVERY_CSV[subcommand]
+    assert main([subcommand, "--config", write(tmp_path, "run.ini", text), "--out", str(out)]) \
+        in (0, 1)
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == count
+    for csv_path in csvs:
+        with open(csv_path, newline="") as fh:
+            fh.readline()  # tool/config-hash comment
+            header, *rows = list(csv.reader(fh))
+        for k, column in enumerate(header):
+            cells = {row[k] for row in rows} - {""}
+            if cells & {"true", "false", "True", "False"}:
+                assert cells <= {"true", "false"}, (csv_path.name, column, cells)
+
+
 def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
     path = write(tmp_path, "solve.ini", SOLVE_TINY)
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--seed", "3", "--out", str(out)]) == 0
-    field = read_field(out / "solution.csv")
-    assert field.grid.nodes_per_axis == 33
+    header, *lines = (out / "solution.csv").read_text().splitlines()
+    assert header == "x1,value" and len(lines) == 33  # every node of the 1D n = 33 grid
     assert "PASS solver_converged: converged: residual" in capsys.readouterr().out
     with open(out / "solve_report.csv", newline="") as fh:
         report = list(csv.DictReader(fh.readlines()[1:]))[0]

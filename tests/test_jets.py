@@ -3,8 +3,8 @@ import pytest
 
 from pseudoplap.eig import jacobi_eigh, spectral_norm
 from pseudoplap.jets import (
+    _jet,
     build_jet_matrices,
-    check_eq_n_epsilon,
     feasible_pair_sample,
     index_set,
     min_eig_bound_check,
@@ -164,7 +164,7 @@ def test_test_vector_norm_bounds_random():
         eps = float(rng.uniform(0.05, 0.5))
         idx = index_set(x, eps)
         if len(idx):
-            w = make_test_vector(x, p, eps)
+            w = make_test_vector(x, p, idx)
             assert w @ w <= len(idx) * s ** ((4 - p) * (1 + eps)) * (1 + 1e-12)
 
 
@@ -173,7 +173,8 @@ def test_test_vector_zero_component():
     assert w[1] == 0.0 and np.isfinite(w).all()
     w4 = make_test_vector(np.array([0.3, 0.0]), 4.0)
     assert w4[1] == 0.0
-    assert make_test_vector(np.array([0.1, 1e-8]), 6.0, 0.3)[1] == 0.0  # restricted support
+    x = np.array([0.1, 1e-8])
+    assert make_test_vector(x, 6.0, index_set(x, 0.3))[1] == 0.0  # restricted support
 
 
 def test_min_eig_bound_1d_equality():
@@ -234,7 +235,7 @@ def test_eq_n_epsilon_1d_reduction():
     lhs = jm.betaH * mod.omega_second(s) * (1 - s ** (2 * eps)) \
         + jm.alphaH * s ** (2 * eps) * mod.omega_prime(s) / s
     manual = lhs <= mod.omega_second(s) / 4.0
-    assert check_eq_n_epsilon(x, eps, mod) == manual
+    assert _jet(x, 3.0, mod, 1.0).eq_n_epsilon(eps) == manual
 
 
 def test_eq_n_epsilon_holds_below_selector_threshold():
@@ -246,8 +247,8 @@ def test_eq_n_epsilon_holds_below_selector_threshold():
     for _ in range(100):
         s = params.delta_N * 10 ** rng.uniform(-1.0, -0.01)
         x = random_point(rng, 2, s)
-        assert check_eq_n_epsilon(x, params.eps, mod)
-    assert not check_eq_n_epsilon(np.array([0.6, 0.6]), 0.9, mod)
+        assert _jet(x, 3.0, mod, 1.0).eq_n_epsilon(params.eps)
+    assert not _jet(np.array([0.6, 0.6]), 3.0, mod, 1.0).eq_n_epsilon(0.9)
 
 
 def test_feasible_pair_unperturbed_always_feasible():
@@ -346,5 +347,5 @@ def test_jet_eq_n_epsilon_matches_check():
         M, eps = float(rng.uniform(1.5, 50)), float(rng.uniform(0.05, 0.9))
         jm = build_jet_matrices(x, M, float(rng.uniform(4, 8)), mod)
         seen.add(jm.eq_n_epsilon(eps))
-        assert jm.eq_n_epsilon(eps) == check_eq_n_epsilon(x, eps, mod, M=M)
+        assert jm.eq_n_epsilon(eps) == _jet(x, 3.0, mod, M).eq_n_epsilon(eps)
     assert seen == {True, False}

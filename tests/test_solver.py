@@ -58,7 +58,7 @@ def test_gradient_matches_finite_differences():
     eps = 1e-6 * max(1.0, u.sup_norm())
     for k in rng.choice(len(nodes), size=100, replace=False):
         node = tuple(nodes[k])
-        up, dn = u.copy(), u.copy()
+        up, dn = ScalarField(g, u.values.copy()), ScalarField(g, u.values.copy())
         up.values[node] += eps
         dn.values[node] -= eps
         fd = (energy(up, prob) - energy(dn, prob)) / (2.0 * eps)
@@ -135,15 +135,19 @@ def test_solve_1d_closed_form():
 def test_solve_report_contract():
     g = GridSpec(1, 65)
     prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
-    cfg = SolveConfig(grad_tol=1e-7, track_energy=True)
+    cfg = SolveConfig(grad_tol=1e-7)
     u, rep = solve_dirichlet(prob, cfg)
     assert rep.converged
     assert rep.final_grad_sup <= cfg.grad_tol
     # stationarity: gradient sup-norm is the residual times h^N
     grad = energy_gradient(u, prob)
     assert np.nanmax(np.abs(grad.values)) <= cfg.grad_tol * g.spacing**g.dimension
-    # accepted iterates have non-increasing energy up to rounding slack
-    E = np.array(rep.energy_history)
+    # accepted iterates have non-increasing energy up to rounding slack; the
+    # solve is deterministic, so stopping it after k steps gives the k-th iterate
+    assert rep.iterations > 1
+    E = np.array([solve_dirichlet(prob, dataclasses.replace(cfg, max_iters=k))[1].final_energy
+                  for k in range(1, rep.iterations + 1)])
+    assert E[-1] == rep.final_energy
     assert (np.diff(E) <= 1e-12 * np.maximum(1.0, np.abs(E[:-1]))).all()
 
 
@@ -270,7 +274,7 @@ def test_energy_problem_validation():
     g = GridSpec(2, 9)
     with pytest.raises(ValueError, match="p must be > 2"):
         EnergyProblem(g, 2.0, constant_field(g, 1.0), zero_boundary)
-    bad = ScalarField.full(g, np.nan)
+    bad = ScalarField(g, np.full(g.node_shape, np.nan))
     with pytest.raises(ValueError, match="interior"):
         EnergyProblem(g, 3.0, bad, zero_boundary)
     prob = EnergyProblem(g, 3.0, constant_field(g, 1.0),
