@@ -135,17 +135,26 @@ def regime_params(regime: str, p: float, N: int, gamma: float | None = None) -> 
                         tau_hat, tau1, tau2)
 
 
-def zt_check(Z, T, theta: float, p: float) -> float:
-    """Slack of ||Z|^{p-2} - |T|^{p-2}| <= max(1, p-2) |Z-T|^th (|Z|+|T|)^{p-2-th}."""
+def vector_norm(v: np.ndarray):
+    """|v| of a real float vector, as np.linalg.norm takes it (sqrt of v.v), bit
+    for bit, without its dispatch."""
+    return np.sqrt(v.dot(v))
+
+
+def zt_check(Z, T, theta: float, p: float, norms=None) -> float:
+    """Slack of ||Z|^{p-2} - |T|^{p-2}| <= max(1, p-2) |Z-T|^th (|Z|+|T|)^{p-2-th}.
+
+    norms: (|Z|, |T|) from vector_norm, when the caller has taken them.
+    """
     if not p > 2:
         raise ValueError(f"p must be > 2, got {p}")
     if not 0.0 < theta <= min(1.0, p - 2.0):
         raise ValueError(f"theta must be in (0, min(1, p-2)], got {theta}")
     Z = np.asarray(Z, dtype=float)
     T = np.asarray(T, dtype=float)
-    nz, nt = np.linalg.norm(Z), np.linalg.norm(T)
+    nz, nt = (vector_norm(Z), vector_norm(T)) if norms is None else norms
     lhs = abs(nz ** (p - 2.0) - nt ** (p - 2.0))
-    rhs = max(1.0, p - 2.0) * np.linalg.norm(Z - T) ** theta * (nz + nt) ** (p - 2.0 - theta)
+    rhs = max(1.0, p - 2.0) * vector_norm(Z - T) ** theta * (nz + nt) ** (p - 2.0 - theta)
     return float(rhs - lhs)
 
 
@@ -211,8 +220,9 @@ def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng) -> Claim
     else:
         ratio2 = ratio2_cap = None
     nq, nqx, nqy = (float(np.linalg.norm(v)) for v in (q, qx, qy))
-    lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * spectral_norm(X) \
-        + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * spectral_norm(Y)
+    x_norm = spectral_norm(X)  # |Y| too: Y is a copy of X
+    lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * x_norm \
+        + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * x_norm
     ratio3 = float(lhs / denom(params.tau2))
     eq_ok = jm.eq_n_epsilon(params.eps) if p > 4.0 and params.eps is not None else None
     return ClaimsReport(

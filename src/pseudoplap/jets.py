@@ -22,6 +22,15 @@ doubling block inequality
 
 feasible_pair_sample constructs random pairs satisfying that inequality, and
 sample_pair_conclusions checks the conclusions of one without testing it twice.
+
+The squeeze is tested at the size of X, exactly.  With B = X - (2M+1) Id,
+the lower side is block-diagonal, so its least eigenvalue is
+lambda_min(B) + 6M|H1| (and likewise for Y).  For Y = X the orthogonal basis
+(v, +-v)/sqrt(2) splits the upper side into -B and 2M Ht - B, so its least
+eigenvalue is min(-lambda_max(B), lambda_min(2M Ht - B)).  The eigenvalues of
+B also give |X - (2M+1) Id|, so one N x N decomposition serves the lower side,
+half the upper side and the norm consequence.  Only a pair with Y != X, which
+pair_conclusions_check accepts, is tested with 2N x 2N matrices.
 """
 
 from __future__ import annotations
@@ -38,45 +47,25 @@ _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
 
 
 @dataclass(frozen=True)
-class JetMatrices:
-    """The matrices at x of one jet, with the scalars that built them:
-    s = |x|, wp = w'(s) and wpp = w''(s).
-
-    `h1_norm` and `ht_norm` are the spectral norms |H1| and |Htilde|, taken
-    once per instance by `spectral_norm` and cached: the pair sampler and the
-    conclusions check reuse them on every attempt.  For N >= 2 they agree
-    with the closed forms max(|w''|, w'/s) and max(|betaH w''|, alphaH w'/s)
-    to rounding; for N = 1 only the radial eigenvalue w'' (betaH w'') exists.
+class RadialJet:
+    """The scalars of the jet at x: s = |x|, wp = w'(s), wpp = w''(s), the
+    damping iota = 1/(4 M |H1|) and the factors alphaH, betaH of Htilde's
+    closed form.  They decide the large branch's preconditions before any
+    matrix is built.
     """
 
     x: np.ndarray
     M: float
-    p: float
     s: float
     wp: float
     wpp: float
-    H1: np.ndarray
     iota: float
-    Htilde: np.ndarray
     alphaH: float
     betaH: float
-    Theta: np.ndarray
-    H: np.ndarray
 
     @property
     def N(self) -> int:
         return len(self.x)
-
-    @cached_property
-    def h1_norm(self) -> float:
-        return spectral_norm(self.H1)
-
-    @cached_property
-    def ht_norm(self) -> float:
-        return spectral_norm(self.Htilde)
-
-    def theta_norm_sq(self) -> float:
-        return float(np.max(np.diag(self.Theta)) ** 2)
 
     def eq_n_epsilon(self, eps: float) -> bool:
         """Truth of beta w''(s)(1 - N s^{2e}) + alpha N s^{2e} w'(s)/s <= w''(s)/4.
@@ -89,7 +78,36 @@ class JetMatrices:
         return bool(lhs <= wpp / 4.0)
 
 
-def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
+@dataclass(frozen=True)
+class JetMatrices(RadialJet):
+    """The matrices at x of one jet, with the scalars of its RadialJet.
+
+    `h1_norm` and `ht_norm` are the spectral norms |H1| and |Htilde|, taken
+    once per instance by `spectral_norm` and cached: the pair sampler and the
+    conclusions check reuse them on every attempt.  For N >= 2 they agree
+    with the closed forms max(|w''|, w'/s) and max(|betaH w''|, alphaH w'/s)
+    to rounding; for N = 1 only the radial eigenvalue w'' (betaH w'') exists.
+    """
+
+    p: float
+    H1: np.ndarray
+    Htilde: np.ndarray
+    Theta: np.ndarray
+    H: np.ndarray
+
+    @cached_property
+    def h1_norm(self) -> float:
+        return spectral_norm(self.H1)
+
+    @cached_property
+    def ht_norm(self) -> float:
+        return spectral_norm(self.Htilde)
+
+    def theta_norm_sq(self) -> float:
+        return float(np.max(np.diag(self.Theta)) ** 2)
+
+
+def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
     x = np.asarray(x, dtype=float)
     s = float(np.linalg.norm(x))
     check_validity(modulus, s)
@@ -97,18 +115,28 @@ def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
         raise ValueError(f"|x| = {s} must be < 1")
     wp = float(modulus.omega_prime(s))
     wpp = float(modulus.omega_second(s))
-    unit = x / s
-    H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
     h1_norm = max(abs(wpp), wp / s)
     iota = 1.0 / (4.0 * M * h1_norm)
-    Htilde = H1 + 2.0 * iota * (H1 @ H1)
     alphaH = 1.0 + 2.0 * iota * wp / s
     betaH = 1.0 + 2.0 * iota * wpp
+    return RadialJet(x=x, M=M, s=s, wp=wp, wpp=wpp, iota=iota, alphaH=alphaH, betaH=betaH)
+
+
+def _assemble(r: RadialJet, p: float) -> JetMatrices:
+    """H1, Htilde, Theta and H of the jet whose scalars are r."""
+    x, s, wp, wpp = r.x, r.s, r.wp, r.wpp
+    unit = x / s
+    H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
+    Htilde = H1 + 2.0 * r.iota * (H1 @ H1)
     theta_diag = np.abs(wp * x / s) ** ((p - 2.0) / 2.0)
     Theta = np.diag(theta_diag)
     H = Theta @ Htilde @ Theta
-    return JetMatrices(x=x, M=M, p=p, s=s, wp=wp, wpp=wpp, H1=H1, iota=iota,
-                       Htilde=Htilde, alphaH=alphaH, betaH=betaH, Theta=Theta, H=H)
+    return JetMatrices(x=x, M=r.M, s=s, wp=wp, wpp=wpp, iota=r.iota, alphaH=r.alphaH,
+                       betaH=r.betaH, p=p, H1=H1, Htilde=Htilde, Theta=Theta, H=H)
+
+
+def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
+    return _assemble(_radial(x, modulus, M), p)
 
 
 def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
@@ -146,13 +174,13 @@ def test_vector(x, p: float, idx=None) -> np.ndarray:
     return w
 
 
-def _large_branch_axes(jm: JetMatrices, eps: float) -> np.ndarray:
-    """index_set(x, eps), once the large branch's preconditions hold at jm: the
+def _large_branch_axes(r: RadialJet, eps: float) -> np.ndarray:
+    """index_set(x, eps), once the large branch's preconditions hold at r: the
     set is nonempty and the damped inequality eq_n_epsilon is true."""
-    idx = index_set(jm.x, eps)
+    idx = index_set(r.x, eps)
     if len(idx) == 0:
         raise ValueError("index set is empty")
-    if not jm.eq_n_epsilon(eps):
+    if not r.eq_n_epsilon(eps):
         raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
     return idx
 
@@ -177,18 +205,19 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
         raise ValueError("small branch requires p <= 4")
     if branch == "large" and p < 4.0:
         raise ValueError("large branch requires p >= 4")
-    jm = _jet(x, p, modulus, M=1.0)  # damping 1/(4 |H1|); M plays no role in H's bound
-    s, n, wp, wpp = jm.s, jm.N, jm.wp, jm.wpp
+    if branch == "large" and eps is None:
+        raise ValueError("large branch requires eps")
+    r = _radial(x, modulus, M=1.0)  # damping 1/(4 |H1|); M plays no role in H's bound
+    s, n, wp, wpp = r.s, r.N, r.wp, r.wpp
     if branch == "small":
         w = test_vector(x, p)
-        bound = n ** (1.0 - p / 2.0) * jm.betaH * wpp * wp ** (p - 2.0)
+        bound = n ** (1.0 - p / 2.0) * r.betaH * wpp * wp ** (p - 2.0)
     else:
-        if eps is None:
-            raise ValueError("large branch requires eps")
-        idx = _large_branch_axes(jm, eps)
+        idx = _large_branch_axes(r, eps)  # rejects before any matrix is built
         w = test_vector(x, p, idx)  # index-restricted (p = 4 included)
         bound = (1.0 - n * s ** (2.0 * eps)) / len(idx) \
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
+    jm = _assemble(r, p)
     rayleigh = float(w @ jm.H @ w) / float(w @ w)
     lam_min = float(jacobi_eigh(jm.H)[0][0])
     slack = bound - lam_min
@@ -200,28 +229,45 @@ def _doubling_block(A: np.ndarray) -> np.ndarray:
 
 
 def _pair_feasible(X: np.ndarray, Y: np.ndarray, jm: JetMatrices):
-    """Eigen-test both sides of the block squeeze; returns (ok, details)."""
+    """Eigen-test both sides of the block squeeze at the size of X.
+
+    Returns (ok, (lower, upper, scale), norm_sum): lower and upper are the
+    least eigenvalues of the two sides' differences, and norm_sum is
+    |X - cI| + |Y - cI| with c = 2M+1, taken from the same eigenvalues.
+
+    With B = X - cI and C = Y - cI, the lower side diag(B, C) + 6M|H1| I_2N is
+    block-diagonal, so its least eigenvalue is min(lambda_min(B),
+    lambda_min(C)) + 6M|H1|.  When Y == X, the orthogonal basis (v, +-v)/sqrt(2)
+    splits the upper side M [[Ht, -Ht], [-Ht, Ht]] - diag(B, B) into -B and
+    2M Ht - B, so its least eigenvalue is min(-lambda_max(B),
+    lambda_min(2M Ht - B)): every test is an N x N one.  A pair with Y != X
+    keeps the 2N x 2N test of the upper side.
+    """
     n = jm.N
     M = jm.M
     c = 2.0 * M + 1.0
     h1_norm = jm.h1_norm
-    D = np.block([[X - c * np.eye(n), np.zeros((n, n))],
-                  [np.zeros((n, n)), Y - c * np.eye(n)]])
+    B = X - c * np.eye(n)
+    wb = jacobi_eigh(B)[0]
     scale = max(1.0, M * jm.ht_norm, 6.0 * M * h1_norm)
-    lower = float(jacobi_eigh(D + 6.0 * M * h1_norm * np.eye(2 * n))[0][0])
-    upper = float(jacobi_eigh(M * _doubling_block(jm.Htilde) - D)[0][0])
+    if Y is X or np.array_equal(X, Y):
+        lower = float(wb[0]) + 6.0 * M * h1_norm
+        upper = min(-float(wb[-1]), float(jacobi_eigh(2.0 * M * jm.Htilde - B)[0][0]))
+        b_norm = float(np.abs(wb).max())
+        norm_sum = b_norm + b_norm
+    else:
+        C = Y - c * np.eye(n)
+        wc = jacobi_eigh(C)[0]
+        lower = float(min(wb[0], wc[0])) + 6.0 * M * h1_norm
+        D = np.block([[B, np.zeros((n, n))], [np.zeros((n, n)), C]])
+        upper = float(jacobi_eigh(M * _doubling_block(jm.Htilde) - D)[0][0])
+        norm_sum = float(np.abs(wb).max()) + float(np.abs(wc).max())
     ok = lower >= -_FEAS_TOL * scale and upper >= -_FEAS_TOL * scale
-    return ok, (lower, upper, scale)
+    return ok, (lower, upper, scale), norm_sum
 
 
-def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
-    """Random (X, Y) satisfying the doubling block squeeze at jm, by construction + check.
-
-    X = Y = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm
-    at most (M/4) |Htilde|; feasibility (and the norm consequence
-    |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
-    before returning, resampling on failure.
-    """
+def _sample_pair(jm: JetMatrices, rng) -> tuple:
+    """feasible_pair_sample's X, with the norm sum |X - cI| + |Y - cI| of Y = X."""
     n, M = jm.N, jm.M
     c = 2.0 * M + 1.0
     ht_norm = jm.ht_norm
@@ -232,14 +278,25 @@ def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
         if s_norm > 0.0:
             S *= rng.uniform(0.0, 1.0) * (M / 4.0) * ht_norm / s_norm
         X = c * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
-        Y = X.copy()
-        ok, _ = _pair_feasible(X, Y, jm)
-        if ok and 2.0 * spectral_norm(X - c * np.eye(n)) <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
-            return X, Y  # Y == X, so 2 |X-cId| is the norm sum, exactly
+        ok, _, norm_sum = _pair_feasible(X, X, jm)
+        if ok and norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
+            return X, norm_sum
     raise RuntimeError(
         "no feasible pair in 100 attempts; the unperturbed point is always feasible, "
         "so this indicates a bug"
     )
+
+
+def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
+    """Random (X, Y) satisfying the doubling block squeeze at jm, by construction + check.
+
+    X = Y = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm
+    at most (M/4) |Htilde|; feasibility (and the norm consequence
+    |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
+    before returning, resampling on failure.
+    """
+    X, _ = _sample_pair(jm, rng)
+    return X, X.copy()
 
 
 @dataclass(frozen=True)
@@ -277,21 +334,21 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     the large-branch bound for p >= 4 (the latter needs eps and the damped
     inequality), and |X-cId| + |Y-cId| <= 6M|H1|.
     """
-    ok, details = _pair_feasible(X, Y, jm)
+    ok, details, norm_sum = _pair_feasible(X, Y, jm)
     if not ok:
         raise ValueError(f"pair does not satisfy the block squeeze (eigen margins {details})")
-    return _conclusions(X, Y, jm, eps)
+    return _conclusions(X, Y, jm, eps, norm_sum)
 
 
 def sample_pair_conclusions(jm: JetMatrices, rng, eps: float | None = None) -> PairConclusions:
     """pair_conclusions_check of a pair from feasible_pair_sample, which has
     already tested the pair's block squeeze."""
-    X, Y = feasible_pair_sample(jm, rng)
-    return _conclusions(X, Y, jm, eps)
+    X, norm_sum = _sample_pair(jm, rng)
+    return _conclusions(X, X, jm, eps, norm_sum)
 
 
 def _conclusions(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
-                 eps: float | None) -> PairConclusions:
+                 eps: float | None, norm_sum: float) -> PairConclusions:
     M, p, n = jm.M, jm.p, jm.N
     s, wp, wpp = jm.s, jm.wp, jm.wpp
     c = 2.0 * M + 1.0
@@ -316,7 +373,6 @@ def _conclusions(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp
         slack_large = bound_large - lam1
 
-    norm_sum = spectral_norm(X - c * np.eye(n)) + spectral_norm(Y - c * np.eye(n))
     bound_norm = 6.0 * M * jm.h1_norm
     return PairConclusions(
         lambda_all_max=float(lam_all[-1]), bound_all=bound_all, slack_all=slack_all,

@@ -15,7 +15,7 @@ import numpy as np
 from .barrier import BarrierParams, comparison_check, min_barrier_M
 from .barrier import supersolution_tolerance, verify_supersolution
 from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_claims_sweep
-from .claims import regime_params, zt_check
+from .claims import regime_params, vector_norm, zt_check
 from .grid import GridSpec, ScalarField
 from .jets import build_jet_matrices, min_eig_bound_check, sample_pair_conclusions
 from .manufactured import gaussian_field
@@ -141,8 +141,9 @@ def zt_rows(rng: np.random.Generator, samples: int):
         theta = float(rng.uniform(1e-3, 1.0)) * min(1.0, p - 2.0)
         Z = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
         T = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-        slack = zt_check(Z, T, theta, p)
-        rhs = slack + abs(np.linalg.norm(Z) ** (p - 2) - np.linalg.norm(T) ** (p - 2))
+        nz, nt = vector_norm(Z), vector_norm(T)
+        slack = zt_check(Z, T, theta, p, norms=(nz, nt))
+        rhs = slack + abs(nz ** (p - 2) - nt ** (p - 2))
         rel = slack / max(1.0, rhs)
         worst = min(worst, rel)
         rows.append([p, N, theta, slack, rel])

@@ -260,7 +260,7 @@ def test_feasible_pair_unperturbed_always_feasible():
         jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
         c = 2 * M + 1
         X = c * np.eye(N) - 2 * M * spectral_norm(jm.Htilde) * np.eye(N)
-        ok, _ = _pair_feasible(X, X, jm)
+        ok, _, _ = _pair_feasible(X, X, jm)
         assert ok
 
 
@@ -273,7 +273,7 @@ def test_feasible_pair_sample_properties():
         mod = HolderModulus(0.6)
         jm = build_jet_matrices(x, M, 3.0, mod)
         X, Y = feasible_pair_sample(jm, rng)
-        ok, _ = _pair_feasible(X, Y, jm)
+        ok, _, _ = _pair_feasible(X, Y, jm)
         assert ok
         c = 2 * M + 1
         norm_sum = spectral_norm(X - c * np.eye(N)) + spectral_norm(Y - c * np.eye(N))
@@ -349,3 +349,83 @@ def test_jet_eq_n_epsilon_matches_check():
         seen.add(jm.eq_n_epsilon(eps))
         assert jm.eq_n_epsilon(eps) == _jet(x, 3.0, mod, M).eq_n_epsilon(eps)
     assert seen == {True, False}
+
+
+def _full_squeeze(X, Y, jm):
+    """Both sides of the block squeeze as 2N x 2N eigen-tests: (lower, upper)."""
+    n, M = jm.N, jm.M
+    c = 2 * M + 1
+    zero = np.zeros((n, n))
+    D = np.block([[X - c * np.eye(n), zero], [zero, Y - c * np.eye(n)]])
+    Ht = jm.Htilde
+    lower = jacobi_eigh(D + 6 * M * jm.h1_norm * np.eye(2 * n))[0][0]
+    upper = jacobi_eigh(M * np.block([[Ht, -Ht], [-Ht, Ht]]) - D)[0][0]
+    return lower, upper
+
+
+def _random_pair_point(rng, N, M, jm, radius):
+    """(2M+1) Id - 2M |Htilde| Id + S with |S| = radius * M |Htilde|."""
+    A = rng.standard_normal((N, N))
+    S = 0.5 * (A + A.T)
+    S *= radius * M * jm.ht_norm / spectral_norm(S)
+    return (2 * M + 1) * np.eye(N) - 2 * M * jm.ht_norm * np.eye(N) + S
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pair_split_matches_full_squeeze(N, monkeypatch):
+    rng = np.random.default_rng(20 + N)
+    sizes = []
+
+    def sized(a):
+        sizes.append(len(a))
+        return jacobi_eigh(a)
+
+    seen = set()
+    for _ in range(100):
+        mod = HolderModulus(float(rng.uniform(0.2, 0.8))) if rng.random() < 0.5 \
+            else LipschitzModulus(0.2, 0.5)
+        M = float(rng.uniform(1.5, 50))
+        jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M,
+                                float(rng.uniform(2.5, 7)), mod)
+        # radius (M/4) |Htilde| is the sampler's; beyond about 2M |Htilde| a side fails
+        X = _random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0)))
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr("pseudoplap.jets.jacobi_eigh", sized)
+            ok, (lower, upper, scale), norm_sum = _pair_feasible(X, X.copy(), jm)
+        assert max(sizes) == N  # every eigen-test is N x N
+        full_lower, full_upper = _full_squeeze(X, X, jm)
+        assert abs(lower - full_lower) <= 1e-12 * scale
+        assert abs(upper - full_upper) <= 1e-12 * scale
+        tol = -1e-10 * scale
+        assert ok == (full_lower >= tol and full_upper >= tol)
+        c = 2 * M + 1
+        assert norm_sum == 2 * spectral_norm(X - c * np.eye(N))
+        seen.add(ok)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pair_distinct_y_keeps_full_test(N, monkeypatch):
+    rng = np.random.default_rng(30 + N)
+    sizes = []
+
+    def sized(a):
+        sizes.append(len(a))
+        return jacobi_eigh(a)
+
+    monkeypatch.setattr("pseudoplap.jets.jacobi_eigh", sized)
+    for _ in range(20):
+        M = float(rng.uniform(1.5, 50))
+        jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M, 3.0,
+                                HolderModulus(0.5))
+        X = _random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 0.25)))
+        Y = _random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0)))
+        sizes.clear()
+        ok, (lower, upper, scale), norm_sum = _pair_feasible(X, Y, jm)
+        assert 2 * N in sizes
+        full_lower, full_upper = _full_squeeze(X, Y, jm)
+        assert abs(lower - full_lower) <= 1e-12 * scale and upper == full_upper
+        assert ok == (full_lower >= -1e-10 * scale and full_upper >= -1e-10 * scale)
+        c = 2 * M + 1
+        assert norm_sum == spectral_norm(X - c * np.eye(N)) + spectral_norm(Y - c * np.eye(N))

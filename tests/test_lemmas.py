@@ -18,11 +18,12 @@ def test_sampled_lipschitz_modulus_keeps_prime_window_on_unit_interval(tau):
 def work(monkeypatch):
     """Counters for the jets built and the block squeezes tested.
 
-    Every jet goes through jets._jet; each feasibility test records the bytes
-    of the pair it tested, so a pair tested twice shows as a repeat.
+    Every jet's matrices are built by jets._assemble; each feasibility test
+    records the bytes of the pair it tested, so a pair tested twice shows as
+    a repeat.
     """
     counts = {"jets": 0, "tested": []}
-    jet, feasible = jets._jet, jets._pair_feasible
+    jet, feasible = jets._assemble, jets._pair_feasible
 
     def counted_jet(*args, **kwargs):
         counts["jets"] += 1
@@ -32,7 +33,7 @@ def work(monkeypatch):
         counts["tested"].append((X.tobytes(), Y.tobytes()))
         return feasible(X, Y, jm)
 
-    monkeypatch.setattr(jets, "_jet", counted_jet)
+    monkeypatch.setattr(jets, "_assemble", counted_jet)
     monkeypatch.setattr(jets, "_pair_feasible", counted_feasible)
     return counts
 
@@ -67,7 +68,8 @@ def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
     samples = count_calls(monkeypatch, lemmas, "min_eig_bound_check")
     rows, _ = lemmas.min_eig_rows(np.random.default_rng(4), 20)
     assert len(rows) == 40 and {row[0] for row in rows} == {"small", "large"}
-    assert work["jets"] == len(samples)
+    # a rejected large-branch draw builds no matrices
+    assert work["jets"] == len(rows) < len(samples)
 
 
 @pytest.mark.parametrize("regime", ["holder_large_p", "lipschitz_small_p"])
