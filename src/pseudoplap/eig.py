@@ -17,6 +17,13 @@ def _rotate_rows(m: list, i: int, j: int, c: float, s: float) -> None:
     m[j] = [s * xk + c * yk for xk, yk in zip(x, y)]
 
 
+def _off_norm(m: list) -> float:
+    """Frobenius norm of the off-diagonal entries of the list of rows m, summed
+    row by row in column order.  A direct sum: sqrt(|A|_F^2 - sum a_ii^2)
+    cancels below about sqrt(eps) |A|_F."""
+    return math.sqrt(sum(x * x for i, r in enumerate(m) for k, x in enumerate(r) if k != i))
+
+
 def jacobi_eigh(a: np.ndarray):
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
@@ -31,7 +38,8 @@ def jacobi_eigh(a: np.ndarray):
     dominate at these sizes.  Each rotation updates columns i, j, then rows
     i, j, then V's columns i, j, element by element in IEEE double, as the
     textbook method (Golub & Van Loan, Matrix Computations, 8.5) does on
-    arrays.  The norms that decide when to stop are taken with numpy.
+    arrays.  The stop test sums the squared off-diagonal entries directly,
+    on the same floats; numpy takes the Frobenius norm of `a` once.
     """
     A = np.array(a, dtype=float, copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -54,8 +62,7 @@ def jacobi_eigh(a: np.ndarray):
     rows = A.tolist()
     vcols = np.eye(n).tolist()  # V's columns, so a rotation of V is one of rows
     for _ in range(MAX_SWEEPS):
-        off = np.sqrt(max(0.0, (A * A).sum() - (A.diagonal() ** 2).sum()))
-        if off <= target:
+        if _off_norm(rows) <= target:
             break
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -80,8 +87,7 @@ def jacobi_eigh(a: np.ndarray):
                 _rotate_rows(rows, i, j, c, s)
                 rows[i][j] = rows[j][i] = 0.0
                 _rotate_rows(vcols, i, j, c, s)
-        A = np.array(rows)
-    w = A.diagonal().copy()
+    w = np.array([r[i] for i, r in enumerate(rows)])
     order = np.argsort(w, kind="stable")
     return w[order], np.array(vcols)[order].T
 

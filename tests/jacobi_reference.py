@@ -3,10 +3,15 @@
 This is the kernel `pseudoplap.eig.jacobi_eigh` used before its rotations moved
 to Python floats.  It makes the same floating-point operations in the same
 order, so the two must agree bit for bit; numpy's per-slice overhead makes
-this one several times slower on the <= 6x6 matrices used here.
+this one several times slower on the <= 6x6 matrices used here.  Its stop
+test is the kernel's: the off-diagonal norm is summed directly, entry by
+entry in row-major order, not taken as sqrt(|A|_F^2 - sum a_ii^2), which
+cancels below about sqrt(eps) |A|_F.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,7 +32,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
         return w[order], V[:, order]
     target = tol * norm
     for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
+        off = math.sqrt(sum(float(A[i, k]) * float(A[i, k])
+                            for i in range(n) for k in range(n) if k != i))
         if off <= target:
             break
         for i in range(n - 1):

@@ -98,6 +98,18 @@ def test_jacobi_rejects_non_finite(bad):
     assert not isinstance(info.value, ValueError)
 
 
+# sqrt(|A|_F^2 - sum a_ii^2) cancels to 0 here: a stop test that takes the
+# off-diagonal norm that way returns this matrix unrotated
+CANCELLING = np.array([[0.0, 1.0, 0.0], [1.0, 1e110, 1e100], [0.0, 1e100, 1e110]])
+
+
+def test_jacobi_off_diagonal_norm_does_not_cancel():
+    w, V = jacobi_eigh(CANCELLING)
+    norm = np.linalg.norm(CANCELLING)
+    assert np.abs(w - np.linalg.eigvalsh(CANCELLING)).max() <= 1e-13 * norm
+    assert np.abs(CANCELLING @ V - V * w).max() <= 1e-13 * norm
+
+
 def _reference_cases():
     rng = np.random.default_rng(2024)
     for n in range(1, 7):
@@ -111,6 +123,7 @@ def _reference_cases():
     yield np.array([[0.0, 1e-60, 1e145], [1e-60, 1e150, 0.0], [1e145, 0.0, 0.0]])
     # |theta_01| = 5e109 > 1e100, while a_02 keeps the sweep going: the t ~ 1/(2 theta) branch
     yield np.array([[0.0, 1.0, 1e105], [1.0, 1e110, 0.0], [1e105, 0.0, 0.0]])
+    yield CANCELLING
 
 
 def test_jacobi_bitwise_matches_reference():
