@@ -11,6 +11,9 @@ same eigenvectors and admits the closed form
     Htilde = (beta w'' - alpha w'/|x|) (x/|x|)(x/|x|)^t + alpha (w'/|x|) Id,
     alpha = 1 + 2 iota w'/|x| in (1, 3/2],   beta = 1 + 2 iota w'' in [1/2, 1).
 
+In 1D only the radial eigenvalue exists, so |H1| = |w''| and
+beta = 1 - 1/(2M); alpha then multiplies no eigenvalue and may exceed 3/2.
+
 The anisotropic weight Theta = diag(|w' x_i / |x||^{(p-2)/2}) produces
 H = Theta Htilde Theta, whose smallest eigenvalue is negative at a
 quantified scale: min_eig_bound_check certifies the two-branch bound via
@@ -115,7 +118,8 @@ def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
         raise ValueError(f"|x| = {s} must be < 1")
     wp = float(modulus.omega_prime(s))
     wpp = float(modulus.omega_second(s))
-    h1_norm = max(abs(wpp), wp / s)
+    # |H1|: in 1D only the radial eigenvalue w'' exists
+    h1_norm = abs(wpp) if len(x) == 1 else max(abs(wpp), wp / s)
     iota = 1.0 / (4.0 * M * h1_norm)
     alphaH = 1.0 + 2.0 * iota * wp / s
     betaH = 1.0 + 2.0 * iota * wpp

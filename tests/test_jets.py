@@ -43,10 +43,11 @@ def test_jet_h1_eigenstructure():
 
 def test_jet_iota_normalization():
     rng = np.random.default_rng(1)
-    for M in (1.5, 10.0, 200.0):
-        x = random_point(rng, 2, 0.05)
-        jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
-        assert abs(jm.iota * spectral_norm(jm.H1) * 4.0 * M - 1.0) < 1e-12
+    for N in (1, 2, 3):  # in 1D, |H1| is |w''| alone
+        for M in (1.5, 10.0, 200.0):
+            x = random_point(rng, N, 0.05)
+            jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
+            assert abs(jm.iota * spectral_norm(jm.H1) * 4.0 * M - 1.0) < 1e-12
 
 
 def test_jet_htilde_closed_form():
@@ -89,10 +90,16 @@ def test_alpha_beta_ranges():
     for _ in range(200):
         mod = HolderModulus(float(rng.uniform(0.1, 0.9))) if rng.random() < 0.5 \
             else LipschitzModulus(float(rng.uniform(0.05, 0.45)), 0.4)
-        x = random_point(rng, int(rng.integers(1, 4)), 10 ** rng.uniform(-4, -0.7))
-        jm = build_jet_matrices(x, float(rng.uniform(1.001, 100)), 4.0, mod)
-        assert 0.5 < jm.alphaH <= 1.5
+        N = int(rng.integers(1, 4))
+        x = random_point(rng, N, 10 ** rng.uniform(-4, -0.7))
+        M = float(rng.uniform(1.001, 100))
+        jm = build_jet_matrices(x, M, 4.0, mod)
+        # alpha damps the tangential eigenvalue w'/s, which 1D does not have:
+        # there iota = 1/(4M|w''|) bounds only beta, to exactly 1 - 1/(2M)
+        assert 1.0 < jm.alphaH and (N == 1 or jm.alphaH <= 1.5)
         assert 0.5 <= jm.betaH <= 1.5  # upper edge derived from 2 iota |w''| <= 1/2
+        if N == 1:
+            assert abs(jm.betaH - (1.0 - 0.5 / M)) <= 1e-15
 
 
 def test_block_norm_identity():
