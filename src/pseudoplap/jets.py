@@ -253,11 +253,11 @@ def _pair_feasible(X: np.ndarray, Y: np.ndarray, jm: JetMatrices):
     h1_norm = jm.h1_norm
     B = X - c * np.eye(n)
     wb = jacobi_eigh(B)[0]
+    b_norm = float(np.abs(wb).max())  # spectral_norm(B), bit for bit
     scale = max(1.0, M * jm.ht_norm, 6.0 * M * h1_norm)
     if Y is X or np.array_equal(X, Y):
         lower = float(wb[0]) + 6.0 * M * h1_norm
         upper = min(-float(wb[-1]), float(jacobi_eigh(2.0 * M * jm.Htilde - B)[0][0]))
-        b_norm = float(np.abs(wb).max())
         norm_sum = b_norm + b_norm
     else:
         C = Y - c * np.eye(n)
@@ -265,7 +265,7 @@ def _pair_feasible(X: np.ndarray, Y: np.ndarray, jm: JetMatrices):
         lower = float(min(wb[0], wc[0])) + 6.0 * M * h1_norm
         D = np.block([[B, np.zeros((n, n))], [np.zeros((n, n)), C]])
         upper = float(jacobi_eigh(M * _doubling_block(jm.Htilde) - D)[0][0])
-        norm_sum = float(np.abs(wb).max()) + float(np.abs(wc).max())
+        norm_sum = b_norm + float(np.abs(wc).max())
     ok = lower >= -_FEAS_TOL * scale and upper >= -_FEAS_TOL * scale
     return ok, (lower, upper, scale), norm_sum
 
