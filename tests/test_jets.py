@@ -378,15 +378,23 @@ def _random_pair_point(rng, N, M, jm, radius):
     return (2 * M + 1) * np.eye(N) - 2 * M * jm.ht_norm * np.eye(N) + S
 
 
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_pair_split_matches_full_squeeze(N, monkeypatch):
-    rng = np.random.default_rng(20 + N)
+@pytest.fixture
+def jets_eig_sizes(monkeypatch):
+    """The size of every matrix that pseudoplap.jets hands to jacobi_eigh."""
     sizes = []
 
     def sized(a):
         sizes.append(len(a))
         return jacobi_eigh(a)
 
+    monkeypatch.setattr("pseudoplap.jets.jacobi_eigh", sized)
+    return sizes
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pair_split_matches_full_squeeze(N, jets_eig_sizes):
+    rng = np.random.default_rng(20 + N)
+    sizes = jets_eig_sizes
     seen = set()
     for _ in range(100):
         mod = HolderModulus(float(rng.uniform(0.2, 0.8))) if rng.random() < 0.5 \
@@ -397,9 +405,7 @@ def test_pair_split_matches_full_squeeze(N, monkeypatch):
         # radius (M/4) |Htilde| is the sampler's; beyond about 2M |Htilde| a side fails
         X = _random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0)))
         sizes.clear()
-        with monkeypatch.context() as m:
-            m.setattr("pseudoplap.jets.jacobi_eigh", sized)
-            ok, (lower, upper, scale), norm_sum = _pair_feasible(X, X.copy(), jm)
+        ok, (lower, upper, scale), norm_sum = _pair_feasible(X, X.copy(), jm)
         assert max(sizes) == N  # every eigen-test is N x N
         full_lower, full_upper = _full_squeeze(X, X, jm)
         assert abs(lower - full_lower) <= 1e-12 * scale
@@ -413,15 +419,9 @@ def test_pair_split_matches_full_squeeze(N, monkeypatch):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_pair_distinct_y_keeps_full_test(N, monkeypatch):
+def test_pair_distinct_y_keeps_full_test(N, jets_eig_sizes):
     rng = np.random.default_rng(30 + N)
-    sizes = []
-
-    def sized(a):
-        sizes.append(len(a))
-        return jacobi_eigh(a)
-
-    monkeypatch.setattr("pseudoplap.jets.jacobi_eigh", sized)
+    sizes = jets_eig_sizes
     for _ in range(20):
         M = float(rng.uniform(1.5, 50))
         jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M, 3.0,
