@@ -5,11 +5,12 @@
 Subcommands: solve, verify-lemmas, measure-regularity, convergence-study.
 Exit codes: 0 success, 1 declared check failed, 2 config error (including a
 section or key that the subcommand does not read), 3 runtime error.  Outputs
-are CSVs (first line: tool version + config hash) plus optional SVG line
-plots; reruns with the same seed are byte-identical.  The experiments
-themselves live in the library (`lemmas`, `regularity.preset_sweep`), which
-the acceptance suite calls too; this module checks the config and writes
-what they return.
+are CSVs plus optional SVG line plots; reruns with the same seed are
+byte-identical.  Report CSVs open with a `# tool=... config_hash=...` line;
+the field CSV `solution.csv` opens with its header `x1,...,xN,value`.  The
+experiments themselves live in the library (`lemmas`,
+`regularity.preset_sweep`), which the acceptance suite calls too; this
+module checks the config and writes what they return.
 """
 
 from __future__ import annotations

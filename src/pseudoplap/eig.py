@@ -34,33 +34,33 @@ def jacobi_eigh(a: np.ndarray):
     above about 1e154), and ValueError when a is not square or not symmetric
     to within 1e-12 * max(1, max |a_ij|).
 
-    The rotations run on Python floats: numpy's per-slice overhead would
-    dominate at these sizes.  Each rotation updates columns i, j, then rows
-    i, j, then V's columns i, j, element by element in IEEE double, as the
-    textbook method (Golub & Van Loan, Matrix Computations, 8.5) does on
-    arrays.  The stop test sums the squared off-diagonal entries directly,
-    on the same floats; numpy takes the Frobenius norm of `a` once.
+    The checks, the symmetrisation and the rotations run on Python floats:
+    numpy's fixed cost per call and per slice would dominate at these sizes.
+    Each rotation updates columns i, j, then rows i, j, then V's columns
+    i, j, element by element in IEEE double, as the textbook method (Golub &
+    Van Loan, Matrix Computations, 8.5) does on arrays.  The stop test sums
+    the squared off-diagonal entries directly, on the same floats; numpy
+    takes the Frobenius norm of `a` once.
     """
-    A = np.array(a, dtype=float, copy=True)
+    A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    amax = float(np.abs(A).max())
-    if not math.isfinite(amax):
+    rows = A.tolist()
+    n = len(rows)
+    entries = [x for r in rows for x in r]
+    if not all(map(math.isfinite, entries)):
         raise FloatingPointError("matrix has a non-finite entry")
-    if not float(np.abs(A - A.T).max()) <= 1e-12 * max(1.0, amax):
+    amax = max(map(abs, entries))
+    asym = max((abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(i)), default=0.0)
+    if not asym <= 1e-12 * max(1.0, amax):
         raise ValueError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    norm = np.linalg.norm(A)
+    rows = [[0.5 * (x + y) for x, y in zip(r, c)] for r, c in zip(rows, zip(*rows))]
+    norm = np.linalg.norm(rows)
     if not math.isfinite(norm):
         raise FloatingPointError("matrix norm overflows")
-    if norm == 0.0 or n == 1:
-        w = A.diagonal().copy()
-        order = np.argsort(w, kind="stable")
-        return w[order], np.eye(n)[:, order]
-    target = TOL * norm
-    rows = A.tolist()
-    vcols = np.eye(n).tolist()  # V's columns, so a rotation of V is one of rows
+    target = TOL * norm  # a zero or 1x1 matrix meets it before any rotation
+    # V's columns, so a rotation of V is one of rows
+    vcols = [[float(i == k) for k in range(n)] for i in range(n)]
     for _ in range(MAX_SWEEPS):
         if _off_norm(rows) <= target:
             break
@@ -87,9 +87,8 @@ def jacobi_eigh(a: np.ndarray):
                 _rotate_rows(rows, i, j, c, s)
                 rows[i][j] = rows[j][i] = 0.0
                 _rotate_rows(vcols, i, j, c, s)
-    w = np.array([r[i] for i, r in enumerate(rows)])
-    order = np.argsort(w, kind="stable")
-    return w[order], np.array(vcols)[order].T
+    order = sorted(range(n), key=lambda k: rows[k][k])
+    return np.array([rows[k][k] for k in order]), np.array([vcols[k] for k in order]).T
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -191,19 +191,33 @@ class ScalarField:
             raise ValueError(f"non-finite value at non-exterior node {node}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# Rows per formatted block: a few hundred KB of text and cell objects per block, whatever the grid.
+_BLOCK_ROWS = 4096
 
 
 def write_field(path, field: ScalarField) -> None:
-    """Write one row per non-exterior node: x1,...,xN,value with 17 significant digits."""
+    """Write one row per non-exterior node: x1,...,xN,value with 17 significant digits.
+
+    Every coordinate is one of the grid's n axis coordinates, so those are
+    formatted once, as "%.17g," strings, and gathered per node.  Each block
+    of _BLOCK_ROWS rows is then one `%` call on the row template repeated,
+    so no Python call is made per cell.  `%.17g` writes the same text as the
+    per-cell `f"{x:.17g}"` (tests/field_writer_reference.py), so the file is
+    byte-identical to that writer's.  The field is validated before the file
+    is opened, so a non-finite field leaves any old file as it was.
+    """
     field.validate_finite()
     grid = field.grid
     idx = np.argwhere(nonexterior_mask(grid))  # argwhere is lexicographic in the multi-index
-    pts = node_coordinates(grid, idx)
     vals = field.values[tuple(idx.T)]
+    coords = np.array(["%.17g," % c for c in grid.axis_coords()], dtype=object)
     header = ",".join(f"x{i + 1}" for i in range(grid.dimension)) + ",value"
+    template = "%s" * grid.dimension + "%.17g\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row, v in zip(pts.reshape(len(idx), -1), vals):
-            fh.write(",".join(_fmt(c) for c in row) + "," + _fmt(v) + "\n")
+        for lo in range(0, len(idx), _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, len(idx))
+            cells = np.empty((hi - lo, grid.dimension + 1), dtype=object)
+            cells[:, :-1] = coords[idx[lo:hi]]
+            cells[:, -1] = vals[lo:hi]
+            fh.write(template * (hi - lo) % tuple(cells.ravel().tolist()))

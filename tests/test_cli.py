@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import field_writer_reference
 import jacobi_reference
 import pair_scan_reference
 from pseudoplap import claims, cli, eig, jets, regularity
@@ -387,6 +388,30 @@ def test_measure_regularity_csvs_match_reference_scan(tmp_path, monkeypatch):
     shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
     assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
     assert "records.csv" in shipped
+    for name in shipped:
+        assert (tmp_path / "shipped" / name).read_bytes() \
+            == (tmp_path / "reference" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 17), (3, 9)])
+def test_solve_csvs_match_reference_writer(tmp_path, monkeypatch, dim, nodes):
+    # the block writer must leave solution.csv, and every other CSV, byte-identical
+    text = SOLVE_TINY.replace("dimension = 1", f"dimension = {dim}")
+    path = write(tmp_path, "solve.ini", text.replace("nodes = 33", f"nodes = {nodes}"))
+    args = ["solve", "--config", path, "--seed", "0", "--out"]
+    assert main(args + [str(tmp_path / "shipped")]) == 0
+    calls = []
+
+    def reference(out, field):
+        calls.append(out)
+        field_writer_reference.write_field(out, field)
+
+    monkeypatch.setattr(cli, "write_field", reference)
+    assert main(args + [str(tmp_path / "reference")]) == 0
+    assert [p.name for p in calls] == ["solution.csv"]
+    shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
+    assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
+    assert "solution.csv" in shipped
     for name in shipped:
         assert (tmp_path / "shipped" / name).read_bytes() \
             == (tmp_path / "reference" / name).read_bytes(), name

@@ -1,8 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+import field_writer_reference
+from pseudoplap import grid
 from pseudoplap.grid import (
     GridSpec,
     NodeClass,
@@ -142,6 +145,47 @@ def test_field_roundtrip_bitwise(tmp_path):
         idx = np.argwhere(mask)
         assert np.array_equal(back[:, :-1], node_coordinates(g, idx).reshape(len(idx), -1))
         assert np.array_equal(back[:, -1], vals[mask])
+
+
+# -0.0, the smallest subnormal, %g's switch to an exponent between 1e-4 and
+# 1e-5 and its 17-digit limit between 1e16 and 1e17, then negative and large values
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, -1e-5, -1e17, 1.7976931348623157e308,
+                  -2.2250738585072014e-308, 0.1, -1.0 / 3.0, 123456789.125, -5e-5]
+
+
+@pytest.mark.parametrize("block", ["one", "non-divisor", "count", "above-count"])
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_write_field_matches_reference(tmp_path, monkeypatch, dim, shape, block):
+    g = GridSpec(dim, 17 if dim == 1 else 9, shape)
+    mask = nonexterior_mask(g)
+    count = int(mask.sum())
+    rng = np.random.default_rng(dim)
+    noise = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+    vals = np.full(g.node_shape, np.nan)
+    vals[mask] = np.concatenate([SPECIAL_VALUES, noise])[:count]
+    rows = {"one": 1, "non-divisor": next(k for k in range(7, count) if count % k),
+            "count": count, "above-count": count + 5}[block]
+    monkeypatch.setattr(grid, "_BLOCK_ROWS", rows)
+    field = ScalarField(g, vals)
+    write_field(tmp_path / "blocks.csv", field)
+    field_writer_reference.write_field(tmp_path / "reference.csv", field)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_write_field_validates_before_truncating(tmp_path, monkeypatch):
+    g = GridSpec(2, 9)
+    vals = np.where(nonexterior_mask(g), 1.0, np.nan)
+    node = tuple(int(i) for i in np.argwhere(classify_nodes(g) == NodeClass.BOUNDARY)[0])
+    vals[node] = np.nan
+    path = tmp_path / "solution.csv"
+    path.write_bytes(b"x1,x2,value\n0,0,1\n")
+    opened = []
+    monkeypatch.setattr(grid, "open", lambda *args, **kw: opened.append(args), raising=False)
+    with pytest.raises(ValueError, match=re.escape(str(node))):
+        write_field(path, ScalarField(g, vals))
+    assert opened == []
+    assert path.read_bytes() == b"x1,x2,value\n0,0,1\n"
 
 
 def test_exterior_values_are_unset_marker():
