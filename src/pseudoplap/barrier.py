@@ -68,23 +68,24 @@ def _check_barrier_grid(grid: GridSpec, params: BarrierParams) -> None:
         raise ValueError(f"params.N = {params.N} but grid dimension is {grid.dimension}")
 
 
-def _barrier_values(r2: np.ndarray, params: BarrierParams) -> np.ndarray:
-    """The barrier at nodes of squared radius r2, as a new array."""
+def _profile(r2: np.ndarray) -> np.ndarray:
+    """1 - 1/(1 + d) with d = 1 - |x| at nodes of squared radius r2, as a new
+    array: the barrier is boundary_sup + M times it."""
     # in place, so a 3D grid holds two node arrays at a time, not four
-    d = np.sqrt(r2)
-    np.subtract(1.0, d, out=d)
-    vals = 1.0 + d
-    np.divide(1.0, vals, out=vals)
-    np.subtract(1.0, vals, out=vals)
-    vals *= params.M
-    vals += params.boundary_sup
-    return vals
+    g = np.sqrt(r2)
+    np.subtract(1.0, g, out=g)
+    np.add(1.0, g, out=g)
+    np.divide(1.0, g, out=g)
+    np.subtract(1.0, g, out=g)
+    return g
 
 
 def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
     """Barrier evaluated at every non-exterior node; ball-shaped grids only."""
     _check_barrier_grid(grid, params)
-    vals = _barrier_values(_radius_squared(grid), params)
+    vals = _profile(_radius_squared(grid))
+    vals *= params.M
+    vals += params.boundary_sup
     vals[~nonexterior_mask(grid)] = np.nan
     return ScalarField(grid, vals)
 
@@ -95,28 +96,37 @@ def _span(mask: np.ndarray, ax: int) -> slice:
     return slice(hits[0], hits[-1] + 1)
 
 
-def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
-                         exclusion_radius: float) -> float:
-    """Max over interior nodes with |x| >= exclusion_radius of A_nondiv(b) + (p-1) f_sup.
+def verify_supersolution(grid: GridSpec, cases, f_sup: float,
+                         exclusion_radius: float) -> list:
+    """For each BarrierParams in cases, the max over interior nodes with
+    |x| >= exclusion_radius of A_nondiv(b) + (p-1) f_sup, in the order of cases.
 
     Non-positive up to discretization error; the barrier is not C^2 at the
-    origin, hence the exclusion (at least 2h).
+    origin, hence the exclusion (at least 2h).  Every case must fit the grid
+    (a ball of dimension N); an empty sequence gives an empty list.
 
     The check streams slabs of about _SLAB_ELEMENTS nodes along axis 0, each
     with one halo plane on either side and cropped to the box of its
     non-exterior nodes, which holds every stencil neighbour of an interior
-    node.  Each node sees the operations of barrier_field and
-    apply_nondivergence in their order, so the max is theirs bit for bit,
-    while the memory stays a few slabs whatever the grid.
+    node.  Per slab, the box, the node masks and the barrier's unscaled
+    profile, NaN at exterior nodes, are computed once for all cases; each
+    case then scales the profile and applies the operator.  Each node sees
+    the operations of barrier_field and apply_nondivergence in their order,
+    so every max is theirs bit for bit, while the memory stays a few slabs
+    whatever the grid.
     """
     h = grid.spacing
     if exclusion_radius < 2.0 * h * (1.0 - 1e-12):
         raise ValueError(f"exclusion_radius must be >= 2h = {2 * h}, got {exclusion_radius}")
-    _check_barrier_grid(grid, params)
+    cases = list(cases)
+    for params in cases:
+        _check_barrier_grid(grid, params)
+    if not cases:
+        return []
     r2, cls = _radius_squared(grid), classify_nodes(grid)
     n = grid.nodes_per_axis
     height = max(1, _SLAB_ELEMENTS // n ** (grid.dimension - 1))
-    maxima = []
+    maxima = [[] for _ in cases]
     # planes 0 and n-1 lie on faces of the cube, so only halos; every plane
     # between them holds its axis node |x| = |x_0| < 1, so no box is empty
     for first in range(1, n - 1, height):
@@ -124,18 +134,22 @@ def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
         present = cls[planes] != NodeClass.EXTERIOR
         box = (planes,) + tuple(_span(present, ax) for ax in range(1, grid.dimension))
         slab_r2, slab_cls = r2[box], cls[box]
-        vals = _barrier_values(slab_r2, params)
-        vals[slab_cls == NodeClass.EXTERIOR] = np.nan
-        out = np.zeros(vals.shape)
-        add_nondivergence(out, vals, params.p, h)
         sel = (slab_cls[1:-1] == NodeClass.INTERIOR) & (slab_r2[1:-1] >= exclusion_radius**2)
-        if sel.any():
+        if not sel.any():
+            continue
+        profile = _profile(slab_r2)
+        profile[slab_cls == NodeClass.EXTERIOR] = np.nan  # and so is every case's barrier
+        for params, found in zip(cases, maxima):
+            vals = profile * params.M
+            vals += params.boundary_sup
+            out = np.zeros(vals.shape)
+            add_nondivergence(out, vals, params.p, h)
             op = out[1:-1][sel]
             op *= params.p - 1.0
-            maxima.append((op + (params.p - 1.0) * f_sup).max())
-    if not maxima:
+            found.append((op + (params.p - 1.0) * f_sup).max())
+    if not maxima[0]:
         raise ValueError("no interior nodes outside the exclusion radius")
-    return float(np.max(maxima))
+    return [float(np.max(found)) for found in maxima]
 
 
 def supersolution_tolerance(grid: GridSpec, params: BarrierParams, f_sup: float) -> float:

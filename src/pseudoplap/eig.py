@@ -91,6 +91,79 @@ def jacobi_eigh(a: np.ndarray):
     return np.array([rows[k][k] for k in order]), np.array([vcols[k] for k in order]).T
 
 
+def jacobi_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of real symmetric matrices, a[S, n, n] -> w[S, n],
+    each row ascending and equal bit for bit to jacobi_eigh(a[k])[0].
+
+    The stack runs jacobi_eigh's checks, rotations and branches on vectors of
+    S entries, one vector per matrix entry.  Each matrix stops on its own
+    mask: np.where keeps the entries of a finished matrix, and of one whose
+    rotation jacobi_eigh would skip, through the rotations of the others.
+    The off-diagonal norm is summed in jacobi_eigh's row-major order, and
+    |a_k|_F is np.linalg.norm of each matrix on its own, because a stacked
+    norm sums in another order than the BLAS dot it takes on one matrix.
+    No eigenvectors are accumulated.
+
+    Raises jacobi_eigh's errors when any member would raise them: ValueError
+    for input that is not (S, n, n) with n >= 1 or for an asymmetric member,
+    FloatingPointError for a non-finite entry or Frobenius norm; the
+    non-finite entry is reported before an asymmetric one.  An empty stack
+    (S = 0) returns an empty (0, n) array.
+    """
+    A = np.asarray(a, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2] or A.shape[1] == 0:
+        raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
+    stack, n = A.shape[0], A.shape[1]
+    if stack == 0:
+        return np.empty((0, n))
+    if not np.isfinite(A).all():
+        raise FloatingPointError("matrix has a non-finite entry")
+    AT = A.transpose(0, 2, 1)
+    amax = np.abs(A).max(axis=(1, 2))
+    asym = np.abs(A - AT).max(axis=(1, 2))
+    if not (asym <= 1e-12 * np.maximum(1.0, amax)).all():
+        raise ValueError("matrix is not symmetric")
+    A = 0.5 * (A + AT)
+    norm = np.array([np.linalg.norm(m) for m in A])
+    if not np.isfinite(norm).all():
+        raise FloatingPointError("matrix norm overflows")
+    target = TOL * norm
+    # entry (i, j) of every matrix as one contiguous vector T[i, j]
+    T = np.ascontiguousarray(A.transpose(1, 2, 0))
+    off_diagonal = [(i, k) for i in range(n) for k in range(n) if k != i]
+    active = np.ones(stack, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            off = np.zeros(stack)
+            for i, k in off_diagonal:
+                off = off + T[i, k] * T[i, k]
+            active &= ~(np.sqrt(off) <= target)
+            if not active.any():
+                break
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    aij = T[i, j]
+                    diff = T[j, j] - T[i, i]
+                    tiny = (np.abs(aij) <= 1e-300) | (np.abs(aij) < 1e-200 * np.abs(diff))
+                    rotate = active & ~tiny
+                    # the garbage computed for matrices that do not rotate is discarded
+                    theta = diff / (2.0 * aij)
+                    t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                    t = np.where(np.abs(theta) > 1e100, 0.5 / theta, t)
+                    t = np.where(theta == 0.0, 1.0, t)
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    x, y = T[:, i], T[:, j]  # columns i, j
+                    T[:, i], T[:, j] = (np.where(rotate, c * x - s * y, x),
+                                        np.where(rotate, s * x + c * y, y))
+                    x, y = T[i], T[j]  # rows i, j
+                    T[i], T[j] = (np.where(rotate, c * x - s * y, x),
+                                  np.where(rotate, s * x + c * y, y))
+                    # only the diagonal of a finished matrix is read again
+                    T[i, j] = T[j, i] = 0.0
+    return np.sort(np.diagonal(T), axis=1, kind="stable")
+
+
 def spectral_norm(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     w, _ = jacobi_eigh(a)

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eig import jacobi_eigh, spectral_norm
+from .eig import jacobi_eigh, jacobi_eigvals, spectral_norm
 from .moduli import Modulus, check_validity
 
 _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
@@ -126,16 +126,36 @@ def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
     return RadialJet(x=x, M=M, s=s, wp=wp, wpp=wpp, iota=iota, alphaH=alphaH, betaH=betaH)
 
 
+def _stack_matrices(jets, ps) -> tuple:
+    """H1, Htilde, Theta and H, each (S, N, N), of S jets of one N at the
+    exponents ps.
+
+    Every entry sees the operations of the one-jet formulas in their order,
+    and numpy's stacked `@` multiplies each matrix as its 2D `@` does, so
+    matrix k is bit for bit the one jet k gives alone.  Theta's diagonal is
+    raised to its power one jet at a time: `**` with a scalar exponent takes
+    numpy's sqrt at p = 3 and square at p = 6, which pow with an array of
+    exponents does not match bit for bit.
+    """
+    n = jets[0].N
+    x = np.array([r.x for r in jets])
+    s, wp, wpp, iota = np.array([(r.s, r.wp, r.wpp, r.iota) for r in jets]).T
+    unit = x / s[:, None]
+    tangential = (wp / s)[:, None, None]
+    H1 = (wpp[:, None, None] - tangential) * (unit[:, :, None] * unit[:, None, :]) \
+        + tangential * np.eye(n)
+    Htilde = H1 + (2.0 * iota)[:, None, None] * (H1 @ H1)
+    Theta = np.zeros_like(H1)
+    Theta.reshape(len(jets), n * n)[:, ::n + 1] = [
+        np.abs(r.wp * r.x / r.s) ** ((p - 2.0) / 2.0) for r, p in zip(jets, ps)]
+    H = Theta @ Htilde @ Theta
+    return H1, Htilde, Theta, H
+
+
 def _assemble(r: RadialJet, p: float) -> JetMatrices:
     """H1, Htilde, Theta and H of the jet whose scalars are r."""
-    x, s, wp, wpp = r.x, r.s, r.wp, r.wpp
-    unit = x / s
-    H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
-    Htilde = H1 + 2.0 * r.iota * (H1 @ H1)
-    theta_diag = np.abs(wp * x / s) ** ((p - 2.0) / 2.0)
-    Theta = np.diag(theta_diag)
-    H = Theta @ Htilde @ Theta
-    return JetMatrices(x=x, M=r.M, s=s, wp=wp, wpp=wpp, iota=r.iota, alphaH=r.alphaH,
+    H1, Htilde, Theta, H = (m[0] for m in _stack_matrices([r], [p]))
+    return JetMatrices(x=r.x, M=r.M, s=r.s, wp=r.wp, wpp=r.wpp, iota=r.iota, alphaH=r.alphaH,
                        betaH=r.betaH, p=p, H1=H1, Htilde=Htilde, Theta=Theta, H=H)
 
 
@@ -189,16 +209,23 @@ def _large_branch_axes(r: RadialJet, eps: float) -> np.ndarray:
     return idx
 
 
-def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
-                        branch: str = "auto"):
-    """Certify the negative-eigenvalue bound for H(x) via the Rayleigh quotient.
+@dataclass(frozen=True)
+class MinEigTerms:
+    """What the eigenvalue bound at one x needs besides H: the jet's scalars r
+    (damping 1/(4 |H1|)), p, the test vector w and the bound."""
 
-    Small branch (p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
-    Large branch (p >= 4): requires a nonempty index set and the damped
-    inequality checked by JetMatrices.eq_n_epsilon; then
-    lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
+    r: RadialJet
+    p: float
+    w: np.ndarray
+    bound: float
 
-    Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H).
+
+def min_eig_terms(x, p: float, eps: float | None, modulus: Modulus,
+                  branch: str = "auto") -> MinEigTerms:
+    """The part of min_eig_bound_check that builds no matrix.
+
+    Raises its ValueErrors: a bad branch, an invalid x, and on the large
+    branch an empty index set or a failing damped inequality.
     """
     x = np.asarray(x, dtype=float)
     if branch == "auto":
@@ -221,11 +248,46 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
         w = test_vector(x, p, idx)  # index-restricted (p = 4 included)
         bound = (1.0 - n * s ** (2.0 * eps)) / len(idx) \
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
-    jm = _assemble(r, p)
-    rayleigh = float(w @ jm.H @ w) / float(w @ w)
-    lam_min = float(jacobi_eigh(jm.H)[0][0])
-    slack = bound - lam_min
-    return rayleigh, bound, slack
+    return MinEigTerms(r=r, p=p, w=w, bound=bound)
+
+
+def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
+                        branch: str = "auto"):
+    """Certify the negative-eigenvalue bound for H(x) via the Rayleigh quotient.
+
+    Small branch (p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
+    Large branch (p >= 4): requires a nonempty index set and the damped
+    inequality checked by JetMatrices.eq_n_epsilon; then
+    lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
+
+    Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H).
+    min_eig_bound_checks gives the same triples for many x at once.
+    """
+    t = min_eig_terms(x, p, eps, modulus, branch)
+    H = _assemble(t.r, p).H
+    rayleigh = float(t.w @ H @ t.w) / float(t.w @ t.w)
+    lam_min = float(jacobi_eigh(H)[0][0])
+    return rayleigh, t.bound, t.bound - lam_min
+
+
+def min_eig_bound_checks(terms) -> list:
+    """min_eig_bound_check's (rayleigh, bound, slack) for each MinEigTerms, in
+    order, bit for bit.
+
+    The terms of each N share one stacked H and one jacobi_eigvals call; the
+    Rayleigh quotient is taken per matrix, as min_eig_bound_check takes it.
+    """
+    out = [None] * len(terms)
+    by_n = {}
+    for k, t in enumerate(terms):
+        by_n.setdefault(t.r.N, []).append(k)
+    for ks in by_n.values():
+        group = [terms[k] for k in ks]
+        H = _stack_matrices([t.r for t in group], [t.p for t in group])[3]
+        for k, t, Hk, lam_min in zip(ks, group, H, jacobi_eigvals(H)[:, 0]):
+            rayleigh = float(t.w @ Hk @ t.w) / float(t.w @ t.w)
+            out[k] = (rayleigh, t.bound, t.bound - float(lam_min))
+    return out
 
 
 def _doubling_block(A: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""The full-field supersolution check, kept as the bitwise reference for the
-slab-streamed `barrier.verify_supersolution`.
+"""The full-field supersolution check, kept as the bitwise reference for
+the slab-streamed `barrier.verify_supersolution`, and the per-(N, p) barrier
+sampler that calls it once per case, the reference for `lemmas.barrier_rows`.
 
 It evaluates the barrier and the non-divergence operator on the whole grid
 at once and takes one max over the selected nodes.
 """
 
-from pseudoplap.barrier import BarrierParams, barrier_field
+from pseudoplap.barrier import BarrierParams, barrier_field, min_barrier_M
+from pseudoplap.barrier import supersolution_tolerance
 from pseudoplap.grid import GridSpec, interior_mask, _radius_squared
 from pseudoplap.operators import apply_nondivergence
 
@@ -22,3 +24,22 @@ def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
     if not sel.any():
         raise ValueError("no interior nodes outside the exclusion radius")
     return float((op.values[sel] + (params.p - 1.0) * f_sup).max())
+
+
+def barrier_rows(nodes: int, p_list, n_list):
+    """Discrete supersolution check of the minimal barrier on the unit ball, per (N, p).
+
+    Rows: p, N, nodes, M, violation, tolerance, pass.
+    """
+    rows = []
+    ok = True
+    for N in n_list:
+        grid = GridSpec(N, nodes, "ball")
+        for p in p_list:
+            M = min_barrier_M(p, N, 1.0)
+            params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
+            viol = verify_supersolution(grid, params, 1.0, 3.0 * grid.spacing)
+            tol = supersolution_tolerance(grid, params, 1.0)
+            rows.append([p, N, nodes, M, viol, tol, viol <= tol])
+            ok = ok and viol <= tol
+    return rows, ok

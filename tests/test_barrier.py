@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_supersolution_at_selected_pairs():
         g = GridSpec(N, 65)
         M = min_barrier_M(p, N, 1.0)
         params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
-        viol = verify_supersolution(g, params, 1.0, 3.0 * g.spacing)
+        [viol] = verify_supersolution(g, [params], 1.0, 3.0 * g.spacing)
         assert viol <= supersolution_tolerance(g, params, 1.0)
         assert viol <= 0.0  # concavity makes every discrete term non-positive
 
@@ -59,7 +61,7 @@ def test_supersolution_at_selected_pairs():
 def test_supersolution_homogeneous_rhs():
     g = GridSpec(2, 65)
     params = BarrierParams(M=1.0, boundary_sup=0.0, p=3.0, N=2)
-    viol = verify_supersolution(g, params, 0.0, 3.0 * g.spacing)
+    [viol] = verify_supersolution(g, [params], 0.0, 3.0 * g.spacing)
     assert viol <= supersolution_tolerance(g, params, 0.0)
 
 
@@ -69,7 +71,7 @@ def test_supersolution_fails_when_M_too_small():
     g = GridSpec(1, 129)
     M = min_barrier_M(5.0, 1, 1.0)
     params = BarrierParams(M=0.5 * M, boundary_sup=0.0, p=5.0, N=1)
-    viol = verify_supersolution(g, params, 1.0, 3.0 * g.spacing)
+    [viol] = verify_supersolution(g, [params], 1.0, 3.0 * g.spacing)
     assert viol > 0.0
 
 
@@ -79,7 +81,7 @@ def test_supersolution_margin_survives_halving_at_small_p():
     g = GridSpec(2, 129)
     M = min_barrier_M(3.0, 2, 1.0)
     params = BarrierParams(M=0.5 * M, boundary_sup=0.0, p=3.0, N=2)
-    viol = verify_supersolution(g, params, 1.0, 3.0 * g.spacing)
+    [viol] = verify_supersolution(g, [params], 1.0, 3.0 * g.spacing)
     assert viol <= 0.0
 
 
@@ -87,7 +89,7 @@ def test_supersolution_rejects_small_exclusion():
     g = GridSpec(2, 65)
     params = BarrierParams(M=1.0, boundary_sup=0.0, p=3.0, N=2)
     with pytest.raises(ValueError, match="exclusion_radius"):
-        verify_supersolution(g, params, 0.0, g.spacing)
+        verify_supersolution(g, [params], 0.0, g.spacing)
 
 
 def test_linf_bound_trivial_and_1d():
@@ -159,14 +161,25 @@ P_LIST = (2.5, 3.0, 4.0, 5.0, 6.0)
 GRIDS = ((1, 129), (2, 65), (3, 33))
 
 
-def assert_matches_reference(grid, params, f_sup, exclusion_radius):
-    got = verify_supersolution(grid, params, f_sup, exclusion_radius)
-    want = barrier_reference.verify_supersolution(grid, params, f_sup, exclusion_radius)
+def assert_same_max(got, want):
     assert got == want and np.signbit(got) == np.signbit(want), (got, want)
+
+
+def assert_matches_reference(grid, params, f_sup, exclusion_radius):
+    [got] = verify_supersolution(grid, [params], f_sup, exclusion_radius)
+    assert_same_max(got, barrier_reference.verify_supersolution(grid, params, f_sup,
+                                                                exclusion_radius))
 
 
 def minimal_params(p, N, boundary_sup=0.0):
     return BarrierParams(M=min_barrier_M(p, N, 1.0), boundary_sup=boundary_sup, p=p, N=N)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_max(N, n, p, boundary_sup, f_sup, exclusion_radius):
+    """The full-field max, which the slab heights below share."""
+    return barrier_reference.verify_supersolution(
+        GridSpec(N, n), minimal_params(p, N, boundary_sup), f_sup, exclusion_radius)
 
 
 # slab heights: one slab for the whole grid, 1 plane, and 3 planes (at 3D
@@ -175,17 +188,24 @@ def minimal_params(p, N, boundary_sup=0.0):
 @pytest.mark.parametrize("N, n", GRIDS)
 @pytest.mark.parametrize("p", P_LIST)
 def test_supersolution_matches_full_field_reference(monkeypatch, slab_planes, N, n, p):
+    # every p and boundary_sup in one call, starting at p: the cases share the
+    # slabs' profile, and no case may see another's
     grid = GridSpec(N, n)
     assert n ** N < barrier._SLAB_ELEMENTS  # the default slab holds the whole grid
     if slab_planes is not None:
         monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", slab_planes * n ** (N - 1))
     h = grid.spacing
-    for boundary_sup in (0.0, 0.75):
-        params = minimal_params(p, N, boundary_sup)
-        for f_sup in (1.0, 0.0):
-            # the smallest radius allowed, the default, and ever thinner outer shells
-            for exclusion_radius in (2.0 * h, 3.0 * h, 0.5, 0.8, 1.0 - 3.0 * h):
-                assert_matches_reference(grid, params, f_sup, exclusion_radius)
+    first = P_LIST.index(p)
+    cases = [minimal_params(q, N, boundary_sup) for boundary_sup in (0.0, 0.75)
+             for q in P_LIST[first:] + P_LIST[:first]]
+    for f_sup in (1.0, 0.0):
+        # the smallest radius allowed, the default, and ever thinner outer shells
+        for exclusion_radius in (2.0 * h, 3.0 * h, 0.5, 0.8, 1.0 - 3.0 * h):
+            got = verify_supersolution(grid, cases, f_sup, exclusion_radius)
+            assert len(got) == len(cases)
+            for params, viol in zip(cases, got):
+                assert_same_max(viol, reference_max(N, n, params.p, params.boundary_sup,
+                                                    f_sup, exclusion_radius))
 
 
 def test_supersolution_exclusion_radius_edge():
@@ -208,9 +228,17 @@ def test_supersolution_exclusion_radius_edge():
 ])
 def test_supersolution_errors_match_reference(grid, N, exclusion_radius, match):
     params = minimal_params(3.0, N)
-    for check in (verify_supersolution, barrier_reference.verify_supersolution):
-        with pytest.raises(ValueError, match=match):
-            check(grid, params, 1.0, exclusion_radius)
+    with pytest.raises(ValueError, match=match):
+        barrier_reference.verify_supersolution(grid, params, 1.0, exclusion_radius)
+    # the same error with a case of the grid's dimension ahead of the failing one
+    cases = [minimal_params(3.0, grid.dimension), params]
+    with pytest.raises(ValueError, match=match):
+        verify_supersolution(grid, cases, 1.0, exclusion_radius)
+
+
+def test_supersolution_empty_sequence():
+    grid = GridSpec(2, 65)
+    assert verify_supersolution(grid, [], 1.0, 3.0 * grid.spacing) == []
 
 
 def test_barrier_params_reject_non_finite():

@@ -14,6 +14,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,5 +60,8 @@ def test_benchmark_hook_call_shapes():
 
     w, V = jacobi_eigh(np.diag([2.0, 1.0]))
     assert list(w) == [1.0, 2.0] and V.shape == (2, 2)
+    # its hook checks argument 0 as one matrix, so the traced name takes no stack
+    with pytest.raises(ValueError, match="square matrix"):
+        jacobi_eigh(np.zeros((2, 2, 2)))
     for fn in (write_csv, write_field, svg_line_plot):
         assert next(iter(inspect.signature(fn).parameters)) == "path", fn.__name__

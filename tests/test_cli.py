@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import barrier_reference
 import field_writer_reference
 import jacobi_reference
+import min_eig_reference
 import pair_scan_reference
 from pseudoplap import claims, cli, eig, jets, regularity
 from pseudoplap.cli import main
@@ -271,6 +273,23 @@ def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
     shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
     assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
     assert "pair_samples.csv" in shipped
+    for name in shipped:
+        assert (tmp_path / "shipped" / name).read_bytes() \
+            == (tmp_path / "reference" / name).read_bytes(), name
+
+
+def test_verify_lemmas_csvs_match_reference_samplers(tmp_path, monkeypatch):
+    # the stacked eigenvalue-bound sampler and the one-call-per-N barrier check
+    # must leave every row unchanged
+    config = str(CONFIGS / "verify_lemmas_small.ini")
+    args = ["verify-lemmas", "--config", config, "--seed", "42", "--out"]
+    code = main(args + [str(tmp_path / "shipped")])
+    monkeypatch.setattr(cli, "min_eig_rows", min_eig_reference.min_eig_rows)
+    monkeypatch.setattr(cli, "barrier_rows", barrier_reference.barrier_rows)
+    assert main(args + [str(tmp_path / "reference")]) == code
+    shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
+    assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
+    assert {"min_eig_samples.csv", "barrier_checks.csv"} <= set(shipped)
     for name in shipped:
         assert (tmp_path / "shipped" / name).read_bytes() \
             == (tmp_path / "reference" / name).read_bytes(), name

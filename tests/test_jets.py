@@ -3,7 +3,10 @@ import pytest
 
 from pseudoplap.eig import jacobi_eigh, spectral_norm
 from pseudoplap.jets import (
+    _assemble,
     _jet,
+    _radial,
+    _stack_matrices,
     build_jet_matrices,
     feasible_pair_sample,
     index_set,
@@ -26,6 +29,36 @@ def test_jet_matrices_1d_example():
     jm = build_jet_matrices(np.array([0.5]), 10.0, 3.0, mod)
     assert abs(jm.H1[0, 0] - (-(0.25) * 0.5**-1.5)) < 1e-14
     assert abs(jm.Theta[0, 0] - mod.omega_prime(0.5) ** 0.5) < 1e-14
+
+
+def assemble_reference(r, p):
+    """H1, Htilde, Theta and H of one jet by the formulas on 2D arrays: the
+    reference for the stacked _stack_matrices."""
+    x, s, wp, wpp = r.x, r.s, r.wp, r.wpp
+    unit = x / s
+    H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
+    Htilde = H1 + 2.0 * r.iota * (H1 @ H1)
+    Theta = np.diag(np.abs(wp * x / s) ** ((p - 2.0) / 2.0))
+    return H1, Htilde, Theta, Theta @ Htilde @ Theta
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_stacked_matrices_match_one_jet_formulas(N):
+    # p = 3 and p = 6 give numpy's sqrt and square exponents, the others pow
+    rng = np.random.default_rng(N)
+    rs, ps = [], []
+    for k in range(200):
+        x = random_point(rng, N, 10 ** rng.uniform(-4, -0.5))
+        mod = HolderModulus(float(rng.uniform(0.1, 0.9)))
+        rs.append(_radial(x, mod, float(rng.uniform(1.5, 50.0))))
+        ps.append((3.0, 6.0, 4.0, float(rng.uniform(2.05, 8.0)))[k % 4])
+    stacked = _stack_matrices(rs, ps)
+    for k, (r, p) in enumerate(zip(rs, ps)):
+        jm = _assemble(r, p)
+        for got, alone, want in zip((m[k] for m in stacked),
+                                    (jm.H1, jm.Htilde, jm.Theta, jm.H),
+                                    assemble_reference(r, p)):
+            assert np.array_equal(got, want) and np.array_equal(alone, want), (k, p)
 
 
 def test_jet_h1_eigenstructure():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import barrier_reference
+import min_eig_reference
 from pseudoplap import claims, jets, lemmas
 from pseudoplap.lemmas import lipschitz_modulus
 
@@ -65,11 +67,41 @@ def test_pair_rows_one_jet_per_attempt(work, monkeypatch):
 
 
 def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
-    samples = count_calls(monkeypatch, lemmas, "min_eig_bound_check")
+    draws = count_calls(monkeypatch, lemmas, "min_eig_terms")  # one per draw
+    stacked = []
+    stack = jets._stack_matrices
+
+    def counted_stack(rs, ps):
+        stacked.append(len(rs))
+        return stack(rs, ps)
+
+    monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
     rows, _ = lemmas.min_eig_rows(np.random.default_rng(4), 20)
     assert len(rows) == 40 and {row[0] for row in rows} == {"small", "large"}
-    # a rejected large-branch draw builds no matrices
-    assert work["jets"] == len(rows) < len(samples)
+    # one H per accepted draw, in one stack per N; a rejected large-branch
+    # draw builds no matrices
+    assert work["jets"] == 0
+    assert len(stacked) == len({row[2] for row in rows})
+    assert sum(stacked) == len(rows) < len(draws)
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7, 101])
+@pytest.mark.parametrize("samples", [1, 20])
+def test_min_eig_rows_match_serial_reference(monkeypatch, seed, samples):
+    # with one draw per branch at least one N has no row, so no stack; with
+    # 20, the 40 rows take six batches of at most 7
+    monkeypatch.setattr(lemmas, "_MIN_EIG_BATCH", 7)
+    rows, worst = lemmas.min_eig_rows(np.random.default_rng(seed), samples)
+    want_rows, want_worst = min_eig_reference.min_eig_rows(np.random.default_rng(seed), samples)
+    assert rows == want_rows and worst == want_worst
+    if samples == 1:
+        assert len({row[2] for row in rows}) < 3
+
+
+def test_barrier_rows_match_per_case_reference():
+    p_list, n_list = (2.5, 3.0, 4.0, 5.0, 6.0), (1, 2, 3)
+    assert lemmas.barrier_rows(33, p_list, n_list) \
+        == barrier_reference.barrier_rows(33, p_list, n_list)
 
 
 @pytest.mark.parametrize("regime", ["holder_large_p", "lipschitz_small_p"])

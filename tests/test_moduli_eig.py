@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacobi_reference
-from pseudoplap.eig import jacobi_eigh, spectral_norm
+from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm
 from pseudoplap.moduli import HolderModulus, LipschitzModulus, check_validity
 
 
@@ -120,6 +120,8 @@ def _reference_cases():
         yield np.zeros((n, n))
     # the underflow branch, entered by |a_01| <= 1e-300 and by |a_01| < 1e-200 |a_11 - a_00|
     yield np.array([[0.0, 1e-301, 1.0], [1e-301, 1.0, 2.0], [1.0, 2.0, 3.0]])
+    # and by a_01 = 0 with a_00 = a_11, where theta would be 0/0
+    yield np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
     yield np.array([[0.0, 1e-60, 1e145], [1e-60, 1e150, 0.0], [1e145, 0.0, 0.0]])
     # |theta_01| = 5e109 > 1e100, while a_02 keeps the sweep going: the t ~ 1/(2 theta) branch
     yield np.array([[0.0, 1.0, 1e105], [1.0, 1e110, 0.0], [1e105, 0.0, 0.0]])
@@ -131,6 +133,60 @@ def test_jacobi_bitwise_matches_reference():
         w, V = jacobi_eigh(a)
         w_ref, V_ref = jacobi_reference.jacobi_eigh(a)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref), a
+
+
+# off-diagonal norms below TOL |A|_F, so no rotation: rotated anyway, their
+# nearly equal diagonal entries would split by about 1e-14
+FINISHED = (np.array([[1.0, 1e-14], [1e-14, 1.0]]),
+            np.array([[2.0, 1e-14, 0.0], [1e-14, 2.0, 3e-14], [0.0, 3e-14, 2.0]]))
+
+
+def test_jacobi_eigvals_bitwise_matches_reference():
+    # one stack per size: each mixes matrices that stop on different sweeps
+    # (zero, diagonal and FINISHED ones before the first) and the branch cases
+    by_size = {}
+    for a in (*_reference_cases(), *FINISHED):
+        by_size.setdefault(len(a), []).append(a)
+    assert sorted(by_size) == [1, 2, 3, 4, 5, 6]
+    for stack in by_size.values():
+        w = jacobi_eigvals(np.array(stack))
+        assert w.shape == (len(stack), len(stack[0]))
+        for a, wk in zip(stack, w):
+            w_ref = jacobi_reference.jacobi_eigh(a)[0]
+            assert np.array_equal(wk, w_ref) and np.array_equal(np.signbit(wk),
+                                                                np.signbit(w_ref)), a
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jacobi_eigvals_rejects_non_finite_member(bad):
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = stack[2, 1, 0] = bad
+    with pytest.raises(FloatingPointError, match="non-finite") as info:
+        jacobi_eigvals(stack)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_jacobi_eigvals_rejects_norm_overflow():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1e200], [1e200, 0.0]])])
+    with pytest.raises(FloatingPointError, match="norm overflows"), np.errstate(over="ignore"):
+        jacobi_eigvals(stack)
+
+
+def test_jacobi_eigvals_rejects_asymmetric_member():
+    stack = np.stack([np.eye(2), np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]), np.eye(2)])
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigvals(stack)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (1, 0, 0), (2, 2, 2, 2)])
+def test_jacobi_eigvals_rejects_non_stack(shape):
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        jacobi_eigvals(np.zeros(shape))
+
+
+def test_jacobi_eigvals_empty_stack():
+    w = jacobi_eigvals(np.zeros((0, 3, 3)))
+    assert w.shape == (0, 3) and w.dtype == float
 
 
 def test_spectral_norm():
