@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, NodeClass, ScalarField, boundary_mask, classify_nodes
-from .grid import interior_mask, node_coordinates, nonexterior_mask, _radius_squared
+from .grid import interior_mask, node_coordinates, _radius_squared
 from .operators import add_nondivergence, apply_divergence
 
 # Nodes per slab of the streamed supersolution check: at 3D n = 129 a slab is
@@ -80,16 +80,6 @@ def _profile(r2: np.ndarray) -> np.ndarray:
     return g
 
 
-def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
-    """Barrier evaluated at every non-exterior node; ball-shaped grids only."""
-    _check_barrier_grid(grid, params)
-    vals = _profile(_radius_squared(grid))
-    vals *= params.M
-    vals += params.boundary_sup
-    vals[~nonexterior_mask(grid)] = np.nan
-    return ScalarField(grid, vals)
-
-
 def _span(mask: np.ndarray, ax: int) -> slice:
     """The smallest index range along ax that holds every True entry of mask."""
     hits = np.flatnonzero(mask.any(axis=tuple(k for k in range(mask.ndim) if k != ax)))
@@ -111,9 +101,9 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     node.  Per slab, the box, the node masks and the barrier's unscaled
     profile, NaN at exterior nodes, are computed once for all cases; each
     case then scales the profile and applies the operator.  Each node sees
-    the operations of barrier_field and apply_nondivergence in their order,
-    so every max is theirs bit for bit, while the memory stays a few slabs
-    whatever the grid.
+    the operations of the full-field barrier and apply_nondivergence in
+    their order (tests/barrier_reference.py), so every max is theirs bit for
+    bit, while the memory stays a few slabs whatever the grid.
     """
     h = grid.spacing
     if exclusion_radius < 2.0 * h * (1.0 - 1e-12):

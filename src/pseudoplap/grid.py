@@ -66,17 +66,20 @@ def _radius_squared(grid: GridSpec, combine=np.add) -> np.ndarray:
     return r2
 
 
-@functools.lru_cache(maxsize=None)
-def axis_slices(ndim: int, ax: int) -> tuple:
-    """(lo, hi, core) along ax: drop the last, the first, and both end entries.
+def axis_strides(shape: tuple) -> tuple:
+    """Per axis, the flat offset of one step along it in a C-ordered array of
+    this shape: the product of the trailing extents.
 
-    The link layout of every stencil: a[hi] - a[lo] of a node array are its
-    differences across the links along ax, one per link; of a link array they
-    are backward differences, which land on the nodes a[core].
+    The link layout of every stencil: along an axis of stride s, the link
+    j -> j + s joins flat node j to its neighbour, for j < size - s; link
+    arrays are indexed by j.  A link from the last node of a row along the
+    axis wraps to the first node of the next row and is no link of the grid.
     """
-    lo, hi, core = ([slice(None)] * ndim for _ in range(3))
-    lo[ax], hi[ax], core[ax] = slice(None, -1), slice(1, None), slice(1, -1)
-    return tuple(lo), tuple(hi), tuple(core)
+    strides, s = [], 1
+    for extent in reversed(shape):
+        strides.append(s)
+        s *= extent
+    return tuple(reversed(strides))
 
 
 @functools.lru_cache(maxsize=64)
@@ -85,45 +88,49 @@ def classify_nodes(grid: GridSpec) -> np.ndarray:
 
     Ball and cube share one rule, in the squared Euclidean or max norm r2:
     interior is r2 < 1 with every axis neighbour at r2 <= 1.  Nodes on the
-    faces of [-1,1]^N have r2 >= 1, so no neighbour test falls off the grid.
+    faces of [-1,1]^N have r2 >= 1, so no neighbour test falls off the grid,
+    and a flat neighbour test that wraps across a row only reaches face nodes.
     """
     r2 = _radius_squared(grid, np.maximum) if grid.shape == "cube" else _radius_squared(grid)
-    in_closed = r2 <= 1.0
-    interior = r2 < 1.0
-    for ax in range(grid.dimension):
-        lo, hi, _ = axis_slices(grid.dimension, ax)
-        interior[lo] &= in_closed[hi]  # neighbour at +h
-        interior[hi] &= in_closed[lo]  # neighbour at -h
+    in_closed = (r2 <= 1.0).ravel()
+    interior = (r2 < 1.0).ravel()
+    for s in axis_strides(grid.node_shape):
+        interior[:-s] &= in_closed[s:]  # neighbour at +h
+        interior[s:] &= in_closed[:-s]  # neighbour at -h
     cls = np.full(grid.node_shape, NodeClass.EXTERIOR, dtype=np.int8)
-    cls[in_closed] = NodeClass.BOUNDARY
-    cls[interior] = NodeClass.INTERIOR
+    cls[in_closed.reshape(grid.node_shape)] = NodeClass.BOUNDARY
+    cls[interior.reshape(grid.node_shape)] = NodeClass.INTERIOR
     cls.setflags(write=False)
     return cls
 
 
 @functools.lru_cache(maxsize=64)
-def link_masks(grid: GridSpec) -> tuple:
-    """Per axis, the links whose two end nodes are both non-exterior."""
-    ok = nonexterior_mask(grid)
+def off_links(grid: GridSpec) -> tuple:
+    """Per axis, over its flat links (see axis_strides), those that carry no
+    flux: a link that wraps across a row, or one with an exterior end node."""
+    ok = nonexterior_mask(grid).ravel()
+    n = grid.nodes_per_axis
     masks = []
-    for ax in range(grid.dimension):
-        lo, hi, _ = axis_slices(grid.dimension, ax)
-        m = ok[lo] & ok[hi]
+    for s in axis_strides(grid.node_shape):
+        wraps = np.arange(ok.size - s) // s % n == n - 1
+        m = wraps | ~(ok[:-s] & ok[s:])
         m.setflags(write=False)
         masks.append(m)
     return tuple(masks)
 
 
+# The masks compare with each class's plain int: an IntEnum member costs
+# numpy about 6 us more per comparison, a sixth of a 1D energy() call.
 def interior_mask(grid: GridSpec) -> np.ndarray:
-    return classify_nodes(grid) == NodeClass.INTERIOR
+    return classify_nodes(grid) == NodeClass.INTERIOR.value
 
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
-    return classify_nodes(grid) == NodeClass.BOUNDARY
+    return classify_nodes(grid) == NodeClass.BOUNDARY.value
 
 
 def nonexterior_mask(grid: GridSpec) -> np.ndarray:
-    return classify_nodes(grid) != NodeClass.EXTERIOR
+    return classify_nodes(grid) != NodeClass.EXTERIOR.value
 
 
 def node_coordinates(grid: GridSpec, multi_index: np.ndarray) -> np.ndarray:

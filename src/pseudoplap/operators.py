@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ScalarField, axis_slices, interior_mask, link_masks
+from .grid import ScalarField, axis_strides, interior_mask, off_links
 
 
 def phi_p(t: np.ndarray, p: float) -> np.ndarray:
@@ -31,29 +31,34 @@ def _check_apply_args(u: ScalarField, p: float) -> None:
     u.validate_finite()
 
 
-def axis_difference(a: np.ndarray, ax: int) -> np.ndarray:
-    """a[hi] - a[lo] along ax (see grid.axis_slices): across each link for a
-    node array; for a link array, its backward differences on the core nodes."""
-    lo, hi, _ = axis_slices(a.ndim, ax)
-    return a[hi] - a[lo]
+def axis_difference(a: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """out = a[s:] - a[:-s] over flat arrays (see grid.axis_strides): across each
+    link of stride s for a node array; for a link array, its backward
+    differences, which land on the nodes s .. len(a) - 1."""
+    return np.subtract(a[s:], a[:-s], out=out)
 
 
-def link_differences(v: np.ndarray, ax: int, h: float, off: np.ndarray) -> np.ndarray:
-    """D_i v = (v[hi] - v[lo]) / h along ax, one per link; 0 on the links `off`
-    (those that touch an exterior node, where v may be NaN)."""
-    d = axis_difference(v, ax)
-    d /= h
-    np.copyto(d, 0.0, where=off)
-    return d
+def link_differences(v: np.ndarray, s: int, h: float, off: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """D v = (v[j + s] - v[j]) / h on each flat link j of stride s, into out;
+    0 on the links `off` (wraps, and links that touch an exterior node, where
+    v may be NaN)."""
+    axis_difference(v, s, out)
+    out /= h
+    np.copyto(out, 0.0, where=off)
+    return out
 
 
-def add_divergence(out: np.ndarray, flux: np.ndarray, ax: int, h: float) -> None:
-    """out[core] += (flux[hi] - flux[lo]) / h: the divergence along ax of a
-    link flux, on the nodes that have a link on both sides."""
-    _, _, core = axis_slices(out.ndim, ax)
-    div = axis_difference(flux, ax)
+def add_divergence(out: np.ndarray, flux: np.ndarray, s: int, h: float,
+                   scratch: np.ndarray) -> None:
+    """out[j] += (flux[j] - flux[j - s]) / h for s <= j < len(flux): the
+    divergence of a link flux of stride s on the nodes with a link on either
+    side.  The nodes at the ends of rows get a term from a wrap link; they
+    lie on faces of the cube, never in the interior, and callers mask them.
+    `scratch` holds at least len(flux) - s values."""
+    div = axis_difference(flux, s, scratch[:len(flux) - s])
     div /= h
-    out[core] += div
+    out[s:len(flux)] += div
 
 
 def apply_divergence(u: ScalarField, p: float) -> ScalarField:
@@ -61,32 +66,40 @@ def apply_divergence(u: ScalarField, p: float) -> ScalarField:
     _check_apply_args(u, p)
     grid = u.grid
     h = grid.spacing
-    out = np.zeros(grid.node_shape)
-    for ax, links in enumerate(link_masks(grid)):
-        flux = phi_p(link_differences(u.values, ax, h, ~links), p)
-        add_divergence(out, flux, ax, h)
+    v = u.values.reshape(-1)
+    out, scratch = np.zeros(v.size), np.empty(v.size)
+    for s, off in zip(axis_strides(grid.node_shape), off_links(grid)):
+        flux = phi_p(link_differences(v, s, h, off, np.empty(off.size)), p)
+        add_divergence(out, flux, s, h, scratch)
+    out = out.reshape(grid.node_shape)
     out[~interior_mask(grid)] = np.nan
     return ScalarField(grid, out)
 
 
 def add_nondivergence(out: np.ndarray, v: np.ndarray, p: float, h: float) -> None:
-    """out[core] += |D_i^c v|^{p-2} D_i^2 v along each axis in turn, on the nodes
-    with a neighbour on both sides; the factor p-1 is left to the caller."""
-    for ax in range(v.ndim):
-        lo, hi, core = axis_slices(v.ndim, ax)
-        vl, vm, vh = v[lo][lo], v[core], v[hi][hi]  # v[i-1], v[i], v[i+1]
-        # in place: two temporaries per axis instead of five, same values bit for bit
-        coef = vh - vl
+    """out += |D_i^c v|^{p-2} D_i^2 v along each axis in turn, the factor p-1
+    left to the caller; out and v are C-ordered arrays of one shape.
+
+    Flat, node j takes v[j - s], v[j], v[j + s] along an axis of stride s,
+    for s <= j < size - s.  That is right on every node with a neighbour on
+    both sides along every axis; the others get terms from wrapped
+    neighbours or none, and callers mask them.
+    """
+    vf, of = v.reshape(-1), out.reshape(-1)
+    coef_buf, second_buf = np.empty(vf.size), np.empty(vf.size)
+    for s in axis_strides(v.shape):
+        m = max(vf.size - 2 * s, 0)
+        vl, vm, vh = vf[:m], vf[s:s + m], vf[2 * s:2 * s + m]  # v[j-s], v[j], v[j+s]
+        coef = np.subtract(vh, vl, out=coef_buf[:m])
         coef /= 2.0 * h
         np.abs(coef, out=coef)
         coef **= p - 2.0
-        second = 2.0 * vm
+        second = np.multiply(2.0, vm, out=second_buf[:m])
         np.subtract(vh, second, out=second)
         second += vl
         second /= h * h
         coef *= second
-        out[core] += coef
-        del coef, second
+        of[s:s + m] += coef
 
 
 def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:

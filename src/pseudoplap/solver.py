@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, axis_slices, boundary_mask, interior_mask, link_masks
-from .grid import node_coordinates, nonexterior_mask
-from .operators import add_divergence, axis_difference, link_differences
+from .grid import GridSpec, ScalarField, axis_strides, boundary_mask, interior_mask
+from .grid import node_coordinates, nonexterior_mask, off_links
+from .operators import add_divergence, link_differences
 
 _EPS = float(np.finfo(float).eps)
 # Armijo line search: sufficient decrease, step shrink, halvings before "stalled".
@@ -101,14 +101,29 @@ class SolveReport:
 
 
 class _Workspace:
-    """Raw-array kernels and buffers shared by the public energy/gradient/solver entry points.
+    """Flat-stride kernels and buffers shared by the public energy/gradient/solver entry points.
 
-    `fill_weights(v)` keeps v and its link weights |D_i v|^(p-2); `energy(v)`
-    does so on its way to J(v).  `residual()` reuses them, and `newton_step`
-    turns the weights into the Hessian's, so the power is taken once per
-    evaluated field.  The buffers are allocated once per solve; `spare`
-    serves PCG as scratch and, between Newton steps, the line search as its
-    trial point.
+    Node arrays are C-ordered and used flat: along axis ax of stride s
+    (grid.axis_strides), link j joins nodes j and j + s, and grid.off_links
+    marks the links that carry no flux.  Every kernel is a contiguous slice
+    operation into one of these buffers, each one node array long:
+
+    * `weights[ax]`: the link weights |D_ax v|^(p-2) of the last field given
+      to `fill_weights` or `energy`; `newton_step` turns them into H's;
+    * `flux`: one link array, shared by the axes in turn;
+    * `scratch`: one more, for divergences, the energy's row gathers and the
+      f-term;
+    * `resid`: the last `residual()`, and CG's residual in `newton_step`;
+    * `step`, `inv_diag`, `cg_dir`, `spare`: the Newton step, the inverse of
+      H's diagonal, CG's search direction, and `spare`, which holds H d and
+      then the preconditioned residual and, between Newton steps, serves the
+      line search as its trial point.  The first `newton_step` allocates
+      these, so `energy()` and `energy_gradient()` do without them.
+
+    `residual()` reuses the weights, and `newton_step` turns them into the
+    Hessian's, so the power is taken once per evaluated field.  After the
+    first `newton_step` the buffers are all a solve needs: the CG loop
+    allocates nothing.
     """
 
     def __init__(self, prob: EnergyProblem):
@@ -117,58 +132,110 @@ class _Workspace:
         self.h = g.spacing
         self.hN = self.h**g.dimension
         self.interior = interior_mask(g)
-        self.outside = ~self.interior
-        self.n_interior = int(self.interior.sum())
-        self.f = prob.f.values  # finite on the interior; may be NaN elsewhere
-        self.off_links = tuple(~m for m in link_masks(g))
+        self.inside = self.interior.reshape(-1)
+        self.outside = ~self.inside
+        self.n_interior = int(self.inside.sum())
+        self.f = prob.f.values.reshape(-1)  # finite on the interior; may be NaN elsewhere
+        self.strides = axis_strides(g.node_shape)
+        self.off_links = off_links(g)
+        size = self.inside.size
         self.v = None
-        self.weights = [np.empty(m.shape) for m in self.off_links]
-        self.resid, self.step, self.inv_diag, self.cg_dir, self.spare = (
-            np.zeros(g.node_shape) for _ in range(5))
+        self.weights = [np.empty(size) for _ in self.off_links]
+        self.flux, self.scratch, self.resid = (np.empty(size) for _ in range(3))
+        self.step = self.inv_diag = self.cg_dir = self.spare = None
+        # The energy sums each axis' link terms in rows of n - 1, the compact
+        # layout of the sliced kernels (tests/stencil_reference.py): a BLAS
+        # dot groups its terms by position, so the wrap links' zeros would
+        # change its bits.  Per axis > 0: the rows of D v (in `flux`) and of
+        # the weights, and the contiguous buffers they are gathered into,
+        # `scratch` and then `flux`.
+        n, shape = g.nodes_per_axis, g.node_shape
+        n_links = size // n * (n - 1)
+        self._rows = [None]
+        for ax, w in enumerate(self.weights[1:], start=1):
+            keep = (slice(None),) * ax + (slice(0, n - 1),)
+            rows = shape[:ax] + (n - 1,) + shape[ax + 1:]
+            self._rows.append((self.flux.reshape(shape)[keep], self.scratch[:n_links].reshape(rows),
+                               w.reshape(shape)[keep], self.flux[:n_links].reshape(rows)))
 
-    def fill_weights(self, v: np.ndarray) -> list:
+    def _link_weights(self, ax: int) -> np.ndarray:
+        """D_ax v into `flux` and |D_ax v|^(p-2) into `weights[ax]`, for the
+        kept v; returns D_ax v, a view of `flux`."""
+        off = self.off_links[ax]
+        d = link_differences(self.v, self.strides[ax], self.h, off, self.flux[:off.size])
+        w = self.weights[ax][:off.size]
+        np.abs(d, out=w)
+        w **= self.p - 2.0
+        return d
+
+    def fill_weights(self, v: np.ndarray) -> None:
         """Keep v and write its link weights |D_i v|^(p-2) for `residual` and
-        `newton_step`; returns the differences D_i v, one array per axis."""
-        self.v = v
-        diffs = []
-        for ax, (off, w) in enumerate(zip(self.off_links, self.weights)):
-            d = link_differences(v, ax, self.h, off)
-            np.abs(d, out=w)
-            w **= self.p - 2.0
-            diffs.append(d)
-        return diffs
+        `newton_step`."""
+        self.v = v.reshape(-1)
+        for ax in range(len(self.weights)):
+            self._link_weights(ax)
 
     def energy(self, v: np.ndarray) -> float:
         """J(v); keeps v and its link weights, as `fill_weights` does."""
         p = self.p
+        self.v = v.reshape(-1)
         link_sum = 0.0
-        for d, w in zip(self.fill_weights(v), self.weights):
+        for ax, rows in enumerate(self._rows):
+            d = self._link_weights(ax)
+            w = self.weights[ax][:d.size]
+            if rows is not None:  # D v is gathered before the weights overwrite it
+                d_rows, d, w_rows, w = rows
+                np.copyto(d, d_rows)
+                np.copyto(w, w_rows)
             d *= d
             link_sum += float(np.vdot(w, d))  # |d|^(p-2) d^2 = |d|^p
-        fu = float(np.where(self.interior, self.f * v, 0.0).sum())
+        fv = self.scratch
+        fv.fill(0.0)
+        np.multiply(self.f, self.v, out=fv, where=self.inside)
+        fu = float(fv.sum())
         return (link_sum / p + (p - 1.0) * fu) * self.hN
 
     def residual(self) -> np.ndarray:
         """A_div(v) - (p-1) f on interior nodes, zero elsewhere (= -gradient/h^N),
         for the v of the last `fill_weights` or `energy` call; written into
-        `self.resid`."""
+        `self.resid`, of which it returns the node-shaped view."""
         out = self.resid
         out.fill(0.0)
-        for ax, (off, w) in enumerate(zip(self.off_links, self.weights)):
-            flux = link_differences(self.v, ax, self.h, off)
-            flux *= w
-            add_divergence(out, flux, ax, self.h)
-        out -= (self.p - 1.0) * self.f
-        out[self.outside] = 0.0
-        return out
+        for ax, (s, off, w) in enumerate(zip(self.strides, self.off_links, self.weights)):
+            flux = link_differences(self.v, s, self.h, off, self.flux[:off.size])
+            flux *= w[:off.size]
+            add_divergence(out, flux, s, self.h, self.scratch)
+        np.multiply(self.f, self.p - 1.0, out=self.scratch)
+        out -= self.scratch
+        np.copyto(out, 0.0, where=self.outside)
+        return out.reshape(self.interior.shape)
 
-    def _hess_apply(self, s: np.ndarray, out: np.ndarray) -> None:
+    def residual_sup(self) -> float:
+        """sup |residual()|, computed without a temporary."""
+        self.residual()
+        np.abs(self.resid, out=self.scratch)
+        return float(self.scratch.max())
+
+    def _hess_slices(self, s: np.ndarray, out: np.ndarray) -> list:
+        """Per axis, the slices of s, `out` and the shared buffers that
+        `_hess_apply` works on; taken once per Newton step, so that the CG
+        loop makes none."""
+        slices = []
+        for stride, c in zip(self.strides, self.weights):
+            n_links = out.size - stride
+            flux = self.flux[:n_links]
+            slices.append((s[stride:], s[:-stride], flux, c[:n_links], flux[stride:],
+                           flux[:-stride], self.scratch[:n_links - stride], out[stride:n_links]))
+        return slices
+
+    def _hess_apply(self, slices: list, out: np.ndarray) -> None:
+        """out = H s per unit volume for the s and out of `_hess_slices`."""
         out.fill(0.0)
-        for ax, c in enumerate(self.weights):
-            _, _, core = axis_slices(out.ndim, ax)
-            flux = axis_difference(s, ax)
+        for s_hi, s_lo, flux, c, flux_hi, flux_lo, div, out_core in slices:
+            np.subtract(s_hi, s_lo, out=flux)  # operators.axis_difference, on fixed slices
             flux *= c
-            out[core] -= axis_difference(flux, ax)
+            np.subtract(flux_hi, flux_lo, out=div)
+            out_core -= div
         np.copyto(out, 0.0, where=self.outside)
 
     def newton_step(self, reg: float, rtol: float) -> tuple:
@@ -184,20 +251,24 @@ class _Workspace:
         interior node.  Every CG iterate s has r.s = s.H s > 0, so it is a
         descent direction for J.
         """
+        if self.step is None:
+            self.step, self.inv_diag, self.cg_dir, self.spare = (
+                np.zeros(self.resid.size) for _ in range(4))
         scale = (self.p - 1.0) / (self.h * self.h)
         diag = self.inv_diag
         diag.fill(0.0)
-        for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
-            lo, hi, core = axis_slices(diag.ndim, ax)
+        for s, off, c in zip(self.strides, self.off_links, self.weights):
+            c = c[:off.size]
             c += reg
             c *= scale
             np.copyto(c, 0.0, where=off)
-            diag[core] += c[lo] + c[hi]
-        np.divide(1.0, diag, out=diag, where=self.interior)
+            diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
+        np.divide(1.0, diag, out=diag, where=self.inside)
         np.copyto(diag, 0.0, where=self.outside)
 
         # work holds H d, then the preconditioned residual z
         s, res, d, work = self.step, self.resid, self.cg_dir, self.spare
+        hess_d = self._hess_slices(d, work)
         s.fill(0.0)
         np.multiply(res, diag, out=d)
         rz = float(np.vdot(res, d))
@@ -205,7 +276,7 @@ class _Workspace:
         k = 0
         while k < self.n_interior:
             k += 1
-            self._hess_apply(d, work)
+            self._hess_apply(hess_d, work)
             curv = float(np.vdot(d, work))
             if not curv > 0.0:
                 raise RuntimeError(f"PCG: curvature {curv!r} is not positive")
@@ -221,7 +292,7 @@ class _Workspace:
             d *= rz_next / rz
             d += work
             rz = rz_next
-        self._hess_apply(s, work)
+        self._hess_apply(self._hess_slices(s, work), work)
         return k, float(np.vdot(s, work))
 
 
@@ -275,12 +346,12 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     cfg = cfg or SolveConfig()
     ws = _Workspace(prob)
     t0 = time.perf_counter()
-    u = _initial_values(prob, cfg)
+    u = _initial_values(prob, cfg).reshape(-1)
 
     J_u = ws.energy(u)
     if not np.isfinite(J_u):
         raise RuntimeError("non-finite energy at the starting field")
-    sup_r = float(np.abs(ws.residual()).max())
+    sup_r = ws.residual_sup()
     iterations = inner = backtracks = 0
     reason = "converged" if sup_r <= cfg.grad_tol else "max_iters"  # until it ends otherwise
 
@@ -305,7 +376,7 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         else:
             reason = "stalled"  # cannot certify descent at rounding level
             break
-        sup_z = float(np.abs(ws.residual()).max())
+        sup_z = ws.residual_sup()
         if J_u - J_z <= slack and not sup_z < sup_r:
             reason = "stalled"  # no progress above rounding level: keep u
             break
@@ -324,4 +395,4 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         final_grad_sup=sup_r,
         wall_time=time.perf_counter() - t0,
     )
-    return ScalarField(prob.grid, u), report
+    return ScalarField(prob.grid, u.reshape(prob.grid.node_shape)), report

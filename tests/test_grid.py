@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import field_writer_reference
+import stencil_reference
 from pseudoplap import grid
 from pseudoplap.grid import (
     GridSpec,
@@ -14,6 +15,7 @@ from pseudoplap.grid import (
     interior_ball_nodes,
     node_coordinates,
     nonexterior_mask,
+    off_links,
     write_field,
 )
 
@@ -92,6 +94,19 @@ def test_cube_has_no_exterior():
     assert (cls != NodeClass.EXTERIOR).all()
     assert cls[0, 3] == NodeClass.BOUNDARY
     assert (cls[1:-1, 1:-1] == NodeClass.INTERIOR).all()
+
+
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("dim, nodes", [(1, 17), (2, 19), (3, 11)])
+def test_off_links_match_sliced_masks(dim, nodes, shape):
+    # flat link j sits at the compact position of node j when j is not the
+    # last node of its row along the axis; the others wrap, and are off even
+    # on the cube, where both their ends are finite face nodes
+    g = GridSpec(dim, nodes, shape)
+    for ax, (off, links) in enumerate(zip(off_links(g), stencil_reference.link_masks(g))):
+        want = np.ones(g.node_shape, dtype=bool)
+        want[(slice(None),) * ax + (slice(0, nodes - 1),)] = ~links
+        assert np.array_equal(off, want.reshape(-1)[:off.size])
 
 
 def test_disk_area_fraction():

@@ -1,0 +1,90 @@
+"""The flat-stride stencil kernels against the sliced ones of stencil_reference.py.
+
+Every comparison is `==`: each node sees the reference's operations in its
+order, and the energy sums its links in the reference's compact layout.  The
+cube matters most: its face nodes are finite boundary nodes, so a link that
+wraps across a row joins two real values and must still be off.  A spacing
+that is no power of 2 (n = 19, 35) makes a reordered division by h show.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import stencil_reference
+from pseudoplap.grid import GridSpec, ScalarField, nonexterior_mask
+from pseudoplap.manufactured import zero_boundary
+from pseudoplap.operators import apply_divergence, apply_nondivergence
+from pseudoplap.solver import EnergyProblem, _Workspace
+
+P_LIST = (2.3, 3.0, 5.7)
+
+
+def random_problem(dim, nodes, shape, p, seed=3):
+    g = GridSpec(dim, nodes, shape)
+    rng = np.random.default_rng(seed)
+    u = np.where(nonexterior_mask(g), rng.standard_normal(g.node_shape), np.nan)
+    f = ScalarField(g, rng.standard_normal(g.node_shape))
+    return EnergyProblem(g, p, f, zero_boundary), u
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("p", P_LIST)
+@pytest.mark.parametrize("nodes", [17, 19, 35])
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_workspace_matches_sliced_reference(dim, shape, nodes, p):
+    prob, u = random_problem(dim, nodes, shape, p)
+    ws, ref = _Workspace(prob), stencil_reference.Workspace(prob)
+    assert ws.energy(u) == ref.energy(u)
+    assert_bitwise(ws.residual(), ref.residual())
+    assert ws.residual_sup() == float(np.abs(ref.residual()).max())
+    # one Newton step: its CG iterations, r.s and step, then one Hessian
+    # product with the Hessian's weights it left behind
+    got, want = ws.newton_step(1e-3, 0.1), ref.newton_step(1e-3, 0.1)
+    assert got == want
+    assert_bitwise(ws.step.reshape(prob.grid.node_shape), ref.step)
+    s = np.random.default_rng(5).standard_normal(prob.grid.node_shape)
+    out, ref_out = np.empty(s.size), np.empty(s.shape)
+    ws._hess_apply(ws._hess_slices(s.reshape(-1), out), out)
+    ref._hess_apply(s, ref_out)
+    assert_bitwise(out.reshape(s.shape), ref_out)
+
+
+@pytest.mark.parametrize("p", P_LIST)
+@pytest.mark.parametrize("nodes", [17, 19, 35])
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_apply_operators_match_sliced_reference(dim, shape, nodes, p):
+    prob, u = random_problem(dim, nodes, shape, p)
+    field = ScalarField(prob.grid, u)
+    assert_bitwise(apply_divergence(field, p).values,
+                   stencil_reference.apply_divergence(field, p).values)
+    assert_bitwise(apply_nondivergence(field, p).values,
+                   stencil_reference.apply_nondivergence(field, p).values)
+
+
+def test_newton_step_allocates_no_node_array():
+    # warmed: the first step allocates the PCG buffers, after which a step
+    # may allocate Python scalars and views but no array of the grid's size
+    prob, u = random_problem(3, 17, "ball", 3.0)
+    ws = _Workspace(prob)
+    ws.energy(u)
+    ws.residual()
+    ws.newton_step(1e-2, 0.5)
+    ws.energy(u)
+    ws.residual()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        iterations, _ = ws.newton_step(1e-3, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations > 10
+    assert peak - before < 8 * u.size
