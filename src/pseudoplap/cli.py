@@ -25,7 +25,8 @@ from .barrier import linf_bound_check
 from .claims import REGIMES
 from .config import ConfigError, RawConfig, parse_config
 from .grid import GridSpec, node_coordinates, nonexterior_mask, write_field
-from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows, zt_rows
+from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows
+from .lemmas import uncovered_pairs, zt_rows
 from .manufactured import closed_form_1d, make_boundary, make_f_field, separable_reference
 from .manufactured import separable_trace, zero_boundary
 from .regularity import estimate_constant, preset_sweep, records_to_csv
@@ -146,7 +147,9 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
         write_csv(outdir / "pair_samples.csv",
                   ["regime", "p", "N", "M", "s", "slack_all", "slack_small",
                    "slack_large", "slack_norm", "rel_slack"], rows, chash)
-        checks.append(("pair_conclusions", worst >= -1e-9, f"worst rel slack {worst:.3e}"))
+        uncovered = ",".join(uncovered_pairs(rows)) or "none"
+        checks.append(("pair_conclusions", worst >= -1e-9,
+                       f"worst rel slack {worst:.3e} uncovered={uncovered}"))
 
     if cfg.get_bool("lemmas", "run_zt", True):
         rows, worst = zt_rows(rngs[2], cfg.get_int("lemmas", "zt_samples", 10_000))

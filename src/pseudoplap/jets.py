@@ -23,8 +23,12 @@ doubling block inequality
 
     -6 M |H1| I_2N <= diag(X, Y) - (2M+1) I_2N <= M [[Ht, -Ht], [-Ht, Ht]].
 
-feasible_pair_sample constructs random pairs satisfying that inequality, and
-sample_pair_conclusions checks the conclusions of one without testing it twice.
+feasible_pair_sample constructs random pairs satisfying that inequality.
+feasible_pair_conclusions does the same for many jets at once, one stack of
+matrices per N: each jet whose scalars passed pair_jet gets the first
+feasible pair of its own sequence of draws, and the conclusions of every
+pair, bit for bit those pair_conclusions_check gives it, are taken with
+jacobi_eigvals.
 
 The squeeze is tested at the size of X, exactly.  With B = X - (2M+1) Id,
 the lower side is block-diagonal, so its least eigenvalue is
@@ -107,7 +111,11 @@ class JetMatrices(RadialJet):
         return spectral_norm(self.Htilde)
 
     def theta_norm_sq(self) -> float:
-        return float(np.max(np.diag(self.Theta)) ** 2)
+        return _theta_norm_sq(self.Theta)
+
+
+def _theta_norm_sq(Theta: np.ndarray) -> float:
+    return float(np.max(np.diag(Theta)) ** 2)
 
 
 def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
@@ -332,25 +340,17 @@ def _pair_feasible(X: np.ndarray, Y: np.ndarray, jm: JetMatrices):
     return ok, (lower, upper, scale), norm_sum
 
 
-def _sample_pair(jm: JetMatrices, rng) -> tuple:
-    """feasible_pair_sample's X, with the norm sum |X - cI| + |Y - cI| of Y = X."""
-    n, M = jm.N, jm.M
-    c = 2.0 * M + 1.0
-    ht_norm = jm.ht_norm
-    for _ in range(100):
-        A = rng.standard_normal((n, n))
-        S = 0.5 * (A + A.T)
-        s_norm = spectral_norm(S)
-        if s_norm > 0.0:
-            S *= rng.uniform(0.0, 1.0) * (M / 4.0) * ht_norm / s_norm
-        X = c * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
-        ok, _, norm_sum = _pair_feasible(X, X, jm)
-        if ok and norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
-            return X, norm_sum
-    raise RuntimeError(
-        "no feasible pair in 100 attempts; the unperturbed point is always feasible, "
-        "so this indicates a bug"
-    )
+_PAIR_DRAWS = 100  # draws of S per jet; the unperturbed point (S = 0) is always feasible
+
+
+def _direction(rng, n: int) -> np.ndarray:
+    """A random symmetric n x n matrix, the direction of one pair draw."""
+    A = rng.standard_normal((n, n))
+    return 0.5 * (A + A.T)
+
+
+_NO_FEASIBLE_PAIR = (f"no feasible pair in {_PAIR_DRAWS} attempts; the unperturbed point is "
+                     "always feasible, so this indicates a bug")
 
 
 def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
@@ -361,8 +361,19 @@ def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
     |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
     before returning, resampling on failure.
     """
-    X, _ = _sample_pair(jm, rng)
-    return X, X.copy()
+    n, M = jm.N, jm.M
+    c = 2.0 * M + 1.0
+    ht_norm = jm.ht_norm
+    for _ in range(_PAIR_DRAWS):
+        S = _direction(rng, n)
+        s_norm = spectral_norm(S)
+        if s_norm > 0.0:
+            S *= rng.uniform(0.0, 1.0) * (M / 4.0) * ht_norm / s_norm
+        X = c * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
+        ok, _, norm_sum = _pair_feasible(X, X, jm)
+        if ok and norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
+            return X, X.copy()
+    raise RuntimeError(_NO_FEASIBLE_PAIR)
 
 
 @dataclass(frozen=True)
@@ -390,6 +401,26 @@ class PairConclusions:
         return float(out)
 
 
+def _pair_large_axes(r: RadialJet, p: float, eps: float | None):
+    """The large branch's axes when p >= 4, None below: raises the ValueErrors
+    of the large-branch conclusion (no eps, or a failing precondition)."""
+    if p < 4.0:
+        return None
+    if eps is None:
+        raise ValueError("p >= 4 requires eps for the large-branch conclusion")
+    return _large_branch_axes(r, eps)
+
+
+def pair_jet(x, M: float, p: float, modulus: Modulus, eps: float | None = None) -> RadialJet:
+    """The scalars of the jet at x, once they pass every test of
+    pair_conclusions_check that needs no pair: a valid x and, for p >= 4, eps
+    and the large branch's preconditions.  Raises ValueError otherwise; no
+    matrix is built."""
+    r = _radial(x, modulus, M)
+    _pair_large_axes(r, p, eps)
+    return r
+
+
 def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
                            eps: float | None = None) -> PairConclusions:
     """Verify the eigenvalue conclusions for a pair, after testing that it is feasible.
@@ -403,46 +434,166 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     ok, details, norm_sum = _pair_feasible(X, Y, jm)
     if not ok:
         raise ValueError(f"pair does not satisfy the block squeeze (eigen margins {details})")
-    return _conclusions(X, Y, jm, eps, norm_sum)
-
-
-def sample_pair_conclusions(jm: JetMatrices, rng, eps: float | None = None) -> PairConclusions:
-    """pair_conclusions_check of a pair from feasible_pair_sample, which has
-    already tested the pair's block squeeze."""
-    X, norm_sum = _sample_pair(jm, rng)
-    return _conclusions(X, X, jm, eps, norm_sum)
-
-
-def _conclusions(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
-                 eps: float | None, norm_sum: float) -> PairConclusions:
-    M, p, n = jm.M, jm.p, jm.N
-    s, wp, wpp = jm.s, jm.wp, jm.wpp
+    M, p = jm.M, jm.p
     c = 2.0 * M + 1.0
     mp2 = M ** (p - 2.0)
-    theta_sq = jm.theta_norm_sq()
     sum_mat = mp2 * jm.Theta @ (X + Y) @ jm.Theta
-    shifted = mp2 * jm.Theta @ (X + Y - 2.0 * c * np.eye(n)) @ jm.Theta
-    lam_all = jacobi_eigh(sum_mat)[0]
+    shifted = mp2 * jm.Theta @ (X + Y - 2.0 * c * np.eye(jm.N)) @ jm.Theta
+    return _conclusions(jm, p, jm.h1_norm, jm.theta_norm_sq(), eps,
+                        float(jacobi_eigh(sum_mat)[0][-1]), float(jacobi_eigh(shifted)[0][0]),
+                        norm_sum)
+
+
+def _conclusions(r: RadialJet, p: float, h1_norm: float, theta_sq: float, eps: float | None,
+                 lam_max: float, lam1: float, norm_sum: float) -> PairConclusions:
+    """The bounds and slacks of one pair's conclusions at the jet r: lam_max
+    is the largest eigenvalue of A(X+Y), lam1 the least of A(X+Y-2c Id)."""
+    M, n, s, wp, wpp = r.M, r.N, r.s, r.wp, r.wpp
+    c = 2.0 * M + 1.0
+    mp2 = M ** (p - 2.0)
     bound_all = 2.0 * c * mp2 * theta_sq
-    slack_all = float(bound_all - lam_all[-1])
-    lam1 = float(jacobi_eigh(shifted)[0][0])
+    slack_all = float(bound_all - lam_max)
 
     bound_small = slack_small = bound_large = slack_large = None
     if p <= 4.0:
         bound_small = 2.0 * M ** (p - 1.0) * n ** ((2.0 - p) / 2.0) * wp ** (p - 2.0) * wpp
         slack_small = bound_small - lam1
-    if p >= 4.0:
-        if eps is None:
-            raise ValueError("p >= 4 requires eps for the large-branch conclusion")
-        idx = _large_branch_axes(jm, eps)
+    idx = _pair_large_axes(r, p, eps)
+    if idx is not None:
         bound_large = M ** (p - 1.0) * (1.0 - n * s ** (2.0 * eps)) / len(idx) \
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp
         slack_large = bound_large - lam1
 
-    bound_norm = 6.0 * M * jm.h1_norm
+    bound_norm = 6.0 * M * h1_norm
     return PairConclusions(
-        lambda_all_max=float(lam_all[-1]), bound_all=bound_all, slack_all=slack_all,
+        lambda_all_max=lam_max, bound_all=bound_all, slack_all=slack_all,
         bound_small=bound_small, slack_small=slack_small,
         bound_large=bound_large, slack_large=slack_large,
         norm_sum=norm_sum, bound_norm=bound_norm, slack_norm=float(bound_norm - norm_sum),
     )
+
+
+@dataclass(frozen=True)
+class _PairStack:
+    """S jets of one N at their exponents p, stacked for the pair tests: M,
+    p, |H1| and |Htilde| are (S,), Htilde and Theta (S, N, N).  Entry k is bit
+    for bit what _assemble(rs[k], p[k]) and its cached norms give."""
+
+    rs: tuple
+    M: np.ndarray
+    p: np.ndarray
+    Htilde: np.ndarray
+    Theta: np.ndarray
+    h1_norm: np.ndarray
+    ht_norm: np.ndarray
+
+    def take(self, ks) -> "_PairStack":
+        """The jets ks of the stack, in that order."""
+        return _PairStack(tuple(self.rs[k] for k in ks), self.M[ks], self.p[ks],
+                          self.Htilde[ks], self.Theta[ks], self.h1_norm[ks], self.ht_norm[ks])
+
+
+def _pair_stack(rs, ps) -> _PairStack:
+    H1, Htilde, Theta, _ = _stack_matrices(rs, ps)
+    return _PairStack(tuple(rs), np.array([r.M for r in rs]), np.array(ps, dtype=float),
+                      Htilde, Theta, np.abs(jacobi_eigvals(H1)).max(axis=1),
+                      np.abs(jacobi_eigvals(Htilde)).max(axis=1))
+
+
+def _pair_points(st: _PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """feasible_pair_sample's X = (2M+1) Id - 2M |Htilde| Id + S, S scaled to
+    norm u (M/4) |Htilde|, for every jet of st; a zero S stays unscaled."""
+    eye = np.eye(S.shape[1])
+    s_norm = np.abs(jacobi_eigvals(S)).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(s_norm > 0.0, u * (st.M / 4.0) * st.ht_norm / s_norm, 1.0)
+    return (2.0 * st.M + 1.0)[:, None, None] * eye \
+        - (2.0 * st.M * st.ht_norm)[:, None, None] * eye + S * scale[:, None, None]
+
+
+def _pair_squeeze_checks(X: np.ndarray, st: _PairStack):
+    """_pair_feasible(X[k], X[k], jm_k) for every jet k of st, as arrays:
+    (ok, (lower, upper, scale), norm_sum), bit for bit."""
+    eye = np.eye(X.shape[1])
+    B = X - (2.0 * st.M + 1.0)[:, None, None] * eye
+    wb = jacobi_eigvals(B)
+    b_norm = np.abs(wb).max(axis=1)
+    scale = np.maximum(np.maximum(1.0, st.M * st.ht_norm), 6.0 * st.M * st.h1_norm)
+    lower = wb[:, 0] + 6.0 * st.M * st.h1_norm
+    upper = np.minimum(-wb[:, -1],
+                       jacobi_eigvals((2.0 * st.M)[:, None, None] * st.Htilde - B)[:, 0])
+    ok = (lower >= -_FEAS_TOL * scale) & (upper >= -_FEAS_TOL * scale)
+    return ok, (lower, upper, scale), b_norm + b_norm
+
+
+def _feasible_pair_points(st: _PairStack, rng) -> tuple:
+    """feasible_pair_sample's X of every jet of st, with |X - cI| + |Y - cI|
+    of Y = X: (X[S, N, N], norm_sum[S]).
+
+    Each round draws, in stack order, S and its radius factor for every jet
+    still pending and tests those pairs as one stack; a jet leaves with its
+    first feasible pair, so each jet's pair is the first feasible one of an
+    i.i.d. sequence of draws, as feasible_pair_sample's is.  Raises
+    RuntimeError when a jet has no feasible pair after _PAIR_DRAWS rounds.
+    """
+    n = st.Htilde.shape[1]
+    X = np.empty_like(st.Htilde)
+    norm_sum = np.empty(len(st.rs))
+    pending = np.arange(len(st.rs))
+    for _ in range(_PAIR_DRAWS):
+        S = np.empty((len(pending), n, n))
+        u = np.zeros(len(pending))
+        for i in range(len(pending)):
+            S[i] = _direction(rng, n)
+            if S[i].any():  # |S| > 0: feasible_pair_sample's test on the same S
+                u[i] = rng.uniform(0.0, 1.0)
+        sub = st.take(pending)
+        Xp = _pair_points(sub, S, u)
+        ok, _, norms = _pair_squeeze_checks(Xp, sub)
+        ok &= norms <= 6.0 * sub.M * sub.h1_norm * (1.0 + 1e-12)
+        X[pending[ok]] = Xp[ok]
+        norm_sum[pending[ok]] = norms[ok]
+        pending = pending[~ok]
+        if len(pending) == 0:
+            return X, norm_sum
+    raise RuntimeError(_NO_FEASIBLE_PAIR)
+
+
+def _pair_conclusions_checks(X: np.ndarray, st: _PairStack, eps, norm_sum) -> list:
+    """The conclusions of the pairs (X[k], X[k]) at the jets of st, one
+    jacobi_eigvals call per matrix set, bit for bit those
+    pair_conclusions_check gives each feasible pair; eps[k] is jet k's."""
+    c = 2.0 * st.M + 1.0
+    mp2 = np.array([M ** (p - 2.0) for M, p in zip(st.M.tolist(), st.p.tolist())])
+    weighted = mp2[:, None, None] * st.Theta
+    sums = X + X
+    lam_max = jacobi_eigvals(weighted @ sums @ st.Theta)[:, -1]
+    shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
+    lam1 = jacobi_eigvals(weighted @ shifted @ st.Theta)[:, 0]
+    return [_conclusions(r, p, h1, _theta_norm_sq(theta), e, lm, l1, ns)
+            for r, p, h1, theta, e, lm, l1, ns in zip(
+                st.rs, st.p.tolist(), st.h1_norm.tolist(), st.Theta, eps, lam_max.tolist(),
+                lam1.tolist(), norm_sum.tolist())]
+
+
+def feasible_pair_conclusions(rs, ps, eps, rng) -> list:
+    """The conclusions of one feasible pair (X, X) per jet, in order: jet k
+    has the scalars rs[k] (from pair_jet), exponent ps[k] and eps[k].
+
+    The jets of each N, in order of first appearance, share one stack:
+    their matrices and norms, the rounds of pair draws that give each its
+    first feasible pair, and the eigenvalues of the conclusions, all taken
+    with jacobi_eigvals.  Each row equals pair_conclusions_check(X, X, jm,
+    eps) of the jet's matrices jm and its pair.  Raises RuntimeError when a
+    jet has no feasible pair in _PAIR_DRAWS draws.
+    """
+    out = [None] * len(rs)
+    by_n = {}
+    for k, r in enumerate(rs):
+        by_n.setdefault(r.N, []).append(k)
+    for ks in by_n.values():
+        st = _pair_stack([rs[k] for k in ks], [ps[k] for k in ks])
+        X, norm_sum = _feasible_pair_points(st, rng)
+        for k, rep in zip(ks, _pair_conclusions_checks(X, st, [eps[k] for k in ks], norm_sum)):
+            out[k] = rep
+    return out

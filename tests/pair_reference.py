@@ -1,0 +1,48 @@
+"""The doubling-pair block sampler evaluated one pair at a time, as a bitwise reference.
+
+`feasible_pair_conclusions` below draws from the rng in the order the
+shipped one does (jets of each N in order of first appearance, then rounds
+over the jets still pending, each drawing S and its radius factor), but
+builds each jet alone and tests each pair with the one-matrix
+`jets._pair_feasible` and `jets.pair_conclusions_check`, which call
+`jacobi_eigh`.
+"""
+
+import numpy as np
+
+from pseudoplap import jets
+from pseudoplap.eig import spectral_norm
+
+
+def feasible_pair_conclusions(rs, ps, eps, rng):
+    out = [None] * len(rs)
+    by_n = {}
+    for k, r in enumerate(rs):
+        by_n.setdefault(r.N, []).append(k)
+    for ks in by_n.values():
+        pairs = {}
+        pending = list(ks)
+        for _ in range(jets._PAIR_DRAWS):
+            draws = []
+            for k in pending:
+                S = jets._direction(rng, rs[k].N)
+                draws.append((S, rng.uniform(0.0, 1.0) if S.any() else 0.0))
+            for k, (S, u) in zip(pending, draws):
+                jm = jets._assemble(rs[k], ps[k])
+                n, M = jm.N, jm.M
+                s_norm = spectral_norm(S)
+                if s_norm > 0.0:
+                    S = S * (u * (M / 4.0) * jm.ht_norm / s_norm)
+                X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * jm.ht_norm * np.eye(n) + S
+                ok, _, norm_sum = jets._pair_feasible(X, X, jm)
+                if ok and norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
+                    pairs[k] = (X, jm)
+            pending = [k for k in pending if k not in pairs]
+            if not pending:
+                break
+        else:
+            raise RuntimeError("no feasible pair")
+        for k in ks:
+            X, jm = pairs[k]
+            out[k] = jets.pair_conclusions_check(X, X, jm, eps[k])
+    return out

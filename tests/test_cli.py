@@ -255,6 +255,17 @@ def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
         != (out_c / "min_eig_samples.csv").read_bytes()
 
 
+def test_verify_lemmas_names_uncovered_pair_cases(tmp_path):
+    # at seed 1 and the default 500 pairs, no 1D lipschitz_large_p draw
+    # passes eq_n_epsilon; the summary says so and the check still passes
+    path = write(tmp_path, "pair.ini", "[lemmas]\nrun_barrier = false\nrun_min_eig = false\n"
+                                       "run_zt = false\nrun_claims = false\n")
+    assert main(["verify-lemmas", "--config", path, "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    ok, detail = read_summary(tmp_path / "out")["pair_conclusions"]
+    assert ok == "true" and detail.endswith(" uncovered=lipschitz_large_p:N1")
+
+
 def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
     # the float-loop Jacobi kernel must leave every sampled row unchanged
     config = str(CONFIGS / "verify_lemmas_small.ini")

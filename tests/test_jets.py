@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pseudoplap import jets
+from pseudoplap.claims import DEFAULT_REGIME_P, REGIMES, regime_params
 from pseudoplap.eig import jacobi_eigh, spectral_norm
 from pseudoplap.jets import (
     _assemble,
@@ -12,7 +14,7 @@ from pseudoplap.jets import (
     index_set,
     min_eig_bound_check,
     pair_conclusions_check,
-    sample_pair_conclusions,
+    pair_jet,
     _pair_feasible,
 )
 from pseudoplap.jets import test_vector as make_test_vector
@@ -359,21 +361,58 @@ def test_pair_conclusions_rejects_infeasible():
         pair_conclusions_check(bad, bad.copy(), jm)
 
 
-def test_sample_pair_conclusions_matches_sample_then_check():
-    from pseudoplap.claims import regime_params
+def _pair_candidates(rng):
+    """(jet scalars, p, eps) that pass pair_jet: every regime at N = 1, 2, 3,
+    at its default p and, for the large-p regimes, at p = 4 exactly, where
+    both branches' bounds apply."""
+    out = []
+    for regime in REGIMES:
+        p_list = [DEFAULT_REGIME_P[regime]] + ([] if regime.endswith("small_p") else [4.0])
+        for N in (1, 2, 3):
+            for p in p_list:
+                params = regime_params(regime, p, N)
+                for _ in range(4):
+                    s = params.delta_N * 10 ** rng.uniform(-1.5, -0.1) if params.eps \
+                        else 10 ** rng.uniform(-4, -1.5)
+                    try:
+                        r = pair_jet(random_point(rng, N, s), float(rng.uniform(1.5, 50)), p,
+                                     params.modulus(), eps=params.eps)
+                    except ValueError:
+                        continue
+                    out.append((regime, r, p, params.eps))
+    return out
 
-    rng = np.random.default_rng(13)
-    for p, regime in ((3.0, "holder_small_p"), (5.0, "holder_large_p")):
-        params = regime_params(regime, p, 2)
-        for _ in range(10):
-            s = params.delta_N * 10 ** rng.uniform(-1.5, -0.1) if params.eps else 0.01
-            jm = build_jet_matrices(random_point(rng, 2, s), float(rng.uniform(1.5, 50)), p,
-                                    params.modulus())
-            seed = int(rng.integers(2**32))
-            X, Y = feasible_pair_sample(jm, np.random.default_rng(seed))
-            want = pair_conclusions_check(X, Y, jm, eps=params.eps)
-            assert sample_pair_conclusions(jm, np.random.default_rng(seed),
-                                           eps=params.eps) == want
+
+def test_stacked_pair_checks_match_scalar_path():
+    # the stacked pair points, squeeze margins and conclusions of each N must
+    # equal, bit for bit, what the one-pair path gives the same jet and S
+    rng = np.random.default_rng(41)
+    cands = _pair_candidates(rng)
+    # 1D lipschitz_large_p fails eq_n_epsilon on every draw
+    assert {(regime, r.N) for regime, r, _, _ in cands} \
+        == {(regime, N) for regime in REGIMES for N in (1, 2, 3)} - {("lipschitz_large_p", 1)}
+    assert 4.0 in {p for _, _, p, _ in cands}
+    seen = set()
+    for N in (1, 2, 3):
+        group = [c for c in cands if c[1].N == N]
+        st = jets._pair_stack([r for _, r, _, _ in group], [p for _, _, p, _ in group])
+        S = np.array([jets._direction(rng, N) for _ in group])
+        u = rng.uniform(0.0, 4.0, len(group))  # beyond 1, a pair may fail the squeeze
+        X = jets._pair_points(st, S, u)
+        ok, (lower, upper, scale), norm_sum = jets._pair_squeeze_checks(X, st)
+        reps = jets._pair_conclusions_checks(X, st, [e for _, _, _, e in group], norm_sum)
+        for k, (_, r, p, eps) in enumerate(group):
+            jm = _assemble(r, p)
+            assert (st.h1_norm[k], st.ht_norm[k]) == (jm.h1_norm, jm.ht_norm)
+            Sk = S[k] * (u[k] * (jm.M / 4.0) * jm.ht_norm / spectral_norm(S[k]))
+            c = 2.0 * jm.M + 1.0
+            assert (X[k] == c * np.eye(N) - 2.0 * jm.M * jm.ht_norm * np.eye(N) + Sk).all()
+            assert _pair_feasible(X[k], X[k], jm) \
+                == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
+            if ok[k]:
+                assert reps[k] == pair_conclusions_check(X[k], X[k], jm, eps)
+            seen.add(bool(ok[k]))
+    assert seen == {True, False}
 
 
 def test_jet_eq_n_epsilon_matches_check():

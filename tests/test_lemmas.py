@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import barrier_reference
 import min_eig_reference
-from pseudoplap import claims, jets, lemmas
+import pair_reference
+from pseudoplap import claims, eig, jets, lemmas
 from pseudoplap.lemmas import lipschitz_modulus
 
 
@@ -58,12 +61,115 @@ def assert_each_pair_tested_once(work):
     assert len(set(work["tested"])) == len(work["tested"])
 
 
-def test_pair_rows_one_jet_per_attempt(work, monkeypatch):
-    attempts = count_calls(monkeypatch, lemmas, "regime_params")  # one per attempt
+def forbid(monkeypatch, module, name):
+    """Patch module.name with a function that fails the test when called."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{module.__name__}.{name} called")
+
+    monkeypatch.setattr(module, name, called)
+
+
+@pytest.fixture
+def pair_rounds(monkeypatch):
+    """The x of every jet whose pair each stacked squeeze test saw, one list per call."""
+    rounds = []
+    checks = jets._pair_squeeze_checks
+
+    def counted(X, st):
+        rounds.append([r.x.tobytes() for r in st.rs])
+        return checks(X, st)
+
+    monkeypatch.setattr(jets, "_pair_squeeze_checks", counted)
+    return rounds
+
+
+def test_pair_rows_screen_then_one_test_per_round(work, monkeypatch, pair_rounds):
+    draws = count_calls(monkeypatch, lemmas, "regime_params")  # one per draw
+    directions = count_calls(monkeypatch, jets, "_direction")  # one per S drawn
+    stacked = []
+    stack = jets._stack_matrices
+
+    def counted_stack(rs, ps):
+        stacked.append(len(rs))
+        return stack(rs, ps)
+
+    monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
+    for module, name in ((eig, "jacobi_eigh"), (jets, "jacobi_eigh"), (jets, "spectral_norm")):
+        forbid(monkeypatch, module, name)
     rows, _ = lemmas.pair_rows(np.random.default_rng(3), 16)
-    assert len(rows) == 16
-    assert work["jets"] == len(attempts)
-    assert_each_pair_tested_once(work)
+    assert len(rows) == 16 < len(draws)  # some draws fail the screen
+    # only the draws that pass the screen are built, each once, one stack per
+    # block and N; each S drawn is tested once
+    assert work["jets"] == 0 and sum(stacked) == len(rows)
+    assert len(directions) == sum(map(len, pair_rounds))
+    # a stack's first round tests every jet; each later round tests, once
+    # each, the jets the round before did not accept
+    seen = set()
+    for k, tested in enumerate(pair_rounds):
+        assert len(set(tested)) == len(tested)
+        if seen.isdisjoint(tested):
+            seen.update(tested)
+        else:
+            assert set(tested) <= set(pair_rounds[k - 1])
+    assert len(seen) == len(rows)
+    assert len(pair_rounds) > len(stacked)  # some pair was drawn again
+
+
+def test_pair_rows_redraw_only_rejected(monkeypatch):
+    # with S = 0 every pair is the unperturbed point, which passes every
+    # test, and no S consumes the rng; a stub then rejects the first pair of
+    # the jets with M > 25, and only those draw again
+    monkeypatch.setattr(jets, "_direction", lambda rng, n: np.zeros((n, n)))
+    want, _ = lemmas.pair_rows(np.random.default_rng(6), 40)
+    checks = jets._pair_squeeze_checks
+    rounds = []
+    rejected = set()
+
+    def stub(X, st):
+        ok, margins, norm_sum = checks(X, st)
+        assert ok.all()
+        keys = [r.x.tobytes() for r in st.rs]
+        first = np.array([r.M > 25.0 and key not in rejected for r, key in zip(st.rs, keys)])
+        rejected.update(key for key, f in zip(keys, first) if f)
+        rounds.append((keys, first))
+        return ok & ~first, margins, norm_sum
+
+    monkeypatch.setattr(jets, "_pair_squeeze_checks", stub)
+    rows, _ = lemmas.pair_rows(np.random.default_rng(6), 40)
+    assert rows == want  # the same rows, in draw order
+    assert 0 < len(rejected) < len(rows)
+    tests = Counter(key for keys, _ in rounds for key in keys)
+    assert len(tests) == len(rows)
+    assert all(n == 1 + (key in rejected) for key, n in tests.items())
+    # the round after one that rejects tests exactly the rejected jets, in order
+    for (keys, first), (later, _) in zip(rounds, rounds[1:]):
+        if first.any():
+            assert later == [key for key, f in zip(keys, first) if f]
+
+
+def test_pair_rows_raise_when_no_pair_passes(monkeypatch):
+    monkeypatch.setattr(jets, "_pair_squeeze_checks", lambda X, st: (
+        np.zeros(len(st.rs), dtype=bool), None, np.zeros(len(st.rs))))
+    with pytest.raises(RuntimeError, match="no feasible pair in 100 attempts"):
+        lemmas.pair_rows(np.random.default_rng(3), 16)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7002])
+def test_pair_rows_match_scalar_reference(monkeypatch, seed):
+    rows, worst = lemmas.pair_rows(np.random.default_rng(seed), 120)
+    monkeypatch.setattr(lemmas, "feasible_pair_conclusions",
+                        pair_reference.feasible_pair_conclusions)
+    assert (rows, worst) == lemmas.pair_rows(np.random.default_rng(seed), 120)
+
+
+def test_uncovered_pairs_at_seed_1():
+    # verify-lemmas' pair stream at seed 1 and the default 500 samples: in
+    # 1D no lipschitz_large_p draw passes eq_n_epsilon
+    rng = np.random.default_rng(np.random.SeedSequence(1).spawn(4)[1])
+    rows, _ = lemmas.pair_rows(rng, 500)
+    assert lemmas.uncovered_pairs(rows) == ["lipschitz_large_p:N1"]
+    assert lemmas.uncovered_pairs([]) == [f"{regime}:N{N}" for regime in claims.REGIMES
+                                          for N in (1, 2, 3)]
 
 
 def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
