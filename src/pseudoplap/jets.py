@@ -16,28 +16,26 @@ beta = 1 - 1/(2M); alpha then multiplies no eigenvalue and may exceed 3/2.
 
 The anisotropic weight Theta = diag(|w' x_i / |x||^{(p-2)/2}) produces
 H = Theta Htilde Theta, whose smallest eigenvalue is negative at a
-quantified scale: min_eig_bound_check certifies the two-branch bound via
-the Rayleigh quotient of an explicit test vector, and pair_conclusions_check
-verifies the eigenvalue conclusions for matrix pairs (X, Y) squeezed by the
-doubling block inequality
+quantified scale: min_eig_bound_checks certifies the two-branch bound via
+the Rayleigh quotient of an explicit test vector.  feasible_pair_conclusions
+draws matrix pairs (X, X) squeezed by the doubling block inequality
 
-    -6 M |H1| I_2N <= diag(X, Y) - (2M+1) I_2N <= M [[Ht, -Ht], [-Ht, Ht]].
+    -6 M |H1| I_2N <= diag(X, Y) - (2M+1) I_2N <= M [[Ht, -Ht], [-Ht, Ht]]
 
-feasible_pair_sample constructs random pairs satisfying that inequality.
-feasible_pair_conclusions does the same for many jets at once, one stack of
-matrices per N: each jet whose scalars passed pair_jet gets the first
-feasible pair of its own sequence of draws, and the conclusions of every
-pair, bit for bit those pair_conclusions_check gives it, are taken with
-jacobi_eigvals.
+and verifies their eigenvalue conclusions; each jet whose scalars passed
+pair_jet gets the first feasible pair of its own sequence of draws.  Both
+checks work on stacks, one stack of matrices per N, and take every
+eigenvalue with jacobi_eigvals.  The one-jet names min_eig_bound_check,
+feasible_pair_sample and pair_conclusions_check are one-jet calls of the
+same code.
 
-The squeeze is tested at the size of X, exactly.  With B = X - (2M+1) Id,
-the lower side is block-diagonal, so its least eigenvalue is
-lambda_min(B) + 6M|H1| (and likewise for Y).  For Y = X the orthogonal basis
-(v, +-v)/sqrt(2) splits the upper side into -B and 2M Ht - B, so its least
-eigenvalue is min(-lambda_max(B), lambda_min(2M Ht - B)).  The eigenvalues of
-B also give |X - (2M+1) Id|, so one N x N decomposition serves the lower side,
-half the upper side and the norm consequence.  Only a pair with Y != X, which
-pair_conclusions_check accepts, is tested with 2N x 2N matrices.
+The squeeze of a pair with Y = X is tested at the size of X, exactly.  With
+B = X - (2M+1) Id, the lower side is block-diagonal, so its least eigenvalue
+is lambda_min(B) + 6M|H1|.  The orthogonal basis (v, +-v)/sqrt(2) splits the
+upper side into -B and 2M Ht - B, so its least eigenvalue is
+min(-lambda_max(B), lambda_min(2M Ht - B)).  The eigenvalues of B also give
+|X - (2M+1) Id|, so one N x N decomposition serves the lower side, half the
+upper side and the norm consequence.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eig import jacobi_eigh, jacobi_eigvals, spectral_norm
+from .eig import jacobi_eigvals
 from .moduli import Modulus, check_validity
 
 _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
@@ -90,10 +88,11 @@ class JetMatrices(RadialJet):
     """The matrices at x of one jet, with the scalars of its RadialJet.
 
     `h1_norm` and `ht_norm` are the spectral norms |H1| and |Htilde|, taken
-    once per instance by `spectral_norm` and cached: the pair sampler and the
-    conclusions check reuse them on every attempt.  For N >= 2 they agree
-    with the closed forms max(|w''|, w'/s) and max(|betaH w''|, alphaH w'/s)
-    to rounding; for N = 1 only the radial eigenvalue w'' (betaH w'') exists.
+    once per instance and cached; feasible_pair_sample and
+    pair_conclusions_check stack them with the matrices.  For N >= 2 they
+    agree with the closed forms max(|w''|, w'/s) and max(|betaH w''|,
+    alphaH w'/s) to rounding; for N = 1 only the radial eigenvalue w''
+    (betaH w'') exists.
     """
 
     p: float
@@ -104,11 +103,11 @@ class JetMatrices(RadialJet):
 
     @cached_property
     def h1_norm(self) -> float:
-        return spectral_norm(self.H1)
+        return float(_spectral_norms(self.H1[None])[0])
 
     @cached_property
     def ht_norm(self) -> float:
-        return spectral_norm(self.Htilde)
+        return float(_spectral_norms(self.Htilde[None])[0])
 
     def theta_norm_sq(self) -> float:
         return _theta_norm_sq(self.Theta)
@@ -116,6 +115,16 @@ class JetMatrices(RadialJet):
 
 def _theta_norm_sq(Theta: np.ndarray) -> float:
     return float(np.max(np.diag(Theta)) ** 2)
+
+
+def _spectral_norms(A: np.ndarray) -> np.ndarray:
+    """The largest absolute eigenvalue of each symmetric matrix of the stack A."""
+    return np.abs(jacobi_eigvals(A)).max(axis=1)
+
+
+def _check_M(M: float) -> None:
+    if not M > 1.0:
+        raise ValueError(f"M must be > 1, got {M}")
 
 
 def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
@@ -173,8 +182,7 @@ def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
 
 def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
     """Assemble H1, Htilde, Theta, H at x with the damping iota = 1/(4 M |H1|)."""
-    if not M > 1.0:
-        raise ValueError(f"M must be > 1, got {M}")
+    _check_M(M)
     if np.linalg.norm(x) == 0.0:
         raise ValueError("x must be nonzero")
     return _jet(x, p, modulus, M)
@@ -268,22 +276,18 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
     inequality checked by JetMatrices.eq_n_epsilon; then
     lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
 
-    Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H).
-    min_eig_bound_checks gives the same triples for many x at once.
+    Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H): the
+    one-jet call of min_eig_bound_checks.
     """
-    t = min_eig_terms(x, p, eps, modulus, branch)
-    H = _assemble(t.r, p).H
-    rayleigh = float(t.w @ H @ t.w) / float(t.w @ t.w)
-    lam_min = float(jacobi_eigh(H)[0][0])
-    return rayleigh, t.bound, t.bound - lam_min
+    return min_eig_bound_checks([min_eig_terms(x, p, eps, modulus, branch)])[0]
 
 
 def min_eig_bound_checks(terms) -> list:
     """min_eig_bound_check's (rayleigh, bound, slack) for each MinEigTerms, in
-    order, bit for bit.
+    order.
 
     The terms of each N share one stacked H and one jacobi_eigvals call; the
-    Rayleigh quotient is taken per matrix, as min_eig_bound_check takes it.
+    Rayleigh quotient is taken per matrix.
     """
     out = [None] * len(terms)
     by_n = {}
@@ -298,48 +302,6 @@ def min_eig_bound_checks(terms) -> list:
     return out
 
 
-def _doubling_block(A: np.ndarray) -> np.ndarray:
-    return np.block([[A, -A], [-A, A]])
-
-
-def _pair_feasible(X: np.ndarray, Y: np.ndarray, jm: JetMatrices):
-    """Eigen-test both sides of the block squeeze at the size of X.
-
-    Returns (ok, (lower, upper, scale), norm_sum): lower and upper are the
-    least eigenvalues of the two sides' differences, and norm_sum is
-    |X - cI| + |Y - cI| with c = 2M+1, taken from the same eigenvalues.
-
-    With B = X - cI and C = Y - cI, the lower side diag(B, C) + 6M|H1| I_2N is
-    block-diagonal, so its least eigenvalue is min(lambda_min(B),
-    lambda_min(C)) + 6M|H1|.  When Y == X, the orthogonal basis (v, +-v)/sqrt(2)
-    splits the upper side M [[Ht, -Ht], [-Ht, Ht]] - diag(B, B) into -B and
-    2M Ht - B, so its least eigenvalue is min(-lambda_max(B),
-    lambda_min(2M Ht - B)): every test is an N x N one.  A pair with Y != X
-    keeps the 2N x 2N test of the upper side.
-    """
-    n = jm.N
-    M = jm.M
-    c = 2.0 * M + 1.0
-    h1_norm = jm.h1_norm
-    B = X - c * np.eye(n)
-    wb = jacobi_eigh(B)[0]
-    b_norm = float(np.abs(wb).max())  # spectral_norm(B), bit for bit
-    scale = max(1.0, M * jm.ht_norm, 6.0 * M * h1_norm)
-    if Y is X or np.array_equal(X, Y):
-        lower = float(wb[0]) + 6.0 * M * h1_norm
-        upper = min(-float(wb[-1]), float(jacobi_eigh(2.0 * M * jm.Htilde - B)[0][0]))
-        norm_sum = b_norm + b_norm
-    else:
-        C = Y - c * np.eye(n)
-        wc = jacobi_eigh(C)[0]
-        lower = float(min(wb[0], wc[0])) + 6.0 * M * h1_norm
-        D = np.block([[B, np.zeros((n, n))], [np.zeros((n, n)), C]])
-        upper = float(jacobi_eigh(M * _doubling_block(jm.Htilde) - D)[0][0])
-        norm_sum = b_norm + float(np.abs(wc).max())
-    ok = lower >= -_FEAS_TOL * scale and upper >= -_FEAS_TOL * scale
-    return ok, (lower, upper, scale), norm_sum
-
-
 _PAIR_DRAWS = 100  # draws of S per jet; the unperturbed point (S = 0) is always feasible
 
 
@@ -349,31 +311,17 @@ def _direction(rng, n: int) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-_NO_FEASIBLE_PAIR = (f"no feasible pair in {_PAIR_DRAWS} attempts; the unperturbed point is "
-                     "always feasible, so this indicates a bug")
-
-
 def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
     """Random (X, Y) satisfying the doubling block squeeze at jm, by construction + check.
 
     X = Y = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm
     at most (M/4) |Htilde|; feasibility (and the norm consequence
     |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
-    before returning, resampling on failure.
+    before returning, resampling on failure.  The one-jet call of
+    _feasible_pair_points, whose rounds are then one draw each.
     """
-    n, M = jm.N, jm.M
-    c = 2.0 * M + 1.0
-    ht_norm = jm.ht_norm
-    for _ in range(_PAIR_DRAWS):
-        S = _direction(rng, n)
-        s_norm = spectral_norm(S)
-        if s_norm > 0.0:
-            S *= rng.uniform(0.0, 1.0) * (M / 4.0) * ht_norm / s_norm
-        X = c * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
-        ok, _, norm_sum = _pair_feasible(X, X, jm)
-        if ok and norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
-            return X, X.copy()
-    raise RuntimeError(_NO_FEASIBLE_PAIR)
+    X = _feasible_pair_points(_one_jet_stack(jm), rng)[0][0]
+    return X, X.copy()
 
 
 @dataclass(frozen=True)
@@ -413,9 +361,10 @@ def _pair_large_axes(r: RadialJet, p: float, eps: float | None):
 
 def pair_jet(x, M: float, p: float, modulus: Modulus, eps: float | None = None) -> RadialJet:
     """The scalars of the jet at x, once they pass every test of
-    pair_conclusions_check that needs no pair: a valid x and, for p >= 4, eps
-    and the large branch's preconditions.  Raises ValueError otherwise; no
-    matrix is built."""
+    pair_conclusions_check that needs no pair: M > 1, a valid x and, for
+    p >= 4, eps and the large branch's preconditions.  Raises ValueError
+    otherwise; no matrix is built."""
+    _check_M(M)
     r = _radial(x, modulus, M)
     _pair_large_axes(r, p, eps)
     return r
@@ -430,18 +379,19 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     eigenvalue of A(X+Y-2c Id) obeys the small-branch bound for p <= 4 and
     the large-branch bound for p >= 4 (the latter needs eps and the damped
     inequality), and |X-cId| + |Y-cId| <= 6M|H1|.
+
+    Only pairs with Y = X are tested; another Y raises ValueError.  The
+    one-jet call of _pair_squeeze_checks, then _pair_conclusions_checks.
     """
-    ok, details, norm_sum = _pair_feasible(X, Y, jm)
-    if not ok:
-        raise ValueError(f"pair does not satisfy the block squeeze (eigen margins {details})")
-    M, p = jm.M, jm.p
-    c = 2.0 * M + 1.0
-    mp2 = M ** (p - 2.0)
-    sum_mat = mp2 * jm.Theta @ (X + Y) @ jm.Theta
-    shifted = mp2 * jm.Theta @ (X + Y - 2.0 * c * np.eye(jm.N)) @ jm.Theta
-    return _conclusions(jm, p, jm.h1_norm, jm.theta_norm_sq(), eps,
-                        float(jacobi_eigh(sum_mat)[0][-1]), float(jacobi_eigh(shifted)[0][0]),
-                        norm_sum)
+    if not np.array_equal(X, Y):
+        raise ValueError("only pairs with Y = X are tested")
+    st = _one_jet_stack(jm)
+    X = np.asarray(X, dtype=float)[None]
+    ok, details, norm_sum = _pair_squeeze_checks(X, st)
+    if not ok[0]:
+        margins = tuple(float(d[0]) for d in details)
+        raise ValueError(f"pair does not satisfy the block squeeze (eigen margins {margins})")
+    return _pair_conclusions_checks(X, st, [eps], norm_sum)[0]
 
 
 def _conclusions(r: RadialJet, p: float, h1_norm: float, theta_sq: float, eps: float | None,
@@ -496,15 +446,20 @@ class _PairStack:
 def _pair_stack(rs, ps) -> _PairStack:
     H1, Htilde, Theta, _ = _stack_matrices(rs, ps)
     return _PairStack(tuple(rs), np.array([r.M for r in rs]), np.array(ps, dtype=float),
-                      Htilde, Theta, np.abs(jacobi_eigvals(H1)).max(axis=1),
-                      np.abs(jacobi_eigvals(Htilde)).max(axis=1))
+                      Htilde, Theta, _spectral_norms(H1), _spectral_norms(Htilde))
+
+
+def _one_jet_stack(jm: JetMatrices) -> _PairStack:
+    """The stack of the one jet jm, from its matrices and cached norms."""
+    return _PairStack((jm,), np.array([jm.M]), np.array([jm.p]), jm.Htilde[None],
+                      jm.Theta[None], np.array([jm.h1_norm]), np.array([jm.ht_norm]))
 
 
 def _pair_points(st: _PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """feasible_pair_sample's X = (2M+1) Id - 2M |Htilde| Id + S, S scaled to
-    norm u (M/4) |Htilde|, for every jet of st; a zero S stays unscaled."""
+    """The pair point X = (2M+1) Id - 2M |Htilde| Id + S of every jet of st,
+    S scaled to norm u (M/4) |Htilde|; a zero S stays unscaled."""
     eye = np.eye(S.shape[1])
-    s_norm = np.abs(jacobi_eigvals(S)).max(axis=1)
+    s_norm = _spectral_norms(S)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(s_norm > 0.0, u * (st.M / 4.0) * st.ht_norm / s_norm, 1.0)
     return (2.0 * st.M + 1.0)[:, None, None] * eye \
@@ -512,8 +467,11 @@ def _pair_points(st: _PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _pair_squeeze_checks(X: np.ndarray, st: _PairStack):
-    """_pair_feasible(X[k], X[k], jm_k) for every jet k of st, as arrays:
-    (ok, (lower, upper, scale), norm_sum), bit for bit."""
+    """Both sides of the block squeeze of the pair (X[k], X[k]) at every jet
+    k of st, by the N x N tests of the module docstring: (ok, (lower, upper,
+    scale), norm_sum) as arrays.  lower and upper are the least eigenvalues
+    of the two sides' differences, and norm_sum is |X - cI| + |Y - cI| with
+    c = 2M+1, taken from the same eigenvalues."""
     eye = np.eye(X.shape[1])
     B = X - (2.0 * st.M + 1.0)[:, None, None] * eye
     wb = jacobi_eigvals(B)
@@ -527,14 +485,14 @@ def _pair_squeeze_checks(X: np.ndarray, st: _PairStack):
 
 
 def _feasible_pair_points(st: _PairStack, rng) -> tuple:
-    """feasible_pair_sample's X of every jet of st, with |X - cI| + |Y - cI|
-    of Y = X: (X[S, N, N], norm_sum[S]).
+    """The first feasible X of every jet of st, with |X - cI| + |Y - cI| of
+    Y = X: (X[S, N, N], norm_sum[S]).
 
     Each round draws, in stack order, S and its radius factor for every jet
     still pending and tests those pairs as one stack; a jet leaves with its
     first feasible pair, so each jet's pair is the first feasible one of an
-    i.i.d. sequence of draws, as feasible_pair_sample's is.  Raises
-    RuntimeError when a jet has no feasible pair after _PAIR_DRAWS rounds.
+    i.i.d. sequence of draws.  Raises RuntimeError when a jet has no
+    feasible pair after _PAIR_DRAWS rounds.
     """
     n = st.Htilde.shape[1]
     X = np.empty_like(st.Htilde)
@@ -545,7 +503,7 @@ def _feasible_pair_points(st: _PairStack, rng) -> tuple:
         u = np.zeros(len(pending))
         for i in range(len(pending)):
             S[i] = _direction(rng, n)
-            if S[i].any():  # |S| > 0: feasible_pair_sample's test on the same S
+            if S[i].any():  # |S| > 0
                 u[i] = rng.uniform(0.0, 1.0)
         sub = st.take(pending)
         Xp = _pair_points(sub, S, u)
@@ -556,13 +514,13 @@ def _feasible_pair_points(st: _PairStack, rng) -> tuple:
         pending = pending[~ok]
         if len(pending) == 0:
             return X, norm_sum
-    raise RuntimeError(_NO_FEASIBLE_PAIR)
+    raise RuntimeError(f"no feasible pair in {_PAIR_DRAWS} attempts; the unperturbed point is "
+                       "always feasible, so this indicates a bug")
 
 
 def _pair_conclusions_checks(X: np.ndarray, st: _PairStack, eps, norm_sum) -> list:
     """The conclusions of the pairs (X[k], X[k]) at the jets of st, one
-    jacobi_eigvals call per matrix set, bit for bit those
-    pair_conclusions_check gives each feasible pair; eps[k] is jet k's."""
+    jacobi_eigvals call per matrix set; eps[k] is jet k's."""
     c = 2.0 * st.M + 1.0
     mp2 = np.array([M ** (p - 2.0) for M, p in zip(st.M.tolist(), st.p.tolist())])
     weighted = mp2[:, None, None] * st.Theta
@@ -583,9 +541,8 @@ def feasible_pair_conclusions(rs, ps, eps, rng) -> list:
     The jets of each N, in order of first appearance, share one stack:
     their matrices and norms, the rounds of pair draws that give each its
     first feasible pair, and the eigenvalues of the conclusions, all taken
-    with jacobi_eigvals.  Each row equals pair_conclusions_check(X, X, jm,
-    eps) of the jet's matrices jm and its pair.  Raises RuntimeError when a
-    jet has no feasible pair in _PAIR_DRAWS draws.
+    with jacobi_eigvals.  Raises RuntimeError when a jet has no feasible pair
+    in _PAIR_DRAWS draws.
     """
     out = [None] * len(rs)
     by_n = {}

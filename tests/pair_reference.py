@@ -3,9 +3,9 @@
 `feasible_pair_conclusions` below draws from the rng in the order the
 shipped one does (jets of each N in order of first appearance, then rounds
 over the jets still pending, each drawing S and its radius factor), but
-builds each jet alone and tests each pair with the one-matrix
-`jets._pair_feasible` and `jets.pair_conclusions_check`, which call
-`jacobi_eigh`.
+builds each jet alone, scales S by `eig.spectral_norm`, and tests each pair
+with the one-jet call `jets.pair_conclusions_check`, whose stacks of one
+matrix run through `jacobi_eigh`.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ def feasible_pair_conclusions(rs, ps, eps, rng):
     for k, r in enumerate(rs):
         by_n.setdefault(r.N, []).append(k)
     for ks in by_n.values():
-        pairs = {}
         pending = list(ks)
         for _ in range(jets._PAIR_DRAWS):
             draws = []
@@ -34,15 +33,16 @@ def feasible_pair_conclusions(rs, ps, eps, rng):
                 if s_norm > 0.0:
                     S = S * (u * (M / 4.0) * jm.ht_norm / s_norm)
                 X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * jm.ht_norm * np.eye(n) + S
-                ok, _, norm_sum = jets._pair_feasible(X, X, jm)
-                if ok and norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
-                    pairs[k] = (X, jm)
-            pending = [k for k in pending if k not in pairs]
+                try:
+                    rep = jets.pair_conclusions_check(X, X, jm, eps[k])
+                except ValueError as err:  # rs[k] passed pair_jet, so only the squeeze fails
+                    assert "block squeeze" in str(err)
+                    continue
+                if rep.norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
+                    out[k] = rep
+            pending = [k for k in pending if out[k] is None]
             if not pending:
                 break
         else:
             raise RuntimeError("no feasible pair")
-        for k in ks:
-            X, jm = pairs[k]
-            out[k] = jets.pair_conclusions_check(X, X, jm, eps[k])
     return out

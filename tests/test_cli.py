@@ -267,7 +267,9 @@ def test_verify_lemmas_names_uncovered_pair_cases(tmp_path):
 
 
 def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
-    # the float-loop Jacobi kernel must leave every sampled row unchanged
+    # the float-loop and vectorised Jacobi kernels must leave every sampled
+    # row unchanged: the reference run takes every eigenvalue with the
+    # reference kernel, the stacks of jets one matrix at a time
     config = str(CONFIGS / "verify_lemmas_small.ini")
     args = ["verify-lemmas", "--config", config, "--seed", "42", "--out"]
     code = main(args + [str(tmp_path / "shipped")])
@@ -277,8 +279,12 @@ def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
         calls.append(len(a))
         return jacobi_reference.jacobi_eigh(a, *rest)
 
-    for module in (eig, jets, claims):
+    def reference_stack(a):
+        return np.array([reference(m)[0] for m in a]).reshape(a.shape[:2])
+
+    for module in (eig, claims):
         monkeypatch.setattr(module, "jacobi_eigh", reference)
+    monkeypatch.setattr(jets, "jacobi_eigvals", reference_stack)
     assert main(args + [str(tmp_path / "reference")]) == code
     assert calls
     shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))

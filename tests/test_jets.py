@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pseudoplap import jets
+import jacobi_reference
+from pseudoplap import eig, jets
 from pseudoplap.claims import DEFAULT_REGIME_P, REGIMES, regime_params
-from pseudoplap.eig import jacobi_eigh, spectral_norm
+from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm
 from pseudoplap.jets import (
     _assemble,
     _jet,
@@ -15,7 +16,6 @@ from pseudoplap.jets import (
     min_eig_bound_check,
     pair_conclusions_check,
     pair_jet,
-    _pair_feasible,
 )
 from pseudoplap.jets import test_vector as make_test_vector
 from pseudoplap.moduli import HolderModulus, LipschitzModulus
@@ -144,6 +144,16 @@ def test_block_norm_identity():
     jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
     A = M * np.block([[jm.H1, -jm.H1], [-jm.H1, jm.H1]])
     assert abs(spectral_norm(A) - 2.0 * M * spectral_norm(jm.H1)) < 1e-10 * spectral_norm(A)
+
+
+@pytest.mark.parametrize("M", [1.0, 0.5, -2.0, np.nan])
+def test_jet_entry_points_reject_M_at_most_one(M):
+    mod = HolderModulus(0.5)
+    x = np.array([0.05, 0.02])
+    with pytest.raises(ValueError, match="M must be > 1"):
+        pair_jet(x, M, 3.0, mod)
+    with pytest.raises(ValueError, match="M must be > 1"):
+        build_jet_matrices(x, M, 3.0, mod)
 
 
 def test_build_rejects_bad_inputs():
@@ -293,6 +303,12 @@ def test_eq_n_epsilon_holds_below_selector_threshold():
     assert not _jet(np.array([0.6, 0.6]), 3.0, mod, 1.0).eq_n_epsilon(0.9)
 
 
+def squeeze(X, jm):
+    """The stacked squeeze of the one pair (X, X) at jm: (ok, margins, norm_sum)."""
+    ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], jets._one_jet_stack(jm))
+    return bool(ok[0]), tuple(float(m[0]) for m in margins), float(norm_sum[0])
+
+
 def test_feasible_pair_unperturbed_always_feasible():
     rng = np.random.default_rng(8)
     for _ in range(30):
@@ -302,8 +318,9 @@ def test_feasible_pair_unperturbed_always_feasible():
         jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
         c = 2 * M + 1
         X = c * np.eye(N) - 2 * M * spectral_norm(jm.Htilde) * np.eye(N)
-        ok, _, _ = _pair_feasible(X, X, jm)
+        ok, (_, _, scale), _ = squeeze(X, jm)
         assert ok
+        assert min(_full_squeeze(X, X, jm)) >= -1e-10 * scale
 
 
 def test_feasible_pair_sample_properties():
@@ -315,8 +332,10 @@ def test_feasible_pair_sample_properties():
         mod = HolderModulus(0.6)
         jm = build_jet_matrices(x, M, 3.0, mod)
         X, Y = feasible_pair_sample(jm, rng)
-        ok, _, _ = _pair_feasible(X, Y, jm)
+        assert np.array_equal(X, Y) and Y is not X
+        ok, (_, _, scale), _ = squeeze(X, jm)
         assert ok
+        assert min(_full_squeeze(X, Y, jm)) >= -1e-10 * scale
         c = 2 * M + 1
         norm_sum = spectral_norm(X - c * np.eye(N)) + spectral_norm(Y - c * np.eye(N))
         assert norm_sum <= 6 * M * spectral_norm(jm.H1) * (1 + 1e-10)
@@ -384,8 +403,9 @@ def _pair_candidates(rng):
 
 
 def test_stacked_pair_checks_match_scalar_path():
-    # the stacked pair points, squeeze margins and conclusions of each N must
-    # equal, bit for bit, what the one-pair path gives the same jet and S
+    # the pair points, squeeze margins and conclusions of a stack that mixes
+    # regimes and exponents must equal, bit for bit, what one-jet calls give
+    # each jet on the same S; and every eigenvalue must be the reference's
     rng = np.random.default_rng(41)
     cands = _pair_candidates(rng)
     # 1D lipschitz_large_p fails eq_n_epsilon on every draw
@@ -395,6 +415,7 @@ def test_stacked_pair_checks_match_scalar_path():
     seen = set()
     for N in (1, 2, 3):
         group = [c for c in cands if c[1].N == N]
+        assert len(group) >= eig.SMALL_STACK  # the stack takes the vectorised sweep
         st = jets._pair_stack([r for _, r, _, _ in group], [p for _, _, p, _ in group])
         S = np.array([jets._direction(rng, N) for _ in group])
         u = rng.uniform(0.0, 4.0, len(group))  # beyond 1, a pair may fail the squeeze
@@ -403,14 +424,29 @@ def test_stacked_pair_checks_match_scalar_path():
         reps = jets._pair_conclusions_checks(X, st, [e for _, _, _, e in group], norm_sum)
         for k, (_, r, p, eps) in enumerate(group):
             jm = _assemble(r, p)
-            assert (st.h1_norm[k], st.ht_norm[k]) == (jm.h1_norm, jm.ht_norm)
-            Sk = S[k] * (u[k] * (jm.M / 4.0) * jm.ht_norm / spectral_norm(S[k]))
+            one = jets._one_jet_stack(jm)
+            assert (st.h1_norm[k], st.ht_norm[k]) == (one.h1_norm[0], one.ht_norm[0])
+            assert np.array_equal(X[k], jets._pair_points(one, S[k:k + 1], u[k:k + 1])[0])
+            assert squeeze(X[k], jm) == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
             c = 2.0 * jm.M + 1.0
-            assert (X[k] == c * np.eye(N) - 2.0 * jm.M * jm.ht_norm * np.eye(N) + Sk).all()
-            assert _pair_feasible(X[k], X[k], jm) \
-                == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
+            B = X[k] - c * np.eye(N)
+            wb = jacobi_reference.jacobi_eigh(B)[0]
+            upper_ref = jacobi_reference.jacobi_eigh(2.0 * jm.M * jm.Htilde - B)[0][0]
+            assert lower[k] == wb[0] + 6.0 * jm.M * jm.h1_norm
+            assert upper[k] == min(-wb[-1], upper_ref)
+            assert norm_sum[k] == 2.0 * np.abs(wb).max()
             if ok[k]:
-                assert reps[k] == pair_conclusions_check(X[k], X[k], jm, eps)
+                rep = pair_conclusions_check(X[k], X[k], jm, eps)
+                assert reps[k] == rep
+                weighted = jm.M ** (p - 2.0) * jm.Theta
+                lam = jacobi_reference.jacobi_eigh(weighted @ (X[k] + X[k]) @ jm.Theta)[0]
+                lam1 = jacobi_reference.jacobi_eigh(
+                    weighted @ (X[k] + X[k] - 2.0 * c * np.eye(N)) @ jm.Theta)[0][0]
+                assert rep.lambda_all_max == lam[-1]
+                assert rep.slack_small is not None or rep.slack_large is not None
+                for bound, slack in ((rep.bound_small, rep.slack_small),
+                                     (rep.bound_large, rep.slack_large)):
+                    assert slack is None or slack == bound - lam1
             seen.add(bool(ok[k]))
     assert seen == {True, False}
 
@@ -451,23 +487,23 @@ def _random_pair_point(rng, N, M, jm, radius):
 
 
 @pytest.fixture
-def jets_eig_sizes(monkeypatch):
-    """The size of every matrix that pseudoplap.jets hands to jacobi_eigh."""
-    sizes = []
+def jets_eig_shapes(monkeypatch):
+    """The shape of every stack that pseudoplap.jets hands to jacobi_eigvals."""
+    shapes = []
 
-    def sized(a):
-        sizes.append(len(a))
-        return jacobi_eigh(a)
+    def shaped(a):
+        shapes.append(a.shape)
+        return jacobi_eigvals(a)
 
-    monkeypatch.setattr("pseudoplap.jets.jacobi_eigh", sized)
-    return sizes
+    monkeypatch.setattr("pseudoplap.jets.jacobi_eigvals", shaped)
+    return shapes
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_pair_split_matches_full_squeeze(N, jets_eig_sizes):
+def test_pair_split_matches_full_squeeze(N, jets_eig_shapes):
+    # the stacked N x N squeeze of 100 pairs (X, X) against the 2N x 2N tests
     rng = np.random.default_rng(20 + N)
-    sizes = jets_eig_sizes
-    seen = set()
+    jms, X = [], []
     for _ in range(100):
         mod = HolderModulus(float(rng.uniform(0.2, 0.8))) if rng.random() < 0.5 \
             else LipschitzModulus(0.2, 0.5)
@@ -475,36 +511,32 @@ def test_pair_split_matches_full_squeeze(N, jets_eig_sizes):
         jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M,
                                 float(rng.uniform(2.5, 7)), mod)
         # radius (M/4) |Htilde| is the sampler's; beyond about 2M |Htilde| a side fails
-        X = _random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0)))
-        sizes.clear()
-        ok, (lower, upper, scale), norm_sum = _pair_feasible(X, X.copy(), jm)
-        assert max(sizes) == N  # every eigen-test is N x N
-        full_lower, full_upper = _full_squeeze(X, X, jm)
-        assert abs(lower - full_lower) <= 1e-12 * scale
-        assert abs(upper - full_upper) <= 1e-12 * scale
-        tol = -1e-10 * scale
-        assert ok == (full_lower >= tol and full_upper >= tol)
-        c = 2 * M + 1
-        assert norm_sum == 2 * spectral_norm(X - c * np.eye(N))
-        seen.add(ok)
-    assert seen == {True, False}
+        X.append(_random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0))))
+        jms.append(jm)
+    st = jets._pair_stack(jms, [jm.p for jm in jms])
+    jets_eig_shapes.clear()
+    ok, (lower, upper, scale), norm_sum = jets._pair_squeeze_checks(np.array(X), st)
+    assert jets_eig_shapes == [(100, N, N)] * 2  # every eigen-test is N x N
+    for k, jm in enumerate(jms):
+        full_lower, full_upper = _full_squeeze(X[k], X[k], jm)
+        assert abs(lower[k] - full_lower) <= 1e-12 * scale[k]
+        assert abs(upper[k] - full_upper) <= 1e-12 * scale[k]
+        tol = -1e-10 * scale[k]
+        assert ok[k] == (full_lower >= tol and full_upper >= tol)
+        c = 2 * jm.M + 1
+        assert norm_sum[k] == 2 * spectral_norm(X[k] - c * np.eye(N))
+    assert set(ok.tolist()) == {True, False}
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_pair_distinct_y_keeps_full_test(N, jets_eig_sizes):
+def test_pair_distinct_y_raises(N):
     rng = np.random.default_rng(30 + N)
-    sizes = jets_eig_sizes
-    for _ in range(20):
-        M = float(rng.uniform(1.5, 50))
-        jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M, 3.0,
-                                HolderModulus(0.5))
-        X = _random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 0.25)))
-        Y = _random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0)))
-        sizes.clear()
-        ok, (lower, upper, scale), norm_sum = _pair_feasible(X, Y, jm)
-        assert 2 * N in sizes
-        full_lower, full_upper = _full_squeeze(X, Y, jm)
-        assert abs(lower - full_lower) <= 1e-12 * scale and upper == full_upper
-        assert ok == (full_lower >= -1e-10 * scale and full_upper >= -1e-10 * scale)
-        c = 2 * M + 1
-        assert norm_sum == spectral_norm(X - c * np.eye(N)) + spectral_norm(Y - c * np.eye(N))
+    M = float(rng.uniform(1.5, 50))
+    jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M, 3.0,
+                            HolderModulus(0.5))
+    X = (2 * M + 1) * np.eye(N) - 2 * M * jm.ht_norm * np.eye(N)  # always feasible
+    pair_conclusions_check(X, X.copy(), jm)
+    Y = X.copy()
+    Y[0, 0] = np.nextafter(Y[0, 0], np.inf)
+    with pytest.raises(ValueError, match="Y = X"):
+        pair_conclusions_check(X, Y, jm)

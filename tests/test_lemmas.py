@@ -6,7 +6,7 @@ import pytest
 import barrier_reference
 import min_eig_reference
 import pair_reference
-from pseudoplap import claims, eig, jets, lemmas
+from pseudoplap import claims, jets, lemmas
 from pseudoplap.lemmas import lipschitz_modulus
 
 
@@ -21,25 +21,31 @@ def test_sampled_lipschitz_modulus_keeps_prime_window_on_unit_interval(tau):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counters for the jets built and the block squeezes tested.
+    """Counters for the jets built, the block squeezes tested and the
+    eigenvalue stacks.
 
-    Every jet's matrices are built by jets._assemble; each feasibility test
-    records the bytes of the pair it tested, so a pair tested twice shows as
-    a repeat.
+    Every jet's matrices are built by jets._assemble; each squeeze test
+    records the bytes of every pair it tested, so a pair tested twice shows
+    as a repeat; each jacobi_eigvals call of jets records its stack's size.
     """
-    counts = {"jets": 0, "tested": []}
-    jet, feasible = jets._assemble, jets._pair_feasible
+    counts = {"jets": 0, "tested": [], "stacks": []}
+    jet, squeeze, eigvals = jets._assemble, jets._pair_squeeze_checks, jets.jacobi_eigvals
 
     def counted_jet(*args, **kwargs):
         counts["jets"] += 1
         return jet(*args, **kwargs)
 
-    def counted_feasible(X, Y, jm):
-        counts["tested"].append((X.tobytes(), Y.tobytes()))
-        return feasible(X, Y, jm)
+    def counted_squeeze(X, st):
+        counts["tested"] += [Xk.tobytes() for Xk in X]
+        return squeeze(X, st)
+
+    def counted_eigvals(a):
+        counts["stacks"].append(len(a))
+        return eigvals(a)
 
     monkeypatch.setattr(jets, "_assemble", counted_jet)
-    monkeypatch.setattr(jets, "_pair_feasible", counted_feasible)
+    monkeypatch.setattr(jets, "_pair_squeeze_checks", counted_squeeze)
+    monkeypatch.setattr(jets, "jacobi_eigvals", counted_eigvals)
     return counts
 
 
@@ -59,14 +65,6 @@ def count_calls(monkeypatch, module, name):
 def assert_each_pair_tested_once(work):
     assert work["tested"]
     assert len(set(work["tested"])) == len(work["tested"])
-
-
-def forbid(monkeypatch, module, name):
-    """Patch module.name with a function that fails the test when called."""
-    def called(*args, **kwargs):
-        raise AssertionError(f"{module.__name__}.{name} called")
-
-    monkeypatch.setattr(module, name, called)
 
 
 @pytest.fixture
@@ -94,14 +92,18 @@ def test_pair_rows_screen_then_one_test_per_round(work, monkeypatch, pair_rounds
         return stack(rs, ps)
 
     monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
-    for module, name in ((eig, "jacobi_eigh"), (jets, "jacobi_eigh"), (jets, "spectral_norm")):
-        forbid(monkeypatch, module, name)
     rows, _ = lemmas.pair_rows(np.random.default_rng(3), 16)
     assert len(rows) == 16 < len(draws)  # some draws fail the screen
     # only the draws that pass the screen are built, each once, one stack per
     # block and N; each S drawn is tested once
     assert work["jets"] == 0 and sum(stacked) == len(rows)
-    assert len(directions) == sum(map(len, pair_rounds))
+    assert len(directions) == sum(map(len, pair_rounds)) == len(work["tested"])
+    assert_each_pair_tested_once(work)
+    # every eigenvalue is taken on a stack: |H1| and |Htilde| and the two
+    # conclusions of each jet stack, |S| and both squeeze sides of each round
+    assert not {"jacobi_eigh", "spectral_norm"} & set(vars(jets))
+    assert Counter(work["stacks"]) \
+        == Counter(4 * stacked) + Counter(3 * [len(tested) for tested in pair_rounds])
     # a stack's first round tests every jet; each later round tests, once
     # each, the jets the round before did not accept
     seen = set()
@@ -187,7 +189,7 @@ def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
     # one H per accepted draw, in one stack per N; a rejected large-branch
     # draw builds no matrices
     assert work["jets"] == 0
-    assert len(stacked) == len({row[2] for row in rows})
+    assert len(stacked) == len({row[2] for row in rows}) == len(work["stacks"])
     assert sum(stacked) == len(rows) < len(draws)
 
 
@@ -217,3 +219,4 @@ def test_claims_one_jet_per_check(work, monkeypatch, regime):
     assert len(rows) == len(checks) == 10
     assert work["jets"] == len(checks)
     assert_each_pair_tested_once(work)
+    assert set(work["stacks"]) == {1}  # one-jet stacks
