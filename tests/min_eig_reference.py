@@ -1,9 +1,10 @@
 """The serial eigenvalue-bound sampler, kept as the bitwise reference for
 `lemmas.min_eig_rows`.
 
-It draws, screens and checks one draw at a time: min_eig_bound_check builds
-each H on its own and takes its least eigenvalue with `eig.jacobi_eigh`, where
-the shipped sampler stacks the matrices of each N for `eig.jacobi_eigvals`.
+It draws, screens and checks one draw at a time: min_eig_bound_check, the
+one-jet call of the stacked check, builds each H on its own, and its stack of
+one matrix runs through `eig.jacobi_eigh`, where the shipped sampler stacks
+the matrices of each batch and N for the vectorised `eig.jacobi_eigvals`.
 """
 
 import numpy as np

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -485,7 +486,12 @@ def test_regularity_lambda_not_positive_finite_exit_2(tmp_path, monkeypatch, cap
 
 
 def test_console_entry_point_runs():
+    # the child imports the package this process imported, also when pytest
+    # put src/ on sys.path without PYTHONPATH
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-m", "pseudoplap.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verify-lemmas" in proc.stdout

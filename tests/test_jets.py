@@ -426,9 +426,10 @@ def test_stacked_pair_checks_match_scalar_path():
             jm = _assemble(r, p)
             one = jets._one_jet_stack(jm)
             assert (st.h1_norm[k], st.ht_norm[k]) == (one.h1_norm[0], one.ht_norm[0])
-            assert np.array_equal(X[k], jets._pair_points(one, S[k:k + 1], u[k:k + 1])[0])
-            assert squeeze(X[k], jm) == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
+            Sk = S[k] * (u[k] * (jm.M / 4.0) * jm.ht_norm / spectral_norm(S[k]))
             c = 2.0 * jm.M + 1.0
+            assert (X[k] == c * np.eye(N) - 2.0 * jm.M * jm.ht_norm * np.eye(N) + Sk).all()
+            assert squeeze(X[k], jm) == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
             B = X[k] - c * np.eye(N)
             wb = jacobi_reference.jacobi_eigh(B)[0]
             upper_ref = jacobi_reference.jacobi_eigh(2.0 * jm.M * jm.Htilde - B)[0][0]
