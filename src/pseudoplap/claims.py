@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import jacobi_eigh, spectral_norm
-from .jets import build_jet_matrices, feasible_pair_sample
+from .eig import jacobi_eigvals
+from .jets import feasible_pairs, radial_jet
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
 REGIMES = ("holder_small_p", "holder_large_p", "lipschitz_small_p", "lipschitz_large_p")
@@ -41,7 +41,7 @@ DEFAULT_REGIME_P = {
     "lipschitz_large_p": 6.0,
 }
 # Stands in for the unquantified Hölder constant in the Lipschitz regimes'
-# doubled-maximum cap (C_EMP |xbar-ybar|^gamma / M)^{1/2}; see claims_check.
+# doubled-maximum cap (C_EMP |xbar-ybar|^gamma / M)^{1/2}; see claims_checks.
 C_EMP = 10.0
 
 
@@ -176,61 +176,63 @@ class ClaimsReport:
     eq_n_epsilon_ok: bool | None
 
 
-def claims_check(x_bar, y_bar, x0, M: float, params: RegimeParams, rng) -> ClaimsReport:
-    """Measure the three claim ratios at one doubled point (xbar, ybar, x0).
+def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
+    """The claim ratios at each doubled point (xbar, ybar, x0) of points, in order.
 
     Lipschitz regimes require |xbar-x0| and |ybar-x0| at most
     (C_EMP |xbar-ybar|^gamma / M)^{1/2}, mirroring the penalty-term bound at
-    a doubled maximum.
+    a doubled maximum.  Every point is checked before feasible_pairs draws
+    the pairs of all the jets at xbar - ybar as one stack; one jacobi_eigvals
+    call takes every spectrum of M^{p-2} Th (X+Y) Th, and one every |X| (= |Y|).
     """
-    x_bar = np.asarray(x_bar, dtype=float)
-    y_bar = np.asarray(y_bar, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    z = x_bar - y_bar
-    s = float(np.linalg.norm(z))
-    if s == 0.0:
-        raise ValueError("xbar and ybar must differ")
     p, n = params.p, params.N
-    if len(z) != n:
-        raise ValueError(f"points have dimension {len(z)}, params expect {n}")
     modulus = params.modulus()
-    if params.regime.startswith("lipschitz"):
-        cap = math.sqrt(C_EMP * s**params.gamma / M)
-        for name, pt in (("xbar", x_bar), ("ybar", y_bar)):
-            if np.linalg.norm(pt - x0) > cap * (1.0 + 1e-9):
-                raise ValueError(
-                    f"|{name} - x0| = {np.linalg.norm(pt - x0):.3g} exceeds the doubled-"
-                    f"maximum cap (C_EMP |xbar-ybar|^gamma / M)^(1/2) = {cap:.3g}"
-                )
-    jm = build_jet_matrices(z, M, p, modulus)
-    wp = float(modulus.omega_prime(s))
-    q = M * wp * z / s
-    qx = q + 2.0 * M * (x_bar - x0)
-    qy = q - 2.0 * M * (y_bar - x0)
-    X, Y = feasible_pair_sample(jm, rng)
+    rs, grads = [], []
+    for x_bar, y_bar, x0 in points:
+        x_bar, y_bar, x0 = (np.asarray(v, dtype=float) for v in (x_bar, y_bar, x0))
+        z = x_bar - y_bar
+        s = float(np.linalg.norm(z))
+        if s == 0.0:
+            raise ValueError("xbar and ybar must differ")
+        if len(z) != n:
+            raise ValueError(f"points have dimension {len(z)}, params expect {n}")
+        if params.regime.startswith("lipschitz"):
+            cap = math.sqrt(C_EMP * s**params.gamma / M)
+            for name, pt in (("xbar", x_bar), ("ybar", y_bar)):
+                if np.linalg.norm(pt - x0) > cap * (1.0 + 1e-9):
+                    raise ValueError(
+                        f"|{name} - x0| = {np.linalg.norm(pt - x0):.3g} exceeds the doubled-"
+                        f"maximum cap (C_EMP |xbar-ybar|^gamma / M)^(1/2) = {cap:.3g}"
+                    )
+        rs.append(radial_jet(z, M, modulus))
+        q = M * rs[-1].wp * z / s
+        grads.append((q, q + 2.0 * M * (x_bar - x0), q - 2.0 * M * (y_bar - x0)))
+    st, X, _ = feasible_pairs(rs, [p] * len(rs), rng)
 
     mp2 = M ** (p - 2.0)
-    lam = jacobi_eigh(mp2 * jm.Theta @ (X + Y) @ jm.Theta)[0]
-    denom = lambda expo: M ** (p - 1.0) * s ** (-expo)
-    ratio1 = float(lam[0] / denom(params.tau_hat))
-    if n > 1:
-        ratio2 = float(lam[1:].max() / denom(params.tau1))
-        ratio2_cap = float(2.0 * (2.0 * M + 1.0) * mp2 * jm.theta_norm_sq()
-                           / denom(params.tau1))
-    else:
-        ratio2 = ratio2_cap = None
-    nq, nqx, nqy = (float(np.linalg.norm(v)) for v in (q, qx, qy))
-    x_norm = spectral_norm(X)  # |Y| too: Y is a copy of X
-    lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * x_norm \
-        + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * x_norm
-    ratio3 = float(lhs / denom(params.tau2))
-    eq_ok = jm.eq_n_epsilon(params.eps) if p > 4.0 and params.eps is not None else None
-    return ClaimsReport(
-        regime=params.regime, p=p, N=n, M=M, s=s,
-        ratio1=ratio1, ratio2=ratio2, ratio2_cap=ratio2_cap, ratio3=ratio3,
-        q_norm=nq, qx_norm=nqx, qy_norm=nqy,
-        in_delta=bool(s < 0.5 * params.delta_N), eq_n_epsilon_ok=eq_ok,
-    )
+    lams = jacobi_eigvals(mp2 * st.Theta @ (X + X) @ st.Theta)
+    x_norms = np.abs(jacobi_eigvals(X)).max(axis=1)
+    reports = []
+    for r, (q, qx, qy), lam, x_norm, theta_sq in zip(rs, grads, lams, x_norms,
+                                                      st.theta_norm_sq()):
+        denom = lambda expo: M ** (p - 1.0) * r.s ** (-expo)
+        ratio1 = float(lam[0] / denom(params.tau_hat))
+        if n > 1:
+            ratio2 = float(lam[1:].max() / denom(params.tau1))
+            ratio2_cap = float(2.0 * (2.0 * M + 1.0) * mp2 * theta_sq / denom(params.tau1))
+        else:
+            ratio2 = ratio2_cap = None
+        nq, nqx, nqy = (float(np.linalg.norm(v)) for v in (q, qx, qy))
+        lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * x_norm \
+            + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * x_norm
+        eq_ok = r.eq_n_epsilon(params.eps) if p > 4.0 and params.eps is not None else None
+        reports.append(ClaimsReport(
+            regime=params.regime, p=p, N=n, M=M, s=r.s,
+            ratio1=ratio1, ratio2=ratio2, ratio2_cap=ratio2_cap,
+            ratio3=float(lhs / denom(params.tau2)), q_norm=nq, qx_norm=nqx, qy_norm=nqy,
+            in_delta=bool(r.s < 0.5 * params.delta_N), eq_n_epsilon_ok=eq_ok,
+        ))
+    return reports
 
 
 def evaluate_claims_sweep(reports) -> dict:
@@ -276,26 +278,24 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 
 
 def claims_scale_sweep(params: RegimeParams, M: float, scales, rng) -> list:
-    """Run claims_check five times at each separation scale with seeded geometry.
+    """claims_checks at five doubled points per separation scale, with seeded
+    geometry, all of one regime in one call.
 
     The separation direction is one random unit vector reused at every scale
     (scale-to-scale drift then measures the s-dependence, not directional
-    noise).  x0 offsets follow the regime: 0.05 for Hölder, half the
+    noise), and the x0 offset lies along it, which keeps the gradient-shift
+    term leading.  x0 offsets follow the regime: 0.05 for Hölder, half the
     doubled-maximum cap for Lipschitz.
     """
     n = params.N
     direction = _unit(rng.standard_normal(n)) if n > 1 else np.ones(1)
-    off_dir = direction  # aligned offset keeps the gradient-shift term leading
-
-    reports = []
+    points = []
     for s in scales:
         if params.regime.startswith("lipschitz"):
             off = 0.5 * math.sqrt(C_EMP * s**params.gamma / M)
         else:
             off = 0.05
-        for _ in range(5):
-            x0 = np.zeros(n)
-            x_bar = x0 + off * off_dir
-            y_bar = x_bar - s * direction
-            reports.append(claims_check(x_bar, y_bar, x0, M, params, rng))
-    return reports
+        x0 = np.zeros(n)
+        x_bar = x0 + off * direction
+        points += 5 * [(x_bar, x_bar - s * direction, x0)]
+    return claims_checks(points, M, params, rng)

@@ -121,29 +121,69 @@ def run_solve(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
             ("linf_bound", ok_bound, f"sup|u| = {u.sup_norm():.6g} <= {bound:.6g}")]
 
 
+def _check_lemmas(cfg: RawConfig, key: str, values: list, valid, rule: str) -> None:
+    """Exit 2 at [lemmas] `key` unless its values (a list, or one value in a
+    list) are nonempty and each passes `valid`; `rule` says what they must be."""
+    if not values:
+        cfg.fail("lemmas", key, "the list is empty")
+    for value in values:
+        if not valid(value):
+            cfg.fail("lemmas", key, f"{rule}, got {value}")
+
+
 def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
+    # every value is read and checked before the first sampler runs
+    run = {family: cfg.get_bool("lemmas", f"run_{family}", family != "comparison")
+           for family in ("barrier", "min_eig", "pair", "zt", "comparison", "claims")}
+    barrier_nodes = cfg.get_int("lemmas", "barrier_nodes", 129)
+    barrier_ps = cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0])
+    _check_lemmas(cfg, "barrier_p_list", barrier_ps, lambda p: p > 2, "every p must be > 2")
+    barrier_ns = cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int)
+    _check_lemmas(cfg, "barrier_N_list", barrier_ns, lambda n: n in (1, 2, 3),
+                  "every N must be 1, 2 or 3")
+    for n in barrier_ns:
+        _grid_spec(cfg, n, barrier_nodes, "ball", ("lemmas", "barrier_nodes"))
+    counts = {}
+    for key, default, least in (("min_eig_samples", 1000, 1), ("zt_samples", 10_000, 1),
+                                ("pair_samples", 500, len(REGIMES)),  # a pair per regime
+                                ("comparison_pairs", 5, 1)):
+        counts[key] = cfg.get_int("lemmas", key, default)
+        _check_lemmas(cfg, key, [counts[key]], lambda c: c >= least,
+                      f"{key} must be >= {least}")
+    comparison_nodes = cfg.get_int("lemmas", "comparison_nodes", 33)
+    _grid_spec(cfg, 2, comparison_nodes, "ball", ("lemmas", "comparison_nodes"))
+    comparison_p = cfg.get_float("lemmas", "comparison_p", 3.0)
+    _check_lemmas(cfg, "comparison_p", [comparison_p], lambda p: p > 2,
+                  "comparison_p must be > 2")
+    scales = cfg.get_list("lemmas", "claims_scales", [1e-1, 1e-2, 1e-3, 1e-4])
+    _check_lemmas(cfg, "claims_scales", scales, lambda s: 0.0 < s < 1.0,
+                  "every scale must be in (0, 1)")
+    claims_N = cfg.get_int("lemmas", "claims_N", 2)
+    _check_lemmas(cfg, "claims_N", [claims_N], lambda n: n in (1, 2, 3),
+                  "claims_N must be 1, 2 or 3")
+    claims_M = cfg.get_float("lemmas", "claims_M", 10.0)
+    _check_lemmas(cfg, "claims_M", [claims_M], lambda m: m > 1.0, "claims_M must be > 1")
+    plots = cfg.get_bool("output", "plots", False)
+
     root = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in root.spawn(4)]
     checks = []
 
-    if cfg.get_bool("lemmas", "run_barrier", True):
-        rows, ok = barrier_rows(
-            cfg.get_int("lemmas", "barrier_nodes", 129),
-            cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0]),
-            cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int))
+    if run["barrier"]:
+        rows, ok = barrier_rows(barrier_nodes, barrier_ps, barrier_ns)
         write_csv(outdir / "barrier_checks.csv",
                   ["p", "N", "nodes", "M", "violation", "tolerance", "pass"], rows, chash)
         checks.append(("barrier_supersolution", ok, f"{len(rows)} (p, N) cases"))
 
-    if cfg.get_bool("lemmas", "run_min_eig", True):
-        rows, worst = min_eig_rows(rngs[0], cfg.get_int("lemmas", "min_eig_samples", 1000))
+    if run["min_eig"]:
+        rows, worst = min_eig_rows(rngs[0], counts["min_eig_samples"])
         write_csv(outdir / "min_eig_samples.csv",
                   ["branch", "p", "N", "gamma", "s", "rayleigh", "bound", "slack",
                    "rel_slack"], rows, chash)
         checks.append(("min_eig_bound", worst >= -1e-9, f"worst rel slack {worst:.3e}"))
 
-    if cfg.get_bool("lemmas", "run_pair", True):
-        rows, worst = pair_rows(rngs[1], cfg.get_int("lemmas", "pair_samples", 500))
+    if run["pair"]:
+        rows, worst = pair_rows(rngs[1], counts["pair_samples"])
         write_csv(outdir / "pair_samples.csv",
                   ["regime", "p", "N", "M", "s", "slack_all", "slack_small",
                    "slack_large", "slack_norm", "rel_slack"], rows, chash)
@@ -151,30 +191,27 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
         checks.append(("pair_conclusions", worst >= -1e-9,
                        f"worst rel slack {worst:.3e} uncovered={uncovered}"))
 
-    if cfg.get_bool("lemmas", "run_zt", True):
-        rows, worst = zt_rows(rngs[2], cfg.get_int("lemmas", "zt_samples", 10_000))
+    if run["zt"]:
+        rows, worst = zt_rows(rngs[2], counts["zt_samples"])
         write_csv(outdir / "zt_samples.csv",
                   ["p", "N", "theta", "slack", "rel_slack"], rows, chash)
         checks.append(("zt_inequality", worst >= -1e-12, f"worst rel slack {worst:.3e}"))
 
-    if cfg.get_bool("lemmas", "run_comparison", False):
-        pairs = cfg.get_int("lemmas", "comparison_pairs", 5)
-        n = cfg.get_int("lemmas", "comparison_nodes", 33)
-        p = cfg.get_float("lemmas", "comparison_p", 3.0)
-        rows, ok, _ = comparison_rows(np.random.default_rng(root.spawn(1)[0]), n, p, pairs)
+    if run["comparison"]:
+        pairs = counts["comparison_pairs"]
+        rows, ok, _ = comparison_rows(np.random.default_rng(root.spawn(1)[0]),
+                                      comparison_nodes, comparison_p, pairs)
         write_csv(outdir / "comparison_checks.csv",
                   ["trial", "premise", "conclusion", "operator_gap", "boundary_gap",
                    "interior_gap", "conclusion_tol"], rows, chash)
         checks.append(("comparison_principle", ok, f"{pairs} solved pairs"))
 
-    if cfg.get_bool("lemmas", "run_claims", True):
-        scales = cfg.get_list("lemmas", "claims_scales", [1e-1, 1e-2, 1e-3, 1e-4])
-        N = cfg.get_int("lemmas", "claims_N", 2)
-        M = cfg.get_float("lemmas", "claims_M", 10.0)
+    if run["claims"]:
         rows = []
         series = {}
         for regime in REGIMES:  # one stream, drawn from in REGIMES order
-            regime_rows, verdict, params = claims_rows(rngs[3], regime, N, M, scales)
+            regime_rows, verdict, params = claims_rows(rngs[3], regime, claims_N, claims_M,
+                                                       scales)
             rows += regime_rows
             swept = sorted(verdict["ratio1_by_scale"], reverse=True)
             series[regime] = (swept, [verdict["ratio1_by_scale"][s] for s in swept])
@@ -185,7 +222,7 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
         write_csv(outdir / "claims_ratios.csv",
                   ["regime", "p", "N", "M", "s", "ratio1", "ratio2", "ratio3",
                    "in_delta", "eq_n_epsilon_ok"], rows, chash)
-        if cfg.get_bool("output", "plots", False):
+        if plots:
             svg_line_plot(outdir / "claims_ratio1.svg",
                           {k: (xs, [abs(v) for v in ys]) for k, (xs, ys) in series.items()},
                           "|xbar - ybar|", "|ratio1|", "claim ratio magnitude vs scale",

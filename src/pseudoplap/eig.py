@@ -1,4 +1,8 @@
-"""Cyclic Jacobi eigensolver for the small symmetric matrices used here (<= 6x6)."""
+"""Cyclic Jacobi eigensolver for the small symmetric matrices used here (<= 6x6).
+
+The lemma checks take every eigenvalue with jacobi_eigvals, on stacks;
+jacobi_eigh, its one-matrix form, and spectral_norm are what perfbench binds.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +12,6 @@ import numpy as np
 
 TOL = 1e-13
 MAX_SWEEPS = 60
-# jacobi_eigvals runs stacks of fewer matrices one by one through
-# jacobi_eigh: the vectorised sweep pays numpy's fixed cost per call, and
-# looping wins up to about S = 3 at n = 1, 5 at n = 2 and 8 at n = 3
-SMALL_STACK = 8
 
 
 def _rotate_rows(m: list, i: int, j: int, c: float, s: float) -> None:
@@ -99,12 +99,10 @@ def jacobi_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of real symmetric matrices, a[S, n, n] -> w[S, n],
     each row ascending and equal bit for bit to jacobi_eigh(a[k])[0].
 
-    A stack of fewer than SMALL_STACK matrices runs through jacobi_eigh, one
-    matrix at a time.  A larger one runs jacobi_eigh's checks, rotations and
-    branches on vectors of S entries, one vector per matrix entry.  Each
-    matrix stops on its own mask: np.where keeps the entries of a finished
-    matrix, and of one whose rotation jacobi_eigh would skip, through the
-    rotations of the others.
+    It runs jacobi_eigh's checks, rotations and branches on vectors of S
+    entries, one vector per matrix entry.  Each matrix stops on its own mask:
+    np.where keeps the entries of a finished matrix, and of one whose
+    rotation jacobi_eigh would skip, through the rotations of the others.
     The off-diagonal norm is summed in jacobi_eigh's row-major order, and
     |a_k|_F is np.linalg.norm of each matrix on its own, because a stacked
     norm sums in another order than the BLAS dot it takes on one matrix.
@@ -124,8 +122,6 @@ def jacobi_eigvals(a: np.ndarray) -> np.ndarray:
         return np.empty((0, n))
     if not np.isfinite(A).all():
         raise FloatingPointError("matrix has a non-finite entry")
-    if stack < SMALL_STACK:
-        return np.array([jacobi_eigh(m)[0] for m in A])
     AT = A.transpose(0, 2, 1)
     amax = np.abs(A).max(axis=(1, 2))
     asym = np.abs(A - AT).max(axis=(1, 2))

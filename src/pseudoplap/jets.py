@@ -22,12 +22,12 @@ draws matrix pairs (X, X) squeezed by the doubling block inequality
 
     -6 M |H1| I_2N <= diag(X, Y) - (2M+1) I_2N <= M [[Ht, -Ht], [-Ht, Ht]]
 
-and verifies their eigenvalue conclusions; each jet whose scalars passed
-pair_jet gets the first feasible pair of its own sequence of draws.  Both
-checks work on stacks, one stack of matrices per N, and take every
-eigenvalue with jacobi_eigvals.  The one-jet names min_eig_bound_check,
-feasible_pair_sample and pair_conclusions_check are one-jet calls of the
-same code.
+and verifies their eigenvalue conclusions.  feasible_pairs gives each jet
+of a stack the first feasible pair of its own sequence of draws; the claims
+sweep draws its pairs with it too.  Every check works on stacks, one stack of
+matrices per N, and takes every eigenvalue with jacobi_eigvals.  The one-jet
+names min_eig_bound_check, feasible_pair_sample and pair_conclusions_check
+are one-jet calls of the same code.
 
 The squeeze of a pair with Y = X is tested at the size of X, exactly.  With
 B = X - (2M+1) Id, the lower side is block-diagonal, so its least eigenvalue
@@ -41,7 +41,6 @@ upper side and the norm consequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,15 +84,7 @@ class RadialJet:
 
 @dataclass(frozen=True)
 class JetMatrices(RadialJet):
-    """The matrices at x of one jet, with the scalars of its RadialJet.
-
-    `h1_norm` and `ht_norm` are the spectral norms |H1| and |Htilde|, taken
-    once per instance and cached; feasible_pair_sample and
-    pair_conclusions_check stack them with the matrices.  For N >= 2 they
-    agree with the closed forms max(|w''|, w'/s) and max(|betaH w''|,
-    alphaH w'/s) to rounding; for N = 1 only the radial eigenvalue w''
-    (betaH w'') exists.
-    """
+    """The matrices at x of one jet, with the scalars of its RadialJet."""
 
     p: float
     H1: np.ndarray
@@ -101,30 +92,10 @@ class JetMatrices(RadialJet):
     Theta: np.ndarray
     H: np.ndarray
 
-    @cached_property
-    def h1_norm(self) -> float:
-        return float(_spectral_norms(self.H1[None])[0])
-
-    @cached_property
-    def ht_norm(self) -> float:
-        return float(_spectral_norms(self.Htilde[None])[0])
-
-    def theta_norm_sq(self) -> float:
-        return _theta_norm_sq(self.Theta)
-
-
-def _theta_norm_sq(Theta: np.ndarray) -> float:
-    return float(np.max(np.diag(Theta)) ** 2)
-
 
 def _spectral_norms(A: np.ndarray) -> np.ndarray:
     """The largest absolute eigenvalue of each symmetric matrix of the stack A."""
     return np.abs(jacobi_eigvals(A)).max(axis=1)
-
-
-def _check_M(M: float) -> None:
-    if not M > 1.0:
-        raise ValueError(f"M must be > 1, got {M}")
 
 
 def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
@@ -176,16 +147,19 @@ def _assemble(r: RadialJet, p: float) -> JetMatrices:
                        betaH=r.betaH, p=p, H1=H1, Htilde=Htilde, Theta=Theta, H=H)
 
 
-def _jet(x: np.ndarray, p: float, modulus: Modulus, M: float) -> JetMatrices:
-    return _assemble(_radial(x, modulus, M), p)
+def radial_jet(x, M: float, modulus: Modulus) -> RadialJet:
+    """The scalars of the jet at x with the damping iota = 1/(4 M |H1|); raises
+    ValueError unless M > 1 and x is nonzero and valid.  No matrix is built."""
+    if not M > 1.0:
+        raise ValueError(f"M must be > 1, got {M}")
+    if np.linalg.norm(x) == 0.0:
+        raise ValueError("x must be nonzero")
+    return _radial(x, modulus, M)
 
 
 def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
     """Assemble H1, Htilde, Theta, H at x with the damping iota = 1/(4 M |H1|)."""
-    _check_M(M)
-    if np.linalg.norm(x) == 0.0:
-        raise ValueError("x must be nonzero")
-    return _jet(x, p, modulus, M)
+    return _assemble(radial_jet(x, M, modulus), p)
 
 
 def index_set(x, eps: float) -> np.ndarray:
@@ -282,6 +256,14 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
     return min_eig_bound_checks([min_eig_terms(x, p, eps, modulus, branch)])[0]
 
 
+def _by_n(rs) -> list:
+    """The indices of the jets rs grouped by N, in order of first appearance."""
+    by_n = {}
+    for k, r in enumerate(rs):
+        by_n.setdefault(r.N, []).append(k)
+    return list(by_n.values())
+
+
 def min_eig_bound_checks(terms) -> list:
     """min_eig_bound_check's (rayleigh, bound, slack) for each MinEigTerms, in
     order.
@@ -290,10 +272,7 @@ def min_eig_bound_checks(terms) -> list:
     Rayleigh quotient is taken per matrix.
     """
     out = [None] * len(terms)
-    by_n = {}
-    for k, t in enumerate(terms):
-        by_n.setdefault(t.r.N, []).append(k)
-    for ks in by_n.values():
+    for ks in _by_n([t.r for t in terms]):
         group = [terms[k] for k in ks]
         H = _stack_matrices([t.r for t in group], [t.p for t in group])[3]
         for k, t, Hk, lam_min in zip(ks, group, H, jacobi_eigvals(H)[:, 0]):
@@ -318,9 +297,9 @@ def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
     at most (M/4) |Htilde|; feasibility (and the norm consequence
     |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
     before returning, resampling on failure.  The one-jet call of
-    _feasible_pair_points, whose rounds are then one draw each.
+    feasible_pairs, whose rounds are then one draw each.
     """
-    X = _feasible_pair_points(_one_jet_stack(jm), rng)[0][0]
+    X = feasible_pairs([jm], [jm.p], rng)[1][0]
     return X, X.copy()
 
 
@@ -364,8 +343,7 @@ def pair_jet(x, M: float, p: float, modulus: Modulus, eps: float | None = None) 
     pair_conclusions_check that needs no pair: M > 1, a valid x and, for
     p >= 4, eps and the large branch's preconditions.  Raises ValueError
     otherwise; no matrix is built."""
-    _check_M(M)
-    r = _radial(x, modulus, M)
+    r = radial_jet(x, M, modulus)
     _pair_large_axes(r, p, eps)
     return r
 
@@ -385,7 +363,7 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     """
     if not np.array_equal(X, Y):
         raise ValueError("only pairs with Y = X are tested")
-    st = _one_jet_stack(jm)
+    st = _pair_stack([jm], [jm.p])
     X = np.asarray(X, dtype=float)[None]
     ok, details, norm_sum = _pair_squeeze_checks(X, st)
     if not ok[0]:
@@ -424,10 +402,11 @@ def _conclusions(r: RadialJet, p: float, h1_norm: float, theta_sq: float, eps: f
 
 
 @dataclass(frozen=True)
-class _PairStack:
+class PairStack:
     """S jets of one N at their exponents p, stacked for the pair tests: M,
     p, |H1| and |Htilde| are (S,), Htilde and Theta (S, N, N).  Entry k is bit
-    for bit what _assemble(rs[k], p[k]) and its cached norms give."""
+    for bit what _assemble(rs[k], p[k]) gives, and spectral_norm of its H1
+    and Htilde."""
 
     rs: tuple
     M: np.ndarray
@@ -437,25 +416,23 @@ class _PairStack:
     h1_norm: np.ndarray
     ht_norm: np.ndarray
 
-    def take(self, ks) -> "_PairStack":
+    def take(self, ks) -> "PairStack":
         """The jets ks of the stack, in that order."""
-        return _PairStack(tuple(self.rs[k] for k in ks), self.M[ks], self.p[ks],
-                          self.Htilde[ks], self.Theta[ks], self.h1_norm[ks], self.ht_norm[ks])
+        return PairStack(tuple(self.rs[k] for k in ks), self.M[ks], self.p[ks],
+                         self.Htilde[ks], self.Theta[ks], self.h1_norm[ks], self.ht_norm[ks])
+
+    def theta_norm_sq(self) -> list:
+        """|Theta|^2 of each jet: Theta is diagonal with entries >= 0."""
+        return [float(np.max(np.diag(theta)) ** 2) for theta in self.Theta]
 
 
-def _pair_stack(rs, ps) -> _PairStack:
+def _pair_stack(rs, ps) -> PairStack:
     H1, Htilde, Theta, _ = _stack_matrices(rs, ps)
-    return _PairStack(tuple(rs), np.array([r.M for r in rs]), np.array(ps, dtype=float),
-                      Htilde, Theta, _spectral_norms(H1), _spectral_norms(Htilde))
+    return PairStack(tuple(rs), np.array([r.M for r in rs]), np.array(ps, dtype=float),
+                     Htilde, Theta, _spectral_norms(H1), _spectral_norms(Htilde))
 
 
-def _one_jet_stack(jm: JetMatrices) -> _PairStack:
-    """The stack of the one jet jm, from its matrices and cached norms."""
-    return _PairStack((jm,), np.array([jm.M]), np.array([jm.p]), jm.Htilde[None],
-                      jm.Theta[None], np.array([jm.h1_norm]), np.array([jm.ht_norm]))
-
-
-def _pair_points(st: _PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pair_points(st: PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The pair point X = (2M+1) Id - 2M |Htilde| Id + S of every jet of st,
     S scaled to norm u (M/4) |Htilde|; a zero S stays unscaled."""
     eye = np.eye(S.shape[1])
@@ -466,7 +443,7 @@ def _pair_points(st: _PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
         - (2.0 * st.M * st.ht_norm)[:, None, None] * eye + S * scale[:, None, None]
 
 
-def _pair_squeeze_checks(X: np.ndarray, st: _PairStack):
+def _pair_squeeze_checks(X: np.ndarray, st: PairStack):
     """Both sides of the block squeeze of the pair (X[k], X[k]) at every jet
     k of st, by the N x N tests of the module docstring: (ok, (lower, upper,
     scale), norm_sum) as arrays.  lower and upper are the least eigenvalues
@@ -484,7 +461,7 @@ def _pair_squeeze_checks(X: np.ndarray, st: _PairStack):
     return ok, (lower, upper, scale), b_norm + b_norm
 
 
-def _feasible_pair_points(st: _PairStack, rng) -> tuple:
+def _feasible_pair_points(st: PairStack, rng) -> tuple:
     """The first feasible X of every jet of st, with |X - cI| + |Y - cI| of
     Y = X: (X[S, N, N], norm_sum[S]).
 
@@ -518,7 +495,7 @@ def _feasible_pair_points(st: _PairStack, rng) -> tuple:
                        "always feasible, so this indicates a bug")
 
 
-def _pair_conclusions_checks(X: np.ndarray, st: _PairStack, eps, norm_sum) -> list:
+def _pair_conclusions_checks(X: np.ndarray, st: PairStack, eps, norm_sum) -> list:
     """The conclusions of the pairs (X[k], X[k]) at the jets of st, one
     jacobi_eigvals call per matrix set; eps[k] is jet k's."""
     c = 2.0 * st.M + 1.0
@@ -528,10 +505,23 @@ def _pair_conclusions_checks(X: np.ndarray, st: _PairStack, eps, norm_sum) -> li
     lam_max = jacobi_eigvals(weighted @ sums @ st.Theta)[:, -1]
     shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
     lam1 = jacobi_eigvals(weighted @ shifted @ st.Theta)[:, 0]
-    return [_conclusions(r, p, h1, _theta_norm_sq(theta), e, lm, l1, ns)
-            for r, p, h1, theta, e, lm, l1, ns in zip(
-                st.rs, st.p.tolist(), st.h1_norm.tolist(), st.Theta, eps, lam_max.tolist(),
-                lam1.tolist(), norm_sum.tolist())]
+    return [_conclusions(r, p, h1, theta_sq, e, lm, l1, ns)
+            for r, p, h1, theta_sq, e, lm, l1, ns in zip(
+                st.rs, st.p.tolist(), st.h1_norm.tolist(), st.theta_norm_sq(), eps,
+                lam_max.tolist(), lam1.tolist(), norm_sum.tolist())]
+
+
+def feasible_pairs(rs, ps, rng) -> tuple:
+    """The first feasible pair (X, X) of each jet of one N, in order: jet k
+    has the scalars rs[k] and exponent ps[k].
+
+    Returns (st, X[S, N, N], norm_sum[S]): the jets' PairStack, their matrices
+    and norms taken with jacobi_eigvals, and |X - cI| + |Y - cI| with
+    c = 2M+1.  The pairs are drawn in _feasible_pair_points' rounds.  Raises
+    RuntimeError when a jet has no feasible pair in _PAIR_DRAWS draws.
+    """
+    st = _pair_stack(rs, ps)
+    return (st, *_feasible_pair_points(st, rng))
 
 
 def feasible_pair_conclusions(rs, ps, eps, rng) -> list:
@@ -539,18 +529,14 @@ def feasible_pair_conclusions(rs, ps, eps, rng) -> list:
     has the scalars rs[k] (from pair_jet), exponent ps[k] and eps[k].
 
     The jets of each N, in order of first appearance, share one stack:
-    their matrices and norms, the rounds of pair draws that give each its
-    first feasible pair, and the eigenvalues of the conclusions, all taken
-    with jacobi_eigvals.  Raises RuntimeError when a jet has no feasible pair
-    in _PAIR_DRAWS draws.
+    feasible_pairs gives each its first feasible pair, and one
+    jacobi_eigvals call per matrix set takes the eigenvalues of the
+    conclusions.  Raises RuntimeError when a jet has no feasible pair in
+    _PAIR_DRAWS draws.
     """
     out = [None] * len(rs)
-    by_n = {}
-    for k, r in enumerate(rs):
-        by_n.setdefault(r.N, []).append(k)
-    for ks in by_n.values():
-        st = _pair_stack([rs[k] for k in ks], [ps[k] for k in ks])
-        X, norm_sum = _feasible_pair_points(st, rng)
+    for ks in _by_n(rs):
+        st, X, norm_sum = feasible_pairs([rs[k] for k in ks], [ps[k] for k in ks], rng)
         for k, rep in zip(ks, _pair_conclusions_checks(X, st, [eps[k] for k in ks], norm_sum)):
             out[k] = rep
     return out

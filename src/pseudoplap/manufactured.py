@@ -38,14 +38,9 @@ def closed_form_1d(p: float, c: float = 1.0):
 
 
 def separable_reference(p: float, N: int, c: float = 1.0):
-    """Manufactured u*(x) = sum_i w(x_i); solves the equation with f = N c."""
-    w, _ = closed_form_1d(p, c)
-
-    def u_star(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return w(points).sum(axis=1)
-
-    return u_star, N * c
+    """Manufactured u*(x) = sum_i w(x_i), which is separable_trace(p, c);
+    solves the equation with f = N c."""
+    return separable_trace(p, c), N * c
 
 
 def zero_boundary(points):
@@ -62,7 +57,8 @@ def constant_boundary(value: float):
 
 
 def separable_trace(p: float, c: float = 1.0):
-    """Dirichlet data matching the separable reference on the boundary band."""
+    """u*(x) = sum_i w(x_i) with w the 1D closed form: as Dirichlet data it
+    matches the separable reference on the boundary band."""
     w, _ = closed_form_1d(p, c)
 
     def fn(points):

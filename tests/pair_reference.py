@@ -4,8 +4,7 @@
 shipped one does (jets of each N in order of first appearance, then rounds
 over the jets still pending, each drawing S and its radius factor), but
 builds each jet alone, scales S by `eig.spectral_norm`, and tests each pair
-with the one-jet call `jets.pair_conclusions_check`, whose stacks of one
-matrix run through `jacobi_eigh`.
+with the one-jet call `jets.pair_conclusions_check`.
 """
 
 import numpy as np
@@ -29,16 +28,16 @@ def feasible_pair_conclusions(rs, ps, eps, rng):
             for k, (S, u) in zip(pending, draws):
                 jm = jets._assemble(rs[k], ps[k])
                 n, M = jm.N, jm.M
-                s_norm = spectral_norm(S)
+                s_norm, ht_norm = spectral_norm(S), spectral_norm(jm.Htilde)
                 if s_norm > 0.0:
-                    S = S * (u * (M / 4.0) * jm.ht_norm / s_norm)
-                X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * jm.ht_norm * np.eye(n) + S
+                    S = S * (u * (M / 4.0) * ht_norm / s_norm)
+                X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
                 try:
                     rep = jets.pair_conclusions_check(X, X, jm, eps[k])
                 except ValueError as err:  # rs[k] passed pair_jet, so only the squeeze fails
                     assert "block squeeze" in str(err)
                     continue
-                if rep.norm_sum <= 6.0 * M * jm.h1_norm * (1.0 + 1e-12):
+                if rep.norm_sum <= 6.0 * M * spectral_norm(jm.H1) * (1.0 + 1e-12):
                     out[k] = rep
             pending = [k for k in pending if out[k] is None]
             if not pending:

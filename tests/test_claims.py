@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoplap import claims
 from pseudoplap.claims import (
     DEFAULT_REGIME_P,
     REGIMES,
-    claims_check,
+    claims_checks,
     claims_scale_sweep,
     evaluate_claims_sweep,
     regime_params,
@@ -104,7 +105,7 @@ def test_claims_lipschitz_gradient_window():
     M = 10.0
     x_bar = np.zeros(2)
     y_bar = x_bar - np.array([1e-2, 0.0])
-    rep = claims_check(x_bar, y_bar, x_bar, M, params, rng)
+    rep, = claims_checks([(x_bar, y_bar, x_bar)], M, params, rng)
     for nrm in (rep.qx_norm, rep.qy_norm):
         assert M / 4.0 <= nrm <= 5.0 * M / 4.0
     assert rep.q_norm == pytest.approx(rep.qx_norm)
@@ -115,7 +116,7 @@ def test_claims_lipschitz_cap_enforced():
     params = regime_params("lipschitz_small_p", 2.6, 2)
     far = np.array([0.9, 0.0])
     with pytest.raises(ValueError, match="cap"):
-        claims_check(far, far - np.array([1e-3, 0.0]), np.zeros(2), 10.0, params, rng)
+        claims_checks([(far, far - np.array([1e-3, 0.0]), np.zeros(2))], 10.0, params, rng)
 
 
 def test_claims_1d_ratio_negative():
@@ -123,7 +124,7 @@ def test_claims_1d_ratio_negative():
     params = regime_params("holder_small_p", 3.0, 1, gamma=0.5)
     x_bar = np.array([0.01])
     y_bar = np.array([0.01 - 1e-3])
-    rep = claims_check(x_bar, y_bar, np.zeros(1), 10.0, params, rng)
+    rep, = claims_checks([(x_bar, y_bar, np.zeros(1))], 10.0, params, rng)
     assert rep.ratio1 < 0.0
     assert rep.ratio2 is None  # no second eigenvalue in 1D
 
@@ -157,3 +158,18 @@ def test_claims_report_flags():
     by_scale = {round(np.log10(r.s)): r for r in reports}
     assert by_scale[-1].eq_n_epsilon_ok is False  # far above the selector threshold
     assert by_scale[-5].in_delta or by_scale[-5].s >= 0.5 * params.delta_N
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_claims_stack_matches_one_point_calls(monkeypatch, regime, N):
+    # at N = 2 and 3 every first pair draw of the sweep is feasible, so the
+    # stack's one round consumes the rng as one-point calls in check order do
+    params = regime_params(regime, DEFAULT_REGIME_P[regime], N)
+    scales = [1e-1, 1e-2, 1e-3, 1e-4]
+    stacked = claims_scale_sweep(params, 10.0, scales, np.random.default_rng(N))
+    one = claims.claims_checks
+    monkeypatch.setattr(claims, "claims_checks", lambda points, M, params, rng: [
+        rep for point in points for rep in one([point], M, params, rng)])
+    assert repr(claims_scale_sweep(params, 10.0, scales, np.random.default_rng(N))) \
+        == repr(stacked)

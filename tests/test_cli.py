@@ -13,7 +13,7 @@ import field_writer_reference
 import jacobi_reference
 import min_eig_reference
 import pair_scan_reference
-from pseudoplap import claims, cli, eig, jets, regularity
+from pseudoplap import claims, cli, jets, regularity
 from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
 from pseudoplap.grid import ScalarField, nonexterior_mask
@@ -35,6 +35,16 @@ run_zt = true
 zt_samples = 200
 run_claims = false
 """
+
+# every [lemmas] key, each family on
+LEMMAS_ALL = LEMMAS_MICRO.replace("run_claims = false", """run_claims = true
+claims_scales = 0.1, 0.01
+claims_N = 2
+claims_M = 10.0
+run_comparison = true
+comparison_pairs = 1
+comparison_nodes = 17
+comparison_p = 3.0""")
 
 SOLVE_TINY = """
 [problem]
@@ -187,11 +197,42 @@ def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcomm
      "[convergence] nodes_list: nodes_per_axis must be odd and >= 9, got 64"),
     ("solve", SOLVE_TINY, "dimension = 1", "dimension = 4",
      "[problem] dimension: dimension must be 1, 2 or 3, got 4"),
-], ids=["reg-p", "conv-p", "conv-even-nodes", "solve-dimension"])
+    ("verify-lemmas", LEMMAS_ALL, "claims_N = 2", "claims_N = 4",
+     "[lemmas] claims_N: claims_N must be 1, 2 or 3, got 4"),
+    ("verify-lemmas", LEMMAS_ALL, "claims_M = 10.0", "claims_M = 0.5",
+     "[lemmas] claims_M: claims_M must be > 1, got 0.5"),
+    ("verify-lemmas", LEMMAS_ALL, "claims_scales = 0.1, 0.01", "claims_scales = 0.1, 0",
+     "[lemmas] claims_scales: every scale must be in (0, 1), got 0.0"),
+    ("verify-lemmas", LEMMAS_ALL, "claims_scales = 0.1, 0.01", "claims_scales = 2",
+     "[lemmas] claims_scales: every scale must be in (0, 1), got 2.0"),
+    ("verify-lemmas", LEMMAS_ALL, "barrier_nodes = 33", "barrier_nodes = 10",
+     "[lemmas] barrier_nodes: nodes_per_axis must be odd and >= 9, got 10"),
+    ("verify-lemmas", LEMMAS_ALL, "barrier_p_list = 3", "barrier_p_list = 1.5",
+     "[lemmas] barrier_p_list: every p must be > 2, got 1.5"),
+    ("verify-lemmas", LEMMAS_ALL, "barrier_N_list = 1, 2", "barrier_N_list = 4",
+     "[lemmas] barrier_N_list: every N must be 1, 2 or 3, got 4"),
+    ("verify-lemmas", LEMMAS_ALL, "barrier_N_list = 1, 2", "barrier_N_list =",
+     "[lemmas] barrier_N_list: the list is empty"),
+    ("verify-lemmas", LEMMAS_ALL, "min_eig_samples = 40", "min_eig_samples = -3",
+     "[lemmas] min_eig_samples: min_eig_samples must be >= 1, got -3"),
+    ("verify-lemmas", LEMMAS_ALL, "zt_samples = 200", "zt_samples = 0",
+     "[lemmas] zt_samples: zt_samples must be >= 1, got 0"),
+    ("verify-lemmas", LEMMAS_ALL, "comparison_pairs = 1", "comparison_pairs = 0",
+     "[lemmas] comparison_pairs: comparison_pairs must be >= 1, got 0"),
+    ("verify-lemmas", LEMMAS_ALL, "pair_samples = 16", "pair_samples = 3",
+     "[lemmas] pair_samples: pair_samples must be >= 4, got 3"),
+], ids=["reg-p", "conv-p", "conv-even-nodes", "solve-dimension", "lemmas-claims-N",
+        "lemmas-claims-M", "lemmas-zero-scale", "lemmas-scale-2", "lemmas-even-nodes",
+        "lemmas-barrier-p", "lemmas-barrier-N", "lemmas-empty-N-list", "lemmas-min-eig-samples",
+        "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples"])
 def test_bad_config_value_exit_2(tmp_path, monkeypatch, capsys, subcommand, text, old, new,
                                  message):
-    for module in (cli, regularity):  # every value is checked before the first solve
+    # every value is checked before the first solve and the first lemma sampler
+    for module in (cli, regularity):
         monkeypatch.setattr(module, "solve_dirichlet", lambda *a: pytest.fail("solve ran"))
+    for sampler in ("barrier_rows", "min_eig_rows", "pair_rows", "zt_rows", "comparison_rows",
+                    "claims_rows"):
+        monkeypatch.setattr(cli, sampler, lambda *a: pytest.fail(f"{sampler} ran"))
     lineno = text.splitlines().index(old) + 1
     path = write(tmp_path, "bad.ini", text.replace(old, new))
     assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
@@ -202,9 +243,7 @@ def test_bad_config_value_exit_2(tmp_path, monkeypatch, capsys, subcommand, text
 # with the number of those CSVs
 EVERY_CSV = {
     "solve": (SOLVE_TINY, 3),
-    "verify-lemmas": (LEMMAS_MICRO.replace("run_claims = false", "run_claims = true\n"
-                                           "claims_scales = 0.1, 0.01\nrun_comparison = true\n"
-                                           "comparison_pairs = 1\ncomparison_nodes = 17"), 7),
+    "verify-lemmas": (LEMMAS_ALL, 7),
     "measure-regularity": (REGULARITY_TINY, 4),
     "convergence-study": (CONVERGENCE_TINY.replace("33, 65", "17, 33"), 3),
 }
@@ -254,6 +293,15 @@ def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
     assert main(["verify-lemmas", "--config", path, "--seed", "10", "--out", str(out_c)]) == 0
     assert (out_a / "min_eig_samples.csv").read_bytes() \
         != (out_c / "min_eig_samples.csv").read_bytes()
+    # at claims_N = 1 some first pair draws fail, so the claims stack takes
+    # several rounds of draws
+    path = write(tmp_path, "claims.ini", "[lemmas]\nrun_barrier = false\nrun_min_eig = false\n"
+                                         "run_pair = false\nrun_zt = false\nclaims_N = 1\n")
+    outs = [tmp_path / "claims_a", tmp_path / "claims_b"]
+    for out in outs:
+        assert main(["verify-lemmas", "--config", path, "--seed", "1", "--out", str(out)]) == 1
+    for name in ("claims_ratios.csv", "summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_verify_lemmas_names_uncovered_pair_cases(tmp_path):
@@ -268,29 +316,25 @@ def test_verify_lemmas_names_uncovered_pair_cases(tmp_path):
 
 
 def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
-    # the float-loop and vectorised Jacobi kernels must leave every sampled
-    # row unchanged: the reference run takes every eigenvalue with the
-    # reference kernel, the stacks of jets one matrix at a time
+    # the vectorised Jacobi kernel must leave every sampled row unchanged: the
+    # reference run takes every eigenvalue of the jets and the claims with the
+    # reference kernel, one matrix at a time
     config = str(CONFIGS / "verify_lemmas_small.ini")
     args = ["verify-lemmas", "--config", config, "--seed", "42", "--out"]
     code = main(args + [str(tmp_path / "shipped")])
     calls = []
 
-    def reference(a, *rest):
-        calls.append(len(a))
-        return jacobi_reference.jacobi_eigh(a, *rest)
-
     def reference_stack(a):
-        return np.array([reference(m)[0] for m in a]).reshape(a.shape[:2])
+        calls.append(len(a))
+        return np.array([jacobi_reference.jacobi_eigh(m)[0] for m in a]).reshape(a.shape[:2])
 
-    for module in (eig, claims):
-        monkeypatch.setattr(module, "jacobi_eigh", reference)
-    monkeypatch.setattr(jets, "jacobi_eigvals", reference_stack)
+    for module in (jets, claims):
+        monkeypatch.setattr(module, "jacobi_eigvals", reference_stack)
     assert main(args + [str(tmp_path / "reference")]) == code
     assert calls
     shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
     assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
-    assert "pair_samples.csv" in shipped
+    assert {"pair_samples.csv", "claims_ratios.csv"} <= set(shipped)
     for name in shipped:
         assert (tmp_path / "shipped" / name).read_bytes() \
             == (tmp_path / "reference" / name).read_bytes(), name

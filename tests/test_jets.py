@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 import jacobi_reference
-from pseudoplap import eig, jets
+from pseudoplap import jets
 from pseudoplap.claims import DEFAULT_REGIME_P, REGIMES, regime_params
 from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm
 from pseudoplap.jets import (
     _assemble,
-    _jet,
     _radial,
     _stack_matrices,
     build_jet_matrices,
@@ -101,23 +100,25 @@ def test_jet_htilde_closed_form():
 
 
 def test_jet_cached_norms():
+    # the norms a pair stack holds for each jet
     rng = np.random.default_rng(12)
     for mod in (HolderModulus(0.3), HolderModulus(0.8), LipschitzModulus(0.2, 0.5)):
         for _ in range(10):
             N = int(rng.integers(1, 5))
             x = random_point(rng, N, 10 ** rng.uniform(-4, -0.7))
             jm = build_jet_matrices(x, float(rng.uniform(1.1, 40)), 3.3, mod)
-            assert jm.h1_norm == spectral_norm(jm.H1)
-            assert jm.ht_norm == spectral_norm(jm.Htilde)
-            assert jm.h1_norm is jm.h1_norm  # computed once per instance
+            st = jets._pair_stack([jm], [jm.p])
+            h1_norm, ht_norm = st.h1_norm[0], st.ht_norm[0]
+            assert h1_norm == spectral_norm(jm.H1)
+            assert ht_norm == spectral_norm(jm.Htilde)
             s = np.linalg.norm(x)
             wp, wpp = float(mod.omega_prime(s)), float(mod.omega_second(s))
             # in 1D only the radial eigenvalue exists
             h1 = max(abs(wpp), wp / s) if N > 1 else abs(wpp)
             ht = max(abs(jm.betaH * wpp), jm.alphaH * wp / s) if N > 1 \
                 else abs(jm.betaH * wpp)
-            assert abs(jm.h1_norm - h1) <= 1e-12 * h1
-            assert abs(jm.ht_norm - ht) <= 1e-12 * ht
+            assert abs(h1_norm - h1) <= 1e-12 * h1
+            assert abs(ht_norm - ht) <= 1e-12 * ht
 
 
 def test_alpha_beta_ranges():
@@ -287,7 +288,7 @@ def test_eq_n_epsilon_1d_reduction():
     lhs = jm.betaH * mod.omega_second(s) * (1 - s ** (2 * eps)) \
         + jm.alphaH * s ** (2 * eps) * mod.omega_prime(s) / s
     manual = lhs <= mod.omega_second(s) / 4.0
-    assert _jet(x, 3.0, mod, 1.0).eq_n_epsilon(eps) == manual
+    assert _radial(x, mod, 1.0).eq_n_epsilon(eps) == manual
 
 
 def test_eq_n_epsilon_holds_below_selector_threshold():
@@ -299,13 +300,13 @@ def test_eq_n_epsilon_holds_below_selector_threshold():
     for _ in range(100):
         s = params.delta_N * 10 ** rng.uniform(-1.0, -0.01)
         x = random_point(rng, 2, s)
-        assert _jet(x, 3.0, mod, 1.0).eq_n_epsilon(params.eps)
-    assert not _jet(np.array([0.6, 0.6]), 3.0, mod, 1.0).eq_n_epsilon(0.9)
+        assert _radial(x, mod, 1.0).eq_n_epsilon(params.eps)
+    assert not _radial(np.array([0.6, 0.6]), mod, 1.0).eq_n_epsilon(0.9)
 
 
 def squeeze(X, jm):
     """The stacked squeeze of the one pair (X, X) at jm: (ok, margins, norm_sum)."""
-    ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], jets._one_jet_stack(jm))
+    ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], jets._pair_stack([jm], [jm.p]))
     return bool(ok[0]), tuple(float(m[0]) for m in margins), float(norm_sum[0])
 
 
@@ -415,7 +416,6 @@ def test_stacked_pair_checks_match_scalar_path():
     seen = set()
     for N in (1, 2, 3):
         group = [c for c in cands if c[1].N == N]
-        assert len(group) >= eig.SMALL_STACK  # the stack takes the vectorised sweep
         st = jets._pair_stack([r for _, r, _, _ in group], [p for _, _, p, _ in group])
         S = np.array([jets._direction(rng, N) for _ in group])
         u = rng.uniform(0.0, 4.0, len(group))  # beyond 1, a pair may fail the squeeze
@@ -424,16 +424,16 @@ def test_stacked_pair_checks_match_scalar_path():
         reps = jets._pair_conclusions_checks(X, st, [e for _, _, _, e in group], norm_sum)
         for k, (_, r, p, eps) in enumerate(group):
             jm = _assemble(r, p)
-            one = jets._one_jet_stack(jm)
-            assert (st.h1_norm[k], st.ht_norm[k]) == (one.h1_norm[0], one.ht_norm[0])
-            Sk = S[k] * (u[k] * (jm.M / 4.0) * jm.ht_norm / spectral_norm(S[k]))
+            h1_norm, ht_norm = spectral_norm(jm.H1), spectral_norm(jm.Htilde)
+            assert (st.h1_norm[k], st.ht_norm[k]) == (h1_norm, ht_norm)
+            Sk = S[k] * (u[k] * (jm.M / 4.0) * ht_norm / spectral_norm(S[k]))
             c = 2.0 * jm.M + 1.0
-            assert (X[k] == c * np.eye(N) - 2.0 * jm.M * jm.ht_norm * np.eye(N) + Sk).all()
+            assert (X[k] == c * np.eye(N) - 2.0 * jm.M * ht_norm * np.eye(N) + Sk).all()
             assert squeeze(X[k], jm) == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
             B = X[k] - c * np.eye(N)
             wb = jacobi_reference.jacobi_eigh(B)[0]
             upper_ref = jacobi_reference.jacobi_eigh(2.0 * jm.M * jm.Htilde - B)[0][0]
-            assert lower[k] == wb[0] + 6.0 * jm.M * jm.h1_norm
+            assert lower[k] == wb[0] + 6.0 * jm.M * h1_norm
             assert upper[k] == min(-wb[-1], upper_ref)
             assert norm_sum[k] == 2.0 * np.abs(wb).max()
             if ok[k]:
@@ -463,7 +463,7 @@ def test_jet_eq_n_epsilon_matches_check():
         M, eps = float(rng.uniform(1.5, 50)), float(rng.uniform(0.05, 0.9))
         jm = build_jet_matrices(x, M, float(rng.uniform(4, 8)), mod)
         seen.add(jm.eq_n_epsilon(eps))
-        assert jm.eq_n_epsilon(eps) == _jet(x, 3.0, mod, M).eq_n_epsilon(eps)
+        assert jm.eq_n_epsilon(eps) == _radial(x, mod, M).eq_n_epsilon(eps)
     assert seen == {True, False}
 
 
@@ -474,7 +474,7 @@ def _full_squeeze(X, Y, jm):
     zero = np.zeros((n, n))
     D = np.block([[X - c * np.eye(n), zero], [zero, Y - c * np.eye(n)]])
     Ht = jm.Htilde
-    lower = jacobi_eigh(D + 6 * M * jm.h1_norm * np.eye(2 * n))[0][0]
+    lower = jacobi_eigh(D + 6 * M * spectral_norm(jm.H1) * np.eye(2 * n))[0][0]
     upper = jacobi_eigh(M * np.block([[Ht, -Ht], [-Ht, Ht]]) - D)[0][0]
     return lower, upper
 
@@ -483,8 +483,9 @@ def _random_pair_point(rng, N, M, jm, radius):
     """(2M+1) Id - 2M |Htilde| Id + S with |S| = radius * M |Htilde|."""
     A = rng.standard_normal((N, N))
     S = 0.5 * (A + A.T)
-    S *= radius * M * jm.ht_norm / spectral_norm(S)
-    return (2 * M + 1) * np.eye(N) - 2 * M * jm.ht_norm * np.eye(N) + S
+    ht_norm = spectral_norm(jm.Htilde)
+    S *= radius * M * ht_norm / spectral_norm(S)
+    return (2 * M + 1) * np.eye(N) - 2 * M * ht_norm * np.eye(N) + S
 
 
 @pytest.fixture
@@ -535,7 +536,7 @@ def test_pair_distinct_y_raises(N):
     M = float(rng.uniform(1.5, 50))
     jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M, 3.0,
                             HolderModulus(0.5))
-    X = (2 * M + 1) * np.eye(N) - 2 * M * jm.ht_norm * np.eye(N)  # always feasible
+    X = (2 * M + 1) * np.eye(N) - 2 * M * spectral_norm(jm.Htilde) * np.eye(N)  # always feasible
     pair_conclusions_check(X, X.copy(), jm)
     Y = X.copy()
     Y[0, 0] = np.nextafter(Y[0, 0], np.inf)

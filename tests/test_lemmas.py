@@ -62,6 +62,19 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_stacks(monkeypatch):
+    """Patch jets._stack_matrices to record the number of jets of each stack it builds."""
+    stacked = []
+    stack = jets._stack_matrices
+
+    def counted_stack(rs, ps):
+        stacked.append(len(rs))
+        return stack(rs, ps)
+
+    monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
+    return stacked
+
+
 def assert_each_pair_tested_once(work):
     assert work["tested"]
     assert len(set(work["tested"])) == len(work["tested"])
@@ -84,14 +97,7 @@ def pair_rounds(monkeypatch):
 def test_pair_rows_screen_then_one_test_per_round(work, monkeypatch, pair_rounds):
     draws = count_calls(monkeypatch, lemmas, "regime_params")  # one per draw
     directions = count_calls(monkeypatch, jets, "_direction")  # one per S drawn
-    stacked = []
-    stack = jets._stack_matrices
-
-    def counted_stack(rs, ps):
-        stacked.append(len(rs))
-        return stack(rs, ps)
-
-    monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
+    stacked = count_stacks(monkeypatch)
     rows, _ = lemmas.pair_rows(np.random.default_rng(3), 16)
     assert len(rows) == 16 < len(draws)  # some draws fail the screen
     # only the draws that pass the screen are built, each once, one stack per
@@ -100,8 +106,9 @@ def test_pair_rows_screen_then_one_test_per_round(work, monkeypatch, pair_rounds
     assert len(directions) == sum(map(len, pair_rounds)) == len(work["tested"])
     assert_each_pair_tested_once(work)
     # every eigenvalue is taken on a stack: |H1| and |Htilde| and the two
-    # conclusions of each jet stack, |S| and both squeeze sides of each round
-    assert not {"jacobi_eigh", "spectral_norm"} & set(vars(jets))
+    # conclusions of each jet stack, |S| and both squeeze sides of each round;
+    # the claims sweep takes its eigenvalues on stacks too
+    assert not {"jacobi_eigh", "spectral_norm"} & (set(vars(jets)) | set(vars(claims)))
     assert Counter(work["stacks"]) \
         == Counter(4 * stacked) + Counter(3 * [len(tested) for tested in pair_rounds])
     # a stack's first round tests every jet; each later round tests, once
@@ -176,14 +183,7 @@ def test_uncovered_pairs_at_seed_1():
 
 def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
     draws = count_calls(monkeypatch, lemmas, "min_eig_terms")  # one per draw
-    stacked = []
-    stack = jets._stack_matrices
-
-    def counted_stack(rs, ps):
-        stacked.append(len(rs))
-        return stack(rs, ps)
-
-    monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
+    stacked = count_stacks(monkeypatch)
     rows, _ = lemmas.min_eig_rows(np.random.default_rng(4), 20)
     assert len(rows) == 40 and {row[0] for row in rows} == {"small", "large"}
     # one H per accepted draw, in one stack per N; a rejected large-branch
@@ -212,11 +212,25 @@ def test_barrier_rows_match_per_case_reference():
         == barrier_reference.barrier_rows(33, p_list, n_list)
 
 
-@pytest.mark.parametrize("regime", ["holder_large_p", "lipschitz_small_p"])
-def test_claims_one_jet_per_check(work, monkeypatch, regime):
-    checks = count_calls(monkeypatch, claims, "claims_check")
-    rows, _, _ = lemmas.claims_rows(np.random.default_rng(5), regime, 2, 10.0, [1e-2, 1e-3])
-    assert len(rows) == len(checks) == 10
-    assert work["jets"] == len(checks)
+@pytest.mark.parametrize("regime, N", [("holder_large_p", 2), ("lipschitz_small_p", 2),
+                                       ("lipschitz_small_p", 1)])
+def test_claims_one_stack_per_regime(work, monkeypatch, pair_rounds, regime, N):
+    stacked = count_stacks(monkeypatch)
+    spectra = []
+    eigvals = claims.jacobi_eigvals
+
+    def counted_eigvals(a):
+        spectra.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(claims, "jacobi_eigvals", counted_eigvals)
+    rows, _, _ = lemmas.claims_rows(np.random.default_rng(5), regime, N, 10.0, [1e-2, 1e-3])
+    # the sweep's ten checks are one stack of jets, built once; each pair is
+    # tested once, and the claims' two spectra are taken on the whole stack
+    assert len(rows) == 10 and stacked == [10] and work["jets"] == 0
     assert_each_pair_tested_once(work)
-    assert set(work["stacks"]) == {1}  # one-jet stacks
+    assert spectra == [(10, N, N)] * 2
+    assert not {"build_jet_matrices", "feasible_pair_sample"} & set(vars(claims))
+    # at N = 2 every first draw is feasible; at N = 1 some jets draw again
+    assert len(pair_rounds[0]) == 10
+    assert (len(pair_rounds) > 1) == (N == 1)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacobi_reference
-from pseudoplap import eig
 from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm
 from pseudoplap.moduli import HolderModulus, LipschitzModulus, check_validity
 
@@ -145,18 +144,18 @@ FINISHED = (np.array([[1.0, 1e-14], [1e-14, 1.0]]),
 def test_jacobi_eigvals_bitwise_matches_reference():
     # one stack per size: each mixes matrices that stop on different sweeps
     # (zero, diagonal and FINISHED ones before the first) and the branch cases;
-    # whole, it takes the vectorised sweep, in chunks the loop over jacobi_eigh
+    # whole, in chunks of 7 and one matrix at a time, a member's eigenvalues
+    # do not depend on the stack it is in
     by_size = {}
     for a in (*_reference_cases(), *FINISHED):
         by_size.setdefault(len(a), []).append(a)
     assert sorted(by_size) == [1, 2, 3, 4, 5, 6]
-    small = eig.SMALL_STACK - 1
     for stack in by_size.values():
-        assert len(stack) >= eig.SMALL_STACK
+        assert len(stack) > 7
         whole = jacobi_eigvals(np.array(stack))
-        chunked = np.concatenate([jacobi_eigvals(np.array(stack[i:i + small]))
-                                  for i in range(0, len(stack), small)])
-        for w in (whole, chunked):
+        chunked = [np.concatenate([jacobi_eigvals(np.array(stack[i:i + size]))
+                                   for i in range(0, len(stack), size)]) for size in (7, 1)]
+        for w in (whole, *chunked):
             assert w.shape == (len(stack), len(stack[0]))
             for a, wk in zip(stack, w):
                 w_ref = jacobi_reference.jacobi_eigh(a)[0]
