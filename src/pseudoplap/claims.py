@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import jacobi_eigvals
+from .eig import jacobi_eigvals, vector_norm
 from .jets import feasible_pairs, radial_jet
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
@@ -135,27 +135,40 @@ def regime_params(regime: str, p: float, N: int, gamma: float | None = None) -> 
                         tau_hat, tau1, tau2)
 
 
-def vector_norm(v: np.ndarray):
-    """|v| of a real float vector, as np.linalg.norm takes it (sqrt of v.v), bit
-    for bit, without its dispatch."""
-    return np.sqrt(v.dot(v))
+def zt_check(Z, T, theta, p):
+    """Slack rhs - lhs of ||Z|^{p-2} - |T|^{p-2}| <= max(1, p-2) |Z-T|^th (|Z|+|T|)^{p-2-th},
+    for one sample or a stack of them.
 
-
-def zt_check(Z, T, theta: float, p: float, norms=None) -> float:
-    """Slack of ||Z|^{p-2} - |T|^{p-2}| <= max(1, p-2) |Z-T|^th (|Z|+|T|)^{p-2-th}.
-
-    norms: (|Z|, |T|) from vector_norm, when the caller has taken them.
+    Z and T are one sample's vectors, shape (n,), or S samples' rows, shape
+    (S, n); theta and p are scalars or one per sample, shape (S,).  Zero
+    axes add exact zeros to every norm, so a sample of fewer axes may be
+    zero-padded to n.  Returns a float for one sample and an (S,) array
+    for a stack.  Every exponent is applied as an array, so row k of a stack
+    equals, bit for bit, the one-sample call on row k.
+    Raises ValueError, naming the first bad sample, unless every p > 2 and
+    every theta is in (0, min(1, p-2)], or when Z and T differ in shape.
     """
-    if not p > 2:
-        raise ValueError(f"p must be > 2, got {p}")
-    if not 0.0 < theta <= min(1.0, p - 2.0):
-        raise ValueError(f"theta must be in (0, min(1, p-2)], got {theta}")
     Z = np.asarray(Z, dtype=float)
     T = np.asarray(T, dtype=float)
-    nz, nt = (vector_norm(Z), vector_norm(T)) if norms is None else norms
-    lhs = abs(nz ** (p - 2.0) - nt ** (p - 2.0))
-    rhs = max(1.0, p - 2.0) * vector_norm(Z - T) ** theta * (nz + nt) ** (p - 2.0 - theta)
-    return float(rhs - lhs)
+    if Z.shape != T.shape or Z.ndim not in (1, 2):
+        raise ValueError(f"Z and T must share a shape (n,) or (S, n), got {Z.shape} "
+                         f"and {T.shape}")
+    one = Z.ndim == 1
+    Z, T = np.atleast_2d(Z), np.atleast_2d(T)
+    p, theta = (np.broadcast_to(np.asarray(v, dtype=float), (len(Z),)) for v in (p, theta))
+    bad = np.flatnonzero(~(p > 2.0))
+    if bad.size:
+        raise ValueError(f"p must be > 2, got {p[bad[0]]} (sample {bad[0]})")
+    bad = np.flatnonzero(~((0.0 < theta) & (theta <= np.minimum(1.0, p - 2.0))))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"theta must be in (0, min(1, p-2)], got {theta[k]} at p = {p[k]} "
+                         f"(sample {k})")
+    nz, nt, nd = (np.sqrt((V * V).sum(axis=1)) for V in (Z, T, Z - T))
+    lhs = np.abs(nz ** (p - 2.0) - nt ** (p - 2.0))
+    rhs = np.maximum(1.0, p - 2.0) * nd ** theta * (nz + nt) ** (p - 2.0 - theta)
+    slack = rhs - lhs
+    return float(slack[0]) if one else slack
 
 
 @dataclass(frozen=True)
@@ -176,14 +189,30 @@ class ClaimsReport:
     eq_n_epsilon_ok: bool | None
 
 
+def _check_cap(params: RegimeParams, M: float, s: float, x_off: float, y_off: float) -> None:
+    """Raise ValueError when a Lipschitz regime's doubled point at separation
+    s = |xbar-ybar| has x_off = |xbar-x0| or y_off = |ybar-x0| above the
+    doubled-maximum cap (C_EMP s^gamma / M)^{1/2}; the Hölder regimes have no cap."""
+    if not params.regime.startswith("lipschitz"):
+        return
+    cap = math.sqrt(C_EMP * s**params.gamma / M)
+    for name, off in (("xbar", x_off), ("ybar", y_off)):
+        if off > cap * (1.0 + 1e-9):
+            raise ValueError(
+                f"{params.regime} at |xbar-ybar| = {s:.3g}: |{name} - x0| = {off:.3g} exceeds "
+                f"the doubled-maximum cap (C_EMP |xbar-ybar|^gamma / M)^(1/2) = {cap:.3g}"
+            )
+
+
 def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     """The claim ratios at each doubled point (xbar, ybar, x0) of points, in order.
 
     Lipschitz regimes require |xbar-x0| and |ybar-x0| at most
     (C_EMP |xbar-ybar|^gamma / M)^{1/2}, mirroring the penalty-term bound at
-    a doubled maximum.  Every point is checked before feasible_pairs draws
-    the pairs of all the jets at xbar - ybar as one stack; one jacobi_eigvals
-    call takes every spectrum of M^{p-2} Th (X+Y) Th, and one every |X| (= |Y|).
+    a doubled maximum (_check_cap).  Every point is checked before
+    feasible_pairs draws the pairs of all the jets at xbar - ybar as one
+    stack; one jacobi_eigvals call takes every spectrum of
+    M^{p-2} Th (X+Y) Th, and one every |X| (= |Y|).
     """
     p, n = params.p, params.N
     modulus = params.modulus()
@@ -191,19 +220,12 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     for x_bar, y_bar, x0 in points:
         x_bar, y_bar, x0 = (np.asarray(v, dtype=float) for v in (x_bar, y_bar, x0))
         z = x_bar - y_bar
-        s = float(np.linalg.norm(z))
+        s = float(vector_norm(z))
         if s == 0.0:
             raise ValueError("xbar and ybar must differ")
         if len(z) != n:
             raise ValueError(f"points have dimension {len(z)}, params expect {n}")
-        if params.regime.startswith("lipschitz"):
-            cap = math.sqrt(C_EMP * s**params.gamma / M)
-            for name, pt in (("xbar", x_bar), ("ybar", y_bar)):
-                if np.linalg.norm(pt - x0) > cap * (1.0 + 1e-9):
-                    raise ValueError(
-                        f"|{name} - x0| = {np.linalg.norm(pt - x0):.3g} exceeds the doubled-"
-                        f"maximum cap (C_EMP |xbar-ybar|^gamma / M)^(1/2) = {cap:.3g}"
-                    )
+        _check_cap(params, M, s, vector_norm(x_bar - x0), vector_norm(y_bar - x0))
         rs.append(radial_jet(z, M, modulus))
         q = M * rs[-1].wp * z / s
         grads.append((q, q + 2.0 * M * (x_bar - x0), q - 2.0 * M * (y_bar - x0)))
@@ -222,7 +244,7 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
             ratio2_cap = float(2.0 * (2.0 * M + 1.0) * mp2 * theta_sq / denom(params.tau1))
         else:
             ratio2 = ratio2_cap = None
-        nq, nqx, nqy = (float(np.linalg.norm(v)) for v in (q, qx, qy))
+        nq, nqx, nqy = (float(vector_norm(v)) for v in (q, qx, qy))
         lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * x_norm \
             + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * x_norm
         eq_ok = r.eq_n_epsilon(params.eps) if p > 4.0 and params.eps is not None else None
@@ -274,7 +296,23 @@ def evaluate_claims_sweep(reports) -> dict:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
+    return vec / vector_norm(vec)
+
+
+def _sweep_offset(params: RegimeParams, M: float, s: float) -> float:
+    """|xbar - x0| of the sweep's doubled point at separation s."""
+    if params.regime.startswith("lipschitz"):
+        return 0.5 * math.sqrt(C_EMP * s**params.gamma / M)
+    return 0.05
+
+
+def check_sweep_cap(params: RegimeParams, M: float, scales) -> None:
+    """Raise the ValueError of _check_cap that claims_scale_sweep would raise
+    at these scales, without drawing: its points put xbar at the offset and
+    ybar at |offset - s| from x0 along a unit direction."""
+    for s in scales:
+        off = _sweep_offset(params, M, s)
+        _check_cap(params, M, s, off, abs(off - s))
 
 
 def claims_scale_sweep(params: RegimeParams, M: float, scales, rng) -> list:
@@ -291,11 +329,7 @@ def claims_scale_sweep(params: RegimeParams, M: float, scales, rng) -> list:
     direction = _unit(rng.standard_normal(n)) if n > 1 else np.ones(1)
     points = []
     for s in scales:
-        if params.regime.startswith("lipschitz"):
-            off = 0.5 * math.sqrt(C_EMP * s**params.gamma / M)
-        else:
-            off = 0.05
         x0 = np.zeros(n)
-        x_bar = x0 + off * direction
+        x_bar = x0 + _sweep_offset(params, M, s) * direction
         points += 5 * [(x_bar, x_bar - s * direction, x0)]
     return claims_checks(points, M, params, rng)

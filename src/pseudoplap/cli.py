@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .barrier import linf_bound_check
-from .claims import REGIMES
+from .claims import DEFAULT_REGIME_P, REGIMES, check_sweep_cap, regime_params
 from .config import ConfigError, RawConfig, parse_config
 from .grid import GridSpec, node_coordinates, nonexterior_mask, write_field
 from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows
@@ -163,6 +163,12 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
                   "claims_N must be 1, 2 or 3")
     claims_M = cfg.get_float("lemmas", "claims_M", 10.0)
     _check_lemmas(cfg, "claims_M", [claims_M], lambda m: m > 1.0, "claims_M must be > 1")
+    for regime in REGIMES:  # the sweep's doubled points must fit the Lipschitz cap
+        try:
+            check_sweep_cap(regime_params(regime, DEFAULT_REGIME_P[regime], claims_N),
+                            claims_M, scales)
+        except ValueError as exc:
+            cfg.fail("lemmas", "claims_M", str(exc))
     plots = cfg.get_bool("output", "plots", False)
 
     root = np.random.SeedSequence(seed)

@@ -2,6 +2,7 @@
 
 The lemma checks take every eigenvalue with jacobi_eigvals, on stacks;
 jacobi_eigh, its one-matrix form, and spectral_norm are what perfbench binds.
+vector_norm is the Euclidean norm the lemma modules take of a real vector.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def jacobi_eigh(a: np.ndarray):
     return np.array([rows[k][k] for k in order]), np.array([vcols[k] for k in order]).T
 
 
+def vector_norm(v: np.ndarray):
+    """|v| of a real float vector: sqrt(v.v), which is what np.linalg.norm
+    computes for it, bit for bit, without its dispatch."""
+    return np.sqrt(v.dot(v))
+
+
 def jacobi_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of real symmetric matrices, a[S, n, n] -> w[S, n],
     each row ascending and equal bit for bit to jacobi_eigh(a[k])[0].
@@ -104,8 +111,9 @@ def jacobi_eigvals(a: np.ndarray) -> np.ndarray:
     np.where keeps the entries of a finished matrix, and of one whose
     rotation jacobi_eigh would skip, through the rotations of the others.
     The off-diagonal norm is summed in jacobi_eigh's row-major order, and
-    |a_k|_F is np.linalg.norm of each matrix on its own, because a stacked
-    norm sums in another order than the BLAS dot it takes on one matrix.
+    |a_k|_F is vector_norm of each matrix's n^2 entries on its own, as
+    np.linalg.norm takes it in jacobi_eigh, because a stacked norm sums in
+    another order than that BLAS dot.
     This sweep accumulates no eigenvectors.
 
     Raises jacobi_eigh's errors when any member would raise them: ValueError
@@ -128,7 +136,7 @@ def jacobi_eigvals(a: np.ndarray) -> np.ndarray:
     if not (asym <= 1e-12 * np.maximum(1.0, amax)).all():
         raise ValueError("matrix is not symmetric")
     A = 0.5 * (A + AT)
-    norm = np.array([np.linalg.norm(m) for m in A])
+    norm = np.array([vector_norm(m) for m in A.reshape(stack, n * n)])
     if not np.isfinite(norm).all():
         raise FloatingPointError("matrix norm overflows")
     target = TOL * norm

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import jacobi_eigvals
+from .eig import jacobi_eigvals, vector_norm
 from .moduli import Modulus, check_validity
 
 _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
@@ -100,7 +100,7 @@ def _spectral_norms(A: np.ndarray) -> np.ndarray:
 
 def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
     x = np.asarray(x, dtype=float)
-    s = float(np.linalg.norm(x))
+    s = float(vector_norm(x))
     check_validity(modulus, s)
     if s >= 1.0:
         raise ValueError(f"|x| = {s} must be < 1")
@@ -152,7 +152,8 @@ def radial_jet(x, M: float, modulus: Modulus) -> RadialJet:
     ValueError unless M > 1 and x is nonzero and valid.  No matrix is built."""
     if not M > 1.0:
         raise ValueError(f"M must be > 1, got {M}")
-    if np.linalg.norm(x) == 0.0:
+    x = np.asarray(x, dtype=float)
+    if vector_norm(x) == 0.0:
         raise ValueError("x must be nonzero")
     return _radial(x, modulus, M)
 
@@ -165,7 +166,7 @@ def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
 def index_set(x, eps: float) -> np.ndarray:
     """Axes i with |x_i| >= |x|^{1+eps}; nonempty whenever N |x|^{2 eps} <= 1."""
     x = np.asarray(x, dtype=float)
-    s = float(np.linalg.norm(x))
+    s = float(vector_norm(x))
     if s == 0.0:
         raise ValueError("x must be nonzero")
     if not eps > 0:

@@ -15,7 +15,8 @@ import numpy as np
 from .barrier import BarrierParams, comparison_check, min_barrier_M
 from .barrier import supersolution_tolerance, verify_supersolution
 from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_claims_sweep
-from .claims import regime_params, vector_norm, zt_check
+from .claims import regime_params, zt_check
+from .eig import vector_norm
 from .grid import GridSpec, ScalarField
 from .jets import feasible_pair_conclusions, min_eig_bound_checks, min_eig_terms, pair_jet
 from .manufactured import gaussian_field
@@ -91,7 +92,7 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
                 eps = (1.0 - gamma) / (2.0 * max(p - 4.0, 0.25))
                 s = 10.0 ** rng.uniform(-6.0, -1.5)
             x = rng.standard_normal(N)
-            x *= s / np.linalg.norm(x)
+            x *= s / vector_norm(x)
             try:
                 terms.append(min_eig_terms(x, p, eps, modulus, branch=branch))
             except ValueError:
@@ -141,7 +142,7 @@ def pair_rows(rng: np.random.Generator, samples: int):
                 else:
                     s = 10.0 ** rng.uniform(-4.0, -1.5)
                 x = rng.standard_normal(N)
-                x *= s / np.linalg.norm(x)
+                x *= s / vector_norm(x)
                 M = float(rng.uniform(1.5, 50.0))
                 try:
                     rs.append(pair_jet(x, M, p, modulus, eps=params.eps))
@@ -174,25 +175,34 @@ def uncovered_pairs(rows) -> list:
 
 
 def zt_rows(rng: np.random.Generator, samples: int):
-    """Random draws of the power-gap (Z/T) inequality over p in [2.05, 8).
+    """`samples` random draws of the power-gap (Z/T) inequality over p in [2.05, 8),
+    drawn as one stack and checked by one zt_check call.
 
+    The draws come from rng as one vector call per variable, in this order:
+    N in {1, 2, 3} (integers(1, 4)), p (uniform(2.05, 8)), the theta factor
+    (uniform(1e-3, 1), times min(1, p-2)); then Z's standard_normal((S, 3)),
+    whose axes >= N are set to zero, and Z's scale 10**uniform(-3, 2); then
+    T the same way.  A row's relative slack is slack / max(1, rhs).
     Rows: p, N, theta, slack, rel_slack.
     """
-    rows = []
-    worst = np.inf
-    for _ in range(samples):
-        N = int(rng.integers(1, 4))
-        p = float(rng.uniform(2.05, 8.0))
-        theta = float(rng.uniform(1e-3, 1.0)) * min(1.0, p - 2.0)
-        Z = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-        T = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-        nz, nt = vector_norm(Z), vector_norm(T)
-        slack = zt_check(Z, T, theta, p, norms=(nz, nt))
-        rhs = slack + abs(nz ** (p - 2) - nt ** (p - 2))
-        rel = slack / max(1.0, rhs)
-        worst = min(worst, rel)
-        rows.append([p, N, theta, slack, rel])
-    return rows, worst
+    N = rng.integers(1, 4, size=samples)
+    p = rng.uniform(2.05, 8.0, size=samples)
+    theta = rng.uniform(1e-3, 1.0, size=samples) * np.minimum(1.0, p - 2.0)
+    padding = np.arange(3) >= N[:, None]
+
+    def vectors():
+        V = rng.standard_normal((samples, 3))
+        V[padding] = 0.0
+        return V * 10.0 ** rng.uniform(-3.0, 2.0, size=samples)[:, None]
+
+    Z = vectors()
+    T = vectors()
+    slack = zt_check(Z, T, theta, p)
+    nz, nt = (np.sqrt((V * V).sum(axis=1)) for V in (Z, T))
+    rel = slack / np.maximum(1.0, slack + np.abs(nz ** (p - 2.0) - nt ** (p - 2.0)))
+    rows = [list(row) for row in zip(p.tolist(), N.tolist(), theta.tolist(), slack.tolist(),
+                                     rel.tolist())]
+    return rows, float(rel.min(initial=np.inf))
 
 
 def claims_rows(rng: np.random.Generator, regime: str, N: int, M: float, scales):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from pseudoplap import claims
 from pseudoplap.claims import (
     DEFAULT_REGIME_P,
     REGIMES,
+    check_sweep_cap,
     claims_checks,
     claims_scale_sweep,
     evaluate_claims_sweep,
@@ -98,6 +101,71 @@ def test_zt_random(seed):
     assert slack >= -1e-12 * max(1.0, rhs)
 
 
+def zt_draws(rng, count, N, p):
+    """count random (Z, T, theta) of dimension N at the exponents p (one, or
+    one per draw), as zt_rows scales them."""
+    Z, T = (rng.standard_normal((count, N)) * 10.0 ** rng.uniform(-3, 2, (count, 1))
+            for _ in range(2))
+    theta = rng.uniform(1e-3, 1.0, count) * np.minimum(1.0, p - 2.0)
+    return Z, T, theta
+
+
+def plain_zt(z, t, theta, p):
+    """(slack, rhs) of the power-gap inequality on plain Python floats."""
+    nz, nt = math.sqrt(sum(v * v for v in z)), math.sqrt(sum(v * v for v in t))
+    nd = math.sqrt(sum((a - b) ** 2 for a, b in zip(z, t)))
+    rhs = max(1.0, p - 2.0) * nd ** theta * (nz + nt) ** (p - 2.0 - theta)
+    return rhs - abs(nz ** (p - 2.0) - nt ** (p - 2.0)), rhs
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_zt_stack_rows_equal_one_row_calls(N):
+    rng = np.random.default_rng(N)
+    p = rng.uniform(2.05, 8.0, 50)
+    Z, T, theta = zt_draws(rng, 50, N, p)
+    stacked = zt_check(Z, T, theta, p)
+    assert stacked.shape == (50,)
+    one = [zt_check(z, t, float(th), float(pk)) for z, t, th, pk in zip(Z, T, theta, p)]
+    assert all(type(v) is float for v in one)
+    assert repr(stacked.tolist()) == repr(one)
+
+
+@pytest.mark.parametrize("p", [2.05, 2.0500001, 7.9999999, 8.0])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_zt_stack_agrees_with_plain_floats(N, p):
+    Z, T, theta = zt_draws(np.random.default_rng(int(100 * p) + N), 200, N, p)
+    for z, t, th, slack in zip(Z.tolist(), T.tolist(), theta.tolist(),
+                               zt_check(Z, T, theta, p).tolist()):
+        want, rhs = plain_zt(z, t, th, p)
+        assert abs(slack - want) <= 1e-12 * max(1.0, abs(want), rhs), (z, t, th)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_zt_zero_padding_keeps_the_slack(N):
+    Z, T, theta = zt_draws(np.random.default_rng(10 + N), 100, N, 4.5)
+    pad = np.zeros((100, 3 - N))
+    padded = zt_check(np.hstack([Z, pad]), np.hstack([T, pad]), theta, 4.5)
+    assert np.array_equal(padded, zt_check(Z, T, theta, 4.5))
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("name, bad", [("p", 2.0), ("p", np.nan), ("theta", 0.0),
+                                       ("theta", 0.6), ("theta", np.nan)])
+def test_zt_bad_member_raises(k, name, bad):
+    Z, T, _ = zt_draws(np.random.default_rng(k), 4, 2, 2.5)
+    args = {"theta": np.full(4, 0.25), "p": np.full(4, 2.5)}
+    args[name][k] = bad  # theta 0.6 exceeds p - 2 = 0.5
+    with pytest.raises(ValueError, match=f"{name} must be .*sample {k}"):
+        zt_check(Z, T, **args)
+
+
+def test_zt_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape"):
+        zt_check(np.ones((3, 2)), np.ones((3, 3)), 0.5, 3.0)
+    with pytest.raises(ValueError, match="shape"):
+        zt_check(np.ones((2, 2, 2)), np.ones((2, 2, 2)), 0.5, 3.0)
+
+
 def test_claims_lipschitz_gradient_window():
     # with x0 = xbar the gradients collapse to q and sit in [M/4, 5M/4]
     rng = np.random.default_rng(0)
@@ -117,6 +185,26 @@ def test_claims_lipschitz_cap_enforced():
     far = np.array([0.9, 0.0])
     with pytest.raises(ValueError, match="cap"):
         claims_checks([(far, far - np.array([1e-3, 0.0]), np.zeros(2))], 10.0, params, rng)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("M", [10.0, 1000.0])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_check_sweep_cap_raises_as_the_sweep_does(regime, M, N):
+    params = regime_params(regime, DEFAULT_REGIME_P[regime], N)
+    scales = [1e-1, 1e-2, 1e-3, 1e-4]
+    checked = _raised(check_sweep_cap, params, M, scales)
+    assert checked == _raised(claims_scale_sweep, params, M, scales, np.random.default_rng(N))
+    # at M = 1000 the largest scale puts ybar outside the Lipschitz cap
+    assert (checked is not None) == (M == 1000.0 and regime.startswith("lipschitz"))
 
 
 def test_claims_1d_ratio_negative():

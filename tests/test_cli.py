@@ -201,6 +201,9 @@ def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcomm
      "[lemmas] claims_N: claims_N must be 1, 2 or 3, got 4"),
     ("verify-lemmas", LEMMAS_ALL, "claims_M = 10.0", "claims_M = 0.5",
      "[lemmas] claims_M: claims_M must be > 1, got 0.5"),
+    ("verify-lemmas", LEMMAS_ALL, "claims_M = 10.0", "claims_M = 1000",
+     "[lemmas] claims_M: lipschitz_small_p at |xbar-ybar| = 0.1: |ybar - x0| = 0.0789 "
+     "exceeds the doubled-maximum cap (C_EMP |xbar-ybar|^gamma / M)^(1/2) = 0.0422"),
     ("verify-lemmas", LEMMAS_ALL, "claims_scales = 0.1, 0.01", "claims_scales = 0.1, 0",
      "[lemmas] claims_scales: every scale must be in (0, 1), got 0.0"),
     ("verify-lemmas", LEMMAS_ALL, "claims_scales = 0.1, 0.01", "claims_scales = 2",
@@ -222,7 +225,8 @@ def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcomm
     ("verify-lemmas", LEMMAS_ALL, "pair_samples = 16", "pair_samples = 3",
      "[lemmas] pair_samples: pair_samples must be >= 4, got 3"),
 ], ids=["reg-p", "conv-p", "conv-even-nodes", "solve-dimension", "lemmas-claims-N",
-        "lemmas-claims-M", "lemmas-zero-scale", "lemmas-scale-2", "lemmas-even-nodes",
+        "lemmas-claims-M", "lemmas-claims-M-cap", "lemmas-zero-scale", "lemmas-scale-2",
+        "lemmas-even-nodes",
         "lemmas-barrier-p", "lemmas-barrier-N", "lemmas-empty-N-list", "lemmas-min-eig-samples",
         "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples"])
 def test_bad_config_value_exit_2(tmp_path, monkeypatch, capsys, subcommand, text, old, new,

@@ -234,3 +234,29 @@ def test_claims_one_stack_per_regime(work, monkeypatch, pair_rounds, regime, N):
     # at N = 2 every first draw is feasible; at N = 1 some jets draw again
     assert len(pair_rounds[0]) == 10
     assert (len(pair_rounds) > 1) == (N == 1)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 1000])
+def test_zt_rows_one_stacked_check(monkeypatch, samples):
+    calls = count_calls(monkeypatch, lemmas, "zt_check")
+    rows, worst = lemmas.zt_rows(np.random.default_rng(samples), samples)
+    assert len(rows) == samples and len(calls) == 1
+    assert {row[1] for row in rows} <= {1, 2, 3}
+    if samples == 1000:
+        assert {row[1] for row in rows} == {1, 2, 3}
+    # cells are Python floats and ints, so write_csv formats them as before
+    assert all(list(map(type, row)) == [float, int, float, float, float] for row in rows)
+    assert worst == min(row[-1] for row in rows) >= -1e-12
+
+
+def test_zt_rows_equal_one_row_checks(monkeypatch):
+    # the draws of each row, checked one row at a time by the unpadded one-sample call
+    stacked, worst = lemmas.zt_rows(np.random.default_rng(3), 300)
+    check = claims.zt_check
+
+    def one_row_checks(Z, T, theta, p):
+        return np.array([check(z[:n], t[:n], th, pk) for z, t, th, pk, n in
+                         zip(Z, T, theta.tolist(), p.tolist(), (Z != 0).sum(axis=1))])
+
+    monkeypatch.setattr(lemmas, "zt_check", one_row_checks)
+    assert repr(lemmas.zt_rows(np.random.default_rng(3), 300)) == repr((stacked, worst))

@@ -1,10 +1,14 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacobi_reference
-from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm
+from pseudoplap import claims, eig, jets, lemmas
+from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm, vector_norm
 from pseudoplap.moduli import HolderModulus, LipschitzModulus, check_validity
 
 
@@ -198,3 +202,39 @@ def test_jacobi_eigvals_empty_stack():
 def test_spectral_norm():
     a = np.diag([3.0, -7.0, 2.0])
     assert spectral_norm(a) == 7.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 36])
+def test_vector_norm_is_numpy_norm_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        for _ in range(50):
+            v = rng.standard_normal(n) * scale
+            assert vector_norm(v).tobytes() == np.linalg.norm(v).tobytes()
+
+
+def _linalg_norm_calls(module) -> list:
+    """Name of the function around each np.linalg.norm call in module's source."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            if isinstance(child, ast.Attribute) and child.attr == "norm" \
+                    and ast.unparse(child.value) in ("np.linalg", "numpy.linalg", "linalg"):
+                found.append(where)
+            if isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                found.append(where)  # `from numpy.linalg import norm` would hide the call
+            visit(child, inner)
+
+    visit(ast.parse(inspect.getsource(module)), "<module>")
+    return found
+
+
+def test_lemma_modules_take_norms_with_vector_norm():
+    # eig.vector_norm is the one norm path of the lemma modules; jacobi_eigh
+    # keeps its np.linalg.norm of the symmetrised row lists, which are not an array
+    calls = {module.__name__: _linalg_norm_calls(module)
+             for module in (eig, jets, claims, lemmas)}
+    assert calls == {"pseudoplap.eig": ["jacobi_eigh"], "pseudoplap.jets": [],
+                     "pseudoplap.claims": [], "pseudoplap.lemmas": []}
