@@ -1,9 +1,8 @@
 """Reference eigensolver for cross-checks: cyclic Jacobi on numpy row and column slices.
 
-This is the kernel `pseudoplap.eig.jacobi_eigh` used before its rotations moved
-to Python floats.  It makes the same floating-point operations in the same
-order, so the two must agree bit for bit; numpy's per-slice overhead makes
-this one several times slower on the <= 6x6 matrices used here.  Its stop
+One matrix at a time, it makes the floating-point operations of the stacked
+sweep in `pseudoplap.eig` in the same order, so `eig.jacobi_eigh` and every
+member of an `eig.jacobi_eigvals` stack must agree with it bit for bit.  Its stop
 test is the kernel's: the off-diagonal norm is summed directly, entry by
 entry in row-major order, not taken as sqrt(|A|_F^2 - sum a_ii^2), which
 cancels below about sqrt(eps) |A|_F.

@@ -3,8 +3,8 @@
 
 It draws, screens and checks one draw at a time: min_eig_bound_check, the
 one-jet call of the stacked check, builds each H on its own, and its stack of
-one matrix runs through `eig.jacobi_eigh`, where the shipped sampler stacks
-the matrices of each batch and N for the vectorised `eig.jacobi_eigvals`.
+one matrix runs through `eig.jacobi_eigvals`, which the shipped sampler
+calls on the stacked matrices of each batch and N.
 """
 
 import numpy as np

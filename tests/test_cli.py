@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import os
@@ -543,3 +544,20 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verify-lemmas" in proc.stdout
+
+
+def test_package_imports_numpy_and_the_standard_library_only():
+    package = Path(cli.__file__).resolve().parent
+    foreign = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {m}" for m in modules
+                        if m.split(".")[0] != "numpy"
+                        and m.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign

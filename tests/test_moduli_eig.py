@@ -194,6 +194,12 @@ def test_jacobi_eigvals_rejects_non_stack(shape):
         jacobi_eigvals(np.zeros(shape))
 
 
+@pytest.mark.parametrize("fn", [jacobi_eigh, spectral_norm])
+def test_one_matrix_calls_reject_empty_matrix(fn):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        fn(np.zeros((0, 0)))
+
+
 def test_jacobi_eigvals_empty_stack():
     w = jacobi_eigvals(np.zeros((0, 3, 3)))
     assert w.shape == (0, 3) and w.dtype == float
@@ -232,9 +238,8 @@ def _linalg_norm_calls(module) -> list:
 
 
 def test_lemma_modules_take_norms_with_vector_norm():
-    # eig.vector_norm is the one norm path of the lemma modules; jacobi_eigh
-    # keeps its np.linalg.norm of the symmetrised row lists, which are not an array
+    # eig.vector_norm is the one norm path of the lemma modules
     calls = {module.__name__: _linalg_norm_calls(module)
              for module in (eig, jets, claims, lemmas)}
-    assert calls == {"pseudoplap.eig": ["jacobi_eigh"], "pseudoplap.jets": [],
+    assert calls == {"pseudoplap.eig": [], "pseudoplap.jets": [],
                      "pseudoplap.claims": [], "pseudoplap.lemmas": []}
