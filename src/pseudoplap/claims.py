@@ -135,26 +135,23 @@ def regime_params(regime: str, p: float, N: int, gamma: float | None = None) -> 
                         tau_hat, tau1, tau2)
 
 
-def zt_check(Z, T, theta, p):
-    """Slack rhs - lhs of ||Z|^{p-2} - |T|^{p-2}| <= max(1, p-2) |Z-T|^th (|Z|+|T|)^{p-2-th},
-    for one sample or a stack of them.
+def zt_check(Z, T, theta, p) -> np.ndarray:
+    """Slack rhs - lhs of ||Z|^{p-2} - |T|^{p-2}| <= max(1, p-2) |Z-T|^th (|Z|+|T|)^{p-2-th}
+    for each of S samples, as an (S,) array.
 
-    Z and T are one sample's vectors, shape (n,), or S samples' rows, shape
-    (S, n); theta and p are scalars or one per sample, shape (S,).  Zero
-    axes add exact zeros to every norm, so a sample of fewer axes may be
-    zero-padded to n.  Returns a float for one sample and an (S,) array
-    for a stack.  Every exponent is applied as an array, so row k of a stack
-    equals, bit for bit, the one-sample call on row k.
+    Z and T hold the samples' vectors as rows, shape (S, n); theta and p are
+    scalars or one per sample, shape (S,).  Zero axes add exact zeros to
+    every norm, so a sample of fewer axes may be zero-padded to n.  Every
+    exponent is applied as an array, so row k equals, bit for bit, the
+    one-row call on row k.
     Raises ValueError, naming the first bad sample, unless every p > 2 and
-    every theta is in (0, min(1, p-2)], or when Z and T differ in shape.
+    every theta is in (0, min(1, p-2)], or unless Z and T share one shape
+    (S, n).
     """
     Z = np.asarray(Z, dtype=float)
     T = np.asarray(T, dtype=float)
-    if Z.shape != T.shape or Z.ndim not in (1, 2):
-        raise ValueError(f"Z and T must share a shape (n,) or (S, n), got {Z.shape} "
-                         f"and {T.shape}")
-    one = Z.ndim == 1
-    Z, T = np.atleast_2d(Z), np.atleast_2d(T)
+    if Z.shape != T.shape or Z.ndim != 2:
+        raise ValueError(f"Z and T must share a shape (S, n), got {Z.shape} and {T.shape}")
     p, theta = (np.broadcast_to(np.asarray(v, dtype=float), (len(Z),)) for v in (p, theta))
     bad = np.flatnonzero(~(p > 2.0))
     if bad.size:
@@ -167,8 +164,7 @@ def zt_check(Z, T, theta, p):
     nz, nt, nd = (np.sqrt((V * V).sum(axis=1)) for V in (Z, T, Z - T))
     lhs = np.abs(nz ** (p - 2.0) - nt ** (p - 2.0))
     rhs = np.maximum(1.0, p - 2.0) * nd ** theta * (nz + nt) ** (p - 2.0 - theta)
-    slack = rhs - lhs
-    return float(slack[0]) if one else slack
+    return rhs - lhs
 
 
 @dataclass(frozen=True)
@@ -182,9 +178,6 @@ class ClaimsReport:
     ratio2: float | None
     ratio2_cap: float | None
     ratio3: float
-    q_norm: float
-    qx_norm: float
-    qy_norm: float
     in_delta: bool
     eq_n_epsilon_ok: bool | None
 
@@ -251,7 +244,7 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
         reports.append(ClaimsReport(
             regime=params.regime, p=p, N=n, M=M, s=r.s,
             ratio1=ratio1, ratio2=ratio2, ratio2_cap=ratio2_cap,
-            ratio3=float(lhs / denom(params.tau2)), q_norm=nq, qx_norm=nqx, qy_norm=nqy,
+            ratio3=float(lhs / denom(params.tau2)),
             in_delta=bool(r.s < 0.5 * params.delta_N), eq_n_epsilon_ok=eq_ok,
         ))
     return reports

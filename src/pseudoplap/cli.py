@@ -81,13 +81,19 @@ def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
     p = _read_p(cfg)
     preset = cfg.get("problem", "f", "constant")
     value = cfg.get_float("problem", "f_value", 1.0)
+    if not np.isfinite(value):
+        cfg.fail("problem", "f_value", f"f_value must be finite, got {value}")
     sigma = cfg.get_float("problem", "f_sigma", 0.3)
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        cfg.fail("problem", "f_sigma", f"f_sigma must be finite and > 0, got {sigma}")
     try:
         f = make_f_field(grid, preset, value=value, p=p, sigma=sigma)
     except ValueError as exc:
         cfg.fail("problem", "f", str(exc))
     bpreset = cfg.get("problem", "boundary", "zero")
     bvalue = cfg.get_float("problem", "boundary_value", 0.0)
+    if not np.isfinite(bvalue):
+        cfg.fail("problem", "boundary_value", f"boundary_value must be finite, got {bvalue}")
     try:
         boundary = make_boundary(bpreset, value=bvalue, p=p)
     except ValueError as exc:
@@ -229,10 +235,8 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
                   ["regime", "p", "N", "M", "s", "ratio1", "ratio2", "ratio3",
                    "in_delta", "eq_n_epsilon_ok"], rows, chash)
         if plots:
-            svg_line_plot(outdir / "claims_ratio1.svg",
-                          {k: (xs, [abs(v) for v in ys]) for k, (xs, ys) in series.items()},
-                          "|xbar - ybar|", "|ratio1|", "claim ratio magnitude vs scale",
-                          logx=True, logy=True)
+            svg_line_plot(outdir / "claims_ratio1.svg", series, "|xbar - ybar|", "|ratio1|",
+                          "claim ratio magnitude vs scale")
     return checks
 
 
@@ -280,7 +284,12 @@ def run_convergence_study(cfg: RawConfig, seed: int, outdir: Path, chash: str) -
     p = _read_p(cfg)
     dim = cfg.get_int("problem", "dimension", 1)
     nodes_list = cfg.get_list("convergence", "nodes_list", [33, 65, 129], conv=int)
+    if len(nodes_list) < 2 or any(a >= b for a, b in zip(nodes_list, nodes_list[1:])):
+        cfg.fail("convergence", "nodes_list",
+                 f"needs at least two strictly increasing node counts, got {nodes_list}")
     min_order = cfg.get_float("convergence", "min_order", 0.8)
+    if not (np.isfinite(min_order) and min_order > 0.0):
+        cfg.fail("convergence", "min_order", f"min_order must be finite and > 0, got {min_order}")
     solver_cfg = _solver_config(cfg)
     grids = [_grid_spec(cfg, dim, n, "ball" if dim == 1 else "cube",
                         ("convergence", "nodes_list")) for n in nodes_list]
@@ -312,7 +321,7 @@ def run_convergence_study(cfg: RawConfig, seed: int, outdir: Path, chash: str) -
     if cfg.get_bool("output", "plots", False):
         hs = [row[1] for row in rows]
         svg_line_plot(outdir / "error_vs_h.svg", {"linf_error": (hs, errs)},
-                      "h", "L-inf error", "error vs spacing", logx=True, logy=True)
+                      "h", "L-inf error", "error vs spacing")
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     order_ok = all(o >= min_order for o in orders)
     return [("errors_decreasing", decreasing, f"errors {['%.3e' % e for e in errs]}"),

@@ -115,8 +115,8 @@ def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
 
 
 def _stack_matrices(jets, ps) -> tuple:
-    """H1, Htilde, Theta and H, each (S, N, N), of S jets of one N at the
-    exponents ps.
+    """H1, Htilde and Theta, each (S, N, N), of S jets of one N at the
+    exponents ps; H is Theta @ Htilde @ Theta, taken where it is read.
 
     Every entry sees the operations of the one-jet formulas in their order,
     and numpy's stacked `@` multiplies each matrix as its 2D `@` does, so
@@ -136,13 +136,13 @@ def _stack_matrices(jets, ps) -> tuple:
     Theta = np.zeros_like(H1)
     Theta.reshape(len(jets), n * n)[:, ::n + 1] = [
         np.abs(r.wp * r.x / r.s) ** ((p - 2.0) / 2.0) for r, p in zip(jets, ps)]
-    H = Theta @ Htilde @ Theta
-    return H1, Htilde, Theta, H
+    return H1, Htilde, Theta
 
 
 def _assemble(r: RadialJet, p: float) -> JetMatrices:
     """H1, Htilde, Theta and H of the jet whose scalars are r."""
-    H1, Htilde, Theta, H = (m[0] for m in _stack_matrices([r], [p]))
+    H1, Htilde, Theta = (m[0] for m in _stack_matrices([r], [p]))
+    H = Theta @ Htilde @ Theta
     return JetMatrices(x=r.x, M=r.M, s=r.s, wp=r.wp, wpp=r.wpp, iota=r.iota, alphaH=r.alphaH,
                        betaH=r.betaH, p=p, H1=H1, Htilde=Htilde, Theta=Theta, H=H)
 
@@ -211,27 +211,22 @@ class MinEigTerms:
     bound: float
 
 
-def min_eig_terms(x, p: float, eps: float | None, modulus: Modulus,
-                  branch: str = "auto") -> MinEigTerms:
+def min_eig_terms(x, p: float, eps: float | None, modulus: Modulus) -> MinEigTerms:
     """The part of min_eig_bound_check that builds no matrix.
 
-    Raises its ValueErrors: a bad branch, an invalid x, and on the large
-    branch an empty index set or a failing damped inequality.
+    eps None selects the small branch, which requires p <= 4; a given eps
+    selects the large branch, which requires p >= 4.  Raises the
+    ValueErrors of the check: p outside its branch, an invalid x, and on the
+    large branch an empty index set or a failing damped inequality.
     """
     x = np.asarray(x, dtype=float)
-    if branch == "auto":
-        branch = "small" if p <= 4.0 else "large"
-    if branch not in ("small", "large"):
-        raise ValueError(f"branch must be 'auto', 'small' or 'large', got {branch!r}")
-    if branch == "small" and p > 4.0:
-        raise ValueError("small branch requires p <= 4")
-    if branch == "large" and p < 4.0:
-        raise ValueError("large branch requires p >= 4")
-    if branch == "large" and eps is None:
-        raise ValueError("large branch requires eps")
+    if eps is None and p > 4.0:
+        raise ValueError("small branch (no eps) requires p <= 4")
+    if eps is not None and p < 4.0:
+        raise ValueError("large branch (eps given) requires p >= 4")
     r = _radial(x, modulus, M=1.0)  # damping 1/(4 |H1|); M plays no role in H's bound
     s, n, wp, wpp = r.s, r.N, r.wp, r.wpp
-    if branch == "small":
+    if eps is None:
         w = test_vector(x, p)
         bound = n ** (1.0 - p / 2.0) * r.betaH * wpp * wp ** (p - 2.0)
     else:
@@ -242,19 +237,18 @@ def min_eig_terms(x, p: float, eps: float | None, modulus: Modulus,
     return MinEigTerms(r=r, p=p, w=w, bound=bound)
 
 
-def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus,
-                        branch: str = "auto"):
+def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
     """Certify the negative-eigenvalue bound for H(x) via the Rayleigh quotient.
 
-    Small branch (p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
-    Large branch (p >= 4): requires a nonempty index set and the damped
-    inequality checked by JetMatrices.eq_n_epsilon; then
+    Small branch (eps None, p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
+    Large branch (eps given, p >= 4): requires a nonempty index set and the
+    damped inequality checked by JetMatrices.eq_n_epsilon; then
     lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
 
     Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H): the
     one-jet call of min_eig_bound_checks.
     """
-    return min_eig_bound_checks([min_eig_terms(x, p, eps, modulus, branch)])[0]
+    return min_eig_bound_checks([min_eig_terms(x, p, eps, modulus)])[0]
 
 
 def _by_n(rs) -> list:
@@ -269,13 +263,14 @@ def min_eig_bound_checks(terms) -> list:
     """min_eig_bound_check's (rayleigh, bound, slack) for each MinEigTerms, in
     order.
 
-    The terms of each N share one stacked H and one jacobi_eigvals call; the
-    Rayleigh quotient is taken per matrix.
+    The terms of each N share one stacked H = Theta @ Htilde @ Theta and one
+    jacobi_eigvals call; the Rayleigh quotient is taken per matrix.
     """
     out = [None] * len(terms)
     for ks in _by_n([t.r for t in terms]):
         group = [terms[k] for k in ks]
-        H = _stack_matrices([t.r for t in group], [t.p for t in group])[3]
+        _, Htilde, Theta = _stack_matrices([t.r for t in group], [t.p for t in group])
+        H = Theta @ Htilde @ Theta
         for k, t, Hk, lam_min in zip(ks, group, H, jacobi_eigvals(H)[:, 0]):
             rayleigh = float(t.w @ Hk @ t.w) / float(t.w @ t.w)
             out[k] = (rayleigh, t.bound, t.bound - float(lam_min))
@@ -428,7 +423,7 @@ class PairStack:
 
 
 def _pair_stack(rs, ps) -> PairStack:
-    H1, Htilde, Theta, _ = _stack_matrices(rs, ps)
+    H1, Htilde, Theta = _stack_matrices(rs, ps)
     return PairStack(tuple(rs), np.array([r.M for r in rs]), np.array(ps, dtype=float),
                      Htilde, Theta, _spectral_norms(H1), _spectral_norms(Htilde))
 

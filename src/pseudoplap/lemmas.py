@@ -49,33 +49,18 @@ def barrier_rows(nodes: int, p_list, n_list):
     return rows, ok
 
 
-# accepted eigenvalue-bound draws per stacked evaluation: enough to amortise
-# the fixed cost of a stack, few enough that the draws held stay a small
-# fraction of the rows
-_MIN_EIG_BATCH = 512
-
-
 def min_eig_rows(rng: np.random.Generator, samples: int):
     """`samples` accepted draws per branch (small p, then large p) of the eigenvalue bound.
 
-    Each draw is made and screened on its scalars in turn; the matrices of
-    every _MIN_EIG_BATCH accepted ones are built and their least eigenvalues
-    taken together, one stack per N, by min_eig_bound_checks.
+    Each draw is made and screened on its scalars in turn (min_eig_terms);
+    then one min_eig_bound_checks call builds the matrices of the branch's
+    accepted draws and takes their least eigenvalues, one stack per N.
     Rows: branch, p, N, gamma, s, rayleigh, bound, slack, rel_slack.
     """
     rows = []
-    heads = []
-    terms = []
-
-    def evaluate():
-        for head, (ray, bound, slack) in zip(heads, min_eig_bound_checks(terms)):
-            rows.append(head + [ray, bound, slack, slack / max(1.0, abs(bound))])
-        heads.clear()
-        terms.clear()
-
     for branch in ("small", "large"):
-        done = 0
-        while done < samples:
+        heads, terms = [], []
+        while len(terms) < samples:
             N = int(rng.integers(1, 4))
             gamma = float(rng.uniform(0.1, 0.9))
             if branch == "small":
@@ -94,14 +79,12 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
             x = rng.standard_normal(N)
             x *= s / vector_norm(x)
             try:
-                terms.append(min_eig_terms(x, p, eps, modulus, branch=branch))
+                terms.append(min_eig_terms(x, p, eps, modulus))
             except ValueError:
                 continue  # rejected sample (empty index set / damped inequality fails)
             heads.append([branch, p, N, gamma, s])
-            done += 1
-            if len(terms) == _MIN_EIG_BATCH:
-                evaluate()
-    evaluate()
+        for head, (ray, bound, slack) in zip(heads, min_eig_bound_checks(terms)):
+            rows.append(head + [ray, bound, slack, slack / max(1.0, abs(bound))])
     worst = np.inf
     for row in rows:
         worst = min(worst, row[-1])

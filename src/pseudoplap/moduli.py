@@ -29,9 +29,6 @@ class HolderModulus:
     def validity_sup(self) -> float:
         return 1.0
 
-    def omega(self, s):
-        return np.asarray(s, dtype=float) ** self.gamma
-
     def omega_prime(self, s):
         g = self.gamma
         return g * np.asarray(s, dtype=float) ** (g - 1.0)
@@ -64,10 +61,6 @@ class LipschitzModulus:
     @property
     def validity_sup(self) -> float:
         return self.s0
-
-    def omega(self, s):
-        s = np.asarray(s, dtype=float)
-        return s - self.omega0 * s ** (1.0 + self.tau)
 
     def omega_prime(self, s):
         s = np.asarray(s, dtype=float)

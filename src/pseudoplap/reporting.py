@@ -41,23 +41,16 @@ def write_csv(path, columns, rows, cfg_hash: str = "none") -> None:
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str,
-                  logx: bool = False, logy: bool = False) -> None:
-    """Write a minimal line plot; series maps label -> (xs, ys)."""
+def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> None:
+    """Write a minimal log-log line plot; series maps label -> (xs, ys), with
+    every x > 0 and every y nonzero (|y| is plotted)."""
     width, height = 640, 420
 
-    def tx(v):
-        return math.log10(v) if logx else v
-
-    def ty(v):
-        return math.log10(abs(v)) if logy else v
-
-    pts = [(tx(x), ty(y)) for xs, ys in series.values() for x, y in zip(xs, ys)]
+    pts = [(math.log10(x), math.log10(abs(y)))
+           for xs, ys in series.values() for x, y in zip(xs, ys)]
     if not pts:
         raise ValueError("nothing to plot")
     xs, ys = zip(*pts)
@@ -70,10 +63,10 @@ def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str,
     margin = 60
 
     def px(v):
-        return margin + (tx(v) - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return margin + (math.log10(v) - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
 
     def py(v):
-        return height - margin - (ty(v) - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        return height - margin - (math.log10(abs(v)) - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     out = [
@@ -91,17 +84,16 @@ def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str,
         f'transform="rotate(-90 16 {height / 2:.1f})" text-anchor="middle">{ylabel}</text>',
     ]
     for t in _ticks(x_lo, x_hi):
-        v = 10.0**t if logx else t
         out.append(
             f'<text x="{margin + (t - x_lo) / (x_hi - x_lo) * (width - 2 * margin):.1f}" '
-            f'y="{height - margin + 16}" text-anchor="middle" font-size="10">{v:.3g}</text>'
+            f'y="{height - margin + 16}" text-anchor="middle" font-size="10">'
+            f'{10.0**t:.3g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
-        v = 10.0**t if logy else t
         out.append(
             f'<text x="{margin - 6}" '
             f'y="{height - margin - (t - y_lo) / (y_hi - y_lo) * (height - 2 * margin):.1f}" '
-            f'text-anchor="end" font-size="10">{v:.3g}</text>'
+            f'text-anchor="end" font-size="10">{10.0**t:.3g}</text>'
         )
     for k, (label, (sx, sy)) in enumerate(series.items()):
         color = colors[k % len(colors)]

@@ -4,7 +4,7 @@
 It draws, screens and checks one draw at a time: min_eig_bound_check, the
 one-jet call of the stacked check, builds each H on its own, and its stack of
 one matrix runs through `eig.jacobi_eigvals`, which the shipped sampler
-calls on the stacked matrices of each batch and N.
+calls on the stacked matrices of each branch and N.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
             x = rng.standard_normal(N)
             x *= s / np.linalg.norm(x)
             try:
-                ray, bound, slack = min_eig_bound_check(x, p, eps, modulus, branch=branch)
+                ray, bound, slack = min_eig_bound_check(x, p, eps, modulus)
             except ValueError:
                 continue  # rejected sample (empty index set / damped inequality fails)
             rel = slack / max(1.0, abs(bound))

@@ -73,14 +73,14 @@ def test_exponent_ordering_sweep():
 
 
 def test_zt_trivial_cases():
-    Z = np.array([0.3, -0.4])
-    assert zt_check(Z, Z, 0.5, 3.0) == pytest.approx(0.0)
-    slack = zt_check(Z, -Z, 1.0, 3.0)  # lhs = 0, rhs > 0
+    Z = np.array([[0.3, -0.4]])
+    assert zt_check(Z, Z, 0.5, 3.0)[0] == pytest.approx(0.0)
+    slack = zt_check(Z, -Z, 1.0, 3.0)[0]  # lhs = 0, rhs > 0
     assert slack > 0.0
 
 
 def test_zt_theta_range():
-    Z = np.ones(2)
+    Z = np.ones((1, 2))
     with pytest.raises(ValueError):
         zt_check(Z, Z, 0.0, 3.0)
     with pytest.raises(ValueError):
@@ -94,9 +94,9 @@ def test_zt_random(seed):
     N = int(rng.integers(1, 4))
     p = float(rng.uniform(2.05, 8.0))
     theta = float(rng.uniform(1e-3, 1.0)) * min(1.0, p - 2.0)
-    Z = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-    T = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 2)
-    slack = zt_check(Z, T, theta, p)
+    Z = rng.standard_normal((1, N)) * 10.0 ** rng.uniform(-3, 2)
+    T = rng.standard_normal((1, N)) * 10.0 ** rng.uniform(-3, 2)
+    slack = zt_check(Z, T, theta, p)[0]
     rhs = slack + abs(np.linalg.norm(Z) ** (p - 2) - np.linalg.norm(T) ** (p - 2))
     assert slack >= -1e-12 * max(1.0, rhs)
 
@@ -125,9 +125,9 @@ def test_zt_stack_rows_equal_one_row_calls(N):
     Z, T, theta = zt_draws(rng, 50, N, p)
     stacked = zt_check(Z, T, theta, p)
     assert stacked.shape == (50,)
-    one = [zt_check(z, t, float(th), float(pk)) for z, t, th, pk in zip(Z, T, theta, p)]
-    assert all(type(v) is float for v in one)
-    assert repr(stacked.tolist()) == repr(one)
+    one = [zt_check(z[None], t[None], float(th), float(pk)).tolist()
+           for z, t, th, pk in zip(Z, T, theta, p)]
+    assert repr(stacked.tolist()) == repr(sum(one, []))
 
 
 @pytest.mark.parametrize("p", [2.05, 2.0500001, 7.9999999, 8.0])
@@ -164,19 +164,21 @@ def test_zt_rejects_mismatched_shapes():
         zt_check(np.ones((3, 2)), np.ones((3, 3)), 0.5, 3.0)
     with pytest.raises(ValueError, match="shape"):
         zt_check(np.ones((2, 2, 2)), np.ones((2, 2, 2)), 0.5, 3.0)
+    with pytest.raises(ValueError, match="shape"):  # one sample is a one-row stack
+        zt_check(np.ones(2), np.ones(2), 0.5, 3.0)
 
 
 def test_claims_lipschitz_gradient_window():
-    # with x0 = xbar the gradients collapse to q and sit in [M/4, 5M/4]
+    # with x0 = xbar the gradient qx collapses to q, whose norm M w'(s) sits
+    # in [M/4, 5M/4]
     rng = np.random.default_rng(0)
     params = regime_params("lipschitz_small_p", 2.6, 2)
     M = 10.0
     x_bar = np.zeros(2)
     y_bar = x_bar - np.array([1e-2, 0.0])
     rep, = claims_checks([(x_bar, y_bar, x_bar)], M, params, rng)
-    for nrm in (rep.qx_norm, rep.qy_norm):
-        assert M / 4.0 <= nrm <= 5.0 * M / 4.0
-    assert rep.q_norm == pytest.approx(rep.qx_norm)
+    assert rep.s == pytest.approx(1e-2)
+    assert M / 4.0 <= M * params.modulus().omega_prime(rep.s) <= 5.0 * M / 4.0
 
 
 def test_claims_lipschitz_cap_enforced():

@@ -159,7 +159,11 @@ def test_unknown_config_section_exit_2(tmp_path, capsys):
 
 
 REGULARITY_TINY = REGULARITY_33.format(max_iters=50, lambdas=10)
-CONVERGENCE_TINY = "[problem]\np = 3.0\ndimension = 1\n[convergence]\nnodes_list = 33, 65\n"
+CONVERGENCE_TINY = "[problem]\np = 3.0\ndimension = 1\n[convergence]\nnodes_list = 33, 65\n" \
+    "min_order = 0.8\n"
+# every [problem] key of solve
+SOLVE_ALL = SOLVE_TINY.replace("boundary = zero",
+                               "f_sigma = 0.3\nboundary = zero\nboundary_value = 0.0")
 
 
 @pytest.mark.parametrize("subcommand, text, added, lineno, message", [
@@ -196,8 +200,25 @@ def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcomm
      "[problem] p: p must be > 2, got 1.5"),
     ("convergence-study", CONVERGENCE_TINY, "nodes_list = 33, 65", "nodes_list = 33, 64",
      "[convergence] nodes_list: nodes_per_axis must be odd and >= 9, got 64"),
+    ("convergence-study", CONVERGENCE_TINY, "nodes_list = 33, 65", "nodes_list = 33",
+     "[convergence] nodes_list: needs at least two strictly increasing node counts, got [33]"),
+    ("convergence-study", CONVERGENCE_TINY, "nodes_list = 33, 65", "nodes_list =",
+     "[convergence] nodes_list: needs at least two strictly increasing node counts, got []"),
+    ("convergence-study", CONVERGENCE_TINY, "nodes_list = 33, 65", "nodes_list = 65, 33",
+     "[convergence] nodes_list: needs at least two strictly increasing node counts, "
+     "got [65, 33]"),
+    ("convergence-study", CONVERGENCE_TINY, "min_order = 0.8", "min_order = -5",
+     "[convergence] min_order: min_order must be finite and > 0, got -5.0"),
+    ("convergence-study", CONVERGENCE_TINY, "min_order = 0.8", "min_order = nan",
+     "[convergence] min_order: min_order must be finite and > 0, got nan"),
     ("solve", SOLVE_TINY, "dimension = 1", "dimension = 4",
      "[problem] dimension: dimension must be 1, 2 or 3, got 4"),
+    ("solve", SOLVE_ALL, "f_value = 1.0", "f_value = nan",
+     "[problem] f_value: f_value must be finite, got nan"),
+    ("solve", SOLVE_ALL, "boundary_value = 0.0", "boundary_value = inf",
+     "[problem] boundary_value: boundary_value must be finite, got inf"),
+    ("solve", SOLVE_ALL.replace("f = constant", "f = gaussian"), "f_sigma = 0.3", "f_sigma = 0",
+     "[problem] f_sigma: f_sigma must be finite and > 0, got 0.0"),
     ("verify-lemmas", LEMMAS_ALL, "claims_N = 2", "claims_N = 4",
      "[lemmas] claims_N: claims_N must be 1, 2 or 3, got 4"),
     ("verify-lemmas", LEMMAS_ALL, "claims_M = 10.0", "claims_M = 0.5",
@@ -225,7 +246,9 @@ def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcomm
      "[lemmas] comparison_pairs: comparison_pairs must be >= 1, got 0"),
     ("verify-lemmas", LEMMAS_ALL, "pair_samples = 16", "pair_samples = 3",
      "[lemmas] pair_samples: pair_samples must be >= 4, got 3"),
-], ids=["reg-p", "conv-p", "conv-even-nodes", "solve-dimension", "lemmas-claims-N",
+], ids=["reg-p", "conv-p", "conv-even-nodes", "conv-one-node-count", "conv-no-node-count",
+        "conv-decreasing-nodes", "conv-negative-order", "conv-nan-order", "solve-dimension",
+        "solve-nan-f", "solve-inf-boundary", "solve-zero-sigma", "lemmas-claims-N",
         "lemmas-claims-M", "lemmas-claims-M-cap", "lemmas-zero-scale", "lemmas-scale-2",
         "lemmas-even-nodes",
         "lemmas-barrier-p", "lemmas-barrier-N", "lemmas-empty-N-list", "lemmas-min-eig-samples",

@@ -34,7 +34,8 @@ def test_jet_matrices_1d_example():
 
 def assemble_reference(r, p):
     """H1, Htilde, Theta and H of one jet by the formulas on 2D arrays: the
-    reference for the stacked _stack_matrices."""
+    reference for _stack_matrices, for the stacked H = Theta @ Htilde @ Theta
+    of min_eig_bound_checks, and for _assemble."""
     x, s, wp, wpp = r.x, r.s, r.wp, r.wpp
     unit = x / s
     H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
@@ -53,12 +54,13 @@ def test_stacked_matrices_match_one_jet_formulas(N):
         mod = HolderModulus(float(rng.uniform(0.1, 0.9)))
         rs.append(_radial(x, mod, float(rng.uniform(1.5, 50.0))))
         ps.append((3.0, 6.0, 4.0, float(rng.uniform(2.05, 8.0)))[k % 4])
-    stacked = _stack_matrices(rs, ps)
+    H1s, Htildes, Thetas = _stack_matrices(rs, ps)
+    Hs = Thetas @ Htildes @ Thetas  # the stacked H of min_eig_bound_checks
     for k, (r, p) in enumerate(zip(rs, ps)):
         jm = _assemble(r, p)
-        for got, alone, want in zip((m[k] for m in stacked),
-                                    (jm.H1, jm.Htilde, jm.Theta, jm.H),
-                                    assemble_reference(r, p)):
+        H1, Htilde, Theta, H = assemble_reference(r, p)
+        for got, alone, want in ((H1s[k], jm.H1, H1), (Htildes[k], jm.Htilde, Htilde),
+                                 (Thetas[k], jm.Theta, Theta), (Hs[k], jm.H, H)):
             assert np.array_equal(got, want) and np.array_equal(alone, want), (k, p)
 
 
@@ -263,13 +265,22 @@ def test_min_eig_bound_random_sweep(branch, n_samples):
             s = 10 ** rng.uniform(-6, -1.5)
         x = random_point(rng, N, s)
         try:
-            ray, bound, slack = min_eig_bound_check(x, p, eps, mod, branch=branch)
+            ray, bound, slack = min_eig_bound_check(x, p, eps, mod)
         except ValueError:
             continue
         assert slack >= -1e-9 * max(1.0, abs(bound))
         lam_min = bound - slack
         assert lam_min <= ray + 1e-9 * max(1.0, abs(ray))  # Rayleigh dominates the minimum
         done += 1
+
+
+def test_min_eig_eps_selects_the_branch():
+    # no eps selects the small branch, a given eps the large one
+    mod, x = HolderModulus(0.5), np.array([0.05, 0.02])
+    with pytest.raises(ValueError, match="requires p <= 4"):
+        min_eig_bound_check(x, 5.0, None, mod)
+    with pytest.raises(ValueError, match="requires p >= 4"):
+        min_eig_bound_check(x, 3.0, 0.1, mod)
 
 
 def test_min_eig_large_branch_requires_precondition():

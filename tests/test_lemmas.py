@@ -186,19 +186,18 @@ def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
     stacked = count_stacks(monkeypatch)
     rows, _ = lemmas.min_eig_rows(np.random.default_rng(4), 20)
     assert len(rows) == 40 and {row[0] for row in rows} == {"small", "large"}
-    # one H per accepted draw, in one stack per N; a rejected large-branch
-    # draw builds no matrices
+    # one H per accepted draw, in one stack per N per branch, in the order
+    # of each branch's first draw of that N; a rejected large-branch draw
+    # builds no matrices
     assert work["jets"] == 0
-    assert len(stacked) == len({row[2] for row in rows}) == len(work["stacks"])
+    assert stacked == work["stacks"] == list(Counter((row[0], row[2]) for row in rows).values())
     assert sum(stacked) == len(rows) < len(draws)
 
 
 @pytest.mark.parametrize("seed", [1, 4, 7, 101])
 @pytest.mark.parametrize("samples", [1, 20])
-def test_min_eig_rows_match_serial_reference(monkeypatch, seed, samples):
-    # with one draw per branch at least one N has no row, so no stack; with
-    # 20, the 40 rows take six batches of at most 7
-    monkeypatch.setattr(lemmas, "_MIN_EIG_BATCH", 7)
+def test_min_eig_rows_match_serial_reference(seed, samples):
+    # with one draw per branch at least one N has no row, so no stack
     rows, worst = lemmas.min_eig_rows(np.random.default_rng(seed), samples)
     want_rows, want_worst = min_eig_reference.min_eig_rows(np.random.default_rng(seed), samples)
     assert rows == want_rows and worst == want_worst
@@ -255,7 +254,7 @@ def test_zt_rows_equal_one_row_checks(monkeypatch):
     check = claims.zt_check
 
     def one_row_checks(Z, T, theta, p):
-        return np.array([check(z[:n], t[:n], th, pk) for z, t, th, pk, n in
+        return np.array([check(z[None, :n], t[None, :n], th, pk)[0] for z, t, th, pk, n in
                          zip(Z, T, theta.tolist(), p.tolist(), (Z != 0).sum(axis=1))])
 
     monkeypatch.setattr(lemmas, "zt_check", one_row_checks)

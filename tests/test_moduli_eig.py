@@ -16,8 +16,6 @@ from pseudoplap.moduli import HolderModulus, LipschitzModulus, check_validity
 @settings(max_examples=200, deadline=None)
 def test_holder_modulus_shape(s, gamma):
     m = HolderModulus(gamma)
-    assert m.omega(0.0) == 0.0
-    assert m.omega(s) > 0.0
     assert m.omega_prime(s) > 0.0
     assert m.omega_second(s) < 0.0
 
@@ -28,8 +26,6 @@ def test_lipschitz_modulus_shape(tau, frac):
     m = LipschitzModulus(tau, 0.5 / (1.0 + tau))
     assert m.s0 > 1.0
     s = frac * min(m.s0, 1.0)
-    assert m.omega(0.0) == 0.0
-    assert m.omega(s) > 0.0
     assert m.omega_prime(s) > 0.0
     assert m.omega_second(s) < 0.0
 
