@@ -10,13 +10,18 @@ byte-identical.  Report CSVs open with a `# tool=... config_hash=...` line;
 the field CSV `solution.csv` opens with its header `x1,...,xN,value`.  The
 experiments themselves live in the library (`lemmas`,
 `regularity.preset_sweep`), which the acceptance suite calls too; this
-module checks the config and writes what they return.
+module checks the config and writes what they return.  Each
+`run_<subcommand>(cfg)` reads and checks every value, then returns its work
+as `work(seed, outdir, chash) -> checks`; `main` calls `cfg.reject_unread()`
+in between, so nothing runs and no output directory exists before the whole
+config has passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -32,26 +37,6 @@ from .manufactured import separable_trace, zero_boundary
 from .regularity import estimate_constant, preset_sweep, records_to_csv
 from .reporting import config_hash, svg_line_plot, write_csv
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
-
-# Per subcommand, every section and key it reads; anything else in its config exits 2.
-_GRID_KEYS = {"dimension", "nodes", "shape"}
-_SOLVER_KEYS = {"grad_tol", "max_iters"}
-_KNOWN_KEYS = {
-    "solve": {"problem": _GRID_KEYS | {"p", "f", "f_value", "f_sigma", "boundary",
-                                       "boundary_value"},
-              "solver": _SOLVER_KEYS},
-    "verify-lemmas": {
-        "lemmas": {"run_barrier", "barrier_nodes", "barrier_p_list", "barrier_N_list",
-                   "run_min_eig", "min_eig_samples", "run_pair", "pair_samples", "run_zt",
-                   "zt_samples", "run_comparison", "comparison_pairs", "comparison_nodes",
-                   "comparison_p", "run_claims", "claims_scales", "claims_N", "claims_M"},
-        "output": {"plots"}},
-    "measure-regularity": {"problem": _GRID_KEYS | {"p"}, "solver": _SOLVER_KEYS,
-                           "regularity": {"radius", "gammas", "scaling_lambdas"}},
-    "convergence-study": {"problem": {"p", "dimension"}, "solver": _SOLVER_KEYS,
-                          "convergence": {"nodes_list", "min_order"}, "output": {"plots"}},
-}
-
 
 def _grid_spec(cfg: RawConfig, dim: int, n: int, shape: str, nodes_key: tuple) -> GridSpec:
     """GridSpec(dim, n, shape), a bad value reported at the key it came from:
@@ -71,29 +56,29 @@ def _build_grid(cfg: RawConfig) -> GridSpec:
 
 
 def _read_p(cfg: RawConfig) -> float:
-    p = cfg.get_float("problem", "p", 3.0)
-    if not p > 2:
-        cfg.fail("problem", "p", f"p must be > 2, got {p}")
-    return p
+    return cfg.get_float("problem", "p", 3.0, valid=lambda p: p > 2, rule="p must be > 2")
+
+
+def _preset_value(cfg: RawConfig, key: str, default: float, closed_form: str) -> float:
+    """[problem] `key`, finite, and > 0 when it is the c of the `closed_form` preset."""
+    rule = f"{key} must be finite" + (f" and > 0 for {closed_form}" if closed_form else "")
+    return cfg.get_float("problem", key, default, rule=rule,
+                         valid=lambda v: np.isfinite(v) and (v > 0.0 or not closed_form))
 
 
 def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
     p = _read_p(cfg)
     preset = cfg.get("problem", "f", "constant")
-    value = cfg.get_float("problem", "f_value", 1.0)
-    if not np.isfinite(value):
-        cfg.fail("problem", "f_value", f"f_value must be finite, got {value}")
-    sigma = cfg.get_float("problem", "f_sigma", 0.3)
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        cfg.fail("problem", "f_sigma", f"f_sigma must be finite and > 0, got {sigma}")
+    value = _preset_value(cfg, "f_value", 1.0, "f = separable" if preset == "separable" else "")
+    sigma = cfg.get_float("problem", "f_sigma", 0.3, valid=lambda s: np.isfinite(s) and s > 0.0,
+                          rule="f_sigma must be finite and > 0")
     try:
         f = make_f_field(grid, preset, value=value, p=p, sigma=sigma)
     except ValueError as exc:
         cfg.fail("problem", "f", str(exc))
     bpreset = cfg.get("problem", "boundary", "zero")
-    bvalue = cfg.get_float("problem", "boundary_value", 0.0)
-    if not np.isfinite(bvalue):
-        cfg.fail("problem", "boundary_value", f"boundary_value must be finite, got {bvalue}")
+    trace = "boundary = separable_trace" if bpreset == "separable_trace" else ""
+    bvalue = _preset_value(cfg, "boundary_value", 1.0 if trace else 0.0, trace)  # absent: c = 1
     try:
         boundary = make_boundary(bpreset, value=bvalue, p=p)
     except ValueError as exc:
@@ -109,66 +94,52 @@ def _solver_config(cfg: RawConfig) -> SolveConfig:
         cfg.fail("solver", str(exc).split()[0], str(exc))
 
 
-def run_solve(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
+def run_solve(cfg: RawConfig) -> Callable:
     grid = _build_grid(cfg)
     prob = _build_problem(cfg, grid)
     solver_cfg = _solver_config(cfg)
-    u, rep = solve_dirichlet(prob, solver_cfg)
-    write_field(outdir / "solution.csv", u)
-    bound, ok_bound = linf_bound_check(u, prob.f, prob.boundary_data, prob.p,
-                                       solver_tol=10 * solver_cfg.grad_tol)
-    write_csv(outdir / "solve_report.csv",
-              ["converged", "reason", "iterations", "inner_iterations", "final_energy",
-               "final_grad_sup", "sup_norm", "linf_bound"],
-              [[rep.converged, rep.reason, rep.iterations, rep.inner_iterations,
-                rep.final_energy, rep.final_grad_sup, u.sup_norm(), bound]], chash)
-    return [("solver_converged", rep.converged,
-             f"{rep.reason}: residual {rep.final_grad_sup:.3e}"),
-            ("linf_bound", ok_bound, f"sup|u| = {u.sup_norm():.6g} <= {bound:.6g}")]
+
+    def work(seed: int, outdir: Path, chash: str) -> list:
+        u, rep = solve_dirichlet(prob, solver_cfg)
+        write_field(outdir / "solution.csv", u)
+        bound, ok_bound = linf_bound_check(u, prob.f, prob.boundary_data, prob.p,
+                                           solver_tol=10 * solver_cfg.grad_tol)
+        write_csv(outdir / "solve_report.csv",
+                  ["converged", "reason", "iterations", "inner_iterations", "final_energy",
+                   "final_grad_sup", "sup_norm", "linf_bound"],
+                  [[rep.converged, rep.reason, rep.iterations, rep.inner_iterations,
+                    rep.final_energy, rep.final_grad_sup, u.sup_norm(), bound]], chash)
+        return [("solver_converged", rep.converged,
+                 f"{rep.reason}: residual {rep.final_grad_sup:.3e}"),
+                ("linf_bound", ok_bound, f"sup|u| = {u.sup_norm():.6g} <= {bound:.6g}")]
+    return work
 
 
-def _check_lemmas(cfg: RawConfig, key: str, values: list, valid, rule: str) -> None:
-    """Exit 2 at [lemmas] `key` unless its values (a list, or one value in a
-    list) are nonempty and each passes `valid`; `rule` says what they must be."""
-    if not values:
-        cfg.fail("lemmas", key, "the list is empty")
-    for value in values:
-        if not valid(value):
-            cfg.fail("lemmas", key, f"{rule}, got {value}")
-
-
-def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
-    # every value is read and checked before the first sampler runs
+def run_verify_lemmas(cfg: RawConfig) -> Callable:
     run = {family: cfg.get_bool("lemmas", f"run_{family}", family != "comparison")
            for family in ("barrier", "min_eig", "pair", "zt", "comparison", "claims")}
     barrier_nodes = cfg.get_int("lemmas", "barrier_nodes", 129)
-    barrier_ps = cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0])
-    _check_lemmas(cfg, "barrier_p_list", barrier_ps, lambda p: p > 2, "every p must be > 2")
-    barrier_ns = cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int)
-    _check_lemmas(cfg, "barrier_N_list", barrier_ns, lambda n: n in (1, 2, 3),
-                  "every N must be 1, 2 or 3")
+    barrier_ps = cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0],
+                              valid=lambda p: p > 2, rule="every p must be > 2")
+    barrier_ns = cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int,
+                              valid=lambda n: n in (1, 2, 3), rule="every N must be 1, 2 or 3")
     for n in barrier_ns:
         _grid_spec(cfg, n, barrier_nodes, "ball", ("lemmas", "barrier_nodes"))
-    counts = {}
-    for key, default, least in (("min_eig_samples", 1000, 1), ("zt_samples", 10_000, 1),
-                                ("pair_samples", 500, len(REGIMES)),  # a pair per regime
-                                ("comparison_pairs", 5, 1)):
-        counts[key] = cfg.get_int("lemmas", key, default)
-        _check_lemmas(cfg, key, [counts[key]], lambda c: c >= least,
-                      f"{key} must be >= {least}")
+    counts = {key: cfg.get_int("lemmas", key, default, valid=lambda c: c >= least,
+                               rule=f"{key} must be >= {least}")
+              for key, default, least in (("min_eig_samples", 1000, 1), ("zt_samples", 10_000, 1),
+                                          ("pair_samples", 500, len(REGIMES)),  # a pair per regime
+                                          ("comparison_pairs", 5, 1))}
     comparison_nodes = cfg.get_int("lemmas", "comparison_nodes", 33)
     _grid_spec(cfg, 2, comparison_nodes, "ball", ("lemmas", "comparison_nodes"))
-    comparison_p = cfg.get_float("lemmas", "comparison_p", 3.0)
-    _check_lemmas(cfg, "comparison_p", [comparison_p], lambda p: p > 2,
-                  "comparison_p must be > 2")
-    scales = cfg.get_list("lemmas", "claims_scales", [1e-1, 1e-2, 1e-3, 1e-4])
-    _check_lemmas(cfg, "claims_scales", scales, lambda s: 0.0 < s < 1.0,
-                  "every scale must be in (0, 1)")
-    claims_N = cfg.get_int("lemmas", "claims_N", 2)
-    _check_lemmas(cfg, "claims_N", [claims_N], lambda n: n in (1, 2, 3),
-                  "claims_N must be 1, 2 or 3")
-    claims_M = cfg.get_float("lemmas", "claims_M", 10.0)
-    _check_lemmas(cfg, "claims_M", [claims_M], lambda m: m > 1.0, "claims_M must be > 1")
+    comparison_p = cfg.get_float("lemmas", "comparison_p", 3.0, valid=lambda p: p > 2,
+                                 rule="comparison_p must be > 2")
+    scales = cfg.get_list("lemmas", "claims_scales", [1e-1, 1e-2, 1e-3, 1e-4],
+                          valid=lambda s: 0.0 < s < 1.0, rule="every scale must be in (0, 1)")
+    claims_N = cfg.get_int("lemmas", "claims_N", 2, valid=lambda n: n in (1, 2, 3),
+                           rule="claims_N must be 1, 2 or 3")
+    claims_M = cfg.get_float("lemmas", "claims_M", 10.0, valid=lambda m: m > 1.0,
+                             rule="claims_M must be > 1")
     for regime in REGIMES:  # the sweep's doubled points must fit the Lipschitz cap
         try:
             check_sweep_cap(regime_params(regime, DEFAULT_REGIME_P[regime], claims_N),
@@ -177,156 +148,161 @@ def run_verify_lemmas(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> li
             cfg.fail("lemmas", "claims_M", str(exc))
     plots = cfg.get_bool("output", "plots", False)
 
-    root = np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(s) for s in root.spawn(4)]
-    checks = []
+    def work(seed: int, outdir: Path, chash: str) -> list:
+        root = np.random.SeedSequence(seed)
+        rngs = [np.random.default_rng(s) for s in root.spawn(4)]
+        checks = []
 
-    if run["barrier"]:
-        rows, ok = barrier_rows(barrier_nodes, barrier_ps, barrier_ns)
-        write_csv(outdir / "barrier_checks.csv",
-                  ["p", "N", "nodes", "M", "violation", "tolerance", "pass"], rows, chash)
-        checks.append(("barrier_supersolution", ok, f"{len(rows)} (p, N) cases"))
+        if run["barrier"]:
+            rows, ok = barrier_rows(barrier_nodes, barrier_ps, barrier_ns)
+            write_csv(outdir / "barrier_checks.csv",
+                      ["p", "N", "nodes", "M", "violation", "tolerance", "pass"], rows, chash)
+            checks.append(("barrier_supersolution", ok, f"{len(rows)} (p, N) cases"))
 
-    if run["min_eig"]:
-        rows, worst = min_eig_rows(rngs[0], counts["min_eig_samples"])
-        write_csv(outdir / "min_eig_samples.csv",
-                  ["branch", "p", "N", "gamma", "s", "rayleigh", "bound", "slack",
-                   "rel_slack"], rows, chash)
-        checks.append(("min_eig_bound", worst >= -1e-9, f"worst rel slack {worst:.3e}"))
+        if run["min_eig"]:
+            rows, worst = min_eig_rows(rngs[0], counts["min_eig_samples"])
+            write_csv(outdir / "min_eig_samples.csv",
+                      ["branch", "p", "N", "gamma", "s", "rayleigh", "bound", "slack",
+                       "rel_slack"], rows, chash)
+            checks.append(("min_eig_bound", worst >= -1e-9, f"worst rel slack {worst:.3e}"))
 
-    if run["pair"]:
-        rows, worst = pair_rows(rngs[1], counts["pair_samples"])
-        write_csv(outdir / "pair_samples.csv",
-                  ["regime", "p", "N", "M", "s", "slack_all", "slack_small",
-                   "slack_large", "slack_norm", "rel_slack"], rows, chash)
-        uncovered = ",".join(uncovered_pairs(rows)) or "none"
-        checks.append(("pair_conclusions", worst >= -1e-9,
-                       f"worst rel slack {worst:.3e} uncovered={uncovered}"))
+        if run["pair"]:
+            rows, worst = pair_rows(rngs[1], counts["pair_samples"])
+            write_csv(outdir / "pair_samples.csv",
+                      ["regime", "p", "N", "M", "s", "slack_all", "slack_small",
+                       "slack_large", "slack_norm", "rel_slack"], rows, chash)
+            uncovered = ",".join(uncovered_pairs(rows)) or "none"
+            checks.append(("pair_conclusions", worst >= -1e-9,
+                           f"worst rel slack {worst:.3e} uncovered={uncovered}"))
 
-    if run["zt"]:
-        rows, worst = zt_rows(rngs[2], counts["zt_samples"])
-        write_csv(outdir / "zt_samples.csv",
-                  ["p", "N", "theta", "slack", "rel_slack"], rows, chash)
-        checks.append(("zt_inequality", worst >= -1e-12, f"worst rel slack {worst:.3e}"))
+        if run["zt"]:
+            rows, worst = zt_rows(rngs[2], counts["zt_samples"])
+            write_csv(outdir / "zt_samples.csv",
+                      ["p", "N", "theta", "slack", "rel_slack"], rows, chash)
+            checks.append(("zt_inequality", worst >= -1e-12, f"worst rel slack {worst:.3e}"))
 
-    if run["comparison"]:
-        pairs = counts["comparison_pairs"]
-        rows, ok, _ = comparison_rows(np.random.default_rng(root.spawn(1)[0]),
-                                      comparison_nodes, comparison_p, pairs)
-        write_csv(outdir / "comparison_checks.csv",
-                  ["trial", "premise", "conclusion", "operator_gap", "boundary_gap",
-                   "interior_gap", "conclusion_tol"], rows, chash)
-        checks.append(("comparison_principle", ok, f"{pairs} solved pairs"))
+        if run["comparison"]:
+            pairs = counts["comparison_pairs"]
+            rows, ok, _ = comparison_rows(np.random.default_rng(root.spawn(1)[0]),
+                                          comparison_nodes, comparison_p, pairs)
+            write_csv(outdir / "comparison_checks.csv",
+                      ["trial", "premise", "conclusion", "operator_gap", "boundary_gap",
+                       "interior_gap", "conclusion_tol"], rows, chash)
+            checks.append(("comparison_principle", ok, f"{pairs} solved pairs"))
 
-    if run["claims"]:
-        rows = []
-        series = {}
-        for regime in REGIMES:  # one stream, drawn from in REGIMES order
-            regime_rows, verdict, params = claims_rows(rngs[3], regime, claims_N, claims_M,
-                                                       scales)
-            rows += regime_rows
-            swept = sorted(verdict["ratio1_by_scale"], reverse=True)
-            series[regime] = (swept, [verdict["ratio1_by_scale"][s] for s in swept])
-            checks.append((f"claims_{regime}", verdict["ok"], verdict["detail"]))
-            checks.append((f"exponents_{regime}", params.exponents_ordered(),
-                           f"tau1={params.tau1:.3g} tau2={params.tau2:.3g} "
-                           f"tau_hat={params.tau_hat:.3g}"))
-        write_csv(outdir / "claims_ratios.csv",
-                  ["regime", "p", "N", "M", "s", "ratio1", "ratio2", "ratio3",
-                   "in_delta", "eq_n_epsilon_ok"], rows, chash)
-        if plots:
-            svg_line_plot(outdir / "claims_ratio1.svg", series, "|xbar - ybar|", "|ratio1|",
-                          "claim ratio magnitude vs scale")
-    return checks
+        if run["claims"]:
+            rows = []
+            series = {}
+            for regime in REGIMES:  # one stream, drawn from in REGIMES order
+                regime_rows, verdict, params = claims_rows(rngs[3], regime, claims_N, claims_M,
+                                                           scales)
+                rows += regime_rows
+                swept = sorted(verdict["ratio1_by_scale"], reverse=True)
+                series[regime] = (swept, [verdict["ratio1_by_scale"][s] for s in swept])
+                checks.append((f"claims_{regime}", verdict["ok"], verdict["detail"]))
+                checks.append((f"exponents_{regime}", params.exponents_ordered(),
+                               f"tau1={params.tau1:.3g} tau2={params.tau2:.3g} "
+                               f"tau_hat={params.tau_hat:.3g}"))
+            write_csv(outdir / "claims_ratios.csv",
+                      ["regime", "p", "N", "M", "s", "ratio1", "ratio2", "ratio3",
+                       "in_delta", "eq_n_epsilon_ok"], rows, chash)
+            if plots:
+                svg_line_plot(outdir / "claims_ratio1.svg", series, "|xbar - ybar|", "|ratio1|",
+                              "claim ratio magnitude vs scale")
+        return checks
+    return work
 
 
-def run_measure_regularity(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
+def run_measure_regularity(cfg: RawConfig) -> Callable:
     grid = _build_grid(cfg)
     p = _read_p(cfg)
-    r = cfg.get_float("regularity", "radius", 0.5)
-    gammas = cfg.get_list("regularity", "gammas", [0.5])
-    lambdas = cfg.get_list("regularity", "scaling_lambdas", [0.1, 10.0])
     r_max = 1.0 - 2.0 * grid.spacing
-    if not 0.0 < r < r_max:
-        cfg.fail("regularity", "radius",
-                 f"radius must be in (0, 1 - 2h) = (0, {r_max:.6g}), got {r}")
-    for g in gammas:
+    r = cfg.get_float("regularity", "radius", 0.5, valid=lambda r: 0.0 < r < r_max,
+                      rule=f"radius must be in (0, 1 - 2h) = (0, {r_max:.6g})")
+    gammas = cfg.get_list("regularity", "gammas", [0.5])
+    for g in gammas:  # may be empty: a Lipschitz-only run
         if not 0.0 < g < 1.0:
             cfg.fail("regularity", "gammas", f"every gamma must be in (0, 1), got {g}")
-    for lam in lambdas:
-        if not (np.isfinite(lam) and lam > 0.0):
-            cfg.fail("regularity", "scaling_lambdas",
-                     f"every lambda must be finite and > 0, got {lam}")
-    records, scale_rows, converged = preset_sweep(grid, p, r, gammas, lambdas,
-                                                  _solver_config(cfg),
-                                                  np.random.default_rng(seed))
-    records_to_csv(outdir / "records.csv", records, chash)
-    c_emp = estimate_constant(records)
-    if scale_rows[0][1]:
-        drift = max(row[2] for row in scale_rows)
-        scaling = ("scaling_invariance", drift <= 1e-6, f"max rel drift {drift:.3e}")
-    else:
-        drift = np.nan
-        scaling = ("scaling_invariance", False, "base ratio is 0: relative drift undefined")
-    write_csv(outdir / "scaling_invariance.csv",
-              ["lambda", "ratio", "rel_drift"], scale_rows, chash)
-    write_csv(outdir / "regularity_summary.csv",
-              ["p", "N", "r", "empirical_C", "scaling_drift"],
-              [[p, grid.dimension, r, c_emp, drift]], chash)
-    return [("all_solves_converged", all(converged),
-             f"{sum(converged)} of {len(converged)} solves converged "
-             f"({len(records)} presets + {len(lambdas)} scaling)"),
-            ("empirical_C_finite", bool(np.isfinite(c_emp)), f"C = {c_emp:.6g}"),
-            scaling]
+    lambdas = cfg.get_list("regularity", "scaling_lambdas", [0.1, 10.0],
+                           valid=lambda lam: np.isfinite(lam) and lam > 0.0,
+                           rule="every lambda must be finite and > 0")
+    solver_cfg = _solver_config(cfg)
+
+    def work(seed: int, outdir: Path, chash: str) -> list:
+        records, scale_rows, converged = preset_sweep(grid, p, r, gammas, lambdas, solver_cfg,
+                                                      np.random.default_rng(seed))
+        records_to_csv(outdir / "records.csv", records, chash)
+        c_emp = estimate_constant(records)
+        if scale_rows[0][1]:
+            drift = max(row[2] for row in scale_rows)
+            scaling = ("scaling_invariance", drift <= 1e-6, f"max rel drift {drift:.3e}")
+        else:
+            drift = np.nan
+            scaling = ("scaling_invariance", False, "base ratio is 0: relative drift undefined")
+        write_csv(outdir / "scaling_invariance.csv",
+                  ["lambda", "ratio", "rel_drift"], scale_rows, chash)
+        write_csv(outdir / "regularity_summary.csv",
+                  ["p", "N", "r", "empirical_C", "scaling_drift"],
+                  [[p, grid.dimension, r, c_emp, drift]], chash)
+        return [("all_solves_converged", all(converged),
+                 f"{sum(converged)} of {len(converged)} solves converged "
+                 f"({len(records)} presets + {len(lambdas)} scaling)"),
+                ("empirical_C_finite", bool(np.isfinite(c_emp)), f"C = {c_emp:.6g}"),
+                scaling]
+    return work
 
 
-def run_convergence_study(cfg: RawConfig, seed: int, outdir: Path, chash: str) -> list:
+def run_convergence_study(cfg: RawConfig) -> Callable:
     p = _read_p(cfg)
     dim = cfg.get_int("problem", "dimension", 1)
     nodes_list = cfg.get_list("convergence", "nodes_list", [33, 65, 129], conv=int)
     if len(nodes_list) < 2 or any(a >= b for a, b in zip(nodes_list, nodes_list[1:])):
         cfg.fail("convergence", "nodes_list",
                  f"needs at least two strictly increasing node counts, got {nodes_list}")
-    min_order = cfg.get_float("convergence", "min_order", 0.8)
-    if not (np.isfinite(min_order) and min_order > 0.0):
-        cfg.fail("convergence", "min_order", f"min_order must be finite and > 0, got {min_order}")
+    min_order = cfg.get_float("convergence", "min_order", 0.8,
+                              valid=lambda m: np.isfinite(m) and m > 0.0,
+                              rule="min_order must be finite and > 0")
     solver_cfg = _solver_config(cfg)
     grids = [_grid_spec(cfg, dim, n, "ball" if dim == 1 else "cube",
                         ("convergence", "nodes_list")) for n in nodes_list]
-    rows = []
-    errs = []
-    for grid in grids:
-        if dim == 1:
-            f = make_f_field(grid, "constant", value=1.0)
-            boundary = zero_boundary
-            exact_fn, _ = closed_form_1d(p, 1.0)
-            exact = lambda pts, fn=exact_fn: fn(pts[:, 0])
-        else:
-            f = make_f_field(grid, "constant", value=float(dim))
-            boundary = separable_trace(p)
-            exact, _ = separable_reference(p, dim)
-        u, rep = solve_dirichlet(EnergyProblem(grid, p, f, boundary), solver_cfg)
-        idx = np.argwhere(nonexterior_mask(grid))
-        vals = exact(node_coordinates(grid, idx).reshape(len(idx), -1))
-        err = float(np.abs(u.values[tuple(idx.T)] - vals).max())
-        errs.append(err)
-        rows.append([grid.nodes_per_axis, grid.spacing, err, rep.converged, rep.iterations])
-    orders = [float(np.log2(errs[i] / errs[i + 1])
-                    / np.log2((nodes_list[i + 1] - 1) / (nodes_list[i] - 1)))
-              for i in range(len(errs) - 1)]
-    write_csv(outdir / "convergence.csv",
-              ["nodes", "h", "linf_error", "converged", "iterations"], rows, chash)
-    write_csv(outdir / "observed_orders.csv", ["level", "order"],
-              [[i, o] for i, o in enumerate(orders)], chash)
-    if cfg.get_bool("output", "plots", False):
-        hs = [row[1] for row in rows]
-        svg_line_plot(outdir / "error_vs_h.svg", {"linf_error": (hs, errs)},
-                      "h", "L-inf error", "error vs spacing")
-    decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-    order_ok = all(o >= min_order for o in orders)
-    return [("errors_decreasing", decreasing, f"errors {['%.3e' % e for e in errs]}"),
-            ("observed_order", order_ok,
-             f"orders {['%.2f' % o for o in orders]} >= {min_order}")]
+    plots = cfg.get_bool("output", "plots", False)
+
+    def work(seed: int, outdir: Path, chash: str) -> list:
+        rows = []
+        errs = []
+        for grid in grids:
+            if dim == 1:
+                f = make_f_field(grid, "constant", value=1.0)
+                boundary = zero_boundary
+                exact_fn, _ = closed_form_1d(p, 1.0)
+                exact = lambda pts, fn=exact_fn: fn(pts[:, 0])
+            else:
+                f = make_f_field(grid, "constant", value=float(dim))
+                boundary = separable_trace(p)
+                exact, _ = separable_reference(p, dim)
+            u, rep = solve_dirichlet(EnergyProblem(grid, p, f, boundary), solver_cfg)
+            idx = np.argwhere(nonexterior_mask(grid))
+            vals = exact(node_coordinates(grid, idx).reshape(len(idx), -1))
+            err = float(np.abs(u.values[tuple(idx.T)] - vals).max())
+            errs.append(err)
+            rows.append([grid.nodes_per_axis, grid.spacing, err, rep.converged, rep.iterations])
+        orders = [float(np.log2(errs[i] / errs[i + 1])
+                        / np.log2((nodes_list[i + 1] - 1) / (nodes_list[i] - 1)))
+                  for i in range(len(errs) - 1)]
+        write_csv(outdir / "convergence.csv",
+                  ["nodes", "h", "linf_error", "converged", "iterations"], rows, chash)
+        write_csv(outdir / "observed_orders.csv", ["level", "order"],
+                  [[i, o] for i, o in enumerate(orders)], chash)
+        if plots:
+            hs = [row[1] for row in rows]
+            svg_line_plot(outdir / "error_vs_h.svg", {"linf_error": (hs, errs)},
+                          "h", "L-inf error", "error vs spacing")
+        decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
+        order_ok = all(o >= min_order for o in orders)
+        return [("errors_decreasing", decreasing, f"errors {['%.3e' % e for e in errs]}"),
+                ("observed_order", order_ok,
+                 f"orders {['%.2f' % o for o in orders]} >= {min_order}")]
+    return work
 
 
 _RUNNERS = {
@@ -346,11 +322,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        cfg.reject_unknown(_KNOWN_KEYS[args.subcommand])
+        work = _RUNNERS[args.subcommand](cfg)
+        cfg.reject_unread()
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         chash = config_hash(cfg.text)
-        checks = _RUNNERS[args.subcommand](cfg, args.seed, outdir, chash)
+        checks = work(args.seed, outdir, chash)
         write_csv(outdir / "summary.csv", ["check", "pass", "detail"],
                   [[name, ok, detail] for name, ok, detail in checks], chash)
         failed = [name for name, ok, _ in checks if not ok]

@@ -2,7 +2,8 @@
 
 The parser keeps the source line of every key so downstream validation can
 point at the offending file:line.  No nesting, no quoting; '#' or ';' start
-a comment.
+a comment.  The getters check each value where it is read and record every
+(section, key) asked for; `reject_unread` rejects whatever was never asked for.
 """
 
 from __future__ import annotations
@@ -20,28 +21,38 @@ class RawConfig:
     sections: dict = field(default_factory=dict)  # section -> {key: (value, line)}
     section_lines: dict = field(default_factory=dict)  # section -> line of its first header
     text: str = ""
+    read: dict = field(default_factory=dict)  # section -> set of keys a getter asked for
+    closed: bool = False  # set by reject_unread; reading after it is a bug
 
     def get(self, section: str, key: str, default=None):
+        if self.closed:
+            raise RuntimeError(f"[{section}] {key} read after reject_unread()")
+        self.read.setdefault(section, set()).add(key)
         entry = self.sections.get(section, {}).get(key)
         return entry[0] if entry is not None else default
 
-    def line_of(self, section: str, key: str) -> int:
-        return self.sections.get(section, {}).get(key, (None, 0))[1]
-
-    def _convert(self, section, key, default, conv, what):
+    def _convert(self, section, key, default, conv, what, valid=None, rule=None):
+        """[section] key converted by `conv`, or `default` if absent.  With `valid`,
+        the value, or each item of a nonempty list, must pass it or fail with `rule`."""
         raw = self.get(section, key)
-        if raw is None:
-            return default
         try:
-            return conv(raw)
+            value = default if raw is None else conv(raw)
         except ValueError:
             self.fail(section, key, f"expected {what}, got {raw!r}")
+        if valid is not None:
+            items = value if isinstance(value, list) else [value]
+            if not items:
+                self.fail(section, key, "the list is empty")
+            for item in items:
+                if not valid(item):
+                    self.fail(section, key, f"{rule}, got {item}")
+        return value
 
-    def get_float(self, section, key, default=None):
-        return self._convert(section, key, default, float, "a number")
+    def get_float(self, section, key, default=None, valid=None, rule=None):
+        return self._convert(section, key, default, float, "a number", valid, rule)
 
-    def get_int(self, section, key, default=None):
-        return self._convert(section, key, default, int, "an integer")
+    def get_int(self, section, key, default=None, valid=None, rule=None):
+        return self._convert(section, key, default, int, "an integer", valid, rule)
 
     def get_bool(self, section, key, default=None):
         def conv(s):
@@ -54,26 +65,27 @@ class RawConfig:
 
         return self._convert(section, key, default, conv, "a boolean")
 
-    def get_list(self, section, key, default=None, conv=float):
+    def get_list(self, section, key, default=None, conv=float, valid=None, rule=None):
         def items(raw):
             return [conv(t.strip()) for t in raw.split(",") if t.strip()]
 
-        return self._convert(section, key, default, items, "a comma-separated list")
+        return self._convert(section, key, default, items, "a comma-separated list", valid, rule)
 
-    def reject_unknown(self, known: dict) -> None:
-        """Raise ConfigError at the first section or key, in file order, that
-        `known` (section -> set of keys) does not list."""
+    def reject_unread(self) -> None:
+        """Raise ConfigError at the first section or key, in file order, that no
+        getter asked for; any getter call after this one raises RuntimeError."""
+        self.closed = True
         for section, entries in self.sections.items():
-            if section not in known:
+            if section not in self.read:
                 raise ConfigError(f"{self.path}:{self.section_lines[section]}: unknown section "
-                                  f"[{section}]; known: {', '.join(sorted(known))}")
+                                  f"[{section}]; known: {', '.join(sorted(self.read))}")
             for key in entries:
-                if key not in known[section]:
+                if key not in self.read[section]:
                     self.fail(section, key, "unknown key; known: "
-                              + ", ".join(sorted(known[section])))
+                              + ", ".join(sorted(self.read[section])))
 
     def fail(self, section, key, message):
-        line = self.line_of(section, key)
+        line = self.sections.get(section, {}).get(key, (None, 0))[1]
         loc = f"{self.path}:{line}" if line else self.path
         raise ConfigError(f"{loc}: [{section}] {key}: {message}")
 

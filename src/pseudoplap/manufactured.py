@@ -125,7 +125,7 @@ def make_boundary(preset: str, value: float = 0.0, p: float = 3.0):
     if preset == "constant":
         return constant_boundary(value)
     if preset == "separable_trace":
-        return separable_trace(p, value if value > 0 else 1.0)
+        return separable_trace(p, value)
     raise ValueError(f"unknown boundary preset {preset!r}; expected one of {BOUNDARY_PRESETS}")
 
 

@@ -148,7 +148,19 @@ SHIPPED = {"convergence_1d.ini": "convergence-study", "regularity_2d.ini": "meas
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
 def test_shipped_configs_use_known_keys(name):
-    parse_config(CONFIGS / name).reject_unknown(cli._KNOWN_KEYS[SHIPPED[name]])
+    cfg = parse_config(CONFIGS / name)
+    cli._RUNNERS[SHIPPED[name]](cfg)  # reads and checks every value; the work is not run
+    cfg.reject_unread()
+
+
+def test_getter_after_reject_unread_raises(tmp_path):
+    cfg = parse_config(write(tmp_path, "a.ini", "[s]\nkey = 3.5\n"))
+    assert cfg.get_float("s", "key") == 3.5
+    cfg.reject_unread()
+    with pytest.raises(RuntimeError, match="after reject_unread"):
+        cfg.get_float("s", "key")
+    with pytest.raises(RuntimeError, match="after reject_unread"):
+        cfg.get_bool("s", "other", False)
 
 
 def test_unknown_config_section_exit_2(tmp_path, capsys):
@@ -156,6 +168,16 @@ def test_unknown_config_section_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"{path}:13: unknown section [solvr]; known: problem, solver" \
         in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any solve or lemma sampler runs."""
+    for module in (cli, regularity):
+        monkeypatch.setattr(module, "solve_dirichlet", lambda *a: pytest.fail("solve ran"))
+    for sampler in ("barrier_rows", "min_eig_rows", "pair_rows", "zt_rows", "comparison_rows",
+                    "claims_rows"):
+        monkeypatch.setattr(cli, sampler, lambda *a, name=sampler: pytest.fail(f"{name} ran"))
 
 
 REGULARITY_TINY = REGULARITY_33.format(max_iters=50, lambdas=10)
@@ -182,9 +204,8 @@ SOLVE_ALL = SOLVE_TINY.replace("boundary = zero",
      "unknown section [output]; known: problem, solver"),
 ], ids=["reg-f", "reg-f_value", "reg-boundary", "conv-nodes", "conv-shape", "conv-f",
         "lemmas-solver", "solve-output"])
-def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcommand, text,
-                                          added, lineno, message):
-    monkeypatch.setitem(cli._RUNNERS, subcommand, lambda *a: pytest.fail("runner called"))
+def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand, text, added,
+                                          lineno, message):
     lines = text.splitlines()
     lines.insert(lineno - 1, added)  # the added key or section header lands on lineno
     path = write(tmp_path, "other.ini", "\n".join(lines) + "\n")
@@ -246,25 +267,42 @@ def test_key_of_another_subcommand_exit_2(tmp_path, monkeypatch, capsys, subcomm
      "[lemmas] comparison_pairs: comparison_pairs must be >= 1, got 0"),
     ("verify-lemmas", LEMMAS_ALL, "pair_samples = 16", "pair_samples = 3",
      "[lemmas] pair_samples: pair_samples must be >= 4, got 3"),
+    ("convergence-study", CONVERGENCE_TINY + "[output]\nplots = true\n", "plots = true",
+     "plots = maybe", "[output] plots: expected a boolean, got 'maybe'"),
+    ("measure-regularity", REGULARITY_TINY, "scaling_lambdas = 10", "scaling_lambdas =",
+     "[regularity] scaling_lambdas: the list is empty"),
+    ("solve", SOLVE_ALL.replace("f = constant", "f = separable"), "f_value = 1.0",
+     "f_value = -1", "[problem] f_value: f_value must be finite and > 0 for f = separable, "
+     "got -1.0"),
+    ("solve", SOLVE_ALL.replace("boundary = zero", "boundary = separable_trace"),
+     "boundary_value = 0.0", "boundary_value = -1",
+     "[problem] boundary_value: boundary_value must be finite and > 0 for "
+     "boundary = separable_trace, got -1.0"),
 ], ids=["reg-p", "conv-p", "conv-even-nodes", "conv-one-node-count", "conv-no-node-count",
         "conv-decreasing-nodes", "conv-negative-order", "conv-nan-order", "solve-dimension",
         "solve-nan-f", "solve-inf-boundary", "solve-zero-sigma", "lemmas-claims-N",
         "lemmas-claims-M", "lemmas-claims-M-cap", "lemmas-zero-scale", "lemmas-scale-2",
         "lemmas-even-nodes",
         "lemmas-barrier-p", "lemmas-barrier-N", "lemmas-empty-N-list", "lemmas-min-eig-samples",
-        "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples"])
-def test_bad_config_value_exit_2(tmp_path, monkeypatch, capsys, subcommand, text, old, new,
-                                 message):
-    # every value is checked before the first solve and the first lemma sampler
-    for module in (cli, regularity):
-        monkeypatch.setattr(module, "solve_dirichlet", lambda *a: pytest.fail("solve ran"))
-    for sampler in ("barrier_rows", "min_eig_rows", "pair_rows", "zt_rows", "comparison_rows",
-                    "claims_rows"):
-        monkeypatch.setattr(cli, sampler, lambda *a: pytest.fail(f"{sampler} ran"))
+        "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples", "conv-plots",
+        "reg-empty-lambdas", "solve-separable-f-value", "solve-trace-boundary-value"])
+def test_bad_config_value_exit_2(tmp_path, no_work, capsys, subcommand, text, old, new, message):
+    # every value is checked before the first solve, lemma sampler or output
     lineno = text.splitlines().index(old) + 1
     path = write(tmp_path, "bad.ini", text.replace(old, new))
     assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"{path}:{lineno}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_separable_trace_without_boundary_value_keeps_c_1(tmp_path):
+    absent = SOLVE_TINY.replace("boundary = zero", "boundary = separable_trace")
+    one = absent.replace("separable_trace", "separable_trace\nboundary_value = 1")
+    for name, text in (("absent", absent), ("one", one)):
+        assert main(["solve", "--config", write(tmp_path, f"{name}.ini", text),
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "absent" / "solution.csv").read_bytes() \
+        == (tmp_path / "one" / "solution.csv").read_bytes()
 
 
 # a small run of each subcommand that writes every CSV the subcommand can write,
@@ -535,6 +573,7 @@ def _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, key, bad, message
     monkeypatch.setattr(regularity, "solve_dirichlet", None)  # a solve would exit 3
     assert main(["measure-regularity", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"{path}:{lineno}: [regularity] {key}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", ["0.99", "0.9375", "0", "-0.5", "nan"])
