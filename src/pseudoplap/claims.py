@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import jacobi_eigvals, vector_norm
-from .jets import feasible_pairs, radial_jet
+from .jets import feasible_pairs, radial_jets
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
 REGIMES = ("holder_small_p", "holder_large_p", "lipschitz_small_p", "lipschitz_large_p")
@@ -203,15 +203,15 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     Lipschitz regimes require |xbar-x0| and |ybar-x0| at most
     (C_EMP |xbar-ybar|^gamma / M)^{1/2}, mirroring the penalty-term bound at
     a doubled maximum (_check_cap).  Every point is checked before
-    feasible_pairs draws the pairs of all the jets at xbar - ybar as one
-    stack; one jacobi_eigvals call takes every spectrum of
+    radial_jets takes the scalars of all the jets at xbar - ybar as one
+    stack and feasible_pairs draws their pairs; one jacobi_eigvals call
+    takes every spectrum of
     M^{p-2} Th (X+Y) Th, and one every |X| (= |Y|).
     """
     p, n = params.p, params.N
-    modulus = params.modulus()
-    rs, grads = [], []
+    points = [tuple(np.asarray(v, dtype=float) for v in point) for point in points]
+    zs = []
     for x_bar, y_bar, x0 in points:
-        x_bar, y_bar, x0 = (np.asarray(v, dtype=float) for v in (x_bar, y_bar, x0))
         z = x_bar - y_bar
         s = float(vector_norm(z))
         if s == 0.0:
@@ -219,8 +219,14 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
         if len(z) != n:
             raise ValueError(f"points have dimension {len(z)}, params expect {n}")
         _check_cap(params, M, s, vector_norm(x_bar - x0), vector_norm(y_bar - x0))
-        rs.append(radial_jet(z, M, modulus))
-        q = M * rs[-1].wp * z / s
+        zs.append(z)
+    jets = radial_jets(zs, M, params.modulus())
+    rs = jets.radial()
+    eq_ok = jets.eq_n_epsilon(params.eps).tolist() if p > 4.0 and params.eps is not None \
+        else [None] * len(rs)
+    grads = []
+    for r, z, (x_bar, y_bar, x0) in zip(rs, zs, points):
+        q = M * r.wp * z / r.s
         grads.append((q, q + 2.0 * M * (x_bar - x0), q - 2.0 * M * (y_bar - x0)))
     st, X, _ = feasible_pairs(rs, [p] * len(rs), rng)
 
@@ -228,8 +234,8 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     lams = jacobi_eigvals(mp2 * st.Theta @ (X + X) @ st.Theta)
     x_norms = np.abs(jacobi_eigvals(X)).max(axis=1)
     reports = []
-    for r, (q, qx, qy), lam, x_norm, theta_sq in zip(rs, grads, lams, x_norms,
-                                                      st.theta_norm_sq()):
+    for r, (q, qx, qy), lam, x_norm, theta_sq, ok in zip(rs, grads, lams, x_norms,
+                                                          st.theta_norm_sq(), eq_ok):
         denom = lambda expo: M ** (p - 1.0) * r.s ** (-expo)
         ratio1 = float(lam[0] / denom(params.tau_hat))
         if n > 1:
@@ -240,12 +246,11 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
         nq, nqx, nqy = (float(vector_norm(v)) for v in (q, qx, qy))
         lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * x_norm \
             + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * x_norm
-        eq_ok = r.eq_n_epsilon(params.eps) if p > 4.0 and params.eps is not None else None
         reports.append(ClaimsReport(
             regime=params.regime, p=p, N=n, M=M, s=r.s,
             ratio1=ratio1, ratio2=ratio2, ratio2_cap=ratio2_cap,
             ratio3=float(lhs / denom(params.tau2)),
-            in_delta=bool(r.s < 0.5 * params.delta_N), eq_n_epsilon_ok=eq_ok,
+            in_delta=bool(r.s < 0.5 * params.delta_N), eq_n_epsilon_ok=ok,
         ))
     return reports
 

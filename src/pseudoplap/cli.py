@@ -118,6 +118,8 @@ def run_solve(cfg: RawConfig) -> Callable:
 def run_verify_lemmas(cfg: RawConfig) -> Callable:
     run = {family: cfg.get_bool("lemmas", f"run_{family}", family != "comparison")
            for family in ("barrier", "min_eig", "pair", "zt", "comparison", "claims")}
+    if not any(run.values()):
+        cfg.fail("lemmas", None, "every run_* is false, so nothing would be checked")
     barrier_nodes = cfg.get_int("lemmas", "barrier_nodes", 129)
     barrier_ps = cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0],
                               valid=lambda p: p > 2, rule="every p must be > 2")

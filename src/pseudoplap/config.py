@@ -85,9 +85,15 @@ class RawConfig:
                               + ", ".join(sorted(self.read[section])))
 
     def fail(self, section, key, message):
-        line = self.sections.get(section, {}).get(key, (None, 0))[1]
+        """Raise ConfigError at [section] key's line; with key None, at the
+        section's header, for a fault of the section as a whole."""
+        if key is None:
+            line, where = self.section_lines.get(section, 0), f"[{section}]"
+        else:
+            line = self.sections.get(section, {}).get(key, (None, 0))[1]
+            where = f"[{section}] {key}"
         loc = f"{self.path}:{line}" if line else self.path
-        raise ConfigError(f"{loc}: [{section}] {key}: {message}")
+        raise ConfigError(f"{loc}: {where}: {message}")
 
 
 def parse_config(path) -> RawConfig:

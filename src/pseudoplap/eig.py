@@ -4,7 +4,9 @@ One sweep, _jacobi, rotates a whole stack of matrices at once; it is bit for
 bit the numpy-slice kernel kept in tests/jacobi_reference.py.  The lemma
 checks take every eigenvalue with jacobi_eigvals, on stacks; jacobi_eigh and
 spectral_norm, its one-matrix calls, are what perfbench binds.
-vector_norm is the Euclidean norm the lemma modules take of a real vector.
+vector_norm is the Euclidean norm the lemma modules take of a real vector,
+and row_dots the dot product of each row of a stack, whose square root is
+vector_norm of that row.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ def vector_norm(v: np.ndarray):
     """|v| of a real float vector: sqrt(v.v), which is what np.linalg.norm
     computes for it, bit for bit, without its dispatch."""
     return np.sqrt(v.dot(v))
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k].b[k] of each row k of the stacks a[S, n] and b[S, n], each by
+    one stacked matmul of a 1 x n by an n x 1 matrix: bit for bit the dot
+    product vector_norm takes, also where rows end in zero padding."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _jacobi(A: np.ndarray, vectors: bool):

@@ -29,6 +29,14 @@ matrices per N, and takes every eigenvalue with jacobi_eigvals.  The one-jet
 names min_eig_bound_check, feasible_pair_sample and pair_conclusions_check
 are one-jet calls of the same code.
 
+Every screen on a jet's scalars works on stacks as well, before any matrix
+is built: jet_scalars takes s, w', w'', iota, alphaH and betaH of a stack of
+points as arrays (Jets), Jets.large_branch its index sets and damped
+inequality, min_eig_screen adds each point's test vector and bound, and
+pair_screen the doubling pair's preconditions.  A stack may mix N: each row
+of x is zero past its own N axes.  radial_jet, pair_jet, min_eig_terms,
+index_set and test_vector are their one-point calls.
+
 The squeeze of a pair with Y = X is tested at the size of X, exactly.  With
 B = X - (2M+1) Id, the lower side is block-diagonal, so its least eigenvalue
 is lambda_min(B) + 6M|H1|.  The orthogonal basis (v, +-v)/sqrt(2) splits the
@@ -40,23 +48,72 @@ upper side and the norm consequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .eig import jacobi_eigvals, vector_norm
+from .eig import jacobi_eigvals, row_dots, vector_norm
 from .moduli import Modulus, check_validity
 
 _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
 
 
 @dataclass(frozen=True)
-class RadialJet:
-    """The scalars of the jet at x: s = |x|, wp = w'(s), wpp = w''(s), the
+class Jets:
+    """The scalars of S jets, one entry per jet: the point x[S, n], each row
+    zero past its jet's N axes, N, M, s = |x|, wp = w'(s), wpp = w''(s), the
     damping iota = 1/(4 M |H1|) and the factors alphaH, betaH of Htilde's
     closed form.  They decide the large branch's preconditions before any
-    matrix is built.
+    matrix is built.  jet_scalars screens a stack into them.
     """
+
+    x: np.ndarray
+    N: np.ndarray
+    M: np.ndarray
+    s: np.ndarray
+    wp: np.ndarray
+    wpp: np.ndarray
+    iota: np.ndarray
+    alphaH: np.ndarray
+    betaH: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def take(self, ks) -> "Jets":
+        """The jets ks, in that order."""
+        return Jets(*(getattr(self, f.name)[ks] for f in fields(self)))
+
+    def radial(self) -> list:
+        """Each jet alone, as a RadialJet: x cut to its N axes, the scalars
+        Python floats."""
+        scalars = [getattr(self, f.name).tolist() for f in fields(self)[2:]]
+        return [RadialJet(x[:n].copy(), *row)
+                for x, n, *row in zip(self.x, self.N.tolist(), *scalars)]
+
+    def eq_n_epsilon(self, eps) -> np.ndarray:
+        """Truth of beta w''(s)(1 - N s^{2e}) + alpha N s^{2e} w'(s)/s <= w''(s)/4
+        for each jet, at its eps (a scalar or one per jet).
+
+        alphaH and betaH depend on x, M and the modulus, not on p.
+        """
+        s2e = self.s ** (2.0 * np.asarray(eps, dtype=float))
+        lhs = self.betaH * self.wpp * (1.0 - self.N * s2e) \
+            + self.alphaH * self.N * s2e * self.wp / self.s
+        return lhs <= self.wpp / 4.0
+
+    def large_branch(self, eps) -> tuple:
+        """The large branch's preconditions at each jet's eps: (axes, ok), with
+        axes[S, n] its index set (index_set) and ok the truth of a nonempty
+        set and of eq_n_epsilon."""
+        axes = _index_sets(self.x, self.s, self.N, eps)
+        return axes, axes.any(axis=1) & self.eq_n_epsilon(eps)
+
+
+@dataclass(frozen=True)
+class RadialJet:
+    """One jet's scalars as Python floats: x (its N axes), M, s, wp, wpp,
+    iota, alphaH and betaH of Jets."""
 
     x: np.ndarray
     M: float
@@ -72,14 +129,8 @@ class RadialJet:
         return len(self.x)
 
     def eq_n_epsilon(self, eps: float) -> bool:
-        """Truth of beta w''(s)(1 - N s^{2e}) + alpha N s^{2e} w'(s)/s <= w''(s)/4.
-
-        alphaH and betaH depend on x, M and the modulus, not on p.
-        """
-        s, n, wp, wpp = self.s, self.N, self.wp, self.wpp
-        lhs = self.betaH * wpp * (1.0 - n * s ** (2.0 * eps)) \
-            + self.alphaH * n * s ** (2.0 * eps) * wp / s
-        return bool(lhs <= wpp / 4.0)
+        """Jets.eq_n_epsilon of this one jet."""
+        return bool(_stack_jets([self]).eq_n_epsilon(eps)[0])
 
 
 @dataclass(frozen=True)
@@ -98,25 +149,42 @@ def _spectral_norms(A: np.ndarray) -> np.ndarray:
     return np.abs(jacobi_eigvals(A)).max(axis=1)
 
 
-def _radial(x: np.ndarray, modulus: Modulus, M: float) -> RadialJet:
+def jet_scalars(x, N, M, modulus: Modulus) -> Jets:
+    """The Jets of the points x[S, n] (zero past each row's N[k] axes; N None
+    means every axis) with M[S] and the modulus, which holds one modulus or
+    one per jet.  s is sqrt(x.x), bit for bit eig.vector_norm of each row.
+    Raises ValueError unless every x is nonzero and valid; M is not checked
+    (the eigenvalue bound takes M = 1).
+    """
     x = np.asarray(x, dtype=float)
-    s = float(vector_norm(x))
+    N = np.full(len(x), x.shape[1]) if N is None else np.asarray(N)
+    M = np.asarray(M, dtype=float)
+    s = np.sqrt(row_dots(x, x))
+    if not (s > 0.0).all():
+        raise ValueError("x must be nonzero")
     check_validity(modulus, s)
-    if s >= 1.0:
-        raise ValueError(f"|x| = {s} must be < 1")
-    wp = float(modulus.omega_prime(s))
-    wpp = float(modulus.omega_second(s))
+    if not (s < 1.0).all():
+        raise ValueError(f"|x| = {float(s.max())} must be < 1")
+    wp = modulus.omega_prime(s)
+    wpp = modulus.omega_second(s)
     # |H1|: in 1D only the radial eigenvalue w'' exists
-    h1_norm = abs(wpp) if len(x) == 1 else max(abs(wpp), wp / s)
+    h1_norm = np.where(N == 1, np.abs(wpp), np.maximum(np.abs(wpp), wp / s))
     iota = 1.0 / (4.0 * M * h1_norm)
     alphaH = 1.0 + 2.0 * iota * wp / s
     betaH = 1.0 + 2.0 * iota * wpp
-    return RadialJet(x=x, M=M, s=s, wp=wp, wpp=wpp, iota=iota, alphaH=alphaH, betaH=betaH)
+    return Jets(x, N, M, s, wp, wpp, iota, alphaH, betaH)
 
 
-def _stack_matrices(jets, ps) -> tuple:
-    """H1, Htilde and Theta, each (S, N, N), of S jets of one N at the
-    exponents ps; H is Theta @ Htilde @ Theta, taken where it is read.
+def _stack_jets(rs) -> Jets:
+    """The Jets of the RadialJets rs, all of one N."""
+    x = np.array([r.x for r in rs])
+    scalars = np.array([(r.M, r.s, r.wp, r.wpp, r.iota, r.alphaH, r.betaH) for r in rs]).T
+    return Jets(x, np.full(len(rs), x.shape[1]), *scalars)
+
+
+def _stack_matrices(jets: Jets, ps) -> tuple:
+    """H1, Htilde and Theta, each (S, N, N), of S jets whose x is (S, N) at
+    the exponents ps; H is Theta @ Htilde @ Theta, taken where it is read.
 
     Every entry sees the operations of the one-jet formulas in their order,
     and numpy's stacked `@` multiplies each matrix as its 2D `@` does, so
@@ -125,37 +193,46 @@ def _stack_matrices(jets, ps) -> tuple:
     numpy's sqrt at p = 3 and square at p = 6, which pow with an array of
     exponents does not match bit for bit.
     """
-    n = jets[0].N
-    x = np.array([r.x for r in jets])
-    s, wp, wpp, iota = np.array([(r.s, r.wp, r.wpp, r.iota) for r in jets]).T
+    x, s, wp, wpp, iota = jets.x, jets.s, jets.wp, jets.wpp, jets.iota
+    n = x.shape[1]
     unit = x / s[:, None]
     tangential = (wp / s)[:, None, None]
     H1 = (wpp[:, None, None] - tangential) * (unit[:, :, None] * unit[:, None, :]) \
         + tangential * np.eye(n)
     Htilde = H1 + (2.0 * iota)[:, None, None] * (H1 @ H1)
     Theta = np.zeros_like(H1)
-    Theta.reshape(len(jets), n * n)[:, ::n + 1] = [
-        np.abs(r.wp * r.x / r.s) ** ((p - 2.0) / 2.0) for r, p in zip(jets, ps)]
+    base = np.abs(wp[:, None] * x / s[:, None])
+    Theta.reshape(len(x), n * n)[:, ::n + 1] = [
+        row ** ((p - 2.0) / 2.0) for row, p in zip(base, np.asarray(ps, dtype=float).tolist())]
     return H1, Htilde, Theta
 
 
 def _assemble(r: RadialJet, p: float) -> JetMatrices:
     """H1, Htilde, Theta and H of the jet whose scalars are r."""
-    H1, Htilde, Theta = (m[0] for m in _stack_matrices([r], [p]))
+    H1, Htilde, Theta = (m[0] for m in _stack_matrices(_stack_jets([r]), [p]))
     H = Theta @ Htilde @ Theta
     return JetMatrices(x=r.x, M=r.M, s=r.s, wp=r.wp, wpp=r.wpp, iota=r.iota, alphaH=r.alphaH,
                        betaH=r.betaH, p=p, H1=H1, Htilde=Htilde, Theta=Theta, H=H)
 
 
-def radial_jet(x, M: float, modulus: Modulus) -> RadialJet:
-    """The scalars of the jet at x with the damping iota = 1/(4 M |H1|); raises
-    ValueError unless M > 1 and x is nonzero and valid.  No matrix is built."""
-    if not M > 1.0:
-        raise ValueError(f"M must be > 1, got {M}")
+def _check_M(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if not (M > 1.0).all():
+        raise ValueError(f"M must be > 1, got {float(M[~(M > 1.0)][0])}")
+    return M
+
+
+def radial_jets(x, M: float, modulus: Modulus) -> Jets:
+    """The Jets of the points x[S, N], all at M, with the damping
+    iota = 1/(4 M |H1|); raises ValueError unless M > 1 and every x is
+    nonzero and valid.  No matrix is built."""
     x = np.asarray(x, dtype=float)
-    if vector_norm(x) == 0.0:
-        raise ValueError("x must be nonzero")
-    return _radial(x, modulus, M)
+    return jet_scalars(x, None, _check_M(np.full(len(x), M)), modulus)
+
+
+def radial_jet(x, M: float, modulus: Modulus) -> RadialJet:
+    """The RadialJet of the one point x: the one-point call of radial_jets."""
+    return radial_jets([x], M, modulus).radial()[0]
 
 
 def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
@@ -163,15 +240,28 @@ def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
     return _assemble(radial_jet(x, M, modulus), p)
 
 
+def _index_sets(x, s, N, eps) -> np.ndarray:
+    """(S, n) masks of the axes i < N[k] with |x_i| >= s^{1+eps} of each row
+    of x, at its eps (a scalar or one per row)."""
+    cut = s ** (1.0 + np.asarray(eps, dtype=float))
+    return (np.abs(x) >= cut[:, None]) & (np.arange(x.shape[1]) < N[:, None])
+
+
 def index_set(x, eps: float) -> np.ndarray:
     """Axes i with |x_i| >= |x|^{1+eps}; nonempty whenever N |x|^{2 eps} <= 1."""
     x = np.asarray(x, dtype=float)
-    s = float(vector_norm(x))
+    s = vector_norm(x)
     if s == 0.0:
         raise ValueError("x must be nonzero")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return np.flatnonzero(np.abs(x) >= s ** (1.0 + eps))
+    return np.flatnonzero(_index_sets(x[None], s[None], np.array([len(x)]), eps)[0])
+
+
+def _test_vectors(x, p, axes) -> np.ndarray:
+    """Each row's sum_{i in axes} |x_i|^{(2-p)/2} x_i e_i, at its own p."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(axes, np.abs(x) ** ((2.0 - p) / 2.0)[:, None] * x, 0.0)
 
 
 def test_vector(x, p: float, idx=None) -> np.ndarray:
@@ -182,59 +272,76 @@ def test_vector(x, p: float, idx=None) -> np.ndarray:
     convention at p = 4).
     """
     x = np.asarray(x, dtype=float)
-    if idx is None:
-        idx = x != 0.0
-    w = np.zeros_like(x)
-    w[idx] = np.abs(x[idx]) ** ((2.0 - p) / 2.0) * x[idx]
-    return w
+    axes = x != 0.0
+    if idx is not None:
+        axes = np.zeros(len(x), dtype=bool)
+        axes[idx] = True
+    return _test_vectors(x[None], np.array([float(p)]), axes[None])[0]
 
 
-def _large_branch_axes(r: RadialJet, eps: float) -> np.ndarray:
-    """index_set(x, eps), once the large branch's preconditions hold at r: the
-    set is nonempty and the damped inequality eq_n_epsilon is true."""
-    idx = index_set(r.x, eps)
-    if len(idx) == 0:
+def _reject_large_branch(jets: Jets, eps) -> None:
+    """Raise the ValueError of the first large-branch precondition
+    (Jets.large_branch) that the one jet of `jets` fails at eps."""
+    axes, ok = jets.large_branch(eps)
+    if not axes.any():
         raise ValueError("index set is empty")
-    if not r.eq_n_epsilon(eps):
+    if not ok[0]:
         raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
-    return idx
 
 
 @dataclass(frozen=True)
 class MinEigTerms:
-    """What the eigenvalue bound at one x needs besides H: the jet's scalars r
-    (damping 1/(4 |H1|)), p, the test vector w and the bound."""
+    """What the eigenvalue bound at S jets needs besides H: the jets' scalars
+    (damping 1/(4 |H1|)), p, the test vectors w[S, n] and the bounds."""
 
-    r: RadialJet
-    p: float
+    jets: Jets
+    p: np.ndarray
     w: np.ndarray
-    bound: float
+    bound: np.ndarray
+
+    def take(self, ks) -> "MinEigTerms":
+        return MinEigTerms(self.jets.take(ks), self.p[ks], self.w[ks], self.bound[ks])
+
+
+def min_eig_screen(x, N, p, eps, modulus: Modulus) -> tuple:
+    """The part of min_eig_bound_checks that builds no matrix, for the points
+    x[S, n] (zero past each row's N) at the exponents p[S].
+
+    eps None selects the small branch, which requires every p <= 4; eps
+    given (a scalar or one per jet) selects the large branch, which
+    requires every p >= 4 and rejects each jet whose index set is empty or
+    whose damped inequality fails.  Returns (terms, ok): the MinEigTerms of
+    the accepted jets, in order, and the mask of the accepted.  Raises the
+    ValueErrors of jet_scalars.
+    """
+    p = np.asarray(p, dtype=float)
+    if eps is None and (p > 4.0).any():
+        raise ValueError("small branch (no eps) requires p <= 4")
+    if eps is not None and (p < 4.0).any():
+        raise ValueError("large branch (eps given) requires p >= 4")
+    jets = jet_scalars(x, N, np.ones(len(p)), modulus)  # M plays no role in H's bound
+    x, N, s, wp, wpp = jets.x, jets.N, jets.s, jets.wp, jets.wpp
+    if eps is None:
+        axes, ok = x != 0.0, np.ones(len(p), dtype=bool)
+        bound = N ** (1.0 - p / 2.0) * jets.betaH * wpp * wp ** (p - 2.0)
+    else:
+        eps = np.asarray(eps, dtype=float)
+        axes, ok = jets.large_branch(eps)  # rejects before any matrix is built
+        with np.errstate(divide="ignore", invalid="ignore"):  # an empty set is rejected
+            bound = (1.0 - N * s ** (2.0 * eps)) / axes.sum(axis=1) \
+                * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
+    w = _test_vectors(x, p, axes)  # index-restricted on the large branch (p = 4 included)
+    return MinEigTerms(jets, p, w, bound).take(ok), ok
 
 
 def min_eig_terms(x, p: float, eps: float | None, modulus: Modulus) -> MinEigTerms:
-    """The part of min_eig_bound_check that builds no matrix.
-
-    eps None selects the small branch, which requires p <= 4; a given eps
-    selects the large branch, which requires p >= 4.  Raises the
-    ValueErrors of the check: p outside its branch, an invalid x, and on the
-    large branch an empty index set or a failing damped inequality.
-    """
+    """The MinEigTerms of the one point x: the one-point call of
+    min_eig_screen, which raises ValueError for a rejected point too."""
     x = np.asarray(x, dtype=float)
-    if eps is None and p > 4.0:
-        raise ValueError("small branch (no eps) requires p <= 4")
-    if eps is not None and p < 4.0:
-        raise ValueError("large branch (eps given) requires p >= 4")
-    r = _radial(x, modulus, M=1.0)  # damping 1/(4 |H1|); M plays no role in H's bound
-    s, n, wp, wpp = r.s, r.N, r.wp, r.wpp
-    if eps is None:
-        w = test_vector(x, p)
-        bound = n ** (1.0 - p / 2.0) * r.betaH * wpp * wp ** (p - 2.0)
-    else:
-        idx = _large_branch_axes(r, eps)  # rejects before any matrix is built
-        w = test_vector(x, p, idx)  # index-restricted (p = 4 included)
-        bound = (1.0 - n * s ** (2.0 * eps)) / len(idx) \
-            * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
-    return MinEigTerms(r=r, p=p, w=w, bound=bound)
+    terms, ok = min_eig_screen(x[None], None, [p], None if eps is None else [eps], modulus)
+    if not ok[0]:
+        _reject_large_branch(jet_scalars(x[None], None, [1.0], modulus), eps)
+    return terms
 
 
 def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
@@ -242,39 +349,38 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
 
     Small branch (eps None, p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
     Large branch (eps given, p >= 4): requires a nonempty index set and the
-    damped inequality checked by JetMatrices.eq_n_epsilon; then
+    damped inequality checked by Jets.eq_n_epsilon; then
     lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
 
     Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H): the
-    one-jet call of min_eig_bound_checks.
+    one-point call of min_eig_screen and min_eig_bound_checks.
     """
-    return min_eig_bound_checks([min_eig_terms(x, p, eps, modulus)])[0]
+    return tuple(float(v[0]) for v in min_eig_bound_checks(min_eig_terms(x, p, eps, modulus)))
 
 
-def _by_n(rs) -> list:
-    """The indices of the jets rs grouped by N, in order of first appearance."""
-    by_n = {}
-    for k, r in enumerate(rs):
-        by_n.setdefault(r.N, []).append(k)
-    return list(by_n.values())
+def _by_n(N) -> list:
+    """(n, indices) of the jets of each N, in order of first appearance."""
+    N = np.asarray(N)
+    return [(n, np.flatnonzero(N == n)) for n in dict.fromkeys(N.tolist())]
 
 
-def min_eig_bound_checks(terms) -> list:
-    """min_eig_bound_check's (rayleigh, bound, slack) for each MinEigTerms, in
-    order.
+def min_eig_bound_checks(terms: MinEigTerms) -> tuple:
+    """min_eig_bound_check's (rayleigh, bound, slack) of every jet of terms,
+    as arrays in order.
 
-    The terms of each N share one stacked H = Theta @ Htilde @ Theta and one
-    jacobi_eigvals call; the Rayleigh quotient is taken per matrix.
+    The jets of each N share one stacked H = Theta @ Htilde @ Theta, one
+    stacked Rayleigh quotient w.Hw / w.w and one jacobi_eigvals call.
     """
-    out = [None] * len(terms)
-    for ks in _by_n([t.r for t in terms]):
-        group = [terms[k] for k in ks]
-        _, Htilde, Theta = _stack_matrices([t.r for t in group], [t.p for t in group])
+    rayleigh, slack = np.empty(len(terms.p)), np.empty(len(terms.p))
+    for n, ks in _by_n(terms.jets.N):
+        group = terms.take(ks)
+        jets = replace(group.jets, x=group.jets.x[:, :n])
+        _, Htilde, Theta = _stack_matrices(jets, group.p)
         H = Theta @ Htilde @ Theta
-        for k, t, Hk, lam_min in zip(ks, group, H, jacobi_eigvals(H)[:, 0]):
-            rayleigh = float(t.w @ Hk @ t.w) / float(t.w @ t.w)
-            out[k] = (rayleigh, t.bound, t.bound - float(lam_min))
-    return out
+        w = group.w[:, :n]
+        rayleigh[ks] = row_dots(w, (H @ w[:, :, None])[:, :, 0]) / row_dots(w, w)
+        slack[ks] = group.bound - jacobi_eigvals(H)[:, 0]
+    return rayleigh, terms.bound, slack
 
 
 _PAIR_DRAWS = 100  # draws of S per jet; the unperturbed point (S = 0) is always feasible
@@ -324,24 +430,44 @@ class PairConclusions:
         return float(out)
 
 
-def _pair_large_axes(r: RadialJet, p: float, eps: float | None):
-    """The large branch's axes when p >= 4, None below: raises the ValueErrors
-    of the large-branch conclusion (no eps, or a failing precondition)."""
-    if p < 4.0:
-        return None
-    if eps is None:
+def _pair_large_branch(jets: Jets, p, eps) -> tuple:
+    """The large branch's preconditions of the pair conclusions at the jets
+    whose p >= 4: (axes, ok), with axes[S, n] Jets.large_branch's index sets
+    and ok true where p < 4 or both preconditions hold.  eps holds one entry
+    per jet, None where it has none; a jet with p >= 4 and no eps raises
+    ValueError."""
+    large = np.asarray(p, dtype=float) >= 4.0
+    eps = np.array([np.nan if e is None else e for e in eps], dtype=float)
+    if (large & np.isnan(eps)).any():
         raise ValueError("p >= 4 requires eps for the large-branch conclusion")
-    return _large_branch_axes(r, eps)
+    axes, ok = jets.large_branch(eps)
+    return axes, ~large | ok
+
+
+def pair_screen(x, N, M, p, modulus: Modulus, eps) -> tuple:
+    """The jets at the points x[S, n] (zero past each row's N), screened on
+    their scalars for every test of pair_conclusions_check that needs no
+    pair: where p >= 4, an eps and the large branch's preconditions.  eps
+    holds one entry per jet, None where it has none.
+
+    Returns (jets, ok): the Jets of every point, at its M, and the mask of
+    those that pass.  Raises ValueError unless every M > 1 and every x is
+    nonzero and valid, or when a jet with p >= 4 has no eps.
+    """
+    jets = jet_scalars(x, N, _check_M(M), modulus)
+    return jets, _pair_large_branch(jets, p, eps)[1]
 
 
 def pair_jet(x, M: float, p: float, modulus: Modulus, eps: float | None = None) -> RadialJet:
     """The scalars of the jet at x, once they pass every test of
     pair_conclusions_check that needs no pair: M > 1, a valid x and, for
     p >= 4, eps and the large branch's preconditions.  Raises ValueError
-    otherwise; no matrix is built."""
-    r = radial_jet(x, M, modulus)
-    _pair_large_axes(r, p, eps)
-    return r
+    otherwise; no matrix is built.  The one-point call of pair_screen."""
+    x = np.asarray(x, dtype=float)
+    jets, ok = pair_screen(x[None], None, [M], [p], modulus, [eps])
+    if not ok[0]:
+        _reject_large_branch(jets, eps)
+    return jets.radial()[0]
 
 
 def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
@@ -369,9 +495,10 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
 
 
 def _conclusions(r: RadialJet, p: float, h1_norm: float, theta_sq: float, eps: float | None,
-                 lam_max: float, lam1: float, norm_sum: float) -> PairConclusions:
-    """The bounds and slacks of one pair's conclusions at the jet r: lam_max
-    is the largest eigenvalue of A(X+Y), lam1 the least of A(X+Y-2c Id)."""
+                 count: int, lam_max: float, lam1: float, norm_sum: float) -> PairConclusions:
+    """The bounds and slacks of one pair's conclusions at the jet r: count is
+    the size of its large-branch index set (read when p >= 4), lam_max the
+    largest eigenvalue of A(X+Y), lam1 the least of A(X+Y-2c Id)."""
     M, n, s, wp, wpp = r.M, r.N, r.s, r.wp, r.wpp
     c = 2.0 * M + 1.0
     mp2 = M ** (p - 2.0)
@@ -382,9 +509,8 @@ def _conclusions(r: RadialJet, p: float, h1_norm: float, theta_sq: float, eps: f
     if p <= 4.0:
         bound_small = 2.0 * M ** (p - 1.0) * n ** ((2.0 - p) / 2.0) * wp ** (p - 2.0) * wpp
         slack_small = bound_small - lam1
-    idx = _pair_large_axes(r, p, eps)
-    if idx is not None:
-        bound_large = M ** (p - 1.0) * (1.0 - n * s ** (2.0 * eps)) / len(idx) \
+    if p >= 4.0:
+        bound_large = M ** (p - 1.0) * (1.0 - n * s ** (2.0 * eps)) / count \
             * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp
         slack_large = bound_large - lam1
 
@@ -423,7 +549,7 @@ class PairStack:
 
 
 def _pair_stack(rs, ps) -> PairStack:
-    H1, Htilde, Theta = _stack_matrices(rs, ps)
+    H1, Htilde, Theta = _stack_matrices(_stack_jets(rs), ps)
     return PairStack(tuple(rs), np.array([r.M for r in rs]), np.array(ps, dtype=float),
                      Htilde, Theta, _spectral_norms(H1), _spectral_norms(Htilde))
 
@@ -493,7 +619,13 @@ def _feasible_pair_points(st: PairStack, rng) -> tuple:
 
 def _pair_conclusions_checks(X: np.ndarray, st: PairStack, eps, norm_sum) -> list:
     """The conclusions of the pairs (X[k], X[k]) at the jets of st, one
-    jacobi_eigvals call per matrix set; eps[k] is jet k's."""
+    jacobi_eigvals call per matrix set; eps[k] is jet k's.  Raises the
+    ValueErrors of the large-branch conclusion (_pair_large_branch) first."""
+    jets = _stack_jets(st.rs)
+    axes, ok = _pair_large_branch(jets, st.p, eps)
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
+        _reject_large_branch(jets.take([k]), eps[k])
     c = 2.0 * st.M + 1.0
     mp2 = np.array([M ** (p - 2.0) for M, p in zip(st.M.tolist(), st.p.tolist())])
     weighted = mp2[:, None, None] * st.Theta
@@ -501,10 +633,9 @@ def _pair_conclusions_checks(X: np.ndarray, st: PairStack, eps, norm_sum) -> lis
     lam_max = jacobi_eigvals(weighted @ sums @ st.Theta)[:, -1]
     shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
     lam1 = jacobi_eigvals(weighted @ shifted @ st.Theta)[:, 0]
-    return [_conclusions(r, p, h1, theta_sq, e, lm, l1, ns)
-            for r, p, h1, theta_sq, e, lm, l1, ns in zip(
-                st.rs, st.p.tolist(), st.h1_norm.tolist(), st.theta_norm_sq(), eps,
-                lam_max.tolist(), lam1.tolist(), norm_sum.tolist())]
+    return [_conclusions(*args) for args in zip(
+        st.rs, st.p.tolist(), st.h1_norm.tolist(), st.theta_norm_sq(), eps,
+        axes.sum(axis=1).tolist(), lam_max.tolist(), lam1.tolist(), norm_sum.tolist())]
 
 
 def feasible_pairs(rs, ps, rng) -> tuple:
@@ -531,7 +662,7 @@ def feasible_pair_conclusions(rs, ps, eps, rng) -> list:
     _PAIR_DRAWS draws.
     """
     out = [None] * len(rs)
-    for ks in _by_n(rs):
+    for _, ks in _by_n([r.N for r in rs]):
         st, X, norm_sum = feasible_pairs([rs[k] for k in ks], [ps[k] for k in ks], rng)
         for k, rep in zip(ks, _pair_conclusions_checks(X, st, [eps[k] for k in ks], norm_sum)):
             out[k] = rep

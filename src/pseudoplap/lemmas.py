@@ -16,11 +16,11 @@ from .barrier import BarrierParams, comparison_check, min_barrier_M
 from .barrier import supersolution_tolerance, verify_supersolution
 from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_claims_sweep
 from .claims import regime_params, zt_check
-from .eig import vector_norm
+from .eig import row_dots, vector_norm
 from .grid import GridSpec, ScalarField
-from .jets import feasible_pair_conclusions, min_eig_bound_checks, min_eig_terms, pair_jet
+from .jets import feasible_pair_conclusions, min_eig_bound_checks, min_eig_screen, pair_screen
 from .manufactured import gaussian_field
-from .moduli import HolderModulus, LipschitzModulus
+from .moduli import HolderModulus, LipschitzModulus, ModulusMix, stacked
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
 
 
@@ -52,42 +52,54 @@ def barrier_rows(nodes: int, p_list, n_list):
 def min_eig_rows(rng: np.random.Generator, samples: int):
     """`samples` accepted draws per branch (small p, then large p) of the eigenvalue bound.
 
-    Each draw is made and screened on its scalars in turn (min_eig_terms);
-    then one min_eig_bound_checks call builds the matrices of the branch's
-    accepted draws and takes their least eigenvalues, one stack per N.
+    A branch draws in blocks, each of as many draws as its quota still
+    lacks.  A block of k draws comes from rng as one vector call per
+    variable, in this order: N in {1, 2, 3} (integers(1, 4)), gamma
+    (uniform(0.1, 0.9)), p (uniform(2.05, 4) on the small branch,
+    uniform(4, 8) on the large); on the small branch only, the Lipschitz
+    mask (random() < 0.3) and its tau (uniform(0.05, 0.45), read where the
+    mask is set); s (10**uniform(-4, -0.33) small, 10**uniform(-6, -1.5)
+    large); then x, standard_normal((k, 3)) with the axes >= N set to zero,
+    scaled to |x| = s.  A draw's modulus is lipschitz_modulus(tau) where the
+    mask is set, else HolderModulus(gamma); the large branch's eps is
+    (1 - gamma) / (2 max(p - 4, 1/4)).  min_eig_screen screens the block on
+    its scalars, rejecting the large-branch draws whose index set is empty
+    or whose damped inequality fails, and min_eig_bound_checks checks the
+    accepted ones, one stack of matrices per N.  Rows keep the order of the
+    draws.
     Rows: branch, p, N, gamma, s, rayleigh, bound, slack, rel_slack.
     """
     rows = []
+    worst = np.inf
     for branch in ("small", "large"):
-        heads, terms = [], []
-        while len(terms) < samples:
-            N = int(rng.integers(1, 4))
-            gamma = float(rng.uniform(0.1, 0.9))
+        done = 0
+        while done < samples:
+            k = samples - done
+            N = rng.integers(1, 4, size=k)
+            gamma = rng.uniform(0.1, 0.9, size=k)
             if branch == "small":
-                p = float(rng.uniform(2.05, 4.0))
-                if rng.random() < 0.3:  # Lipschitz moduli satisfy the same bound
-                    modulus = lipschitz_modulus(float(rng.uniform(0.05, 0.45)))
-                else:
-                    modulus = HolderModulus(gamma)
-                s = 10.0 ** rng.uniform(-4.0, -0.33)
+                p = rng.uniform(2.05, 4.0, size=k)
+                lipschitz = rng.random(k) < 0.3  # Lipschitz moduli satisfy the same bound
+                modulus = ModulusMix(HolderModulus(gamma),
+                                     lipschitz_modulus(rng.uniform(0.05, 0.45, size=k)), lipschitz)
+                s = 10.0 ** rng.uniform(-4.0, -0.33, size=k)
                 eps = None
             else:
-                p = float(rng.uniform(4.0, 8.0))
+                p = rng.uniform(4.0, 8.0, size=k)
                 modulus = HolderModulus(gamma)
-                eps = (1.0 - gamma) / (2.0 * max(p - 4.0, 0.25))
-                s = 10.0 ** rng.uniform(-6.0, -1.5)
-            x = rng.standard_normal(N)
-            x *= s / vector_norm(x)
-            try:
-                terms.append(min_eig_terms(x, p, eps, modulus))
-            except ValueError:
-                continue  # rejected sample (empty index set / damped inequality fails)
-            heads.append([branch, p, N, gamma, s])
-        for head, (ray, bound, slack) in zip(heads, min_eig_bound_checks(terms)):
-            rows.append(head + [ray, bound, slack, slack / max(1.0, abs(bound))])
-    worst = np.inf
-    for row in rows:
-        worst = min(worst, row[-1])
+                eps = (1.0 - gamma) / (2.0 * np.maximum(p - 4.0, 0.25))
+                s = 10.0 ** rng.uniform(-6.0, -1.5, size=k)
+            x = rng.standard_normal((k, 3))
+            x[np.arange(3) >= N[:, None]] = 0.0
+            x *= (s / np.sqrt(row_dots(x, x)))[:, None]
+            terms, ok = min_eig_screen(x, N, p, eps, modulus)
+            ray, bound, slack = min_eig_bound_checks(terms)
+            rel = slack / np.maximum(1.0, np.abs(bound))
+            rows += [[branch, *row] for row in zip(
+                p[ok].tolist(), N[ok].tolist(), gamma[ok].tolist(), s[ok].tolist(),
+                ray.tolist(), bound.tolist(), slack.tolist(), rel.tolist())]
+            worst = min(worst, float(rel.min(initial=np.inf)))
+            done += len(rel)
     return rows, worst
 
 
@@ -95,12 +107,13 @@ def pair_rows(rng: np.random.Generator, samples: int):
     """`samples // 4` feasible doubling pairs per regime, at most 50 draws of a jet per pair.
 
     A regime draws its jets in blocks, each of as many draws as its quota
-    still lacks.  A draw is (N, p, s, x, M); one whose scalars fail the large
-    branch's preconditions (pair_jet) is rejected before any matrix is built
-    or any pair drawn.  feasible_pair_conclusions then gives every surviving
-    jet of the block its first feasible pair and that pair's conclusions,
-    one stack of matrices per N, so no block reaches past the quota.  Rows
-    keep the order of the draws.
+    still lacks.  A draw is (N, p, s, x, M), drawn one at a time.  Once a
+    block is drawn, pair_screen screens it on its scalars, as one stack:
+    a draw that fails the large branch's preconditions is rejected before
+    any matrix is built or any pair drawn.  feasible_pair_conclusions then
+    gives every surviving jet of the block its first feasible pair and that
+    pair's conclusions, one stack of matrices per N, so no block reaches
+    past the quota.  Rows keep the order of the draws.
     Raises RuntimeError when a regime's draws run out.
     Rows: regime, p, N, M, s, slack_all, slack_small, slack_large, slack_norm, rel_slack.
     """
@@ -110,34 +123,36 @@ def pair_rows(rng: np.random.Generator, samples: int):
         done = 0
         attempts = 0
         while done < per and attempts < 50 * per:
-            heads, rs, ps, eps = [], [], [], []
-            for _ in range(min(per - done, 50 * per - attempts)):
-                attempts += 1
+            k = min(per - done, 50 * per - attempts)
+            attempts += k
+            heads, moduli, eps = [], [], []
+            x = np.zeros((k, 3))
+            for i in range(k):
                 N = int(rng.integers(1, 4))
                 p = DEFAULT_REGIME_P[regime] + float(rng.uniform(-0.4, 0.4))
                 p = min(max(p, 2.1), 8.0)
                 p = min(p, 4.0) if regime.endswith("small_p") else max(p, 4.0)
                 params = regime_params(regime, p, N)
-                modulus = params.modulus()
                 # p >= 4 needs the damped inequality: sample below the regime threshold
                 if params.eps is not None:
                     s = params.delta_N * 10.0 ** rng.uniform(-1.5, -0.1)
                 else:
                     s = 10.0 ** rng.uniform(-4.0, -1.5)
-                x = rng.standard_normal(N)
-                x *= s / vector_norm(x)
+                xi = rng.standard_normal(N)
+                x[i, :N] = xi * (s / vector_norm(xi))
                 M = float(rng.uniform(1.5, 50.0))
-                try:
-                    rs.append(pair_jet(x, M, p, modulus, eps=params.eps))
-                except ValueError:
-                    continue
                 heads.append([regime, p, N, M, s])
-                ps.append(p)
+                moduli.append(params.modulus())
                 eps.append(params.eps)
-            for head, rep in zip(heads, feasible_pair_conclusions(rs, ps, eps, rng)):
-                rows.append(head + [rep.slack_all, rep.slack_small, rep.slack_large,
-                                    rep.slack_norm, rep.min_relative_slack()])
-            done += len(heads)
+            _, p, N, M, _ = map(np.array, zip(*heads))
+            jets, ok = pair_screen(x, N, M, p, stacked(moduli), eps)
+            kept = np.flatnonzero(ok).tolist()
+            reps = feasible_pair_conclusions(jets.take(kept).radial(), p[kept].tolist(),
+                                             [eps[j] for j in kept], rng)
+            for j, rep in zip(kept, reps):
+                rows.append(heads[j] + [rep.slack_all, rep.slack_small, rep.slack_large,
+                                        rep.slack_norm, rep.min_relative_slack()])
+            done += len(kept)
         if done < per:
             raise RuntimeError(f"could not draw {per} feasible pairs for {regime}")
     worst = np.inf

@@ -7,14 +7,24 @@ Both variants are increasing and strictly concave near zero with w(0) = 0:
 
 omega0 must keep s0 > 1.  For s below delta with delta^tau omega0 (1+tau) < 1/2
 the Lipschitz variant has 1/2 <= w'(s) < 1.
+
+A parameter may also be an array with one entry per jet of a stack: the
+modulus then evaluates jet k's own modulus at s[k], entry for entry as the
+modulus of that one parameter does.  ModulusMix picks, per jet, between a
+Hölder and a Lipschitz stack of moduli.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
+
+
+def _every(test) -> bool:
+    """A parameter test's truth: of every entry for array parameters."""
+    return bool(test.all()) if isinstance(test, np.ndarray) else bool(test)
 
 
 @dataclass(frozen=True)
@@ -22,7 +32,7 @@ class HolderModulus:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
+        if not _every((0.0 < self.gamma) & (self.gamma < 1.0)):
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
 
     @property
@@ -44,14 +54,14 @@ class LipschitzModulus:
     omega0: float
 
     def __post_init__(self):
-        if not self.tau > 0:
+        if not _every(self.tau > 0):
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.omega0 > 0:
+        if not _every(self.omega0 > 0):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not self.s0 > 1.0:
+        if not _every(self.s0 > 1.0):
             raise ValueError(
-                f"omega0 = {self.omega0} gives s0 = {self.s0:.6g} <= 1; "
-                f"need omega0 < {1.0 / (1.0 + self.tau):.6g}"
+                f"omega0 = {self.omega0} gives s0 = {np.min(self.s0):.6g} <= 1; "
+                f"need omega0 < {np.min(1.0 / (1.0 + np.asarray(self.tau))):.6g}"
             )
 
     @property
@@ -71,11 +81,45 @@ class LipschitzModulus:
         return -self.omega0 * self.tau * (1.0 + self.tau) * s ** (self.tau - 1.0)
 
 
-Modulus = Union[HolderModulus, LipschitzModulus]
+@dataclass(frozen=True)
+class ModulusMix:
+    """The moduli of a stack of jets that mixes both families: jet k takes
+    lipschitz's modulus where pick[k] is true, else holder's.  Each family
+    holds one parameter per jet and is evaluated at every jet."""
+
+    holder: HolderModulus
+    lipschitz: LipschitzModulus
+    pick: np.ndarray
+
+    @property
+    def validity_sup(self):
+        return np.where(self.pick, self.lipschitz.validity_sup, self.holder.validity_sup)
+
+    def omega_prime(self, s):
+        return np.where(self.pick, self.lipschitz.omega_prime(s), self.holder.omega_prime(s))
+
+    def omega_second(self, s):
+        return np.where(self.pick, self.lipschitz.omega_second(s), self.holder.omega_second(s))
 
 
-def check_validity(modulus: Modulus, s: float) -> None:
-    if not 0.0 < s < modulus.validity_sup:
-        raise ValueError(
-            f"s = {s} outside the modulus validity range (0, {modulus.validity_sup:.6g})"
-        )
+Modulus = Union[HolderModulus, LipschitzModulus, ModulusMix]
+
+
+def stacked(moduli) -> Modulus:
+    """One modulus of the family of `moduli` whose parameters are arrays, one
+    entry per given modulus, in order; raises ValueError on mixed families."""
+    family = type(moduli[0])
+    if any(type(m) is not family for m in moduli):
+        raise ValueError("the moduli of one stack must be of one family")
+    return family(*(np.array([getattr(m, f.name) for m in moduli]) for f in fields(family)))
+
+
+def check_validity(modulus: Modulus, s) -> None:
+    """Raise ValueError unless every s lies in (0, validity_sup) of its modulus."""
+    s = np.asarray(s, dtype=float)
+    sup = np.broadcast_to(modulus.validity_sup, s.shape)
+    bad = np.flatnonzero(~((0.0 < s) & (s < sup)))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(f"s = {float(s.flat[k])} outside the modulus validity range "
+                         f"(0, {float(sup.flat[k]):.6g})")

@@ -8,9 +8,9 @@ SVG plots are plain polylines emitted directly, no plotting dependency.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -21,23 +21,81 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def format_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if v is None:
-        return ""
-    return str(v)
+_BLOCK_ROWS = 128  # rows per `%` call; larger blocks build larger transient strings and lists
+_BOOL_TEXT = {True: "true", False: "false"}  # np.bool_ hashes and compares as bool
+_QUOTED = (",", '"', "\n")  # what makes csv's QUOTE_MINIMAL quote a cell, at "\n" line ends
+
+
+def _bool_cells(column, single: bool) -> list:
+    return [_BOOL_TEXT[v] for v in column]
+
+
+def _text_cells(column, single: bool):
+    """The csv cells of a column of str, as csv's QUOTE_MINIMAL writes them:
+    a cell that holds a comma, a quote or a newline is quoted with its quotes
+    doubled, and so is an empty cell that is its row's only one (`single`).
+    A column with no such cell is returned as it is, at no call per cell."""
+    text = "".join(column)
+    if not any(c in text for c in _QUOTED) and not (single and "" in column):
+        return column
+    return ['"%s"' % v.replace('"', '""') if any(c in v for c in _QUOTED) or (single and not v)
+            else v for v in column]
+
+
+def _str_cells(column, single: bool):
+    return _text_cells([str(v) for v in column], single)
+
+
+def _lines(rows, single: bool) -> str:
+    """The csv lines of rows whose cells have the types of rows[0], as one
+    `%` call on the row template.
+
+    A float is `%.17g`, the text of f"{v:.17g}"; a bool or np.bool_ is true
+    or false; None is an empty cell; an int is its str; a str, or a cell of
+    any other type, is its str, quoted as _text_cells says.  `single` says
+    a row has one cell.
+    """
+    specs, fixes = [], {}
+    for j, kind in enumerate(map(type, rows[0])):
+        if kind is type(None):
+            specs.append('%.0s""' if single else "%.0s")  # prints nothing of the None
+        elif issubclass(kind, (bool, np.bool_)):
+            specs.append("%s")
+            fixes[j] = _bool_cells
+        elif issubclass(kind, float):
+            specs.append("%.17g")
+        elif issubclass(kind, (int, np.integer)):
+            specs.append("%s")
+        else:
+            specs.append("%s")
+            fixes[j] = _text_cells if kind is str else _str_cells
+    if fixes:
+        columns = list(zip(*rows))
+        changed = False
+        for j, fix in fixes.items():
+            cells = fix(columns[j], single)
+            changed |= cells is not columns[j]
+            columns[j] = cells
+        if changed:  # else every cell is written as it is
+            rows = list(zip(*columns))
+    return (",".join(specs) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
 
 
 def write_csv(path, columns, rows, cfg_hash: str = "none") -> None:
-    """Write a report CSV; a cell holding a comma, quote or newline is quoted."""
+    """Write a report CSV: the comment line, the header, then each row.
+
+    Each run of consecutive rows whose cells share their types is written
+    in blocks of _BLOCK_ROWS rows, each block one `%` call on the row
+    template (_lines), so no Python call is made per cell.  The bytes are
+    those of csv.writer with QUOTE_MINIMAL and "\n" line ends over the cells
+    formatted one by one (tests/csv_writer_reference.py).
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"# tool=pseudoplap-{__version__} config_hash={cfg_hash}\n")
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([format_cell(v) for v in row] for row in rows)
+        fh.write(_lines([list(columns)], len(columns) == 1))
+        for kinds, run in groupby(rows, key=lambda row: tuple(map(type, row))):
+            while block := list(islice(run, _BLOCK_ROWS)):
+                fh.write(_lines(block, len(kinds) == 1))
 
 
 def _ticks(lo: float, hi: float, count: int = 5):

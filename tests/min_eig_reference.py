@@ -1,14 +1,17 @@
 """The serial eigenvalue-bound sampler, kept as the bitwise reference for
 `lemmas.min_eig_rows`.
 
-It draws, screens and checks one draw at a time: min_eig_bound_check, the
-one-jet call of the stacked check, builds each H on its own, and its stack of
-one matrix runs through `eig.jacobi_eigvals`, which the shipped sampler
-calls on the stacked matrices of each branch and N.
+It draws each block as the shipped sampler does, one vector call per
+variable, but screens and checks one draw at a time: min_eig_bound_check,
+the one-point call of the stacked screen and check, builds each H on its
+own, and its stack of one matrix runs through `eig.jacobi_eigvals`, which
+the shipped sampler calls on the stacked matrices of each block and N.
+Each draw gets its own modulus object, with scalar parameters.
 """
 
 import numpy as np
 
+from pseudoplap.eig import vector_norm
 from pseudoplap.jets import min_eig_bound_check
 from pseudoplap.lemmas import lipschitz_modulus
 from pseudoplap.moduli import HolderModulus
@@ -24,29 +27,34 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
     for branch in ("small", "large"):
         done = 0
         while done < samples:
-            N = int(rng.integers(1, 4))
-            gamma = float(rng.uniform(0.1, 0.9))
+            k = samples - done
+            N = rng.integers(1, 4, size=k).tolist()
+            gamma = rng.uniform(0.1, 0.9, size=k).tolist()
             if branch == "small":
-                p = float(rng.uniform(2.05, 4.0))
-                if rng.random() < 0.3:  # Lipschitz moduli satisfy the same bound
-                    modulus = lipschitz_modulus(float(rng.uniform(0.05, 0.45)))
-                else:
-                    modulus = HolderModulus(gamma)
-                s = 10.0 ** rng.uniform(-4.0, -0.33)
-                eps = None
+                p = rng.uniform(2.05, 4.0, size=k).tolist()
+                lipschitz = (rng.random(k) < 0.3).tolist()
+                tau = rng.uniform(0.05, 0.45, size=k).tolist()
+                s = (10.0 ** rng.uniform(-4.0, -0.33, size=k)).tolist()
             else:
-                p = float(rng.uniform(4.0, 8.0))
-                modulus = HolderModulus(gamma)
-                eps = (1.0 - gamma) / (2.0 * max(p - 4.0, 0.25))
-                s = 10.0 ** rng.uniform(-6.0, -1.5)
-            x = rng.standard_normal(N)
-            x *= s / np.linalg.norm(x)
-            try:
-                ray, bound, slack = min_eig_bound_check(x, p, eps, modulus)
-            except ValueError:
-                continue  # rejected sample (empty index set / damped inequality fails)
-            rel = slack / max(1.0, abs(bound))
-            worst = min(worst, rel)
-            rows.append([branch, p, N, gamma, s, ray, bound, slack, rel])
-            done += 1
+                p = rng.uniform(4.0, 8.0, size=k).tolist()
+                lipschitz = [False] * k
+                s = (10.0 ** rng.uniform(-6.0, -1.5, size=k)).tolist()
+            X = rng.standard_normal((k, 3))
+            for j in range(k):
+                if lipschitz[j]:
+                    modulus = lipschitz_modulus(tau[j])
+                else:
+                    modulus = HolderModulus(gamma[j])
+                eps = None if branch == "small" \
+                    else (1.0 - gamma[j]) / (2.0 * max(p[j] - 4.0, 0.25))
+                x = X[j, :N[j]]
+                x = x * (s[j] / vector_norm(x))
+                try:
+                    ray, bound, slack = min_eig_bound_check(x, p[j], eps, modulus)
+                except ValueError:
+                    continue  # rejected sample (empty index set / damped inequality fails)
+                rel = slack / max(1.0, abs(bound))
+                worst = min(worst, rel)
+                rows.append([branch, p[j], N[j], gamma[j], s[j], ray, bound, slack, rel])
+                done += 1
     return rows, worst

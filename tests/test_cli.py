@@ -47,6 +47,10 @@ comparison_pairs = 1
 comparison_nodes = 17
 comparison_p = 3.0""")
 
+# every family off but the claims sweep, which is on by default
+LEMMAS_ALL_BUT_CLAIMS_OFF = "[lemmas]\nrun_barrier = false\nrun_min_eig = false\n" \
+    "run_pair = false\nrun_zt = false\n"
+
 SOLVE_TINY = """
 [problem]
 p = 3.0
@@ -267,6 +271,8 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
      "[lemmas] comparison_pairs: comparison_pairs must be >= 1, got 0"),
     ("verify-lemmas", LEMMAS_ALL, "pair_samples = 16", "pair_samples = 3",
      "[lemmas] pair_samples: pair_samples must be >= 4, got 3"),
+    ("verify-lemmas", LEMMAS_ALL_BUT_CLAIMS_OFF, "[lemmas]", "[lemmas]\nrun_claims = false",
+     "[lemmas]: every run_* is false, so nothing would be checked"),
     ("convergence-study", CONVERGENCE_TINY + "[output]\nplots = true\n", "plots = true",
      "plots = maybe", "[output] plots: expected a boolean, got 'maybe'"),
     ("measure-regularity", REGULARITY_TINY, "scaling_lambdas = 10", "scaling_lambdas =",
@@ -284,7 +290,8 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
         "lemmas-claims-M", "lemmas-claims-M-cap", "lemmas-zero-scale", "lemmas-scale-2",
         "lemmas-even-nodes",
         "lemmas-barrier-p", "lemmas-barrier-N", "lemmas-empty-N-list", "lemmas-min-eig-samples",
-        "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples", "conv-plots",
+        "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples",
+        "lemmas-nothing-to-check", "conv-plots",
         "reg-empty-lambdas", "solve-separable-f-value", "solve-trace-boundary-value"])
 def test_bad_config_value_exit_2(tmp_path, no_work, capsys, subcommand, text, old, new, message):
     # every value is checked before the first solve, lemma sampler or output

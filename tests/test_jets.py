@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,19 @@ from pseudoplap.claims import DEFAULT_REGIME_P, REGIMES, regime_params
 from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm
 from pseudoplap.jets import (
     _assemble,
-    _radial,
+    _stack_jets,
     _stack_matrices,
     build_jet_matrices,
     feasible_pair_sample,
     index_set,
+    jet_scalars,
     min_eig_bound_check,
     pair_conclusions_check,
     pair_jet,
+    radial_jet,
 )
 from pseudoplap.jets import test_vector as make_test_vector
-from pseudoplap.moduli import HolderModulus, LipschitzModulus
+from pseudoplap.moduli import HolderModulus, LipschitzModulus, stacked
 
 
 def random_point(rng, N, s):
@@ -52,9 +56,9 @@ def test_stacked_matrices_match_one_jet_formulas(N):
     for k in range(200):
         x = random_point(rng, N, 10 ** rng.uniform(-4, -0.5))
         mod = HolderModulus(float(rng.uniform(0.1, 0.9)))
-        rs.append(_radial(x, mod, float(rng.uniform(1.5, 50.0))))
+        rs.append(radial_jet(x, float(rng.uniform(1.5, 50.0)), mod))
         ps.append((3.0, 6.0, 4.0, float(rng.uniform(2.05, 8.0)))[k % 4])
-    H1s, Htildes, Thetas = _stack_matrices(rs, ps)
+    H1s, Htildes, Thetas = _stack_matrices(_stack_jets(rs), ps)
     Hs = Thetas @ Htildes @ Thetas  # the stacked H of min_eig_bound_checks
     for k, (r, p) in enumerate(zip(rs, ps)):
         jm = _assemble(r, p)
@@ -290,6 +294,11 @@ def test_min_eig_large_branch_requires_precondition():
         min_eig_bound_check(np.array([0.5, 0.1]), 6.0, 0.1, mod)
 
 
+def one_jet(x, mod):
+    """The Jets of the one point x at M = 1, the eigenvalue bound's damping."""
+    return jet_scalars(x[None], None, [1.0], mod)
+
+
 def test_eq_n_epsilon_1d_reduction():
     mod = HolderModulus(0.5)
     x = np.array([0.01])
@@ -299,7 +308,7 @@ def test_eq_n_epsilon_1d_reduction():
     lhs = jm.betaH * mod.omega_second(s) * (1 - s ** (2 * eps)) \
         + jm.alphaH * s ** (2 * eps) * mod.omega_prime(s) / s
     manual = lhs <= mod.omega_second(s) / 4.0
-    assert _radial(x, mod, 1.0).eq_n_epsilon(eps) == manual
+    assert one_jet(x, mod).eq_n_epsilon(eps) == [manual]
 
 
 def test_eq_n_epsilon_holds_below_selector_threshold():
@@ -311,8 +320,8 @@ def test_eq_n_epsilon_holds_below_selector_threshold():
     for _ in range(100):
         s = params.delta_N * 10 ** rng.uniform(-1.0, -0.01)
         x = random_point(rng, 2, s)
-        assert _radial(x, mod, 1.0).eq_n_epsilon(params.eps)
-    assert not _radial(np.array([0.6, 0.6]), mod, 1.0).eq_n_epsilon(0.9)
+        assert one_jet(x, mod).eq_n_epsilon(params.eps).all()
+    assert not one_jet(np.array([0.6, 0.6]), mod).eq_n_epsilon(0.9).any()
 
 
 def squeeze(X, jm):
@@ -474,7 +483,7 @@ def test_jet_eq_n_epsilon_matches_check():
         M, eps = float(rng.uniform(1.5, 50)), float(rng.uniform(0.05, 0.9))
         jm = build_jet_matrices(x, M, float(rng.uniform(4, 8)), mod)
         seen.add(jm.eq_n_epsilon(eps))
-        assert jm.eq_n_epsilon(eps) == _radial(x, mod, M).eq_n_epsilon(eps)
+        assert jm.eq_n_epsilon(eps) == radial_jet(x, M, mod).eq_n_epsilon(eps)
     assert seen == {True, False}
 
 
@@ -553,3 +562,33 @@ def test_pair_distinct_y_raises(N):
     Y[0, 0] = np.nextafter(Y[0, 0], np.inf)
     with pytest.raises(ValueError, match="Y = X"):
         pair_conclusions_check(X, Y, jm)
+
+
+def test_pair_screen_matches_one_point_calls():
+    # a block that mixes N and holds rejected draws screens each draw as
+    # pair_jet screens it alone, bit for bit
+    rng = np.random.default_rng(43)
+    seen = set()
+    for regime in REGIMES:
+        x, N, M, p, moduli, eps = np.zeros((60, 3)), [], [], [], [], []
+        for k in range(60):
+            N.append(int(rng.integers(1, 4)))
+            p.append(DEFAULT_REGIME_P[regime])
+            params = regime_params(regime, p[-1], N[-1])
+            s = min(0.9, params.delta_N * 10 ** rng.uniform(-1.5, 0.5)) if params.eps \
+                else 10 ** rng.uniform(-4, -1.5)
+            x[k, :N[-1]] = random_point(rng, N[-1], s)
+            M.append(float(rng.uniform(1.5, 50)))
+            moduli.append(params.modulus())
+            eps.append(params.eps)
+        block, ok = jets.pair_screen(x, N, M, p, stacked(moduli), eps)
+        for k, r in enumerate(block.radial()):
+            try:
+                alone = pair_jet(x[k, :N[k]], M[k], p[k], moduli[k], eps[k])
+            except ValueError:
+                assert not ok[k]
+                continue
+            assert ok[k] and r.x.tobytes() == alone.x.tobytes()
+            assert astuple(r)[1:] == astuple(alone)[1:]
+        seen.update(ok.tolist())
+    assert seen == {True, False}

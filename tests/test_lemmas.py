@@ -181,17 +181,52 @@ def test_uncovered_pairs_at_seed_1():
                                           for N in (1, 2, 3)]
 
 
+def screen_blocks(monkeypatch):
+    """Patch lemmas.min_eig_screen to record (branch, draws, accepted) of each
+    block it screens."""
+    blocks = []
+    screen = lemmas.min_eig_screen
+
+    def recorded(x, N, p, eps, modulus):
+        terms, ok = screen(x, N, p, eps, modulus)
+        blocks.append(("small" if eps is None else "large", len(x), int(ok.sum())))
+        return terms, ok
+
+    monkeypatch.setattr(lemmas, "min_eig_screen", recorded)
+    return blocks
+
+
 def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
-    draws = count_calls(monkeypatch, lemmas, "min_eig_terms")  # one per draw
+    blocks = screen_blocks(monkeypatch)
     stacked = count_stacks(monkeypatch)
     rows, _ = lemmas.min_eig_rows(np.random.default_rng(4), 20)
     assert len(rows) == 40 and {row[0] for row in rows} == {"small", "large"}
-    # one H per accepted draw, in one stack per N per branch, in the order
-    # of each branch's first draw of that N; a rejected large-branch draw
+    # one H per accepted draw, in one stack per N per block, in the order of
+    # the block's first accepted draw of that N; a rejected large-branch draw
     # builds no matrices
     assert work["jets"] == 0
-    assert stacked == work["stacks"] == list(Counter((row[0], row[2]) for row in rows).values())
-    assert sum(stacked) == len(rows) < len(draws)
+    want, start = [], 0
+    for _, _, accepted in blocks:
+        want += Counter(row[2] for row in rows[start:start + accepted]).values()
+        start += accepted
+    assert stacked == work["stacks"] == want
+    assert sum(stacked) == len(rows) < sum(draws for _, draws, _ in blocks)
+
+
+@pytest.mark.parametrize("seed, samples", [(4, 20), (1, 300), (7, 1)])
+def test_min_eig_rows_blocks_stop_at_quota(monkeypatch, seed, samples):
+    blocks = screen_blocks(monkeypatch)
+    rows, _ = lemmas.min_eig_rows(np.random.default_rng(seed), samples)
+    for branch in ("small", "large"):
+        done = 0
+        for _, draws, accepted in (block for block in blocks if block[0] == branch):
+            assert draws == samples - done  # what the quota still lacks, no more
+            done += accepted
+        assert done == samples == sum(row[0] == branch for row in rows)
+    # every small-branch draw passes; some large-branch draw was rejected
+    assert [block[0] for block in blocks].count("small") == 1
+    if samples > 1:
+        assert [block[0] for block in blocks].count("large") > 1
 
 
 @pytest.mark.parametrize("seed", [1, 4, 7, 101])
