@@ -221,22 +221,22 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
         _check_cap(params, M, s, vector_norm(x_bar - x0), vector_norm(y_bar - x0))
         zs.append(z)
     jets = radial_jets(zs, M, params.modulus())
-    rs = jets.radial()
+    ss = jets.s.tolist()
     eq_ok = jets.eq_n_epsilon(params.eps).tolist() if p > 4.0 and params.eps is not None \
-        else [None] * len(rs)
+        else [None] * len(ss)
     grads = []
-    for r, z, (x_bar, y_bar, x0) in zip(rs, zs, points):
-        q = M * r.wp * z / r.s
+    for s, wp, z, (x_bar, y_bar, x0) in zip(ss, jets.wp.tolist(), zs, points):
+        q = M * wp * z / s
         grads.append((q, q + 2.0 * M * (x_bar - x0), q - 2.0 * M * (y_bar - x0)))
-    st, X, _ = feasible_pairs(rs, [p] * len(rs), rng)
+    st, X, _ = feasible_pairs(jets, [p] * len(ss), rng)
 
     mp2 = M ** (p - 2.0)
     lams = jacobi_eigvals(mp2 * st.Theta @ (X + X) @ st.Theta)
     x_norms = np.abs(jacobi_eigvals(X)).max(axis=1)
     reports = []
-    for r, (q, qx, qy), lam, x_norm, theta_sq, ok in zip(rs, grads, lams, x_norms,
+    for s, (q, qx, qy), lam, x_norm, theta_sq, ok in zip(ss, grads, lams, x_norms,
                                                           st.theta_norm_sq(), eq_ok):
-        denom = lambda expo: M ** (p - 1.0) * r.s ** (-expo)
+        denom = lambda expo: M ** (p - 1.0) * s ** (-expo)
         ratio1 = float(lam[0] / denom(params.tau_hat))
         if n > 1:
             ratio2 = float(lam[1:].max() / denom(params.tau1))
@@ -247,10 +247,10 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
         lhs = abs(nqx ** (p - 2.0) - nq ** (p - 2.0)) * x_norm \
             + abs(nqy ** (p - 2.0) - nq ** (p - 2.0)) * x_norm
         reports.append(ClaimsReport(
-            regime=params.regime, p=p, N=n, M=M, s=r.s,
+            regime=params.regime, p=p, N=n, M=M, s=s,
             ratio1=ratio1, ratio2=ratio2, ratio2_cap=ratio2_cap,
             ratio3=float(lhs / denom(params.tau2)),
-            in_delta=bool(r.s < 0.5 * params.delta_N), eq_n_epsilon_ok=ok,
+            in_delta=bool(s < 0.5 * params.delta_N), eq_n_epsilon_ok=ok,
         ))
     return reports
 

@@ -159,7 +159,10 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
             rows, ok = barrier_rows(barrier_nodes, barrier_ps, barrier_ns)
             write_csv(outdir / "barrier_checks.csv",
                       ["p", "N", "nodes", "M", "violation", "tolerance", "pass"], rows, chash)
-            checks.append(("barrier_supersolution", ok, f"{len(rows)} (p, N) cases"))
+            margin, at_p, at_n = max((viol - tol, p, N) for p, N, _, _, viol, tol, _ in rows)
+            checks.append(("barrier_supersolution", ok,
+                           f"{len(rows)} (p, N) cases, worst margin {margin:.3e} "
+                           f"at p={at_p:g} N={at_n}"))
 
         if run["min_eig"]:
             rows, worst = min_eig_rows(rngs[0], counts["min_eig_samples"])

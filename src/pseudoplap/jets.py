@@ -401,7 +401,7 @@ def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
     before returning, resampling on failure.  The one-jet call of
     feasible_pairs, whose rounds are then one draw each.
     """
-    X = feasible_pairs([jm], [jm.p], rng)[1][0]
+    X = feasible_pairs(_stack_jets([jm]), [jm.p], rng)[1][0]
     return X, X.copy()
 
 
@@ -485,7 +485,7 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     """
     if not np.array_equal(X, Y):
         raise ValueError("only pairs with Y = X are tested")
-    st = _pair_stack([jm], [jm.p])
+    st = _pair_stack(_stack_jets([jm]), [jm.p])
     X = np.asarray(X, dtype=float)[None]
     ok, details, norm_sum = _pair_squeeze_checks(X, st)
     if not ok[0]:
@@ -494,12 +494,13 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     return _pair_conclusions_checks(X, st, [eps], norm_sum)[0]
 
 
-def _conclusions(r: RadialJet, p: float, h1_norm: float, theta_sq: float, eps: float | None,
-                 count: int, lam_max: float, lam1: float, norm_sum: float) -> PairConclusions:
-    """The bounds and slacks of one pair's conclusions at the jet r: count is
-    the size of its large-branch index set (read when p >= 4), lam_max the
-    largest eigenvalue of A(X+Y), lam1 the least of A(X+Y-2c Id)."""
-    M, n, s, wp, wpp = r.M, r.N, r.s, r.wp, r.wpp
+def _conclusions(M: float, n: int, s: float, wp: float, wpp: float, p: float,
+                 h1_norm: float, theta_sq: float, eps: float | None, count: int,
+                 lam_max: float, lam1: float, norm_sum: float) -> PairConclusions:
+    """The bounds and slacks of one pair's conclusions at the jet with the
+    scalars M, N = n, s, w' and w'' of Jets: count is the size of its
+    large-branch index set (read when p >= 4), lam_max the largest
+    eigenvalue of A(X+Y), lam1 the least of A(X+Y-2c Id)."""
     c = 2.0 * M + 1.0
     mp2 = M ** (p - 2.0)
     bound_all = 2.0 * c * mp2 * theta_sq
@@ -525,33 +526,36 @@ def _conclusions(r: RadialJet, p: float, h1_norm: float, theta_sq: float, eps: f
 
 @dataclass(frozen=True)
 class PairStack:
-    """S jets of one N at their exponents p, stacked for the pair tests: M,
-    p, |H1| and |Htilde| are (S,), Htilde and Theta (S, N, N).  Entry k is bit
-    for bit what _assemble(rs[k], p[k]) gives, and spectral_norm of its H1
-    and Htilde."""
+    """S jets of one N at their exponents p, stacked for the pair tests: the
+    Jets (x is (S, N)), p, |H1| and |Htilde| (S,), Htilde and Theta
+    (S, N, N).  Entry k is bit for bit what _assemble of jet k at p[k]
+    gives, and spectral_norm of its H1 and Htilde."""
 
-    rs: tuple
-    M: np.ndarray
+    jets: Jets
     p: np.ndarray
     Htilde: np.ndarray
     Theta: np.ndarray
     h1_norm: np.ndarray
     ht_norm: np.ndarray
 
+    @property
+    def M(self) -> np.ndarray:
+        return self.jets.M
+
     def take(self, ks) -> "PairStack":
         """The jets ks of the stack, in that order."""
-        return PairStack(tuple(self.rs[k] for k in ks), self.M[ks], self.p[ks],
-                         self.Htilde[ks], self.Theta[ks], self.h1_norm[ks], self.ht_norm[ks])
+        return PairStack(self.jets.take(ks), self.p[ks], self.Htilde[ks], self.Theta[ks],
+                         self.h1_norm[ks], self.ht_norm[ks])
 
     def theta_norm_sq(self) -> list:
         """|Theta|^2 of each jet: Theta is diagonal with entries >= 0."""
         return [float(np.max(np.diag(theta)) ** 2) for theta in self.Theta]
 
 
-def _pair_stack(rs, ps) -> PairStack:
-    H1, Htilde, Theta = _stack_matrices(_stack_jets(rs), ps)
-    return PairStack(tuple(rs), np.array([r.M for r in rs]), np.array(ps, dtype=float),
-                     Htilde, Theta, _spectral_norms(H1), _spectral_norms(Htilde))
+def _pair_stack(jets: Jets, ps) -> PairStack:
+    H1, Htilde, Theta = _stack_matrices(jets, ps)
+    return PairStack(jets, np.array(ps, dtype=float), Htilde, Theta,
+                     _spectral_norms(H1), _spectral_norms(Htilde))
 
 
 def _pair_points(st: PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -595,8 +599,8 @@ def _feasible_pair_points(st: PairStack, rng) -> tuple:
     """
     n = st.Htilde.shape[1]
     X = np.empty_like(st.Htilde)
-    norm_sum = np.empty(len(st.rs))
-    pending = np.arange(len(st.rs))
+    norm_sum = np.empty(len(st.jets))
+    pending = np.arange(len(st.jets))
     for _ in range(_PAIR_DRAWS):
         S = np.empty((len(pending), n, n))
         u = np.zeros(len(pending))
@@ -621,7 +625,7 @@ def _pair_conclusions_checks(X: np.ndarray, st: PairStack, eps, norm_sum) -> lis
     """The conclusions of the pairs (X[k], X[k]) at the jets of st, one
     jacobi_eigvals call per matrix set; eps[k] is jet k's.  Raises the
     ValueErrors of the large-branch conclusion (_pair_large_branch) first."""
-    jets = _stack_jets(st.rs)
+    jets = st.jets
     axes, ok = _pair_large_branch(jets, st.p, eps)
     if not ok.all():
         k = int(np.flatnonzero(~ok)[0])
@@ -634,26 +638,28 @@ def _pair_conclusions_checks(X: np.ndarray, st: PairStack, eps, norm_sum) -> lis
     shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
     lam1 = jacobi_eigvals(weighted @ shifted @ st.Theta)[:, 0]
     return [_conclusions(*args) for args in zip(
-        st.rs, st.p.tolist(), st.h1_norm.tolist(), st.theta_norm_sq(), eps,
+        jets.M.tolist(), jets.N.tolist(), jets.s.tolist(), jets.wp.tolist(), jets.wpp.tolist(),
+        st.p.tolist(), st.h1_norm.tolist(), st.theta_norm_sq(), eps,
         axes.sum(axis=1).tolist(), lam_max.tolist(), lam1.tolist(), norm_sum.tolist())]
 
 
-def feasible_pairs(rs, ps, rng) -> tuple:
-    """The first feasible pair (X, X) of each jet of one N, in order: jet k
-    has the scalars rs[k] and exponent ps[k].
+def feasible_pairs(jets: Jets, ps, rng) -> tuple:
+    """The first feasible pair (X, X) of each of the jets, all of one N with
+    x of width N, in order: jet k has exponent ps[k].
 
     Returns (st, X[S, N, N], norm_sum[S]): the jets' PairStack, their matrices
     and norms taken with jacobi_eigvals, and |X - cI| + |Y - cI| with
     c = 2M+1.  The pairs are drawn in _feasible_pair_points' rounds.  Raises
     RuntimeError when a jet has no feasible pair in _PAIR_DRAWS draws.
     """
-    st = _pair_stack(rs, ps)
+    st = _pair_stack(jets, ps)
     return (st, *_feasible_pair_points(st, rng))
 
 
-def feasible_pair_conclusions(rs, ps, eps, rng) -> list:
+def feasible_pair_conclusions(jets: Jets, ps, eps, rng) -> list:
     """The conclusions of one feasible pair (X, X) per jet, in order: jet k
-    has the scalars rs[k] (from pair_jet), exponent ps[k] and eps[k].
+    of jets (screened by pair_screen, which may mix N) has exponent ps[k]
+    and eps[k].
 
     The jets of each N, in order of first appearance, share one stack:
     feasible_pairs gives each its first feasible pair, and one
@@ -661,9 +667,11 @@ def feasible_pair_conclusions(rs, ps, eps, rng) -> list:
     conclusions.  Raises RuntimeError when a jet has no feasible pair in
     _PAIR_DRAWS draws.
     """
-    out = [None] * len(rs)
-    for _, ks in _by_n([r.N for r in rs]):
-        st, X, norm_sum = feasible_pairs([rs[k] for k in ks], [ps[k] for k in ks], rng)
+    out = [None] * len(jets)
+    for n, ks in _by_n(jets.N):
+        group = jets.take(ks)
+        group = replace(group, x=group.x[:, :n])
+        st, X, norm_sum = feasible_pairs(group, [ps[k] for k in ks], rng)
         for k, rep in zip(ks, _pair_conclusions_checks(X, st, [eps[k] for k in ks], norm_sum)):
             out[k] = rep
     return out

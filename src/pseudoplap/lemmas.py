@@ -147,7 +147,7 @@ def pair_rows(rng: np.random.Generator, samples: int):
             _, p, N, M, _ = map(np.array, zip(*heads))
             jets, ok = pair_screen(x, N, M, p, stacked(moduli), eps)
             kept = np.flatnonzero(ok).tolist()
-            reps = feasible_pair_conclusions(jets.take(kept).radial(), p[kept].tolist(),
+            reps = feasible_pair_conclusions(jets.take(kept), p[kept].tolist(),
                                              [eps[j] for j in kept], rng)
             for j, rep in zip(kept, reps):
                 rows.append(heads[j] + [rep.slack_all, rep.slack_small, rep.slack_large,

@@ -76,16 +76,17 @@ def apply_divergence(u: ScalarField, p: float) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def add_nondivergence(out: np.ndarray, v: np.ndarray, p: float, h: float) -> None:
-    """out += |D_i^c v|^{p-2} D_i^2 v along each axis in turn, the factor p-1
-    left to the caller; out and v are C-ordered arrays of one shape.
+def nondivergence_factors(v: np.ndarray, h: float):
+    """Per axis of the C-ordered array v in turn, with stride s, yield
+    (s, |D_i^c v|, D_i^2 v), flat over the nodes s .. size - s - 1 (entry k
+    is node k + s).  The two are views of buffers that the next axis
+    overwrites, so callers use or copy them before they advance.
 
-    Flat, node j takes v[j - s], v[j], v[j + s] along an axis of stride s,
-    for s <= j < size - s.  That is right on every node with a neighbour on
-    both sides along every axis; the others get terms from wrapped
-    neighbours or none, and callers mask them.
+    Flat, node j takes v[j - s], v[j], v[j + s].  That is right on every
+    node with a neighbour on both sides along every axis; the others get
+    terms from wrapped neighbours or none, and callers mask them.
     """
-    vf, of = v.reshape(-1), out.reshape(-1)
+    vf = v.reshape(-1)
     coef_buf, second_buf = np.empty(vf.size), np.empty(vf.size)
     for s in axis_strides(v.shape):
         m = max(vf.size - 2 * s, 0)
@@ -93,13 +94,11 @@ def add_nondivergence(out: np.ndarray, v: np.ndarray, p: float, h: float) -> Non
         coef = np.subtract(vh, vl, out=coef_buf[:m])
         coef /= 2.0 * h
         np.abs(coef, out=coef)
-        coef **= p - 2.0
         second = np.multiply(2.0, vm, out=second_buf[:m])
         np.subtract(vh, second, out=second)
         second += vl
         second /= h * h
-        coef *= second
-        of[s:s + m] += coef
+        yield s, coef, second
 
 
 def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
@@ -111,7 +110,11 @@ def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
     _check_apply_args(u, p)
     grid = u.grid
     out = np.zeros(grid.node_shape)
-    add_nondivergence(out, u.values, p, grid.spacing)
+    of = out.reshape(-1)
+    for s, coef, second in nondivergence_factors(u.values, grid.spacing):
+        coef **= p - 2.0
+        coef *= second
+        of[s:s + coef.size] += coef
     out *= p - 1.0
     out[~interior_mask(grid)] = np.nan
     return ScalarField(grid, out)

@@ -1,10 +1,14 @@
-"""The full-field supersolution check, kept as the bitwise reference for
-the slab-streamed `barrier.verify_supersolution`, and the per-(N, p) barrier
-sampler that calls it once per case, the reference for `lemmas.barrier_rows`.
+"""Full-field supersolution checks, the references for the slab-streamed
+`barrier.verify_supersolution`, and the per-(N, p) barrier sampler that
+calls one per case, the reference for `lemmas.barrier_rows`.
 
-It evaluates the barrier and the non-divergence operator, the sliced one of
-stencil_reference.py, on the whole grid at once and takes one max over the
-selected nodes.
+`factored_supersolution` is the formula the shipped check evaluates,
+(p-1) (M^{p-1} t + f_sup) with t the max over the selected nodes of
+sum_i |D_i^c g|^{p-2} D_i^2 g on the barrier's profile g; every slab height
+must give its result bit for bit.  `verify_supersolution` evaluates the
+barrier b = boundary_sup + M g itself and the non-divergence operator on
+it; it agrees with the factorised formula up to rounding.  Both use the
+sliced stencil of stencil_reference.py on the whole grid at once.
 """
 
 import numpy as np
@@ -13,7 +17,7 @@ from pseudoplap.barrier import BarrierParams, min_barrier_M, supersolution_toler
 from pseudoplap.barrier import _check_barrier_grid, _profile
 from pseudoplap.grid import GridSpec, ScalarField, interior_mask, nonexterior_mask
 from pseudoplap.grid import _radius_squared
-from stencil_reference import apply_nondivergence
+from stencil_reference import apply_nondivergence, nondivergence_factors
 
 
 def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
@@ -26,18 +30,45 @@ def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
-                         exclusion_radius: float) -> float:
-    """Max over interior nodes with |x| >= exclusion_radius of A_nondiv(b) + (p-1) f_sup."""
+def _check_exclusion(grid: GridSpec, exclusion_radius: float) -> None:
     h = grid.spacing
     if exclusion_radius < 2.0 * h * (1.0 - 1e-12):
         raise ValueError(f"exclusion_radius must be >= 2h = {2 * h}, got {exclusion_radius}")
-    b = barrier_field(grid, params)
-    op = apply_nondivergence(b, params.p)
+
+
+def selected_nodes(grid: GridSpec, exclusion_radius: float) -> np.ndarray:
+    """The interior nodes with |x| >= exclusion_radius, which the checks take the max over."""
     sel = interior_mask(grid) & (_radius_squared(grid) >= exclusion_radius**2)
     if not sel.any():
         raise ValueError("no interior nodes outside the exclusion radius")
+    return sel
+
+
+def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
+                         exclusion_radius: float) -> float:
+    """Max over interior nodes with |x| >= exclusion_radius of A_nondiv(b) + (p-1) f_sup,
+    with A_nondiv evaluated on the barrier's values."""
+    _check_exclusion(grid, exclusion_radius)
+    b = barrier_field(grid, params)
+    op = apply_nondivergence(b, params.p)
+    sel = selected_nodes(grid, exclusion_radius)
     return float((op.values[sel] + (params.p - 1.0) * f_sup).max())
+
+
+def factored_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
+                           exclusion_radius: float) -> float:
+    """verify_supersolution's value by the factorised formula: (p-1) (M^{p-1} t + f_sup)."""
+    _check_exclusion(grid, exclusion_radius)
+    _check_barrier_grid(grid, params)
+    g = _profile(_radius_squared(grid))
+    g[~nonexterior_mask(grid)] = np.nan
+    total = np.zeros(grid.node_shape)
+    for core, coef, second in nondivergence_factors(g, grid.spacing):
+        coef **= params.p - 2.0
+        coef *= second
+        total[core] += coef
+    t = total[selected_nodes(grid, exclusion_radius)].max()
+    return float((params.p - 1.0) * (params.M ** (params.p - 1.0) * t + f_sup))
 
 
 def barrier_rows(nodes: int, p_list, n_list):
@@ -52,7 +83,7 @@ def barrier_rows(nodes: int, p_list, n_list):
         for p in p_list:
             M = min_barrier_M(p, N, 1.0)
             params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
-            viol = verify_supersolution(grid, params, 1.0, 3.0 * grid.spacing)
+            viol = factored_supersolution(grid, params, 1.0, 3.0 * grid.spacing)
             tol = supersolution_tolerance(grid, params, 1.0)
             rows.append([p, N, nodes, M, viol, tol, viol <= tol])
             ok = ok and viol <= tol

@@ -3,8 +3,9 @@
 `feasible_pair_conclusions` below draws from the rng in the order the
 shipped one does (jets of each N in order of first appearance, then rounds
 over the jets still pending, each drawing S and its radius factor), but
-builds each jet alone, scales S by `eig.spectral_norm`, and tests each pair
-with the one-jet call `jets.pair_conclusions_check`.
+takes each jet of the stack alone as a RadialJet, builds it alone, scales S
+by `eig.spectral_norm`, and tests each pair with the one-jet call
+`jets.pair_conclusions_check`.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ from pseudoplap import jets
 from pseudoplap.eig import spectral_norm
 
 
-def feasible_pair_conclusions(rs, ps, eps, rng):
+def feasible_pair_conclusions(stack, ps, eps, rng):
+    rs = stack.radial()
     out = [None] * len(rs)
     by_n = {}
     for k, r in enumerate(rs):

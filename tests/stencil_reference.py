@@ -60,18 +60,24 @@ def apply_divergence(u: ScalarField, p: float) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def add_nondivergence(out, v, p, h):
+def nondivergence_factors(v, h):
+    """Per axis in turn, (core, |D_i^c v|, D_i^2 v) on the nodes v[core]."""
     for ax in range(v.ndim):
         lo, hi, core = axis_slices(v.ndim, ax)
         vl, vm, vh = v[lo][lo], v[core], v[hi][hi]  # v[i-1], v[i], v[i+1]
         coef = vh - vl
         coef /= 2.0 * h
         np.abs(coef, out=coef)
-        coef **= p - 2.0
         second = 2.0 * vm
         np.subtract(vh, second, out=second)
         second += vl
         second /= h * h
+        yield core, coef, second
+
+
+def add_nondivergence(out, v, p, h):
+    for core, coef, second in nondivergence_factors(v, h):
+        coef **= p - 2.0
         coef *= second
         out[core] += coef
 

@@ -1,9 +1,11 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import barrier_reference
+import stencil_reference
 from pseudoplap import barrier
 from pseudoplap.barrier import (
     BarrierParams,
@@ -167,8 +169,8 @@ def assert_same_max(got, want):
 
 def assert_matches_reference(grid, params, f_sup, exclusion_radius):
     [got] = verify_supersolution(grid, [params], f_sup, exclusion_radius)
-    assert_same_max(got, barrier_reference.verify_supersolution(grid, params, f_sup,
-                                                                exclusion_radius))
+    assert_same_max(got, barrier_reference.factored_supersolution(grid, params, f_sup,
+                                                                  exclusion_radius))
 
 
 def minimal_params(p, N, boundary_sup=0.0):
@@ -178,7 +180,7 @@ def minimal_params(p, N, boundary_sup=0.0):
 @functools.lru_cache(maxsize=None)
 def reference_max(N, n, p, boundary_sup, f_sup, exclusion_radius):
     """The full-field max, which the slab heights below share."""
-    return barrier_reference.verify_supersolution(
+    return barrier_reference.factored_supersolution(
         GridSpec(N, n), minimal_params(p, N, boundary_sup), f_sup, exclusion_radius)
 
 
@@ -228,12 +230,80 @@ def test_supersolution_exclusion_radius_edge():
 ])
 def test_supersolution_errors_match_reference(grid, N, exclusion_radius, match):
     params = minimal_params(3.0, N)
-    with pytest.raises(ValueError, match=match):
-        barrier_reference.verify_supersolution(grid, params, 1.0, exclusion_radius)
+    for reference in (barrier_reference.verify_supersolution,
+                      barrier_reference.factored_supersolution):
+        with pytest.raises(ValueError, match=match):
+            reference(grid, params, 1.0, exclusion_radius)
     # the same error with a case of the grid's dimension ahead of the failing one
     cases = [minimal_params(3.0, grid.dimension), params]
     with pytest.raises(ValueError, match=match):
         verify_supersolution(grid, cases, 1.0, exclusion_radius)
+
+
+def rounding_bound(grid, params, f_sup, exclusion_radius, value):
+    """A bound on how far the factorised formula may round away from the
+    operator evaluated on the barrier's values b, whose max is value.
+
+    Per selected node and axis, with A = |D_i^c b|, D = D_i^2 b and q = p-2,
+    the differences add up sigma_A = (|b_h| + |b_l|) / 2h and
+    sigma_D = (|b_h| + 2|b_m| + |b_l|) / h^2 in magnitude.  The two forms
+    round A and D apart by a few eps times sigma_A and sigma_D, which the
+    term A^q D carries to first order as A^q sigma_D + q A^{q-1} sigma_A |D|
+    (0 where A = 0: mirror nodes hold equal radii, so both forms read a zero
+    difference there).  Counting roundings (the barrier's values, the
+    differences, power, product, axis sum, scale and shift) gives at most 8
+    eps times these sums, times p-1, plus the same of the value itself.
+    """
+    h, q = grid.spacing, params.p - 2.0
+    b = barrier_reference.barrier_field(grid, params).values
+    g = barrier_reference.barrier_field(grid, BarrierParams(1.0, 0.0, params.p, params.N)).values
+    sel = barrier_reference.selected_nodes(grid, exclusion_radius)
+    sums = np.zeros(grid.node_shape)
+    for ax, ((core, A, D), (_, a, _)) in enumerate(zip(
+            stencil_reference.nondivergence_factors(b, h),
+            stencil_reference.nondivergence_factors(g, h))):
+        assert np.array_equal(A[sel[core]] == 0.0, a[sel[core]] == 0.0)
+        lo, hi, _ = stencil_reference.axis_slices(b.ndim, ax)
+        bl, bm, bh = np.abs(b[lo][lo]), np.abs(b[core]), np.abs(b[hi][hi])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(A > 0.0, q * A ** (q - 1.0), 0.0)
+        sums[core] += A**q * (bh + 2.0 * bm + bl) / (h * h) \
+            + slope * (bh + bl) / (2.0 * h) * np.abs(D)
+    return 8.0 * np.finfo(float).eps * ((params.p - 1.0) * sums[sel].max() + abs(value))
+
+
+@pytest.mark.parametrize("N, n", GRIDS)
+@pytest.mark.parametrize("p", P_LIST)
+def test_factorised_check_matches_operator_on_barrier(N, n, p):
+    # boundary_sup no longer enters the arithmetic, and M only as M^{p-1}:
+    # the shipped check agrees with A_nondiv of the barrier itself up to rounding
+    grid = GridSpec(N, n)
+    exclusion_radius = 3.0 * grid.spacing
+    for boundary_sup in (0.0, 0.75):
+        params = minimal_params(p, N, boundary_sup)
+        for f_sup in (0.0, 1.0):
+            [got] = verify_supersolution(grid, [params], f_sup, exclusion_radius)
+            want = barrier_reference.verify_supersolution(grid, params, f_sup,
+                                                          exclusion_radius)
+            bound = rounding_bound(grid, params, f_sup, exclusion_radius, want)
+            assert abs(got - want) <= bound, (boundary_sup, f_sup, got, want, bound)
+
+
+def test_supersolution_memory_is_a_few_slabs():
+    # both grids span many slabs; the peak of one call stays a fixed multiple
+    # of a slab, whatever the grid (the grid caches are warmed first)
+    for n in (65, 129):
+        grid = GridSpec(3, n)
+        assert n**3 > 4 * barrier._SLAB_ELEMENTS
+        cases = [minimal_params(p, 3) for p in P_LIST]
+        verify_supersolution(grid, cases, 1.0, 3.0 * grid.spacing)
+        tracemalloc.start()
+        try:
+            verify_supersolution(grid, cases, 1.0, 3.0 * grid.spacing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * barrier._SLAB_ELEMENTS * 8, (n, peak)
 
 
 def test_supersolution_empty_sequence():

@@ -360,7 +360,9 @@ def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
     for name in ("barrier_checks.csv", "min_eig_samples.csv", "pair_samples.csv",
                  "zt_samples.csv", "summary.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    assert read_summary(out_a)["barrier_supersolution"][1] == "2 (p, N) cases"
+    # the barrier detail names the worst violation - tolerance and its (p, N)
+    assert read_summary(out_a)["barrier_supersolution"][1] \
+        == "2 (p, N) cases, worst margin -1.612e+01 at p=3 N=1"
     # a different seed changes the sampled rows
     out_c = tmp_path / "c"
     assert main(["verify-lemmas", "--config", path, "--seed", "10", "--out", str(out_c)]) == 0

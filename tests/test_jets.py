@@ -113,7 +113,7 @@ def test_jet_cached_norms():
             N = int(rng.integers(1, 5))
             x = random_point(rng, N, 10 ** rng.uniform(-4, -0.7))
             jm = build_jet_matrices(x, float(rng.uniform(1.1, 40)), 3.3, mod)
-            st = jets._pair_stack([jm], [jm.p])
+            st = jets._pair_stack(_stack_jets([jm]), [jm.p])
             h1_norm, ht_norm = st.h1_norm[0], st.ht_norm[0]
             assert h1_norm == spectral_norm(jm.H1)
             assert ht_norm == spectral_norm(jm.Htilde)
@@ -326,7 +326,8 @@ def test_eq_n_epsilon_holds_below_selector_threshold():
 
 def squeeze(X, jm):
     """The stacked squeeze of the one pair (X, X) at jm: (ok, margins, norm_sum)."""
-    ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], jets._pair_stack([jm], [jm.p]))
+    st = jets._pair_stack(_stack_jets([jm]), [jm.p])
+    ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], st)
     return bool(ok[0]), tuple(float(m[0]) for m in margins), float(norm_sum[0])
 
 
@@ -436,7 +437,8 @@ def test_stacked_pair_checks_match_scalar_path():
     seen = set()
     for N in (1, 2, 3):
         group = [c for c in cands if c[1].N == N]
-        st = jets._pair_stack([r for _, r, _, _ in group], [p for _, _, p, _ in group])
+        st = jets._pair_stack(_stack_jets([r for _, r, _, _ in group]),
+                              [p for _, _, p, _ in group])
         S = np.array([jets._direction(rng, N) for _ in group])
         u = rng.uniform(0.0, 4.0, len(group))  # beyond 1, a pair may fail the squeeze
         X = jets._pair_points(st, S, u)
@@ -535,7 +537,7 @@ def test_pair_split_matches_full_squeeze(N, jets_eig_shapes):
         # radius (M/4) |Htilde| is the sampler's; beyond about 2M |Htilde| a side fails
         X.append(_random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0))))
         jms.append(jm)
-    st = jets._pair_stack(jms, [jm.p for jm in jms])
+    st = jets._pair_stack(_stack_jets(jms), [jm.p for jm in jms])
     jets_eig_shapes.clear()
     ok, (lower, upper, scale), norm_sum = jets._pair_squeeze_checks(np.array(X), st)
     assert jets_eig_shapes == [(100, N, N)] * 2  # every eigen-test is N x N

@@ -87,7 +87,7 @@ def pair_rounds(monkeypatch):
     checks = jets._pair_squeeze_checks
 
     def counted(X, st):
-        rounds.append([r.x.tobytes() for r in st.rs])
+        rounds.append([x.tobytes() for x in st.jets.x])
         return checks(X, st)
 
     monkeypatch.setattr(jets, "_pair_squeeze_checks", counted)
@@ -137,8 +137,8 @@ def test_pair_rows_redraw_only_rejected(monkeypatch):
     def stub(X, st):
         ok, margins, norm_sum = checks(X, st)
         assert ok.all()
-        keys = [r.x.tobytes() for r in st.rs]
-        first = np.array([r.M > 25.0 and key not in rejected for r, key in zip(st.rs, keys)])
+        keys = [x.tobytes() for x in st.jets.x]
+        first = np.array([M > 25.0 and key not in rejected for M, key in zip(st.M, keys)])
         rejected.update(key for key, f in zip(keys, first) if f)
         rounds.append((keys, first))
         return ok & ~first, margins, norm_sum
@@ -158,7 +158,7 @@ def test_pair_rows_redraw_only_rejected(monkeypatch):
 
 def test_pair_rows_raise_when_no_pair_passes(monkeypatch):
     monkeypatch.setattr(jets, "_pair_squeeze_checks", lambda X, st: (
-        np.zeros(len(st.rs), dtype=bool), None, np.zeros(len(st.rs))))
+        np.zeros(len(st.jets), dtype=bool), None, np.zeros(len(st.jets))))
     with pytest.raises(RuntimeError, match="no feasible pair in 100 attempts"):
         lemmas.pair_rows(np.random.default_rng(3), 16)
 
