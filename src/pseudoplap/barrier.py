@@ -11,6 +11,8 @@ which satisfies A_nondiv(b) <= -(p-1) f_sup away from the origin once
 verify_supersolution checks this on the grid through the exact factorisation
 A_nondiv(b) = (p-1) M^{p-1} sum_i |D_i^c g|^{p-2} D_i^2 g of the profile g,
 so boundary_sup never enters its arithmetic and every p shares g's stencil.
+It builds g, the squared radii and the node classes one slab of planes at a
+time from the axis coordinates, so no array it makes spans the grid.
 
 The smallest such M gives the computable sup-norm bound
 |u| <= boundary_sup + M/2 for solutions, and the monotone divergence-form
@@ -24,12 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, NodeClass, ScalarField, boundary_mask, classify_nodes
-from .grid import interior_mask, node_coordinates, _radius_squared
+from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, node_coordinates
+from .grid import node_rule, radius_squared
 from .operators import apply_divergence, nondivergence_factors
 
-# Nodes per slab of the streamed supersolution check: at 3D n = 129 a slab is
-# 3 planes and 2 halo planes, and its few temporaries take about 0.6 MB each.
+# Nodes per slab of the streamed supersolution check (at least one plane): at
+# 3D n = 129 a slab is 3 planes and 2 halo planes.  Per slab, the box's squared
+# radii and profile, two stencil buffers over its inner planes and each axis's
+# two factors at the selected nodes take at most about 0.6 MB each, and the
+# closed and interior masks an eighth of that; none outlives its slab.
 _SLAB_ELEMENTS = 2**16
 
 
@@ -84,9 +89,9 @@ def _profile(r2: np.ndarray) -> np.ndarray:
     return g
 
 
-def _span(mask: np.ndarray, ax: int) -> slice:
-    """The smallest index range along ax that holds every True entry of mask."""
-    hits = np.flatnonzero(mask.any(axis=tuple(k for k in range(mask.ndim) if k != ax)))
+def _span(mask: np.ndarray) -> slice:
+    """The smallest index range that holds every True entry of the 1D mask."""
+    hits = np.flatnonzero(mask)
     return slice(hits[0], hits[-1] + 1)
 
 
@@ -104,16 +109,22 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     (p-1) (M^{p-1} t + f_sup), t the max over the selected nodes of
     sum_i |D_i^c g|^{p-2} D_i^2 g on the profile g (_profile); boundary_sup
     does not enter the arithmetic.  The check streams slabs of about
-    _SLAB_ELEMENTS nodes along axis 0, each with one halo plane on either
-    side and cropped to the box of its non-exterior nodes, which holds every
-    stencil neighbour of an interior node.  Per slab, the box, the node masks, the profile (NaN at exterior
-    nodes) and its factors |D_i^c g| and D_i^2 g (nondivergence_factors) at
-    the selected nodes are computed once for all cases; each case then adds
-    its axis terms in axis order and takes one max.  A positive scale and a
-    shift are monotone under rounding, so every result is bit for bit that
-    of the same formula on the full field (tests/barrier_reference.py),
-    while the memory stays a few slabs whatever the grid.  It differs from
-    evaluating the operator on the barrier's values by rounding alone
+    _SLAB_ELEMENTS nodes (at least one plane) along axis 0, each with one
+    halo plane on either side and cropped to the box of its nodes in the
+    closed ball, which holds every stencil neighbour of an interior node.
+    Once per slab for all cases, it builds from the axis coordinates the
+    box's squared radii (radius_squared, added in the whole grid's order)
+    and its closed and interior masks (node_rule, the halo planes giving the
+    axis-0 neighbours), then the profile (NaN outside the closed ball) and
+    its factors |D_i^c g| and D_i^2 g (nondivergence_factors) over the inner
+    planes, compressed to the selected nodes; each case then adds its axis
+    terms in axis order and takes one max.  No array spans the grid and no
+    grid cache is read or filled, so the memory is a few slabs whatever the
+    grid.  The slabs' squared radii and classes are the whole grid's, bit
+    for bit, and a positive scale and a shift are monotone under rounding,
+    so every result is bit for bit that of the same formula on the full
+    field (tests/barrier_reference.py).  It differs from evaluating the
+    operator on the barrier's values by rounding alone
     (mostly the cancellation in D_i^2), up to about 2e-12 relative at n = 129.
     """
     h = grid.spacing
@@ -124,26 +135,29 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
         _check_barrier_grid(grid, params)
     if not cases:
         return []
-    r2, cls = _radius_squared(grid), classify_nodes(grid)
-    n = grid.nodes_per_axis
-    height = max(1, _SLAB_ELEMENTS // n ** (grid.dimension - 1))
+    x2, n, dim = grid.axis_coords() ** 2, grid.nodes_per_axis, grid.dimension
+    height = max(1, _SLAB_ELEMENTS // n ** (dim - 1))
     maxima = [[] for _ in cases]
     # planes 0 and n-1 lie on faces of the cube, so only halos; every plane
     # between them holds its axis node |x| = |x_0| < 1, so no box is empty
     for first in range(1, n - 1, height):
         planes = slice(first - 1, min(first + height, n - 1) + 1)
-        present = cls[planes] != NodeClass.EXTERIOR
-        box = (planes,) + tuple(_span(present, ax) for ax in range(1, grid.dimension))
-        slab_r2, slab_cls = r2[box], cls[box]
-        sel = (slab_cls[1:-1] == NodeClass.INTERIOR) & (slab_r2[1:-1] >= exclusion_radius**2)
+        # rounding is monotone in each term of a sum, so along axis ax the
+        # least r2 of a row adds the least x_i^2 of the planes and other axes
+        least = [x2[planes].min(keepdims=True)] + [x2.min(keepdims=True)] * (dim - 1)
+        box = (planes,) + tuple(
+            _span(radius_squared(least[:ax] + [x2] + least[ax + 1:]).ravel() <= 1.0)
+            for ax in range(1, dim))
+        r2 = radius_squared([x2[axis] for axis in box])
+        closed, interior = node_rule(r2)
+        sel = interior[1:-1] & (r2[1:-1] >= exclusion_radius**2)
         if not sel.any():
             continue
-        profile = _profile(slab_r2)
-        profile[slab_cls == NodeClass.EXTERIOR] = np.nan
-        # sel's flat nodes start one halo plane in; factor entry k is node k + s
-        sel, start = sel.reshape(-1), profile[0].size
-        factors = [(coef[start - s:][:sel.size][sel], second[start - s:][:sel.size][sel])
-                   for s, coef, second in nondivergence_factors(profile, h)]
+        profile = _profile(r2)
+        profile[~closed] = np.nan
+        # the factors cover the inner planes, as sel does
+        sel = sel.reshape(-1)
+        factors = [(coef[sel], second[sel]) for coef, second in nondivergence_factors(profile, h)]
         for params, found in zip(cases, maxima):
             total = np.zeros(len(factors[0][0]))
             for coef, second in factors:

@@ -159,7 +159,10 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
             rows, ok = barrier_rows(barrier_nodes, barrier_ps, barrier_ns)
             write_csv(outdir / "barrier_checks.csv",
                       ["p", "N", "nodes", "M", "violation", "tolerance", "pass"], rows, chash)
-            margin, at_p, at_n = max((viol - tol, p, N) for p, N, _, _, viol, tol, _ in rows)
+            margins = [(viol - tol, p, N) for p, N, _, _, viol, tol, _ in rows]
+            # max drops a NaN margin that is not first, so a non-finite one is named first
+            bad = [m for m in margins if not np.isfinite(m[0])]
+            margin, at_p, at_n = bad[0] if bad else max(margins)
             checks.append(("barrier_supersolution", ok,
                            f"{len(rows)} (p, N) cases, worst margin {margin:.3e} "
                            f"at p={at_p:g} N={at_n}"))

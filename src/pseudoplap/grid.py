@@ -58,12 +58,37 @@ class GridSpec:
         return np.linspace(-1.0, 1.0, self.nodes_per_axis)
 
 
+def radius_squared(squares, combine=np.add) -> np.ndarray:
+    """Per node of the box whose axis i takes the squared coordinates
+    squares[i], the sum (Euclidean norm) or, with np.maximum, the max of the
+    x_i^2, taken in axis order; a box cut from the grid's axes gets the whole
+    grid's values there, bit for bit."""
+    return functools.reduce(combine, np.ix_(*squares))
+
+
 @functools.lru_cache(maxsize=64)
 def _radius_squared(grid: GridSpec, combine=np.add) -> np.ndarray:
-    """Per node, the sum (Euclidean norm) or, with np.maximum, the max of x_i^2."""
-    r2 = functools.reduce(combine, np.ix_(*[grid.axis_coords() ** 2] * grid.dimension))
+    """radius_squared at every node of the grid, read-only."""
+    r2 = radius_squared([grid.axis_coords() ** 2] * grid.dimension, combine)
     r2.setflags(write=False)
     return r2
+
+
+def node_rule(r2: np.ndarray) -> tuple:
+    """(closed, interior) masks of a block of squared radii r2 (Euclidean or
+    max norm): closed is r2 <= 1, interior is r2 < 1 with every axis
+    neighbour in closed.  A node on a face of the block lacks a neighbour
+    and is never interior; on the whole grid those are the nodes on the faces
+    of [-1,1]^N, where r2 >= 1."""
+    closed = r2 <= 1.0
+    interior = np.zeros(r2.shape, dtype=bool)
+    core = (slice(1, -1),) * r2.ndim
+    inner = interior[core]
+    np.less(r2[core], 1.0, out=inner)
+    for ax in range(r2.ndim):
+        for side in (slice(None, -2), slice(2, None)):  # neighbours at -h and +h
+            inner &= closed[core[:ax] + (side,) + core[ax + 1:]]
+    return closed, interior
 
 
 def axis_strides(shape: tuple) -> tuple:
@@ -86,20 +111,15 @@ def axis_strides(shape: tuple) -> tuple:
 def classify_nodes(grid: GridSpec) -> np.ndarray:
     """Total node classification as a read-only int8 array of NodeClass values.
 
-    Ball and cube share one rule, in the squared Euclidean or max norm r2:
-    interior is r2 < 1 with every axis neighbour at r2 <= 1.  Nodes on the
-    faces of [-1,1]^N have r2 >= 1, so no neighbour test falls off the grid,
-    and a flat neighbour test that wraps across a row only reaches face nodes.
+    Ball and cube share one rule (node_rule), in the squared Euclidean or
+    max norm: interior is r2 < 1 with every axis neighbour at r2 <= 1,
+    boundary is the rest of r2 <= 1.
     """
     r2 = _radius_squared(grid, np.maximum) if grid.shape == "cube" else _radius_squared(grid)
-    in_closed = (r2 <= 1.0).ravel()
-    interior = (r2 < 1.0).ravel()
-    for s in axis_strides(grid.node_shape):
-        interior[:-s] &= in_closed[s:]  # neighbour at +h
-        interior[s:] &= in_closed[:-s]  # neighbour at -h
+    closed, interior = node_rule(r2)
     cls = np.full(grid.node_shape, NodeClass.EXTERIOR, dtype=np.int8)
-    cls[in_closed.reshape(grid.node_shape)] = NodeClass.BOUNDARY
-    cls[interior.reshape(grid.node_shape)] = NodeClass.INTERIOR
+    cls[closed] = NodeClass.BOUNDARY
+    cls[interior] = NodeClass.INTERIOR
     cls.setflags(write=False)
     return cls
 

@@ -77,28 +77,32 @@ def apply_divergence(u: ScalarField, p: float) -> ScalarField:
 
 
 def nondivergence_factors(v: np.ndarray, h: float):
-    """Per axis of the C-ordered array v in turn, with stride s, yield
-    (s, |D_i^c v|, D_i^2 v), flat over the nodes s .. size - s - 1 (entry k
-    is node k + s).  The two are views of buffers that the next axis
-    overwrites, so callers use or copy them before they advance.
+    """Per axis of the C-ordered array v in turn, yield (|D_i^c v|, D_i^2 v),
+    flat over the nodes s0 .. size - s0 - 1 of the inner planes along axis 0
+    (entry k is node k + s0, s0 the axis-0 stride).  The two are views of
+    buffers that the next axis overwrites, so callers use or copy them
+    before they advance.
 
-    Flat, node j takes v[j - s], v[j], v[j + s].  That is right on every
-    node with a neighbour on both sides along every axis; the others get
-    terms from wrapped neighbours or none, and callers mask them.
+    Flat, node j takes v[j - s], v[j], v[j + s] for the axis stride s.  That
+    is right on every node with a neighbour on both sides along every axis;
+    the others get terms from wrapped neighbours, and callers mask them.
     """
     vf = v.reshape(-1)
-    coef_buf, second_buf = np.empty(vf.size), np.empty(vf.size)
-    for s in axis_strides(v.shape):
-        m = max(vf.size - 2 * s, 0)
-        vl, vm, vh = vf[:m], vf[s:s + m], vf[2 * s:2 * s + m]  # v[j-s], v[j], v[j+s]
-        coef = np.subtract(vh, vl, out=coef_buf[:m])
+    strides = axis_strides(v.shape)
+    s0 = strides[0]
+    m = max(vf.size - 2 * s0, 0)
+    coef_buf, second_buf = np.empty(m), np.empty(m)
+    for s in strides:
+        # v[j-s], v[j], v[j+s]
+        vl, vm, vh = vf[s0 - s:s0 - s + m], vf[s0:s0 + m], vf[s0 + s:s0 + s + m]
+        coef = np.subtract(vh, vl, out=coef_buf)
         coef /= 2.0 * h
         np.abs(coef, out=coef)
-        second = np.multiply(2.0, vm, out=second_buf[:m])
+        second = np.multiply(2.0, vm, out=second_buf)
         np.subtract(vh, second, out=second)
         second += vl
         second /= h * h
-        yield s, coef, second
+        yield coef, second
 
 
 def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
@@ -111,10 +115,11 @@ def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
     grid = u.grid
     out = np.zeros(grid.node_shape)
     of = out.reshape(-1)
-    for s, coef, second in nondivergence_factors(u.values, grid.spacing):
+    s0 = axis_strides(grid.node_shape)[0]
+    for coef, second in nondivergence_factors(u.values, grid.spacing):
         coef **= p - 2.0
         coef *= second
-        of[s:s + coef.size] += coef
+        of[s0:s0 + coef.size] += coef
     out *= p - 1.0
     out[~interior_mask(grid)] = np.nan
     return ScalarField(grid, out)

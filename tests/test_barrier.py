@@ -7,6 +7,7 @@ import pytest
 import barrier_reference
 import stencil_reference
 from pseudoplap import barrier
+from pseudoplap import grid as grid_module
 from pseudoplap.barrier import (
     BarrierParams,
     comparison_check,
@@ -185,9 +186,11 @@ def reference_max(N, n, p, boundary_sup, f_sup, exclusion_radius):
 
 
 # slab heights: one slab for the whole grid, 1 plane, and 3 planes (at 3D
-# n = 33, n - 2 = 31 is no multiple of 3)
+# n = 33, n - 2 = 31 is no multiple of 3); the spacing of the last two grids
+# is no power of 2, so x_i^2 and their sums round, in 3D in an order that
+# the slabs must keep
 @pytest.mark.parametrize("slab_planes", [None, 1, 3])
-@pytest.mark.parametrize("N, n", GRIDS)
+@pytest.mark.parametrize("N, n", GRIDS + ((2, 67), (3, 35)))
 @pytest.mark.parametrize("p", P_LIST)
 def test_supersolution_matches_full_field_reference(monkeypatch, slab_planes, N, n, p):
     # every p and boundary_sup in one call, starting at p: the cases share the
@@ -290,13 +293,15 @@ def test_factorised_check_matches_operator_on_barrier(N, n, p):
 
 
 def test_supersolution_memory_is_a_few_slabs():
-    # both grids span many slabs; the peak of one call stays a fixed multiple
-    # of a slab, whatever the grid (the grid caches are warmed first)
-    for n in (65, 129):
+    # both grids span many slabs and no other test uses them, so the first
+    # call finds nothing cached: its peak stays a fixed multiple of a slab,
+    # whatever the grid, and it leaves no whole-grid array in the grid caches
+    caches = (grid_module._radius_squared, grid_module.classify_nodes)
+    for n in (75, 131):
         grid = GridSpec(3, n)
         assert n**3 > 4 * barrier._SLAB_ELEMENTS
         cases = [minimal_params(p, 3) for p in P_LIST]
-        verify_supersolution(grid, cases, 1.0, 3.0 * grid.spacing)
+        before = [cache.cache_info() for cache in caches]
         tracemalloc.start()
         try:
             verify_supersolution(grid, cases, 1.0, 3.0 * grid.spacing)
@@ -304,6 +309,7 @@ def test_supersolution_memory_is_a_few_slabs():
         finally:
             tracemalloc.stop()
         assert peak < 16 * barrier._SLAB_ELEMENTS * 8, (n, peak)
+        assert [cache.cache_info() for cache in caches] == before
 
 
 def test_supersolution_empty_sequence():

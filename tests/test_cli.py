@@ -379,6 +379,20 @@ def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_verify_lemmas_barrier_detail_names_nan_case(tmp_path, monkeypatch):
+    # a NaN margin compares false both ways, so max alone keeps it only when
+    # it comes first; the failed check must name it wherever it is
+    nan_rows = [[2.5, 1, 33, 1.0, -6.8, 0.1, True], [3.0, 3, 33, 1.0, np.nan, 0.1, False],
+                [6.0, 2, 33, 1.0, -1.0, 0.0, True]]
+    monkeypatch.setattr(cli, "barrier_rows", lambda *a: (nan_rows, False))
+    path = write(tmp_path, "barrier.ini", "[lemmas]\nrun_min_eig = false\nrun_pair = false\n"
+                                          "run_zt = false\nrun_claims = false\n")
+    assert main(["verify-lemmas", "--config", path, "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert read_summary(tmp_path / "out")["barrier_supersolution"] \
+        == ("false", "3 (p, N) cases, worst margin nan at p=3 N=3")
+
+
 def test_verify_lemmas_names_uncovered_pair_cases(tmp_path):
     # at seed 1 and the default 500 pairs, no 1D lipschitz_large_p draw
     # passes eq_n_epsilon; the summary says so and the check still passes

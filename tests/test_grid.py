@@ -97,6 +97,28 @@ def test_cube_has_no_exterior():
 
 
 @pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("dim, nodes", [(1, 17), (2, 19), (3, 11), (3, 35)])
+def test_node_rule_on_boxes_matches_whole_grid(dim, nodes, shape):
+    # a box cut from the grid's axes gets the grid's squared radii bit for
+    # bit, and the grid's classes wherever all its neighbours are in the box
+    g = GridSpec(dim, nodes, shape)
+    combine = np.maximum if shape == "cube" else np.add
+    whole, cls = grid._radius_squared(g, combine), classify_nodes(g)
+    rng = np.random.default_rng(nodes)
+    for _ in range(20):
+        box = tuple(slice(lo, hi) for lo, hi in
+                    (np.sort(rng.choice(nodes + 1, 2, replace=False)) for _ in range(dim)))
+        r2 = grid.radius_squared([g.axis_coords()[axis] ** 2 for axis in box], combine)
+        assert np.array_equal(r2, whole[box])
+        closed, interior = grid.node_rule(r2)
+        assert np.array_equal(closed, cls[box] != NodeClass.EXTERIOR)
+        core = (slice(1, -1),) * dim
+        assert np.array_equal(interior[core], cls[box][core] == NodeClass.INTERIOR)
+        interior[core] = False
+        assert not interior.any()  # a node on a face of the box never is
+
+
+@pytest.mark.parametrize("shape", ["ball", "cube"])
 @pytest.mark.parametrize("dim, nodes", [(1, 17), (2, 19), (3, 11)])
 def test_off_links_match_sliced_masks(dim, nodes, shape):
     # flat link j sits at the compact position of node j when j is not the
