@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import jacobi_eigvals, vector_norm
+from .eig import jacobi_eigvals, spectral_norms, vector_norm
 from .jets import feasible_pairs, radial_jets
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
@@ -205,8 +205,8 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     a doubled maximum (_check_cap).  Every point is checked before
     radial_jets takes the scalars of all the jets at xbar - ybar as one
     stack and feasible_pairs draws their pairs; one jacobi_eigvals call
-    takes every spectrum of
-    M^{p-2} Th (X+Y) Th, and one every |X| (= |Y|).
+    takes every spectrum of M^{p-2} Th (X+Y) Th, and one spectral_norms
+    call every |X| (= |Y|).
     """
     p, n = params.p, params.N
     points = [tuple(np.asarray(v, dtype=float) for v in point) for point in points]
@@ -232,7 +232,7 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
 
     mp2 = M ** (p - 2.0)
     lams = jacobi_eigvals(mp2 * st.Theta @ (X + X) @ st.Theta)
-    x_norms = np.abs(jacobi_eigvals(X)).max(axis=1)
+    x_norms = spectral_norms(X)
     reports = []
     for s, (q, qx, qy), lam, x_norm, theta_sq, ok in zip(ss, grads, lams, x_norms,
                                                           st.theta_norm_sq(), eq_ok):

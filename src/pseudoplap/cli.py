@@ -34,7 +34,7 @@ from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pa
 from .lemmas import uncovered_pairs, zt_rows
 from .manufactured import closed_form_1d, make_boundary, make_f_field, separable_reference
 from .manufactured import separable_trace, zero_boundary
-from .regularity import estimate_constant, preset_sweep, records_to_csv
+from .regularity import estimate_constant, holder_column, preset_sweep, records_to_csv
 from .reporting import config_hash, svg_line_plot, write_csv
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
 
@@ -138,6 +138,9 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
                                  rule="comparison_p must be > 2")
     scales = cfg.get_list("lemmas", "claims_scales", [1e-1, 1e-2, 1e-3, 1e-4],
                           valid=lambda s: 0.0 < s < 1.0, rule="every scale must be in (0, 1)")
+    if len(set(scales)) < 2:
+        cfg.fail("lemmas", "claims_scales",
+                 f"the drift check needs at least two distinct scales, got {scales}")
     claims_N = cfg.get_int("lemmas", "claims_N", 2, valid=lambda n: n in (1, 2, 3),
                            rule="claims_N must be 1, 2 or 3")
     claims_M = cfg.get_float("lemmas", "claims_M", 10.0, valid=lambda m: m > 1.0,
@@ -231,6 +234,9 @@ def run_measure_regularity(cfg: RawConfig) -> Callable:
     for g in gammas:  # may be empty: a Lipschitz-only run
         if not 0.0 < g < 1.0:
             cfg.fail("regularity", "gammas", f"every gamma must be in (0, 1), got {g}")
+    columns = [holder_column(g) for g in gammas]
+    if len(set(columns)) < len(columns):
+        cfg.fail("regularity", "gammas", f"two gammas share a records.csv column: {columns}")
     lambdas = cfg.get_list("regularity", "scaling_lambdas", [0.1, 10.0],
                            valid=lambda lam: np.isfinite(lam) and lam > 0.0,
                            rule="every lambda must be finite and > 0")

@@ -2,8 +2,9 @@
 
 One sweep, _jacobi, rotates a whole stack of matrices at once; it is bit for
 bit the numpy-slice kernel kept in tests/jacobi_reference.py.  The lemma
-checks take every eigenvalue with jacobi_eigvals, on stacks; jacobi_eigh and
-spectral_norm, its one-matrix calls, are what perfbench binds.
+checks take every eigenvalue with jacobi_eigvals, and every norm with
+spectral_norms, on stacks; jacobi_eigh and spectral_norm, their one-matrix
+calls, are what perfbench binds.
 vector_norm is the Euclidean norm the lemma modules take of a real vector,
 and row_dots the dot product of each row of a stack, whose square root is
 vector_norm of that row.
@@ -140,6 +141,11 @@ def jacobi_eigh(a: np.ndarray):
     return w[0], V[0]
 
 
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """The largest absolute eigenvalue of each symmetric matrix of the stack a."""
+    return np.abs(jacobi_eigvals(a)).max(axis=1)
+
+
 def spectral_norm(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of one symmetric matrix."""
-    return float(np.abs(jacobi_eigvals(_matrix(a)[None])).max())
+    return float(spectral_norms(_matrix(a)[None])[0])

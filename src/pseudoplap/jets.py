@@ -34,8 +34,7 @@ is built: jet_scalars takes s, w', w'', iota, alphaH and betaH of a stack of
 points as arrays (Jets), Jets.large_branch its index sets and damped
 inequality, min_eig_screen adds each point's test vector and bound, and
 pair_screen the doubling pair's preconditions.  A stack may mix N: each row
-of x is zero past its own N axes.  radial_jet, pair_jet, min_eig_terms,
-index_set and test_vector are their one-point calls.
+of x is zero past its own N axes.
 
 The squeeze of a pair with Y = X is tested at the size of X, exactly.  With
 B = X - (2M+1) Id, the lower side is block-diagonal, so its least eigenvalue
@@ -52,7 +51,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .eig import jacobi_eigvals, row_dots, vector_norm
+from .eig import jacobi_eigvals, row_dots, spectral_norms
 from .moduli import Modulus, check_validity
 
 _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
@@ -84,13 +83,6 @@ class Jets:
         """The jets ks, in that order."""
         return Jets(*(getattr(self, f.name)[ks] for f in fields(self)))
 
-    def radial(self) -> list:
-        """Each jet alone, as a RadialJet: x cut to its N axes, the scalars
-        Python floats."""
-        scalars = [getattr(self, f.name).tolist() for f in fields(self)[2:]]
-        return [RadialJet(x[:n].copy(), *row)
-                for x, n, *row in zip(self.x, self.N.tolist(), *scalars)]
-
     def eq_n_epsilon(self, eps) -> np.ndarray:
         """Truth of beta w''(s)(1 - N s^{2e}) + alpha N s^{2e} w'(s)/s <= w''(s)/4
         for each jet, at its eps (a scalar or one per jet).
@@ -104,49 +96,23 @@ class Jets:
 
     def large_branch(self, eps) -> tuple:
         """The large branch's preconditions at each jet's eps: (axes, ok), with
-        axes[S, n] its index set (index_set) and ok the truth of a nonempty
+        axes[S, n] its index set (_index_sets) and ok the truth of a nonempty
         set and of eq_n_epsilon."""
         axes = _index_sets(self.x, self.s, self.N, eps)
         return axes, axes.any(axis=1) & self.eq_n_epsilon(eps)
 
 
 @dataclass(frozen=True)
-class RadialJet:
-    """One jet's scalars as Python floats: x (its N axes), M, s, wp, wpp,
-    iota, alphaH and betaH of Jets."""
+class JetMatrices:
+    """The matrices of one jet at its exponent p: jets is its one-jet Jets,
+    with x of width N."""
 
-    x: np.ndarray
-    M: float
-    s: float
-    wp: float
-    wpp: float
-    iota: float
-    alphaH: float
-    betaH: float
-
-    @property
-    def N(self) -> int:
-        return len(self.x)
-
-    def eq_n_epsilon(self, eps: float) -> bool:
-        """Jets.eq_n_epsilon of this one jet."""
-        return bool(_stack_jets([self]).eq_n_epsilon(eps)[0])
-
-
-@dataclass(frozen=True)
-class JetMatrices(RadialJet):
-    """The matrices at x of one jet, with the scalars of its RadialJet."""
-
+    jets: Jets
     p: float
     H1: np.ndarray
     Htilde: np.ndarray
     Theta: np.ndarray
     H: np.ndarray
-
-
-def _spectral_norms(A: np.ndarray) -> np.ndarray:
-    """The largest absolute eigenvalue of each symmetric matrix of the stack A."""
-    return np.abs(jacobi_eigvals(A)).max(axis=1)
 
 
 def jet_scalars(x, N, M, modulus: Modulus) -> Jets:
@@ -175,13 +141,6 @@ def jet_scalars(x, N, M, modulus: Modulus) -> Jets:
     return Jets(x, N, M, s, wp, wpp, iota, alphaH, betaH)
 
 
-def _stack_jets(rs) -> Jets:
-    """The Jets of the RadialJets rs, all of one N."""
-    x = np.array([r.x for r in rs])
-    scalars = np.array([(r.M, r.s, r.wp, r.wpp, r.iota, r.alphaH, r.betaH) for r in rs]).T
-    return Jets(x, np.full(len(rs), x.shape[1]), *scalars)
-
-
 def _stack_matrices(jets: Jets, ps) -> tuple:
     """H1, Htilde and Theta, each (S, N, N), of S jets whose x is (S, N) at
     the exponents ps; H is Theta @ Htilde @ Theta, taken where it is read.
@@ -207,14 +166,6 @@ def _stack_matrices(jets: Jets, ps) -> tuple:
     return H1, Htilde, Theta
 
 
-def _assemble(r: RadialJet, p: float) -> JetMatrices:
-    """H1, Htilde, Theta and H of the jet whose scalars are r."""
-    H1, Htilde, Theta = (m[0] for m in _stack_matrices(_stack_jets([r]), [p]))
-    H = Theta @ Htilde @ Theta
-    return JetMatrices(x=r.x, M=r.M, s=r.s, wp=r.wp, wpp=r.wpp, iota=r.iota, alphaH=r.alphaH,
-                       betaH=r.betaH, p=p, H1=H1, Htilde=Htilde, Theta=Theta, H=H)
-
-
 def _check_M(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if not (M > 1.0).all():
@@ -230,14 +181,11 @@ def radial_jets(x, M: float, modulus: Modulus) -> Jets:
     return jet_scalars(x, None, _check_M(np.full(len(x), M)), modulus)
 
 
-def radial_jet(x, M: float, modulus: Modulus) -> RadialJet:
-    """The RadialJet of the one point x: the one-point call of radial_jets."""
-    return radial_jets([x], M, modulus).radial()[0]
-
-
 def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
     """Assemble H1, Htilde, Theta, H at x with the damping iota = 1/(4 M |H1|)."""
-    return _assemble(radial_jet(x, M, modulus), p)
+    jets = radial_jets([x], M, modulus)
+    H1, Htilde, Theta = (m[0] for m in _stack_matrices(jets, [p]))
+    return JetMatrices(jets, p, H1, Htilde, Theta, Theta @ Htilde @ Theta)
 
 
 def _index_sets(x, s, N, eps) -> np.ndarray:
@@ -247,36 +195,10 @@ def _index_sets(x, s, N, eps) -> np.ndarray:
     return (np.abs(x) >= cut[:, None]) & (np.arange(x.shape[1]) < N[:, None])
 
 
-def index_set(x, eps: float) -> np.ndarray:
-    """Axes i with |x_i| >= |x|^{1+eps}; nonempty whenever N |x|^{2 eps} <= 1."""
-    x = np.asarray(x, dtype=float)
-    s = vector_norm(x)
-    if s == 0.0:
-        raise ValueError("x must be nonzero")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return np.flatnonzero(_index_sets(x[None], s[None], np.array([len(x)]), eps)[0])
-
-
 def _test_vectors(x, p, axes) -> np.ndarray:
     """Each row's sum_{i in axes} |x_i|^{(2-p)/2} x_i e_i, at its own p."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(axes, np.abs(x) ** ((2.0 - p) / 2.0)[:, None] * x, 0.0)
-
-
-def test_vector(x, p: float, idx=None) -> np.ndarray:
-    """The vector sum_{i in idx} |x_i|^{(2-p)/2} x_i e_i; idx defaults to the
-    axes with x_i != 0.
-
-    Components with x_i = 0 contribute 0 (continuous extension for p < 4,
-    convention at p = 4).
-    """
-    x = np.asarray(x, dtype=float)
-    axes = x != 0.0
-    if idx is not None:
-        axes = np.zeros(len(x), dtype=bool)
-        axes[idx] = True
-    return _test_vectors(x[None], np.array([float(p)]), axes[None])[0]
 
 
 def _reject_large_branch(jets: Jets, eps) -> None:
@@ -334,16 +256,6 @@ def min_eig_screen(x, N, p, eps, modulus: Modulus) -> tuple:
     return MinEigTerms(jets, p, w, bound).take(ok), ok
 
 
-def min_eig_terms(x, p: float, eps: float | None, modulus: Modulus) -> MinEigTerms:
-    """The MinEigTerms of the one point x: the one-point call of
-    min_eig_screen, which raises ValueError for a rejected point too."""
-    x = np.asarray(x, dtype=float)
-    terms, ok = min_eig_screen(x[None], None, [p], None if eps is None else [eps], modulus)
-    if not ok[0]:
-        _reject_large_branch(jet_scalars(x[None], None, [1.0], modulus), eps)
-    return terms
-
-
 def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
     """Certify the negative-eigenvalue bound for H(x) via the Rayleigh quotient.
 
@@ -353,9 +265,14 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
     lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
 
     Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H): the
-    one-point call of min_eig_screen and min_eig_bound_checks.
+    one-point call of min_eig_screen and min_eig_bound_checks, which raises
+    ValueError for a rejected point too.
     """
-    return tuple(float(v[0]) for v in min_eig_bound_checks(min_eig_terms(x, p, eps, modulus)))
+    x = np.asarray(x, dtype=float)
+    terms, ok = min_eig_screen(x[None], None, [p], None if eps is None else [eps], modulus)
+    if not ok[0]:
+        _reject_large_branch(jet_scalars(x[None], None, [1.0], modulus), eps)
+    return tuple(float(v[0]) for v in min_eig_bound_checks(terms))
 
 
 def _by_n(N) -> list:
@@ -401,7 +318,7 @@ def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
     before returning, resampling on failure.  The one-jet call of
     feasible_pairs, whose rounds are then one draw each.
     """
-    X = feasible_pairs(_stack_jets([jm]), [jm.p], rng)[1][0]
+    X = feasible_pairs(jm.jets, [jm.p], rng)[1][0]
     return X, X.copy()
 
 
@@ -458,18 +375,6 @@ def pair_screen(x, N, M, p, modulus: Modulus, eps) -> tuple:
     return jets, _pair_large_branch(jets, p, eps)[1]
 
 
-def pair_jet(x, M: float, p: float, modulus: Modulus, eps: float | None = None) -> RadialJet:
-    """The scalars of the jet at x, once they pass every test of
-    pair_conclusions_check that needs no pair: M > 1, a valid x and, for
-    p >= 4, eps and the large branch's preconditions.  Raises ValueError
-    otherwise; no matrix is built.  The one-point call of pair_screen."""
-    x = np.asarray(x, dtype=float)
-    jets, ok = pair_screen(x[None], None, [M], [p], modulus, [eps])
-    if not ok[0]:
-        _reject_large_branch(jets, eps)
-    return jets.radial()[0]
-
-
 def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
                            eps: float | None = None) -> PairConclusions:
     """Verify the eigenvalue conclusions for a pair, after testing that it is feasible.
@@ -485,7 +390,7 @@ def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
     """
     if not np.array_equal(X, Y):
         raise ValueError("only pairs with Y = X are tested")
-    st = _pair_stack(_stack_jets([jm]), [jm.p])
+    st = _pair_stack(jm.jets, [jm.p])
     X = np.asarray(X, dtype=float)[None]
     ok, details, norm_sum = _pair_squeeze_checks(X, st)
     if not ok[0]:
@@ -528,8 +433,8 @@ def _conclusions(M: float, n: int, s: float, wp: float, wpp: float, p: float,
 class PairStack:
     """S jets of one N at their exponents p, stacked for the pair tests: the
     Jets (x is (S, N)), p, |H1| and |Htilde| (S,), Htilde and Theta
-    (S, N, N).  Entry k is bit for bit what _assemble of jet k at p[k]
-    gives, and spectral_norm of its H1 and Htilde."""
+    (S, N, N).  Entry k is bit for bit what jet k alone gives at p[k], and
+    the spectral norm of its H1 and Htilde."""
 
     jets: Jets
     p: np.ndarray
@@ -555,14 +460,14 @@ class PairStack:
 def _pair_stack(jets: Jets, ps) -> PairStack:
     H1, Htilde, Theta = _stack_matrices(jets, ps)
     return PairStack(jets, np.array(ps, dtype=float), Htilde, Theta,
-                     _spectral_norms(H1), _spectral_norms(Htilde))
+                     spectral_norms(H1), spectral_norms(Htilde))
 
 
 def _pair_points(st: PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The pair point X = (2M+1) Id - 2M |Htilde| Id + S of every jet of st,
     S scaled to norm u (M/4) |Htilde|; a zero S stays unscaled."""
     eye = np.eye(S.shape[1])
-    s_norm = _spectral_norms(S)
+    s_norm = spectral_norms(S)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(s_norm > 0.0, u * (st.M / 4.0) * st.ht_norm / s_norm, 1.0)
     return (2.0 * st.M + 1.0)[:, None, None] * eye \

@@ -133,12 +133,17 @@ def estimate_constant(records) -> float:
     return max(rec.ratio for rec in records)
 
 
+def holder_column(gamma: float) -> str:
+    """The records.csv column of the Hölder seminorm at gamma."""
+    return f"holder_{gamma:g}"
+
+
 def records_to_csv(path, records, cfg_hash: str = "none") -> None:
     """Stable column order: p,N,r,f_label,u_sup,f_sup,lip_seminorm,ratio,holder_<g>..."""
     records = list(records)
     gammas = sorted({g for rec in records for g in rec.holder_seminorms})
     columns = ["p", "N", "r", "f_label", "u_sup", "f_sup", "lip_seminorm", "ratio"]
-    columns += [f"holder_{g:g}" for g in gammas]
+    columns += [holder_column(g) for g in gammas]
     rows = []
     for rec in records:
         row = [rec.p, rec.N, rec.r, rec.f_label, rec.u_sup, rec.f_sup,

@@ -3,10 +3,12 @@
 `feasible_pair_conclusions` below draws from the rng in the order the
 shipped one does (jets of each N in order of first appearance, then rounds
 over the jets still pending, each drawing S and its radius factor), but
-takes each jet of the stack alone as a RadialJet, builds it alone, scales S
-by `eig.spectral_norm`, and tests each pair with the one-jet call
-`jets.pair_conclusions_check`.
+takes each jet of the stack alone, as the one-jet stack `stack.take([k])`
+cut to its N axes, builds it alone, scales S by `eig.spectral_norm`, and
+tests each pair with the one-jet call `jets.pair_conclusions_check`.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,29 +16,41 @@ from pseudoplap import jets
 from pseudoplap.eig import spectral_norm
 
 
+def alone(stack, k):
+    """Jet k of the Jets stack as a one-jet stack, x cut to its N axes."""
+    one = stack.take([k])
+    return replace(one, x=one.x[:, :int(one.N[0])])
+
+
+def jet_matrices(one, p):
+    """The JetMatrices of the one-jet stack one at p, as build_jet_matrices builds them."""
+    H1, Htilde, Theta = (m[0] for m in jets._stack_matrices(one, [p]))
+    return jets.JetMatrices(one, p, H1, Htilde, Theta, Theta @ Htilde @ Theta)
+
+
 def feasible_pair_conclusions(stack, ps, eps, rng):
-    rs = stack.radial()
-    out = [None] * len(rs)
+    ones = [alone(stack, k) for k in range(len(stack))]
+    out = [None] * len(ones)
     by_n = {}
-    for k, r in enumerate(rs):
-        by_n.setdefault(r.N, []).append(k)
-    for ks in by_n.values():
+    for k, one in enumerate(ones):
+        by_n.setdefault(int(one.N[0]), []).append(k)
+    for n, ks in by_n.items():
         pending = list(ks)
         for _ in range(jets._PAIR_DRAWS):
             draws = []
             for k in pending:
-                S = jets._direction(rng, rs[k].N)
+                S = jets._direction(rng, n)
                 draws.append((S, rng.uniform(0.0, 1.0) if S.any() else 0.0))
             for k, (S, u) in zip(pending, draws):
-                jm = jets._assemble(rs[k], ps[k])
-                n, M = jm.N, jm.M
+                jm = jet_matrices(ones[k], ps[k])
+                M = float(ones[k].M[0])
                 s_norm, ht_norm = spectral_norm(S), spectral_norm(jm.Htilde)
                 if s_norm > 0.0:
                     S = S * (u * (M / 4.0) * ht_norm / s_norm)
                 X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
                 try:
                     rep = jets.pair_conclusions_check(X, X, jm, eps[k])
-                except ValueError as err:  # rs[k] passed pair_jet, so only the squeeze fails
+                except ValueError as err:  # the jet passed pair_screen, so only the squeeze fails
                     assert "block squeeze" in str(err)
                     continue
                 if rep.norm_sum <= 6.0 * M * spectral_norm(jm.H1) * (1.0 + 1e-12):

@@ -255,6 +255,12 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
      "[lemmas] claims_scales: every scale must be in (0, 1), got 0.0"),
     ("verify-lemmas", LEMMAS_ALL, "claims_scales = 0.1, 0.01", "claims_scales = 2",
      "[lemmas] claims_scales: every scale must be in (0, 1), got 2.0"),
+    # one scale, or one repeated, leaves the drift check nothing to compare
+    ("verify-lemmas", LEMMAS_ALL, "claims_scales = 0.1, 0.01", "claims_scales = 0.001, 0.001",
+     "[lemmas] claims_scales: the drift check needs at least two distinct scales, "
+     "got [0.001, 0.001]"),
+    ("verify-lemmas", LEMMAS_ALL, "claims_scales = 0.1, 0.01", "claims_scales = 0.01",
+     "[lemmas] claims_scales: the drift check needs at least two distinct scales, got [0.01]"),
     ("verify-lemmas", LEMMAS_ALL, "barrier_nodes = 33", "barrier_nodes = 10",
      "[lemmas] barrier_nodes: nodes_per_axis must be odd and >= 9, got 10"),
     ("verify-lemmas", LEMMAS_ALL, "barrier_p_list = 3", "barrier_p_list = 1.5",
@@ -288,6 +294,7 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
         "conv-decreasing-nodes", "conv-negative-order", "conv-nan-order", "solve-dimension",
         "solve-nan-f", "solve-inf-boundary", "solve-zero-sigma", "lemmas-claims-N",
         "lemmas-claims-M", "lemmas-claims-M-cap", "lemmas-zero-scale", "lemmas-scale-2",
+        "lemmas-repeated-scale", "lemmas-one-scale",
         "lemmas-even-nodes",
         "lemmas-barrier-p", "lemmas-barrier-N", "lemmas-empty-N-list", "lemmas-min-eig-samples",
         "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples",
@@ -610,6 +617,15 @@ def test_regularity_radius_outside_interior_exit_2(tmp_path, monkeypatch, capsys
 def test_regularity_gamma_outside_unit_interval_exit_2(tmp_path, monkeypatch, capsys, bad):
     _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, "gammas", bad,
                                 "every gamma must be in (0, 1)")
+
+
+@pytest.mark.parametrize("bad, columns", [
+    ("0.5, 0.5000001", "['holder_0.5', 'holder_0.5']"),  # two columns of one name
+    ("0.25, 0.5, 0.5", "['holder_0.25', 'holder_0.5', 'holder_0.5']"),  # one column dropped
+], ids=["near-equal", "repeated"])
+def test_regularity_gammas_of_one_column_exit_2(tmp_path, monkeypatch, capsys, bad, columns):
+    _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, "gammas", bad,
+                                f"two gammas share a records.csv column: {columns}")
 
 
 @pytest.mark.parametrize("bad", ["-1", "0.1, 0", "inf", "nan"])

@@ -1,32 +1,41 @@
-from dataclasses import astuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import jacobi_reference
+from pair_reference import alone, jet_matrices
 from pseudoplap import jets
 from pseudoplap.claims import DEFAULT_REGIME_P, REGIMES, regime_params
-from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm
+from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, row_dots, spectral_norm
 from pseudoplap.jets import (
-    _assemble,
-    _stack_jets,
+    Jets,
+    _index_sets,
     _stack_matrices,
+    _test_vectors,
     build_jet_matrices,
     feasible_pair_sample,
-    index_set,
     jet_scalars,
     min_eig_bound_check,
     pair_conclusions_check,
-    pair_jet,
-    radial_jet,
+    pair_screen,
 )
-from pseudoplap.jets import test_vector as make_test_vector
 from pseudoplap.moduli import HolderModulus, LipschitzModulus, stacked
 
 
 def random_point(rng, N, s):
     x = rng.standard_normal(N)
     return x * (s / np.linalg.norm(x))
+
+
+def scalar(jm, name):
+    """The scalar `name` of the one jet of jm, as a Python float."""
+    return float(getattr(jm.jets, name)[0])
+
+
+def concat(ones):
+    """One Jets stack of the one-jet stacks ones, all of one N, in order."""
+    return Jets(*(np.concatenate([getattr(one, f.name) for one in ones]) for f in fields(Jets)))
 
 
 def test_jet_matrices_1d_example():
@@ -36,14 +45,16 @@ def test_jet_matrices_1d_example():
     assert abs(jm.Theta[0, 0] - mod.omega_prime(0.5) ** 0.5) < 1e-14
 
 
-def assemble_reference(r, p):
-    """H1, Htilde, Theta and H of one jet by the formulas on 2D arrays: the
-    reference for _stack_matrices, for the stacked H = Theta @ Htilde @ Theta
-    of min_eig_bound_checks, and for _assemble."""
-    x, s, wp, wpp = r.x, r.s, r.wp, r.wpp
+def assemble_reference(one, p):
+    """H1, Htilde, Theta and H of the one-jet stack one by the formulas on 2D
+    arrays: the reference for _stack_matrices, for the stacked
+    H = Theta @ Htilde @ Theta of min_eig_bound_checks, and for
+    build_jet_matrices."""
+    x = one.x[0]
+    s, wp, wpp, iota = (float(v[0]) for v in (one.s, one.wp, one.wpp, one.iota))
     unit = x / s
     H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
-    Htilde = H1 + 2.0 * r.iota * (H1 @ H1)
+    Htilde = H1 + 2.0 * iota * (H1 @ H1)
     Theta = np.diag(np.abs(wp * x / s) ** ((p - 2.0) / 2.0))
     return H1, Htilde, Theta, Theta @ Htilde @ Theta
 
@@ -52,17 +63,19 @@ def assemble_reference(r, p):
 def test_stacked_matrices_match_one_jet_formulas(N):
     # p = 3 and p = 6 give numpy's sqrt and square exponents, the others pow
     rng = np.random.default_rng(N)
-    rs, ps = [], []
+    jms = []
     for k in range(200):
         x = random_point(rng, N, 10 ** rng.uniform(-4, -0.5))
         mod = HolderModulus(float(rng.uniform(0.1, 0.9)))
-        rs.append(radial_jet(x, float(rng.uniform(1.5, 50.0)), mod))
-        ps.append((3.0, 6.0, 4.0, float(rng.uniform(2.05, 8.0)))[k % 4])
-    H1s, Htildes, Thetas = _stack_matrices(_stack_jets(rs), ps)
+        M = float(rng.uniform(1.5, 50.0))
+        p = (3.0, 6.0, 4.0, float(rng.uniform(2.05, 8.0)))[k % 4]
+        jms.append(build_jet_matrices(x, M, p, mod))
+    H1s, Htildes, Thetas = _stack_matrices(concat([jm.jets for jm in jms]),
+                                           [jm.p for jm in jms])
     Hs = Thetas @ Htildes @ Thetas  # the stacked H of min_eig_bound_checks
-    for k, (r, p) in enumerate(zip(rs, ps)):
-        jm = _assemble(r, p)
-        H1, Htilde, Theta, H = assemble_reference(r, p)
+    for k, jm in enumerate(jms):
+        p = jm.p
+        H1, Htilde, Theta, H = assemble_reference(jm.jets, p)
         for got, alone, want in ((H1s[k], jm.H1, H1), (Htildes[k], jm.Htilde, Htilde),
                                  (Thetas[k], jm.Theta, Theta), (Hs[k], jm.H, H)):
             assert np.array_equal(got, want) and np.array_equal(alone, want), (k, p)
@@ -87,7 +100,7 @@ def test_jet_iota_normalization():
         for M in (1.5, 10.0, 200.0):
             x = random_point(rng, N, 0.05)
             jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
-            assert abs(jm.iota * spectral_norm(jm.H1) * 4.0 * M - 1.0) < 1e-12
+            assert abs(scalar(jm, "iota") * spectral_norm(jm.H1) * 4.0 * M - 1.0) < 1e-12
 
 
 def test_jet_htilde_closed_form():
@@ -99,8 +112,9 @@ def test_jet_htilde_closed_form():
             s = np.linalg.norm(x)
             unit = x / s
             wp, wpp = float(mod.omega_prime(s)), float(mod.omega_second(s))
-            closed = (jm.betaH * wpp - jm.alphaH * wp / s) * np.outer(unit, unit) \
-                + jm.alphaH * (wp / s) * np.eye(len(x))
+            alphaH, betaH = scalar(jm, "alphaH"), scalar(jm, "betaH")
+            closed = (betaH * wpp - alphaH * wp / s) * np.outer(unit, unit) \
+                + alphaH * (wp / s) * np.eye(len(x))
             rel = np.abs(closed - jm.Htilde).max() / np.abs(jm.Htilde).max()
             assert rel < 1e-12
 
@@ -113,7 +127,7 @@ def test_jet_cached_norms():
             N = int(rng.integers(1, 5))
             x = random_point(rng, N, 10 ** rng.uniform(-4, -0.7))
             jm = build_jet_matrices(x, float(rng.uniform(1.1, 40)), 3.3, mod)
-            st = jets._pair_stack(_stack_jets([jm]), [jm.p])
+            st = jets._pair_stack(jm.jets, [jm.p])
             h1_norm, ht_norm = st.h1_norm[0], st.ht_norm[0]
             assert h1_norm == spectral_norm(jm.H1)
             assert ht_norm == spectral_norm(jm.Htilde)
@@ -121,8 +135,8 @@ def test_jet_cached_norms():
             wp, wpp = float(mod.omega_prime(s)), float(mod.omega_second(s))
             # in 1D only the radial eigenvalue exists
             h1 = max(abs(wpp), wp / s) if N > 1 else abs(wpp)
-            ht = max(abs(jm.betaH * wpp), jm.alphaH * wp / s) if N > 1 \
-                else abs(jm.betaH * wpp)
+            alphaH, betaH = scalar(jm, "alphaH"), scalar(jm, "betaH")
+            ht = max(abs(betaH * wpp), alphaH * wp / s) if N > 1 else abs(betaH * wpp)
             assert abs(h1_norm - h1) <= 1e-12 * h1
             assert abs(ht_norm - ht) <= 1e-12 * ht
 
@@ -136,12 +150,13 @@ def test_alpha_beta_ranges():
         x = random_point(rng, N, 10 ** rng.uniform(-4, -0.7))
         M = float(rng.uniform(1.001, 100))
         jm = build_jet_matrices(x, M, 4.0, mod)
+        alphaH, betaH = scalar(jm, "alphaH"), scalar(jm, "betaH")
         # alpha damps the tangential eigenvalue w'/s, which 1D does not have:
         # there iota = 1/(4M|w''|) bounds only beta, to exactly 1 - 1/(2M)
-        assert 1.0 < jm.alphaH and (N == 1 or jm.alphaH <= 1.5)
-        assert 0.5 <= jm.betaH <= 1.5  # upper edge derived from 2 iota |w''| <= 1/2
+        assert 1.0 < alphaH and (N == 1 or alphaH <= 1.5)
+        assert 0.5 <= betaH <= 1.5  # upper edge derived from 2 iota |w''| <= 1/2
         if N == 1:
-            assert abs(jm.betaH - (1.0 - 0.5 / M)) <= 1e-15
+            assert abs(betaH - (1.0 - 0.5 / M)) <= 1e-15
 
 
 def test_block_norm_identity():
@@ -158,7 +173,7 @@ def test_jet_entry_points_reject_M_at_most_one(M):
     mod = HolderModulus(0.5)
     x = np.array([0.05, 0.02])
     with pytest.raises(ValueError, match="M must be > 1"):
-        pair_jet(x, M, 3.0, mod)
+        pair_screen(x[None], None, [M], [3.0], mod, [None])
     with pytest.raises(ValueError, match="M must be > 1"):
         build_jet_matrices(x, M, 3.0, mod)
 
@@ -176,13 +191,28 @@ def test_build_rejects_bad_inputs():
         build_jet_matrices(np.array([lip.s0 * 0.999 + 0.01]), 10.0, 3.0, lip)
 
 
+def axes_of(x, eps):
+    """The large branch's index set of the one point x, as a mask: the
+    stacked _index_sets of a one-point stack."""
+    x = np.asarray(x, dtype=float)[None]
+    return _index_sets(x, np.sqrt(row_dots(x, x)), np.array([x.shape[1]]), eps)[0]
+
+
+def vector_of(x, p, axes=None):
+    """The test vector of the one point x at p on the axes mask, x != 0 by
+    default: the stacked _test_vectors of a one-point stack."""
+    x = np.asarray(x, dtype=float)
+    axes = x != 0.0 if axes is None else axes
+    return _test_vectors(x[None], np.array([p]), axes[None])[0]
+
+
 def test_index_set_examples():
-    assert list(index_set(np.array([0.3]), 0.7)) == [0]
+    assert axes_of(np.array([0.3]), 0.7).tolist() == [True]
     x = np.array([0.1, 0.1])
     s = np.linalg.norm(x)
     manual = [i for i in range(2) if abs(x[i]) >= s**1.1]
-    assert list(index_set(x, 0.1)) == manual and manual == []
-    assert list(index_set(np.array([0.5, 1e-9]), 0.5)) == [0]
+    assert np.flatnonzero(axes_of(x, 0.1)).tolist() == manual and manual == []
+    assert axes_of(np.array([0.5, 1e-9]), 0.5).tolist() == [True, False]
 
 
 def test_index_set_nonempty_guarantee():
@@ -192,18 +222,18 @@ def test_index_set_nonempty_guarantee():
         eps = float(rng.uniform(0.01, 1.0))
         x = random_point(rng, N, 10 ** rng.uniform(-4, -0.5))
         if N * np.linalg.norm(x) ** (2 * eps) <= 1.0:
-            assert len(index_set(x, eps)) >= 1
+            assert axes_of(x, eps).any()
 
 
 def test_test_vector_p4_signs():
     x = np.array([0.3, -0.2])
-    w = make_test_vector(x, 4.0)
+    w = vector_of(x, 4.0)
     assert np.allclose(w, np.sign(x))
 
 
 def test_test_vector_arithmetic_example():
     x = np.array([0.04, 0.03])
-    w = make_test_vector(x, 3.0)
+    w = vector_of(x, 3.0)
     assert np.allclose(w, [0.2, np.sqrt(0.03)], atol=1e-12)
     assert abs(w @ w - 0.07) < 1e-15
     s = np.linalg.norm(x)  # = 0.05
@@ -217,23 +247,23 @@ def test_test_vector_norm_bounds_random():
         x = random_point(rng, N, 10 ** rng.uniform(-3, -0.3))
         s = np.linalg.norm(x)
         p = float(rng.uniform(2.05, 4.0))
-        w = make_test_vector(x, p)
+        w = vector_of(x, p)
         assert w @ w <= s ** (4 - p) * N ** ((p - 2) / 2) * (1 + 1e-12)
         p = float(rng.uniform(4.0 + 1e-6, 8.0))
         eps = float(rng.uniform(0.05, 0.5))
-        idx = index_set(x, eps)
-        if len(idx):
-            w = make_test_vector(x, p, idx)
-            assert w @ w <= len(idx) * s ** ((4 - p) * (1 + eps)) * (1 + 1e-12)
+        axes = axes_of(x, eps)
+        if axes.any():
+            w = vector_of(x, p, axes)
+            assert w @ w <= axes.sum() * s ** ((4 - p) * (1 + eps)) * (1 + 1e-12)
 
 
 def test_test_vector_zero_component():
-    w = make_test_vector(np.array([0.3, 0.0]), 3.5)
+    w = vector_of(np.array([0.3, 0.0]), 3.5)
     assert w[1] == 0.0 and np.isfinite(w).all()
-    w4 = make_test_vector(np.array([0.3, 0.0]), 4.0)
+    w4 = vector_of(np.array([0.3, 0.0]), 4.0)
     assert w4[1] == 0.0
     x = np.array([0.1, 1e-8])
-    assert make_test_vector(x, 6.0, index_set(x, 0.3))[1] == 0.0  # restricted support
+    assert vector_of(x, 6.0, axes_of(x, 0.3))[1] == 0.0  # restricted support
 
 
 def test_min_eig_bound_1d_equality():
@@ -305,8 +335,8 @@ def test_eq_n_epsilon_1d_reduction():
     eps = 0.3
     jm = build_jet_matrices(x, 1.0 + 1e-12, 3.0, mod)  # iota ~ 1/(4 |H1|)
     s = 0.01
-    lhs = jm.betaH * mod.omega_second(s) * (1 - s ** (2 * eps)) \
-        + jm.alphaH * s ** (2 * eps) * mod.omega_prime(s) / s
+    lhs = scalar(jm, "betaH") * mod.omega_second(s) * (1 - s ** (2 * eps)) \
+        + scalar(jm, "alphaH") * s ** (2 * eps) * mod.omega_prime(s) / s
     manual = lhs <= mod.omega_second(s) / 4.0
     assert one_jet(x, mod).eq_n_epsilon(eps) == [manual]
 
@@ -326,7 +356,7 @@ def test_eq_n_epsilon_holds_below_selector_threshold():
 
 def squeeze(X, jm):
     """The stacked squeeze of the one pair (X, X) at jm: (ok, margins, norm_sum)."""
-    st = jets._pair_stack(_stack_jets([jm]), [jm.p])
+    st = jets._pair_stack(jm.jets, [jm.p])
     ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], st)
     return bool(ok[0]), tuple(float(m[0]) for m in margins), float(norm_sum[0])
 
@@ -403,9 +433,9 @@ def test_pair_conclusions_rejects_infeasible():
 
 
 def _pair_candidates(rng):
-    """(jet scalars, p, eps) that pass pair_jet: every regime at N = 1, 2, 3,
-    at its default p and, for the large-p regimes, at p = 4 exactly, where
-    both branches' bounds apply."""
+    """(regime, one-jet Jets, p, eps) that pass pair_screen: every regime at
+    N = 1, 2, 3, at its default p and, for the large-p regimes, at p = 4
+    exactly, where both branches' bounds apply."""
     out = []
     for regime in REGIMES:
         p_list = [DEFAULT_REGIME_P[regime]] + ([] if regime.endswith("small_p") else [4.0])
@@ -416,11 +446,13 @@ def _pair_candidates(rng):
                     s = params.delta_N * 10 ** rng.uniform(-1.5, -0.1) if params.eps \
                         else 10 ** rng.uniform(-4, -1.5)
                     try:
-                        r = pair_jet(random_point(rng, N, s), float(rng.uniform(1.5, 50)), p,
-                                     params.modulus(), eps=params.eps)
+                        one, ok = pair_screen(random_point(rng, N, s)[None], None,
+                                              [float(rng.uniform(1.5, 50))], [p],
+                                              params.modulus(), [params.eps])
                     except ValueError:
                         continue
-                    out.append((regime, r, p, params.eps))
+                    if ok[0]:
+                        out.append((regime, one, p, params.eps))
     return out
 
 
@@ -431,37 +463,38 @@ def test_stacked_pair_checks_match_scalar_path():
     rng = np.random.default_rng(41)
     cands = _pair_candidates(rng)
     # 1D lipschitz_large_p fails eq_n_epsilon on every draw
-    assert {(regime, r.N) for regime, r, _, _ in cands} \
+    assert {(regime, int(one.N[0])) for regime, one, _, _ in cands} \
         == {(regime, N) for regime in REGIMES for N in (1, 2, 3)} - {("lipschitz_large_p", 1)}
     assert 4.0 in {p for _, _, p, _ in cands}
     seen = set()
     for N in (1, 2, 3):
-        group = [c for c in cands if c[1].N == N]
-        st = jets._pair_stack(_stack_jets([r for _, r, _, _ in group]),
+        group = [c for c in cands if c[1].N[0] == N]
+        st = jets._pair_stack(concat([one for _, one, _, _ in group]),
                               [p for _, _, p, _ in group])
         S = np.array([jets._direction(rng, N) for _ in group])
         u = rng.uniform(0.0, 4.0, len(group))  # beyond 1, a pair may fail the squeeze
         X = jets._pair_points(st, S, u)
         ok, (lower, upper, scale), norm_sum = jets._pair_squeeze_checks(X, st)
         reps = jets._pair_conclusions_checks(X, st, [e for _, _, _, e in group], norm_sum)
-        for k, (_, r, p, eps) in enumerate(group):
-            jm = _assemble(r, p)
+        for k, (_, one, p, eps) in enumerate(group):
+            jm = jet_matrices(one, p)
+            M = float(one.M[0])
             h1_norm, ht_norm = spectral_norm(jm.H1), spectral_norm(jm.Htilde)
             assert (st.h1_norm[k], st.ht_norm[k]) == (h1_norm, ht_norm)
-            Sk = S[k] * (u[k] * (jm.M / 4.0) * ht_norm / spectral_norm(S[k]))
-            c = 2.0 * jm.M + 1.0
-            assert (X[k] == c * np.eye(N) - 2.0 * jm.M * ht_norm * np.eye(N) + Sk).all()
+            Sk = S[k] * (u[k] * (M / 4.0) * ht_norm / spectral_norm(S[k]))
+            c = 2.0 * M + 1.0
+            assert (X[k] == c * np.eye(N) - 2.0 * M * ht_norm * np.eye(N) + Sk).all()
             assert squeeze(X[k], jm) == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
             B = X[k] - c * np.eye(N)
             wb = jacobi_reference.jacobi_eigh(B)[0]
-            upper_ref = jacobi_reference.jacobi_eigh(2.0 * jm.M * jm.Htilde - B)[0][0]
-            assert lower[k] == wb[0] + 6.0 * jm.M * h1_norm
+            upper_ref = jacobi_reference.jacobi_eigh(2.0 * M * jm.Htilde - B)[0][0]
+            assert lower[k] == wb[0] + 6.0 * M * h1_norm
             assert upper[k] == min(-wb[-1], upper_ref)
             assert norm_sum[k] == 2.0 * np.abs(wb).max()
             if ok[k]:
                 rep = pair_conclusions_check(X[k], X[k], jm, eps)
                 assert reps[k] == rep
-                weighted = jm.M ** (p - 2.0) * jm.Theta
+                weighted = M ** (p - 2.0) * jm.Theta
                 lam = jacobi_reference.jacobi_eigh(weighted @ (X[k] + X[k]) @ jm.Theta)[0]
                 lam1 = jacobi_reference.jacobi_eigh(
                     weighted @ (X[k] + X[k] - 2.0 * c * np.eye(N)) @ jm.Theta)[0][0]
@@ -475,23 +508,25 @@ def test_stacked_pair_checks_match_scalar_path():
 
 
 def test_jet_eq_n_epsilon_matches_check():
-    # alphaH and betaH do not depend on p, so any jet at (x, M) decides eq N-epsilon
+    # alphaH and betaH do not depend on p, so the jet at (x, M) of any p
+    # decides eq N-epsilon; a stack that mixes N decides it as each jet alone
     rng = np.random.default_rng(14)
     mod = HolderModulus(0.7)
-    seen = set()
-    for _ in range(50):
-        N = int(rng.integers(1, 4))
-        x = random_point(rng, N, 10 ** rng.uniform(-6, -0.5))
-        M, eps = float(rng.uniform(1.5, 50)), float(rng.uniform(0.05, 0.9))
-        jm = build_jet_matrices(x, M, float(rng.uniform(4, 8)), mod)
-        seen.add(jm.eq_n_epsilon(eps))
-        assert jm.eq_n_epsilon(eps) == radial_jet(x, M, mod).eq_n_epsilon(eps)
-    assert seen == {True, False}
+    x, N, M, eps, alone_ok = np.zeros((50, 3)), [], [], [], []
+    for k in range(50):
+        N.append(int(rng.integers(1, 4)))
+        x[k, :N[-1]] = random_point(rng, N[-1], 10 ** rng.uniform(-6, -0.5))
+        M.append(float(rng.uniform(1.5, 50)))
+        eps.append(float(rng.uniform(0.05, 0.9)))
+        jm = build_jet_matrices(x[k, :N[-1]], M[-1], float(rng.uniform(4, 8)), mod)
+        alone_ok += jm.jets.eq_n_epsilon(eps[-1]).tolist()
+    assert jet_scalars(x, N, M, mod).eq_n_epsilon(eps).tolist() == alone_ok
+    assert set(alone_ok) == {True, False}
 
 
 def _full_squeeze(X, Y, jm):
     """Both sides of the block squeeze as 2N x 2N eigen-tests: (lower, upper)."""
-    n, M = jm.N, jm.M
+    n, M = len(X), scalar(jm, "M")
     c = 2 * M + 1
     zero = np.zeros((n, n))
     D = np.block([[X - c * np.eye(n), zero], [zero, Y - c * np.eye(n)]])
@@ -537,7 +572,7 @@ def test_pair_split_matches_full_squeeze(N, jets_eig_shapes):
         # radius (M/4) |Htilde| is the sampler's; beyond about 2M |Htilde| a side fails
         X.append(_random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0))))
         jms.append(jm)
-    st = jets._pair_stack(_stack_jets(jms), [jm.p for jm in jms])
+    st = jets._pair_stack(concat([jm.jets for jm in jms]), [jm.p for jm in jms])
     jets_eig_shapes.clear()
     ok, (lower, upper, scale), norm_sum = jets._pair_squeeze_checks(np.array(X), st)
     assert jets_eig_shapes == [(100, N, N)] * 2  # every eigen-test is N x N
@@ -547,7 +582,7 @@ def test_pair_split_matches_full_squeeze(N, jets_eig_shapes):
         assert abs(upper[k] - full_upper) <= 1e-12 * scale[k]
         tol = -1e-10 * scale[k]
         assert ok[k] == (full_lower >= tol and full_upper >= tol)
-        c = 2 * jm.M + 1
+        c = 2 * scalar(jm, "M") + 1
         assert norm_sum[k] == 2 * spectral_norm(X[k] - c * np.eye(N))
     assert set(ok.tolist()) == {True, False}
 
@@ -568,7 +603,7 @@ def test_pair_distinct_y_raises(N):
 
 def test_pair_screen_matches_one_point_calls():
     # a block that mixes N and holds rejected draws screens each draw as
-    # pair_jet screens it alone, bit for bit
+    # pair_screen screens it alone, bit for bit
     rng = np.random.default_rng(43)
     seen = set()
     for regime in REGIMES:
@@ -583,14 +618,13 @@ def test_pair_screen_matches_one_point_calls():
             M.append(float(rng.uniform(1.5, 50)))
             moduli.append(params.modulus())
             eps.append(params.eps)
-        block, ok = jets.pair_screen(x, N, M, p, stacked(moduli), eps)
-        for k, r in enumerate(block.radial()):
-            try:
-                alone = pair_jet(x[k, :N[k]], M[k], p[k], moduli[k], eps[k])
-            except ValueError:
-                assert not ok[k]
-                continue
-            assert ok[k] and r.x.tobytes() == alone.x.tobytes()
-            assert astuple(r)[1:] == astuple(alone)[1:]
+        block, ok = pair_screen(x, N, M, p, stacked(moduli), eps)
+        for k in range(len(block)):
+            one, one_ok = pair_screen(x[k:k + 1, :N[k]], None, [M[k]], [p[k]], moduli[k],
+                                      [eps[k]])
+            assert one_ok[0] == ok[k]
+            for f in fields(Jets):
+                assert getattr(alone(block, k), f.name).tobytes() \
+                    == getattr(one, f.name).tobytes(), (k, f.name)
         seen.update(ok.tolist())
     assert seen == {True, False}

@@ -6,7 +6,7 @@ import pytest
 import barrier_reference
 import min_eig_reference
 import pair_reference
-from pseudoplap import claims, jets, lemmas
+from pseudoplap import claims, eig, jets, lemmas
 from pseudoplap.lemmas import lipschitz_modulus
 
 
@@ -24,16 +24,18 @@ def work(monkeypatch):
     """Counters for the jets built, the block squeezes tested and the
     eigenvalue stacks.
 
-    Every jet's matrices are built by jets._assemble; each squeeze test
-    records the bytes of every pair it tested, so a pair tested twice shows
-    as a repeat; each jacobi_eigvals call of jets records its stack's size.
+    Every jet's matrices are built by jets._stack_matrices, and each call
+    records the number of jets it stacks; each squeeze test records the
+    bytes of every pair it tested, so a pair tested twice shows as a repeat;
+    each jacobi_eigvals call of jets, or of eig.spectral_norms, records its
+    stack's size.
     """
-    counts = {"jets": 0, "tested": [], "stacks": []}
-    jet, squeeze, eigvals = jets._assemble, jets._pair_squeeze_checks, jets.jacobi_eigvals
+    counts = {"jets": [], "tested": [], "stacks": []}
+    stack, squeeze, eigvals = jets._stack_matrices, jets._pair_squeeze_checks, jets.jacobi_eigvals
 
-    def counted_jet(*args, **kwargs):
-        counts["jets"] += 1
-        return jet(*args, **kwargs)
+    def counted_stack(stacked_jets, ps):
+        counts["jets"].append(len(stacked_jets))
+        return stack(stacked_jets, ps)
 
     def counted_squeeze(X, st):
         counts["tested"] += [Xk.tobytes() for Xk in X]
@@ -43,9 +45,10 @@ def work(monkeypatch):
         counts["stacks"].append(len(a))
         return eigvals(a)
 
-    monkeypatch.setattr(jets, "_assemble", counted_jet)
+    monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
     monkeypatch.setattr(jets, "_pair_squeeze_checks", counted_squeeze)
     monkeypatch.setattr(jets, "jacobi_eigvals", counted_eigvals)
+    monkeypatch.setattr(eig, "jacobi_eigvals", counted_eigvals)
     return counts
 
 
@@ -60,19 +63,6 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def count_stacks(monkeypatch):
-    """Patch jets._stack_matrices to record the number of jets of each stack it builds."""
-    stacked = []
-    stack = jets._stack_matrices
-
-    def counted_stack(rs, ps):
-        stacked.append(len(rs))
-        return stack(rs, ps)
-
-    monkeypatch.setattr(jets, "_stack_matrices", counted_stack)
-    return stacked
 
 
 def assert_each_pair_tested_once(work):
@@ -97,12 +87,12 @@ def pair_rounds(monkeypatch):
 def test_pair_rows_screen_then_one_test_per_round(work, monkeypatch, pair_rounds):
     draws = count_calls(monkeypatch, lemmas, "regime_params")  # one per draw
     directions = count_calls(monkeypatch, jets, "_direction")  # one per S drawn
-    stacked = count_stacks(monkeypatch)
+    stacked = work["jets"]
     rows, _ = lemmas.pair_rows(np.random.default_rng(3), 16)
     assert len(rows) == 16 < len(draws)  # some draws fail the screen
     # only the draws that pass the screen are built, each once, one stack per
     # block and N; each S drawn is tested once
-    assert work["jets"] == 0 and sum(stacked) == len(rows)
+    assert sum(stacked) == len(rows)
     assert len(directions) == sum(map(len, pair_rounds)) == len(work["tested"])
     assert_each_pair_tested_once(work)
     # every eigenvalue is taken on a stack: |H1| and |Htilde| and the two
@@ -198,13 +188,12 @@ def screen_blocks(monkeypatch):
 
 def test_min_eig_rows_one_jet_per_sample(work, monkeypatch):
     blocks = screen_blocks(monkeypatch)
-    stacked = count_stacks(monkeypatch)
+    stacked = work["jets"]
     rows, _ = lemmas.min_eig_rows(np.random.default_rng(4), 20)
     assert len(rows) == 40 and {row[0] for row in rows} == {"small", "large"}
     # one H per accepted draw, in one stack per N per block, in the order of
     # the block's first accepted draw of that N; a rejected large-branch draw
     # builds no matrices
-    assert work["jets"] == 0
     want, start = [], 0
     for _, _, accepted in blocks:
         want += Counter(row[2] for row in rows[start:start + accepted]).values()
@@ -249,19 +238,21 @@ def test_barrier_rows_match_per_case_reference():
 @pytest.mark.parametrize("regime, N", [("holder_large_p", 2), ("lipschitz_small_p", 2),
                                        ("lipschitz_small_p", 1)])
 def test_claims_one_stack_per_regime(work, monkeypatch, pair_rounds, regime, N):
-    stacked = count_stacks(monkeypatch)
+    stacked = work["jets"]
     spectra = []
-    eigvals = claims.jacobi_eigvals
 
-    def counted_eigvals(a):
-        spectra.append(a.shape)
-        return eigvals(a)
+    def counted(fn):
+        def counted_fn(a):
+            spectra.append(a.shape)
+            return fn(a)
+        return counted_fn
 
-    monkeypatch.setattr(claims, "jacobi_eigvals", counted_eigvals)
+    for name in ("jacobi_eigvals", "spectral_norms"):
+        monkeypatch.setattr(claims, name, counted(getattr(claims, name)))
     rows, _, _ = lemmas.claims_rows(np.random.default_rng(5), regime, N, 10.0, [1e-2, 1e-3])
     # the sweep's ten checks are one stack of jets, built once; each pair is
     # tested once, and the claims' two spectra are taken on the whole stack
-    assert len(rows) == 10 and stacked == [10] and work["jets"] == 0
+    assert len(rows) == 10 and stacked == [10]
     assert_each_pair_tested_once(work)
     assert spectra == [(10, N, N)] * 2
     assert not {"build_jet_matrices", "feasible_pair_sample"} & set(vars(claims))

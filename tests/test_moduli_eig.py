@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import jacobi_reference
 from pseudoplap import claims, eig, jets, lemmas
-from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, spectral_norm, vector_norm
+from pseudoplap.eig import (jacobi_eigh, jacobi_eigvals, spectral_norm, spectral_norms,
+                            vector_norm)
 from pseudoplap.moduli import HolderModulus, LipschitzModulus, check_validity
 
 
@@ -204,6 +205,13 @@ def test_jacobi_eigvals_empty_stack():
 def test_spectral_norm():
     a = np.diag([3.0, -7.0, 2.0])
     assert spectral_norm(a) == 7.0
+
+
+def test_spectral_norms_is_spectral_norm_of_each_matrix():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 3, 3))
+    A = A + A.transpose(0, 2, 1)
+    assert spectral_norms(A).tolist() == [spectral_norm(a) for a in A]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 36])
