@@ -11,8 +11,9 @@ which satisfies A_nondiv(b) <= -(p-1) f_sup away from the origin once
 verify_supersolution checks this on the grid through the exact factorisation
 A_nondiv(b) = (p-1) M^{p-1} sum_i |D_i^c g|^{p-2} D_i^2 g of the profile g,
 so boundary_sup never enters its arithmetic and every p shares g's stencil.
-It builds g, the squared radii and the node classes one slab of planes at a
-time from the axis coordinates, so no array it makes spans the grid.
+It builds g, the squared radii and the node classes one slab of planes (or
+one tile of a plane) at a time from the axis coordinates, so no array it
+makes spans the grid.
 
 The smallest such M gives the computable sup-norm bound
 |u| <= boundary_sup + M/2 for solutions, and the monotone divergence-form
@@ -30,11 +31,13 @@ from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, node_coor
 from .grid import node_rule, radius_squared
 from .operators import apply_divergence, nondivergence_factors
 
-# Nodes per slab of the streamed supersolution check (at least one plane): at
-# 3D n = 129 a slab is 3 planes and 2 halo planes.  Per slab, the box's squared
-# radii and profile, two stencil buffers over its inner planes and each axis's
-# two factors at the selected nodes take at most about 0.6 MB each, and the
-# closed and interior masks an eighth of that; none outlives its slab.
+# Nodes per slab of the streamed supersolution check: at 3D n = 129 a slab is
+# 3 planes and 2 halo planes.  A plane of more nodes is cut along axis 1 into
+# tiles whose box, halos included, holds about as many (from 3D n = 257 on).
+# Per slab or tile, the box's squared radii and profile, two stencil buffers
+# over its inner planes and each axis's two factors at the selected nodes take
+# at most about 0.6 MB each, and the closed and interior masks an eighth of
+# that; none outlives its slab or tile.
 _SLAB_ELEMENTS = 2**16
 
 
@@ -95,6 +98,18 @@ def _span(mask: np.ndarray) -> slice:
     return slice(hits[0], hits[-1] + 1)
 
 
+def _tiles(box: tuple, rows: int):
+    """The box cut along axis 1 into tiles of `rows` inner rows, each with one
+    halo row on either side; the box's first and last rows are halos only.
+    A 1D box is its own tile."""
+    if len(box) == 1:
+        yield box
+        return
+    span = box[1]
+    for first in range(span.start + 1, span.stop - 1, rows):
+        yield box[:1] + (slice(first - 1, min(first + rows, span.stop - 1) + 1),) + box[2:]
+
+
 def verify_supersolution(grid: GridSpec, cases, f_sup: float,
                          exclusion_radius: float) -> list:
     """For each BarrierParams in cases, the max over interior nodes with
@@ -112,16 +127,19 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     _SLAB_ELEMENTS nodes (at least one plane) along axis 0, each with one
     halo plane on either side and cropped to the box of its nodes in the
     closed ball, which holds every stencil neighbour of an interior node.
-    Once per slab for all cases, it builds from the axis coordinates the
-    box's squared radii (radius_squared, added in the whole grid's order)
-    and its closed and interior masks (node_rule, the halo planes giving the
-    axis-0 neighbours), then the profile (NaN outside the closed ball) and
-    its factors |D_i^c g| and D_i^2 g (nondivergence_factors) over the inner
-    planes, compressed to the selected nodes; each case then adds its axis
-    terms in axis order and takes one max.  No array spans the grid and no
-    grid cache is read or filled, so the memory is a few slabs whatever the
-    grid.  The slabs' squared radii and classes are the whole grid's, bit
-    for bit, and a positive scale and a shift are monotone under rounding,
+    When one plane holds more than _SLAB_ELEMENTS nodes, each slab (then one
+    plane) is cut along axis 1 into tiles (_tiles) of about as many nodes
+    with their halos.  Once per tile for all cases, it builds from the axis
+    coordinates the tile's squared radii (radius_squared, added in the whole
+    grid's order) and its closed and interior masks (node_rule, the halo
+    planes and rows giving the neighbours along axes 0 and 1), then the
+    profile (NaN outside the closed ball) and its factors |D_i^c g| and
+    D_i^2 g (nondivergence_factors) over the inner planes, compressed to the
+    selected nodes; each case then adds its axis terms in axis order and
+    takes one max.  No array spans the grid and no grid cache is read or
+    filled, so the memory is a few slabs or tiles whatever the grid.  The
+    tiles' squared radii and classes are the whole grid's, bit for bit, and
+    a positive scale and a shift are monotone under rounding,
     so every result is bit for bit that of the same formula on the full
     field (tests/barrier_reference.py).  It differs from evaluating the
     operator on the barrier's values by rounding alone
@@ -137,6 +155,9 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
         return []
     x2, n, dim = grid.axis_coords() ** 2, grid.nodes_per_axis, grid.dimension
     height = max(1, _SLAB_ELEMENTS // n ** (dim - 1))
+    rows = n  # one tile per slab, unless a plane holds more than _SLAB_ELEMENTS nodes
+    if n ** (dim - 1) > _SLAB_ELEMENTS:  # a tile's box: 3 planes by its rows and 2 halo rows
+        rows = max(1, _SLAB_ELEMENTS // (3 * n ** (dim - 2)))
     maxima = [[] for _ in cases]
     # planes 0 and n-1 lie on faces of the cube, so only halos; every plane
     # between them holds its axis node |x| = |x_0| < 1, so no box is empty
@@ -148,23 +169,25 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
         box = (planes,) + tuple(
             _span(radius_squared(least[:ax] + [x2] + least[ax + 1:]).ravel() <= 1.0)
             for ax in range(1, dim))
-        r2 = radius_squared([x2[axis] for axis in box])
-        closed, interior = node_rule(r2)
-        sel = interior[1:-1] & (r2[1:-1] >= exclusion_radius**2)
-        if not sel.any():
-            continue
-        profile = _profile(r2)
-        profile[~closed] = np.nan
-        # the factors cover the inner planes, as sel does
-        sel = sel.reshape(-1)
-        factors = [(coef[sel], second[sel]) for coef, second in nondivergence_factors(profile, h)]
-        for params, found in zip(cases, maxima):
-            total = np.zeros(len(factors[0][0]))
-            for coef, second in factors:
-                term = coef ** (params.p - 2.0)
-                term *= second
-                total += term
-            found.append(total.max())
+        for tile in _tiles(box, rows):
+            r2 = radius_squared([x2[axis] for axis in tile])
+            closed, interior = node_rule(r2)
+            sel = interior[1:-1] & (r2[1:-1] >= exclusion_radius**2)
+            if not sel.any():
+                continue
+            profile = _profile(r2)
+            profile[~closed] = np.nan
+            # the factors cover the inner planes, as sel does
+            sel = sel.reshape(-1)
+            factors = [(coef[sel], second[sel])
+                       for coef, second in nondivergence_factors(profile, h)]
+            for params, found in zip(cases, maxima):
+                total = np.zeros(len(factors[0][0]))
+                for coef, second in factors:
+                    term = coef ** (params.p - 2.0)
+                    term *= second
+                    total += term
+                found.append(total.max())
     if not maxima[0]:
         raise ValueError("no interior nodes outside the exclusion radius")
     # np.max, not max: a NaN maximum must not be dropped

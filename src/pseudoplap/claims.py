@@ -220,22 +220,22 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
             raise ValueError(f"points have dimension {len(z)}, params expect {n}")
         _check_cap(params, M, s, vector_norm(x_bar - x0), vector_norm(y_bar - x0))
         zs.append(z)
-    jets = radial_jets(zs, M, params.modulus())
+    jets = radial_jets(zs, M, p, params.eps, params.modulus())
     ss = jets.s.tolist()
-    eq_ok = jets.eq_n_epsilon(params.eps).tolist() if p > 4.0 and params.eps is not None \
+    eq_ok = jets.eq_n_epsilon().tolist() if p > 4.0 and params.eps is not None \
         else [None] * len(ss)
     grads = []
     for s, wp, z, (x_bar, y_bar, x0) in zip(ss, jets.wp.tolist(), zs, points):
         q = M * wp * z / s
         grads.append((q, q + 2.0 * M * (x_bar - x0), q - 2.0 * M * (y_bar - x0)))
-    st, X, _ = feasible_pairs(jets, [p] * len(ss), rng)
+    jm, X, _ = feasible_pairs(jets, rng)
 
     mp2 = M ** (p - 2.0)
-    lams = jacobi_eigvals(mp2 * st.Theta @ (X + X) @ st.Theta)
+    lams = jacobi_eigvals(mp2 * jm.Theta @ (X + X) @ jm.Theta)
     x_norms = spectral_norms(X)
     reports = []
     for s, (q, qx, qy), lam, x_norm, theta_sq, ok in zip(ss, grads, lams, x_norms,
-                                                          st.theta_norm_sq(), eq_ok):
+                                                          jm.theta_norm_sq(), eq_ok):
         denom = lambda expo: M ** (p - 1.0) * s ** (-expo)
         ratio1 = float(lam[0] / denom(params.tau_hat))
         if n > 1:

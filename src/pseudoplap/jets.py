@@ -29,12 +29,12 @@ matrices per N, and takes every eigenvalue with jacobi_eigvals.  The one-jet
 names min_eig_bound_check, feasible_pair_sample and pair_conclusions_check
 are one-jet calls of the same code.
 
-Every screen on a jet's scalars works on stacks as well, before any matrix
-is built: jet_scalars takes s, w', w'', iota, alphaH and betaH of a stack of
-points as arrays (Jets), Jets.large_branch its index sets and damped
-inequality, min_eig_screen adds each point's test vector and bound, and
-pair_screen the doubling pair's preconditions.  A stack may mix N: each row
-of x is zero past its own N axes.
+A stack of jets is one Jets (jet_scalars), each jet with its own p and eps,
+and every screen works on it before any matrix is built: Jets.large_branch
+gives the index sets and the damped inequality, min_eig_screen adds each
+point's test vector and bound, and pair_screen the doubling pair's
+preconditions.  A stack may mix N: each row of x is zero past its own N
+axes.  JetMatrices adds the matrices and norms of a stack of one N.
 
 The squeeze of a pair with Y = X is tested at the size of X, exactly.  With
 B = X - (2M+1) Id, the lower side is block-diagonal, so its least eigenvalue
@@ -60,15 +60,18 @@ _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
 @dataclass(frozen=True)
 class Jets:
     """The scalars of S jets, one entry per jet: the point x[S, n], each row
-    zero past its jet's N axes, N, M, s = |x|, wp = w'(s), wpp = w''(s), the
-    damping iota = 1/(4 M |H1|) and the factors alphaH, betaH of Htilde's
-    closed form.  They decide the large branch's preconditions before any
-    matrix is built.  jet_scalars screens a stack into them.
+    zero past its jet's N axes, N, M, the exponent p, eps (NaN where the jet
+    has none), s = |x|, wp = w'(s), wpp = w''(s), the damping
+    iota = 1/(4 M |H1|) and the factors alphaH, betaH of Htilde's closed
+    form.  They decide the large branch's preconditions before any matrix is
+    built.  jet_scalars screens a stack into them.
     """
 
     x: np.ndarray
     N: np.ndarray
     M: np.ndarray
+    p: np.ndarray
+    eps: np.ndarray
     s: np.ndarray
     wp: np.ndarray
     wpp: np.ndarray
@@ -83,48 +86,61 @@ class Jets:
         """The jets ks, in that order."""
         return Jets(*(getattr(self, f.name)[ks] for f in fields(self)))
 
-    def eq_n_epsilon(self, eps) -> np.ndarray:
+    def eq_n_epsilon(self) -> np.ndarray:
         """Truth of beta w''(s)(1 - N s^{2e}) + alpha N s^{2e} w'(s)/s <= w''(s)/4
-        for each jet, at its eps (a scalar or one per jet).
+        for each jet at its eps e; false where it has none.
 
         alphaH and betaH depend on x, M and the modulus, not on p.
         """
-        s2e = self.s ** (2.0 * np.asarray(eps, dtype=float))
+        s2e = self.s ** (2.0 * self.eps)
         lhs = self.betaH * self.wpp * (1.0 - self.N * s2e) \
             + self.alphaH * self.N * s2e * self.wp / self.s
         return lhs <= self.wpp / 4.0
 
-    def large_branch(self, eps) -> tuple:
+    def large_branch(self) -> tuple:
         """The large branch's preconditions at each jet's eps: (axes, ok), with
         axes[S, n] its index set (_index_sets) and ok the truth of a nonempty
         set and of eq_n_epsilon."""
-        axes = _index_sets(self.x, self.s, self.N, eps)
-        return axes, axes.any(axis=1) & self.eq_n_epsilon(eps)
+        axes = _index_sets(self.x, self.s, self.N, self.eps)
+        return axes, axes.any(axis=1) & self.eq_n_epsilon()
 
 
 @dataclass(frozen=True)
 class JetMatrices:
-    """The matrices of one jet at its exponent p: jets is its one-jet Jets,
-    with x of width N."""
+    """S jets of one N with their matrices: the Jets (x is (S, N)), Htilde
+    and Theta (S, N, N), and the spectral norms |H1| and |Htilde| (S,).
+    Entry k is bit for bit what jet k alone gives.  _stack_matrices gives
+    H1, and H = Theta Htilde Theta is taken where it is read."""
 
     jets: Jets
-    p: float
-    H1: np.ndarray
     Htilde: np.ndarray
     Theta: np.ndarray
-    H: np.ndarray
+    h1_norm: np.ndarray
+    ht_norm: np.ndarray
+
+    def take(self, ks) -> "JetMatrices":
+        """The jets ks of the stack, in that order."""
+        return JetMatrices(self.jets.take(ks), self.Htilde[ks], self.Theta[ks],
+                           self.h1_norm[ks], self.ht_norm[ks])
+
+    def theta_norm_sq(self) -> list:
+        """|Theta|^2 of each jet: Theta is diagonal with entries >= 0."""
+        return [float(np.max(np.diag(theta)) ** 2) for theta in self.Theta]
 
 
-def jet_scalars(x, N, M, modulus: Modulus) -> Jets:
+def jet_scalars(x, N, M, p, eps, modulus: Modulus) -> Jets:
     """The Jets of the points x[S, n] (zero past each row's N[k] axes; N None
-    means every axis) with M[S] and the modulus, which holds one modulus or
-    one per jet.  s is sqrt(x.x), bit for bit eig.vector_norm of each row.
-    Raises ValueError unless every x is nonzero and valid; M is not checked
-    (the eigenvalue bound takes M = 1).
+    means every axis) with M, p and eps, each a scalar or one per jet, and
+    the modulus, which holds one modulus or one per jet.  An eps of None, or
+    a None entry, means no eps and is held as NaN.  s is sqrt(x.x), bit for
+    bit eig.vector_norm of each row.  Raises ValueError unless every x is
+    nonzero and valid; M is not checked (the eigenvalue bound takes M = 1).
     """
     x = np.asarray(x, dtype=float)
     N = np.full(len(x), x.shape[1]) if N is None else np.asarray(N)
-    M = np.asarray(M, dtype=float)
+    M = np.full(len(x), M, dtype=float)
+    p = np.full(len(x), p, dtype=float)
+    eps = np.full(len(x), np.array(eps, dtype=float))  # numpy reads None as NaN
     s = np.sqrt(row_dots(x, x))
     if not (s > 0.0).all():
         raise ValueError("x must be nonzero")
@@ -138,12 +154,12 @@ def jet_scalars(x, N, M, modulus: Modulus) -> Jets:
     iota = 1.0 / (4.0 * M * h1_norm)
     alphaH = 1.0 + 2.0 * iota * wp / s
     betaH = 1.0 + 2.0 * iota * wpp
-    return Jets(x, N, M, s, wp, wpp, iota, alphaH, betaH)
+    return Jets(x, N, M, p, eps, s, wp, wpp, iota, alphaH, betaH)
 
 
-def _stack_matrices(jets: Jets, ps) -> tuple:
-    """H1, Htilde and Theta, each (S, N, N), of S jets whose x is (S, N) at
-    the exponents ps; H is Theta @ Htilde @ Theta, taken where it is read.
+def _stack_matrices(jets: Jets) -> tuple:
+    """H1, Htilde and Theta, each (S, N, N), of S jets whose x is (S, N), each
+    at its p; H is Theta @ Htilde @ Theta, taken where it is read.
 
     Every entry sees the operations of the one-jet formulas in their order,
     and numpy's stacked `@` multiplies each matrix as its 2D `@` does, so
@@ -162,8 +178,14 @@ def _stack_matrices(jets: Jets, ps) -> tuple:
     Theta = np.zeros_like(H1)
     base = np.abs(wp[:, None] * x / s[:, None])
     Theta.reshape(len(x), n * n)[:, ::n + 1] = [
-        row ** ((p - 2.0) / 2.0) for row, p in zip(base, np.asarray(ps, dtype=float).tolist())]
+        row ** ((p - 2.0) / 2.0) for row, p in zip(base, jets.p.tolist())]
     return H1, Htilde, Theta
+
+
+def _jet_matrices(jets: Jets) -> JetMatrices:
+    """The JetMatrices of jets, all of one N with x of width N."""
+    H1, Htilde, Theta = _stack_matrices(jets)
+    return JetMatrices(jets, Htilde, Theta, spectral_norms(H1), spectral_norms(Htilde))
 
 
 def _check_M(M) -> np.ndarray:
@@ -173,19 +195,17 @@ def _check_M(M) -> np.ndarray:
     return M
 
 
-def radial_jets(x, M: float, modulus: Modulus) -> Jets:
-    """The Jets of the points x[S, N], all at M, with the damping
-    iota = 1/(4 M |H1|); raises ValueError unless M > 1 and every x is
-    nonzero and valid.  No matrix is built."""
+def radial_jets(x, M: float, p: float, eps: float | None, modulus: Modulus) -> Jets:
+    """The Jets of the points x[S, N], all at M, p and eps (None: no eps),
+    with the damping iota = 1/(4 M |H1|); raises ValueError unless M > 1
+    and every x is nonzero and valid.  No matrix is built."""
     x = np.asarray(x, dtype=float)
-    return jet_scalars(x, None, _check_M(np.full(len(x), M)), modulus)
+    return jet_scalars(x, None, _check_M(np.full(len(x), M)), p, eps, modulus)
 
 
-def build_jet_matrices(x, M: float, p: float, modulus: Modulus) -> JetMatrices:
-    """Assemble H1, Htilde, Theta, H at x with the damping iota = 1/(4 M |H1|)."""
-    jets = radial_jets([x], M, modulus)
-    H1, Htilde, Theta = (m[0] for m in _stack_matrices(jets, [p]))
-    return JetMatrices(jets, p, H1, Htilde, Theta, Theta @ Htilde @ Theta)
+def build_jet_matrices(x, M: float, p: float, modulus: Modulus, eps=None) -> JetMatrices:
+    """The one-jet JetMatrices at x with M, p and eps (None: no eps)."""
+    return _jet_matrices(radial_jets([x], M, p, eps, modulus))
 
 
 def _index_sets(x, s, N, eps) -> np.ndarray:
@@ -201,28 +221,14 @@ def _test_vectors(x, p, axes) -> np.ndarray:
         return np.where(axes, np.abs(x) ** ((2.0 - p) / 2.0)[:, None] * x, 0.0)
 
 
-def _reject_large_branch(jets: Jets, eps) -> None:
+def _reject_large_branch(jets: Jets) -> None:
     """Raise the ValueError of the first large-branch precondition
-    (Jets.large_branch) that the one jet of `jets` fails at eps."""
-    axes, ok = jets.large_branch(eps)
+    (Jets.large_branch) that the one jet of `jets` fails at its eps."""
+    axes, ok = jets.large_branch()
     if not axes.any():
         raise ValueError("index set is empty")
     if not ok[0]:
         raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
-
-
-@dataclass(frozen=True)
-class MinEigTerms:
-    """What the eigenvalue bound at S jets needs besides H: the jets' scalars
-    (damping 1/(4 |H1|)), p, the test vectors w[S, n] and the bounds."""
-
-    jets: Jets
-    p: np.ndarray
-    w: np.ndarray
-    bound: np.ndarray
-
-    def take(self, ks) -> "MinEigTerms":
-        return MinEigTerms(self.jets.take(ks), self.p[ks], self.w[ks], self.bound[ks])
 
 
 def min_eig_screen(x, N, p, eps, modulus: Modulus) -> tuple:
@@ -232,8 +238,9 @@ def min_eig_screen(x, N, p, eps, modulus: Modulus) -> tuple:
     eps None selects the small branch, which requires every p <= 4; eps
     given (a scalar or one per jet) selects the large branch, which
     requires every p >= 4 and rejects each jet whose index set is empty or
-    whose damped inequality fails.  Returns (terms, ok): the MinEigTerms of
-    the accepted jets, in order, and the mask of the accepted.  Raises the
+    whose damped inequality fails.  Returns (jets, w, bound, ok): the Jets
+    of the accepted jets (damping 1/(4 |H1|)), in order, their test vectors
+    w[S, n] and bounds, and the mask of the accepted.  Raises the
     ValueErrors of jet_scalars.
     """
     p = np.asarray(p, dtype=float)
@@ -241,19 +248,19 @@ def min_eig_screen(x, N, p, eps, modulus: Modulus) -> tuple:
         raise ValueError("small branch (no eps) requires p <= 4")
     if eps is not None and (p < 4.0).any():
         raise ValueError("large branch (eps given) requires p >= 4")
-    jets = jet_scalars(x, N, np.ones(len(p)), modulus)  # M plays no role in H's bound
+    jets = jet_scalars(x, N, 1.0, p, eps, modulus)  # M plays no role in H's bound
     x, N, s, wp, wpp = jets.x, jets.N, jets.s, jets.wp, jets.wpp
     if eps is None:
         axes, ok = x != 0.0, np.ones(len(p), dtype=bool)
         bound = N ** (1.0 - p / 2.0) * jets.betaH * wpp * wp ** (p - 2.0)
     else:
-        eps = np.asarray(eps, dtype=float)
-        axes, ok = jets.large_branch(eps)  # rejects before any matrix is built
+        eps = jets.eps
+        axes, ok = jets.large_branch()  # rejects before any matrix is built
         with np.errstate(divide="ignore", invalid="ignore"):  # an empty set is rejected
             bound = (1.0 - N * s ** (2.0 * eps)) / axes.sum(axis=1) \
                 * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
     w = _test_vectors(x, p, axes)  # index-restricted on the large branch (p = 4 included)
-    return MinEigTerms(jets, p, w, bound).take(ok), ok
+    return jets.take(ok), w[ok], bound[ok], ok
 
 
 def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
@@ -268,36 +275,39 @@ def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
     one-point call of min_eig_screen and min_eig_bound_checks, which raises
     ValueError for a rejected point too.
     """
-    x = np.asarray(x, dtype=float)
-    terms, ok = min_eig_screen(x[None], None, [p], None if eps is None else [eps], modulus)
+    x = np.asarray(x, dtype=float)[None]
+    jets, w, bound, ok = min_eig_screen(x, None, [p], eps, modulus)
     if not ok[0]:
-        _reject_large_branch(jet_scalars(x[None], None, [1.0], modulus), eps)
-    return tuple(float(v[0]) for v in min_eig_bound_checks(terms))
+        _reject_large_branch(jet_scalars(x, None, 1.0, p, eps, modulus))
+    return tuple(float(v[0]) for v in min_eig_bound_checks(jets, w, bound))
 
 
-def _by_n(N) -> list:
-    """(n, indices) of the jets of each N, in order of first appearance."""
-    N = np.asarray(N)
-    return [(n, np.flatnonzero(N == n)) for n in dict.fromkeys(N.tolist())]
+def _by_n(jets: Jets) -> list:
+    """(ks, group) of the jets of each N, in order of first appearance: ks
+    their indices and group their Jets, x cut to its N axes."""
+    out = []
+    for n in dict.fromkeys(jets.N.tolist()):
+        ks = np.flatnonzero(jets.N == n)
+        group = jets.take(ks)
+        out.append((ks, replace(group, x=group.x[:, :n])))
+    return out
 
 
-def min_eig_bound_checks(terms: MinEigTerms) -> tuple:
-    """min_eig_bound_check's (rayleigh, bound, slack) of every jet of terms,
-    as arrays in order.
+def min_eig_bound_checks(jets: Jets, w: np.ndarray, bound: np.ndarray) -> tuple:
+    """min_eig_bound_check's (rayleigh, bound, slack) of every jet, as arrays
+    in order, with the test vectors w[S, n] and bounds of min_eig_screen.
 
     The jets of each N share one stacked H = Theta @ Htilde @ Theta, one
     stacked Rayleigh quotient w.Hw / w.w and one jacobi_eigvals call.
     """
-    rayleigh, slack = np.empty(len(terms.p)), np.empty(len(terms.p))
-    for n, ks in _by_n(terms.jets.N):
-        group = terms.take(ks)
-        jets = replace(group.jets, x=group.jets.x[:, :n])
-        _, Htilde, Theta = _stack_matrices(jets, group.p)
+    rayleigh, slack = np.empty(len(jets)), np.empty(len(jets))
+    for ks, group in _by_n(jets):
+        _, Htilde, Theta = _stack_matrices(group)
         H = Theta @ Htilde @ Theta
-        w = group.w[:, :n]
-        rayleigh[ks] = row_dots(w, (H @ w[:, :, None])[:, :, 0]) / row_dots(w, w)
-        slack[ks] = group.bound - jacobi_eigvals(H)[:, 0]
-    return rayleigh, terms.bound, slack
+        wk = w[ks, :group.x.shape[1]]
+        rayleigh[ks] = row_dots(wk, (H @ wk[:, :, None])[:, :, 0]) / row_dots(wk, wk)
+        slack[ks] = bound[ks] - jacobi_eigvals(H)[:, 0]
+    return rayleigh, bound, slack
 
 
 _PAIR_DRAWS = 100  # draws of S per jet; the unperturbed point (S = 0) is always feasible
@@ -310,15 +320,15 @@ def _direction(rng, n: int) -> np.ndarray:
 
 
 def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
-    """Random (X, Y) satisfying the doubling block squeeze at jm, by construction + check.
+    """Random (X, Y) satisfying the doubling block squeeze at the one jet of jm.
 
     X = Y = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm
     at most (M/4) |Htilde|; feasibility (and the norm consequence
     |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
     before returning, resampling on failure.  The one-jet call of
-    feasible_pairs, whose rounds are then one draw each.
+    feasible_pairs' draws, whose rounds are then one draw each.
     """
-    X = feasible_pairs(jm.jets, [jm.p], rng)[1][0]
+    X = _feasible_pair_points(jm, rng)[0][0]
     return X, X.copy()
 
 
@@ -347,17 +357,15 @@ class PairConclusions:
         return float(out)
 
 
-def _pair_large_branch(jets: Jets, p, eps) -> tuple:
+def _pair_large_branch(jets: Jets) -> tuple:
     """The large branch's preconditions of the pair conclusions at the jets
     whose p >= 4: (axes, ok), with axes[S, n] Jets.large_branch's index sets
-    and ok true where p < 4 or both preconditions hold.  eps holds one entry
-    per jet, None where it has none; a jet with p >= 4 and no eps raises
-    ValueError."""
-    large = np.asarray(p, dtype=float) >= 4.0
-    eps = np.array([np.nan if e is None else e for e in eps], dtype=float)
-    if (large & np.isnan(eps)).any():
+    and ok true where p < 4 or both preconditions hold.  A jet with p >= 4
+    and no eps raises ValueError."""
+    large = jets.p >= 4.0
+    if (large & np.isnan(jets.eps)).any():
         raise ValueError("p >= 4 requires eps for the large-branch conclusion")
-    axes, ok = jets.large_branch(eps)
+    axes, ok = jets.large_branch()
     return axes, ~large | ok
 
 
@@ -367,43 +375,42 @@ def pair_screen(x, N, M, p, modulus: Modulus, eps) -> tuple:
     pair: where p >= 4, an eps and the large branch's preconditions.  eps
     holds one entry per jet, None where it has none.
 
-    Returns (jets, ok): the Jets of every point, at its M, and the mask of
-    those that pass.  Raises ValueError unless every M > 1 and every x is
-    nonzero and valid, or when a jet with p >= 4 has no eps.
+    Returns (jets, ok): the Jets of every point, at its M, p and eps, and
+    the mask of those that pass.  Raises ValueError unless every M > 1 and
+    every x is nonzero and valid, or when a jet with p >= 4 has no eps.
     """
-    jets = jet_scalars(x, N, _check_M(M), modulus)
-    return jets, _pair_large_branch(jets, p, eps)[1]
+    jets = jet_scalars(x, N, _check_M(M), p, eps, modulus)
+    return jets, _pair_large_branch(jets)[1]
 
 
-def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices,
-                           eps: float | None = None) -> PairConclusions:
-    """Verify the eigenvalue conclusions for a pair, after testing that it is feasible.
+def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices) -> PairConclusions:
+    """Verify the eigenvalue conclusions for a pair at the one jet of jm,
+    after testing that it is feasible.
 
     Checks, with c = 2M+1 and the weighted matrices A = M^{p-2} Theta(.)Theta:
     every eigenvalue of A(X+Y) is at most 2c M^{p-2} |Theta|^2, the smallest
     eigenvalue of A(X+Y-2c Id) obeys the small-branch bound for p <= 4 and
-    the large-branch bound for p >= 4 (the latter needs eps and the damped
-    inequality), and |X-cId| + |Y-cId| <= 6M|H1|.
+    the large-branch bound for p >= 4 (the latter needs the jet's eps and
+    the damped inequality), and |X-cId| + |Y-cId| <= 6M|H1|.
 
     Only pairs with Y = X are tested; another Y raises ValueError.  The
     one-jet call of _pair_squeeze_checks, then _pair_conclusions_checks.
     """
     if not np.array_equal(X, Y):
         raise ValueError("only pairs with Y = X are tested")
-    st = _pair_stack(jm.jets, [jm.p])
     X = np.asarray(X, dtype=float)[None]
-    ok, details, norm_sum = _pair_squeeze_checks(X, st)
+    ok, details, norm_sum = _pair_squeeze_checks(X, jm)
     if not ok[0]:
         margins = tuple(float(d[0]) for d in details)
         raise ValueError(f"pair does not satisfy the block squeeze (eigen margins {margins})")
-    return _pair_conclusions_checks(X, st, [eps], norm_sum)[0]
+    return _pair_conclusions_checks(X, jm, norm_sum)[0]
 
 
 def _conclusions(M: float, n: int, s: float, wp: float, wpp: float, p: float,
-                 h1_norm: float, theta_sq: float, eps: float | None, count: int,
+                 h1_norm: float, theta_sq: float, eps: float, count: int,
                  lam_max: float, lam1: float, norm_sum: float) -> PairConclusions:
     """The bounds and slacks of one pair's conclusions at the jet with the
-    scalars M, N = n, s, w' and w'' of Jets: count is the size of its
+    scalars M, N = n, s, w', w'', p and eps of Jets: count is the size of its
     large-branch index set (read when p >= 4), lam_max the largest
     eigenvalue of A(X+Y), lam1 the least of A(X+Y-2c Id)."""
     c = 2.0 * M + 1.0
@@ -429,71 +436,39 @@ def _conclusions(M: float, n: int, s: float, wp: float, wpp: float, p: float,
     )
 
 
-@dataclass(frozen=True)
-class PairStack:
-    """S jets of one N at their exponents p, stacked for the pair tests: the
-    Jets (x is (S, N)), p, |H1| and |Htilde| (S,), Htilde and Theta
-    (S, N, N).  Entry k is bit for bit what jet k alone gives at p[k], and
-    the spectral norm of its H1 and Htilde."""
-
-    jets: Jets
-    p: np.ndarray
-    Htilde: np.ndarray
-    Theta: np.ndarray
-    h1_norm: np.ndarray
-    ht_norm: np.ndarray
-
-    @property
-    def M(self) -> np.ndarray:
-        return self.jets.M
-
-    def take(self, ks) -> "PairStack":
-        """The jets ks of the stack, in that order."""
-        return PairStack(self.jets.take(ks), self.p[ks], self.Htilde[ks], self.Theta[ks],
-                         self.h1_norm[ks], self.ht_norm[ks])
-
-    def theta_norm_sq(self) -> list:
-        """|Theta|^2 of each jet: Theta is diagonal with entries >= 0."""
-        return [float(np.max(np.diag(theta)) ** 2) for theta in self.Theta]
-
-
-def _pair_stack(jets: Jets, ps) -> PairStack:
-    H1, Htilde, Theta = _stack_matrices(jets, ps)
-    return PairStack(jets, np.array(ps, dtype=float), Htilde, Theta,
-                     spectral_norms(H1), spectral_norms(Htilde))
-
-
-def _pair_points(st: PairStack, S: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The pair point X = (2M+1) Id - 2M |Htilde| Id + S of every jet of st,
+def _pair_points(jm: JetMatrices, S: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The pair point X = (2M+1) Id - 2M |Htilde| Id + S of every jet of jm,
     S scaled to norm u (M/4) |Htilde|; a zero S stays unscaled."""
+    M = jm.jets.M
     eye = np.eye(S.shape[1])
     s_norm = spectral_norms(S)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(s_norm > 0.0, u * (st.M / 4.0) * st.ht_norm / s_norm, 1.0)
-    return (2.0 * st.M + 1.0)[:, None, None] * eye \
-        - (2.0 * st.M * st.ht_norm)[:, None, None] * eye + S * scale[:, None, None]
+        scale = np.where(s_norm > 0.0, u * (M / 4.0) * jm.ht_norm / s_norm, 1.0)
+    return (2.0 * M + 1.0)[:, None, None] * eye \
+        - (2.0 * M * jm.ht_norm)[:, None, None] * eye + S * scale[:, None, None]
 
 
-def _pair_squeeze_checks(X: np.ndarray, st: PairStack):
+def _pair_squeeze_checks(X: np.ndarray, jm: JetMatrices):
     """Both sides of the block squeeze of the pair (X[k], X[k]) at every jet
-    k of st, by the N x N tests of the module docstring: (ok, (lower, upper,
+    k of jm, by the N x N tests of the module docstring: (ok, (lower, upper,
     scale), norm_sum) as arrays.  lower and upper are the least eigenvalues
     of the two sides' differences, and norm_sum is |X - cI| + |Y - cI| with
     c = 2M+1, taken from the same eigenvalues."""
+    M = jm.jets.M
     eye = np.eye(X.shape[1])
-    B = X - (2.0 * st.M + 1.0)[:, None, None] * eye
+    B = X - (2.0 * M + 1.0)[:, None, None] * eye
     wb = jacobi_eigvals(B)
     b_norm = np.abs(wb).max(axis=1)
-    scale = np.maximum(np.maximum(1.0, st.M * st.ht_norm), 6.0 * st.M * st.h1_norm)
-    lower = wb[:, 0] + 6.0 * st.M * st.h1_norm
+    scale = np.maximum(np.maximum(1.0, M * jm.ht_norm), 6.0 * M * jm.h1_norm)
+    lower = wb[:, 0] + 6.0 * M * jm.h1_norm
     upper = np.minimum(-wb[:, -1],
-                       jacobi_eigvals((2.0 * st.M)[:, None, None] * st.Htilde - B)[:, 0])
+                       jacobi_eigvals((2.0 * M)[:, None, None] * jm.Htilde - B)[:, 0])
     ok = (lower >= -_FEAS_TOL * scale) & (upper >= -_FEAS_TOL * scale)
     return ok, (lower, upper, scale), b_norm + b_norm
 
 
-def _feasible_pair_points(st: PairStack, rng) -> tuple:
-    """The first feasible X of every jet of st, with |X - cI| + |Y - cI| of
+def _feasible_pair_points(jm: JetMatrices, rng) -> tuple:
+    """The first feasible X of every jet of jm, with |X - cI| + |Y - cI| of
     Y = X: (X[S, N, N], norm_sum[S]).
 
     Each round draws, in stack order, S and its radius factor for every jet
@@ -502,10 +477,10 @@ def _feasible_pair_points(st: PairStack, rng) -> tuple:
     i.i.d. sequence of draws.  Raises RuntimeError when a jet has no
     feasible pair after _PAIR_DRAWS rounds.
     """
-    n = st.Htilde.shape[1]
-    X = np.empty_like(st.Htilde)
-    norm_sum = np.empty(len(st.jets))
-    pending = np.arange(len(st.jets))
+    n = jm.Htilde.shape[1]
+    X = np.empty_like(jm.Htilde)
+    norm_sum = np.empty(len(jm.jets))
+    pending = np.arange(len(jm.jets))
     for _ in range(_PAIR_DRAWS):
         S = np.empty((len(pending), n, n))
         u = np.zeros(len(pending))
@@ -513,10 +488,10 @@ def _feasible_pair_points(st: PairStack, rng) -> tuple:
             S[i] = _direction(rng, n)
             if S[i].any():  # |S| > 0
                 u[i] = rng.uniform(0.0, 1.0)
-        sub = st.take(pending)
+        sub = jm.take(pending)
         Xp = _pair_points(sub, S, u)
         ok, _, norms = _pair_squeeze_checks(Xp, sub)
-        ok &= norms <= 6.0 * sub.M * sub.h1_norm * (1.0 + 1e-12)
+        ok &= norms <= 6.0 * sub.jets.M * sub.h1_norm * (1.0 + 1e-12)
         X[pending[ok]] = Xp[ok]
         norm_sum[pending[ok]] = norms[ok]
         pending = pending[~ok]
@@ -526,45 +501,43 @@ def _feasible_pair_points(st: PairStack, rng) -> tuple:
                        "always feasible, so this indicates a bug")
 
 
-def _pair_conclusions_checks(X: np.ndarray, st: PairStack, eps, norm_sum) -> list:
-    """The conclusions of the pairs (X[k], X[k]) at the jets of st, one
-    jacobi_eigvals call per matrix set; eps[k] is jet k's.  Raises the
-    ValueErrors of the large-branch conclusion (_pair_large_branch) first."""
-    jets = st.jets
-    axes, ok = _pair_large_branch(jets, st.p, eps)
+def _pair_conclusions_checks(X: np.ndarray, jm: JetMatrices, norm_sum) -> list:
+    """The conclusions of the pairs (X[k], X[k]) at the jets of jm, one
+    jacobi_eigvals call per matrix set.  Raises the ValueErrors of the
+    large-branch conclusion (_pair_large_branch) first."""
+    jets = jm.jets
+    axes, ok = _pair_large_branch(jets)
     if not ok.all():
-        k = int(np.flatnonzero(~ok)[0])
-        _reject_large_branch(jets.take([k]), eps[k])
-    c = 2.0 * st.M + 1.0
-    mp2 = np.array([M ** (p - 2.0) for M, p in zip(st.M.tolist(), st.p.tolist())])
-    weighted = mp2[:, None, None] * st.Theta
+        _reject_large_branch(jets.take([int(np.flatnonzero(~ok)[0])]))
+    c = 2.0 * jets.M + 1.0
+    mp2 = np.array([M ** (p - 2.0) for M, p in zip(jets.M.tolist(), jets.p.tolist())])
+    weighted = mp2[:, None, None] * jm.Theta
     sums = X + X
-    lam_max = jacobi_eigvals(weighted @ sums @ st.Theta)[:, -1]
+    lam_max = jacobi_eigvals(weighted @ sums @ jm.Theta)[:, -1]
     shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
-    lam1 = jacobi_eigvals(weighted @ shifted @ st.Theta)[:, 0]
+    lam1 = jacobi_eigvals(weighted @ shifted @ jm.Theta)[:, 0]
     return [_conclusions(*args) for args in zip(
         jets.M.tolist(), jets.N.tolist(), jets.s.tolist(), jets.wp.tolist(), jets.wpp.tolist(),
-        st.p.tolist(), st.h1_norm.tolist(), st.theta_norm_sq(), eps,
+        jets.p.tolist(), jm.h1_norm.tolist(), jm.theta_norm_sq(), jets.eps.tolist(),
         axes.sum(axis=1).tolist(), lam_max.tolist(), lam1.tolist(), norm_sum.tolist())]
 
 
-def feasible_pairs(jets: Jets, ps, rng) -> tuple:
+def feasible_pairs(jets: Jets, rng) -> tuple:
     """The first feasible pair (X, X) of each of the jets, all of one N with
-    x of width N, in order: jet k has exponent ps[k].
+    x of width N, in order.
 
-    Returns (st, X[S, N, N], norm_sum[S]): the jets' PairStack, their matrices
-    and norms taken with jacobi_eigvals, and |X - cI| + |Y - cI| with
-    c = 2M+1.  The pairs are drawn in _feasible_pair_points' rounds.  Raises
-    RuntimeError when a jet has no feasible pair in _PAIR_DRAWS draws.
+    Returns (jm, X[S, N, N], norm_sum[S]): the jets' JetMatrices, their
+    pairs and |X - cI| + |Y - cI| with c = 2M+1.  The pairs are drawn in
+    _feasible_pair_points' rounds.  Raises RuntimeError when a jet has no
+    feasible pair in _PAIR_DRAWS draws.
     """
-    st = _pair_stack(jets, ps)
-    return (st, *_feasible_pair_points(st, rng))
+    jm = _jet_matrices(jets)
+    return (jm, *_feasible_pair_points(jm, rng))
 
 
-def feasible_pair_conclusions(jets: Jets, ps, eps, rng) -> list:
-    """The conclusions of one feasible pair (X, X) per jet, in order: jet k
-    of jets (screened by pair_screen, which may mix N) has exponent ps[k]
-    and eps[k].
+def feasible_pair_conclusions(jets: Jets, rng) -> list:
+    """The conclusions of one feasible pair (X, X) per jet of jets (screened
+    by pair_screen, which may mix N), in order.
 
     The jets of each N, in order of first appearance, share one stack:
     feasible_pairs gives each its first feasible pair, and one
@@ -573,10 +546,8 @@ def feasible_pair_conclusions(jets: Jets, ps, eps, rng) -> list:
     _PAIR_DRAWS draws.
     """
     out = [None] * len(jets)
-    for n, ks in _by_n(jets.N):
-        group = jets.take(ks)
-        group = replace(group, x=group.x[:, :n])
-        st, X, norm_sum = feasible_pairs(group, [ps[k] for k in ks], rng)
-        for k, rep in zip(ks, _pair_conclusions_checks(X, st, [eps[k] for k in ks], norm_sum)):
+    for ks, group in _by_n(jets):
+        jm, X, norm_sum = feasible_pairs(group, rng)
+        for k, rep in zip(ks, _pair_conclusions_checks(X, jm, norm_sum)):
             out[k] = rep
     return out

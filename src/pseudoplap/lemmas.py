@@ -64,9 +64,10 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
     mask is set, else HolderModulus(gamma); the large branch's eps is
     (1 - gamma) / (2 max(p - 4, 1/4)).  min_eig_screen screens the block on
     its scalars, rejecting the large-branch draws whose index set is empty
-    or whose damped inequality fails, and min_eig_bound_checks checks the
-    accepted ones, one stack of matrices per N.  Rows keep the order of the
-    draws.
+    or whose damped inequality fails, and returns the accepted jets (a Jets
+    that carries each draw's p and eps), their test vectors and bounds;
+    min_eig_bound_checks checks those, one stack of matrices per N.  Rows
+    keep the order of the draws.
     Rows: branch, p, N, gamma, s, rayleigh, bound, slack, rel_slack.
     """
     rows = []
@@ -92,8 +93,8 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
             x = rng.standard_normal((k, 3))
             x[np.arange(3) >= N[:, None]] = 0.0
             x *= (s / np.sqrt(row_dots(x, x)))[:, None]
-            terms, ok = min_eig_screen(x, N, p, eps, modulus)
-            ray, bound, slack = min_eig_bound_checks(terms)
+            jets, w, bound, ok = min_eig_screen(x, N, p, eps, modulus)
+            ray, bound, slack = min_eig_bound_checks(jets, w, bound)
             rel = slack / np.maximum(1.0, np.abs(bound))
             rows += [[branch, *row] for row in zip(
                 p[ok].tolist(), N[ok].tolist(), gamma[ok].tolist(), s[ok].tolist(),
@@ -107,13 +108,14 @@ def pair_rows(rng: np.random.Generator, samples: int):
     """`samples // 4` feasible doubling pairs per regime, at most 50 draws of a jet per pair.
 
     A regime draws its jets in blocks, each of as many draws as its quota
-    still lacks.  A draw is (N, p, s, x, M), drawn one at a time.  Once a
-    block is drawn, pair_screen screens it on its scalars, as one stack:
-    a draw that fails the large branch's preconditions is rejected before
-    any matrix is built or any pair drawn.  feasible_pair_conclusions then
-    gives every surviving jet of the block its first feasible pair and that
-    pair's conclusions, one stack of matrices per N, so no block reaches
-    past the quota.  Rows keep the order of the draws.
+    still lacks.  A draw is (N, p, s, x, M), drawn one at a time, with its
+    regime's eps at p.  Once a block is drawn, pair_screen screens it on its
+    scalars, as one Jets that carries each draw's M, p and eps: a draw that
+    fails the large branch's preconditions is rejected before any matrix is
+    built or any pair drawn.  feasible_pair_conclusions then gives every
+    surviving jet of the block its first feasible pair and that pair's
+    conclusions, one stack of matrices per N, so no block reaches past the
+    quota.  Rows keep the order of the draws.
     Raises RuntimeError when a regime's draws run out.
     Rows: regime, p, N, M, s, slack_all, slack_small, slack_large, slack_norm, rel_slack.
     """
@@ -147,8 +149,7 @@ def pair_rows(rng: np.random.Generator, samples: int):
             _, p, N, M, _ = map(np.array, zip(*heads))
             jets, ok = pair_screen(x, N, M, p, stacked(moduli), eps)
             kept = np.flatnonzero(ok).tolist()
-            reps = feasible_pair_conclusions(jets.take(kept), p[kept].tolist(),
-                                             [eps[j] for j in kept], rng)
+            reps = feasible_pair_conclusions(jets.take(kept), rng)
             for j, rep in zip(kept, reps):
                 rows.append(heads[j] + [rep.slack_all, rep.slack_small, rep.slack_large,
                                         rep.slack_norm, rep.min_relative_slack()])

@@ -139,11 +139,15 @@ def holder_column(gamma: float) -> str:
 
 
 def records_to_csv(path, records, cfg_hash: str = "none") -> None:
-    """Stable column order: p,N,r,f_label,u_sup,f_sup,lip_seminorm,ratio,holder_<g>..."""
+    """Stable column order: p,N,r,f_label,u_sup,f_sup,lip_seminorm,ratio,holder_<g>...
+
+    Raises ValueError when two gammas share a holder_column."""
     records = list(records)
     gammas = sorted({g for rec in records for g in rec.holder_seminorms})
-    columns = ["p", "N", "r", "f_label", "u_sup", "f_sup", "lip_seminorm", "ratio"]
-    columns += [holder_column(g) for g in gammas]
+    holder = [holder_column(g) for g in gammas]
+    if len(set(holder)) < len(holder):
+        raise ValueError(f"two gammas share a records.csv column: {holder}")
+    columns = ["p", "N", "r", "f_label", "u_sup", "f_sup", "lip_seminorm", "ratio"] + holder
     rows = []
     for rec in records:
         row = [rec.p, rec.N, rec.r, rec.f_label, rec.u_sup, rec.f_sup,

@@ -79,7 +79,6 @@ class EnergyProblem:
 class SolveConfig:
     grad_tol: float = 1e-8  # sup-norm of the energy gradient per unit cell volume
     max_iters: int = 1_000  # Newton steps
-    initial_field: ScalarField | None = None  # None: the boundary mean extended inside
 
     def __post_init__(self):
         if not self.grad_tol > 0:
@@ -312,22 +311,13 @@ def energy_gradient(u: ScalarField, prob: EnergyProblem) -> ScalarField:
     return ScalarField(prob.grid, g)
 
 
-def _initial_values(prob: EnergyProblem, cfg: SolveConfig) -> np.ndarray:
+def _initial_values(prob: EnergyProblem) -> np.ndarray:
     grid = prob.grid
     bmask = boundary_mask(grid)
     bvals = prob.boundary_values()
-    if cfg.initial_field is not None:
-        if cfg.initial_field.grid != grid:
-            raise ValueError("initial field lives on a different grid")
-        try:
-            cfg.initial_field.validate_finite()
-        except ValueError as exc:
-            raise ValueError(f"initial_field: {exc}") from exc
-        v = cfg.initial_field.values.astype(float).copy()
-    else:
-        # Boundary mean extended constantly inside: matches the scale the
-        # comparison principle allows for the solution.
-        v = np.full(grid.node_shape, float(bvals.mean()) if len(bvals) else 0.0)
+    # Boundary mean extended constantly inside: matches the scale the
+    # comparison principle allows for the solution.
+    v = np.full(grid.node_shape, float(bvals.mean()) if len(bvals) else 0.0)
     v[bmask] = bvals  # argwhere order == boolean-mask assignment order (both C-order)
     v[~nonexterior_mask(grid)] = np.nan
     return v
@@ -338,15 +328,13 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
 
     Stops when sup|gradient|/h^N <= grad_tol, after max_iters Newton steps,
     or when stalled at the rounding floor; non-convergence is reported in
-    `SolveReport.reason`, not raised.  A non-finite value in
-    `cfg.initial_field` on a non-exterior node raises ValueError; a
-    non-finite energy, at the start or in the line search, raises
-    RuntimeError.
+    `SolveReport.reason`, not raised.  A non-finite energy, at the start or
+    in the line search, raises RuntimeError.
     """
     cfg = cfg or SolveConfig()
     ws = _Workspace(prob)
     t0 = time.perf_counter()
-    u = _initial_values(prob, cfg).reshape(-1)
+    u = _initial_values(prob).reshape(-1)
 
     J_u = ws.energy(u)
     if not np.isfinite(J_u):

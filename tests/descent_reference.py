@@ -84,7 +84,7 @@ def descent_solve(prob: EnergyProblem, cfg: SolveConfig):
     be certified.
     """
     ws = _Kernels(prob)
-    u = _initial_values(prob, cfg)
+    u = _initial_values(prob)
     J_u = ws.energy(u)
     r_u = ws.residual(u)
     converged = float(np.abs(r_u).max()) <= cfg.grad_tol

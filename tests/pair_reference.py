@@ -22,13 +22,7 @@ def alone(stack, k):
     return replace(one, x=one.x[:, :int(one.N[0])])
 
 
-def jet_matrices(one, p):
-    """The JetMatrices of the one-jet stack one at p, as build_jet_matrices builds them."""
-    H1, Htilde, Theta = (m[0] for m in jets._stack_matrices(one, [p]))
-    return jets.JetMatrices(one, p, H1, Htilde, Theta, Theta @ Htilde @ Theta)
-
-
-def feasible_pair_conclusions(stack, ps, eps, rng):
+def feasible_pair_conclusions(stack, rng):
     ones = [alone(stack, k) for k in range(len(stack))]
     out = [None] * len(ones)
     by_n = {}
@@ -42,18 +36,19 @@ def feasible_pair_conclusions(stack, ps, eps, rng):
                 S = jets._direction(rng, n)
                 draws.append((S, rng.uniform(0.0, 1.0) if S.any() else 0.0))
             for k, (S, u) in zip(pending, draws):
-                jm = jet_matrices(ones[k], ps[k])
+                jm = jets._jet_matrices(ones[k])
+                H1 = jets._stack_matrices(ones[k])[0][0]
                 M = float(ones[k].M[0])
-                s_norm, ht_norm = spectral_norm(S), spectral_norm(jm.Htilde)
+                s_norm, ht_norm = spectral_norm(S), spectral_norm(jm.Htilde[0])
                 if s_norm > 0.0:
                     S = S * (u * (M / 4.0) * ht_norm / s_norm)
                 X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
                 try:
-                    rep = jets.pair_conclusions_check(X, X, jm, eps[k])
+                    rep = jets.pair_conclusions_check(X, X, jm)
                 except ValueError as err:  # the jet passed pair_screen, so only the squeeze fails
                     assert "block squeeze" in str(err)
                     continue
-                if rep.norm_sum <= 6.0 * M * spectral_norm(jm.H1) * (1.0 + 1e-12):
+                if rep.norm_sum <= 6.0 * M * spectral_norm(H1) * (1.0 + 1e-12):
                     out[k] = rep
             pending = [k for k in pending if out[k] is None]
             if not pending:

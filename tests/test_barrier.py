@@ -213,6 +213,25 @@ def test_supersolution_matches_full_field_reference(monkeypatch, slab_planes, N,
                                                     f_sup, exclusion_radius))
 
 
+# planes of more than _SLAB_ELEMENTS nodes: tiles of 10 and 3 rows in 2D, of
+# 5 and 1 rows in 3D; the spacing of n = 67 and 35 is no power of 2
+@pytest.mark.parametrize("N, n, elements", [(2, 65, 32), (2, 67, 9), (3, 33, 512),
+                                            (3, 35, 100)])
+def test_supersolution_tiles_match_full_field_reference(monkeypatch, N, n, elements):
+    monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", elements)
+    assert n ** (N - 1) > elements  # every plane is cut into tiles
+    grid = GridSpec(N, n)
+    h = grid.spacing
+    cases = [minimal_params(q, N, boundary_sup) for boundary_sup in (0.0, 0.75)
+             for q in P_LIST]
+    for f_sup in (1.0, 0.0):
+        for exclusion_radius in (2.0 * h, 3.0 * h, 0.5, 0.8, 1.0 - 3.0 * h):
+            got = verify_supersolution(grid, cases, f_sup, exclusion_radius)
+            for params, viol in zip(cases, got):
+                assert_same_max(viol, reference_max(N, n, params.p, params.boundary_sup,
+                                                    f_sup, exclusion_radius))
+
+
 def test_supersolution_exclusion_radius_edge():
     # nodes at exactly the exclusion radius count, and 2h passes with its 1e-12 slack
     grid = GridSpec(2, 65)
@@ -292,12 +311,17 @@ def test_factorised_check_matches_operator_on_barrier(N, n, p):
             assert abs(got - want) <= bound, (boundary_sup, f_sup, got, want, bound)
 
 
-def test_supersolution_memory_is_a_few_slabs():
+def test_supersolution_memory_is_a_few_slabs(monkeypatch):
     # both grids span many slabs and no other test uses them, so the first
     # call finds nothing cached: its peak stays a fixed multiple of a slab,
-    # whatever the grid, and it leaves no whole-grid array in the grid caches
+    # whatever the grid, and it leaves no whole-grid array in the grid caches;
+    # with 2**13 nodes a slab, a plane of n = 131 is cut into tiles, as one of
+    # n = 257 is at the default
     caches = (grid_module._radius_squared, grid_module.classify_nodes)
-    for n in (75, 131):
+    for n, elements in ((75, None), (131, None), (131, 2**13)):
+        if elements is not None:
+            monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", elements)
+            assert n**2 > barrier._SLAB_ELEMENTS
         grid = GridSpec(3, n)
         assert n**3 > 4 * barrier._SLAB_ELEMENTS
         cases = [minimal_params(p, 3) for p in P_LIST]
@@ -322,3 +346,4 @@ def test_barrier_params_reject_non_finite():
         BarrierParams(M=np.inf, boundary_sup=0.0, p=3.0, N=2)
     with pytest.raises(ValueError, match="boundary_sup"):
         BarrierParams(M=1.0, boundary_sup=np.inf, p=3.0, N=2)
+

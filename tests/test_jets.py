@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jacobi_reference
-from pair_reference import alone, jet_matrices
+from pair_reference import alone
 from pseudoplap import jets
 from pseudoplap.claims import DEFAULT_REGIME_P, REGIMES, regime_params
 from pseudoplap.eig import jacobi_eigh, jacobi_eigvals, row_dots, spectral_norm
@@ -33,6 +33,11 @@ def scalar(jm, name):
     return float(getattr(jm.jets, name)[0])
 
 
+def h1_of(jm):
+    """The H1 of the one jet of jm."""
+    return _stack_matrices(jm.jets)[0][0]
+
+
 def concat(ones):
     """One Jets stack of the one-jet stacks ones, all of one N, in order."""
     return Jets(*(np.concatenate([getattr(one, f.name) for one in ones]) for f in fields(Jets)))
@@ -41,17 +46,17 @@ def concat(ones):
 def test_jet_matrices_1d_example():
     mod = HolderModulus(0.5)
     jm = build_jet_matrices(np.array([0.5]), 10.0, 3.0, mod)
-    assert abs(jm.H1[0, 0] - (-(0.25) * 0.5**-1.5)) < 1e-14
-    assert abs(jm.Theta[0, 0] - mod.omega_prime(0.5) ** 0.5) < 1e-14
+    assert abs(h1_of(jm)[0, 0] - (-(0.25) * 0.5**-1.5)) < 1e-14
+    assert abs(jm.Theta[0, 0, 0] - mod.omega_prime(0.5) ** 0.5) < 1e-14
 
 
-def assemble_reference(one, p):
+def assemble_reference(one):
     """H1, Htilde, Theta and H of the one-jet stack one by the formulas on 2D
     arrays: the reference for _stack_matrices, for the stacked
     H = Theta @ Htilde @ Theta of min_eig_bound_checks, and for
     build_jet_matrices."""
     x = one.x[0]
-    s, wp, wpp, iota = (float(v[0]) for v in (one.s, one.wp, one.wpp, one.iota))
+    s, wp, wpp, iota, p = (float(v[0]) for v in (one.s, one.wp, one.wpp, one.iota, one.p))
     unit = x / s
     H1 = (wpp - wp / s) * np.outer(unit, unit) + (wp / s) * np.eye(len(x))
     Htilde = H1 + 2.0 * iota * (H1 @ H1)
@@ -70,15 +75,14 @@ def test_stacked_matrices_match_one_jet_formulas(N):
         M = float(rng.uniform(1.5, 50.0))
         p = (3.0, 6.0, 4.0, float(rng.uniform(2.05, 8.0)))[k % 4]
         jms.append(build_jet_matrices(x, M, p, mod))
-    H1s, Htildes, Thetas = _stack_matrices(concat([jm.jets for jm in jms]),
-                                           [jm.p for jm in jms])
+    H1s, Htildes, Thetas = _stack_matrices(concat([jm.jets for jm in jms]))
     Hs = Thetas @ Htildes @ Thetas  # the stacked H of min_eig_bound_checks
     for k, jm in enumerate(jms):
-        p = jm.p
-        H1, Htilde, Theta, H = assemble_reference(jm.jets, p)
-        for got, alone, want in ((H1s[k], jm.H1, H1), (Htildes[k], jm.Htilde, Htilde),
-                                 (Thetas[k], jm.Theta, Theta), (Hs[k], jm.H, H)):
-            assert np.array_equal(got, want) and np.array_equal(alone, want), (k, p)
+        H1, Htilde, Theta, H = assemble_reference(jm.jets)
+        Ht, Th = jm.Htilde[0], jm.Theta[0]
+        for got, alone, want in ((H1s[k], h1_of(jm), H1), (Htildes[k], Ht, Htilde),
+                                 (Thetas[k], Th, Theta), (Hs[k], Th @ Ht @ Th, H)):
+            assert np.array_equal(got, want) and np.array_equal(alone, want), (k, jm.jets.p)
 
 
 def test_jet_h1_eigenstructure():
@@ -88,7 +92,7 @@ def test_jet_h1_eigenstructure():
         x = random_point(rng, 3, 10 ** rng.uniform(-3, -0.5))
         jm = build_jet_matrices(x, 5.0, 3.0, mod)
         s = np.linalg.norm(x)
-        w, V = jacobi_eigh(jm.H1)
+        w, V = jacobi_eigh(h1_of(jm))
         expected = np.sort([mod.omega_second(s), mod.omega_prime(s) / s,
                             mod.omega_prime(s) / s])
         assert np.abs(np.sort(w) - expected).max() < 1e-12 * max(1, np.abs(expected).max())
@@ -100,7 +104,7 @@ def test_jet_iota_normalization():
         for M in (1.5, 10.0, 200.0):
             x = random_point(rng, N, 0.05)
             jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
-            assert abs(scalar(jm, "iota") * spectral_norm(jm.H1) * 4.0 * M - 1.0) < 1e-12
+            assert abs(scalar(jm, "iota") * spectral_norm(h1_of(jm)) * 4.0 * M - 1.0) < 1e-12
 
 
 def test_jet_htilde_closed_form():
@@ -115,7 +119,7 @@ def test_jet_htilde_closed_form():
             alphaH, betaH = scalar(jm, "alphaH"), scalar(jm, "betaH")
             closed = (betaH * wpp - alphaH * wp / s) * np.outer(unit, unit) \
                 + alphaH * (wp / s) * np.eye(len(x))
-            rel = np.abs(closed - jm.Htilde).max() / np.abs(jm.Htilde).max()
+            rel = np.abs(closed - jm.Htilde[0]).max() / np.abs(jm.Htilde[0]).max()
             assert rel < 1e-12
 
 
@@ -127,10 +131,9 @@ def test_jet_cached_norms():
             N = int(rng.integers(1, 5))
             x = random_point(rng, N, 10 ** rng.uniform(-4, -0.7))
             jm = build_jet_matrices(x, float(rng.uniform(1.1, 40)), 3.3, mod)
-            st = jets._pair_stack(jm.jets, [jm.p])
-            h1_norm, ht_norm = st.h1_norm[0], st.ht_norm[0]
-            assert h1_norm == spectral_norm(jm.H1)
-            assert ht_norm == spectral_norm(jm.Htilde)
+            h1_norm, ht_norm = jm.h1_norm[0], jm.ht_norm[0]
+            assert h1_norm == spectral_norm(h1_of(jm))
+            assert ht_norm == spectral_norm(jm.Htilde[0])
             s = np.linalg.norm(x)
             wp, wpp = float(mod.omega_prime(s)), float(mod.omega_second(s))
             # in 1D only the radial eigenvalue exists
@@ -164,8 +167,9 @@ def test_block_norm_identity():
     x = random_point(rng, 2, 0.1)
     M = 7.0
     jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
-    A = M * np.block([[jm.H1, -jm.H1], [-jm.H1, jm.H1]])
-    assert abs(spectral_norm(A) - 2.0 * M * spectral_norm(jm.H1)) < 1e-10 * spectral_norm(A)
+    H1 = h1_of(jm)
+    A = M * np.block([[H1, -H1], [-H1, H1]])
+    assert abs(spectral_norm(A) - 2.0 * M * spectral_norm(h1_of(jm))) < 1e-10 * spectral_norm(A)
 
 
 @pytest.mark.parametrize("M", [1.0, 0.5, -2.0, np.nan])
@@ -324,9 +328,10 @@ def test_min_eig_large_branch_requires_precondition():
         min_eig_bound_check(np.array([0.5, 0.1]), 6.0, 0.1, mod)
 
 
-def one_jet(x, mod):
-    """The Jets of the one point x at M = 1, the eigenvalue bound's damping."""
-    return jet_scalars(x[None], None, [1.0], mod)
+def one_jet(x, mod, eps):
+    """The Jets of the one point x at M = 1, the eigenvalue bound's damping,
+    at p = 4 and eps."""
+    return jet_scalars(x[None], None, 1.0, 4.0, eps, mod)
 
 
 def test_eq_n_epsilon_1d_reduction():
@@ -338,7 +343,7 @@ def test_eq_n_epsilon_1d_reduction():
     lhs = scalar(jm, "betaH") * mod.omega_second(s) * (1 - s ** (2 * eps)) \
         + scalar(jm, "alphaH") * s ** (2 * eps) * mod.omega_prime(s) / s
     manual = lhs <= mod.omega_second(s) / 4.0
-    assert one_jet(x, mod).eq_n_epsilon(eps) == [manual]
+    assert one_jet(x, mod, eps).eq_n_epsilon() == [manual]
 
 
 def test_eq_n_epsilon_holds_below_selector_threshold():
@@ -350,14 +355,13 @@ def test_eq_n_epsilon_holds_below_selector_threshold():
     for _ in range(100):
         s = params.delta_N * 10 ** rng.uniform(-1.0, -0.01)
         x = random_point(rng, 2, s)
-        assert one_jet(x, mod).eq_n_epsilon(params.eps).all()
-    assert not one_jet(np.array([0.6, 0.6]), mod).eq_n_epsilon(0.9).any()
+        assert one_jet(x, mod, params.eps).eq_n_epsilon().all()
+    assert not one_jet(np.array([0.6, 0.6]), mod, 0.9).eq_n_epsilon().any()
 
 
 def squeeze(X, jm):
     """The stacked squeeze of the one pair (X, X) at jm: (ok, margins, norm_sum)."""
-    st = jets._pair_stack(jm.jets, [jm.p])
-    ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], st)
+    ok, margins, norm_sum = jets._pair_squeeze_checks(X[None], jm)
     return bool(ok[0]), tuple(float(m[0]) for m in margins), float(norm_sum[0])
 
 
@@ -369,7 +373,7 @@ def test_feasible_pair_unperturbed_always_feasible():
         M = float(rng.uniform(1.001, 60))
         jm = build_jet_matrices(x, M, 3.0, HolderModulus(0.5))
         c = 2 * M + 1
-        X = c * np.eye(N) - 2 * M * spectral_norm(jm.Htilde) * np.eye(N)
+        X = c * np.eye(N) - 2 * M * spectral_norm(jm.Htilde[0]) * np.eye(N)
         ok, (_, _, scale), _ = squeeze(X, jm)
         assert ok
         assert min(_full_squeeze(X, X, jm)) >= -1e-10 * scale
@@ -390,7 +394,7 @@ def test_feasible_pair_sample_properties():
         assert min(_full_squeeze(X, Y, jm)) >= -1e-10 * scale
         c = 2 * M + 1
         norm_sum = spectral_norm(X - c * np.eye(N)) + spectral_norm(Y - c * np.eye(N))
-        assert norm_sum <= 6 * M * spectral_norm(jm.H1) * (1 + 1e-10)
+        assert norm_sum <= 6 * M * spectral_norm(h1_of(jm)) * (1 + 1e-10)
 
 
 def test_pair_conclusions_example():
@@ -400,7 +404,7 @@ def test_pair_conclusions_example():
     M = 10.0
     jm = build_jet_matrices(x, M, 3.0, mod)
     c = 2 * M + 1
-    X = c * np.eye(2) - 2 * M * spectral_norm(jm.Htilde) * np.eye(2)
+    X = c * np.eye(2) - 2 * M * spectral_norm(jm.Htilde[0]) * np.eye(2)
     rep = pair_conclusions_check(X, X.copy(), jm)
     assert rep.slack_all > 0 and rep.slack_small > 0 and rep.slack_norm > 0
 
@@ -411,11 +415,11 @@ def test_pair_conclusions_1d_scalar_reduction():
     M = 5.0
     jm = build_jet_matrices(x, M, 3.0, mod)
     c = 2 * M + 1
-    ht = float(jm.Htilde[0, 0])
+    ht = float(jm.Htilde[0, 0, 0])
     X = np.array([[c - 2 * M * abs(ht)]])
     rep = pair_conclusions_check(X, X.copy(), jm)
     # hand arithmetic: eigenvalues are scalars
-    theta2 = float(jm.Theta[0, 0]) ** 2
+    theta2 = float(jm.Theta[0, 0, 0]) ** 2
     lam_all = M ** (3 - 2) * theta2 * 2 * (c - 2 * M * abs(ht))
     assert abs(rep.lambda_all_max - lam_all) < 1e-9 * abs(lam_all)
     assert rep.min_relative_slack() >= -1e-9
@@ -427,13 +431,13 @@ def test_pair_conclusions_rejects_infeasible():
     M = 4.0
     jm = build_jet_matrices(x, M, 3.0, mod)
     c = 2 * M + 1
-    bad = c * np.eye(2) + 3 * M * spectral_norm(jm.Htilde) * np.eye(2)
+    bad = c * np.eye(2) + 3 * M * spectral_norm(jm.Htilde[0]) * np.eye(2)
     with pytest.raises(ValueError, match="block squeeze"):
         pair_conclusions_check(bad, bad.copy(), jm)
 
 
 def _pair_candidates(rng):
-    """(regime, one-jet Jets, p, eps) that pass pair_screen: every regime at
+    """(regime, one-jet Jets) that pass pair_screen: every regime at
     N = 1, 2, 3, at its default p and, for the large-p regimes, at p = 4
     exactly, where both branches' bounds apply."""
     out = []
@@ -452,7 +456,7 @@ def _pair_candidates(rng):
                     except ValueError:
                         continue
                     if ok[0]:
-                        out.append((regime, one, p, params.eps))
+                        out.append((regime, one))
     return out
 
 
@@ -463,23 +467,22 @@ def test_stacked_pair_checks_match_scalar_path():
     rng = np.random.default_rng(41)
     cands = _pair_candidates(rng)
     # 1D lipschitz_large_p fails eq_n_epsilon on every draw
-    assert {(regime, int(one.N[0])) for regime, one, _, _ in cands} \
+    assert {(regime, int(one.N[0])) for regime, one in cands} \
         == {(regime, N) for regime in REGIMES for N in (1, 2, 3)} - {("lipschitz_large_p", 1)}
-    assert 4.0 in {p for _, _, p, _ in cands}
+    assert 4.0 in {float(one.p[0]) for _, one in cands}
     seen = set()
     for N in (1, 2, 3):
         group = [c for c in cands if c[1].N[0] == N]
-        st = jets._pair_stack(concat([one for _, one, _, _ in group]),
-                              [p for _, _, p, _ in group])
+        st = jets._jet_matrices(concat([one for _, one in group]))
         S = np.array([jets._direction(rng, N) for _ in group])
         u = rng.uniform(0.0, 4.0, len(group))  # beyond 1, a pair may fail the squeeze
         X = jets._pair_points(st, S, u)
         ok, (lower, upper, scale), norm_sum = jets._pair_squeeze_checks(X, st)
-        reps = jets._pair_conclusions_checks(X, st, [e for _, _, _, e in group], norm_sum)
-        for k, (_, one, p, eps) in enumerate(group):
-            jm = jet_matrices(one, p)
-            M = float(one.M[0])
-            h1_norm, ht_norm = spectral_norm(jm.H1), spectral_norm(jm.Htilde)
+        reps = jets._pair_conclusions_checks(X, st, norm_sum)
+        for k, (_, one) in enumerate(group):
+            jm = jets._jet_matrices(one)  # the jet alone
+            M, p = float(one.M[0]), float(one.p[0])
+            h1_norm, ht_norm = spectral_norm(h1_of(jm)), spectral_norm(jm.Htilde[0])
             assert (st.h1_norm[k], st.ht_norm[k]) == (h1_norm, ht_norm)
             Sk = S[k] * (u[k] * (M / 4.0) * ht_norm / spectral_norm(S[k]))
             c = 2.0 * M + 1.0
@@ -487,17 +490,18 @@ def test_stacked_pair_checks_match_scalar_path():
             assert squeeze(X[k], jm) == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
             B = X[k] - c * np.eye(N)
             wb = jacobi_reference.jacobi_eigh(B)[0]
-            upper_ref = jacobi_reference.jacobi_eigh(2.0 * M * jm.Htilde - B)[0][0]
+            upper_ref = jacobi_reference.jacobi_eigh(2.0 * M * jm.Htilde[0] - B)[0][0]
             assert lower[k] == wb[0] + 6.0 * M * h1_norm
             assert upper[k] == min(-wb[-1], upper_ref)
             assert norm_sum[k] == 2.0 * np.abs(wb).max()
             if ok[k]:
-                rep = pair_conclusions_check(X[k], X[k], jm, eps)
+                rep = pair_conclusions_check(X[k], X[k], jm)
                 assert reps[k] == rep
-                weighted = M ** (p - 2.0) * jm.Theta
-                lam = jacobi_reference.jacobi_eigh(weighted @ (X[k] + X[k]) @ jm.Theta)[0]
+                Theta = jm.Theta[0]
+                weighted = M ** (p - 2.0) * Theta
+                lam = jacobi_reference.jacobi_eigh(weighted @ (X[k] + X[k]) @ Theta)[0]
                 lam1 = jacobi_reference.jacobi_eigh(
-                    weighted @ (X[k] + X[k] - 2.0 * c * np.eye(N)) @ jm.Theta)[0][0]
+                    weighted @ (X[k] + X[k] - 2.0 * c * np.eye(N)) @ Theta)[0][0]
                 assert rep.lambda_all_max == lam[-1]
                 assert rep.slack_small is not None or rep.slack_large is not None
                 for bound, slack in ((rep.bound_small, rep.slack_small),
@@ -512,15 +516,16 @@ def test_jet_eq_n_epsilon_matches_check():
     # decides eq N-epsilon; a stack that mixes N decides it as each jet alone
     rng = np.random.default_rng(14)
     mod = HolderModulus(0.7)
-    x, N, M, eps, alone_ok = np.zeros((50, 3)), [], [], [], []
+    x, N, M, p, eps, alone_ok = np.zeros((50, 3)), [], [], [], [], []
     for k in range(50):
         N.append(int(rng.integers(1, 4)))
         x[k, :N[-1]] = random_point(rng, N[-1], 10 ** rng.uniform(-6, -0.5))
         M.append(float(rng.uniform(1.5, 50)))
         eps.append(float(rng.uniform(0.05, 0.9)))
-        jm = build_jet_matrices(x[k, :N[-1]], M[-1], float(rng.uniform(4, 8)), mod)
-        alone_ok += jm.jets.eq_n_epsilon(eps[-1]).tolist()
-    assert jet_scalars(x, N, M, mod).eq_n_epsilon(eps).tolist() == alone_ok
+        p.append(float(rng.uniform(4, 8)))
+        jm = build_jet_matrices(x[k, :N[-1]], M[-1], p[-1], mod, eps[-1])
+        alone_ok += jm.jets.eq_n_epsilon().tolist()
+    assert jet_scalars(x, N, M, p, eps, mod).eq_n_epsilon().tolist() == alone_ok
     assert set(alone_ok) == {True, False}
 
 
@@ -530,8 +535,8 @@ def _full_squeeze(X, Y, jm):
     c = 2 * M + 1
     zero = np.zeros((n, n))
     D = np.block([[X - c * np.eye(n), zero], [zero, Y - c * np.eye(n)]])
-    Ht = jm.Htilde
-    lower = jacobi_eigh(D + 6 * M * spectral_norm(jm.H1) * np.eye(2 * n))[0][0]
+    Ht = jm.Htilde[0]
+    lower = jacobi_eigh(D + 6 * M * spectral_norm(h1_of(jm)) * np.eye(2 * n))[0][0]
     upper = jacobi_eigh(M * np.block([[Ht, -Ht], [-Ht, Ht]]) - D)[0][0]
     return lower, upper
 
@@ -540,7 +545,7 @@ def _random_pair_point(rng, N, M, jm, radius):
     """(2M+1) Id - 2M |Htilde| Id + S with |S| = radius * M |Htilde|."""
     A = rng.standard_normal((N, N))
     S = 0.5 * (A + A.T)
-    ht_norm = spectral_norm(jm.Htilde)
+    ht_norm = spectral_norm(jm.Htilde[0])
     S *= radius * M * ht_norm / spectral_norm(S)
     return (2 * M + 1) * np.eye(N) - 2 * M * ht_norm * np.eye(N) + S
 
@@ -572,7 +577,7 @@ def test_pair_split_matches_full_squeeze(N, jets_eig_shapes):
         # radius (M/4) |Htilde| is the sampler's; beyond about 2M |Htilde| a side fails
         X.append(_random_pair_point(rng, N, M, jm, float(rng.uniform(0.0, 4.0))))
         jms.append(jm)
-    st = jets._pair_stack(concat([jm.jets for jm in jms]), [jm.p for jm in jms])
+    st = jets._jet_matrices(concat([jm.jets for jm in jms]))
     jets_eig_shapes.clear()
     ok, (lower, upper, scale), norm_sum = jets._pair_squeeze_checks(np.array(X), st)
     assert jets_eig_shapes == [(100, N, N)] * 2  # every eigen-test is N x N
@@ -593,7 +598,7 @@ def test_pair_distinct_y_raises(N):
     M = float(rng.uniform(1.5, 50))
     jm = build_jet_matrices(random_point(rng, N, 10 ** rng.uniform(-3, -0.7)), M, 3.0,
                             HolderModulus(0.5))
-    X = (2 * M + 1) * np.eye(N) - 2 * M * spectral_norm(jm.Htilde) * np.eye(N)  # always feasible
+    X = (2 * M + 1) * np.eye(N) - 2 * M * spectral_norm(jm.Htilde[0]) * np.eye(N)  # always feasible
     pair_conclusions_check(X, X.copy(), jm)
     Y = X.copy()
     Y[0, 0] = np.nextafter(Y[0, 0], np.inf)

@@ -33,9 +33,9 @@ def work(monkeypatch):
     counts = {"jets": [], "tested": [], "stacks": []}
     stack, squeeze, eigvals = jets._stack_matrices, jets._pair_squeeze_checks, jets.jacobi_eigvals
 
-    def counted_stack(stacked_jets, ps):
+    def counted_stack(stacked_jets):
         counts["jets"].append(len(stacked_jets))
-        return stack(stacked_jets, ps)
+        return stack(stacked_jets)
 
     def counted_squeeze(X, st):
         counts["tested"] += [Xk.tobytes() for Xk in X]
@@ -128,7 +128,7 @@ def test_pair_rows_redraw_only_rejected(monkeypatch):
         ok, margins, norm_sum = checks(X, st)
         assert ok.all()
         keys = [x.tobytes() for x in st.jets.x]
-        first = np.array([M > 25.0 and key not in rejected for M, key in zip(st.M, keys)])
+        first = np.array([M > 25.0 and key not in rejected for M, key in zip(st.jets.M, keys)])
         rejected.update(key for key, f in zip(keys, first) if f)
         rounds.append((keys, first))
         return ok & ~first, margins, norm_sum
@@ -178,9 +178,9 @@ def screen_blocks(monkeypatch):
     screen = lemmas.min_eig_screen
 
     def recorded(x, N, p, eps, modulus):
-        terms, ok = screen(x, N, p, eps, modulus)
+        *terms, ok = screen(x, N, p, eps, modulus)
         blocks.append(("small" if eps is None else "large", len(x), int(ok.sum())))
-        return terms, ok
+        return (*terms, ok)
 
     monkeypatch.setattr(lemmas, "min_eig_screen", recorded)
     return blocks

@@ -194,3 +194,12 @@ def test_record_validation_and_csv(tmp_path):
     assert lines[0].startswith("# tool=pseudoplap-") and "deadbeef" in lines[0]
     assert lines[1] == "p,N,r,f_label,u_sup,f_sup,lip_seminorm,ratio,holder_0.5"
     assert len(lines) == 4
+
+
+def test_records_to_csv_rejects_gammas_of_one_column(tmp_path):
+    # 0.5 and 0.5000001 both format as holder_0.5: no CSV with a repeated column is written
+    recs = [ExperimentRecord(3.0, 2, 0.5, "a", 1.0, 1.0, 2.0, {0.5: 1.5, 0.5000001: 1.4})]
+    path = tmp_path / "records.csv"
+    with pytest.raises(ValueError, match="share a records.csv column"):
+        records_to_csv(path, recs)
+    assert not path.exists()

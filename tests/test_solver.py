@@ -229,18 +229,6 @@ def test_solve_nan_in_line_search_raises(monkeypatch):
         solve_dirichlet(prob, SolveConfig())
 
 
-@pytest.mark.parametrize("node", [4, 0])
-def test_solve_rejects_nonfinite_initial_field(node):
-    # an interior NaN, and a boundary one that the boundary data would overwrite
-    g = GridSpec(1, 9)
-    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
-    vals = np.zeros(9)
-    vals[node] = np.nan
-    cfg = SolveConfig(initial_field=ScalarField(g, vals))
-    with pytest.raises(ValueError, match=rf"initial_field: .* node \({node},\)"):
-        solve_dirichlet(prob, cfg)
-
-
 def test_pcg_raises_on_nan():
     g = GridSpec(1, 9)
     ws = _Workspace(EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary))
@@ -248,15 +236,6 @@ def test_pcg_raises_on_nan():
     ws.residual()[4] = np.nan
     with pytest.raises(RuntimeError, match="PCG: curvature"):
         ws.newton_step(1e-2, 0.5)
-
-
-def test_solve_user_initial_field():
-    g = GridSpec(1, 65)
-    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
-    u0, _ = solve_dirichlet(prob, SolveConfig(grad_tol=1e-6))
-    cfg = SolveConfig(grad_tol=1e-6, initial_field=u0)
-    u, rep = solve_dirichlet(prob, cfg)
-    assert rep.converged and rep.iterations == 0
 
 
 def test_solver_stationarity_matches_divergence_form():
