@@ -32,8 +32,7 @@ from .config import ConfigError, RawConfig, parse_config
 from .grid import GridSpec, node_coordinates, nonexterior_mask, write_field
 from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows
 from .lemmas import uncovered_pairs, zt_rows
-from .manufactured import closed_form_1d, make_boundary, make_f_field, separable_reference
-from .manufactured import separable_trace, zero_boundary
+from .manufactured import make_boundary, make_f_field, separable_reference
 from .regularity import estimate_constant, holder_column, preset_sweep, records_to_csv
 from .reporting import config_hash, svg_line_plot, write_csv
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
@@ -55,8 +54,13 @@ def _build_grid(cfg: RawConfig) -> GridSpec:
                       ("problem", "nodes"))
 
 
-def _read_p(cfg: RawConfig) -> float:
-    return cfg.get_float("problem", "p", 3.0, valid=lambda p: p > 2, rule="p must be > 2")
+def _read_p(cfg: RawConfig, section="problem", key="p", default=3.0, rule="p must be > 2"):
+    """[section] key, one p or, with a list default, a list of them: each > 2 and finite."""
+    get = cfg.get_list if isinstance(default, list) else cfg.get_float
+    ps = get(section, key, default, valid=lambda p: p > 2, rule=rule)
+    if not np.isfinite(ps).all():
+        cfg.fail(section, key, f"p must be finite, got {ps}")
+    return ps
 
 
 def _preset_value(cfg: RawConfig, key: str, default: float, closed_form: str) -> float:
@@ -121,8 +125,8 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
     if not any(run.values()):
         cfg.fail("lemmas", None, "every run_* is false, so nothing would be checked")
     barrier_nodes = cfg.get_int("lemmas", "barrier_nodes", 129)
-    barrier_ps = cfg.get_list("lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0],
-                              valid=lambda p: p > 2, rule="every p must be > 2")
+    barrier_ps = _read_p(cfg, "lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0],
+                         "every p must be > 2")
     barrier_ns = cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int,
                               valid=lambda n: n in (1, 2, 3), rule="every N must be 1, 2 or 3")
     for n in barrier_ns:
@@ -134,8 +138,7 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
                                           ("comparison_pairs", 5, 1))}
     comparison_nodes = cfg.get_int("lemmas", "comparison_nodes", 33)
     _grid_spec(cfg, 2, comparison_nodes, "ball", ("lemmas", "comparison_nodes"))
-    comparison_p = cfg.get_float("lemmas", "comparison_p", 3.0, valid=lambda p: p > 2,
-                                 rule="comparison_p must be > 2")
+    comparison_p = _read_p(cfg, "lemmas", "comparison_p", 3.0, "comparison_p must be > 2")
     scales = cfg.get_list("lemmas", "claims_scales", [1e-1, 1e-2, 1e-3, 1e-4],
                           valid=lambda s: 0.0 < s < 1.0, rule="every scale must be in (0, 1)")
     if len(set(scales)) < 2:
@@ -284,17 +287,10 @@ def run_convergence_study(cfg: RawConfig) -> Callable:
     def work(seed: int, outdir: Path, chash: str) -> list:
         rows = []
         errs = []
+        exact, f_const = separable_reference(p, dim)  # exact is its own boundary data
         for grid in grids:
-            if dim == 1:
-                f = make_f_field(grid, "constant", value=1.0)
-                boundary = zero_boundary
-                exact_fn, _ = closed_form_1d(p, 1.0)
-                exact = lambda pts, fn=exact_fn: fn(pts[:, 0])
-            else:
-                f = make_f_field(grid, "constant", value=float(dim))
-                boundary = separable_trace(p)
-                exact, _ = separable_reference(p, dim)
-            u, rep = solve_dirichlet(EnergyProblem(grid, p, f, boundary), solver_cfg)
+            f = make_f_field(grid, "constant", value=f_const)
+            u, rep = solve_dirichlet(EnergyProblem(grid, p, f, exact), solver_cfg)
             idx = np.argwhere(nonexterior_mask(grid))
             vals = exact(node_coordinates(grid, idx).reshape(len(idx), -1))
             err = float(np.abs(u.values[tuple(idx.T)] - vals).max())
@@ -334,6 +330,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"argument --seed: expected a u64, got {args.seed}")
     try:
         cfg = parse_config(args.config)
         work = _RUNNERS[args.subcommand](cfg)

@@ -1,7 +1,8 @@
 """Uniform node-centered grids on [-1,1]^N with unit-ball masking and field output.
 
 The grid always has an odd number of nodes per axis so the origin is a node.
-Every node is classified exactly once as interior, boundary, or exterior:
+Every node is classified exactly once, by the read-only (closed, interior)
+masks that node_masks caches per grid, as interior, boundary, or exterior:
 
 * interior: in the open unit ball and all 2N axis neighbours in the closed ball
   (for cube-shaped domains: all coordinates strictly inside (-1, 1)),
@@ -18,15 +19,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
-
-
-class NodeClass(IntEnum):
-    INTERIOR = 0
-    BOUNDARY = 1
-    EXTERIOR = 2
 
 
 @dataclass(frozen=True)
@@ -66,14 +60,6 @@ def radius_squared(squares, combine=np.add) -> np.ndarray:
     return functools.reduce(combine, np.ix_(*squares))
 
 
-@functools.lru_cache(maxsize=64)
-def _radius_squared(grid: GridSpec, combine=np.add) -> np.ndarray:
-    """radius_squared at every node of the grid, read-only."""
-    r2 = radius_squared([grid.axis_coords() ** 2] * grid.dimension, combine)
-    r2.setflags(write=False)
-    return r2
-
-
 def node_rule(r2: np.ndarray) -> tuple:
     """(closed, interior) masks of a block of squared radii r2 (Euclidean or
     max norm): closed is r2 <= 1, interior is r2 < 1 with every axis
@@ -108,20 +94,14 @@ def axis_strides(shape: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def classify_nodes(grid: GridSpec) -> np.ndarray:
-    """Total node classification as a read-only int8 array of NodeClass values.
-
-    Ball and cube share one rule (node_rule), in the squared Euclidean or
-    max norm: interior is r2 < 1 with every axis neighbour at r2 <= 1,
-    boundary is the rest of r2 <= 1.
-    """
-    r2 = _radius_squared(grid, np.maximum) if grid.shape == "cube" else _radius_squared(grid)
-    closed, interior = node_rule(r2)
-    cls = np.full(grid.node_shape, NodeClass.EXTERIOR, dtype=np.int8)
-    cls[closed] = NodeClass.BOUNDARY
-    cls[interior] = NodeClass.INTERIOR
-    cls.setflags(write=False)
-    return cls
+def node_masks(grid: GridSpec) -> tuple:
+    """The grid's read-only (closed, interior) masks: node_rule on its
+    squared radii, Euclidean for a ball and max norm for a cube."""
+    combine = np.maximum if grid.shape == "cube" else np.add
+    masks = node_rule(radius_squared([grid.axis_coords() ** 2] * grid.dimension, combine))
+    for m in masks:
+        m.setflags(write=False)
+    return masks
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,18 +119,17 @@ def off_links(grid: GridSpec) -> tuple:
     return tuple(masks)
 
 
-# The masks compare with each class's plain int: an IntEnum member costs
-# numpy about 6 us more per comparison, a sixth of a 1D energy() call.
 def interior_mask(grid: GridSpec) -> np.ndarray:
-    return classify_nodes(grid) == NodeClass.INTERIOR.value
+    return node_masks(grid)[1]
 
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
-    return classify_nodes(grid) == NodeClass.BOUNDARY.value
+    closed, interior = node_masks(grid)
+    return closed & ~interior
 
 
 def nonexterior_mask(grid: GridSpec) -> np.ndarray:
-    return classify_nodes(grid) != NodeClass.EXTERIOR.value
+    return node_masks(grid)[0]
 
 
 def node_coordinates(grid: GridSpec, multi_index: np.ndarray) -> np.ndarray:
@@ -162,17 +141,16 @@ def node_coordinates(grid: GridSpec, multi_index: np.ndarray) -> np.ndarray:
 def interior_ball_nodes(grid: GridSpec, r: float) -> np.ndarray:
     """Multi-indices (lexicographic) of all nodes with |x| <= r.
 
-    Requires r < 1; every selected node must land in the interior class, which
-    holds whenever r <= 1 - spacing.
+    Requires r < 1; every selected node must be interior, which holds
+    whenever r <= 1 - spacing.
     """
     if not r < 1.0:
         raise ValueError(f"radius must be < 1, got {r}")
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r}")
-    sel = _radius_squared(grid) <= r * r
+    sel = radius_squared([grid.axis_coords() ** 2] * grid.dimension) <= r * r
     idx = np.argwhere(sel)
-    cls = classify_nodes(grid)
-    if not (cls[sel] == NodeClass.INTERIOR).all():
+    if not interior_mask(grid)[sel].all():
         raise ValueError(
             f"ball of radius {r} reaches the boundary band; "
             f"use r <= 1 - h = {1.0 - grid.spacing:.6g}"

@@ -81,8 +81,8 @@ class SolveConfig:
     max_iters: int = 1_000  # Newton steps
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -16,14 +16,18 @@ import numpy as np
 from pseudoplap.barrier import BarrierParams, min_barrier_M, supersolution_tolerance
 from pseudoplap.barrier import _check_barrier_grid, _profile
 from pseudoplap.grid import GridSpec, ScalarField, interior_mask, nonexterior_mask
-from pseudoplap.grid import _radius_squared
+from pseudoplap.grid import radius_squared
 from stencil_reference import apply_nondivergence, nondivergence_factors
+
+
+def _grid_radius_squared(grid: GridSpec) -> np.ndarray:
+    return radius_squared([grid.axis_coords() ** 2] * grid.dimension)
 
 
 def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
     """Barrier evaluated at every non-exterior node; ball-shaped grids only."""
     _check_barrier_grid(grid, params)
-    vals = _profile(_radius_squared(grid))
+    vals = _profile(_grid_radius_squared(grid))
     vals *= params.M
     vals += params.boundary_sup
     vals[~nonexterior_mask(grid)] = np.nan
@@ -38,7 +42,7 @@ def _check_exclusion(grid: GridSpec, exclusion_radius: float) -> None:
 
 def selected_nodes(grid: GridSpec, exclusion_radius: float) -> np.ndarray:
     """The interior nodes with |x| >= exclusion_radius, which the checks take the max over."""
-    sel = interior_mask(grid) & (_radius_squared(grid) >= exclusion_radius**2)
+    sel = interior_mask(grid) & (_grid_radius_squared(grid) >= exclusion_radius**2)
     if not sel.any():
         raise ValueError("no interior nodes outside the exclusion radius")
     return sel
@@ -60,7 +64,7 @@ def factored_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
     """verify_supersolution's value by the factorised formula: (p-1) (M^{p-1} t + f_sup)."""
     _check_exclusion(grid, exclusion_radius)
     _check_barrier_grid(grid, params)
-    g = _profile(_radius_squared(grid))
+    g = _profile(_grid_radius_squared(grid))
     g[~nonexterior_mask(grid)] = np.nan
     total = np.zeros(grid.node_shape)
     for core, coef, second in nondivergence_factors(g, grid.spacing):

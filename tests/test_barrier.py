@@ -317,7 +317,7 @@ def test_supersolution_memory_is_a_few_slabs(monkeypatch):
     # whatever the grid, and it leaves no whole-grid array in the grid caches;
     # with 2**13 nodes a slab, a plane of n = 131 is cut into tiles, as one of
     # n = 257 is at the default
-    caches = (grid_module._radius_squared, grid_module.classify_nodes)
+    caches = (grid_module.node_masks,)
     for n, elements in ((75, None), (131, None), (131, 2**13)):
         if elements is not None:
             monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", elements)

@@ -290,6 +290,14 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
      "boundary_value = 0.0", "boundary_value = -1",
      "[problem] boundary_value: boundary_value must be finite and > 0 for "
      "boundary = separable_trace, got -1.0"),
+    # non-finite values that pass "> 0" or "> 2" and would fail, or pass, only later
+    ("solve", SOLVE_TINY, "grad_tol = 1e-7", "grad_tol = inf",
+     "[solver] grad_tol: grad_tol must be positive and finite"),
+    ("solve", SOLVE_TINY, "p = 3.0", "p = inf", "[problem] p: p must be finite, got inf"),
+    ("verify-lemmas", LEMMAS_ALL, "barrier_p_list = 3", "barrier_p_list = 3, inf",
+     "[lemmas] barrier_p_list: p must be finite, got [3.0, inf]"),
+    ("verify-lemmas", LEMMAS_ALL, "comparison_p = 3.0", "comparison_p = inf",
+     "[lemmas] comparison_p: p must be finite, got inf"),
 ], ids=["reg-p", "conv-p", "conv-even-nodes", "conv-one-node-count", "conv-no-node-count",
         "conv-decreasing-nodes", "conv-negative-order", "conv-nan-order", "solve-dimension",
         "solve-nan-f", "solve-inf-boundary", "solve-zero-sigma", "lemmas-claims-N",
@@ -299,7 +307,8 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
         "lemmas-barrier-p", "lemmas-barrier-N", "lemmas-empty-N-list", "lemmas-min-eig-samples",
         "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples",
         "lemmas-nothing-to-check", "conv-plots",
-        "reg-empty-lambdas", "solve-separable-f-value", "solve-trace-boundary-value"])
+        "reg-empty-lambdas", "solve-separable-f-value", "solve-trace-boundary-value",
+        "solve-inf-grad-tol", "solve-inf-p", "lemmas-inf-barrier-p", "lemmas-inf-comparison-p"])
 def test_bad_config_value_exit_2(tmp_path, no_work, capsys, subcommand, text, old, new, message):
     # every value is checked before the first solve, lemma sampler or output
     lineno = text.splitlines().index(old) + 1
@@ -357,6 +366,18 @@ def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
     with open(out / "solve_report.csv", newline="") as fh:
         report = list(csv.DictReader(fh.readlines()[1:]))[0]
     assert report["reason"] == "converged" and int(report["inner_iterations"]) > 0
+
+
+@pytest.mark.parametrize("subcommand", sorted(EVERY_CSV))
+def test_seed_not_u64_exit_2(tmp_path, no_work, capsys, subcommand):
+    # rejected with the arguments, before the config is read or any output made
+    path = write(tmp_path, "run.ini", EVERY_CSV[subcommand][0])
+    for seed in ("-1", str(2**64)):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--config", path, "--seed", seed, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument --seed: expected a u64, got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_lemmas_micro_passes_and_is_deterministic(tmp_path):

@@ -9,10 +9,10 @@ import stencil_reference
 from pseudoplap import grid
 from pseudoplap.grid import (
     GridSpec,
-    NodeClass,
     ScalarField,
-    classify_nodes,
+    boundary_mask,
     interior_ball_nodes,
+    interior_mask,
     node_coordinates,
     nonexterior_mask,
     off_links,
@@ -37,8 +37,8 @@ def test_spacing_exact():
     assert g.axis_coords()[0] == -1.0 and g.axis_coords()[-1] == 1.0
 
 
-def brute_force_class(grid, idx):
-    """The module docstring's definition, node by node."""
+def brute_force_masks(grid, idx):
+    """The module docstring's definition, node by node: (closed, interior)."""
     c = grid.axis_coords()
 
     def in_set(i, closed):
@@ -52,9 +52,7 @@ def brute_force_class(grid, idx):
 
     neighbours = [tuple(k + s * (a == ax) for a, k in enumerate(idx))
                   for ax in range(grid.dimension) for s in (-1, 1)]
-    if in_set(idx, False) and all(in_set(nb, True) for nb in neighbours):
-        return NodeClass.INTERIOR
-    return NodeClass.BOUNDARY if in_set(idx, True) else NodeClass.EXTERIOR
+    return in_set(idx, True), in_set(idx, False) and all(in_set(nb, True) for nb in neighbours)
 
 
 @pytest.mark.parametrize("nodes", [9, 17])
@@ -62,38 +60,44 @@ def brute_force_class(grid, idx):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_classify_matches_definition(dim, shape, nodes):
     g = GridSpec(dim, nodes, shape)
-    cls = classify_nodes(g)
+    closed, interior = nonexterior_mask(g), interior_mask(g)
     for idx in itertools.product(range(nodes), repeat=dim):
-        assert cls[idx] == brute_force_class(g, idx), idx
+        assert (closed[idx], interior[idx]) == brute_force_masks(g, idx), idx
 
 
 def test_classify_1d_endpoints_boundary():
     g = GridSpec(1, 9)
-    cls = classify_nodes(g)
-    assert cls[0] == NodeClass.BOUNDARY and cls[-1] == NodeClass.BOUNDARY
-    assert (cls[1:-1] == NodeClass.INTERIOR).all()
+    boundary = boundary_mask(g)
+    assert boundary[0] and boundary[-1]
+    assert interior_mask(g)[1:-1].all()
 
 
 def test_classify_2d_corner_exterior_origin_interior():
     g = GridSpec(2, 9)
-    cls = classify_nodes(g)
-    assert cls[-1, -1] == NodeClass.EXTERIOR  # (1, 1), |x| = sqrt(2)
-    assert cls[4, 4] == NodeClass.INTERIOR  # origin
+    assert not nonexterior_mask(g)[-1, -1]  # (1, 1), |x| = sqrt(2)
+    assert interior_mask(g)[4, 4]  # origin
 
 
 def test_classification_total_and_deterministic():
-    for g in (GridSpec(2, 17), GridSpec(3, 9), GridSpec(2, 17, "cube")):
-        cls = classify_nodes(g)
-        assert set(np.unique(cls)) <= {0, 1, 2}
-        assert np.array_equal(cls, classify_nodes(g))
+    # each node is interior, boundary or exterior, and the cached masks are
+    # the same read-only arrays on every call
+    for dim, shape in itertools.product((1, 2, 3), ("ball", "cube")):
+        g = GridSpec(dim, 9 if dim == 3 else 17, shape)
+        closed, interior, boundary = nonexterior_mask(g), interior_mask(g), boundary_mask(g)
+        assert closed is nonexterior_mask(g) and interior is interior_mask(g)
+        assert np.array_equal(boundary, boundary_mask(g))
+        assert np.array_equal(boundary | interior, closed)
+        assert not (boundary & interior).any()
+        for mask in (closed, interior):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[(0,) * dim] = True
 
 
 def test_cube_has_no_exterior():
     g = GridSpec(2, 9, "cube")
-    cls = classify_nodes(g)
-    assert (cls != NodeClass.EXTERIOR).all()
-    assert cls[0, 3] == NodeClass.BOUNDARY
-    assert (cls[1:-1, 1:-1] == NodeClass.INTERIOR).all()
+    assert nonexterior_mask(g).all()
+    assert boundary_mask(g)[0, 3]
+    assert interior_mask(g)[1:-1, 1:-1].all()
 
 
 @pytest.mark.parametrize("shape", ["ball", "cube"])
@@ -103,7 +107,8 @@ def test_node_rule_on_boxes_matches_whole_grid(dim, nodes, shape):
     # bit, and the grid's classes wherever all its neighbours are in the box
     g = GridSpec(dim, nodes, shape)
     combine = np.maximum if shape == "cube" else np.add
-    whole, cls = grid._radius_squared(g, combine), classify_nodes(g)
+    whole = grid.radius_squared([g.axis_coords() ** 2] * dim, combine)
+    whole_closed, whole_interior = grid.node_masks(g)
     rng = np.random.default_rng(nodes)
     for _ in range(20):
         box = tuple(slice(lo, hi) for lo, hi in
@@ -111,9 +116,9 @@ def test_node_rule_on_boxes_matches_whole_grid(dim, nodes, shape):
         r2 = grid.radius_squared([g.axis_coords()[axis] ** 2 for axis in box], combine)
         assert np.array_equal(r2, whole[box])
         closed, interior = grid.node_rule(r2)
-        assert np.array_equal(closed, cls[box] != NodeClass.EXTERIOR)
+        assert np.array_equal(closed, whole_closed[box])
         core = (slice(1, -1),) * dim
-        assert np.array_equal(interior[core], cls[box][core] == NodeClass.INTERIOR)
+        assert np.array_equal(interior[core], whole_interior[box][core])
         interior[core] = False
         assert not interior.any()  # a node on a face of the box never is
 
@@ -133,10 +138,10 @@ def test_off_links_match_sliced_masks(dim, nodes, shape):
 
 def test_disk_area_fraction():
     g = GridSpec(2, 129)
-    in_ball = (classify_nodes(g) != NodeClass.EXTERIOR).mean()
+    in_ball = nonexterior_mask(g).mean()
     assert abs(in_ball - np.pi / 4.0) < 0.02
     # the strict interior count converges to the same limit from below
-    frac_int = (classify_nodes(g) == NodeClass.INTERIOR).mean()
+    frac_int = interior_mask(g).mean()
     assert frac_int < in_ball < np.pi / 4.0 + 0.02
 
 
@@ -213,7 +218,7 @@ def test_write_field_matches_reference(tmp_path, monkeypatch, dim, shape, block)
 def test_write_field_validates_before_truncating(tmp_path, monkeypatch):
     g = GridSpec(2, 9)
     vals = np.where(nonexterior_mask(g), 1.0, np.nan)
-    node = tuple(int(i) for i in np.argwhere(classify_nodes(g) == NodeClass.BOUNDARY)[0])
+    node = tuple(int(i) for i in np.argwhere(boundary_mask(g))[0])
     vals[node] = np.nan
     path = tmp_path / "solution.csv"
     path.write_bytes(b"x1,x2,value\n0,0,1\n")
