@@ -13,7 +13,10 @@ A_nondiv(b) = (p-1) M^{p-1} sum_i |D_i^c g|^{p-2} D_i^2 g of the profile g,
 so boundary_sup never enters its arithmetic and every p shares g's stencil.
 It builds g, the squared radii and the node classes one slab of planes (or
 one tile of a plane) at a time from the axis coordinates, so no array it
-makes spans the grid.
+makes spans the grid.  The operator is a sum of one-axis terms, so it
+commutes with each reflection x_i -> -x_i; on a grid whose axis
+coordinates are mirror-symmetric (n = 2^k + 1) the check streams only the
+octant x_i >= 0, whose max is the whole grid's bit for bit.
 
 The smallest such M gives the computable sup-norm bound
 |u| <= boundary_sup + M/2 for solutions, and the monotone divergence-form
@@ -31,13 +34,15 @@ from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, node_coor
 from .grid import node_rule, radius_squared
 from .operators import apply_divergence, nondivergence_factors
 
-# Nodes per slab of the streamed supersolution check: at 3D n = 129 a slab is
-# 3 planes and 2 halo planes.  A plane of more nodes is cut along axis 1 into
-# tiles whose box, halos included, holds about as many (from 3D n = 257 on).
-# Per slab or tile, the box's squared radii and profile, two stencil buffers
-# over its inner planes and each axis's two factors at the selected nodes take
-# at most about 0.6 MB each, and the closed and interior masks an eighth of
-# that; none outlives its slab or tile.
+# Nodes per slab of the streamed supersolution check, counted on whole planes
+# of the grid: at 3D n = 129 a slab is 3 planes and 2 halo planes.  A plane of
+# more nodes is cut along axis 1 into tiles whose box, halos included, holds
+# about as many (from 3D n = 257 on).  On a mirror-symmetric grid the slabs
+# and tiles span the octant only, about a quarter of a plane each (in 3D),
+# so they hold fewer.  Per slab or tile, the box's squared radii and profile,
+# two stencil buffers over its inner planes and each axis's two factors at
+# the selected nodes take at most about 0.6 MB each, and the closed and
+# interior masks an eighth of that; none outlives its slab or tile.
 _SLAB_ELEMENTS = 2**16
 
 
@@ -92,10 +97,11 @@ def _profile(r2: np.ndarray) -> np.ndarray:
     return g
 
 
-def _span(mask: np.ndarray) -> slice:
-    """The smallest index range that holds every True entry of the 1D mask."""
+def _span(mask: np.ndarray, start: int) -> slice:
+    """The smallest index range from `start` on that holds every True entry
+    of the 1D mask at or after it."""
     hits = np.flatnonzero(mask)
-    return slice(hits[0], hits[-1] + 1)
+    return slice(max(start, hits[0]), hits[-1] + 1)
 
 
 def _tiles(box: tuple, rows: int):
@@ -141,9 +147,25 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     tiles' squared radii and classes are the whole grid's, bit for bit, and
     a positive scale and a shift are monotone under rounding,
     so every result is bit for bit that of the same formula on the full
-    field (tests/barrier_reference.py).  It differs from evaluating the
-    operator on the barrier's values by rounding alone
-    (mostly the cancellation in D_i^2), up to about 2e-12 relative at n = 129.
+    field (tests/barrier_reference.py).
+
+    When the squared axis coordinates are mirror-symmetric (x2 == x2[::-1],
+    as for every n = 2^k + 1), the slabs start at the middle plane
+    m = (n-1)/2 and each box along axes 1 .. N-1 at row m - 1, its halo, so
+    only the octant x_i >= 0 is streamed.  That is exact: reflecting a node
+    along an axis leaves its squared radius, summed in axis order, and its
+    class unchanged bit for bit, and maps its stencil onto its mirror's;
+    both factors are symmetric in the two neighbours (nondivergence_factors),
+    so the node and its mirror images have the same terms and sum, and each
+    has one image in the octant.  Row m - 1 holds the mirrors of row m + 1
+    and is never interior in a box, as node_rule never makes a face row
+    interior.  On other grids (n = 35, 67, 131, ...) linspace rounds the
+    coordinates asymmetrically, a node's mirror need not be a node with the
+    same radius, and the check streams the whole ball.
+
+    It differs from evaluating the operator on the barrier's values by
+    rounding alone (mostly the cancellation in D_i^2), up to about 2e-12
+    relative at n = 129.
     """
     h = grid.spacing
     if exclusion_radius < 2.0 * h * (1.0 - 1e-12):
@@ -159,15 +181,19 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     if n ** (dim - 1) > _SLAB_ELEMENTS:  # a tile's box: 3 planes by its rows and 2 halo rows
         rows = max(1, _SLAB_ELEMENTS // (3 * n ** (dim - 2)))
     maxima = [[] for _ in cases]
+    # the first plane and row that the boxes' inner nodes take: on a
+    # mirror-symmetric grid the middle one, which with every node beyond it
+    # holds a mirror image of each node (row m - 1 is their halo), else 1
+    m = (n - 1) // 2 if np.array_equal(x2, x2[::-1]) else 1
     # planes 0 and n-1 lie on faces of the cube, so only halos; every plane
     # between them holds its axis node |x| = |x_0| < 1, so no box is empty
-    for first in range(1, n - 1, height):
+    for first in range(m, n - 1, height):
         planes = slice(first - 1, min(first + height, n - 1) + 1)
         # rounding is monotone in each term of a sum, so along axis ax the
         # least r2 of a row adds the least x_i^2 of the planes and other axes
         least = [x2[planes].min(keepdims=True)] + [x2.min(keepdims=True)] * (dim - 1)
         box = (planes,) + tuple(
-            _span(radius_squared(least[:ax] + [x2] + least[ax + 1:]).ravel() <= 1.0)
+            _span(radius_squared(least[:ax] + [x2] + least[ax + 1:]).ravel() <= 1.0, m - 1)
             for ax in range(1, dim))
         for tile in _tiles(box, rows):
             r2 = radius_squared([x2[axis] for axis in tile])

@@ -44,8 +44,9 @@ def _jacobi(A: np.ndarray, vectors: bool):
     one whose rotation would underflow, through the rotations of the others.
     The off-diagonal norm is summed directly, in row-major order, because
     sqrt(|A|_F^2 - sum a_ii^2) cancels below about sqrt(eps) |A|_F; |a_k|_F
-    is vector_norm of each matrix's n^2 entries on its own, because a stacked
-    norm sums in another order than that BLAS dot.  The eigenvalue path
+    is the square root of row_dots of each matrix's n^2 entries, bit for bit
+    their vector_norm, because a stacked norm sums in another order than
+    that BLAS dot.  The eigenvalue path
     leaves `vectors` off and pays for no V.
     """
     stack, n = A.shape[0], A.shape[1]
@@ -57,7 +58,8 @@ def _jacobi(A: np.ndarray, vectors: bool):
     if not (asym <= 1e-12 * np.maximum(1.0, amax)).all():
         raise ValueError("matrix is not symmetric")
     A = 0.5 * (A + AT)
-    norm = np.array([vector_norm(m) for m in A.reshape(stack, n * n)])
+    flat = A.reshape(stack, n * n)
+    norm = np.sqrt(row_dots(flat, flat))
     if not np.isfinite(norm).all():
         raise FloatingPointError("matrix norm overflows")
     target = TOL * norm  # a zero or 1x1 matrix meets it before any rotation

@@ -86,6 +86,9 @@ def nondivergence_factors(v: np.ndarray, h: float):
     Flat, node j takes v[j - s], v[j], v[j + s] for the axis stride s.  That
     is right on every node with a neighbour on both sides along every axis;
     the others get terms from wrapped neighbours, and callers mask them.
+    Both factors are symmetric in v[j - s] and v[j + s] bit for bit (the
+    second difference is (v[j+s] + v[j-s]) - v[j] - v[j]), so a field
+    that is mirror-symmetric along an axis gets mirror-symmetric factors.
     """
     vf = v.reshape(-1)
     strides = axis_strides(v.shape)
@@ -98,9 +101,9 @@ def nondivergence_factors(v: np.ndarray, h: float):
         coef = np.subtract(vh, vl, out=coef_buf)
         coef /= 2.0 * h
         np.abs(coef, out=coef)
-        second = np.multiply(2.0, vm, out=second_buf)
-        np.subtract(vh, second, out=second)
-        second += vl
+        second = np.add(vh, vl, out=second_buf)
+        second -= vm
+        second -= vm
         second /= h * h
         yield coef, second
 

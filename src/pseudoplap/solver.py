@@ -228,13 +228,19 @@ class _Workspace:
         return slices
 
     def _hess_apply(self, slices: list, out: np.ndarray) -> None:
-        """out = H s per unit volume for the s and out of `_hess_slices`."""
-        out.fill(0.0)
-        for s_hi, s_lo, flux, c, flux_hi, flux_lo, div, out_core in slices:
+        """out = H s per unit volume for the s and out of `_hess_slices`.
+
+        The first axis writes its nodes of `out` outright; the nodes it skips
+        lie on the end planes along axis 0, never interior, and are zeroed
+        with the other exterior ones at the end."""
+        for ax, (s_hi, s_lo, flux, c, flux_hi, flux_lo, div, out_core) in enumerate(slices):
             np.subtract(s_hi, s_lo, out=flux)  # operators.axis_difference, on fixed slices
             flux *= c
-            np.subtract(flux_hi, flux_lo, out=div)
-            out_core -= div
+            if ax:
+                np.subtract(flux_hi, flux_lo, out=div)
+                out_core -= div
+            else:
+                np.subtract(flux_lo, flux_hi, out=out_core)
         np.copyto(out, 0.0, where=self.outside)
 
     def newton_step(self, reg: float, rtol: float) -> tuple:

@@ -68,9 +68,9 @@ def nondivergence_factors(v, h):
         coef = vh - vl
         coef /= 2.0 * h
         np.abs(coef, out=coef)
-        second = 2.0 * vm
-        np.subtract(vh, second, out=second)
-        second += vl
+        second = vh + vl
+        second -= vm
+        second -= vm
         second /= h * h
         yield core, coef, second
 

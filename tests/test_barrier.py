@@ -220,6 +220,7 @@ def test_supersolution_matches_full_field_reference(monkeypatch, slab_planes, N,
 def test_supersolution_tiles_match_full_field_reference(monkeypatch, N, n, elements):
     monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", elements)
     assert n ** (N - 1) > elements  # every plane is cut into tiles
+    tiles = _record_tiles(monkeypatch)
     grid = GridSpec(N, n)
     h = grid.spacing
     cases = [minimal_params(q, N, boundary_sup) for boundary_sup in (0.0, 0.75)
@@ -230,6 +231,45 @@ def test_supersolution_tiles_match_full_field_reference(monkeypatch, N, n, eleme
             for params, viol in zip(cases, got):
                 assert_same_max(viol, reference_max(N, n, params.p, params.boundary_sup,
                                                     f_sup, exclusion_radius))
+            # the planes of the dyadic grids' octant, as the whole ball's, are cut
+            assert tiles and all(len(cut) > 1 for cut in tiles), tiles
+            tiles.clear()
+
+
+def _record_tiles(monkeypatch) -> list:
+    """The tiles of each box that verify_supersolution streams, box by box."""
+    tiles = []
+
+    def recording(box, rows):
+        tiles.append(list(barrier_tiles(box, rows)))
+        return iter(tiles[-1])
+
+    barrier_tiles = barrier._tiles
+    monkeypatch.setattr(barrier, "_tiles", recording)
+    return tiles
+
+
+@pytest.mark.parametrize("n", [33, 35])
+def test_supersolution_streams_the_mirror_octant(monkeypatch, n):
+    # the axis coordinates of n = 33 = 2^5 + 1 are mirror-symmetric, so the
+    # stencil sees the nodes from the middle row m on along every axis and
+    # the halo row m - 1 before it; those of n = 35 round, so it sees the
+    # box of the whole ball
+    seen = []
+
+    def counting(v, h):
+        seen.append(v.size)
+        return barrier_factors(v, h)
+
+    barrier_factors = barrier.nondivergence_factors
+    monkeypatch.setattr(barrier, "nondivergence_factors", counting)
+    grid = GridSpec(3, n)
+    x2 = grid.axis_coords() ** 2
+    assert np.array_equal(x2, x2[::-1]) == (n == 33)
+    [got] = verify_supersolution(grid, [minimal_params(3.0, 3)], 1.0, 3.0 * grid.spacing)
+    assert_same_max(got, reference_max(3, n, 3.0, 0.0, 1.0, 3.0 * grid.spacing))
+    rows = n - (n - 1) // 2 + 1 if n == 33 else n  # 18 rows of 33, or all 35
+    assert seen == [rows**3], seen
 
 
 def test_supersolution_exclusion_radius_edge():

@@ -1,0 +1,45 @@
+"""The summary of tools/bench_record.py, on made-up result lines: no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+
+def result(wall_s, peak_rss_mb, correct=True, failed=0):
+    """One result line of perfbench/run.py, parsed."""
+    return {"correct": correct, "attempted": 12, "failed": failed,
+            "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                        "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}}
+
+
+def test_summarize_takes_median_and_quartiles_per_metric():
+    runs = [result(w, m) for w, m in ((0.30, 50.0), (0.10, 52.0), (0.50, 48.0),
+                                      (0.20, 49.0), (0.40, 51.0))]
+    summary = bench_record.summarize(runs)
+    assert summary["runs"] == 5 and summary["correct_runs"] == 5
+    assert summary["attempted"] == 60 and summary["failed"] == 0
+    assert summary["metrics"]["wall_s"] == {"unit": "s", "median": 0.30,
+                                            "q1": pytest.approx(0.20), "q3": pytest.approx(0.40)}
+    assert summary["metrics"]["peak_rss_mb"] == {"unit": "MB", "median": 50.0,
+                                                 "q1": 49.0, "q3": 51.0}
+
+
+def test_summarize_counts_incorrect_runs_and_failed_operations():
+    # an even count interpolates its median and quartiles between runs
+    runs = [result(1.0, 10.0), result(2.0, 10.0, correct=False, failed=1)]
+    summary = bench_record.summarize(runs)
+    assert summary["correct_runs"] == 1 and summary["failed"] == 1
+    assert summary["metrics"]["wall_s"]["median"] == 1.5
+    assert summary["metrics"]["wall_s"]["q1"] == 1.25
+    assert summary["metrics"]["wall_s"]["q3"] == 1.75
+
+
+def test_summarize_rejects_no_runs():
+    with pytest.raises(ValueError, match="no runs"):
+        bench_record.summarize([])

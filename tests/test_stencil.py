@@ -50,10 +50,12 @@ def test_workspace_matches_sliced_reference(dim, shape, nodes, p):
     assert got == want
     assert_bitwise(ws.step.reshape(prob.grid.node_shape), ref.step)
     s = np.random.default_rng(5).standard_normal(prob.grid.node_shape)
-    out, ref_out = np.empty(s.size), np.empty(s.shape)
+    # out starts as NaN, so a node that the product leaves unwritten shows
+    out, ref_out = np.full(s.size, np.nan), np.empty(s.shape)
     ws._hess_apply(ws._hess_slices(s.reshape(-1), out), out)
     ref._hess_apply(s, ref_out)
     assert_bitwise(out.reshape(s.shape), ref_out)
+    assert np.array_equal(np.signbit(out.reshape(s.shape)), np.signbit(ref_out))
 
 
 @pytest.mark.parametrize("p", P_LIST)
