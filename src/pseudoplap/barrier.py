@@ -30,19 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, node_coordinates
-from .grid import node_rule, radius_squared
+from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, mirror_axes
+from .grid import node_coordinates, node_rule, radius_squared
 from .operators import apply_divergence, nondivergence_factors
 
 # Nodes per slab of the streamed supersolution check, counted on whole planes
-# of the grid: at 3D n = 129 a slab is 3 planes and 2 halo planes.  A plane of
-# more nodes is cut along axis 1 into tiles whose box, halos included, holds
-# about as many (from 3D n = 257 on).  On a mirror-symmetric grid the slabs
-# and tiles span the octant only, about a quarter of a plane each (in 3D),
-# so they hold fewer.  Per slab or tile, the box's squared radii and profile,
-# two stencil buffers over its inner planes and each axis's two factors at
-# the selected nodes take at most about 0.6 MB each, and the closed and
-# interior masks an eighth of that; none outlives its slab or tile.
+# of the grid: at 3D n = 129 a slab is 3 planes and 2 halo planes, cropped to
+# the octant's 66 by 66 rows on a mirror-symmetric grid.  A plane of the
+# streamed box with more nodes is cut along axis 1 into tiles whose box,
+# halos included, holds about as many: in 3D from n = 257 on for other grids,
+# from n = 513 on for mirror-symmetric ones, whose box is the octant's.  Per
+# slab or tile, the box's squared radii and profile, two stencil buffers over
+# its inner planes and each axis's two factors at the selected nodes take at
+# most about 0.6 MB each, and the closed and interior masks an eighth of
+# that; none outlives its slab or tile.
 _SLAB_ELEMENTS = 2**16
 
 
@@ -133,10 +134,10 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     _SLAB_ELEMENTS nodes (at least one plane) along axis 0, each with one
     halo plane on either side and cropped to the box of its nodes in the
     closed ball, which holds every stencil neighbour of an interior node.
-    When one plane holds more than _SLAB_ELEMENTS nodes, each slab (then one
-    plane) is cut along axis 1 into tiles (_tiles) of about as many nodes
-    with their halos.  Once per tile for all cases, it builds from the axis
-    coordinates the tile's squared radii (radius_squared, added in the whole
+    When one plane of the box holds more than _SLAB_ELEMENTS nodes, each slab
+    (then one plane) is cut along axis 1 into tiles (_tiles) of about as many
+    nodes with their halos.  Once per tile for all cases, it builds from the
+    axis coordinates the tile's squared radii (radius_squared, added in the whole
     grid's order) and its closed and interior masks (node_rule, the halo
     planes and rows giving the neighbours along axes 0 and 1), then the
     profile (NaN outside the closed ball) and its factors |D_i^c g| and
@@ -149,7 +150,7 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     so every result is bit for bit that of the same formula on the full
     field (tests/barrier_reference.py).
 
-    When the squared axis coordinates are mirror-symmetric (x2 == x2[::-1],
+    When the squared axis coordinates are mirror-symmetric (grid.mirror_axes,
     as for every n = 2^k + 1), the slabs start at the middle plane
     m = (n-1)/2 and each box along axes 1 .. N-1 at row m - 1, its halo, so
     only the octant x_i >= 0 is streamed.  That is exact: reflecting a node
@@ -176,15 +177,18 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     if not cases:
         return []
     x2, n, dim = grid.axis_coords() ** 2, grid.nodes_per_axis, grid.dimension
-    height = max(1, _SLAB_ELEMENTS // n ** (dim - 1))
-    rows = n  # one tile per slab, unless a plane holds more than _SLAB_ELEMENTS nodes
-    if n ** (dim - 1) > _SLAB_ELEMENTS:  # a tile's box: 3 planes by its rows and 2 halo rows
-        rows = max(1, _SLAB_ELEMENTS // (3 * n ** (dim - 2)))
-    maxima = [[] for _ in cases]
     # the first plane and row that the boxes' inner nodes take: on a
     # mirror-symmetric grid the middle one, which with every node beyond it
     # holds a mirror image of each node (row m - 1 is their halo), else 1
-    m = (n - 1) // 2 if np.array_equal(x2, x2[::-1]) else 1
+    m = (n - 1) // 2 if mirror_axes(grid) else 1
+    # a slab's height counts whole planes of the grid, so an octant's slab
+    # holds no more nodes than the whole grid's; tiles count the box's rows,
+    # at most width (m - 1 .. n - 1) along axes 1 .. N-1
+    height = max(1, _SLAB_ELEMENTS // n ** (dim - 1))
+    rows = width = n - m + 1  # one tile per slab, unless a box's plane is larger
+    if width ** (dim - 1) > _SLAB_ELEMENTS:  # a tile's box: 3 planes by its rows and 2 halo rows
+        rows = max(1, _SLAB_ELEMENTS // (3 * width ** (dim - 2)))
+    maxima = [[] for _ in cases]
     # planes 0 and n-1 lie on faces of the cube, so only halos; every plane
     # between them holds its axis node |x| = |x_0| < 1, so no box is empty
     for first in range(m, n - 1, height):

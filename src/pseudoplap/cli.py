@@ -110,9 +110,10 @@ def run_solve(cfg: RawConfig) -> Callable:
                                            solver_tol=10 * solver_cfg.grad_tol)
         write_csv(outdir / "solve_report.csv",
                   ["converged", "reason", "iterations", "inner_iterations", "final_energy",
-                   "final_grad_sup", "sup_norm", "linf_bound"],
+                   "final_grad_sup", "sup_norm", "linf_bound", "mirror_axes"],
                   [[rep.converged, rep.reason, rep.iterations, rep.inner_iterations,
-                    rep.final_energy, rep.final_grad_sup, u.sup_norm(), bound]], chash)
+                    rep.final_energy, rep.final_grad_sup, u.sup_norm(), bound,
+                    " ".join(map(str, rep.mirror_axes)) or "none"]], chash)
         return [("solver_converged", rep.converged,
                  f"{rep.reason}: residual {rep.final_grad_sup:.3e}"),
                 ("linf_bound", ok_bound, f"sup|u| = {u.sup_norm():.6g} <= {bound:.6g}")]

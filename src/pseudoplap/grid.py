@@ -105,18 +105,63 @@ def node_masks(grid: GridSpec) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def off_links(grid: GridSpec) -> tuple:
-    """Per axis, over its flat links (see axis_strides), those that carry no
-    flux: a link that wraps across a row, or one with an exterior end node."""
-    ok = nonexterior_mask(grid).ravel()
-    n = grid.nodes_per_axis
+def _mirror_coords(grid: GridSpec) -> bool:
+    x2 = grid.axis_coords() ** 2
+    return bool(np.array_equal(x2, x2[::-1]))
+
+
+def mirror_axes(grid: GridSpec, *node_arrays) -> tuple:
+    """The axes along which the grid and every given float node array are
+    mirror-exact: the squared axis coordinates equal their reverse (x2 ==
+    x2[::-1], true for every n = 2^k + 1 and for no other n of 9 .. 599,
+    where linspace rounds) and each array equals its flip along the axis bit
+    for bit.  Then the node masks are mirror-symmetric too."""
+    if not _mirror_coords(grid):
+        return ()
+    bits = [a.view(np.uint64) for a in node_arrays]
+    return tuple(ax for ax in range(grid.dimension)
+                 if all(np.array_equal(b, np.flip(b, ax)) for b in bits))
+
+
+def mirror_box(grid: GridSpec, axes: tuple) -> tuple:
+    """The slices of the mirror box of `axes`: nodes m .. n-1 along each of
+    them (m = (n-1)/2, the mirror plane), all n along the others."""
+    m = (grid.nodes_per_axis - 1) // 2
+    return tuple(slice(m, None) if ax in axes else slice(None) for ax in range(grid.dimension))
+
+
+@functools.lru_cache(maxsize=64)
+def off_links(grid: GridSpec, axes: tuple = ()) -> tuple:
+    """Per axis, over the flat links (see axis_strides) of the mirror box of
+    `axes` (the whole grid by default), those that carry no flux: a link that
+    wraps across a row, or one with an exterior end node."""
+    ok = nonexterior_mask(grid)[mirror_box(grid, axes)]
     masks = []
-    for s in axis_strides(grid.node_shape):
-        wraps = np.arange(ok.size - s) // s % n == n - 1
-        m = wraps | ~(ok[:-s] & ok[s:])
+    for s, extent in zip(axis_strides(ok.shape), ok.shape):
+        flat = ok.ravel()
+        wraps = np.arange(flat.size - s) // s % extent == extent - 1
+        m = wraps | ~(flat[:-s] & flat[s:])
         m.setflags(write=False)
         masks.append(m)
     return tuple(masks)
+
+
+@functools.lru_cache(maxsize=64)
+def multiplicities(grid: GridSpec, axes: tuple) -> tuple:
+    """(nodes, links): how many nodes or links of the whole grid each one of
+    the mirror box of `axes` stands for, read-only and flat like off_links.
+    A node counts 2 for each of the axes off whose mirror plane it lies, and
+    a link as its upper node (m -> m+1 along a reduced axis stands for
+    m-1 -> m too), but 0 if off.  Powers of 2, so scaling by them is exact."""
+    nodes = np.ones(nonexterior_mask(grid)[mirror_box(grid, axes)].shape)
+    for ax in axes:
+        nodes[(slice(None),) * ax + (slice(1, None),)] *= 2.0
+    links = [np.where(off, 0.0, nodes.reshape(-1)[s:])
+             for s, off in zip(axis_strides(nodes.shape), off_links(grid, axes))]
+    nodes = nodes.reshape(-1)
+    for m in [nodes] + links:
+        m.setflags(write=False)
+    return nodes, tuple(links)
 
 
 def interior_mask(grid: GridSpec) -> np.ndarray:

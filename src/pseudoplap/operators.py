@@ -51,14 +51,19 @@ def link_differences(v: np.ndarray, s: int, h: float, off: np.ndarray,
 
 def add_divergence(out: np.ndarray, flux: np.ndarray, s: int, h: float,
                    scratch: np.ndarray) -> None:
-    """out[j] += (flux[j] - flux[j - s]) / h for s <= j < len(flux): the
-    divergence of a link flux of stride s on the nodes with a link on either
-    side.  The nodes at the ends of rows get a term from a wrap link; they
-    lie on faces of the cube, never in the interior, and callers mask them.
-    `scratch` holds at least len(flux) - s values."""
-    div = axis_difference(flux, s, scratch[:len(flux) - s])
-    div /= h
-    out[s:len(flux)] += div
+    """out[j] += (flux[j] - flux[j - s]) / h for j < len(flux): the
+    divergence of a link flux of stride s, with no flux before the first
+    link (j < s).  The nodes at the ends of rows get a term from a wrap
+    link, and on the whole grid those and the nodes j < s lie on faces of
+    the cube, never in the interior, and callers mask them; on a mirror box
+    (solver) the first node along a reduced axis lies on the mirror plane,
+    and its one link, counted twice, is its whole divergence.  `scratch`
+    holds at least len(flux) values."""
+    div = scratch[:len(flux)]
+    np.divide(flux[:s], h, out=div[:s])
+    axis_difference(flux, s, div[s:])
+    div[s:] /= h
+    out[:len(flux)] += div
 
 
 def apply_divergence(u: ScalarField, p: float) -> ScalarField:

@@ -28,6 +28,14 @@ A solve stops for one of three reasons, kept in `SolveReport.reason`:
 steps; "stalled" at the rounding floor, when a step changes J by no more
 than the rounding slack without lowering sup|r| (that step is not taken), or
 when the line search cannot certify any step.
+
+J is invariant under each reflection x_i -> -x_i, so its minimizer is
+mirror-symmetric along each axis along which the grid, f and the boundary
+data are (grid.mirror_axes).  A solve runs on the mirror box of those axes
+(grid.mirror_box), counting each node and link by its multiplicity
+(grid.multiplicities) in J, the Hessian and the right-hand side: CG and the
+Armijo slope take the whole grid's sums, the residual is the whole grid's
+bit for bit, and the result is unfolded.  With no such axis it is the grid.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, ScalarField, axis_strides, boundary_mask, interior_mask
-from .grid import node_coordinates, nonexterior_mask, off_links
+from .grid import mirror_axes, mirror_box, multiplicities, node_coordinates, nonexterior_mask
+from .grid import off_links
 from .operators import add_divergence, link_differences
 
 _EPS = float(np.finfo(float).eps)
@@ -97,19 +106,23 @@ class SolveReport:
     final_energy: float
     final_grad_sup: float  # sup |gradient| / h^N == sup |A_div(u) - (p-1) f|
     wall_time: float
+    mirror_axes: tuple  # the axes the solve was reduced along (module docstring)
 
 
 class _Workspace:
     """Flat-stride kernels and buffers shared by the public energy/gradient/solver entry points.
 
-    Node arrays are C-ordered and used flat: along axis ax of stride s
+    It works on the mirror box of `axes` (by default the whole grid), whose
+    node arrays are C-ordered and used flat: along axis ax of stride s
     (grid.axis_strides), link j joins nodes j and j + s, and grid.off_links
     marks the links that carry no flux.  Every kernel is a contiguous slice
     operation into one of these buffers, each one node array long:
 
     * `weights[ax]`: the link weights |D_ax v|^(p-2) of the last field given
-      to `fill_weights` or `energy`; `newton_step` turns them into H's;
-    * `flux`: one link array, shared by the axes in turn;
+      to `fill_weights` or `energy`, times the links' multiplicities;
+      `newton_step` turns them into H's;
+    * `flux`: one link array, shared by the axes in turn, behind zeros for
+      the flux before the first link;
     * `scratch`: one more, for divergences, the energy's row gathers and the
       f-term;
     * `resid`: the last `residual()`, and CG's residual in `newton_step`;
@@ -117,7 +130,8 @@ class _Workspace:
       H's diagonal, CG's search direction, and `spare`, which holds H d and
       then the preconditioned residual and, between Newton steps, serves the
       line search as its trial point.  The first `newton_step` allocates
-      these, so `energy()` and `energy_gradient()` do without them.
+      these, the inverse multiplicities and the flat indices of the nodes
+      off the interior, so `energy()` and `energy_gradient()` do without them.
 
     `residual()` reuses the weights, and `newton_step` turns them into the
     Hessian's, so the power is taken once per evaluated field.  After the
@@ -125,46 +139,56 @@ class _Workspace:
     allocates nothing.
     """
 
-    def __init__(self, prob: EnergyProblem):
+    def __init__(self, prob: EnergyProblem, axes: tuple = ()):
         g = prob.grid
         self.p = prob.p
         self.h = g.spacing
         self.hN = self.h**g.dimension
-        self.interior = interior_mask(g)
+        self.box = mirror_box(g, axes)
+        self.interior = interior_mask(g)[self.box]
         self.inside = self.interior.reshape(-1)
         self.outside = ~self.inside
         self.n_interior = int(self.inside.sum())
-        self.f = prob.f.values.reshape(-1)  # finite on the interior; may be NaN elsewhere
-        self.strides = axis_strides(g.node_shape)
-        self.off_links = off_links(g)
+        self.mult, self.link_mult = multiplicities(g, axes)
+        self.f = prob.f.values[self.box].reshape(-1)  # finite on the interior; may be NaN elsewhere
+        if axes:  # the whole grid's multiplicities are 1
+            self.f = self.f * self.mult
+        shape = self.interior.shape
+        self.strides = axis_strides(shape)
+        self.off_links = off_links(g, axes)
         size = self.inside.size
         self.v = None
         self.weights = [np.empty(size) for _ in self.off_links]
-        self.flux, self.scratch, self.resid = (np.empty(size) for _ in range(3))
+        pad = self.strides[0]
+        self._flux = np.empty(pad + size)
+        self._flux[:pad] = self._flux[size:] = 0.0  # read as flux beyond the links
+        self.flux = self._flux[pad:]
+        self.scratch, self.resid = np.empty(size), np.empty(size)
         self.step = self.inv_diag = self.cg_dir = self.spare = None
-        # The energy sums each axis' link terms in rows of n - 1, the compact
-        # layout of the sliced kernels (tests/stencil_reference.py): a BLAS
-        # dot groups its terms by position, so the wrap links' zeros would
-        # change its bits.  Per axis > 0: the rows of D v (in `flux`) and of
-        # the weights, and the contiguous buffers they are gathered into,
-        # `scratch` and then `flux`.
-        n, shape = g.nodes_per_axis, g.node_shape
-        n_links = size // n * (n - 1)
+        # The energy sums each axis' link terms in rows of its extent - 1,
+        # the compact layout of the sliced kernels (tests/stencil_reference.py):
+        # a BLAS dot groups its terms by position, so the wrap links' zeros
+        # would change its bits.  Per axis > 0: the rows of D v (in `flux`)
+        # and of the weights, and the contiguous buffers they are gathered
+        # into, `scratch` and then `flux`.
         self._rows = [None]
         for ax, w in enumerate(self.weights[1:], start=1):
+            n = shape[ax]
+            n_links = size // n * (n - 1)
             keep = (slice(None),) * ax + (slice(0, n - 1),)
             rows = shape[:ax] + (n - 1,) + shape[ax + 1:]
             self._rows.append((self.flux.reshape(shape)[keep], self.scratch[:n_links].reshape(rows),
                                w.reshape(shape)[keep], self.flux[:n_links].reshape(rows)))
 
     def _link_weights(self, ax: int) -> np.ndarray:
-        """D_ax v into `flux` and |D_ax v|^(p-2) into `weights[ax]`, for the
-        kept v; returns D_ax v, a view of `flux`."""
+        """D_ax v into `flux` and |D_ax v|^(p-2), times the multiplicities,
+        into `weights[ax]`, for the kept v; returns D_ax v, a view of `flux`."""
         off = self.off_links[ax]
         d = link_differences(self.v, self.strides[ax], self.h, off, self.flux[:off.size])
         w = self.weights[ax][:off.size]
         np.abs(d, out=w)
         w **= self.p - 2.0
+        w *= self.link_mult[ax]
         return d
 
     def fill_weights(self, v: np.ndarray) -> None:
@@ -197,7 +221,9 @@ class _Workspace:
     def residual(self) -> np.ndarray:
         """A_div(v) - (p-1) f on interior nodes, zero elsewhere (= -gradient/h^N),
         for the v of the last `fill_weights` or `energy` call; written into
-        `self.resid`, of which it returns the node-shaped view."""
+        `self.resid`, of which it returns the node-shaped view.  With the
+        multiplicities in the weights and f it is first the box energy's
+        gradient: the multiplicity times the residual, exactly."""
         out = self.resid
         out.fill(0.0)
         for ax, (s, off, w) in enumerate(zip(self.strides, self.off_links, self.weights)):
@@ -207,6 +233,7 @@ class _Workspace:
         np.multiply(self.f, self.p - 1.0, out=self.scratch)
         out -= self.scratch
         np.copyto(out, 0.0, where=self.outside)
+        out /= self.mult
         return out.reshape(self.interior.shape)
 
     def residual_sup(self) -> float:
@@ -220,28 +247,31 @@ class _Workspace:
         `_hess_apply` works on; taken once per Newton step, so that the CG
         loop makes none."""
         slices = []
+        size, pad = out.size, self.strides[0]
         for stride, c in zip(self.strides, self.weights):
-            n_links = out.size - stride
-            flux = self.flux[:n_links]
-            slices.append((s[stride:], s[:-stride], flux, c[:n_links], flux[stride:],
-                           flux[:-stride], self.scratch[:n_links - stride], out[stride:n_links]))
+            # flux[k] is link k - stride: zeros before the first link, which
+            # the mirror plane's nodes of a box read (add_divergence)
+            flux = self._flux[pad - stride:pad + size]
+            slices.append((s[stride:], s[:-stride], flux[stride:size], c[:size - stride],
+                           flux[stride:], flux[:size]))
         return slices
 
     def _hess_apply(self, slices: list, out: np.ndarray) -> None:
         """out = H s per unit volume for the s and out of `_hess_slices`.
 
-        The first axis writes its nodes of `out` outright; the nodes it skips
-        lie on the end planes along axis 0, never interior, and are zeroed
-        with the other exterior ones at the end."""
-        for ax, (s_hi, s_lo, flux, c, flux_hi, flux_lo, div, out_core) in enumerate(slices):
-            np.subtract(s_hi, s_lo, out=flux)  # operators.axis_difference, on fixed slices
-            flux *= c
+        The first axis writes every node of `out` outright; the last nodes
+        read flux beyond the links, but lie on the end planes along axis 0
+        and are zeroed with every other node off the interior."""
+        div, subtract = self.scratch, np.subtract
+        for ax, (s_hi, s_lo, links, c, flux_at, flux_before) in enumerate(slices):
+            subtract(s_hi, s_lo, out=links)  # operators.axis_difference, on fixed slices
+            links *= c
             if ax:
-                np.subtract(flux_hi, flux_lo, out=div)
-                out_core -= div
+                subtract(flux_at, flux_before, out=div)
+                out -= div
             else:
-                np.subtract(flux_lo, flux_hi, out=out_core)
-        np.copyto(out, 0.0, where=self.outside)
+                subtract(flux_before, flux_at, out=out)
+        out[self.outside_at] = 0.0
 
     def newton_step(self, reg: float, rtol: float) -> tuple:
         """Solve H s = r into `self.step` by Jacobi-preconditioned CG, r being the
@@ -249,51 +279,61 @@ class _Workspace:
 
         H is the Hessian per unit volume at the v of the last `fill_weights`
         or `energy` call, with reg added to every link weight; the weights are
-        overwritten by H's, and `self.resid` by CG's residual.  H is symmetric
-        positive definite on the interior, so a curvature that is not positive
-        means non-finite input and raises.  CG starts from s = 0 and stops once
-        |r - H s| <= rtol |r| in the 2-norm, or after one iteration per
-        interior node.  Every CG iterate s has r.s = s.H s > 0, so it is a
-        descent direction for J.
+        overwritten by H's, and `self.resid` by CG's residual.  H and r count
+        by the multiplicities, so r.s, d.Hd and r.z are the whole grid's
+        sums, and so is the 2-norm, weighted by their inverses.  H is
+        symmetric positive definite on the interior, so a curvature that is
+        not positive means non-finite input and raises.  CG starts from s = 0
+        and stops once |r - H s| <= rtol |r| in the 2-norm, or after one
+        iteration per interior node.  Every CG iterate s has r.s = s.H s > 0,
+        so it is a descent direction for J.
         """
         if self.step is None:
             self.step, self.inv_diag, self.cg_dir, self.spare = (
                 np.zeros(self.resid.size) for _ in range(4))
+            self.inv_mult = 1.0 / self.mult
+            self.outside_at = np.flatnonzero(self.outside)  # zeroed faster than by the mask
         scale = (self.p - 1.0) / (self.h * self.h)
         diag = self.inv_diag
         diag.fill(0.0)
-        for s, off, c in zip(self.strides, self.off_links, self.weights):
-            c = c[:off.size]
-            c += reg
+        for s, mult, c in zip(self.strides, self.link_mult, self.weights):
+            c = c[:mult.size]
+            c += np.multiply(mult, reg, out=self.scratch[:mult.size])  # 0 on the off links
             c *= scale
-            np.copyto(c, 0.0, where=off)
-            diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
+            diag[:s] += c[:s]  # no link before these along the axis
+            diag[s:mult.size] += np.add(c[:-s], c[s:], out=self.scratch[:mult.size - s])
         np.divide(1.0, diag, out=diag, where=self.inside)
         np.copyto(diag, 0.0, where=self.outside)
 
-        # work holds H d, then the preconditioned residual z
+        # work holds H d, then r over the multiplicities, then the preconditioned residual z
         s, res, d, work = self.step, self.resid, self.cg_dir, self.spare
         hess_d = self._hess_slices(d, work)
+        res *= self.mult
         s.fill(0.0)
-        np.multiply(res, diag, out=d)
-        rz = float(np.vdot(res, d))
-        stop = rtol * rtol * float(np.vdot(res, res))
-        k = 0
-        while k < self.n_interior:
+        # names bound once: each iteration is a few small numpy calls, whose
+        # lookups would cost about as much as the stop test's weighting
+        vdot, multiply, hess, inv_mult = np.vdot, np.multiply, self._hess_apply, self.inv_mult
+        multiply(res, diag, out=d)
+        rz = float(vdot(res, d))
+        multiply(res, inv_mult, out=work)
+        stop = rtol * rtol * float(vdot(res, work))
+        k, most = 0, self.n_interior
+        while k < most:
             k += 1
-            self._hess_apply(hess_d, work)
-            curv = float(np.vdot(d, work))
+            hess(hess_d, work)
+            curv = float(vdot(d, work))
             if not curv > 0.0:
                 raise RuntimeError(f"PCG: curvature {curv!r} is not positive")
             alpha = rz / curv
             work *= alpha
             res -= work
-            np.multiply(d, alpha, out=work)
+            multiply(d, alpha, out=work)
             s += work
-            if float(np.vdot(res, res)) <= stop:
+            multiply(res, inv_mult, out=work)
+            if float(vdot(res, work)) <= stop:
                 break
-            np.multiply(res, diag, out=work)
-            rz_next = float(np.vdot(res, work))
+            multiply(res, diag, out=work)
+            rz_next = float(vdot(res, work))
             d *= rz_next / rz
             d += work
             rz = rz_next
@@ -329,18 +369,33 @@ def _initial_values(prob: EnergyProblem) -> np.ndarray:
     return v
 
 
+def _unfold(grid: GridSpec, axes: tuple, box_values: np.ndarray) -> np.ndarray:
+    """The node array whose mirror box of `axes` holds box_values and which
+    equals its flip along each of them."""
+    n, m = grid.nodes_per_axis, (grid.nodes_per_axis - 1) // 2
+    out = np.empty(grid.node_shape)
+    out[mirror_box(grid, axes)] = box_values
+    for ax in axes:
+        lead = (slice(None),) * ax
+        out[lead + (slice(0, m),)] = out[lead + (slice(n - 1, m, -1),)]
+    return out
+
+
 def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     """Minimize J over interior values; returns (ScalarField, SolveReport).
 
     Stops when sup|gradient|/h^N <= grad_tol, after max_iters Newton steps,
     or when stalled at the rounding floor; non-convergence is reported in
     `SolveReport.reason`, not raised.  A non-finite energy, at the start or
-    in the line search, raises RuntimeError.
+    in the line search, raises RuntimeError.  `SolveReport.mirror_axes`
+    names the axes of the mirror box it solved on (module docstring).
     """
     cfg = cfg or SolveConfig()
-    ws = _Workspace(prob)
     t0 = time.perf_counter()
-    u = _initial_values(prob).reshape(-1)
+    start = _initial_values(prob)
+    axes = mirror_axes(prob.grid, prob.f.values, start)
+    ws = _Workspace(prob, axes)
+    u = start[ws.box].reshape(-1)
 
     J_u = ws.energy(u)
     if not np.isfinite(J_u):
@@ -388,5 +443,6 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         final_energy=J_u,
         final_grad_sup=sup_r,
         wall_time=time.perf_counter() - t0,
+        mirror_axes=axes,
     )
-    return ScalarField(prob.grid, u.reshape(prob.grid.node_shape)), report
+    return ScalarField(prob.grid, _unfold(prob.grid, axes, u.reshape(ws.interior.shape))), report

@@ -16,7 +16,7 @@ from pseudoplap.barrier import (
     supersolution_tolerance,
     verify_supersolution,
 )
-from pseudoplap.grid import GridSpec, ScalarField, nonexterior_mask
+from pseudoplap.grid import GridSpec, ScalarField, mirror_axes, nonexterior_mask
 from pseudoplap.manufactured import constant_field, zero_boundary
 from pseudoplap.solver import EnergyProblem, SolveConfig, solve_dirichlet
 
@@ -185,6 +185,12 @@ def reference_max(N, n, p, boundary_sup, f_sup, exclusion_radius):
         GridSpec(N, n), minimal_params(p, N, boundary_sup), f_sup, exclusion_radius)
 
 
+def box_width(n):
+    """Rows of the streamed box along axes 1 .. N-1: the octant's and its
+    halo row on the mirror-symmetric grids (n = 2^k + 1), else all n."""
+    return n - (n - 1) // 2 + 1 if mirror_axes(GridSpec(1, n)) else n
+
+
 # slab heights: one slab for the whole grid, 1 plane, and 3 planes (at 3D
 # n = 33, n - 2 = 31 is no multiple of 3); the spacing of the last two grids
 # is no power of 2, so x_i^2 and their sums round, in 3D in an order that
@@ -215,11 +221,11 @@ def test_supersolution_matches_full_field_reference(monkeypatch, slab_planes, N,
 
 # planes of more than _SLAB_ELEMENTS nodes: tiles of 10 and 3 rows in 2D, of
 # 5 and 1 rows in 3D; the spacing of n = 67 and 35 is no power of 2
-@pytest.mark.parametrize("N, n, elements", [(2, 65, 32), (2, 67, 9), (3, 33, 512),
+@pytest.mark.parametrize("N, n, elements", [(2, 65, 32), (2, 67, 9), (3, 33, 270),
                                             (3, 35, 100)])
 def test_supersolution_tiles_match_full_field_reference(monkeypatch, N, n, elements):
     monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", elements)
-    assert n ** (N - 1) > elements  # every plane is cut into tiles
+    assert box_width(n) ** (N - 1) > elements  # every plane of the box is cut into tiles
     tiles = _record_tiles(monkeypatch)
     grid = GridSpec(N, n)
     h = grid.spacing
@@ -270,6 +276,27 @@ def test_supersolution_streams_the_mirror_octant(monkeypatch, n):
     assert_same_max(got, reference_max(3, n, 3.0, 0.0, 1.0, 3.0 * grid.spacing))
     rows = n - (n - 1) // 2 + 1 if n == 33 else n  # 18 rows of 33, or all 35
     assert seen == [rows**3], seen
+
+
+def test_supersolution_tiles_by_the_octant_rows(monkeypatch):
+    # at 3D n = 33 a plane of the octant's box is at most 18 by 18 = 324
+    # nodes with its halo rows, so a budget of 400 nodes streams its 16
+    # planes in slabs of one plane, none cut into tiles (a whole plane of
+    # 33 by 33 would be); the boxes shrink with the ball towards its edge
+    seen = []
+
+    def counting(v, h):
+        seen.append(v.shape)
+        return barrier_factors(v, h)
+
+    barrier_factors = barrier.nondivergence_factors
+    monkeypatch.setattr(barrier, "nondivergence_factors", counting)
+    monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", 400)
+    grid = GridSpec(3, 33)
+    [got] = verify_supersolution(grid, [minimal_params(3.0, 3)], 1.0, 3.0 * grid.spacing)
+    assert_same_max(got, reference_max(3, 33, 3.0, 0.0, 1.0, 3.0 * grid.spacing))
+    assert len(seen) == 16 and seen[0] == (3, 18, 18), seen
+    assert all(shape[0] == 3 and shape[1] <= 18 for shape in seen), seen
 
 
 def test_supersolution_exclusion_radius_edge():

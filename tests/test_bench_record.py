@@ -1,4 +1,4 @@
-"""The summary of tools/bench_record.py, on made-up result lines: no benchmark runs."""
+"""The summaries of tools/bench_record.py, on made-up result lines: no benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +43,39 @@ def test_summarize_counts_incorrect_runs_and_failed_operations():
 def test_summarize_rejects_no_runs():
     with pytest.raises(ValueError, match="no runs"):
         bench_record.summarize([])
+
+
+def test_paired_summary_takes_each_side_and_the_per_pair_ratio():
+    # five pairs; the change is faster in four and uses more memory in all
+    parent = [result(w, 50.0) for w in (0.40, 0.20, 0.30, 0.50, 0.10)]
+    change = [result(w, 51.0) for w in (0.20, 0.15, 0.15, 0.25, 0.10)]
+    summary = bench_record.paired_summary(parent, change, {"wall_s": "lower"})
+    assert summary["parent"] == summary["change"] == {"runs": 5, "correct_runs": 5,
+                                                      "attempted": 60, "failed": 0}
+    wall = summary["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["pairs"] == 5
+    assert wall["parent"] == {"median": 0.30, "q1": pytest.approx(0.20), "q3": 0.40}
+    assert wall["change"] == {"median": 0.15, "q1": 0.15, "q3": 0.20}
+    # ratios 0.5, 0.75, 0.5, 0.5, 1.0; a tie is no win
+    assert wall["ratio"] == {"median": 0.5, "q1": 0.5, "q3": pytest.approx(0.75)}
+    assert wall["change_won"] == 4
+    rss = summary["metrics"]["peak_rss_mb"]  # lower is better by default
+    assert rss["change_won"] == 0 and rss["ratio"]["median"] == pytest.approx(1.02)
+
+
+def test_paired_summary_follows_the_better_direction_and_skips_zero_parents():
+    parent = [result(0.0, 10.0), result(0.0, 20.0), result(0.0, 30.0)]
+    change = [result(0.0, 12.0, correct=False, failed=2), result(0.0, 18.0), result(0.0, 33.0)]
+    summary = bench_record.paired_summary(parent, change, {"peak_rss_mb": "higher"})
+    assert summary["change"]["correct_runs"] == 2 and summary["change"]["failed"] == 2
+    assert summary["metrics"]["peak_rss_mb"]["change_won"] == 2
+    # a metric that reads 0 on the parent has no ratio, and no pair won
+    assert summary["metrics"]["wall_s"]["ratio"] is None
+    assert summary["metrics"]["wall_s"]["change_won"] == 0
+
+
+def test_paired_summary_rejects_unpaired_runs():
+    with pytest.raises(ValueError, match="as many"):
+        bench_record.paired_summary([result(0.1, 1.0)], [], {})
+    with pytest.raises(ValueError, match="as many"):
+        bench_record.paired_summary([], [], {})

@@ -366,6 +366,7 @@ def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
     with open(out / "solve_report.csv", newline="") as fh:
         report = list(csv.DictReader(fh.readlines()[1:]))[0]
     assert report["reason"] == "converged" and int(report["inner_iterations"]) > 0
+    assert report["mirror_axes"] == "0"  # f = 1 and zero data on n = 2^5 + 1: the half line
 
 
 @pytest.mark.parametrize("subcommand", sorted(EVERY_CSV))
@@ -557,7 +558,8 @@ def _flat_unconverged_solve(prob, cfg):
     u = ScalarField(prob.grid, np.where(nonexterior_mask(prob.grid), 0.0, np.nan))
     return u, SolveReport(converged=False, reason="max_iters", iterations=cfg.max_iters,
                           inner_iterations=0, backtracks=0, final_energy=0.0,
-                          final_grad_sup=float("inf"), wall_time=0.0)
+                          final_grad_sup=float("inf"), wall_time=0.0,
+                          mirror_axes=())
 
 
 def test_regularity_zero_base_ratio_fails_check(tmp_path, monkeypatch):

@@ -13,11 +13,13 @@ from pseudoplap.grid import (
     boundary_mask,
     interior_ball_nodes,
     interior_mask,
+    mirror_axes,
     node_coordinates,
     nonexterior_mask,
     off_links,
     write_field,
 )
+from pseudoplap.manufactured import constant_field, separable_trace, sweep_presets
 
 
 def test_gridspec_validation():
@@ -243,3 +245,69 @@ def test_validate_finite_names_node():
     vals[3] = np.inf
     with pytest.raises(ValueError, match=r"\(3,\)"):
         ScalarField(g, vals).validate_finite()
+
+
+def boundary_array(g, data):
+    """The node array of the boundary data on the boundary band, NaN elsewhere."""
+    vals = np.full(g.node_shape, np.nan)
+    vals[boundary_mask(g)] = data(node_coordinates(g, np.argwhere(boundary_mask(g))))
+    return vals
+
+
+def off_both_planes(g, mask):
+    """The first node of the mask that lies on no mirror plane."""
+    m = (g.nodes_per_axis - 1) // 2
+    return next(tuple(i) for i in np.argwhere(mask) if (i != m).all())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mirror_axes_of_the_sweep_presets(seed):
+    # the constants, checkerboard and radial ramp are mirror-exact along both
+    # axes, tilt (a function of x_1 alone) along axis 1 only, and the
+    # jittered Gaussians along neither
+    g = GridSpec(2, 65)
+    zero = np.where(boundary_mask(g), 0.0, np.nan)
+    axes = {name: mirror_axes(g, f.values, zero)
+            for name, f in sweep_presets(g, np.random.default_rng(seed))}
+    assert axes.pop("tilt") == (1,)
+    for name in ("gauss_center", "gauss_offset", "gauss_narrow"):
+        assert axes.pop(name) == (), name
+    assert set(axes.values()) == {(0, 1)}, axes
+
+
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "cube"), (3, "ball")])
+def test_mirror_axes_one_ulp_off_reduces_no_axis(dim, shape):
+    g = GridSpec(dim, 17, shape)
+    f = constant_field(g, 0.3).values
+    trace = boundary_array(g, separable_trace(3.0))
+    every = tuple(range(dim))
+    assert mirror_axes(g) == every
+    assert mirror_axes(g, f, trace) == every
+    for values, mask in ((f, interior_mask(g)), (trace, boundary_mask(g))):
+        node = off_both_planes(g, mask)
+        kept = values[node]
+        values[node] = np.nextafter(kept, np.inf)
+        assert mirror_axes(g, f, trace) == ()
+        values[node] = kept
+
+
+@pytest.mark.parametrize("n", [35, 67])
+def test_mirror_axes_rounded_coordinates_reduce_no_axis(n):
+    # linspace rounds these coordinates asymmetrically, so even a constant
+    # field and the grid alone reduce no axis
+    g = GridSpec(2, n)
+    assert mirror_axes(g) == ()
+    assert mirror_axes(g, constant_field(g, 1.0).values) == ()
+
+
+@pytest.mark.parametrize("dim, shape", [(1, "ball"), (2, "cube"), (3, "ball")])
+def test_multiplicities_count_the_whole_grid(dim, shape):
+    # summed over the mirror box, the node and link multiplicities count the
+    # whole grid's nodes and on-links
+    g = GridSpec(dim, 17, shape)
+    for axes in ((), (0,), tuple(range(dim))):
+        nodes, links = grid.multiplicities(g, axes)
+        assert nodes.sum() == g.nodes_per_axis ** dim
+        for box_off, full_off, mult in zip(off_links(g, axes), off_links(g), links):
+            assert (mult[box_off] == 0).all()
+            assert mult.sum() == (~full_off).sum()

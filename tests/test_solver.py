@@ -5,9 +5,9 @@ import pytest
 
 from descent_reference import descent_solve
 from pseudoplap.grid import GridSpec, ScalarField, boundary_mask, interior_mask
-from pseudoplap.grid import nonexterior_mask
-from pseudoplap.manufactured import closed_form_1d, constant_field, sweep_presets
-from pseudoplap.manufactured import zero_boundary
+from pseudoplap.grid import node_coordinates, nonexterior_mask
+from pseudoplap.manufactured import closed_form_1d, constant_field, separable_trace
+from pseudoplap.manufactured import sweep_presets, zero_boundary
 from pseudoplap.operators import apply_divergence
 from pseudoplap.solver import EnergyProblem, SolveConfig, _Workspace, energy
 from pseudoplap.solver import energy_gradient, solve_dirichlet
@@ -260,3 +260,77 @@ def test_energy_problem_validation():
                          lambda pts: np.full(len(pts), np.inf))
     with pytest.raises(ValueError, match="boundary"):
         prob.boundary_values()
+
+
+def _off_both_planes(g, mask):
+    """The first node of the mask that lies on no mirror plane."""
+    m = (g.nodes_per_axis - 1) // 2
+    return next(tuple(i) for i in np.argwhere(mask) if (i != m).all())
+
+
+def _one_ulp_off(prob, in_boundary):
+    """The problem with f, or the boundary data, one ulp up at one node off
+    every mirror plane: mirror-exact to one ulp, so it is solved on the
+    whole grid."""
+    g = prob.grid
+    if not in_boundary:
+        f = prob.f.values.copy()
+        node = _off_both_planes(g, interior_mask(g))
+        f[node] = np.nextafter(f[node], np.inf)
+        return EnergyProblem(g, prob.p, ScalarField(g, f), prob.boundary_data)
+    node = np.array(_off_both_planes(g, boundary_mask(g)))
+
+    def nudged(points):
+        vals = np.array(prob.boundary_data(points), dtype=float)
+        at = (points == node_coordinates(g, node[None])).all(axis=1)
+        vals[at] = np.nextafter(vals[at], np.inf)
+        return vals
+
+    return EnergyProblem(g, prob.p, prob.f, nudged)
+
+
+def _tilt(g):
+    return dict(sweep_presets(g, np.random.default_rng(0)))["tilt"]
+
+
+# (grid, f, boundary data, grad_tol, the axes the solve reduces)
+REDUCED_CASES = {
+    "1d": (GridSpec(1, 129), lambda g: constant_field(g, 1.0), zero_boundary, 1e-8, (0,)),
+    "2d": (GridSpec(2, 33), lambda g: constant_field(g, 1.0), zero_boundary, 1e-8, (0, 1)),
+    "3d": (GridSpec(3, 17), lambda g: constant_field(g, 1.0), zero_boundary, 1e-6, (0, 1, 2)),
+    "tilt": (GridSpec(2, 33), _tilt, zero_boundary, 1e-8, (1,)),
+    "cube": (GridSpec(2, 33, "cube"), lambda g: constant_field(g, -0.7), zero_boundary, 1e-8,
+             (0, 1)),
+    "separable_trace": (GridSpec(2, 33), lambda g: constant_field(g, 2.0),
+                        separable_trace(3.0), 1e-8, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCED_CASES))
+def test_reduced_solve_matches_full_grid_solve(case):
+    # The same problem one ulp off mirror-exact takes the whole grid; both
+    # stop at sup|r| <= tol, so they agree within the bound of
+    # test_solve_matches_descent_reference.  The unfolded solution is
+    # mirror-exact, the box's residual is the whole grid's at its nodes bit
+    # for bit, and the box's energy is J of the unfolded field to rounding.
+    g, make_f, boundary, tol, axes = REDUCED_CASES[case]
+    prob = EnergyProblem(g, 3.0, make_f(g), boundary)
+    cfg = SolveConfig(grad_tol=tol)
+    u, rep = solve_dirichlet(prob, cfg)
+    full_prob = _one_ulp_off(prob, in_boundary=case == "separable_trace")
+    ref, ref_rep = solve_dirichlet(full_prob, cfg)
+    assert rep.mirror_axes == axes and ref_rep.mirror_axes == ()
+    assert rep.converged and ref_rep.converged
+    mask = nonexterior_mask(g)
+    assert np.abs(u.values - ref.values)[mask].max() <= 2.0 * tol * 0.25
+    for ax in axes:
+        assert np.array_equal(u.values, np.flip(u.values, ax), equal_nan=True)
+
+    full, box = _Workspace(prob), _Workspace(prob, axes)
+    full.fill_weights(u.values)
+    box.fill_weights(u.values[box.box])
+    assert np.array_equal(box.residual(), full.residual()[box.box])
+    assert box.residual_sup() == full.residual_sup() == rep.final_grad_sup
+    J = energy(u, prob)
+    assert box.energy(u.values[box.box]) == pytest.approx(J, rel=8 * np.finfo(float).eps, abs=0)
+    assert rep.final_energy == pytest.approx(J, rel=8 * np.finfo(float).eps, abs=0)

@@ -1,30 +1,46 @@
-"""Record the benchmark of one checkout as BENCH_<label>.json.
+"""Record the benchmark of one checkout as BENCH_<label>.json, or compare two revisions.
 
     python3 tools/bench_record.py --label LABEL
+    python3 tools/bench_record.py --pair REV_A REV_B [--pairs 10] [--trace 0|1]
 
-Run from the root of a checkout.  For each workload that BENCHMARK.json
-declares, it runs the unchanged `perfbench/run.py` once per seed of SEEDS
-with tracing off and once with tracing on, for the `run_seconds` that
-BENCHMARK.json fixes, one process at a time.  It then times one run of the
-Tier-1 suite and writes BENCH_<label>.json in the current directory: per
-workload and metric the median and quartiles over the seeds, the counts of
-correct runs and of failed operations, and the Tier-1 wall time, the CPU
-count, the numpy and Python versions, the git commit and the command that
-reproduces the file.
+Run from the root of a checkout.  With --label, for each workload that
+BENCHMARK.json declares, it runs the unchanged `perfbench/run.py` once per
+seed of SEEDS with tracing off and once with tracing on, for the
+`run_seconds` that BENCHMARK.json fixes, one process at a time.  It then
+times one run of the Tier-1 suite and writes BENCH_<label>.json in the
+current directory: per workload and metric the median and quartiles over
+the seeds, the counts of correct runs and of failed operations, and the
+Tier-1 wall time, the CPU count, the numpy and Python versions, the git
+commit and the command that reproduces the file.
+
+With --pair, it checks REV_A (the parent) and REV_B (the change) out into
+two git worktrees under a temporary directory, which it removes afterwards,
+and runs each workload in pairs: one run of each side's `perfbench/run.py`
+per pair, seed PAIR_SEED + i for pair i, with the side that goes first
+switching from pair to pair, so that both sides see the machine's slow
+phases alike.  It writes BENCH_<a>_vs_<b>.json (a and b the short commits;
+`_traced` appended with --trace 1): per workload and metric, each side's
+median and quartiles, the median and quartiles of the per-pair ratio B/A,
+and the number of pairs that B won, by the metric's `better` direction in
+BENCHMARK.json.
 """
 
 import argparse
 import json
 import os
 import platform
+import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 SEEDS = (1001, 1002, 1003, 1004, 1005)
+PAIR_SEED = 2001
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -39,8 +55,7 @@ def summarize(results: list) -> dict:
     metrics = {}
     for name, first in names.items():
         values = [res["metrics"][name]["value"] for res in results]
-        q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0]).tolist()
-        metrics[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3}
+        metrics[name] = {"unit": first["unit"], **_quartiles(values)}
     return {"runs": len(results),
             "correct_runs": sum(bool(res["correct"]) for res in results),
             "attempted": sum(res["attempted"] for res in results),
@@ -48,10 +63,43 @@ def summarize(results: list) -> dict:
             "metrics": metrics}
 
 
-def _bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _quartiles(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0]).tolist()
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def paired_summary(parent: list, change: list, better: dict) -> dict:
+    """Per metric of the result lines of `perfbench/run.py` run in pairs
+    (parent[i] and change[i] one pair), each side's median and quartiles,
+    those of the per-pair ratio change/parent, and the pairs the change won:
+    those where its value is strictly lower, or higher for a metric whose
+    `better` is "higher"; plus each side's counts of runs, correct runs and
+    attempted and failed operations.  The ratio leaves out the pairs whose
+    parent value is 0 (a per-layer metric of a layer the workload does not
+    run), and is None when no pair is left."""
+    if not parent or len(parent) != len(change):
+        raise ValueError("need as many change runs as parent runs, at least one")
+    metrics = {}
+    for name, first in parent[0]["metrics"].items():
+        a = np.array([res["metrics"][name]["value"] for res in parent], dtype=float)
+        b = np.array([res["metrics"][name]["value"] for res in change], dtype=float)
+        ratio = b[a != 0] / a[a != 0]
+        won = b > a if better.get(name, "lower") == "higher" else b < a
+        metrics[name] = {"unit": first["unit"], "parent": _quartiles(a), "change": _quartiles(b),
+                         "ratio": _quartiles(ratio) if ratio.size else None,
+                         "change_won": int(won.sum()), "pairs": len(a)}
+    counts = {side: {"runs": len(runs),
+                     "correct_runs": sum(bool(res["correct"]) for res in runs),
+                     "attempted": sum(res["attempted"] for res in runs),
+                     "failed": sum(res["failed"] for res in runs)}
+              for side, runs in (("parent", parent), ("change", change))}
+    return {**counts, "metrics": metrics}
+
+
+def _bench(workload: str, seed: int, seconds: float, trace: int, cwd=None) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True, cwd=cwd)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -71,11 +119,65 @@ def _git(*args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
+def _environment() -> dict:
+    return {"cpu_count": os.cpu_count(), "numpy": np.__version__,
+            "python": platform.python_version()}
+
+
+def _pair(spec: dict, rev_a: str, rev_b: str, pairs: int, trace: int) -> Path:
+    a, b = (_git("rev-parse", "--short", rev) for rev in (rev_a, rev_b))
+    if not (a and b):
+        raise SystemExit(f"unknown revision: {rev_a if not a else rev_b}")
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pair_"))
+    trees = {"parent": tmp / "parent", "change": tmp / "change"}
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))  # so that `finally` removes the trees
+    try:
+        for tree, rev in zip(trees.values(), (a, b)):
+            subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev], check=True,
+                           stdout=subprocess.DEVNULL)
+        workloads = {}
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = {side: [] for side in trees}
+            for i in range(pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(_bench(workload, PAIR_SEED + i, spec["run_seconds"], trace,
+                                             cwd=trees[side]))
+                print(f"{workload} pair {i + 1} of {pairs} done", file=sys.stderr)
+            workloads[workload] = paired_summary(runs["parent"], runs["change"], better)
+    finally:
+        for tree in trees.values():
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"])
+    suffix = "_traced" if trace else ""
+    record = {
+        "parent": _git("rev-parse", a), "change": _git("rev-parse", b),
+        "command": f"python3 tools/bench_record.py --pair {a} {b} --pairs {pairs} --trace {trace}",
+        **_environment(),
+        "pairs": pairs, "seeds": [PAIR_SEED + i for i in range(pairs)],
+        "run_seconds": spec["run_seconds"], "trace": trace,
+        "workloads": workloads,
+    }
+    out = Path(f"BENCH_{a}_vs_{b}{suffix}.json")
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--label", required=True)
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label")
+    mode.add_argument("--pair", nargs=2, metavar=("REV_A", "REV_B"))
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     spec = json.loads(Path("BENCHMARK.json").read_text())
+    if args.pair:
+        print(_pair(spec, *args.pair, args.pairs, args.trace))
+        return 0
     seconds = spec["run_seconds"]
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -90,9 +192,7 @@ def main() -> int:
         "command": f"python3 tools/bench_record.py --label {args.label}",
         "git_commit": _git("rev-parse", "HEAD"),
         "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-        "cpu_count": os.cpu_count(),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
+        **_environment(),
         "seeds": list(SEEDS),
         "run_seconds": seconds,
         "tier1": _tier1(),
