@@ -104,19 +104,14 @@ def node_masks(grid: GridSpec) -> tuple:
     return masks
 
 
-@functools.lru_cache(maxsize=64)
-def _mirror_coords(grid: GridSpec) -> bool:
-    x2 = grid.axis_coords() ** 2
-    return bool(np.array_equal(x2, x2[::-1]))
-
-
 def mirror_axes(grid: GridSpec, *node_arrays) -> tuple:
     """The axes along which the grid and every given float node array are
     mirror-exact: the squared axis coordinates equal their reverse (x2 ==
     x2[::-1], true for every n = 2^k + 1 and for no other n of 9 .. 599,
     where linspace rounds) and each array equals its flip along the axis bit
     for bit.  Then the node masks are mirror-symmetric too."""
-    if not _mirror_coords(grid):
+    x2 = grid.axis_coords() ** 2
+    if not np.array_equal(x2, x2[::-1]):
         return ()
     bits = [a.view(np.uint64) for a in node_arrays]
     return tuple(ax for ax in range(grid.dimension)
@@ -131,9 +126,9 @@ def mirror_box(grid: GridSpec, axes: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def off_links(grid: GridSpec, axes: tuple = ()) -> tuple:
+def off_links(grid: GridSpec, axes: tuple) -> tuple:
     """Per axis, over the flat links (see axis_strides) of the mirror box of
-    `axes` (the whole grid by default), those that carry no flux: a link that
+    `axes` (the whole grid for ()), those that carry no flux: a link that
     wraps across a row, or one with an exterior end node."""
     ok = nonexterior_mask(grid)[mirror_box(grid, axes)]
     masks = []

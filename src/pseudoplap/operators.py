@@ -73,7 +73,7 @@ def apply_divergence(u: ScalarField, p: float) -> ScalarField:
     h = grid.spacing
     v = u.values.reshape(-1)
     out, scratch = np.zeros(v.size), np.empty(v.size)
-    for s, off in zip(axis_strides(grid.node_shape), off_links(grid)):
+    for s, off in zip(axis_strides(grid.node_shape), off_links(grid, ())):
         flux = phi_p(link_differences(v, s, h, off, np.empty(off.size)), p)
         add_divergence(out, flux, s, h, scratch)
     out = out.reshape(grid.node_shape)

@@ -41,7 +41,7 @@ bit for bit, and the result is unfolded.  With no such axis it is the grid.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class EnergyProblem:
     p: float
     f: ScalarField
     boundary_data: object  # callable points (k, N) -> (k,)
+    # ((grid, p), the whole grid's _Workspace) of energy() and energy_gradient()
+    _workspace: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.p > 2:
@@ -112,15 +114,15 @@ class SolveReport:
 class _Workspace:
     """Flat-stride kernels and buffers shared by the public energy/gradient/solver entry points.
 
-    It works on the mirror box of `axes` (by default the whole grid), whose
-    node arrays are C-ordered and used flat: along axis ax of stride s
+    It works on the mirror box of `axes`, whose node arrays are C-ordered
+    and used flat: along axis ax of stride s
     (grid.axis_strides), link j joins nodes j and j + s, and grid.off_links
     marks the links that carry no flux.  Every kernel is a contiguous slice
     operation into one of these buffers, each one node array long:
 
     * `weights[ax]`: the link weights |D_ax v|^(p-2) of the last field given
-      to `fill_weights` or `energy`, times the links' multiplicities;
-      `newton_step` turns them into H's;
+      to `fill_weights` or `energy`, times the links' multiplicities on a
+      box; `newton_step` turns them into H's;
     * `flux`: one link array, shared by the axes in turn, behind zeros for
       the flux before the first link;
     * `scratch`: one more, for divergences, the energy's row gathers and the
@@ -130,8 +132,12 @@ class _Workspace:
       H's diagonal, CG's search direction, and `spare`, which holds H d and
       then the preconditioned residual and, between Newton steps, serves the
       line search as its trial point.  The first `newton_step` allocates
-      these, the inverse multiplicities and the flat indices of the nodes
-      off the interior, so `energy()` and `energy_gradient()` do without them.
+      these, the flat indices of the nodes off the interior if they are
+      few and, on a box, the inverse multiplicities, so `energy()` and
+      `energy_gradient()` do without them.
+
+    On the whole grid (no axis) the multiplicities are 1: `mult` and
+    `link_mult` are None, and no array of them is made or applied.
 
     `residual()` reuses the weights, and `newton_step` turns them into the
     Hessian's, so the power is taken once per evaluated field.  After the
@@ -149,9 +155,10 @@ class _Workspace:
         self.inside = self.interior.reshape(-1)
         self.outside = ~self.inside
         self.n_interior = int(self.inside.sum())
-        self.mult, self.link_mult = multiplicities(g, axes)
         self.f = prob.f.values[self.box].reshape(-1)  # finite on the interior; may be NaN elsewhere
-        if axes:  # the whole grid's multiplicities are 1
+        self.mult = self.link_mult = None
+        if axes:
+            self.mult, self.link_mult = multiplicities(g, axes)
             self.f = self.f * self.mult
         shape = self.interior.shape
         self.strides = axis_strides(shape)
@@ -161,7 +168,10 @@ class _Workspace:
         self.weights = [np.empty(size) for _ in self.off_links]
         pad = self.strides[0]
         self._flux = np.empty(pad + size)
-        self._flux[:pad] = self._flux[size:] = 0.0  # read as flux beyond the links
+        # the head stays 0, the flux before the first link; the tail is zeroed
+        # only so that the first Hessian product reads no uninitialised memory
+        # (later links overwrite it; the last plane along axis 0 reads it, masked)
+        self._flux[:pad] = self._flux[size:] = 0.0
         self.flux = self._flux[pad:]
         self.scratch, self.resid = np.empty(size), np.empty(size)
         self.step = self.inv_diag = self.cg_dir = self.spare = None
@@ -188,7 +198,8 @@ class _Workspace:
         w = self.weights[ax][:off.size]
         np.abs(d, out=w)
         w **= self.p - 2.0
-        w *= self.link_mult[ax]
+        if self.link_mult is not None:
+            w *= self.link_mult[ax]
         return d
 
     def fill_weights(self, v: np.ndarray) -> None:
@@ -233,7 +244,8 @@ class _Workspace:
         np.multiply(self.f, self.p - 1.0, out=self.scratch)
         out -= self.scratch
         np.copyto(out, 0.0, where=self.outside)
-        out /= self.mult
+        if self.mult is not None:
+            out /= self.mult
         return out.reshape(self.interior.shape)
 
     def residual_sup(self) -> float:
@@ -279,9 +291,9 @@ class _Workspace:
 
         H is the Hessian per unit volume at the v of the last `fill_weights`
         or `energy` call, with reg added to every link weight; the weights are
-        overwritten by H's, and `self.resid` by CG's residual.  H and r count
-        by the multiplicities, so r.s, d.Hd and r.z are the whole grid's
-        sums, and so is the 2-norm, weighted by their inverses.  H is
+        overwritten by H's, and `self.resid` by CG's residual.  On a box, H
+        and r count by the multiplicities, so r.s, d.Hd and r.z are the whole
+        grid's sums, and so is the 2-norm, weighted by their inverses.  H is
         symmetric positive definite on the interior, so a curvature that is
         not positive means non-finite input and raises.  CG starts from s = 0
         and stops once |r - H s| <= rtol |r| in the 2-norm, or after one
@@ -291,32 +303,43 @@ class _Workspace:
         if self.step is None:
             self.step, self.inv_diag, self.cg_dir, self.spare = (
                 np.zeros(self.resid.size) for _ in range(4))
-            self.inv_mult = 1.0 / self.mult
-            self.outside_at = np.flatnonzero(self.outside)  # zeroed faster than by the mask
+            self.inv_mult = None if self.mult is None else 1.0 / self.mult
+            # by flat index if under a third of the nodes (1D, 2D), else by the
+            # mask: an index costs about three mask entries, but calls faster
+            few = 3 * (self.outside.size - self.n_interior) < self.outside.size
+            self.outside_at = np.flatnonzero(self.outside) if few else self.outside
         scale = (self.p - 1.0) / (self.h * self.h)
         diag = self.inv_diag
         diag.fill(0.0)
-        for s, mult, c in zip(self.strides, self.link_mult, self.weights):
-            c = c[:mult.size]
-            c += np.multiply(mult, reg, out=self.scratch[:mult.size])  # 0 on the off links
+        for ax, (s, off, c) in enumerate(zip(self.strides, self.off_links, self.weights)):
+            c = c[:off.size]
+            if self.link_mult is not None:  # 0 on the off links
+                c += np.multiply(self.link_mult[ax], reg, out=self.scratch[:off.size])
+            else:
+                c += reg
+                np.copyto(c, 0.0, where=off)
             c *= scale
             diag[:s] += c[:s]  # no link before these along the axis
-            diag[s:mult.size] += np.add(c[:-s], c[s:], out=self.scratch[:mult.size - s])
+            diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
         np.divide(1.0, diag, out=diag, where=self.inside)
         np.copyto(diag, 0.0, where=self.outside)
 
-        # work holds H d, then r over the multiplicities, then the preconditioned residual z
+        # work holds H d, then (on a box) r over the multiplicities, then the
+        # preconditioned residual z
         s, res, d, work = self.step, self.resid, self.cg_dir, self.spare
         hess_d = self._hess_slices(d, work)
-        res *= self.mult
         s.fill(0.0)
         # names bound once: each iteration is a few small numpy calls, whose
         # lookups would cost about as much as the stop test's weighting
         vdot, multiply, hess, inv_mult = np.vdot, np.multiply, self._hess_apply, self.inv_mult
+        weigh = inv_mult is not None  # on a box, the stop norm is r.(r / mult)
+        weighted = work if weigh else res
+        if weigh:
+            res *= self.mult
+            multiply(res, inv_mult, out=work)
         multiply(res, diag, out=d)
         rz = float(vdot(res, d))
-        multiply(res, inv_mult, out=work)
-        stop = rtol * rtol * float(vdot(res, work))
+        stop = rtol * rtol * float(vdot(res, weighted))
         k, most = 0, self.n_interior
         while k < most:
             k += 1
@@ -329,8 +352,9 @@ class _Workspace:
             res -= work
             multiply(d, alpha, out=work)
             s += work
-            multiply(res, inv_mult, out=work)
-            if float(vdot(res, work)) <= stop:
+            if weigh:
+                multiply(res, inv_mult, out=work)
+            if float(vdot(res, weighted)) <= stop:
                 break
             multiply(res, diag, out=work)
             rz_next = float(vdot(res, work))
@@ -341,16 +365,27 @@ class _Workspace:
         return k, float(np.vdot(s, work))
 
 
+def _whole_grid_workspace(prob: EnergyProblem) -> _Workspace:
+    """prob's whole-grid _Workspace, rebuilt only when its grid or p has
+    changed, so repeated calls allocate no buffers; f is read every call."""
+    key = (prob.grid, prob.p)
+    if prob._workspace is None or prob._workspace[0] != key:
+        prob._workspace = (key, _Workspace(prob))
+    ws = prob._workspace[1]
+    ws.f = prob.f.values.reshape(-1)
+    return ws
+
+
 def energy(u: ScalarField, prob: EnergyProblem) -> float:
     """Grid energy J(u); raises if a needed stencil value is unset."""
     u.validate_finite()
-    return _Workspace(prob).energy(u.values)
+    return _whole_grid_workspace(prob).energy(u.values)
 
 
 def energy_gradient(u: ScalarField, prob: EnergyProblem) -> ScalarField:
     """Exact discrete gradient dJ/du = [-A_div(u) + (p-1) f] h^N on interior nodes."""
     u.validate_finite()
-    ws = _Workspace(prob)
+    ws = _whole_grid_workspace(prob)
     ws.fill_weights(u.values)
     g = -ws.residual() * ws.hN
     g[~ws.interior] = np.nan
@@ -369,16 +404,13 @@ def _initial_values(prob: EnergyProblem) -> np.ndarray:
     return v
 
 
-def _unfold(grid: GridSpec, axes: tuple, box_values: np.ndarray) -> np.ndarray:
+def _unfold(axes: tuple, box_values: np.ndarray) -> np.ndarray:
     """The node array whose mirror box of `axes` holds box_values and which
-    equals its flip along each of them."""
-    n, m = grid.nodes_per_axis, (grid.nodes_per_axis - 1) // 2
-    out = np.empty(grid.node_shape)
-    out[mirror_box(grid, axes)] = box_values
-    for ax in axes:
-        lead = (slice(None),) * ax
-        out[lead + (slice(0, m),)] = out[lead + (slice(n - 1, m, -1),)]
-    return out
+    equals its flip along each of them (box_values itself for no axis)."""
+    for ax in axes:  # the flip less its last entry, the mirror plane, goes first
+        flipped = np.flip(box_values, ax)[(slice(None),) * ax + (slice(0, -1),)]
+        box_values = np.concatenate((flipped, box_values), axis=ax)
+    return box_values
 
 
 def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
@@ -445,4 +477,4 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         wall_time=time.perf_counter() - t0,
         mirror_axes=axes,
     )
-    return ScalarField(prob.grid, _unfold(prob.grid, axes, u.reshape(ws.interior.shape))), report
+    return ScalarField(prob.grid, _unfold(axes, u.reshape(ws.interior.shape))), report

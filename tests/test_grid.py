@@ -132,7 +132,7 @@ def test_off_links_match_sliced_masks(dim, nodes, shape):
     # last node of its row along the axis; the others wrap, and are off even
     # on the cube, where both their ends are finite face nodes
     g = GridSpec(dim, nodes, shape)
-    for ax, (off, links) in enumerate(zip(off_links(g), stencil_reference.link_masks(g))):
+    for ax, (off, links) in enumerate(zip(off_links(g, ()), stencil_reference.link_masks(g))):
         want = np.ones(g.node_shape, dtype=bool)
         want[(slice(None),) * ax + (slice(0, nodes - 1),)] = ~links
         assert np.array_equal(off, want.reshape(-1)[:off.size])
@@ -308,6 +308,6 @@ def test_multiplicities_count_the_whole_grid(dim, shape):
     for axes in ((), (0,), tuple(range(dim))):
         nodes, links = grid.multiplicities(g, axes)
         assert nodes.sum() == g.nodes_per_axis ** dim
-        for box_off, full_off, mult in zip(off_links(g, axes), off_links(g), links):
+        for box_off, full_off, mult in zip(off_links(g, axes), off_links(g, ()), links):
             assert (mult[box_off] == 0).all()
             assert mult.sum() == (~full_off).sum()

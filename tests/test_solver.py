@@ -81,6 +81,33 @@ def test_gradient_linear_in_f_shift():
                        atol=64 * np.finfo(float).eps * np.abs(g1.values[mask]).max())
 
 
+def test_energy_reuses_the_problems_workspace_and_reads_changes():
+    # repeated calls share one workspace; a changed p, f (replaced or written
+    # in place) or grid gives what a fresh problem gives, bit for bit
+    g = GridSpec(2, 17)
+    prob = EnergyProblem(g, 3.0, constant_field(g, 0.7), zero_boundary)
+    u = shared_boundary_field(g, 3)
+    energy(u, prob)
+    ws = prob._workspace[1]
+    energy_gradient(u, prob)
+    assert prob._workspace[1] is ws
+
+    def fresh():
+        return EnergyProblem(prob.grid, prob.p, prob.f, zero_boundary)
+
+    prob.p = 3.5
+    assert energy(u, prob) == energy(u, fresh())
+    prob.f = constant_field(g, -0.2)
+    assert energy(u, prob) == energy(u, fresh())
+    prob.f.values[interior_mask(g)] += 1.0
+    assert energy(u, prob) == energy(u, fresh())
+    assert np.array_equal(energy_gradient(u, prob).values, energy_gradient(u, fresh()).values,
+                          equal_nan=True)
+    g3 = GridSpec(3, 9)
+    prob.grid, prob.f, u = g3, constant_field(g3, 0.5), shared_boundary_field(g3, 4)
+    assert energy(u, prob) == energy(u, fresh())
+
+
 @pytest.mark.parametrize("dim,nodes,p", [(1, 33, 3.0), (2, 17, 2.5), (3, 9, 4.0)])
 def test_gradient_equals_energy_path_bitwise(dim, nodes, p):
     # energy_gradient fills the link weights without the energy sum; the

@@ -1,7 +1,7 @@
 """Record the benchmark of one checkout as BENCH_<label>.json, or compare two revisions.
 
     python3 tools/bench_record.py --label LABEL
-    python3 tools/bench_record.py --pair REV_A REV_B [--pairs 10] [--trace 0|1]
+    python3 tools/bench_record.py --pair REV_A REV_B [--trace 0|1]
 
 Run from the root of a checkout.  With --label, for each workload that
 BENCHMARK.json declares, it runs the unchanged `perfbench/run.py` once per
@@ -15,7 +15,7 @@ commit and the command that reproduces the file.
 
 With --pair, it checks REV_A (the parent) and REV_B (the change) out into
 two git worktrees under a temporary directory, which it removes afterwards,
-and runs each workload in pairs: one run of each side's `perfbench/run.py`
+and runs each workload in PAIRS pairs: one run of each side's `perfbench/run.py`
 per pair, seed PAIR_SEED + i for pair i, with the side that goes first
 switching from pair to pair, so that both sides see the machine's slow
 phases alike.  It writes BENCH_<a>_vs_<b>.json (a and b the short commits;
@@ -41,6 +41,7 @@ import numpy as np
 
 SEEDS = (1001, 1002, 1003, 1004, 1005)
 PAIR_SEED = 2001
+PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -124,7 +125,7 @@ def _environment() -> dict:
             "python": platform.python_version()}
 
 
-def _pair(spec: dict, rev_a: str, rev_b: str, pairs: int, trace: int) -> Path:
+def _pair(spec: dict, rev_a: str, rev_b: str, trace: int) -> Path:
     a, b = (_git("rev-parse", "--short", rev) for rev in (rev_a, rev_b))
     if not (a and b):
         raise SystemExit(f"unknown revision: {rev_a if not a else rev_b}")
@@ -139,12 +140,12 @@ def _pair(spec: dict, rev_a: str, rev_b: str, pairs: int, trace: int) -> Path:
         workloads = {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in trees}
-            for i in range(pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[side].append(_bench(workload, PAIR_SEED + i, spec["run_seconds"], trace,
                                              cwd=trees[side]))
-                print(f"{workload} pair {i + 1} of {pairs} done", file=sys.stderr)
+                print(f"{workload} pair {i + 1} of {PAIRS} done", file=sys.stderr)
             workloads[workload] = paired_summary(runs["parent"], runs["change"], better)
     finally:
         for tree in trees.values():
@@ -155,9 +156,9 @@ def _pair(spec: dict, rev_a: str, rev_b: str, pairs: int, trace: int) -> Path:
     suffix = "_traced" if trace else ""
     record = {
         "parent": _git("rev-parse", a), "change": _git("rev-parse", b),
-        "command": f"python3 tools/bench_record.py --pair {a} {b} --pairs {pairs} --trace {trace}",
+        "command": f"python3 tools/bench_record.py --pair {a} {b} --trace {trace}",
         **_environment(),
-        "pairs": pairs, "seeds": [PAIR_SEED + i for i in range(pairs)],
+        "pairs": PAIRS, "seeds": [PAIR_SEED + i for i in range(PAIRS)],
         "run_seconds": spec["run_seconds"], "trace": trace,
         "workloads": workloads,
     }
@@ -171,12 +172,11 @@ def main() -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--label")
     mode.add_argument("--pair", nargs=2, metavar=("REV_A", "REV_B"))
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     spec = json.loads(Path("BENCHMARK.json").read_text())
     if args.pair:
-        print(_pair(spec, *args.pair, args.pairs, args.trace))
+        print(_pair(spec, *args.pair, args.trace))
         return 0
     seconds = spec["run_seconds"]
     workloads = {}
