@@ -244,20 +244,29 @@ def write_field(path, field: ScalarField) -> None:
     """Write one row per non-exterior node: x1,...,xN,value with 17 significant digits.
 
     Every coordinate is one of the grid's n axis coordinates, so those are
-    formatted once, as "%.17g," strings, and gathered per node.  Each block
-    of _BLOCK_ROWS rows is then one `%` call on the row template repeated,
-    so no Python call is made per cell.  `%.17g` writes the same text as the
-    per-cell `f"{x:.17g}"` (tests/field_writer_reference.py), so the file is
+    formatted once, as "%.17g," strings, and gathered per node; so are the
+    values on the mirror box of a field's mirror_axes.  Each block of
+    _BLOCK_ROWS rows is then one `%` call on the row template repeated, so
+    no Python call is made per cell.  `%.17g` writes the same text as the per-cell
+    `f"{x:.17g}"` (tests/field_writer_reference.py), so the file is
     byte-identical to that writer's.  The field is validated before the file
     is opened, so a non-finite field leaves any old file as it was.
     """
     field.validate_finite()
     grid = field.grid
     idx = np.argwhere(nonexterior_mask(grid))  # argwhere is lexicographic in the multi-index
-    vals = field.values[tuple(idx.T)]
     coords = np.array(["%.17g," % c for c in grid.axis_coords()], dtype=object)
+    axes = mirror_axes(grid, field.values)
+    if axes:
+        box = field.values[mirror_box(grid, axes)]
+        text = ("%.17g\n" * box.size % tuple(box.ravel().tolist())).split("\n")[:-1]
+        m = (grid.nodes_per_axis - 1) // 2  # each node's mirror image in the box:
+        image = np.where(np.isin(np.arange(grid.dimension), axes), np.abs(idx - m), idx)
+        vals = np.array(text, dtype=object).reshape(box.shape)[tuple(image.T)]
+    else:
+        vals = field.values[tuple(idx.T)]
+    template = "%s" * grid.dimension + ("%s\n" if axes else "%.17g\n")
     header = ",".join(f"x{i + 1}" for i in range(grid.dimension)) + ",value"
-    template = "%s" * grid.dimension + "%.17g\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(idx), _BLOCK_ROWS):

@@ -15,11 +15,12 @@ H s = r for the residual r = A_div(u) - (p-1) f, where
     H s = -div((p-1) (|D_i u|^(p-2) + reg) D_i s)      per link
 
 is the energy Hessian per unit volume with its degenerate link weights lifted
-by reg = clip(sup|r|, 1e-12, 1e-2).  Conjugate gradients preconditioned by
-the diagonal of H solve it to the relative tolerance min(0.5, sqrt(sup|r|)),
-an Eisenstat-Walker forcing term, so far-off steps stay cheap and the last
-ones converge superlinearly.  The step is taken with Armijo backtracking on J
-from unit step.  Accepted iterates have non-increasing energy up to a
+by reg = clip(sup|r|, 1e-12, 1e-2).  Conjugate gradients solve it to the
+relative tolerance min(0.5, sqrt(sup|r|)), an Eisenstat-Walker forcing term,
+so far-off steps stay cheap and the last ones converge superlinearly.  They
+are preconditioned by the diagonal of H in 2D and 3D, and in 1D, where H is
+tridiagonal, by its exact inverse, so that each Newton step takes one CG
+iteration.  The step is taken with Armijo backtracking on J from unit step.  Accepted iterates have non-increasing energy up to a
 floating-point rounding slack of a few ulps of J, which keeps the line search
 honest when the target residual sits near the arithmetic floor.
 
@@ -129,10 +130,11 @@ class _Workspace:
       f-term;
     * `resid`: the last `residual()`, and CG's residual in `newton_step`;
     * `step`, `inv_diag`, `cg_dir`, `spare`: the Newton step, the inverse of
-      H's diagonal, CG's search direction, and `spare`, which holds H d and
-      then the preconditioned residual and, between Newton steps, serves the
-      line search as its trial point.  The first `newton_step` allocates
-      these, the flat indices of the nodes off the interior if they are
+      H's diagonal (in 1D, in its place, the link arrays `inv_link` and
+      `flow` of `_exact_1d`), CG's search direction, and `spare`, which holds
+      H d and then the preconditioned residual and, between Newton steps,
+      serves the line search as its trial point.  The first `newton_step`
+      allocates these, the flat indices of the nodes off the interior if they are
       few and, on a box, the inverse multiplicities, so `energy()` and
       `energy_gradient()` do without them.
 
@@ -164,6 +166,9 @@ class _Workspace:
         self.strides = axis_strides(shape)
         self.off_links = off_links(g, axes)
         size = self.inside.size
+        if g.dimension == 1:  # _exact_1d: every link on, interior nodes 0 (box) or 1 .. size - 2
+            assert not self.off_links[0].any() and np.array_equal(
+                np.flatnonzero(self.inside), np.arange(0 if axes else 1, size - 1)), "1D grid"
         self.v = None
         self.weights = [np.empty(size) for _ in self.off_links]
         pad = self.strides[0]
@@ -285,8 +290,29 @@ class _Workspace:
                 subtract(flux_before, flux_at, out=out)
         out[self.outside_at] = 0.0
 
+    def _jacobi(self, r: np.ndarray, out: np.ndarray) -> None:
+        """out = r / diag(H) on the interior, 0 elsewhere."""
+        np.multiply(r, self.inv_diag, out=out)
+
+    def _exact_1d(self, r: np.ndarray, out: np.ndarray) -> None:
+        """out = z = H^-1 r in 1D, r being 0 off the interior.  The flux
+        q = c (z[j+1] - z[j]) on link j (c: H's link weights, t = 1/c) falls
+        by r[j] across node j: q = q0 - R, R = cumsum(r) over the links' lower
+        nodes.  q0 = 0 on a mirror box, the flux before its first node, and
+        (R.t) / sum(t) on the whole grid, so that z = 0 at both ends; z is the
+        running sum of q t, anchored to 0 at the last node."""
+        q, t = self.flow, self.inv_link
+        np.cumsum(r[:q.size], out=q)
+        q0 = float(np.vdot(q, t)) / float(t.sum()) if self.mult is None else 0.0
+        np.subtract(q0, q, out=q)
+        q *= t
+        out[0] = 0.0
+        np.cumsum(q, out=out[1:])
+        out -= out[-1]
+        out[self.outside_at] = 0.0
+
     def newton_step(self, reg: float, rtol: float) -> tuple:
-        """Solve H s = r into `self.step` by Jacobi-preconditioned CG, r being the
+        """Solve H s = r into `self.step` by preconditioned CG, r being the
         last `residual()`; returns (CG iterations, r.s).
 
         H is the Hessian per unit volume at the v of the last `fill_weights`
@@ -298,20 +324,22 @@ class _Workspace:
         not positive means non-finite input and raises.  CG starts from s = 0
         and stops once |r - H s| <= rtol |r| in the 2-norm, or after one
         iteration per interior node.  Every CG iterate s has r.s = s.H s > 0,
-        so it is a descent direction for J.
+        so it is a descent direction for J.  The preconditioner is Jacobi in
+        2D and 3D and exact in 1D (`_exact_1d`): one iteration solves it.
         """
         if self.step is None:
-            self.step, self.inv_diag, self.cg_dir, self.spare = (
-                np.zeros(self.resid.size) for _ in range(4))
+            self.step, self.cg_dir, self.spare = (np.zeros(self.resid.size) for _ in range(3))
+            if len(self.strides) == 1:
+                self.flow, self.inv_link = np.empty((2, self.resid.size - 1))
+            else:
+                self.inv_diag = np.zeros(self.resid.size)
             self.inv_mult = None if self.mult is None else 1.0 / self.mult
             # by flat index if under a third of the nodes (1D, 2D), else by the
             # mask: an index costs about three mask entries, but calls faster
             few = 3 * (self.outside.size - self.n_interior) < self.outside.size
             self.outside_at = np.flatnonzero(self.outside) if few else self.outside
         scale = (self.p - 1.0) / (self.h * self.h)
-        diag = self.inv_diag
-        diag.fill(0.0)
-        for ax, (s, off, c) in enumerate(zip(self.strides, self.off_links, self.weights)):
+        for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
             c = c[:off.size]
             if self.link_mult is not None:  # 0 on the off links
                 c += np.multiply(self.link_mult[ax], reg, out=self.scratch[:off.size])
@@ -319,10 +347,19 @@ class _Workspace:
                 c += reg
                 np.copyto(c, 0.0, where=off)
             c *= scale
-            diag[:s] += c[:s]  # no link before these along the axis
-            diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
-        np.divide(1.0, diag, out=diag, where=self.inside)
-        np.copyto(diag, 0.0, where=self.outside)
+        if self.inv_diag is None:  # 1D: c holds H's link weights
+            np.divide(1.0, c, out=self.inv_link)
+            precondition = self._exact_1d
+        else:
+            diag = self.inv_diag
+            diag.fill(0.0)
+            for s, off, c in zip(self.strides, self.off_links, self.weights):
+                c = c[:off.size]
+                diag[:s] += c[:s]  # no link before these along the axis
+                diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
+            np.divide(1.0, diag, out=diag, where=self.inside)
+            np.copyto(diag, 0.0, where=self.outside)
+            precondition = self._jacobi
 
         # work holds H d, then (on a box) r over the multiplicities, then the
         # preconditioned residual z
@@ -337,7 +374,7 @@ class _Workspace:
         if weigh:
             res *= self.mult
             multiply(res, inv_mult, out=work)
-        multiply(res, diag, out=d)
+        precondition(res, d)
         rz = float(vdot(res, d))
         stop = rtol * rtol * float(vdot(res, weighted))
         k, most = 0, self.n_interior
@@ -356,7 +393,7 @@ class _Workspace:
                 multiply(res, inv_mult, out=work)
             if float(vdot(res, weighted)) <= stop:
                 break
-            multiply(res, diag, out=work)
+            precondition(res, work)
             rz_next = float(vdot(res, work))
             d *= rz_next / rz
             d += work

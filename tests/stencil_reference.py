@@ -148,6 +148,21 @@ class Workspace:
             out[core] -= axis_difference(flux, ax)
         np.copyto(out, 0.0, where=self.outside)
 
+    def _exact_1d(self, r, t, out):
+        """z = H^-1 r in 1D on the whole grid: the link flux q = c D z falls
+        by r across each interior node, from the q0 that makes z vanish at
+        both end nodes; z is the running sum of q t (t = 1/c) from 0 at the
+        last node."""
+        lo, _, _ = axis_slices(1, 0)
+        q = np.cumsum(r[lo])
+        q0 = float(np.vdot(q, t)) / float(t.sum())
+        q = q0 - q
+        q *= t
+        out[0] = 0.0
+        np.cumsum(q, out=out[1:])
+        out -= out[-1]
+        np.copyto(out, 0.0, where=self.outside)
+
     def newton_step(self, reg, rtol):
         scale = (self.p - 1.0) / (self.h * self.h)
         diag = self.inv_diag
@@ -160,10 +175,18 @@ class Workspace:
             diag[core] += c[lo] + c[hi]
         np.divide(1.0, diag, out=diag, where=self.interior)
         np.copyto(diag, 0.0, where=self.outside)
+        if diag.ndim == 1:  # the exact inverse of H, from its link weights
+            t = 1.0 / self.weights[0]
+
+            def precondition(r, out):
+                self._exact_1d(r, t, out)
+        else:
+            def precondition(r, out):
+                np.multiply(r, diag, out=out)
 
         s, res, d, work = self.step, self.resid, self.cg_dir, self.spare
         s.fill(0.0)
-        np.multiply(res, diag, out=d)
+        precondition(res, d)
         rz = float(np.vdot(res, d))
         stop = rtol * rtol * float(np.vdot(res, res))
         k = 0
@@ -180,7 +203,7 @@ class Workspace:
             s += work
             if float(np.vdot(res, res)) <= stop:
                 break
-            np.multiply(res, diag, out=work)
+            precondition(res, work)
             rz_next = float(np.vdot(res, work))
             d *= rz_next / rz
             d += work

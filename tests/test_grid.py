@@ -211,10 +211,19 @@ def test_write_field_matches_reference(tmp_path, monkeypatch, dim, shape, block)
     rows = {"one": 1, "non-divisor": next(k for k in range(7, count) if count % k),
             "count": count, "above-count": count + 5}[block]
     monkeypatch.setattr(grid, "_BLOCK_ROWS", rows)
-    field = ScalarField(g, vals)
-    write_field(tmp_path / "blocks.csv", field)
-    field_writer_reference.write_field(tmp_path / "reference.csv", field)
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # the field, then copies made mirror-exact along axis 0 and along every
+    # axis, which are written from their mirror boxes' values
+    m = (g.nodes_per_axis - 1) // 2
+    for axes in ((), (0,), tuple(range(dim))):
+        v = vals.copy()
+        for ax in axes:  # the lower half along ax becomes the flip of the upper one
+            lower = (slice(None),) * ax + (slice(0, m),)
+            v[lower] = np.flip(v, ax)[lower]
+        assert mirror_axes(g, v) == axes
+        field = ScalarField(g, v)
+        write_field(tmp_path / "blocks.csv", field)
+        field_writer_reference.write_field(tmp_path / "reference.csv", field)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_write_field_validates_before_truncating(tmp_path, monkeypatch):

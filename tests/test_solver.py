@@ -5,7 +5,7 @@ import pytest
 
 from descent_reference import descent_solve
 from pseudoplap.grid import GridSpec, ScalarField, boundary_mask, interior_mask
-from pseudoplap.grid import node_coordinates, nonexterior_mask
+from pseudoplap.grid import mirror_axes, node_coordinates, nonexterior_mask
 from pseudoplap.manufactured import closed_form_1d, constant_field, separable_trace
 from pseudoplap.manufactured import sweep_presets, zero_boundary
 from pseudoplap.operators import apply_divergence
@@ -181,9 +181,9 @@ def test_solve_report_contract():
 def test_solve_nonconvergence_reported_not_raised():
     g = GridSpec(1, 129)
     prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
-    u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-12, max_iters=10))
+    u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-12, max_iters=2))
     assert not rep.converged
-    assert rep.reason == "max_iters" and rep.iterations == 10
+    assert rep.reason == "max_iters" and rep.iterations == 2
 
 
 def test_solve_stalls_at_rounding_floor():
@@ -195,7 +195,7 @@ def test_solve_stalls_at_rounding_floor():
     assert rep.reason == "stalled" and rep.iterations <= 100
 
 
-@pytest.mark.parametrize("dim, nodes", [(1, 129), (2, 33)])
+@pytest.mark.parametrize("dim, nodes", [(1, 129), (1, 131), (2, 33)])
 def test_solve_matches_descent_reference(dim, nodes):
     # Both solves stop at sup|A_div(u) - (p-1) f| <= tol, so their residuals
     # differ by at most 2 tol.  To first order u_newton - u_descent =
@@ -212,6 +212,38 @@ def test_solve_matches_descent_reference(dim, nodes):
     assert rep.converged and ref_converged
     mask = nonexterior_mask(g)
     assert np.abs(u.values - ref)[mask].max() <= 2.0 * cfg.grad_tol * 0.25
+
+
+@pytest.mark.parametrize("nodes", [257, 513])
+def test_solve_1d_takes_one_cg_iteration_per_newton_step(nodes):
+    g = GridSpec(1, nodes)
+    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
+    _, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-8))
+    assert rep.converged and rep.inner_iterations == rep.iterations
+
+
+@pytest.mark.parametrize("p", [2.3, 3.0, 6.0])
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("nodes", [129, 131])
+def test_exact_1d_preconditioner_inverts_the_hessian(nodes, shape, p):
+    # n = 129 with f = 1 takes the mirror box, n = 131 with an asymmetric f
+    # the whole grid; the field's slopes lie in [-1, 1], so that at p = 6
+    # H's link weights spread over about five decades
+    g = GridSpec(1, nodes, shape)
+    rng = np.random.default_rng(1)
+    f = constant_field(g, 1.0) if nodes == 129 else ScalarField(g, rng.standard_normal(nodes))
+    prob = EnergyProblem(g, p, f, zero_boundary)
+    axes = mirror_axes(g, f.values)
+    assert axes == ((0,) if nodes == 129 else ())
+    ws = _Workspace(prob, axes)
+    ws.energy(np.cumsum(rng.uniform(-1.0, 1.0, ws.inside.size)) * g.spacing)
+    ws.residual()
+    ws.newton_step(1e-3, 0.5)  # sets H's link weights and the preconditioner's
+    r = np.where(ws.inside, rng.standard_normal(ws.inside.size), 0.0)
+    z, hz = np.empty(r.size), np.full(r.size, np.nan)
+    ws._exact_1d(r, z)
+    ws._hess_apply(ws._hess_slices(z, hz), hz)
+    assert np.linalg.norm(hz - r) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_solve_small_scale_copy_converges():

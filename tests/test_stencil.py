@@ -73,20 +73,24 @@ def test_apply_operators_match_sliced_reference(dim, shape, nodes, p):
 
 def test_newton_step_allocates_no_node_array():
     # warmed: the first step allocates the PCG buffers, after which a step
-    # may allocate Python scalars and views but no array of the grid's size
-    prob, u = random_problem(3, 17, "ball", 3.0)
-    ws = _Workspace(prob)
-    ws.energy(u)
-    ws.residual()
-    ws.newton_step(1e-2, 0.5)
-    ws.energy(u)
-    ws.residual()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        iterations, _ = ws.newton_step(1e-3, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert iterations > 10
-    assert peak - before < 8 * u.size
+    # may allocate Python scalars and views but no array of the grid's size.
+    # In 1D the preconditioner is exact, so CG takes one iteration, and the
+    # grid is long enough that the step's views and scalars (about 2 KB)
+    # stay below one node array.
+    for dim, nodes, min_iterations in ((3, 17, 11), (1, 1025, 1)):
+        prob, u = random_problem(dim, nodes, "ball", 3.0)
+        ws = _Workspace(prob)
+        ws.energy(u)
+        ws.residual()
+        ws.newton_step(1e-2, 0.5)
+        ws.energy(u)
+        ws.residual()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            iterations, _ = ws.newton_step(1e-3, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iterations >= min_iterations
+        assert peak - before < 8 * u.size
