@@ -141,6 +141,15 @@ def off_links(grid: GridSpec, axes: tuple) -> tuple:
     return tuple(masks)
 
 
+def unfold(axes: tuple, box_values: np.ndarray) -> np.ndarray:
+    """The node array whose mirror box of `axes` holds box_values and which
+    equals its flip along each of them (box_values itself for no axis)."""
+    for ax in axes:  # the flip less its last entry, the mirror plane, goes first
+        flipped = np.flip(box_values, ax)[(slice(None),) * ax + (slice(0, -1),)]
+        box_values = np.concatenate((flipped, box_values), axis=ax)
+    return box_values
+
+
 @functools.lru_cache(maxsize=64)
 def multiplicities(grid: GridSpec, axes: tuple) -> tuple:
     """(nodes, links): how many nodes or links of the whole grid each one of
@@ -244,34 +253,38 @@ def write_field(path, field: ScalarField) -> None:
     """Write one row per non-exterior node: x1,...,xN,value with 17 significant digits.
 
     Every coordinate is one of the grid's n axis coordinates, so those are
-    formatted once, as "%.17g," strings, and gathered per node; so are the
-    values on the mirror box of a field's mirror_axes.  Each block of
-    _BLOCK_ROWS rows is then one `%` call on the row template repeated, so
-    no Python call is made per cell.  `%.17g` writes the same text as the per-cell
-    `f"{x:.17g}"` (tests/field_writer_reference.py), so the file is
-    byte-identical to that writer's.  The field is validated before the file
-    is opened, so a non-finite field leaves any old file as it was.
+    formatted once, as "%.17g," strings, and gathered per node; the values
+    of a field that is mirror-exact along some axes (mirror_axes) are
+    formatted once on their mirror box and unfolded.  The nodes are kept as
+    flat indices, with a third of the multi-indices' memory in 3D.  Each
+    block of _BLOCK_ROWS rows is then one `%` call on the row template
+    repeated, so no Python call is made per cell.  `%.17g` writes the same
+    text as the per-cell `f"{x:.17g}"` (tests/field_writer_reference.py),
+    so the file is byte-identical to that writer's.  The field is validated
+    before the file is opened, so a non-finite field leaves any old file as
+    it was.
     """
     field.validate_finite()
     grid = field.grid
-    idx = np.argwhere(nonexterior_mask(grid))  # argwhere is lexicographic in the multi-index
-    coords = np.array(["%.17g," % c for c in grid.axis_coords()], dtype=object)
+    mask = nonexterior_mask(grid)  # boolean indexing and flatnonzero are lexicographic
     axes = mirror_axes(grid, field.values)
     if axes:
-        box = field.values[mirror_box(grid, axes)]
-        text = ("%.17g\n" * box.size % tuple(box.ravel().tolist())).split("\n")[:-1]
-        m = (grid.nodes_per_axis - 1) // 2  # each node's mirror image in the box:
-        image = np.where(np.isin(np.arange(grid.dimension), axes), np.abs(idx - m), idx)
-        vals = np.array(text, dtype=object).reshape(box.shape)[tuple(image.T)]
+        box = mirror_box(grid, axes)
+        vals = field.values[box][mask[box]].tolist()
+        text = np.empty(mask[box].shape, dtype=object)
+        text[mask[box]] = ("%.17g\n" * len(vals) % tuple(vals)).split("\n")[:-1]
+        vals = unfold(axes, text)[mask]
     else:
-        vals = field.values[tuple(idx.T)]
+        vals = field.values[mask]
+    nodes = np.flatnonzero(mask)
+    coords = np.array(["%.17g," % c for c in grid.axis_coords()], dtype=object)
     template = "%s" * grid.dimension + ("%s\n" if axes else "%.17g\n")
     header = ",".join(f"x{i + 1}" for i in range(grid.dimension)) + ",value"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for lo in range(0, len(idx), _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, len(idx))
+        for lo in range(0, len(nodes), _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, len(nodes))
             cells = np.empty((hi - lo, grid.dimension + 1), dtype=object)
-            cells[:, :-1] = coords[idx[lo:hi]]
+            cells[:, :-1] = coords[np.column_stack(np.unravel_index(nodes[lo:hi], mask.shape))]
             cells[:, -1] = vals[lo:hi]
             fh.write(template * (hi - lo) % tuple(cells.ravel().tolist()))

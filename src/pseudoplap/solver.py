@@ -48,7 +48,7 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, axis_strides, boundary_mask, interior_mask
 from .grid import mirror_axes, mirror_box, multiplicities, node_coordinates, nonexterior_mask
-from .grid import off_links
+from .grid import off_links, unfold
 from .operators import add_divergence, link_differences
 
 _EPS = float(np.finfo(float).eps)
@@ -441,15 +441,6 @@ def _initial_values(prob: EnergyProblem) -> np.ndarray:
     return v
 
 
-def _unfold(axes: tuple, box_values: np.ndarray) -> np.ndarray:
-    """The node array whose mirror box of `axes` holds box_values and which
-    equals its flip along each of them (box_values itself for no axis)."""
-    for ax in axes:  # the flip less its last entry, the mirror plane, goes first
-        flipped = np.flip(box_values, ax)[(slice(None),) * ax + (slice(0, -1),)]
-        box_values = np.concatenate((flipped, box_values), axis=ax)
-    return box_values
-
-
 def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     """Minimize J over interior values; returns (ScalarField, SolveReport).
 
@@ -514,4 +505,4 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         wall_time=time.perf_counter() - t0,
         mirror_axes=axes,
     )
-    return ScalarField(prob.grid, _unfold(axes, u.reshape(ws.interior.shape))), report
+    return ScalarField(prob.grid, unfold(axes, u.reshape(ws.interior.shape))), report
