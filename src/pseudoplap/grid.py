@@ -252,17 +252,15 @@ _BLOCK_ROWS = 4096
 def write_field(path, field: ScalarField) -> None:
     """Write one row per non-exterior node: x1,...,xN,value with 17 significant digits.
 
-    Every coordinate is one of the grid's n axis coordinates, so those are
-    formatted once, as "%.17g," strings, and gathered per node; the values
-    of a field that is mirror-exact along some axes (mirror_axes) are
-    formatted once on their mirror box and unfolded.  The nodes are kept as
-    flat indices, with a third of the multi-indices' memory in 3D.  Each
-    block of _BLOCK_ROWS rows is then one `%` call on the row template
-    repeated, so no Python call is made per cell.  `%.17g` writes the same
-    text as the per-cell `f"{x:.17g}"` (tests/field_writer_reference.py),
-    so the file is byte-identical to that writer's.  The field is validated
-    before the file is opened, so a non-finite field leaves any old file as
-    it was.
+    The n axis coordinates are formatted once, as "%.17g," strings, and so
+    are the values on the mirror box of a field's mirror_axes, unfolded;
+    both are gathered per node (kept as flat indices, 1/N of the memory of
+    multi-indices).  Each block of _BLOCK_ROWS rows is then one `%` call on
+    the row template repeated, so no Python call is made per cell.  `%.17g`
+    writes the same text as the per-cell `f"{x:.17g}"`
+    (tests/field_writer_reference.py), so the file is byte-identical to that
+    writer's.  The field is validated before the file is opened, so a
+    non-finite field leaves any old file as it was.
     """
     field.validate_finite()
     grid = field.grid

@@ -20,9 +20,10 @@ relative tolerance min(0.5, sqrt(sup|r|)), an Eisenstat-Walker forcing term,
 so far-off steps stay cheap and the last ones converge superlinearly.  They
 are preconditioned by the diagonal of H in 2D and 3D, and in 1D, where H is
 tridiagonal, by its exact inverse, so that each Newton step takes one CG
-iteration.  The step is taken with Armijo backtracking on J from unit step.  Accepted iterates have non-increasing energy up to a
-floating-point rounding slack of a few ulps of J, which keeps the line search
-honest when the target residual sits near the arithmetic floor.
+iteration.  The step is taken with Armijo backtracking on J from unit step.
+Accepted iterates have non-increasing energy up to a floating-point rounding
+slack of a few ulps of J, which keeps the line search honest when the target
+residual sits near the arithmetic floor.
 
 A solve stops for one of three reasons, kept in `SolveReport.reason`:
 "converged" when sup|r| <= grad_tol; "max_iters" when it runs out of Newton
@@ -134,9 +135,9 @@ class _Workspace:
       `flow` of `_exact_1d`), CG's search direction, and `spare`, which holds
       H d and then the preconditioned residual and, between Newton steps,
       serves the line search as its trial point.  The first `newton_step`
-      allocates these, the flat indices of the nodes off the interior if they are
-      few and, on a box, the inverse multiplicities, so `energy()` and
-      `energy_gradient()` do without them.
+      allocates these, the flat indices of the nodes off the interior if
+      they are few and, on a box, the inverse multiplicities, so `energy()`
+      and `energy_gradient()` do without them.
 
     On the whole grid (no axis) the multiplicities are 1: `mult` and
     `link_mult` are None, and no array of them is made or applied.
