@@ -64,26 +64,17 @@ def min_barrier_M(p: float, N: int, f_sup: float) -> float:
 
 @dataclass(frozen=True)
 class BarrierParams:
+    """The barrier's strength M and exponent p; its dimension is the grid's."""
+
     M: float
-    boundary_sup: float
     p: float
-    N: int
 
     def __post_init__(self):
-        # a non-finite M or boundary_sup makes the barrier itself non-finite
+        # a non-finite M makes the barrier itself non-finite
         if not (self.M > 0 and np.isfinite(self.M)):
             raise ValueError(f"M must be positive and finite, got {self.M}")
-        if not (self.boundary_sup >= 0 and np.isfinite(self.boundary_sup)):
-            raise ValueError(f"boundary_sup must be >= 0 and finite, got {self.boundary_sup}")
         if not self.p > 2:
             raise ValueError(f"p must be > 2, got {self.p}")
-
-
-def _check_barrier_grid(grid: GridSpec, params: BarrierParams) -> None:
-    if grid.shape != "ball":
-        raise ValueError("the barrier uses the distance to the unit sphere; ball grids only")
-    if grid.dimension != params.N:
-        raise ValueError(f"params.N = {params.N} but grid dimension is {grid.dimension}")
 
 
 def _profile(r2: np.ndarray) -> np.ndarray:
@@ -123,8 +114,8 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     |x| >= exclusion_radius of A_nondiv(b) + (p-1) f_sup, in the order of cases.
 
     Non-positive up to discretization error; the barrier is not C^2 at the
-    origin, hence the exclusion (at least 2h).  Every case must fit the grid
-    (a ball of dimension N); an empty sequence gives an empty list.
+    origin, hence the exclusion (at least 2h).  The grid must be a ball; an
+    empty sequence gives an empty list.
 
     The differences cancel the constant boundary_sup and each axis term is
     homogeneous of degree p-1, so each case's result is exactly
@@ -171,9 +162,9 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
     h = grid.spacing
     if exclusion_radius < 2.0 * h * (1.0 - 1e-12):
         raise ValueError(f"exclusion_radius must be >= 2h = {2 * h}, got {exclusion_radius}")
+    if grid.shape != "ball":
+        raise ValueError("the barrier uses the distance to the unit sphere; ball grids only")
     cases = list(cases)
-    for params in cases:
-        _check_barrier_grid(grid, params)
     if not cases:
         return []
     x2, n, dim = grid.axis_coords() ** 2, grid.nodes_per_axis, grid.dimension
@@ -228,7 +219,7 @@ def verify_supersolution(grid: GridSpec, cases, f_sup: float,
 def supersolution_tolerance(grid: GridSpec, params: BarrierParams, f_sup: float) -> float:
     """Discretization allowance 10 h^{1/2} scale for verify_supersolution."""
     margin_scale = params.M ** (params.p - 1.0) * 2.0 ** (-2.0 * params.p) \
-        * params.N ** (1.0 - params.p / 2.0)
+        * grid.dimension ** (1.0 - params.p / 2.0)
     scale = (params.p - 1.0) * max(f_sup, margin_scale)
     return 10.0 * np.sqrt(grid.spacing) * scale
 

@@ -323,16 +323,19 @@ _RUNNERS = {
     "convergence-study": run_convergence_study,
 }
 
+# built once: a parser, its actions and formatters hold reference cycles,
+# which one parser per call would leave to the garbage collector
+_PARSER = argparse.ArgumentParser(prog="pseudoplap", description=__doc__)
+_PARSER.add_argument("subcommand", choices=sorted(_RUNNERS))
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--out", default=".")
+
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="pseudoplap", description=__doc__)
-    parser.add_argument("subcommand", choices=sorted(_RUNNERS))
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=".")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not 0 <= args.seed < 2**64:
-        parser.error(f"argument --seed: expected a u64, got {args.seed}")
+        _PARSER.error(f"argument --seed: expected a u64, got {args.seed}")
     try:
         cfg = parse_config(args.config)
         work = _RUNNERS[args.subcommand](cfg)

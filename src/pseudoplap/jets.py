@@ -319,17 +319,17 @@ def _direction(rng, n: int) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def feasible_pair_sample(jm: JetMatrices, rng) -> tuple:
-    """Random (X, Y) satisfying the doubling block squeeze at the one jet of jm.
+def feasible_pair_sample(jm: JetMatrices, rng) -> np.ndarray:
+    """A random X such that the pair (X, X) satisfies the doubling block
+    squeeze at the one jet of jm.
 
-    X = Y = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm
-    at most (M/4) |Htilde|; feasibility (and the norm consequence
-    |X-(2M+1)Id| + |Y-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests
-    before returning, resampling on failure.  The one-jet call of
-    feasible_pairs' draws, whose rounds are then one draw each.
+    X = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm at
+    most (M/4) |Htilde|; feasibility (and the norm consequence
+    2 |X-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests before
+    returning, resampling on failure.  The one-jet call of feasible_pairs'
+    draws, whose rounds are then one draw each.
     """
-    X = _feasible_pair_points(jm, rng)[0][0]
-    return X, X.copy()
+    return _feasible_pair_points(jm, rng)[0][0]
 
 
 @dataclass(frozen=True)
@@ -383,21 +383,18 @@ def pair_screen(x, N, M, p, modulus: Modulus, eps) -> tuple:
     return jets, _pair_large_branch(jets)[1]
 
 
-def pair_conclusions_check(X: np.ndarray, Y: np.ndarray, jm: JetMatrices) -> PairConclusions:
-    """Verify the eigenvalue conclusions for a pair at the one jet of jm,
-    after testing that it is feasible.
+def pair_conclusions_check(X: np.ndarray, jm: JetMatrices) -> PairConclusions:
+    """Verify the eigenvalue conclusions for the pair (X, X) at the one jet
+    of jm, after testing that it is feasible.
 
     Checks, with c = 2M+1 and the weighted matrices A = M^{p-2} Theta(.)Theta:
     every eigenvalue of A(X+Y) is at most 2c M^{p-2} |Theta|^2, the smallest
     eigenvalue of A(X+Y-2c Id) obeys the small-branch bound for p <= 4 and
     the large-branch bound for p >= 4 (the latter needs the jet's eps and
-    the damped inequality), and |X-cId| + |Y-cId| <= 6M|H1|.
+    the damped inequality), and |X-cId| + |Y-cId| <= 6M|H1| with Y = X.
 
-    Only pairs with Y = X are tested; another Y raises ValueError.  The
-    one-jet call of _pair_squeeze_checks, then _pair_conclusions_checks.
+    The one-jet call of _pair_squeeze_checks, then _pair_conclusions_checks.
     """
-    if not np.array_equal(X, Y):
-        raise ValueError("only pairs with Y = X are tested")
     X = np.asarray(X, dtype=float)[None]
     ok, details, norm_sum = _pair_squeeze_checks(X, jm)
     if not ok[0]:

@@ -39,8 +39,7 @@ def barrier_rows(nodes: int, p_list, n_list):
     ok = True
     for N in n_list:
         grid = GridSpec(N, nodes, "ball")
-        cases = [BarrierParams(M=min_barrier_M(p, N, 1.0), boundary_sup=0.0, p=p, N=N)
-                 for p in p_list]
+        cases = [BarrierParams(M=min_barrier_M(p, N, 1.0), p=p) for p in p_list]
         for params, viol in zip(cases, verify_supersolution(grid, cases, 1.0,
                                                             3.0 * grid.spacing)):
             tol = supersolution_tolerance(grid, params, 1.0)

@@ -43,17 +43,15 @@ def separable_reference(p: float, N: int, c: float = 1.0):
     return separable_trace(p, c), N * c
 
 
-def zero_boundary(points):
-    points = np.atleast_2d(points)
-    return np.zeros(len(points))
-
-
 def constant_boundary(value: float):
     def fn(points):
         points = np.atleast_2d(points)
         return np.full(len(points), float(value))
 
     return fn
+
+
+zero_boundary = constant_boundary(0.0)
 
 
 def separable_trace(p: float, c: float = 1.0):

@@ -123,29 +123,30 @@ class _Workspace:
     operation into one of these buffers, each one node array long:
 
     * `weights[ax]`: the link weights |D_ax v|^(p-2) of the last field given
-      to `fill_weights` or `energy`, times the links' multiplicities on a
-      box; `newton_step` turns them into H's;
+      to `energy`, times the links' multiplicities on a box; `newton_step`
+      turns them into H's;
     * `flux`: one link array, shared by the axes in turn, behind zeros for
       the flux before the first link;
     * `scratch`: one more, for divergences, the energy's row gathers and the
       f-term;
     * `resid`: the last `residual()`, and CG's residual in `newton_step`;
-    * `step`, `inv_diag`, `cg_dir`, `spare`: the Newton step, the inverse of
-      H's diagonal (in 1D, in its place, the link arrays `inv_link` and
-      `flow` of `_exact_1d`), CG's search direction, and `spare`, which holds
-      H d and then the preconditioned residual and, between Newton steps,
-      serves the line search as its trial point.  The first `newton_step`
-      allocates these, the flat indices of the nodes off the interior if
-      they are few and, on a box, the inverse multiplicities, so `energy()`
-      and `energy_gradient()` do without them.
+    * `step`, `cg_dir`, `spare`: the Newton step, CG's search direction, and
+      `spare`, which holds H d and then the preconditioned residual and,
+      between Newton steps, serves the line search as its trial point;
+    * the preconditioner's data: in 2D and 3D `inv_diag`, the inverse of H's
+      diagonal, for `_jacobi`; in 1D the link arrays `inv_link` and `flow`
+      of `_exact_1d`.
 
-    On the whole grid (no axis) the multiplicities are 1: `mult` and
-    `link_mult` are None, and no array of them is made or applied.
+    `outside_at` holds the flat indices of the nodes off the interior, which
+    every kernel zeroes, and on a box `inv_mult` the inverse multiplicities.
+    On the whole grid (no axis) the multiplicities are 1: `mult`,
+    `link_mult` and `inv_mult` are None, and no array of them is made or
+    applied.
 
     `residual()` reuses the weights, and `newton_step` turns them into the
-    Hessian's, so the power is taken once per evaluated field.  After the
-    first `newton_step` the buffers are all a solve needs: the CG loop
-    allocates nothing.
+    Hessian's, so the power is taken once per evaluated field.  Everything
+    is allocated here: no kernel, and no CG iteration, allocates a node
+    array.
     """
 
     def __init__(self, prob: EnergyProblem, axes: tuple = ()):
@@ -156,20 +157,29 @@ class _Workspace:
         self.box = mirror_box(g, axes)
         self.interior = interior_mask(g)[self.box]
         self.inside = self.interior.reshape(-1)
-        self.outside = ~self.inside
+        self.outside_at = np.flatnonzero(~self.inside)
         self.n_interior = int(self.inside.sum())
         self.f = prob.f.values[self.box].reshape(-1)  # finite on the interior; may be NaN elsewhere
-        self.mult = self.link_mult = None
+        self.mult = self.link_mult = self.inv_mult = None
         if axes:
             self.mult, self.link_mult = multiplicities(g, axes)
             self.f = self.f * self.mult
+            self.inv_mult = 1.0 / self.mult
         shape = self.interior.shape
         self.strides = axis_strides(shape)
         self.off_links = off_links(g, axes)
         size = self.inside.size
+        # the preconditioner's refresh and apply, as functions: bound methods
+        # would make a reference cycle, which keeps a dropped workspace's
+        # buffers alive until the garbage collector runs
         if g.dimension == 1:  # _exact_1d: every link on, interior nodes 0 (box) or 1 .. size - 2
             assert not self.off_links[0].any() and np.array_equal(
                 np.flatnonzero(self.inside), np.arange(0 if axes else 1, size - 1)), "1D grid"
+            self.flow, self.inv_link = np.empty((2, size - 1))
+            self._preconditioner = _Workspace._exact_1d_weights, _Workspace._exact_1d
+        else:
+            self.inv_diag = np.zeros(size)
+            self._preconditioner = _Workspace._jacobi_diagonal, _Workspace._jacobi
         self.v = None
         self.weights = [np.empty(size) for _ in self.off_links]
         pad = self.strides[0]
@@ -180,7 +190,7 @@ class _Workspace:
         self._flux[:pad] = self._flux[size:] = 0.0
         self.flux = self._flux[pad:]
         self.scratch, self.resid = np.empty(size), np.empty(size)
-        self.step = self.inv_diag = self.cg_dir = self.spare = None
+        self.step, self.cg_dir, self.spare = (np.zeros(size) for _ in range(3))
         # The energy sums each axis' link terms in rows of its extent - 1,
         # the compact layout of the sliced kernels (tests/stencil_reference.py):
         # a BLAS dot groups its terms by position, so the wrap links' zeros
@@ -196,33 +206,20 @@ class _Workspace:
             self._rows.append((self.flux.reshape(shape)[keep], self.scratch[:n_links].reshape(rows),
                                w.reshape(shape)[keep], self.flux[:n_links].reshape(rows)))
 
-    def _link_weights(self, ax: int) -> np.ndarray:
-        """D_ax v into `flux` and |D_ax v|^(p-2), times the multiplicities,
-        into `weights[ax]`, for the kept v; returns D_ax v, a view of `flux`."""
-        off = self.off_links[ax]
-        d = link_differences(self.v, self.strides[ax], self.h, off, self.flux[:off.size])
-        w = self.weights[ax][:off.size]
-        np.abs(d, out=w)
-        w **= self.p - 2.0
-        if self.link_mult is not None:
-            w *= self.link_mult[ax]
-        return d
-
-    def fill_weights(self, v: np.ndarray) -> None:
-        """Keep v and write its link weights |D_i v|^(p-2) for `residual` and
-        `newton_step`."""
-        self.v = v.reshape(-1)
-        for ax in range(len(self.weights)):
-            self._link_weights(ax)
-
     def energy(self, v: np.ndarray) -> float:
-        """J(v); keeps v and its link weights, as `fill_weights` does."""
+        """J(v); keeps v and writes its link weights |D_i v|^(p-2), times the
+        multiplicities, for `residual` and `newton_step`."""
         p = self.p
         self.v = v.reshape(-1)
         link_sum = 0.0
-        for ax, rows in enumerate(self._rows):
-            d = self._link_weights(ax)
-            w = self.weights[ax][:d.size]
+        for ax, (s, off, w, rows) in enumerate(zip(self.strides, self.off_links, self.weights,
+                                                   self._rows)):
+            d = link_differences(self.v, s, self.h, off, self.flux[:off.size])
+            w = w[:off.size]
+            np.abs(d, out=w)
+            w **= p - 2.0
+            if self.link_mult is not None:
+                w *= self.link_mult[ax]
             if rows is not None:  # D v is gathered before the weights overwrite it
                 d_rows, d, w_rows, w = rows
                 np.copyto(d, d_rows)
@@ -237,7 +234,7 @@ class _Workspace:
 
     def residual(self) -> np.ndarray:
         """A_div(v) - (p-1) f on interior nodes, zero elsewhere (= -gradient/h^N),
-        for the v of the last `fill_weights` or `energy` call; written into
+        for the v of the last `energy` call; written into
         `self.resid`, of which it returns the node-shaped view.  With the
         multiplicities in the weights and f it is first the box energy's
         gradient: the multiplicity times the residual, exactly."""
@@ -249,7 +246,7 @@ class _Workspace:
             add_divergence(out, flux, s, self.h, self.scratch)
         np.multiply(self.f, self.p - 1.0, out=self.scratch)
         out -= self.scratch
-        np.copyto(out, 0.0, where=self.outside)
+        out[self.outside_at] = 0.0
         if self.mult is not None:
             out /= self.mult
         return out.reshape(self.interior.shape)
@@ -291,9 +288,25 @@ class _Workspace:
                 subtract(flux_before, flux_at, out=out)
         out[self.outside_at] = 0.0
 
+    def _jacobi_diagonal(self) -> None:
+        """`inv_diag` = 1 / diag(H) on the interior, 0 elsewhere, for H's link
+        weights in `weights`."""
+        diag = self.inv_diag
+        diag.fill(0.0)
+        for s, off, c in zip(self.strides, self.off_links, self.weights):
+            c = c[:off.size]
+            diag[:s] += c[:s]  # no link before these along the axis
+            diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
+        np.divide(1.0, diag, out=diag, where=self.inside)
+        diag[self.outside_at] = 0.0
+
     def _jacobi(self, r: np.ndarray, out: np.ndarray) -> None:
         """out = r / diag(H) on the interior, 0 elsewhere."""
         np.multiply(r, self.inv_diag, out=out)
+
+    def _exact_1d_weights(self) -> None:
+        """`inv_link` = 1/c for H's link weights c in `weights[0]` (1D)."""
+        np.divide(1.0, self.weights[0][:self.inv_link.size], out=self.inv_link)
 
     def _exact_1d(self, r: np.ndarray, out: np.ndarray) -> None:
         """out = z = H^-1 r in 1D, r being 0 off the interior.  The flux
@@ -316,29 +329,19 @@ class _Workspace:
         """Solve H s = r into `self.step` by preconditioned CG, r being the
         last `residual()`; returns (CG iterations, r.s).
 
-        H is the Hessian per unit volume at the v of the last `fill_weights`
-        or `energy` call, with reg added to every link weight; the weights are
-        overwritten by H's, and `self.resid` by CG's residual.  On a box, H
+        H is the Hessian per unit volume at the v of the last `energy` call,
+        with reg added to every link weight; the weights are overwritten by
+        H's, and `self.resid` by CG's residual.  On a box, H
         and r count by the multiplicities, so r.s, d.Hd and r.z are the whole
         grid's sums, and so is the 2-norm, weighted by their inverses.  H is
         symmetric positive definite on the interior, so a curvature that is
         not positive means non-finite input and raises.  CG starts from s = 0
         and stops once |r - H s| <= rtol |r| in the 2-norm, or after one
         iteration per interior node.  Every CG iterate s has r.s = s.H s > 0,
-        so it is a descent direction for J.  The preconditioner is Jacobi in
-        2D and 3D and exact in 1D (`_exact_1d`): one iteration solves it.
+        so it is a descent direction for J.  The preconditioner, chosen in
+        `__init__`, is Jacobi in 2D and 3D and exact in 1D (`_exact_1d`): one
+        iteration solves it.
         """
-        if self.step is None:
-            self.step, self.cg_dir, self.spare = (np.zeros(self.resid.size) for _ in range(3))
-            if len(self.strides) == 1:
-                self.flow, self.inv_link = np.empty((2, self.resid.size - 1))
-            else:
-                self.inv_diag = np.zeros(self.resid.size)
-            self.inv_mult = None if self.mult is None else 1.0 / self.mult
-            # by flat index if under a third of the nodes (1D, 2D), else by the
-            # mask: an index costs about three mask entries, but calls faster
-            few = 3 * (self.outside.size - self.n_interior) < self.outside.size
-            self.outside_at = np.flatnonzero(self.outside) if few else self.outside
         scale = (self.p - 1.0) / (self.h * self.h)
         for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
             c = c[:off.size]
@@ -348,19 +351,8 @@ class _Workspace:
                 c += reg
                 np.copyto(c, 0.0, where=off)
             c *= scale
-        if self.inv_diag is None:  # 1D: c holds H's link weights
-            np.divide(1.0, c, out=self.inv_link)
-            precondition = self._exact_1d
-        else:
-            diag = self.inv_diag
-            diag.fill(0.0)
-            for s, off, c in zip(self.strides, self.off_links, self.weights):
-                c = c[:off.size]
-                diag[:s] += c[:s]  # no link before these along the axis
-                diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
-            np.divide(1.0, diag, out=diag, where=self.inside)
-            np.copyto(diag, 0.0, where=self.outside)
-            precondition = self._jacobi
+        refresh, precondition = self._preconditioner
+        refresh(self)
 
         # work holds H d, then (on a box) r over the multiplicities, then the
         # preconditioned residual z
@@ -375,7 +367,7 @@ class _Workspace:
         if weigh:
             res *= self.mult
             multiply(res, inv_mult, out=work)
-        precondition(res, d)
+        precondition(self, res, d)
         rz = float(vdot(res, d))
         stop = rtol * rtol * float(vdot(res, weighted))
         k, most = 0, self.n_interior
@@ -394,7 +386,7 @@ class _Workspace:
                 multiply(res, inv_mult, out=work)
             if float(vdot(res, weighted)) <= stop:
                 break
-            precondition(res, work)
+            precondition(self, res, work)
             rz_next = float(vdot(res, work))
             d *= rz_next / rz
             d += work
@@ -424,7 +416,7 @@ def energy_gradient(u: ScalarField, prob: EnergyProblem) -> ScalarField:
     """Exact discrete gradient dJ/du = [-A_div(u) + (p-1) f] h^N on interior nodes."""
     u.validate_finite()
     ws = _whole_grid_workspace(prob)
-    ws.fill_weights(u.values)
+    ws.energy(u.values)
     g = -ws.residual() * ws.hN
     g[~ws.interior] = np.nan
     return ScalarField(prob.grid, g)

@@ -7,14 +7,15 @@ calls one per case, the reference for `lemmas.barrier_rows`.
 sum_i |D_i^c g|^{p-2} D_i^2 g on the barrier's profile g; every slab height
 must give its result bit for bit.  `verify_supersolution` evaluates the
 barrier b = boundary_sup + M g itself and the non-divergence operator on
-it; it agrees with the factorised formula up to rounding.  Both use the
+it, for any boundary_sup >= 0, which the differences cancel; it agrees with
+the factorised formula up to rounding.  Both use the
 sliced stencil of stencil_reference.py on the whole grid at once.
 """
 
 import numpy as np
 
 from pseudoplap.barrier import BarrierParams, min_barrier_M, supersolution_tolerance
-from pseudoplap.barrier import _check_barrier_grid, _profile
+from pseudoplap.barrier import _profile
 from pseudoplap.grid import GridSpec, ScalarField, interior_mask, nonexterior_mask
 from pseudoplap.grid import radius_squared
 from stencil_reference import apply_nondivergence, nondivergence_factors
@@ -24,12 +25,19 @@ def _grid_radius_squared(grid: GridSpec) -> np.ndarray:
     return radius_squared([grid.axis_coords() ** 2] * grid.dimension)
 
 
-def barrier_field(grid: GridSpec, params: BarrierParams) -> ScalarField:
-    """Barrier evaluated at every non-exterior node; ball-shaped grids only."""
-    _check_barrier_grid(grid, params)
+def _check_ball(grid: GridSpec) -> None:
+    if grid.shape != "ball":
+        raise ValueError("the barrier uses the distance to the unit sphere; ball grids only")
+
+
+def barrier_field(grid: GridSpec, params: BarrierParams,
+                  boundary_sup: float = 0.0) -> ScalarField:
+    """Barrier boundary_sup + M g evaluated at every non-exterior node;
+    ball-shaped grids only."""
+    _check_ball(grid)
     vals = _profile(_grid_radius_squared(grid))
     vals *= params.M
-    vals += params.boundary_sup
+    vals += boundary_sup
     vals[~nonexterior_mask(grid)] = np.nan
     return ScalarField(grid, vals)
 
@@ -49,11 +57,11 @@ def selected_nodes(grid: GridSpec, exclusion_radius: float) -> np.ndarray:
 
 
 def verify_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
-                         exclusion_radius: float) -> float:
+                         exclusion_radius: float, boundary_sup: float = 0.0) -> float:
     """Max over interior nodes with |x| >= exclusion_radius of A_nondiv(b) + (p-1) f_sup,
-    with A_nondiv evaluated on the barrier's values."""
+    with A_nondiv evaluated on the values of the barrier b = boundary_sup + M g."""
     _check_exclusion(grid, exclusion_radius)
-    b = barrier_field(grid, params)
+    b = barrier_field(grid, params, boundary_sup)
     op = apply_nondivergence(b, params.p)
     sel = selected_nodes(grid, exclusion_radius)
     return float((op.values[sel] + (params.p - 1.0) * f_sup).max())
@@ -63,7 +71,7 @@ def factored_supersolution(grid: GridSpec, params: BarrierParams, f_sup: float,
                            exclusion_radius: float) -> float:
     """verify_supersolution's value by the factorised formula: (p-1) (M^{p-1} t + f_sup)."""
     _check_exclusion(grid, exclusion_radius)
-    _check_barrier_grid(grid, params)
+    _check_ball(grid)
     g = _profile(_grid_radius_squared(grid))
     g[~nonexterior_mask(grid)] = np.nan
     total = np.zeros(grid.node_shape)
@@ -86,7 +94,7 @@ def barrier_rows(nodes: int, p_list, n_list):
         grid = GridSpec(N, nodes, "ball")
         for p in p_list:
             M = min_barrier_M(p, N, 1.0)
-            params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
+            params = BarrierParams(M=M, p=p)
             viol = factored_supersolution(grid, params, 1.0, 3.0 * grid.spacing)
             tol = supersolution_tolerance(grid, params, 1.0)
             rows.append([p, N, nodes, M, viol, tol, viol <= tol])

@@ -44,7 +44,7 @@ def feasible_pair_conclusions(stack, rng):
                     S = S * (u * (M / 4.0) * ht_norm / s_norm)
                 X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
                 try:
-                    rep = jets.pair_conclusions_check(X, X, jm)
+                    rep = jets.pair_conclusions_check(X, jm)
                 except ValueError as err:  # the jet passed pair_screen, so only the squeeze fails
                     assert "block squeeze" in str(err)
                     continue

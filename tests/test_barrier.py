@@ -36,8 +36,8 @@ def test_min_barrier_strict_inequality():
 
 def test_barrier_field_values():
     g = GridSpec(1, 9)
-    params = BarrierParams(M=2.0, boundary_sup=0.5, p=3.0, N=1)
-    b = barrier_reference.barrier_field(g, params)
+    params = BarrierParams(M=2.0, p=3.0)
+    b = barrier_reference.barrier_field(g, params, boundary_sup=0.5)
     assert abs(b.values[0] - 0.5) < 1e-15  # |x| = 1, d = 0
     assert abs(b.values[4] - (0.5 + 1.0)) < 1e-15  # origin, d = 1 -> M/2
     # monotone non-increasing in |x| along the ray
@@ -47,7 +47,7 @@ def test_barrier_field_values():
 
 def test_supersolution_rejects_cube():
     with pytest.raises(ValueError, match="ball"):
-        verify_supersolution(GridSpec(2, 9, "cube"), [BarrierParams(1.0, 0.0, 3.0, 2)],
+        verify_supersolution(GridSpec(2, 9, "cube"), [BarrierParams(1.0, 3.0)],
                              0.0, 0.5)
 
 
@@ -55,7 +55,7 @@ def test_supersolution_at_selected_pairs():
     for p, N in ((3.0, 2), (2.5, 1), (5.0, 2)):
         g = GridSpec(N, 65)
         M = min_barrier_M(p, N, 1.0)
-        params = BarrierParams(M=M, boundary_sup=0.0, p=p, N=N)
+        params = BarrierParams(M=M, p=p)
         [viol] = verify_supersolution(g, [params], 1.0, 3.0 * g.spacing)
         assert viol <= supersolution_tolerance(g, params, 1.0)
         assert viol <= 0.0  # concavity makes every discrete term non-positive
@@ -63,7 +63,7 @@ def test_supersolution_at_selected_pairs():
 
 def test_supersolution_homogeneous_rhs():
     g = GridSpec(2, 65)
-    params = BarrierParams(M=1.0, boundary_sup=0.0, p=3.0, N=2)
+    params = BarrierParams(M=1.0, p=3.0)
     [viol] = verify_supersolution(g, [params], 0.0, 3.0 * g.spacing)
     assert viol <= supersolution_tolerance(g, params, 0.0)
 
@@ -73,7 +73,7 @@ def test_supersolution_fails_when_M_too_small():
     # (4 N^{p/2-1} < 2^{p-1}); near p = 3 halving still leaves margin.
     g = GridSpec(1, 129)
     M = min_barrier_M(5.0, 1, 1.0)
-    params = BarrierParams(M=0.5 * M, boundary_sup=0.0, p=5.0, N=1)
+    params = BarrierParams(M=0.5 * M, p=5.0)
     [viol] = verify_supersolution(g, [params], 1.0, 3.0 * g.spacing)
     assert viol > 0.0
 
@@ -83,14 +83,14 @@ def test_supersolution_margin_survives_halving_at_small_p():
     # chain keeps the halved constant a supersolution here
     g = GridSpec(2, 129)
     M = min_barrier_M(3.0, 2, 1.0)
-    params = BarrierParams(M=0.5 * M, boundary_sup=0.0, p=3.0, N=2)
+    params = BarrierParams(M=0.5 * M, p=3.0)
     [viol] = verify_supersolution(g, [params], 1.0, 3.0 * g.spacing)
     assert viol <= 0.0
 
 
 def test_supersolution_rejects_small_exclusion():
     g = GridSpec(2, 65)
-    params = BarrierParams(M=1.0, boundary_sup=0.0, p=3.0, N=2)
+    params = BarrierParams(M=1.0, p=3.0)
     with pytest.raises(ValueError, match="exclusion_radius"):
         verify_supersolution(g, [params], 0.0, g.spacing)
 
@@ -174,15 +174,15 @@ def assert_matches_reference(grid, params, f_sup, exclusion_radius):
                                                                   exclusion_radius))
 
 
-def minimal_params(p, N, boundary_sup=0.0):
-    return BarrierParams(M=min_barrier_M(p, N, 1.0), boundary_sup=boundary_sup, p=p, N=N)
+def minimal_params(p, N):
+    return BarrierParams(M=min_barrier_M(p, N, 1.0), p=p)
 
 
 @functools.lru_cache(maxsize=None)
-def reference_max(N, n, p, boundary_sup, f_sup, exclusion_radius):
+def reference_max(N, n, p, f_sup, exclusion_radius):
     """The full-field max, which the slab heights below share."""
     return barrier_reference.factored_supersolution(
-        GridSpec(N, n), minimal_params(p, N, boundary_sup), f_sup, exclusion_radius)
+        GridSpec(N, n), minimal_params(p, N), f_sup, exclusion_radius)
 
 
 def box_width(n):
@@ -199,24 +199,23 @@ def box_width(n):
 @pytest.mark.parametrize("N, n", GRIDS + ((2, 67), (3, 35)))
 @pytest.mark.parametrize("p", P_LIST)
 def test_supersolution_matches_full_field_reference(monkeypatch, slab_planes, N, n, p):
-    # every p and boundary_sup in one call, starting at p: the cases share the
-    # slabs' profile, and no case may see another's
+    # every p in one call, starting at p: the cases share the slabs'
+    # profile, and no case may see another's
     grid = GridSpec(N, n)
     assert n ** N < barrier._SLAB_ELEMENTS  # the default slab holds the whole grid
     if slab_planes is not None:
         monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", slab_planes * n ** (N - 1))
     h = grid.spacing
     first = P_LIST.index(p)
-    cases = [minimal_params(q, N, boundary_sup) for boundary_sup in (0.0, 0.75)
-             for q in P_LIST[first:] + P_LIST[:first]]
+    cases = [minimal_params(q, N) for q in P_LIST[first:] + P_LIST[:first]]
     for f_sup in (1.0, 0.0):
         # the smallest radius allowed, the default, and ever thinner outer shells
         for exclusion_radius in (2.0 * h, 3.0 * h, 0.5, 0.8, 1.0 - 3.0 * h):
             got = verify_supersolution(grid, cases, f_sup, exclusion_radius)
             assert len(got) == len(cases)
             for params, viol in zip(cases, got):
-                assert_same_max(viol, reference_max(N, n, params.p, params.boundary_sup,
-                                                    f_sup, exclusion_radius))
+                assert_same_max(viol, reference_max(N, n, params.p, f_sup,
+                                                    exclusion_radius))
 
 
 # planes of more than _SLAB_ELEMENTS nodes: tiles of 10 and 3 rows in 2D, of
@@ -229,14 +228,13 @@ def test_supersolution_tiles_match_full_field_reference(monkeypatch, N, n, eleme
     tiles = _record_tiles(monkeypatch)
     grid = GridSpec(N, n)
     h = grid.spacing
-    cases = [minimal_params(q, N, boundary_sup) for boundary_sup in (0.0, 0.75)
-             for q in P_LIST]
+    cases = [minimal_params(q, N) for q in P_LIST]
     for f_sup in (1.0, 0.0):
         for exclusion_radius in (2.0 * h, 3.0 * h, 0.5, 0.8, 1.0 - 3.0 * h):
             got = verify_supersolution(grid, cases, f_sup, exclusion_radius)
             for params, viol in zip(cases, got):
-                assert_same_max(viol, reference_max(N, n, params.p, params.boundary_sup,
-                                                    f_sup, exclusion_radius))
+                assert_same_max(viol, reference_max(N, n, params.p, f_sup,
+                                                    exclusion_radius))
             # the planes of the dyadic grids' octant, as the whole ball's, are cut
             assert tiles and all(len(cut) > 1 for cut in tiles), tiles
             tiles.clear()
@@ -273,7 +271,7 @@ def test_supersolution_streams_the_mirror_octant(monkeypatch, n):
     x2 = grid.axis_coords() ** 2
     assert np.array_equal(x2, x2[::-1]) == (n == 33)
     [got] = verify_supersolution(grid, [minimal_params(3.0, 3)], 1.0, 3.0 * grid.spacing)
-    assert_same_max(got, reference_max(3, n, 3.0, 0.0, 1.0, 3.0 * grid.spacing))
+    assert_same_max(got, reference_max(3, n, 3.0, 1.0, 3.0 * grid.spacing))
     rows = n - (n - 1) // 2 + 1 if n == 33 else n  # 18 rows of 33, or all 35
     assert seen == [rows**3], seen
 
@@ -294,7 +292,7 @@ def test_supersolution_tiles_by_the_octant_rows(monkeypatch):
     monkeypatch.setattr(barrier, "_SLAB_ELEMENTS", 400)
     grid = GridSpec(3, 33)
     [got] = verify_supersolution(grid, [minimal_params(3.0, 3)], 1.0, 3.0 * grid.spacing)
-    assert_same_max(got, reference_max(3, 33, 3.0, 0.0, 1.0, 3.0 * grid.spacing))
+    assert_same_max(got, reference_max(3, 33, 3.0, 1.0, 3.0 * grid.spacing))
     assert len(seen) == 16 and seen[0] == (3, 18, 18), seen
     assert all(shape[0] == 3 and shape[1] <= 18 for shape in seen), seen
 
@@ -314,7 +312,6 @@ def test_supersolution_exclusion_radius_edge():
 @pytest.mark.parametrize("grid, N, exclusion_radius, match", [
     (GridSpec(2, 65), 2, 1.0 / 32.0, "exclusion_radius"),
     (GridSpec(2, 65, "cube"), 2, 0.1, "ball"),
-    (GridSpec(2, 65), 3, 0.1, "grid dimension"),
     (GridSpec(2, 65), 2, 0.999, "no interior nodes"),
 ])
 def test_supersolution_errors_match_reference(grid, N, exclusion_radius, match):
@@ -323,15 +320,14 @@ def test_supersolution_errors_match_reference(grid, N, exclusion_radius, match):
                       barrier_reference.factored_supersolution):
         with pytest.raises(ValueError, match=match):
             reference(grid, params, 1.0, exclusion_radius)
-    # the same error with a case of the grid's dimension ahead of the failing one
-    cases = [minimal_params(3.0, grid.dimension), params]
     with pytest.raises(ValueError, match=match):
-        verify_supersolution(grid, cases, 1.0, exclusion_radius)
+        verify_supersolution(grid, [params], 1.0, exclusion_radius)
 
 
-def rounding_bound(grid, params, f_sup, exclusion_radius, value):
+def rounding_bound(grid, params, boundary_sup, f_sup, exclusion_radius, value):
     """A bound on how far the factorised formula may round away from the
-    operator evaluated on the barrier's values b, whose max is value.
+    operator evaluated on the barrier's values b = boundary_sup + M g, whose
+    max is value.
 
     Per selected node and axis, with A = |D_i^c b|, D = D_i^2 b and q = p-2,
     the differences add up sigma_A = (|b_h| + |b_l|) / 2h and
@@ -344,8 +340,8 @@ def rounding_bound(grid, params, f_sup, exclusion_radius, value):
     eps times these sums, times p-1, plus the same of the value itself.
     """
     h, q = grid.spacing, params.p - 2.0
-    b = barrier_reference.barrier_field(grid, params).values
-    g = barrier_reference.barrier_field(grid, BarrierParams(1.0, 0.0, params.p, params.N)).values
+    b = barrier_reference.barrier_field(grid, params, boundary_sup).values
+    g = barrier_reference.barrier_field(grid, BarrierParams(1.0, params.p)).values
     sel = barrier_reference.selected_nodes(grid, exclusion_radius)
     sums = np.zeros(grid.node_shape)
     for ax, ((core, A, D), (_, a, _)) in enumerate(zip(
@@ -364,17 +360,18 @@ def rounding_bound(grid, params, f_sup, exclusion_radius, value):
 @pytest.mark.parametrize("N, n", GRIDS)
 @pytest.mark.parametrize("p", P_LIST)
 def test_factorised_check_matches_operator_on_barrier(N, n, p):
-    # boundary_sup no longer enters the arithmetic, and M only as M^{p-1}:
-    # the shipped check agrees with A_nondiv of the barrier itself up to rounding
+    # boundary_sup does not enter the arithmetic, and M only as M^{p-1}: the
+    # shipped check agrees with A_nondiv of the barrier itself, shifted by
+    # any boundary_sup, up to rounding
     grid = GridSpec(N, n)
     exclusion_radius = 3.0 * grid.spacing
+    params = minimal_params(p, N)
     for boundary_sup in (0.0, 0.75):
-        params = minimal_params(p, N, boundary_sup)
         for f_sup in (0.0, 1.0):
             [got] = verify_supersolution(grid, [params], f_sup, exclusion_radius)
             want = barrier_reference.verify_supersolution(grid, params, f_sup,
-                                                          exclusion_radius)
-            bound = rounding_bound(grid, params, f_sup, exclusion_radius, want)
+                                                          exclusion_radius, boundary_sup)
+            bound = rounding_bound(grid, params, boundary_sup, f_sup, exclusion_radius, want)
             assert abs(got - want) <= bound, (boundary_sup, f_sup, got, want, bound)
 
 
@@ -410,7 +407,9 @@ def test_supersolution_empty_sequence():
 
 def test_barrier_params_reject_non_finite():
     with pytest.raises(ValueError, match="M"):
-        BarrierParams(M=np.inf, boundary_sup=0.0, p=3.0, N=2)
-    with pytest.raises(ValueError, match="boundary_sup"):
-        BarrierParams(M=1.0, boundary_sup=np.inf, p=3.0, N=2)
+        BarrierParams(M=np.inf, p=3.0)
+    with pytest.raises(ValueError, match="M"):
+        BarrierParams(M=np.nan, p=3.0)
+    with pytest.raises(ValueError, match="p"):
+        BarrierParams(M=1.0, p=np.nan)
 

@@ -1,6 +1,8 @@
+import argparse
 import ast
 import csv
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -367,6 +369,40 @@ def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
         report = list(csv.DictReader(fh.readlines()[1:]))[0]
     assert report["reason"] == "converged" and int(report["inner_iterations"]) > 0
     assert report["mirror_axes"] == "0"  # f = 1 and zero data on n = 2^5 + 1: the half line
+
+
+def test_solve_constant_boundary_without_source_is_that_constant(tmp_path):
+    # f = 0 with constant data c: u = c is the solution, and the start, so
+    # the solve stops before any Newton step
+    text = SOLVE_TINY.replace("f_value = 1.0", "f_value = 0.0").replace(
+        "boundary = zero", "boundary = constant\nboundary_value = 0.6")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write(tmp_path, "solve.ini", text), "--out", str(out)]) == 0
+    values = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, -1]
+    assert len(values) == 33 and (values == 0.6).all()
+    with open(out / "solve_report.csv", newline="") as fh:
+        report = list(csv.DictReader(fh.readlines()[1:]))[0]
+    assert report["reason"] == "converged" and report["iterations"] == "0"
+
+
+def test_main_leaves_no_argparse_garbage(tmp_path):
+    # one parser serves every call: a parser built per call left its
+    # actions, groups and help formatters in reference cycles, 17 argparse
+    # objects a call that only the garbage collector frees
+    def argparse_objects():
+        return sum(type(obj).__module__ == "argparse" for obj in gc.get_objects())
+
+    path = write(tmp_path, "solve.ini", SOLVE_TINY)
+    gc.collect()
+    before = argparse_objects()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert argparse_objects() == before
+        assert isinstance(cli._PARSER, argparse.ArgumentParser)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("subcommand", sorted(EVERY_CSV))

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -110,8 +112,8 @@ def test_energy_reuses_the_problems_workspace_and_reads_changes():
 
 @pytest.mark.parametrize("dim,nodes,p", [(1, 33, 3.0), (2, 17, 2.5), (3, 9, 4.0)])
 def test_gradient_equals_energy_path_bitwise(dim, nodes, p):
-    # energy_gradient fills the link weights without the energy sum; the
-    # weights, and so the gradient, are the bits the energy's fill gives
+    # energy_gradient is the residual of the weights that the energy fills,
+    # read from the problem's cached workspace, to the bit
     g = GridSpec(dim, nodes, "ball")
     prob = EnergyProblem(g, p, constant_field(g, 0.9), zero_boundary)
     u = shared_boundary_field(g, 11)
@@ -135,7 +137,7 @@ def test_residual_is_divergence_form_bitwise(dim, nodes, shape):
     mask = interior_mask(g)
     for p in (2.3, 3.0, 5.7):
         ws = _Workspace(EnergyProblem(g, p, f, zero_boundary))
-        ws.fill_weights(u.values)
+        ws.energy(u.values)
         expected = apply_divergence(u, p).values - (p - 1.0) * f.values
         assert np.array_equal(ws.residual()[mask], expected[mask])
 
@@ -288,6 +290,24 @@ def test_solve_nan_in_line_search_raises(monkeypatch):
         solve_dirichlet(prob, SolveConfig())
 
 
+@pytest.mark.parametrize("dim, axes", [(1, ()), (1, (0,)), (2, ()), (2, (0, 1))])
+def test_workspace_is_freed_without_the_garbage_collector(dim, axes):
+    # a workspace holds no reference cycle, so its node arrays go as soon as
+    # a solve drops it, not when the collector next runs
+    g = GridSpec(dim, 17)
+    ws = _Workspace(EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary), axes)
+    ws.energy(np.zeros(ws.inside.size))
+    ws.residual()
+    ws.newton_step(1e-2, 0.5)
+    freed = weakref.ref(ws)
+    gc.disable()
+    try:
+        del ws
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_pcg_raises_on_nan():
     g = GridSpec(1, 9)
     ws = _Workspace(EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary))
@@ -386,8 +406,8 @@ def test_reduced_solve_matches_full_grid_solve(case):
         assert np.array_equal(u.values, np.flip(u.values, ax), equal_nan=True)
 
     full, box = _Workspace(prob), _Workspace(prob, axes)
-    full.fill_weights(u.values)
-    box.fill_weights(u.values[box.box])
+    full.energy(u.values)
+    box.energy(u.values[box.box])
     assert np.array_equal(box.residual(), full.residual()[box.box])
     assert box.residual_sup() == full.residual_sup() == rep.final_grad_sup
     J = energy(u, prob)

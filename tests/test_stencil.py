@@ -71,9 +71,31 @@ def test_apply_operators_match_sliced_reference(dim, shape, nodes, p):
                    stencil_reference.apply_nondivergence(field, p).values)
 
 
+@pytest.mark.parametrize("dim, nodes, box", [(1, 1025, False), (1, 1025, True),
+                                             (2, 65, False), (2, 65, True),
+                                             (3, 17, False), (3, 33, True)])
+def test_first_newton_step_allocates_no_node_array(dim, nodes, box):
+    # the workspace allocates every buffer of a solve when it is made, so
+    # even the first step on a fresh one, on the whole grid or on a mirror
+    # box, allocates no array of the box's size
+    prob, u = random_problem(dim, nodes, "ball", 3.0)
+    ws = _Workspace(prob, tuple(range(dim)) if box else ())
+    ws.energy(u[ws.box])
+    ws.residual()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        iterations, _ = ws.newton_step(1e-2, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations >= 1
+    assert peak - before < 8 * ws.inside.size, peak - before
+
+
 def test_newton_step_allocates_no_node_array():
-    # warmed: the first step allocates the PCG buffers, after which a step
-    # may allocate Python scalars and views but no array of the grid's size.
+    # a later step, to a tight tolerance, may allocate Python scalars and
+    # views but no array of the grid's size.
     # In 1D the preconditioner is exact, so CG takes one iteration, and the
     # grid is long enough that the step's views and scalars (about 2 KB)
     # stay below one node array.
