@@ -1,10 +1,10 @@
 """Empirical interior seminorms and the normalized regularity quotient.
 
 Seminorms are exact maxima over all node pairs inside |x| <= r.  One pass
-over the unordered pairs, in row blocks of bounded memory, serves the
-Lipschitz exponent and every Hölder exponent together; it is still an
-exhaustive O(K^2) scan, and K stays desk-scale for the grids used here.  The
-regularity quotient of an experiment is
+over the unordered pairs, in row blocks of bounded memory, serves every
+field of a stack and every exponent, Lipschitz and Hölder, so a sweep scans
+once; it is still an exhaustive O(K^2) scan, and K stays desk-scale for the
+grids used here.  The regularity quotient of an experiment is
 
     ratio = Lip_r(u) / (sup|u| + sup|f|^{1/(p-1)}),
 
@@ -40,16 +40,9 @@ def _distances(axes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def _pair_scan(u: ScalarField, r: float, exponents) -> list:
-    """Per exponent e, the max over node pairs in |x| <= r of |u(x) - u(y)| / |x - y|^e.
-
-    Each unordered pair is visited once: a block of rows meets only the
-    columns from its first row on.  Quotient, distance and difference are
-    symmetric in IEEE arithmetic and the squares are summed in axis order,
-    so every quotient is bitwise the one the full K x K scan computes.  The
-    diagonal's zero distances are set to inf, which makes their quotients 0.
-    """
-    grid = u.grid
+def _scan_nodes(grid, r: float) -> tuple:
+    """(index, axes) of the nodes in |x| <= r: `u.values[index]` gathers a
+    field's values there, and `axes` holds their coordinates, one row per axis."""
     if not r < 1.0 - 2.0 * grid.spacing:
         raise ValueError(
             f"need r < 1 - 2h = {1.0 - 2.0 * grid.spacing:.6g} for an interior scan, got {r}"
@@ -57,33 +50,56 @@ def _pair_scan(u: ScalarField, r: float, exponents) -> list:
     idx = interior_ball_nodes(grid, r)
     if len(idx) < 2:
         raise ValueError(f"fewer than 2 nodes inside radius {r}")
-    axes = node_coordinates(grid, idx).reshape(len(idx), -1).T.copy()
-    vals = u.values[tuple(idx.T)]
+    return tuple(idx.T), node_coordinates(grid, idx).reshape(len(idx), -1).T.copy()
+
+
+def _pair_scan(axes: np.ndarray, vals: np.ndarray, exponents) -> np.ndarray:
+    """(F, E) maxima: per row of the (F, K) field values at the scan nodes and
+    per exponent e, the max over node pairs of |u(x) - u(y)| / |x - y|^e.
+
+    Each unordered pair is visited once: a block of rows meets only the
+    columns from its first row on.  A block's distances and their powers
+    serve every field, whose |u(x) - u(y)| and quotients go into two block
+    buffers made once per scan.  Quotient, distance and difference are
+    symmetric in IEEE arithmetic and the squares are summed in axis order,
+    so every quotient is bitwise the one the full K x K scan computes.  The
+    diagonal's zero distances are set to inf, which makes their quotients 0.
+    """
     if not np.isfinite(vals).all():
         raise ValueError("field has unset values inside the scan radius")
-    rows = max(1, _BLOCK_ELEMENTS // len(idx))
-    best = [0.0] * len(exponents)
-    for lo in range(0, len(idx), rows):
-        hi = min(lo + rows, len(idx))
-        diff = np.abs(vals[lo:hi, None] - vals[None, lo:])
+    K = vals.shape[1]
+    rows = max(1, _BLOCK_ELEMENTS // K)
+    best = np.zeros((len(vals), len(exponents)))
+    buffers = np.empty((2, rows * K))
+    for lo in range(0, K, rows):
+        hi = min(lo + rows, K)
         dist = _distances(axes, lo, hi)
         diag = np.arange(hi - lo)
         dist[diag, diag] = np.inf
-        for k, e in enumerate(exponents):
-            quot = diff / (dist if e == 1.0 else dist**e)  # x**1 == x exactly
-            best[k] = max(best[k], float(quot.max()))
+        powers = [dist if e == 1.0 else dist**e for e in exponents]  # x**1 == x exactly
+        diff, quot = (buf[:dist.size].reshape(dist.shape) for buf in buffers)
+        for v, b in zip(vals, best):
+            np.abs(np.subtract(v[lo:hi, None], v[None, lo:], out=diff), out=diff)
+            for k, power in enumerate(powers):
+                b[k] = max(b[k], np.divide(diff, power, out=quot).max())
     return best
+
+
+def _exponents(gammas) -> tuple:
+    """(1.0, *gammas): the Lipschitz exponent, then each gamma, checked to lie in (0, 1)."""
+    for gamma in gammas:
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"gamma must be in (0,1), got {gamma}")
+    return (1.0, *gammas)
 
 
 def seminorms(u: ScalarField, r: float, gammas) -> tuple:
     """(Lipschitz seminorm, {gamma: Hölder seminorm}) over node pairs in |x| <= r,
-    all from one scan."""
-    gammas = tuple(gammas)
-    for gamma in gammas:
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    lip, *holder = _pair_scan(u, r, [1.0, *gammas])
-    return lip, dict(zip(gammas, holder))
+    all from one scan of a one-field stack."""
+    exponents = _exponents(gammas)
+    index, axes = _scan_nodes(u.grid, r)
+    lip, *holder = _pair_scan(axes, u.values[index][None], exponents)[0].tolist()
+    return lip, dict(zip(exponents[1:], holder))
 
 
 def lipschitz_seminorm(u: ScalarField, r: float) -> float:
@@ -162,29 +178,34 @@ def preset_sweep(grid, p: float, r: float, gammas, lambdas, solver_cfg, rng):
     `sweep_presets(grid, rng)` field with zero boundary data, then, per lambda,
     lambda^(p-1) times the first one with grad_tol scaled alike.
 
-    Returns (records, scaling_rows, converged): a record per preset; rows
-    [lambda, ratio, drift from the base ratio] led by [1.0, base ratio, 0.0],
-    drift NaN when the base ratio is 0; a converged flag per solve, presets first.
+    A solve keeps only its values at the scan nodes and its sup norm, and one
+    stacked scan measures every solution.  Returns (records, scaling_rows,
+    converged): a record per preset; rows [lambda, ratio, drift from the base
+    ratio] led by [1.0, base ratio, 0.0], drift NaN when the base ratio is 0;
+    a converged flag per solve, presets first.
     """
+    exponents = _exponents(gammas)
+    index, axes = _scan_nodes(grid, r)
     presets = sweep_presets(grid, rng)
-    records, converged = [], []
-    for label, f in presets:
-        u, rep = solve_dirichlet(EnergyProblem(grid, p, f, zero_boundary), solver_cfg)
-        lip, holder = seminorms(u, r, gammas)
-        records.append(ExperimentRecord(p=p, N=grid.dimension, r=r, f_label=label,
-                                        u_sup=u.sup_norm(), f_sup=f.sup_norm("interior"),
-                                        lip_seminorm=lip, holder_seminorms=holder))
-        converged.append(rep.converged)
-    base = records[0]
-    scaling_rows = [[1.0, base.ratio, 0.0]]
+    (label0, f0), runs = presets[0], [(label, f, solver_cfg) for label, f in presets]
     for lam in lambdas:
-        f_l = ScalarField(grid, lam ** (p - 1.0) * presets[0][1].values)
-        cfg_l = replace(solver_cfg, grad_tol=solver_cfg.grad_tol * lam ** (p - 1.0))
-        u_l, rep_l = solve_dirichlet(EnergyProblem(grid, p, f_l, zero_boundary), cfg_l)
-        converged.append(rep_l.converged)
-        ratio = replace(base, u_sup=u_l.sup_norm(), f_sup=f_l.sup_norm("interior"),
-                        lip_seminorm=lipschitz_seminorm(u_l, r), holder_seminorms={}).ratio
+        runs.append((label0, ScalarField(grid, lam ** (p - 1.0) * f0.values),
+                     replace(solver_cfg, grad_tol=solver_cfg.grad_tol * lam ** (p - 1.0))))
+    stack, sups, converged = [], [], []
+    for _, f, cfg in runs:
+        u, rep = solve_dirichlet(EnergyProblem(grid, p, f, zero_boundary), cfg)
+        stack.append(u.values[index])
+        sups.append((u.sup_norm(), f.sup_norm("interior")))
+        converged.append(rep.converged)
+    maxima = _pair_scan(axes, np.array(stack), exponents).tolist()
+    measured = [ExperimentRecord(p=p, N=grid.dimension, r=r, f_label=label, u_sup=u_sup,
+                                 f_sup=f_sup, lip_seminorm=lip,
+                                 holder_seminorms=dict(zip(exponents[1:], holder)))
+                for (label, _, _), (u_sup, f_sup), (lip, *holder) in zip(runs, sups, maxima)]
+    records, base = measured[:len(presets)], measured[0]
+    scaling_rows = [[1.0, base.ratio, 0.0]]
+    for lam, rec in zip(lambdas, measured[len(presets):]):
         # a solve stopped before u moved off 0 inside the radius leaves no ratio to compare
-        drift = abs(ratio - base.ratio) / base.ratio if base.ratio else np.nan
-        scaling_rows.append([lam, ratio, drift])
+        drift = abs(rec.ratio - base.ratio) / base.ratio if base.ratio else np.nan
+        scaling_rows.append([lam, rec.ratio, drift])
     return records, scaling_rows, converged

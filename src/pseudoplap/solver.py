@@ -427,8 +427,10 @@ def _initial_values(prob: EnergyProblem) -> np.ndarray:
     bmask = boundary_mask(grid)
     bvals = prob.boundary_values()
     # Boundary mean extended constantly inside: matches the scale the
-    # comparison principle allows for the solution.
-    v = np.full(grid.node_shape, float(bvals.mean()) if len(bvals) else 0.0)
+    # comparison principle allows for the solution.  Equal boundary values
+    # start at that value, which their mean can miss by an ulp.
+    level = 0.0 if not len(bvals) else bvals[0] if (bvals == bvals[0]).all() else bvals.mean()
+    v = np.full(grid.node_shape, float(level))
     v[bmask] = bvals  # argwhere order == boolean-mask assignment order (both C-order)
     v[~nonexterior_mask(grid)] = np.nan
     return v

@@ -1,8 +1,9 @@
 """Reference pair scan for cross-checks: the full K x K scan in 512-row blocks.
 
 This is the scan `pseudoplap.regularity` used before it visited each unordered
-pair once and served every exponent from that visit.  It evaluates each pair
-twice, as (i, j) and (j, i), and rebuilds the distances per exponent; every
+pair once and served every field of a stack and every exponent from that
+visit.  It scans one field at a time, evaluates each pair twice, as (i, j)
+and (j, i), and rebuilds the distances per exponent; every
 quotient it takes the max of is bitwise the one the shipped scan computes, so
 the two maxima must agree exactly.
 """
@@ -26,12 +27,16 @@ def pair_scan(u: ScalarField, r: float, exponent: float) -> float:
     if len(idx) < 2:
         raise ValueError(f"fewer than 2 nodes inside radius {r}")
     pts = node_coordinates(grid, idx).reshape(len(idx), -1)
-    vals = u.values[tuple(idx.T)]
+    return pair_scan_values(pts, u.values[tuple(idx.T)], exponent)
+
+
+def pair_scan_values(pts: np.ndarray, vals: np.ndarray, exponent: float) -> float:
+    """The scan of one field's values `vals` at the K nodes of the (K, N) coordinates `pts`."""
     if not np.isfinite(vals).all():
         raise ValueError("field has unset values inside the scan radius")
     best = 0.0
-    for lo in range(0, len(idx), _CHUNK):
-        hi = min(lo + _CHUNK, len(idx))
+    for lo in range(0, len(vals), _CHUNK):
+        hi = min(lo + _CHUNK, len(vals))
         diff = np.abs(vals[lo:hi, None] - vals[None, :])
         dist = np.sqrt(((pts[lo:hi, None, :] - pts[None, :, :]) ** 2).sum(-1))
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -373,16 +373,20 @@ def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
 
 def test_solve_constant_boundary_without_source_is_that_constant(tmp_path):
     # f = 0 with constant data c: u = c is the solution, and the start, so
-    # the solve stops before any Newton step
-    text = SOLVE_TINY.replace("f_value = 1.0", "f_value = 0.0").replace(
-        "boundary = zero", "boundary = constant\nboundary_value = 0.6")
-    out = tmp_path / "out"
-    assert main(["solve", "--config", write(tmp_path, "solve.ini", text), "--out", str(out)]) == 0
-    values = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, -1]
-    assert len(values) == 33 and (values == 0.6).all()
-    with open(out / "solve_report.csv", newline="") as fh:
-        report = list(csv.DictReader(fh.readlines()[1:]))[0]
-    assert report["reason"] == "converged" and report["iterations"] == "0"
+    # the solve stops before any Newton step; the boundary mean missed c by
+    # an ulp inside the 2D and 3D balls
+    for dim, nodes, c, count in ((1, 33, 0.6, 33), (2, 33, 0.6, 797), (3, 17, 0.1, 2109)):
+        text = SOLVE_TINY.replace("f_value = 1.0", "f_value = 0.0").replace(
+            "boundary = zero", f"boundary = constant\nboundary_value = {c}").replace(
+            "dimension = 1\nnodes = 33", f"dimension = {dim}\nnodes = {nodes}")
+        out = tmp_path / f"out{dim}"
+        path = write(tmp_path, f"solve{dim}.ini", text)
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        values = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, -1]
+        assert len(values) == count and (values == c).all(), (dim, nodes)
+        with open(out / "solve_report.csv", newline="") as fh:
+            report = list(csv.DictReader(fh.readlines()[1:]))[0]
+        assert report["reason"] == "converged" and report["iterations"] == "0"
 
 
 def test_main_leaves_no_argparse_garbage(tmp_path):
@@ -608,19 +612,20 @@ def test_regularity_zero_base_ratio_fails_check(tmp_path, monkeypatch):
 
 
 def test_measure_regularity_csvs_match_reference_scan(tmp_path, monkeypatch):
-    # the one-pass pair scan must leave every measured seminorm unchanged
+    # the one stacked pair scan must leave every measured seminorm unchanged
     path = write(tmp_path, "reg.ini", REGULARITY_33.format(max_iters=1000, lambdas="0.1, 10"))
     args = ["measure-regularity", "--config", path, "--seed", "0", "--out"]
     assert main(args + [str(tmp_path / "shipped")]) == 0
     calls = []
 
-    def reference(u, r, exponents):
-        calls.append(len(exponents))
-        return [pair_scan_reference.pair_scan(u, r, e) for e in exponents]
+    def reference(axes, vals, exponents):
+        calls.append((len(vals), list(exponents)))
+        return np.array([[pair_scan_reference.pair_scan_values(axes.T, v, e) for e in exponents]
+                         for v in vals])
 
     monkeypatch.setattr(regularity, "_pair_scan", reference)
     assert main(args + [str(tmp_path / "reference")]) == 0
-    assert sorted(calls) == [1, 1] + [2] * 10  # two scaling scans, ten preset scans
+    assert calls == [(12, [1.0, 0.5])]  # ten presets and two scaling solutions, one scan
     shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
     assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
     assert "records.csv" in shipped

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pseudoplap.regularity import (
     estimate_constant,
     holder_seminorm,
     lipschitz_seminorm,
+    preset_sweep,
     records_to_csv,
     seminorms,
 )
@@ -80,25 +83,41 @@ def test_pair_scan_input_validation():
         holder_seminorm(u, 0.5, 1.5)
 
 
-def assert_matches_reference(u, r, gammas):
-    """Every entry point equals the full K x K reference scan bit for bit."""
-    ref = [reference.pair_scan(u, r, e) for e in (1.0, *gammas)]
-    lip, holder = seminorms(u, r, gammas)
-    assert [lip, *(holder[g] for g in gammas)] == ref
-    assert lipschitz_seminorm(u, r) == ref[0]
-    assert [holder_seminorm(u, r, g) for g in gammas] == ref[1:]
+def assert_matches_reference(fields, r, gammas):
+    """One stacked scan of the fields, and every one-field entry point on each
+    of them, equal the full K x K reference scan bit for bit."""
+    exponents = [1.0, *gammas]
+    ref = [[reference.pair_scan(u, r, e) for e in exponents] for u in fields]
+    index, axes = regularity._scan_nodes(fields[0].grid, r)
+    stack = np.array([u.values[index] for u in fields])
+    assert regularity._pair_scan(axes, stack, exponents).tolist() == ref
+    for u, (lip_ref, *holder_ref) in zip(fields, ref):
+        lip, holder = seminorms(u, r, gammas)
+        assert [lip, *(holder[g] for g in gammas)] == [lip_ref, *holder_ref]
+        assert lipschitz_seminorm(u, r) == lip_ref
+        assert [holder_seminorm(u, r, g) for g in gammas] == holder_ref
 
 
 def test_seminorms_match_reference_on_sweep_presets():
     g = GridSpec(2, 33)
-    for _, f in sweep_presets(g, np.random.default_rng(0)):
-        u, _ = solve_dirichlet(EnergyProblem(g, 3.0, f, zero_boundary), SolveConfig())
-        assert_matches_reference(u, 0.5, [0.5])
+    solutions = [solve_dirichlet(EnergyProblem(g, 3.0, f, zero_boundary), SolveConfig())[0]
+                 for _, f in sweep_presets(g, np.random.default_rng(0))]
+    assert_matches_reference(solutions, 0.5, [0.5])
 
 
 def block_rows_cases(K):
     """Rows per block: more than K, exactly K, a count K is no multiple of, and 1."""
     return [K + 3, K, next(b for b in (7, 5, 3) if K % b), 1]
+
+
+def mixed_stack(g, seed):
+    """Three random fields, a smooth one and a constant one, in that order."""
+    rng = np.random.default_rng(seed)
+    fields = [ScalarField.from_function(g, lambda pts: rng.standard_normal(len(pts)))
+              for _ in range(3)]
+    fields.append(ScalarField.from_function(g, lambda pts: np.cos(2 * pts[:, 0]) + pts[:, -1]))
+    fields.append(ScalarField.from_function(g, lambda pts: np.full(len(pts), -1.5)))
+    return fields
 
 
 # n - 1 = 24 is no power of 2, so the 3D distances depend on the order of the sum
@@ -107,14 +126,51 @@ def block_rows_cases(K):
 def test_seminorms_match_reference_on_random_fields(monkeypatch, dim, nodes, r):
     g = GridSpec(dim, nodes)
     K = len(interior_ball_nodes(g, r))
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        u = ScalarField.from_function(g, lambda pts: rng.standard_normal(len(pts)))
-        assert_matches_reference(u, r, [0.1, 0.5, 0.9])
-        for rows in block_rows_cases(K):
-            monkeypatch.setattr(regularity, "_BLOCK_ELEMENTS", rows * K)
-            assert_matches_reference(u, r, [0.1, 0.5, 0.9])
-        monkeypatch.undo()
+    fields = mixed_stack(g, dim)
+    assert_matches_reference(fields, r, [0.1, 0.5, 0.9])
+    for rows in block_rows_cases(K):
+        monkeypatch.setattr(regularity, "_BLOCK_ELEMENTS", rows * K)
+        assert_matches_reference(fields, r, [0.1, 0.5, 0.9])
+
+
+def test_stacked_scan_computes_each_block_distances_once(monkeypatch):
+    # the distances depend only on the grid and r: a 12-field stack, as a
+    # sweep scans, computes them once per row block, not once per field
+    g = GridSpec(2, 33)
+    index, axes = regularity._scan_nodes(g, 0.5)
+    K = axes.shape[1]
+    stack = np.random.default_rng(5).standard_normal((12, K))
+    real, calls = regularity._distances, []
+
+    def counted(axes, lo, hi):
+        calls.append((lo, hi))
+        return real(axes, lo, hi)
+
+    monkeypatch.setattr(regularity, "_distances", counted)
+    for rows in [regularity._BLOCK_ELEMENTS // K, *block_rows_cases(K)]:
+        monkeypatch.setattr(regularity, "_BLOCK_ELEMENTS", rows * K)
+        calls.clear()
+        assert regularity._pair_scan(axes, stack, [1.0, 0.5]).shape == (12, 2)
+        assert calls == [(lo, min(lo + rows, K)) for lo in range(0, K, rows)]
+
+
+def test_stacked_scan_memory_is_the_one_field_scan_and_its_values():
+    # a field adds no block temporary: at 2D n = 65 a block is 256 KB, and a
+    # 12-field stack peaks above one field only by its (12, K) values and slack
+    g = GridSpec(2, 65)
+    index, axes = regularity._scan_nodes(g, 0.5)
+    stack = np.random.default_rng(3).standard_normal((12, axes.shape[1]))
+
+    def peak(vals):
+        tracemalloc.start()
+        try:
+            regularity._pair_scan(axes, vals, [1.0, 0.5])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(stack[:1].copy())
+    assert peak(stack) <= one + stack.nbytes + 16 * 1024
 
 
 def test_block_distances_keep_axis_order():
@@ -141,16 +197,20 @@ def test_seminorms_max_pair_in_last_row_block(monkeypatch):
         if rows is not None:
             monkeypatch.setattr(regularity, "_BLOCK_ELEMENTS", rows * K)
         assert lipschitz_seminorm(u, r) == 1.0 / g.spacing
-        assert_matches_reference(u, r, [0.3, 0.7])
+        assert_matches_reference([u, ScalarField(g, -u.values)], r, [0.3, 0.7])
 
 
 def test_seminorms_reject_gamma_before_scanning(monkeypatch):
     g = GridSpec(2, 17)
     u = ScalarField.from_function(g, lambda pts: pts[:, 0])
     monkeypatch.setattr(regularity, "_pair_scan", None)  # a scan would raise TypeError
+    monkeypatch.setattr(regularity, "solve_dirichlet", None)  # and so would a solve
     for bad in (0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="gamma must be in"):
             seminorms(u, 0.4, [0.5, bad])
+        with pytest.raises(ValueError, match="gamma must be in"):
+            preset_sweep(g, 3.0, 0.4, [0.5, bad], [10.0], SolveConfig(),
+                         np.random.default_rng(0))
 
 
 def test_estimate_constant_single_and_mixed():
