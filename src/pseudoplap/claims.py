@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import jacobi_eigvals, spectral_norms, vector_norm
-from .jets import feasible_pairs, radial_jets
+from .jets import feasible_pairs, jet_scalars
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
 REGIMES = ("holder_small_p", "holder_large_p", "lipschitz_small_p", "lipschitz_large_p")
@@ -203,10 +203,10 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     Lipschitz regimes require |xbar-x0| and |ybar-x0| at most
     (C_EMP |xbar-ybar|^gamma / M)^{1/2}, mirroring the penalty-term bound at
     a doubled maximum (_check_cap).  Every point is checked before
-    radial_jets takes the scalars of all the jets at xbar - ybar as one
-    stack and feasible_pairs draws their pairs; one jacobi_eigvals call
-    takes every spectrum of M^{p-2} Th (X+Y) Th, and one spectral_norms
-    call every |X| (= |Y|).
+    jet_scalars takes the scalars of all the jets at xbar - ybar as one
+    stack and feasible_pairs, which requires M > 1, draws their pairs; one
+    jacobi_eigvals call takes every spectrum of M^{p-2} Th (X+Y) Th, and
+    one spectral_norms call every |X| (= |Y|).
     """
     p, n = params.p, params.N
     points = [tuple(np.asarray(v, dtype=float) for v in point) for point in points]
@@ -220,7 +220,7 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
             raise ValueError(f"points have dimension {len(z)}, params expect {n}")
         _check_cap(params, M, s, vector_norm(x_bar - x0), vector_norm(y_bar - x0))
         zs.append(z)
-    jets = radial_jets(zs, M, p, params.eps, params.modulus())
+    jets = jet_scalars(zs, None, M, p, params.eps, params.modulus())
     ss = jets.s.tolist()
     eq_ok = jets.eq_n_epsilon().tolist() if p > 4.0 and params.eps is not None \
         else [None] * len(ss)

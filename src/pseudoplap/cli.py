@@ -33,7 +33,8 @@ from .grid import GridSpec, node_coordinates, nonexterior_mask, write_field
 from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows
 from .lemmas import uncovered_pairs, zt_rows
 from .manufactured import make_boundary, make_f_field, separable_reference
-from .regularity import estimate_constant, holder_column, preset_sweep, records_to_csv
+from .regularity import estimate_constant, preset_sweep, records_to_csv, scaling_factors
+from .regularity import scan_exponents, scan_nodes
 from .reporting import config_hash, svg_line_plot, write_csv
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
 
@@ -45,6 +46,14 @@ def _grid_spec(cfg: RawConfig, dim: int, n: int, shape: str, nodes_key: tuple) -
     except ValueError as exc:
         field = str(exc).split()[0]  # GridSpec names the offending field first
         section, key = nodes_key if field == "nodes_per_axis" else ("problem", field)
+        cfg.fail(section, key, str(exc))
+
+
+def _checked(cfg: RawConfig, section: str, key: str, check: Callable, *args, **kwargs):
+    """check(*args, **kwargs), a ValueError it raises reported at [section] key."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
         cfg.fail(section, key, str(exc))
 
 
@@ -76,17 +85,11 @@ def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
     value = _preset_value(cfg, "f_value", 1.0, "f = separable" if preset == "separable" else "")
     sigma = cfg.get_float("problem", "f_sigma", 0.3, valid=lambda s: np.isfinite(s) and s > 0.0,
                           rule="f_sigma must be finite and > 0")
-    try:
-        f = make_f_field(grid, preset, value=value, p=p, sigma=sigma)
-    except ValueError as exc:
-        cfg.fail("problem", "f", str(exc))
+    f = _checked(cfg, "problem", "f", make_f_field, grid, preset, value=value, p=p, sigma=sigma)
     bpreset = cfg.get("problem", "boundary", "zero")
     trace = "boundary = separable_trace" if bpreset == "separable_trace" else ""
     bvalue = _preset_value(cfg, "boundary_value", 1.0 if trace else 0.0, trace)  # absent: c = 1
-    try:
-        boundary = make_boundary(bpreset, value=bvalue, p=p)
-    except ValueError as exc:
-        cfg.fail("problem", "boundary", str(exc))
+    boundary = _checked(cfg, "problem", "boundary", make_boundary, bpreset, value=bvalue, p=p)
     return EnergyProblem(grid, p, f, boundary)
 
 
@@ -150,11 +153,8 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
     claims_M = cfg.get_float("lemmas", "claims_M", 10.0, valid=lambda m: m > 1.0,
                              rule="claims_M must be > 1")
     for regime in REGIMES:  # the sweep's doubled points must fit the Lipschitz cap
-        try:
-            check_sweep_cap(regime_params(regime, DEFAULT_REGIME_P[regime], claims_N),
-                            claims_M, scales)
-        except ValueError as exc:
-            cfg.fail("lemmas", "claims_M", str(exc))
+        _checked(cfg, "lemmas", "claims_M", check_sweep_cap,
+                 regime_params(regime, DEFAULT_REGIME_P[regime], claims_N), claims_M, scales)
     plots = cfg.get_bool("output", "plots", False)
 
     def work(seed: int, outdir: Path, chash: str) -> list:
@@ -231,19 +231,14 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
 def run_measure_regularity(cfg: RawConfig) -> Callable:
     grid = _build_grid(cfg)
     p = _read_p(cfg)
-    r_max = 1.0 - 2.0 * grid.spacing
-    r = cfg.get_float("regularity", "radius", 0.5, valid=lambda r: 0.0 < r < r_max,
-                      rule=f"radius must be in (0, 1 - 2h) = (0, {r_max:.6g})")
-    gammas = cfg.get_list("regularity", "gammas", [0.5])
-    for g in gammas:  # may be empty: a Lipschitz-only run
-        if not 0.0 < g < 1.0:
-            cfg.fail("regularity", "gammas", f"every gamma must be in (0, 1), got {g}")
-    columns = [holder_column(g) for g in gammas]
-    if len(set(columns)) < len(columns):
-        cfg.fail("regularity", "gammas", f"two gammas share a records.csv column: {columns}")
-    lambdas = cfg.get_list("regularity", "scaling_lambdas", [0.1, 10.0],
-                           valid=lambda lam: np.isfinite(lam) and lam > 0.0,
-                           rule="every lambda must be finite and > 0")
+    r = cfg.get_float("regularity", "radius", 0.5)
+    _checked(cfg, "regularity", "radius", scan_nodes, grid, r)
+    gammas = cfg.get_list("regularity", "gammas", [0.5])  # may be empty: a Lipschitz-only run
+    _checked(cfg, "regularity", "gammas", scan_exponents, gammas)
+    lambdas = cfg.get_list("regularity", "scaling_lambdas", [0.1, 10.0])
+    if not lambdas:
+        cfg.fail("regularity", "scaling_lambdas", "the list is empty")
+    _checked(cfg, "regularity", "scaling_lambdas", scaling_factors, p, lambdas)
     solver_cfg = _solver_config(cfg)
 
     def work(seed: int, outdir: Path, chash: str) -> list:

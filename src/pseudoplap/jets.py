@@ -16,8 +16,8 @@ beta = 1 - 1/(2M); alpha then multiplies no eigenvalue and may exceed 3/2.
 
 The anisotropic weight Theta = diag(|w' x_i / |x||^{(p-2)/2}) produces
 H = Theta Htilde Theta, whose smallest eigenvalue is negative at a
-quantified scale: min_eig_bound_checks certifies the two-branch bound via
-the Rayleigh quotient of an explicit test vector.  feasible_pair_conclusions
+quantified scale: min_eig_checks certifies the two-branch bound via the
+Rayleigh quotient of an explicit test vector.  feasible_pair_conclusions
 draws matrix pairs (X, X) squeezed by the doubling block inequality
 
     -6 M |H1| I_2N <= diag(X, Y) - (2M+1) I_2N <= M [[Ht, -Ht], [-Ht, Ht]]
@@ -25,16 +25,15 @@ draws matrix pairs (X, X) squeezed by the doubling block inequality
 and verifies their eigenvalue conclusions.  feasible_pairs gives each jet
 of a stack the first feasible pair of its own sequence of draws; the claims
 sweep draws its pairs with it too.  Every check works on stacks, one stack of
-matrices per N, and takes every eigenvalue with jacobi_eigvals.  The one-jet
-names min_eig_bound_check, feasible_pair_sample and pair_conclusions_check
-are one-jet calls of the same code.
+matrices per N, and takes every eigenvalue with jacobi_eigvals.  The names
+build_jet_matrices, min_eig_bound_check, feasible_pair_sample and
+pair_conclusions_check are one-jet calls of the same code.
 
-A stack of jets is one Jets (jet_scalars), each jet with its own p and eps,
-and every screen works on it before any matrix is built: Jets.large_branch
-gives the index sets and the damped inequality, min_eig_screen adds each
-point's test vector and bound, and pair_screen the doubling pair's
-preconditions.  A stack may mix N: each row of x is zero past its own N
-axes.  JetMatrices adds the matrices and norms of a stack of one N.
+A stack of jets is one Jets (jet_scalars), each jet with its own M, p and
+eps.  Its scalars decide the large branch's preconditions before any matrix
+is built (Jets.large_branch).  A stack may mix N: each row of x is zero past
+its own N axes.  JetMatrices adds the matrices and norms of a stack of one
+N, and requires M > 1.
 
 The squeeze of a pair with Y = X is tested at the size of X, exactly.  With
 B = X - (2M+1) Id, the lower side is block-diagonal, so its least eigenvalue
@@ -98,11 +97,15 @@ class Jets:
         return lhs <= self.wpp / 4.0
 
     def large_branch(self) -> tuple:
-        """The large branch's preconditions at each jet's eps: (axes, ok), with
-        axes[S, n] its index set (_index_sets) and ok the truth of a nonempty
-        set and of eq_n_epsilon."""
+        """The large branch's preconditions at each jet: (axes, ok), with
+        axes[S, n] its index set at its eps (_index_sets) and ok true where
+        p < 4, or where the set is nonempty and eq_n_epsilon holds.  Raises
+        ValueError when a jet with p >= 4 has no eps."""
+        large = self.p >= 4.0
+        if (large & np.isnan(self.eps)).any():
+            raise ValueError("p >= 4 requires eps for the large-branch conclusion")
         axes = _index_sets(self.x, self.s, self.N, self.eps)
-        return axes, axes.any(axis=1) & self.eq_n_epsilon()
+        return axes, ~large | (axes.any(axis=1) & self.eq_n_epsilon())
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,8 @@ def jet_scalars(x, N, M, p, eps, modulus: Modulus) -> Jets:
     the modulus, which holds one modulus or one per jet.  An eps of None, or
     a None entry, means no eps and is held as NaN.  s is sqrt(x.x), bit for
     bit eig.vector_norm of each row.  Raises ValueError unless every x is
-    nonzero and valid; M is not checked (the eigenvalue bound takes M = 1).
+    nonzero and valid; M > 1 is checked where the doubling matrices are
+    built (_jet_matrices), as the eigenvalue bound takes M = 1.
     """
     x = np.asarray(x, dtype=float)
     N = np.full(len(x), x.shape[1]) if N is None else np.asarray(N)
@@ -183,29 +187,16 @@ def _stack_matrices(jets: Jets) -> tuple:
 
 
 def _jet_matrices(jets: Jets) -> JetMatrices:
-    """The JetMatrices of jets, all of one N with x of width N."""
+    """The JetMatrices of jets, all of one N with x of width N; every M > 1."""
+    if not (jets.M > 1.0).all():
+        raise ValueError(f"M must be > 1, got {float(jets.M[~(jets.M > 1.0)][0])}")
     H1, Htilde, Theta = _stack_matrices(jets)
     return JetMatrices(jets, Htilde, Theta, spectral_norms(H1), spectral_norms(Htilde))
 
 
-def _check_M(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if not (M > 1.0).all():
-        raise ValueError(f"M must be > 1, got {float(M[~(M > 1.0)][0])}")
-    return M
-
-
-def radial_jets(x, M: float, p: float, eps: float | None, modulus: Modulus) -> Jets:
-    """The Jets of the points x[S, N], all at M, p and eps (None: no eps),
-    with the damping iota = 1/(4 M |H1|); raises ValueError unless M > 1
-    and every x is nonzero and valid.  No matrix is built."""
-    x = np.asarray(x, dtype=float)
-    return jet_scalars(x, None, _check_M(np.full(len(x), M)), p, eps, modulus)
-
-
 def build_jet_matrices(x, M: float, p: float, modulus: Modulus, eps=None) -> JetMatrices:
     """The one-jet JetMatrices at x with M, p and eps (None: no eps)."""
-    return _jet_matrices(radial_jets([x], M, p, eps, modulus))
+    return _jet_matrices(jet_scalars([x], None, M, p, eps, modulus))
 
 
 def _index_sets(x, s, N, eps) -> np.ndarray:
@@ -221,65 +212,13 @@ def _test_vectors(x, p, axes) -> np.ndarray:
         return np.where(axes, np.abs(x) ** ((2.0 - p) / 2.0)[:, None] * x, 0.0)
 
 
-def _reject_large_branch(jets: Jets) -> None:
-    """Raise the ValueError of the first large-branch precondition
-    (Jets.large_branch) that the one jet of `jets` fails at its eps."""
-    axes, ok = jets.large_branch()
-    if not axes.any():
-        raise ValueError("index set is empty")
-    if not ok[0]:
+def _reject_large_branch(axes, ok) -> None:
+    """Raise, for the first jet that Jets.large_branch's (axes, ok) rejects,
+    the ValueError naming the precondition it fails; pass if none is."""
+    if not ok.all():
+        if not axes[np.argmin(ok)].any():
+            raise ValueError("index set is empty")
         raise ValueError("damped-inequality precondition (eq N-epsilon) fails at this x")
-
-
-def min_eig_screen(x, N, p, eps, modulus: Modulus) -> tuple:
-    """The part of min_eig_bound_checks that builds no matrix, for the points
-    x[S, n] (zero past each row's N) at the exponents p[S].
-
-    eps None selects the small branch, which requires every p <= 4; eps
-    given (a scalar or one per jet) selects the large branch, which
-    requires every p >= 4 and rejects each jet whose index set is empty or
-    whose damped inequality fails.  Returns (jets, w, bound, ok): the Jets
-    of the accepted jets (damping 1/(4 |H1|)), in order, their test vectors
-    w[S, n] and bounds, and the mask of the accepted.  Raises the
-    ValueErrors of jet_scalars.
-    """
-    p = np.asarray(p, dtype=float)
-    if eps is None and (p > 4.0).any():
-        raise ValueError("small branch (no eps) requires p <= 4")
-    if eps is not None and (p < 4.0).any():
-        raise ValueError("large branch (eps given) requires p >= 4")
-    jets = jet_scalars(x, N, 1.0, p, eps, modulus)  # M plays no role in H's bound
-    x, N, s, wp, wpp = jets.x, jets.N, jets.s, jets.wp, jets.wpp
-    if eps is None:
-        axes, ok = x != 0.0, np.ones(len(p), dtype=bool)
-        bound = N ** (1.0 - p / 2.0) * jets.betaH * wpp * wp ** (p - 2.0)
-    else:
-        eps = jets.eps
-        axes, ok = jets.large_branch()  # rejects before any matrix is built
-        with np.errstate(divide="ignore", invalid="ignore"):  # an empty set is rejected
-            bound = (1.0 - N * s ** (2.0 * eps)) / axes.sum(axis=1) \
-                * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
-    w = _test_vectors(x, p, axes)  # index-restricted on the large branch (p = 4 included)
-    return jets.take(ok), w[ok], bound[ok], ok
-
-
-def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
-    """Certify the negative-eigenvalue bound for H(x) via the Rayleigh quotient.
-
-    Small branch (eps None, p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
-    Large branch (eps given, p >= 4): requires a nonempty index set and the
-    damped inequality checked by Jets.eq_n_epsilon; then
-    lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
-
-    Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H): the
-    one-point call of min_eig_screen and min_eig_bound_checks, which raises
-    ValueError for a rejected point too.
-    """
-    x = np.asarray(x, dtype=float)[None]
-    jets, w, bound, ok = min_eig_screen(x, None, [p], eps, modulus)
-    if not ok[0]:
-        _reject_large_branch(jet_scalars(x, None, 1.0, p, eps, modulus))
-    return tuple(float(v[0]) for v in min_eig_bound_checks(jets, w, bound))
 
 
 def _by_n(jets: Jets) -> list:
@@ -293,13 +232,37 @@ def _by_n(jets: Jets) -> list:
     return out
 
 
-def min_eig_bound_checks(jets: Jets, w: np.ndarray, bound: np.ndarray) -> tuple:
-    """min_eig_bound_check's (rayleigh, bound, slack) of every jet, as arrays
-    in order, with the test vectors w[S, n] and bounds of min_eig_screen.
+def min_eig_checks(x, N, p, eps, modulus: Modulus) -> tuple:
+    """(ok, rayleigh, bound, slack) of min_eig_bound_check at the points
+    x[S, n] (zero past each row's N) at the exponents p[S]: ok masks the
+    accepted points, and the others are arrays over those, in order.
 
-    The jets of each N share one stacked H = Theta @ Htilde @ Theta, one
-    stacked Rayleigh quotient w.Hw / w.w and one jacobi_eigvals call.
+    eps None selects the small branch, which requires every p <= 4; eps
+    given (a scalar or one per jet) selects the large branch, which
+    requires every p >= 4 and rejects, before any matrix is built, each
+    jet whose index set is empty or whose damped inequality fails.  The
+    accepted jets of each N share one stacked H = Theta @ Htilde @ Theta,
+    one stacked Rayleigh quotient w.Hw / w.w and one jacobi_eigvals call.
+    Raises the ValueErrors of jet_scalars.
     """
+    p = np.asarray(p, dtype=float)
+    if eps is None and (p > 4.0).any():
+        raise ValueError("small branch (no eps) requires p <= 4")
+    if eps is not None and (p < 4.0).any():
+        raise ValueError("large branch (eps given) requires p >= 4")
+    jets = jet_scalars(x, N, 1.0, p, eps, modulus)  # M plays no role in H's bound
+    x, N, s, wp, wpp = jets.x, jets.N, jets.s, jets.wp, jets.wpp
+    if eps is None:
+        axes, ok = x != 0.0, np.ones(len(p), dtype=bool)
+        bound = N ** (1.0 - p / 2.0) * jets.betaH * wpp * wp ** (p - 2.0)
+    else:
+        eps = jets.eps
+        axes, ok = jets.large_branch()
+        with np.errstate(divide="ignore", invalid="ignore"):  # an empty set is rejected
+            bound = (1.0 - N * s ** (2.0 * eps)) / axes.sum(axis=1) \
+                * wp ** (p - 2.0) * s ** ((p - 4.0) * eps) * wpp / 4.0
+    w = _test_vectors(x, p, axes)[ok]  # index-restricted on the large branch (p = 4 included)
+    jets, bound = jets.take(ok), bound[ok]
     rayleigh, slack = np.empty(len(jets)), np.empty(len(jets))
     for ks, group in _by_n(jets):
         _, Htilde, Theta = _stack_matrices(group)
@@ -307,7 +270,26 @@ def min_eig_bound_checks(jets: Jets, w: np.ndarray, bound: np.ndarray) -> tuple:
         wk = w[ks, :group.x.shape[1]]
         rayleigh[ks] = row_dots(wk, (H @ wk[:, :, None])[:, :, 0]) / row_dots(wk, wk)
         slack[ks] = bound[ks] - jacobi_eigvals(H)[:, 0]
-    return rayleigh, bound, slack
+    return ok, rayleigh, bound, slack
+
+
+def min_eig_bound_check(x, p: float, eps: float | None, modulus: Modulus):
+    """Certify the negative-eigenvalue bound for H(x) via the Rayleigh quotient.
+
+    Small branch (eps None, p <= 4): lambda_min(H) <= N^{1-p/2} beta w'' (w')^{p-2}.
+    Large branch (eps given, p >= 4): requires a nonempty index set and the
+    damped inequality checked by Jets.eq_n_epsilon; then
+    lambda_min(H) <= (1 - N s^{2e}) / #I * (w')^{p-2} s^{(p-4)e} w''/4.
+
+    Returns (rayleigh, bound, slack) with slack = bound - lambda_min(H): the
+    one-point call of min_eig_checks, which raises ValueError for a
+    rejected point too.
+    """
+    x = np.asarray(x, dtype=float)[None]
+    ok, *checks = min_eig_checks(x, None, [p], eps, modulus)
+    if not ok[0]:
+        _reject_large_branch(*jet_scalars(x, None, 1.0, p, eps, modulus).large_branch())
+    return tuple(float(v[0]) for v in checks)
 
 
 _PAIR_DRAWS = 100  # draws of S per jet; the unperturbed point (S = 0) is always feasible
@@ -326,10 +308,10 @@ def feasible_pair_sample(jm: JetMatrices, rng) -> np.ndarray:
     X = (2M+1) Id - 2M |Htilde| Id + S with a random symmetric S of norm at
     most (M/4) |Htilde|; feasibility (and the norm consequence
     2 |X-(2M+1)Id| <= 6M|H1|) is verified by eigenvalue tests before
-    returning, resampling on failure.  The one-jet call of feasible_pairs'
-    draws, whose rounds are then one draw each.
+    returning, resampling on failure.  The one-jet call of feasible_pairs,
+    whose rounds are then one draw each.
     """
-    return _feasible_pair_points(jm, rng)[0][0]
+    return feasible_pairs(jm.jets, rng)[1][0]
 
 
 @dataclass(frozen=True)
@@ -355,32 +337,6 @@ class PairConclusions:
                 continue
             out = min(out, slack / max(1.0, abs(bound)))
         return float(out)
-
-
-def _pair_large_branch(jets: Jets) -> tuple:
-    """The large branch's preconditions of the pair conclusions at the jets
-    whose p >= 4: (axes, ok), with axes[S, n] Jets.large_branch's index sets
-    and ok true where p < 4 or both preconditions hold.  A jet with p >= 4
-    and no eps raises ValueError."""
-    large = jets.p >= 4.0
-    if (large & np.isnan(jets.eps)).any():
-        raise ValueError("p >= 4 requires eps for the large-branch conclusion")
-    axes, ok = jets.large_branch()
-    return axes, ~large | ok
-
-
-def pair_screen(x, N, M, p, modulus: Modulus, eps) -> tuple:
-    """The jets at the points x[S, n] (zero past each row's N), screened on
-    their scalars for every test of pair_conclusions_check that needs no
-    pair: where p >= 4, an eps and the large branch's preconditions.  eps
-    holds one entry per jet, None where it has none.
-
-    Returns (jets, ok): the Jets of every point, at its M, p and eps, and
-    the mask of those that pass.  Raises ValueError unless every M > 1 and
-    every x is nonzero and valid, or when a jet with p >= 4 has no eps.
-    """
-    jets = jet_scalars(x, N, _check_M(M), p, eps, modulus)
-    return jets, _pair_large_branch(jets)[1]
 
 
 def pair_conclusions_check(X: np.ndarray, jm: JetMatrices) -> PairConclusions:
@@ -464,16 +420,38 @@ def _pair_squeeze_checks(X: np.ndarray, jm: JetMatrices):
     return ok, (lower, upper, scale), b_norm + b_norm
 
 
-def _feasible_pair_points(jm: JetMatrices, rng) -> tuple:
-    """The first feasible X of every jet of jm, with |X - cI| + |Y - cI| of
-    Y = X: (X[S, N, N], norm_sum[S]).
+def _pair_conclusions_checks(X: np.ndarray, jm: JetMatrices, norm_sum) -> list:
+    """The conclusions of the pairs (X[k], X[k]) at the jets of jm, one
+    jacobi_eigvals call per matrix set.  Raises the ValueErrors of the
+    large-branch conclusion (Jets.large_branch) first."""
+    jets = jm.jets
+    axes, ok = jets.large_branch()
+    _reject_large_branch(axes, ok)
+    c = 2.0 * jets.M + 1.0
+    mp2 = np.array([M ** (p - 2.0) for M, p in zip(jets.M.tolist(), jets.p.tolist())])
+    weighted = mp2[:, None, None] * jm.Theta
+    sums = X + X
+    lam_max = jacobi_eigvals(weighted @ sums @ jm.Theta)[:, -1]
+    shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
+    lam1 = jacobi_eigvals(weighted @ shifted @ jm.Theta)[:, 0]
+    return [_conclusions(*args) for args in zip(
+        jets.M.tolist(), jets.N.tolist(), jets.s.tolist(), jets.wp.tolist(), jets.wpp.tolist(),
+        jets.p.tolist(), jm.h1_norm.tolist(), jm.theta_norm_sq(), jets.eps.tolist(),
+        axes.sum(axis=1).tolist(), lam_max.tolist(), lam1.tolist(), norm_sum.tolist())]
+
+
+def feasible_pairs(jets: Jets, rng) -> tuple:
+    """The first feasible pair (X, X) of each of the jets, all of one N with
+    x of width N, in order: (jm, X[S, N, N], norm_sum[S]), the jets'
+    JetMatrices, their pairs and |X - cI| + |Y - cI| with c = 2M+1.
 
     Each round draws, in stack order, S and its radius factor for every jet
     still pending and tests those pairs as one stack; a jet leaves with its
     first feasible pair, so each jet's pair is the first feasible one of an
-    i.i.d. sequence of draws.  Raises RuntimeError when a jet has no
-    feasible pair after _PAIR_DRAWS rounds.
+    i.i.d. sequence of draws.  Raises the ValueError of _jet_matrices, and
+    RuntimeError when a jet has no feasible pair after _PAIR_DRAWS rounds.
     """
+    jm = _jet_matrices(jets)
     n = jm.Htilde.shape[1]
     X = np.empty_like(jm.Htilde)
     norm_sum = np.empty(len(jm.jets))
@@ -493,48 +471,14 @@ def _feasible_pair_points(jm: JetMatrices, rng) -> tuple:
         norm_sum[pending[ok]] = norms[ok]
         pending = pending[~ok]
         if len(pending) == 0:
-            return X, norm_sum
+            return jm, X, norm_sum
     raise RuntimeError(f"no feasible pair in {_PAIR_DRAWS} attempts; the unperturbed point is "
                        "always feasible, so this indicates a bug")
 
 
-def _pair_conclusions_checks(X: np.ndarray, jm: JetMatrices, norm_sum) -> list:
-    """The conclusions of the pairs (X[k], X[k]) at the jets of jm, one
-    jacobi_eigvals call per matrix set.  Raises the ValueErrors of the
-    large-branch conclusion (_pair_large_branch) first."""
-    jets = jm.jets
-    axes, ok = _pair_large_branch(jets)
-    if not ok.all():
-        _reject_large_branch(jets.take([int(np.flatnonzero(~ok)[0])]))
-    c = 2.0 * jets.M + 1.0
-    mp2 = np.array([M ** (p - 2.0) for M, p in zip(jets.M.tolist(), jets.p.tolist())])
-    weighted = mp2[:, None, None] * jm.Theta
-    sums = X + X
-    lam_max = jacobi_eigvals(weighted @ sums @ jm.Theta)[:, -1]
-    shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
-    lam1 = jacobi_eigvals(weighted @ shifted @ jm.Theta)[:, 0]
-    return [_conclusions(*args) for args in zip(
-        jets.M.tolist(), jets.N.tolist(), jets.s.tolist(), jets.wp.tolist(), jets.wpp.tolist(),
-        jets.p.tolist(), jm.h1_norm.tolist(), jm.theta_norm_sq(), jets.eps.tolist(),
-        axes.sum(axis=1).tolist(), lam_max.tolist(), lam1.tolist(), norm_sum.tolist())]
-
-
-def feasible_pairs(jets: Jets, rng) -> tuple:
-    """The first feasible pair (X, X) of each of the jets, all of one N with
-    x of width N, in order.
-
-    Returns (jm, X[S, N, N], norm_sum[S]): the jets' JetMatrices, their
-    pairs and |X - cI| + |Y - cI| with c = 2M+1.  The pairs are drawn in
-    _feasible_pair_points' rounds.  Raises RuntimeError when a jet has no
-    feasible pair in _PAIR_DRAWS draws.
-    """
-    jm = _jet_matrices(jets)
-    return (jm, *_feasible_pair_points(jm, rng))
-
-
 def feasible_pair_conclusions(jets: Jets, rng) -> list:
-    """The conclusions of one feasible pair (X, X) per jet of jets (screened
-    by pair_screen, which may mix N), in order.
+    """The conclusions of one feasible pair (X, X) per jet of jets, which
+    may mix N and must pass Jets.large_branch, in order.
 
     The jets of each N, in order of first appearance, share one stack:
     feasible_pairs gives each its first feasible pair, and one

@@ -18,7 +18,7 @@ from .claims import DEFAULT_REGIME_P, REGIMES, claims_scale_sweep, evaluate_clai
 from .claims import regime_params, zt_check
 from .eig import row_dots, vector_norm
 from .grid import GridSpec, ScalarField
-from .jets import feasible_pair_conclusions, min_eig_bound_checks, min_eig_screen, pair_screen
+from .jets import feasible_pair_conclusions, jet_scalars, min_eig_checks
 from .manufactured import gaussian_field
 from .moduli import HolderModulus, LipschitzModulus, ModulusMix, stacked
 from .solver import EnergyProblem, SolveConfig, solve_dirichlet
@@ -61,12 +61,10 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
     large); then x, standard_normal((k, 3)) with the axes >= N set to zero,
     scaled to |x| = s.  A draw's modulus is lipschitz_modulus(tau) where the
     mask is set, else HolderModulus(gamma); the large branch's eps is
-    (1 - gamma) / (2 max(p - 4, 1/4)).  min_eig_screen screens the block on
+    (1 - gamma) / (2 max(p - 4, 1/4)).  min_eig_checks screens the block on
     its scalars, rejecting the large-branch draws whose index set is empty
-    or whose damped inequality fails, and returns the accepted jets (a Jets
-    that carries each draw's p and eps), their test vectors and bounds;
-    min_eig_bound_checks checks those, one stack of matrices per N.  Rows
-    keep the order of the draws.
+    or whose damped inequality fails, and checks the accepted draws, one
+    stack of matrices per N.  Rows keep the order of the draws.
     Rows: branch, p, N, gamma, s, rayleigh, bound, slack, rel_slack.
     """
     rows = []
@@ -92,8 +90,7 @@ def min_eig_rows(rng: np.random.Generator, samples: int):
             x = rng.standard_normal((k, 3))
             x[np.arange(3) >= N[:, None]] = 0.0
             x *= (s / np.sqrt(row_dots(x, x)))[:, None]
-            jets, w, bound, ok = min_eig_screen(x, N, p, eps, modulus)
-            ray, bound, slack = min_eig_bound_checks(jets, w, bound)
+            ok, ray, bound, slack = min_eig_checks(x, N, p, eps, modulus)
             rel = slack / np.maximum(1.0, np.abs(bound))
             rows += [[branch, *row] for row in zip(
                 p[ok].tolist(), N[ok].tolist(), gamma[ok].tolist(), s[ok].tolist(),
@@ -108,13 +105,13 @@ def pair_rows(rng: np.random.Generator, samples: int):
 
     A regime draws its jets in blocks, each of as many draws as its quota
     still lacks.  A draw is (N, p, s, x, M), drawn one at a time, with its
-    regime's eps at p.  Once a block is drawn, pair_screen screens it on its
-    scalars, as one Jets that carries each draw's M, p and eps: a draw that
-    fails the large branch's preconditions is rejected before any matrix is
-    built or any pair drawn.  feasible_pair_conclusions then gives every
-    surviving jet of the block its first feasible pair and that pair's
-    conclusions, one stack of matrices per N, so no block reaches past the
-    quota.  Rows keep the order of the draws.
+    regime's eps at p.  Once a block is drawn, it is one Jets (jet_scalars)
+    that carries each draw's M, p and eps, and Jets.large_branch screens it:
+    a draw that fails the large branch's preconditions is rejected before
+    any matrix is built or any pair drawn.  feasible_pair_conclusions then
+    gives every surviving jet of the block its first feasible pair and that
+    pair's conclusions, one stack of matrices per N, so no block reaches
+    past the quota.  Rows keep the order of the draws.
     Raises RuntimeError when a regime's draws run out.
     Rows: regime, p, N, M, s, slack_all, slack_small, slack_large, slack_norm, rel_slack.
     """
@@ -146,8 +143,8 @@ def pair_rows(rng: np.random.Generator, samples: int):
                 moduli.append(params.modulus())
                 eps.append(params.eps)
             _, p, N, M, _ = map(np.array, zip(*heads))
-            jets, ok = pair_screen(x, N, M, p, stacked(moduli), eps)
-            kept = np.flatnonzero(ok).tolist()
+            jets = jet_scalars(x, N, M, p, eps, stacked(moduli))
+            kept = np.flatnonzero(jets.large_branch()[1]).tolist()
             reps = feasible_pair_conclusions(jets.take(kept), rng)
             for j, rep in zip(kept, reps):
                 rows.append(heads[j] + [rep.slack_all, rep.slack_small, rep.slack_large,

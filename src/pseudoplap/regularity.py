@@ -40,13 +40,13 @@ def _distances(axes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def _scan_nodes(grid, r: float) -> tuple:
+def scan_nodes(grid, r: float) -> tuple:
     """(index, axes) of the nodes in |x| <= r: `u.values[index]` gathers a
-    field's values there, and `axes` holds their coordinates, one row per axis."""
-    if not r < 1.0 - 2.0 * grid.spacing:
-        raise ValueError(
-            f"need r < 1 - 2h = {1.0 - 2.0 * grid.spacing:.6g} for an interior scan, got {r}"
-        )
+    field's values there, and `axes` holds their coordinates, one row per axis.
+    Raises ValueError unless 0 < r < 1 - 2h and at least 2 nodes lie inside."""
+    r_max = 1.0 - 2.0 * grid.spacing
+    if not 0.0 < r < r_max:
+        raise ValueError(f"radius must be in (0, 1 - 2h) = (0, {r_max:.6g}), got {r}")
     idx = interior_ball_nodes(grid, r)
     if len(idx) < 2:
         raise ValueError(f"fewer than 2 nodes inside radius {r}")
@@ -85,19 +85,21 @@ def _pair_scan(axes: np.ndarray, vals: np.ndarray, exponents) -> np.ndarray:
     return best
 
 
-def _exponents(gammas) -> tuple:
-    """(1.0, *gammas): the Lipschitz exponent, then each gamma, checked to lie in (0, 1)."""
+def scan_exponents(gammas) -> tuple:
+    """(1.0, *gammas): the Lipschitz exponent, then each gamma.  Raises
+    ValueError unless every gamma is in (0, 1) and has its own holder_columns."""
     for gamma in gammas:
         if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must be in (0,1), got {gamma}")
+            raise ValueError(f"every gamma must be in (0, 1), got {gamma}")
+    holder_columns(gammas)
     return (1.0, *gammas)
 
 
 def seminorms(u: ScalarField, r: float, gammas) -> tuple:
     """(Lipschitz seminorm, {gamma: Hölder seminorm}) over node pairs in |x| <= r,
     all from one scan of a one-field stack."""
-    exponents = _exponents(gammas)
-    index, axes = _scan_nodes(u.grid, r)
+    exponents = scan_exponents(gammas)
+    index, axes = scan_nodes(u.grid, r)
     lip, *holder = _pair_scan(axes, u.values[index][None], exponents)[0].tolist()
     return lip, dict(zip(exponents[1:], holder))
 
@@ -149,20 +151,40 @@ def estimate_constant(records) -> float:
     return max(rec.ratio for rec in records)
 
 
-def holder_column(gamma: float) -> str:
-    """The records.csv column of the Hölder seminorm at gamma."""
-    return f"holder_{gamma:g}"
+def holder_columns(gammas) -> list:
+    """The records.csv column of the Hölder seminorm at each gamma.  Raises
+    ValueError when two gammas share one."""
+    columns = [f"holder_{gamma:g}" for gamma in gammas]
+    if len(set(columns)) < len(columns):
+        raise ValueError(f"two gammas share a records.csv column: {columns}")
+    return columns
+
+
+def scaling_factors(p: float, lambdas) -> list:
+    """lambda^(p-1) of each lambda, the factor of f and of grad_tol in
+    preset_sweep's scaled copies.  Raises ValueError unless every lambda and
+    its lambda^(p-1) are finite and > 0."""
+    factors = []
+    for lam in lambdas:
+        if not (np.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"every lambda must be finite and > 0, got {lam}")
+        try:
+            factor = lam ** (p - 1.0)
+        except OverflowError:
+            factor = np.inf
+        if not (np.isfinite(factor) and factor > 0.0):
+            raise ValueError(f"every lambda^(p-1) must be finite and > 0, got {lam} at p = {p}")
+        factors.append(factor)
+    return factors
 
 
 def records_to_csv(path, records, cfg_hash: str = "none") -> None:
     """Stable column order: p,N,r,f_label,u_sup,f_sup,lip_seminorm,ratio,holder_<g>...
 
-    Raises ValueError when two gammas share a holder_column."""
+    Raises the ValueError of holder_columns."""
     records = list(records)
     gammas = sorted({g for rec in records for g in rec.holder_seminorms})
-    holder = [holder_column(g) for g in gammas]
-    if len(set(holder)) < len(holder):
-        raise ValueError(f"two gammas share a records.csv column: {holder}")
+    holder = holder_columns(gammas)
     columns = ["p", "N", "r", "f_label", "u_sup", "f_sup", "lip_seminorm", "ratio"] + holder
     rows = []
     for rec in records:
@@ -182,15 +204,17 @@ def preset_sweep(grid, p: float, r: float, gammas, lambdas, solver_cfg, rng):
     stacked scan measures every solution.  Returns (records, scaling_rows,
     converged): a record per preset; rows [lambda, ratio, drift from the base
     ratio] led by [1.0, base ratio, 0.0], drift NaN when the base ratio is 0;
-    a converged flag per solve, presets first.
+    a converged flag per solve, presets first.  Raises the ValueErrors of
+    scan_exponents, scan_nodes and scaling_factors before any solve.
     """
-    exponents = _exponents(gammas)
-    index, axes = _scan_nodes(grid, r)
+    exponents = scan_exponents(gammas)
+    index, axes = scan_nodes(grid, r)
+    factors = scaling_factors(p, lambdas)
     presets = sweep_presets(grid, rng)
     (label0, f0), runs = presets[0], [(label, f, solver_cfg) for label, f in presets]
-    for lam in lambdas:
-        runs.append((label0, ScalarField(grid, lam ** (p - 1.0) * f0.values),
-                     replace(solver_cfg, grad_tol=solver_cfg.grad_tol * lam ** (p - 1.0))))
+    for factor in factors:
+        runs.append((label0, ScalarField(grid, factor * f0.values),
+                     replace(solver_cfg, grad_tol=solver_cfg.grad_tol * factor)))
     stack, sups, converged = [], [], []
     for _, f, cfg in runs:
         u, rep = solve_dirichlet(EnergyProblem(grid, p, f, zero_boundary), cfg)

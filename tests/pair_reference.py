@@ -45,7 +45,7 @@ def feasible_pair_conclusions(stack, rng):
                 X = (2.0 * M + 1.0) * np.eye(n) - 2.0 * M * ht_norm * np.eye(n) + S
                 try:
                     rep = jets.pair_conclusions_check(X, jm)
-                except ValueError as err:  # the jet passed pair_screen, so only the squeeze fails
+                except ValueError as err:  # the jet passed Jets.large_branch: the squeeze failed
                     assert "block squeeze" in str(err)
                     continue
                 if rep.norm_sum <= 6.0 * M * spectral_norm(H1) * (1.0 + 1e-12):

@@ -677,6 +677,16 @@ def test_regularity_radius_outside_interior_exit_2(tmp_path, monkeypatch, capsys
                                 "radius must be in (0, 1 - 2h) = (0, 0.875)")
 
 
+@pytest.mark.parametrize("key, bad, message", [
+    ("radius", "0.05", "fewer than 2 nodes inside radius 0.05"),  # h = 1/16: the centre only
+    ("scaling_lambdas", "0.1, 1e200",
+     "every lambda^(p-1) must be finite and > 0, got 1e+200 at p = 3.0"),  # overflows
+], ids=["radius-one-node", "lambda-power-overflow"])
+def test_regularity_value_fails_its_regularity_check_exit_2(tmp_path, monkeypatch, capsys, key,
+                                                            bad, message):
+    _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, key, bad, message)
+
+
 @pytest.mark.parametrize("bad", ["1.5", "0.5, 1", "0", "nan"])
 def test_regularity_gamma_outside_unit_interval_exit_2(tmp_path, monkeypatch, capsys, bad):
     _bad_regularity_key_exits_2(tmp_path, monkeypatch, capsys, "gammas", bad,

@@ -15,10 +15,10 @@ from pseudoplap.jets import (
     _test_vectors,
     build_jet_matrices,
     feasible_pair_sample,
+    feasible_pairs,
     jet_scalars,
     min_eig_bound_check,
     pair_conclusions_check,
-    pair_screen,
 )
 from pseudoplap.moduli import HolderModulus, LipschitzModulus, stacked
 
@@ -53,7 +53,7 @@ def test_jet_matrices_1d_example():
 def assemble_reference(one):
     """H1, Htilde, Theta and H of the one-jet stack one by the formulas on 2D
     arrays: the reference for _stack_matrices, for the stacked
-    H = Theta @ Htilde @ Theta of min_eig_bound_checks, and for
+    H = Theta @ Htilde @ Theta of min_eig_checks, and for
     build_jet_matrices."""
     x = one.x[0]
     s, wp, wpp, iota, p = (float(v[0]) for v in (one.s, one.wp, one.wpp, one.iota, one.p))
@@ -177,7 +177,7 @@ def test_jet_entry_points_reject_M_at_most_one(M):
     mod = HolderModulus(0.5)
     x = np.array([0.05, 0.02])
     with pytest.raises(ValueError, match="M must be > 1"):
-        pair_screen(x[None], None, [M], [3.0], mod, [None])
+        feasible_pairs(jet_scalars(x[None], None, M, 3.0, None, mod), np.random.default_rng(0))
     with pytest.raises(ValueError, match="M must be > 1"):
         build_jet_matrices(x, M, 3.0, mod)
 
@@ -326,6 +326,24 @@ def test_min_eig_large_branch_requires_precondition():
     # nonempty index set but the damped inequality fails at this radius
     with pytest.raises(ValueError, match="N-epsilon"):
         min_eig_bound_check(np.array([0.5, 0.1]), 6.0, 0.1, mod)
+    # |x_i| = s / sqrt(2) < s^{1 + eps}: no axis enters the index set
+    with pytest.raises(ValueError, match="index set is empty"):
+        min_eig_bound_check(np.array([0.5, 0.5]) / np.sqrt(2.0), 6.0, 0.1, mod)
+
+
+def test_large_branch_passes_small_p_and_requires_eps():
+    # in a stack that mixes p < 4 without eps and p >= 4 with eps, the p < 4
+    # jets pass, also at a point where the large branch fails; a p >= 4 jet
+    # passes only with a nonempty index set and eq N-epsilon
+    mod = HolderModulus(0.5)
+    x = np.array([[0.5, 0.1], [0.5, 0.1], [0.5, 0.5] / np.sqrt(2.0), [0.01, 0.0], [0.01, 0.0]])
+    stack = jet_scalars(x, None, 1.0, [3.0, 6.0, 6.0, 6.0, 3.5], [None, 0.1, 0.1, 0.3, None],
+                        mod)
+    axes, ok = stack.large_branch()
+    assert ok.tolist() == [True, False, False, True, True]
+    assert axes.any(axis=1)[1:4].tolist() == [True, False, True]
+    with pytest.raises(ValueError, match="p >= 4 requires eps"):
+        jet_scalars(x[:2], None, 1.0, [3.0, 4.0], None, mod).large_branch()
 
 
 def one_jet(x, mod, eps):
@@ -436,7 +454,7 @@ def test_pair_conclusions_rejects_infeasible():
 
 
 def _pair_candidates(rng):
-    """(regime, one-jet Jets) that pass pair_screen: every regime at
+    """(regime, one-jet Jets) that pass Jets.large_branch: every regime at
     N = 1, 2, 3, at its default p and, for the large-p regimes, at p = 4
     exactly, where both branches' bounds apply."""
     out = []
@@ -449,12 +467,12 @@ def _pair_candidates(rng):
                     s = params.delta_N * 10 ** rng.uniform(-1.5, -0.1) if params.eps \
                         else 10 ** rng.uniform(-4, -1.5)
                     try:
-                        one, ok = pair_screen(random_point(rng, N, s)[None], None,
-                                              [float(rng.uniform(1.5, 50))], [p],
-                                              params.modulus(), [params.eps])
+                        one = jet_scalars(random_point(rng, N, s)[None], None,
+                                          float(rng.uniform(1.5, 50)), p, params.eps,
+                                          params.modulus())
                     except ValueError:
                         continue
-                    if ok[0]:
+                    if one.large_branch()[1][0]:
                         out.append((regime, one))
     return out
 
@@ -592,8 +610,8 @@ def test_pair_split_matches_full_squeeze(N, jets_eig_shapes):
 
 
 def test_pair_screen_matches_one_point_calls():
-    # a block that mixes N and holds rejected draws screens each draw as
-    # pair_screen screens it alone, bit for bit
+    # a block that mixes N and holds rejected draws has each draw's scalars,
+    # bit for bit, and Jets.large_branch's verdict of that draw alone
     rng = np.random.default_rng(43)
     seen = set()
     for regime in REGIMES:
@@ -608,11 +626,11 @@ def test_pair_screen_matches_one_point_calls():
             M.append(float(rng.uniform(1.5, 50)))
             moduli.append(params.modulus())
             eps.append(params.eps)
-        block, ok = pair_screen(x, N, M, p, stacked(moduli), eps)
+        block = jet_scalars(x, N, M, p, eps, stacked(moduli))
+        ok = block.large_branch()[1]
         for k in range(len(block)):
-            one, one_ok = pair_screen(x[k:k + 1, :N[k]], None, [M[k]], [p[k]], moduli[k],
-                                      [eps[k]])
-            assert one_ok[0] == ok[k]
+            one = jet_scalars(x[k:k + 1, :N[k]], None, [M[k]], [p[k]], [eps[k]], moduli[k])
+            assert one.large_branch()[1][0] == ok[k]
             for f in fields(Jets):
                 assert getattr(alone(block, k), f.name).tobytes() \
                     == getattr(one, f.name).tobytes(), (k, f.name)

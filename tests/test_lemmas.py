@@ -172,17 +172,17 @@ def test_uncovered_pairs_at_seed_1():
 
 
 def screen_blocks(monkeypatch):
-    """Patch lemmas.min_eig_screen to record (branch, draws, accepted) of each
+    """Patch lemmas.min_eig_checks to record (branch, draws, accepted) of each
     block it screens."""
     blocks = []
-    screen = lemmas.min_eig_screen
+    checks = lemmas.min_eig_checks
 
     def recorded(x, N, p, eps, modulus):
-        *terms, ok = screen(x, N, p, eps, modulus)
+        ok, *terms = checks(x, N, p, eps, modulus)
         blocks.append(("small" if eps is None else "large", len(x), int(ok.sum())))
-        return (*terms, ok)
+        return (ok, *terms)
 
-    monkeypatch.setattr(lemmas, "min_eig_screen", recorded)
+    monkeypatch.setattr(lemmas, "min_eig_checks", recorded)
     return blocks
 
 

@@ -88,7 +88,7 @@ def assert_matches_reference(fields, r, gammas):
     of them, equal the full K x K reference scan bit for bit."""
     exponents = [1.0, *gammas]
     ref = [[reference.pair_scan(u, r, e) for e in exponents] for u in fields]
-    index, axes = regularity._scan_nodes(fields[0].grid, r)
+    index, axes = regularity.scan_nodes(fields[0].grid, r)
     stack = np.array([u.values[index] for u in fields])
     assert regularity._pair_scan(axes, stack, exponents).tolist() == ref
     for u, (lip_ref, *holder_ref) in zip(fields, ref):
@@ -137,7 +137,7 @@ def test_stacked_scan_computes_each_block_distances_once(monkeypatch):
     # the distances depend only on the grid and r: a 12-field stack, as a
     # sweep scans, computes them once per row block, not once per field
     g = GridSpec(2, 33)
-    index, axes = regularity._scan_nodes(g, 0.5)
+    index, axes = regularity.scan_nodes(g, 0.5)
     K = axes.shape[1]
     stack = np.random.default_rng(5).standard_normal((12, K))
     real, calls = regularity._distances, []
@@ -158,7 +158,7 @@ def test_stacked_scan_memory_is_the_one_field_scan_and_its_values():
     # a field adds no block temporary: at 2D n = 65 a block is 256 KB, and a
     # 12-field stack peaks above one field only by its (12, K) values and slack
     g = GridSpec(2, 65)
-    index, axes = regularity._scan_nodes(g, 0.5)
+    index, axes = regularity.scan_nodes(g, 0.5)
     stack = np.random.default_rng(3).standard_normal((12, axes.shape[1]))
 
     def peak(vals):
@@ -211,6 +211,19 @@ def test_seminorms_reject_gamma_before_scanning(monkeypatch):
         with pytest.raises(ValueError, match="gamma must be in"):
             preset_sweep(g, 3.0, 0.4, [0.5, bad], [10.0], SolveConfig(),
                          np.random.default_rng(0))
+    # two gammas of one records.csv column fail before the first solve, not at write time
+    with pytest.raises(ValueError, match="share a records.csv column"):
+        preset_sweep(g, 3.0, 0.4, [0.5, 0.5000001], [10.0], SolveConfig(),
+                     np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, 1e200, 1e-200])
+def test_preset_sweep_rejects_lambda_before_solving(monkeypatch, bad):
+    # at p = 3, 1e200 ** (p - 1) overflows and 1e-200 ** (p - 1) underflows to 0
+    monkeypatch.setattr(regularity, "solve_dirichlet", None)  # a solve would raise TypeError
+    with pytest.raises(ValueError, match=r"every lambda(\^\(p-1\))? must be finite and > 0"):
+        preset_sweep(GridSpec(2, 17), 3.0, 0.4, [0.5], [10.0, bad], SolveConfig(),
+                     np.random.default_rng(0))
 
 
 def test_estimate_constant_single_and_mixed():
