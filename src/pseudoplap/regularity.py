@@ -87,7 +87,7 @@ def _pair_scan(axes: np.ndarray, vals: np.ndarray, exponents) -> np.ndarray:
 
 def scan_exponents(gammas) -> tuple:
     """(1.0, *gammas): the Lipschitz exponent, then each gamma.  Raises
-    ValueError unless every gamma is in (0, 1) and has its own holder_columns."""
+    ValueError unless every gamma is in (0, 1) with a column of its own in holder_columns."""
     for gamma in gammas:
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"every gamma must be in (0, 1), got {gamma}")
