@@ -32,7 +32,7 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, mirror_axes
 from .grid import node_coordinates, node_rule, radius_squared
-from .operators import apply_divergence, nondivergence_factors
+from .operators import apply_divergence, check_exponent, nondivergence_factors
 
 # Nodes per slab of the streamed supersolution check, counted on whole planes
 # of the grid: at 3D n = 129 a slab is 3 planes and 2 halo planes, cropped to
@@ -53,8 +53,7 @@ def min_barrier_M(p: float, N: int, f_sup: float) -> float:
     Returns 0 for f_sup = 0; callers must treat a vanishing right-hand side
     separately (any M > 0 works there).
     """
-    if not p > 2:
-        raise ValueError(f"p must be > 2, got {p}")
+    check_exponent(p)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if f_sup < 0:
@@ -73,8 +72,7 @@ class BarrierParams:
         # a non-finite M makes the barrier itself non-finite
         if not (self.M > 0 and np.isfinite(self.M)):
             raise ValueError(f"M must be positive and finite, got {self.M}")
-        if not self.p > 2:
-            raise ValueError(f"p must be > 2, got {self.p}")
+        check_exponent(self.p)
 
 
 def _profile(r2: np.ndarray) -> np.ndarray:

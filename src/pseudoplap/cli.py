@@ -29,7 +29,7 @@ import numpy as np
 from .barrier import linf_bound_check
 from .claims import DEFAULT_REGIME_P, REGIMES, check_sweep_cap, regime_params
 from .config import ConfigError, RawConfig, parse_config
-from .grid import GridSpec, node_coordinates, nonexterior_mask, write_field
+from .grid import GridSpec, ScalarField, nonexterior_mask, write_field
 from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows
 from .lemmas import uncovered_pairs, zt_rows
 from .manufactured import make_boundary, make_f_field, separable_reference
@@ -287,9 +287,9 @@ def run_convergence_study(cfg: RawConfig) -> Callable:
         for grid in grids:
             f = make_f_field(grid, "constant", value=f_const)
             u, rep = solve_dirichlet(EnergyProblem(grid, p, f, exact), solver_cfg)
-            idx = np.argwhere(nonexterior_mask(grid))
-            vals = exact(node_coordinates(grid, idx).reshape(len(idx), -1))
-            err = float(np.abs(u.values[tuple(idx.T)] - vals).max())
+            mask = nonexterior_mask(grid)
+            vals = ScalarField.from_function(grid, exact).values[mask]
+            err = float(np.abs(u.values[mask] - vals).max())
             errs.append(err)
             rows.append([grid.nodes_per_axis, grid.spacing, err, rep.converged, rep.iterations])
         orders = [float(np.log2(errs[i] / errs[i + 1])

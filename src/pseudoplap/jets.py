@@ -51,7 +51,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .eig import jacobi_eigvals, row_dots, spectral_norms
-from .moduli import Modulus, check_validity
+from .moduli import Modulus
 
 _FEAS_TOL = 1e-10  # relative tolerance of the feasibility eigen-tests
 
@@ -137,8 +137,9 @@ def jet_scalars(x, N, M, p, eps, modulus: Modulus) -> Jets:
     the modulus, which holds one modulus or one per jet.  An eps of None, or
     a None entry, means no eps and is held as NaN.  s is sqrt(x.x), bit for
     bit eig.vector_norm of each row.  Raises ValueError unless every x is
-    nonzero and valid; M > 1 is checked where the doubling matrices are
-    built (_jet_matrices), as the eigenvalue bound takes M = 1.
+    nonzero with |x| < 1, the domain on which every modulus is valid; M > 1
+    is checked where the doubling matrices are built (_jet_matrices), as the
+    eigenvalue bound takes M = 1.
     """
     x = np.asarray(x, dtype=float)
     N = np.full(len(x), x.shape[1]) if N is None else np.asarray(N)
@@ -148,7 +149,6 @@ def jet_scalars(x, N, M, p, eps, modulus: Modulus) -> Jets:
     s = np.sqrt(row_dots(x, x))
     if not (s > 0.0).all():
         raise ValueError("x must be nonzero")
-    check_validity(modulus, s)
     if not (s < 1.0).all():
         raise ValueError(f"|x| = {float(s.max())} must be < 1")
     wp = modulus.omega_prime(s)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridSpec, ScalarField, nonexterior_mask
+from .operators import check_exponent
 
 
 def closed_form_1d(p: float, c: float = 1.0):
     """Returns (u, u') for the symmetric 1D problem with f = c > 0."""
-    if not p > 2:
-        raise ValueError(f"p must be > 2, got {p}")
+    check_exponent(p)
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     q = p / (p - 1.0)

@@ -5,8 +5,9 @@ Both variants are increasing and strictly concave near zero with w(0) = 0:
 * Hölder:    w(s) = s^gamma,                 0 < gamma < 1, valid on (0, 1)
 * Lipschitz: w(s) = s - omega0 s^{1+tau},    valid for s < s0 = ((1+tau) omega0)^{-1/tau}
 
-omega0 must keep s0 > 1.  For s below delta with delta^tau omega0 (1+tau) < 1/2
-the Lipschitz variant has 1/2 <= w'(s) < 1.
+omega0 must keep s0 > 1, so every family is valid on (0, 1), the domain
+0 < |x| < 1 that jets.jet_scalars enforces.  For s below delta with
+delta^tau omega0 (1+tau) < 1/2 the Lipschitz variant has 1/2 <= w'(s) < 1.
 
 A parameter may also be an array with one entry per jet of a stack: the
 modulus then evaluates jet k's own modulus at s[k], entry for entry as the
@@ -22,22 +23,13 @@ from typing import Union
 import numpy as np
 
 
-def _every(test) -> bool:
-    """A parameter test's truth: of every entry for array parameters."""
-    return bool(test.all()) if isinstance(test, np.ndarray) else bool(test)
-
-
 @dataclass(frozen=True)
 class HolderModulus:
     gamma: float
 
     def __post_init__(self):
-        if not _every((0.0 < self.gamma) & (self.gamma < 1.0)):
+        if not np.all((0.0 < self.gamma) & (self.gamma < 1.0)):
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
-
-    @property
-    def validity_sup(self) -> float:
-        return 1.0
 
     def omega_prime(self, s):
         g = self.gamma
@@ -54,11 +46,11 @@ class LipschitzModulus:
     omega0: float
 
     def __post_init__(self):
-        if not _every(self.tau > 0):
+        if not np.all(self.tau > 0):
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not _every(self.omega0 > 0):
+        if not np.all(self.omega0 > 0):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not _every(self.s0 > 1.0):
+        if not np.all(self.s0 > 1.0):
             raise ValueError(
                 f"omega0 = {self.omega0} gives s0 = {np.min(self.s0):.6g} <= 1; "
                 f"need omega0 < {np.min(1.0 / (1.0 + np.asarray(self.tau))):.6g}"
@@ -67,10 +59,6 @@ class LipschitzModulus:
     @property
     def s0(self) -> float:
         return (1.0 / ((1.0 + self.tau) * self.omega0)) ** (1.0 / self.tau)
-
-    @property
-    def validity_sup(self) -> float:
-        return self.s0
 
     def omega_prime(self, s):
         s = np.asarray(s, dtype=float)
@@ -91,10 +79,6 @@ class ModulusMix:
     lipschitz: LipschitzModulus
     pick: np.ndarray
 
-    @property
-    def validity_sup(self):
-        return np.where(self.pick, self.lipschitz.validity_sup, self.holder.validity_sup)
-
     def omega_prime(self, s):
         return np.where(self.pick, self.lipschitz.omega_prime(s), self.holder.omega_prime(s))
 
@@ -112,14 +96,3 @@ def stacked(moduli) -> Modulus:
     if any(type(m) is not family for m in moduli):
         raise ValueError("the moduli of one stack must be of one family")
     return family(*(np.array([getattr(m, f.name) for m in moduli]) for f in fields(family)))
-
-
-def check_validity(modulus: Modulus, s) -> None:
-    """Raise ValueError unless every s lies in (0, validity_sup) of its modulus."""
-    s = np.asarray(s, dtype=float)
-    sup = np.broadcast_to(modulus.validity_sup, s.shape)
-    bad = np.flatnonzero(~((0.0 < s) & (s < sup)))
-    if len(bad):
-        k = bad[0]
-        raise ValueError(f"s = {float(s.flat[k])} outside the modulus validity range "
-                         f"(0, {float(sup.flat[k]):.6g})")

@@ -25,9 +25,16 @@ def phi_p(t: np.ndarray, p: float) -> np.ndarray:
     return np.abs(t) ** (p - 2.0) * t
 
 
-def _check_apply_args(u: ScalarField, p: float) -> None:
+def check_exponent(p: float) -> None:
+    """Raise ValueError unless p > 2 and p is finite: the library's one rule."""
     if not p > 2:
         raise ValueError(f"p must be > 2, got {p}")
+    if not np.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+
+
+def _check_apply_args(u: ScalarField, p: float) -> None:
+    check_exponent(p)
     u.validate_finite()
 
 

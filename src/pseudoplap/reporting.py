@@ -107,8 +107,9 @@ def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> N
     every x > 0 and every y nonzero (|y| is plotted)."""
     width, height = 640, 420
 
-    pts = [(math.log10(x), math.log10(abs(y)))
-           for xs, ys in series.values() for x, y in zip(xs, ys)]
+    logged = {label: [(math.log10(x), math.log10(abs(y))) for x, y in zip(xs, ys)]
+              for label, (xs, ys) in series.items()}
+    pts = [pt for line in logged.values() for pt in line]
     if not pts:
         raise ValueError("nothing to plot")
     xs, ys = zip(*pts)
@@ -120,11 +121,12 @@ def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> N
         y_hi = y_lo + 1.0
     margin = 60
 
-    def px(v):
-        return margin + (math.log10(v) - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+    # pixel positions of log10 x and log10 |y|
+    def px(lx):
+        return margin + (lx - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
 
-    def py(v):
-        return height - margin - (math.log10(abs(v)) - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+    def py(ly):
+        return height - margin - (ly - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     out = [
@@ -143,19 +145,17 @@ def svg_line_plot(path, series: dict, xlabel: str, ylabel: str, title: str) -> N
     ]
     for t in _ticks(x_lo, x_hi):
         out.append(
-            f'<text x="{margin + (t - x_lo) / (x_hi - x_lo) * (width - 2 * margin):.1f}" '
-            f'y="{height - margin + 16}" text-anchor="middle" font-size="10">'
-            f'{10.0**t:.3g}</text>'
+            f'<text x="{px(t):.1f}" y="{height - margin + 16}" text-anchor="middle" '
+            f'font-size="10">{10.0**t:.3g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
         out.append(
-            f'<text x="{margin - 6}" '
-            f'y="{height - margin - (t - y_lo) / (y_hi - y_lo) * (height - 2 * margin):.1f}" '
+            f'<text x="{margin - 6}" y="{py(t):.1f}" '
             f'text-anchor="end" font-size="10">{10.0**t:.3g}</text>'
         )
-    for k, (label, (sx, sy)) in enumerate(series.items()):
+    for k, (label, line) in enumerate(logged.items()):
         color = colors[k % len(colors)]
-        path_pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(sx, sy))
+        path_pts = " ".join(f"{px(lx):.2f},{py(ly):.2f}" for lx, ly in line)
         out.append(f'<polyline points="{path_pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         out.append(f'<text x="{width - margin + 4}" y="{margin + 14 * k + 10}" '

@@ -50,7 +50,7 @@ import numpy as np
 from .grid import GridSpec, ScalarField, axis_strides, boundary_mask, interior_mask
 from .grid import mirror_axes, mirror_box, multiplicities, node_coordinates, nonexterior_mask
 from .grid import off_links, unfold
-from .operators import add_divergence, link_differences
+from .operators import add_divergence, check_exponent, link_differences
 
 _EPS = float(np.finfo(float).eps)
 # Armijo line search: sufficient decrease, step shrink, halvings before "stalled".
@@ -71,8 +71,7 @@ class EnergyProblem:
     _workspace: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.p > 2:
-            raise ValueError(f"p must be > 2, got {self.p}")
+        check_exponent(self.p)
         if self.f.grid != self.grid:
             raise ValueError("right-hand side lives on a different grid")
         mask = interior_mask(self.grid)

@@ -10,7 +10,8 @@ import jacobi_reference
 from pseudoplap import claims, eig, jets, lemmas
 from pseudoplap.eig import (jacobi_eigh, jacobi_eigvals, spectral_norm, spectral_norms,
                             vector_norm)
-from pseudoplap.moduli import HolderModulus, LipschitzModulus, check_validity
+from pseudoplap.jets import jet_scalars
+from pseudoplap.moduli import HolderModulus, LipschitzModulus, ModulusMix
 
 
 @given(st.floats(1e-6, 1.0 - 1e-9), st.floats(0.05, 0.95))
@@ -32,8 +33,11 @@ def test_lipschitz_modulus_shape(tau, frac):
 
 
 def test_lipschitz_requires_s0_above_one():
-    with pytest.raises(ValueError, match="s0"):
-        LipschitzModulus(0.25, 1.5)
+    # s0 = 1 exactly at omega0 = 0.8; an array parameter fails on any entry
+    for tau, omega0 in [(0.25, 1.5), (0.25, 0.8),
+                        (np.array([0.25, 0.25]), np.array([0.79, 0.8]))]:
+        with pytest.raises(ValueError, match="s0"):
+            LipschitzModulus(tau, omega0)
 
 
 def test_lipschitz_prime_window():
@@ -43,13 +47,31 @@ def test_lipschitz_prime_window():
         assert 0.5 <= m.omega_prime(s) < 1.0
 
 
-def test_check_validity():
-    m = LipschitzModulus(0.25, 0.72)
-    check_validity(m, 0.5)
-    with pytest.raises(ValueError):
-        check_validity(m, m.s0 * 1.01)
-    with pytest.raises(ValueError):
-        check_validity(m, 0.0)
+_DOMAIN_MODULI = {
+    "holder": (HolderModulus(0.5), 1),
+    "lipschitz": (LipschitzModulus(0.25, 0.79), 1),  # s0 ~ 1.05
+    "mix": (ModulusMix(HolderModulus(np.array([0.5, 0.5])),
+                       LipschitzModulus(np.array([0.25, 0.25]), np.array([0.79, 0.79])),
+                       np.array([False, True])), 2),
+}
+
+
+@pytest.mark.parametrize("family", list(_DOMAIN_MODULI))
+def test_jet_domain_is_the_unit_ball(family):
+    """jet_scalars takes 0 < |x| < 1 whatever the modulus: a Lipschitz
+    modulus valid past 1 widens nothing, and |x| = 1 is rejected as such."""
+    modulus, S = _DOMAIN_MODULI[family]
+
+    def jets_at(r):
+        x = np.zeros((S, 2))
+        x[:, 0] = r
+        return jet_scalars(x, None, 2.0, 3.0, None, modulus)
+
+    assert (jets_at(1.0 - 1e-12).s < 1.0).all()
+    with pytest.raises(ValueError, match="must be < 1"):
+        jets_at(1.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        jets_at(0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from pseudoplap.barrier import BarrierParams, min_barrier_M
 from pseudoplap.grid import GridSpec, ScalarField, interior_mask, nonexterior_mask
-from pseudoplap.manufactured import closed_form_1d
+from pseudoplap.manufactured import closed_form_1d, zero_boundary
 from pseudoplap.operators import (
     apply_divergence,
     apply_nondivergence,
     phi_p,
 )
+from pseudoplap.solver import EnergyProblem
 
 
 def random_field(grid, seed=0, scale=1.0):
@@ -101,6 +103,23 @@ def test_rejects_p_at_most_2():
     u = ScalarField(g, np.zeros(9))
     with pytest.raises(ValueError, match="p must be > 2"):
         apply_divergence(u, 2.0)
+
+
+@pytest.mark.parametrize("p, message", [(2.0, "p must be > 2"), (np.inf, "p must be finite")])
+def test_every_exponent_site_has_one_rule(p, message):
+    g = GridSpec(1, 9)
+    u = ScalarField(g, np.zeros(9))
+    sites = [
+        lambda: apply_divergence(u, p),
+        lambda: apply_nondivergence(u, p),
+        lambda: min_barrier_M(p, 2, 1.0),
+        lambda: BarrierParams(M=1.0, p=p),
+        lambda: closed_form_1d(p),
+        lambda: EnergyProblem(g, p, u, zero_boundary),
+    ]
+    for site in sites:
+        with pytest.raises(ValueError, match=message):
+            site()
 
 
 def test_unset_stencil_value_named():
