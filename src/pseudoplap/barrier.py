@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, ScalarField, boundary_mask, interior_mask, mirror_axes
-from .grid import node_coordinates, node_rule, radius_squared
+from .grid import node_rule, radius_squared
 from .operators import apply_divergence, check_exponent, nondivergence_factors
+from .solver import EnergyProblem
 
 # Nodes per slab of the streamed supersolution check, counted on whole planes
 # of the grid: at 3D n = 129 a slab is 3 planes and 2 halo planes, cropped to
@@ -222,18 +223,17 @@ def supersolution_tolerance(grid: GridSpec, params: BarrierParams, f_sup: float)
     return 10.0 * np.sqrt(grid.spacing) * scale
 
 
-def linf_bound_check(u: ScalarField, f: ScalarField, boundary_data, p: float,
-                     solver_tol: float = 1e-6):
-    """Explicit sup-norm bound |u| <= sup|boundary| + M/2 with M = min_barrier_M.
+def linf_bound_check(u: ScalarField, prob: EnergyProblem, solver_tol: float = 1e-6):
+    """Explicit sup-norm bound |u| <= sup|boundary| + M/2 for a solution u of
+    `prob`: sup|boundary| over prob.boundary_values(), which raises ValueError
+    unless they are finite, and M = min_barrier_M(p, N, sup|f| on the interior).
 
     Returns (bound, satisfied) where satisfied allows solver_tol slack.
     """
-    grid = u.grid
-    f_sup = float(np.nanmax(np.abs(f.values[interior_mask(grid)])))
-    bidx = np.argwhere(boundary_mask(grid))
-    bvals = np.asarray(boundary_data(node_coordinates(grid, bidx)), dtype=float)
+    bvals = prob.boundary_values()
     boundary_sup = float(np.abs(bvals).max()) if len(bvals) else 0.0
-    bound = boundary_sup + 0.5 * min_barrier_M(p, grid.dimension, f_sup)
+    bound = boundary_sup + 0.5 * min_barrier_M(prob.p, prob.grid.dimension,
+                                               prob.f.sup_norm("interior"))
     satisfied = bool(u.sup_norm() <= bound + solver_tol)
     return bound, satisfied
 

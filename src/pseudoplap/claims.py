@@ -83,8 +83,7 @@ def regime_params(regime: str, p: float, N: int, gamma: float | None = None) -> 
     if regime.startswith("holder"):
         if gamma is None:
             gamma = DEFAULT_GAMMA[regime]
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must be in (0,1), got {gamma}")
+        HolderModulus(gamma)  # raises unless 0 < gamma < 1
         tau = omega0 = None
         if small:
             eps = None

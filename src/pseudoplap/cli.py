@@ -33,6 +33,7 @@ from .grid import GridSpec, ScalarField, nonexterior_mask, write_field
 from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows
 from .lemmas import uncovered_pairs, zt_rows
 from .manufactured import make_boundary, make_f_field, separable_reference
+from .operators import check_exponent
 from .regularity import estimate_constant, preset_sweep, records_to_csv, scaling_factors
 from .regularity import scan_exponents, scan_nodes
 from .reporting import config_hash, svg_line_plot, write_csv
@@ -63,34 +64,34 @@ def _build_grid(cfg: RawConfig) -> GridSpec:
                       ("problem", "nodes"))
 
 
-def _read_p(cfg: RawConfig, section="problem", key="p", default=3.0, rule="p must be > 2"):
-    """[section] key, one p or, with a list default, a list of them: each > 2 and finite."""
+def _read_p(cfg: RawConfig, section="problem", key="p", default=3.0):
+    """[section] key, one p or, with a list default, a nonempty list of them, each
+    checked by check_exponent, whose ValueError `_checked` reports at the key."""
     get = cfg.get_list if isinstance(default, list) else cfg.get_float
-    ps = get(section, key, default, valid=lambda p: p > 2, rule=rule)
-    if not np.isfinite(ps).all():
-        cfg.fail(section, key, f"p must be finite, got {ps}")
-    return ps
-
-
-def _preset_value(cfg: RawConfig, key: str, default: float, closed_form: str) -> float:
-    """[problem] `key`, finite, and > 0 when it is the c of the `closed_form` preset."""
-    rule = f"{key} must be finite" + (f" and > 0 for {closed_form}" if closed_form else "")
-    return cfg.get_float("problem", key, default, rule=rule,
-                         valid=lambda v: np.isfinite(v) and (v > 0.0 or not closed_form))
+    return get(section, key, default,
+               valid=lambda p: _checked(cfg, section, key, check_exponent, p) is None)
 
 
 def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
+    """A closed-form preset's one rule, c > 0, fails at its value's key; f or
+    boundary data that is not finite on some node fails at `f` or `boundary`."""
     p = _read_p(cfg)
     preset = cfg.get("problem", "f", "constant")
-    value = _preset_value(cfg, "f_value", 1.0, "f = separable" if preset == "separable" else "")
+    value = cfg.get_float("problem", "f_value", 1.0, valid=np.isfinite,
+                          rule="f_value must be finite")
     sigma = cfg.get_float("problem", "f_sigma", 0.3, valid=lambda s: np.isfinite(s) and s > 0.0,
                           rule="f_sigma must be finite and > 0")
-    f = _checked(cfg, "problem", "f", make_f_field, grid, preset, value=value, p=p, sigma=sigma)
+    f = _checked(cfg, "problem", "f_value" if preset == "separable" else "f", make_f_field,
+                 grid, preset, value=value, p=p, sigma=sigma)
     bpreset = cfg.get("problem", "boundary", "zero")
-    trace = "boundary = separable_trace" if bpreset == "separable_trace" else ""
-    bvalue = _preset_value(cfg, "boundary_value", 1.0 if trace else 0.0, trace)  # absent: c = 1
-    boundary = _checked(cfg, "problem", "boundary", make_boundary, bpreset, value=bvalue, p=p)
-    return EnergyProblem(grid, p, f, boundary)
+    trace = bpreset == "separable_trace"
+    bvalue = cfg.get_float("problem", "boundary_value", 1.0 if trace else 0.0,  # trace: c = 1
+                           valid=np.isfinite, rule="boundary_value must be finite")
+    boundary = _checked(cfg, "problem", "boundary_value" if trace else "boundary", make_boundary,
+                        bpreset, value=bvalue, p=p)
+    prob = _checked(cfg, "problem", "f", EnergyProblem, grid, p, f, boundary)
+    _checked(cfg, "problem", "boundary", prob.boundary_values)
+    return prob
 
 
 def _solver_config(cfg: RawConfig) -> SolveConfig:
@@ -109,8 +110,7 @@ def run_solve(cfg: RawConfig) -> Callable:
     def work(seed: int, outdir: Path, chash: str) -> list:
         u, rep = solve_dirichlet(prob, solver_cfg)
         write_field(outdir / "solution.csv", u)
-        bound, ok_bound = linf_bound_check(u, prob.f, prob.boundary_data, prob.p,
-                                           solver_tol=10 * solver_cfg.grad_tol)
+        bound, ok_bound = linf_bound_check(u, prob, solver_tol=10 * solver_cfg.grad_tol)
         write_csv(outdir / "solve_report.csv",
                   ["converged", "reason", "iterations", "inner_iterations", "final_energy",
                    "final_grad_sup", "sup_norm", "linf_bound", "mirror_axes"],
@@ -129,8 +129,7 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
     if not any(run.values()):
         cfg.fail("lemmas", None, "every run_* is false, so nothing would be checked")
     barrier_nodes = cfg.get_int("lemmas", "barrier_nodes", 129)
-    barrier_ps = _read_p(cfg, "lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0],
-                         "every p must be > 2")
+    barrier_ps = _read_p(cfg, "lemmas", "barrier_p_list", [2.5, 3.0, 4.0, 5.0, 6.0])
     barrier_ns = cfg.get_list("lemmas", "barrier_N_list", [1, 2, 3], conv=int,
                               valid=lambda n: n in (1, 2, 3), rule="every N must be 1, 2 or 3")
     for n in barrier_ns:
@@ -142,19 +141,19 @@ def run_verify_lemmas(cfg: RawConfig) -> Callable:
                                           ("comparison_pairs", 5, 1))}
     comparison_nodes = cfg.get_int("lemmas", "comparison_nodes", 33)
     _grid_spec(cfg, 2, comparison_nodes, "ball", ("lemmas", "comparison_nodes"))
-    comparison_p = _read_p(cfg, "lemmas", "comparison_p", 3.0, "comparison_p must be > 2")
+    comparison_p = _read_p(cfg, "lemmas", "comparison_p", 3.0)
     scales = cfg.get_list("lemmas", "claims_scales", [1e-1, 1e-2, 1e-3, 1e-4],
                           valid=lambda s: 0.0 < s < 1.0, rule="every scale must be in (0, 1)")
     if len(set(scales)) < 2:
         cfg.fail("lemmas", "claims_scales",
                  f"the drift check needs at least two distinct scales, got {scales}")
-    claims_N = cfg.get_int("lemmas", "claims_N", 2, valid=lambda n: n in (1, 2, 3),
-                           rule="claims_N must be 1, 2 or 3")
+    claims_N = cfg.get_int("lemmas", "claims_N", 2)
+    params = [_checked(cfg, "lemmas", "claims_N", regime_params, regime, DEFAULT_REGIME_P[regime],
+                       claims_N) for regime in REGIMES]
     claims_M = cfg.get_float("lemmas", "claims_M", 10.0, valid=lambda m: m > 1.0,
                              rule="claims_M must be > 1")
-    for regime in REGIMES:  # the sweep's doubled points must fit the Lipschitz cap
-        _checked(cfg, "lemmas", "claims_M", check_sweep_cap,
-                 regime_params(regime, DEFAULT_REGIME_P[regime], claims_N), claims_M, scales)
+    for regime_p in params:  # the sweep's doubled points must fit the Lipschitz cap
+        _checked(cfg, "lemmas", "claims_M", check_sweep_cap, regime_p, claims_M, scales)
     plots = cfg.get_bool("output", "plots", False)
 
     def work(seed: int, outdir: Path, chash: str) -> list:

@@ -187,26 +187,6 @@ def node_coordinates(grid: GridSpec, multi_index: np.ndarray) -> np.ndarray:
     return c[np.asarray(multi_index)]
 
 
-def interior_ball_nodes(grid: GridSpec, r: float) -> np.ndarray:
-    """Multi-indices (lexicographic) of all nodes with |x| <= r.
-
-    Requires r < 1; every selected node must be interior, which holds
-    whenever r <= 1 - spacing.
-    """
-    if not r < 1.0:
-        raise ValueError(f"radius must be < 1, got {r}")
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    sel = radius_squared([grid.axis_coords() ** 2] * grid.dimension) <= r * r
-    idx = np.argwhere(sel)
-    if not interior_mask(grid)[sel].all():
-        raise ValueError(
-            f"ball of radius {r} reaches the boundary band; "
-            f"use r <= 1 - h = {1.0 - grid.spacing:.6g}"
-        )
-    return idx
-
-
 @dataclass
 class ScalarField:
     """Node-valued function on a grid; exterior nodes hold NaN (unset)."""

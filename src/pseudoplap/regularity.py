@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import ScalarField, interior_ball_nodes, node_coordinates
+from .grid import ScalarField, node_coordinates, radius_squared
 from .manufactured import sweep_presets, zero_boundary
 from .reporting import write_csv
 from .solver import EnergyProblem, solve_dirichlet
@@ -41,13 +41,15 @@ def _distances(axes: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def scan_nodes(grid, r: float) -> tuple:
-    """(index, axes) of the nodes in |x| <= r: `u.values[index]` gathers a
-    field's values there, and `axes` holds their coordinates, one row per axis.
-    Raises ValueError unless 0 < r < 1 - 2h and at least 2 nodes lie inside."""
+    """(index, axes) of the nodes in |x| <= r, in lexicographic order:
+    `u.values[index]` gathers a field's values there, and `axes` holds their
+    coordinates, one row per axis.  Raises ValueError unless 0 < r < 1 - 2h
+    and at least 2 nodes lie inside.  Each such node is interior, on the ball
+    and the cube: it and its axis neighbours lie within r + h < 1 of 0."""
     r_max = 1.0 - 2.0 * grid.spacing
     if not 0.0 < r < r_max:
         raise ValueError(f"radius must be in (0, 1 - 2h) = (0, {r_max:.6g}), got {r}")
-    idx = interior_ball_nodes(grid, r)
+    idx = np.argwhere(radius_squared([grid.axis_coords() ** 2] * grid.dimension) <= r * r)
     if len(idx) < 2:
         raise ValueError(f"fewer than 2 nodes inside radius {r}")
     return tuple(idx.T), node_coordinates(grid, idx).reshape(len(idx), -1).T.copy()

@@ -42,7 +42,6 @@ bit for bit, and the result is unfolded.  With no such axis it is the grid.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +107,6 @@ class SolveReport:
     backtracks: int  # step halvings over all line searches
     final_energy: float
     final_grad_sup: float  # sup |gradient| / h^N == sup |A_div(u) - (p-1) f|
-    wall_time: float
     mirror_axes: tuple  # the axes the solve was reduced along (module docstring)
 
 
@@ -445,7 +443,6 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     names the axes of the mirror box it solved on (module docstring).
     """
     cfg = cfg or SolveConfig()
-    t0 = time.perf_counter()
     start = _initial_values(prob)
     axes = mirror_axes(prob.grid, prob.f.values, start)
     ws = _Workspace(prob, axes)
@@ -496,7 +493,6 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         backtracks=backtracks,
         final_energy=J_u,
         final_grad_sup=sup_r,
-        wall_time=time.perf_counter() - t0,
         mirror_axes=axes,
     )
     return ScalarField(prob.grid, unfold(axes, u.reshape(ws.interior.shape))), report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pseudoplap.grid import ScalarField, interior_ball_nodes, node_coordinates
+from pseudoplap.grid import ScalarField
 
 _CHUNK = 512
 
@@ -23,11 +23,15 @@ def pair_scan(u: ScalarField, r: float, exponent: float) -> float:
         raise ValueError(
             f"need r < 1 - 2h = {1.0 - 2.0 * grid.spacing:.6g} for an interior scan, got {r}"
         )
-    idx = interior_ball_nodes(grid, r)
-    if len(idx) < 2:
+    every = np.argwhere(np.ones(grid.node_shape, dtype=bool))  # lexicographic
+    coords = grid.axis_coords()[every]
+    r2 = coords[:, 0] ** 2
+    for ax in range(1, grid.dimension):  # |x|^2 summed in axis order
+        r2 = r2 + coords[:, ax] ** 2
+    inside = r2 <= r * r
+    if inside.sum() < 2:
         raise ValueError(f"fewer than 2 nodes inside radius {r}")
-    pts = node_coordinates(grid, idx).reshape(len(idx), -1)
-    return pair_scan_values(pts, u.values[tuple(idx.T)], exponent)
+    return pair_scan_values(coords[inside], u.values[tuple(every[inside].T)], exponent)
 
 
 def pair_scan_values(pts: np.ndarray, vals: np.ndarray, exponent: float) -> float:

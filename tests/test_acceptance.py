@@ -31,7 +31,7 @@ from pseudoplap.operators import apply_divergence, apply_nondivergence
 from pseudoplap.regularity import estimate_constant, preset_sweep
 from pseudoplap.solver import EnergyProblem, SolveConfig, solve_dirichlet
 
-SOLVES = []  # (u, f, boundary_data, p) for every converged solve in the suite
+SOLVES = []  # (u, EnergyProblem) for every converged solve in the suite
 
 
 def _solve(grid, p, f, boundary, grad_tol, register=True):
@@ -39,7 +39,7 @@ def _solve(grid, p, f, boundary, grad_tol, register=True):
     u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=grad_tol))
     assert rep.converged, f"solver did not converge (residual {rep.final_grad_sup:.3e})"
     if register:
-        SOLVES.append((u, f, boundary, p))
+        SOLVES.append((u, prob))
     return u, rep
 
 
@@ -107,7 +107,7 @@ def test_criterion_04_comparison():
     rows, _, solves = comparison_rows(np.random.default_rng(2024), 65, 3.0, 50)
     for u, rep, f, boundary in solves:
         assert rep.converged, f"solver did not converge (residual {rep.final_grad_sup:.3e})"
-        SOLVES.append((u, f, boundary, 3.0))
+        SOLVES.append((u, EnergyProblem(u.grid, 3.0, f, boundary)))
     failures = [row for row in rows if not (row[1] and row[2])]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 600.0
@@ -127,10 +127,10 @@ def test_criterion_05_barrier():
     g2 = GridSpec(2, 65)
     _solve(g2, 4.0, gaussian_field(g2, amp=2.0, sigma=0.4), zero_boundary, 1e-6)
     bad = []
-    for u, f, boundary, p in SOLVES:
-        bound, satisfied = linf_bound_check(u, f, boundary, p, solver_tol=1e-5)
+    for u, prob in SOLVES:
+        bound, satisfied = linf_bound_check(u, prob, solver_tol=1e-5)
         if not satisfied:
-            bad.append((p, u.sup_norm(), bound))
+            bad.append((prob.p, u.sup_norm(), bound))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 120.0
     _report("barrier", ok,

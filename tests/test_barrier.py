@@ -17,7 +17,7 @@ from pseudoplap.barrier import (
     verify_supersolution,
 )
 from pseudoplap.grid import GridSpec, ScalarField, mirror_axes, nonexterior_mask
-from pseudoplap.manufactured import constant_field, zero_boundary
+from pseudoplap.manufactured import constant_boundary, constant_field, zero_boundary
 from pseudoplap.solver import EnergyProblem, SolveConfig, solve_dirichlet
 
 
@@ -99,26 +99,34 @@ def test_linf_bound_trivial_and_1d():
     g = GridSpec(1, 129)
     f0 = constant_field(g, 0.0)
     u0 = ScalarField.from_function(g, lambda pts: np.zeros(len(pts)))
-    bound, ok = linf_bound_check(u0, f0, zero_boundary, 3.0)
+    bound, ok = linf_bound_check(u0, EnergyProblem(g, 3.0, f0, zero_boundary))
     assert bound == 0.0 and ok
 
-    f = constant_field(g, 1.0)
-    u, rep = solve_dirichlet(EnergyProblem(g, 3.0, f, zero_boundary),
-                             SolveConfig(grad_tol=1e-7))
-    bound, ok = linf_bound_check(u, f, zero_boundary, 3.0)
+    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
+    u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-7))
+    bound, ok = linf_bound_check(u, prob)
     assert abs(bound - 4.0 * (1 + 1e-6) / 1.0) < 1e-5  # M(3,1,1)/2 = 8/2
     assert ok and u.sup_norm() <= bound
+
+
+def test_linf_bound_rejects_nonfinite_boundary_data():
+    g = GridSpec(1, 17)
+    u = ScalarField.from_function(g, lambda pts: np.zeros(len(pts)))
+    prob = EnergyProblem(g, 3.0, constant_field(g, 0.0), constant_boundary(np.inf))
+    with pytest.raises(ValueError, match="boundary data must be finite"):
+        linf_bound_check(u, prob)
 
 
 def test_linf_bound_scaling_preserved():
     g = GridSpec(1, 65)
     p, lam = 3.0, 5.0
     f = constant_field(g, 1.0)
-    u, _ = solve_dirichlet(EnergyProblem(g, p, f, zero_boundary), SolveConfig(grad_tol=1e-7))
-    _, ok = linf_bound_check(u, f, zero_boundary, p)
+    prob = EnergyProblem(g, p, f, zero_boundary)
+    u, _ = solve_dirichlet(prob, SolveConfig(grad_tol=1e-7))
+    _, ok = linf_bound_check(u, prob)
     u_l = ScalarField(g, lam * u.values)
-    f_l = ScalarField(g, lam ** (p - 1.0) * f.values)
-    _, ok_l = linf_bound_check(u_l, f_l, zero_boundary, p, solver_tol=lam * 1e-6)
+    prob_l = EnergyProblem(g, p, ScalarField(g, lam ** (p - 1.0) * f.values), zero_boundary)
+    _, ok_l = linf_bound_check(u_l, prob_l, solver_tol=lam * 1e-6)
     assert ok and ok_l
 
 

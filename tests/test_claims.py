@@ -55,6 +55,9 @@ def test_regime_params_rejects_mismatch():
         regime_params("lipschitz_small_p", 3.0, 2, gamma=0.5)
     with pytest.raises(ValueError):
         regime_params("nonsense", 3.0, 2)
+    for gamma in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"gamma must be in \(0,1\), got"):
+            regime_params("holder_large_p", 5.0, 2, gamma=gamma)
 
 
 def test_exponent_ordering_sweep():

@@ -192,6 +192,7 @@ CONVERGENCE_TINY = "[problem]\np = 3.0\ndimension = 1\n[convergence]\nnodes_list
 # every [problem] key of solve
 SOLVE_ALL = SOLVE_TINY.replace("boundary = zero",
                                "f_sigma = 0.3\nboundary = zero\nboundary_value = 0.0")
+SOLVE_2D = SOLVE_ALL.replace("dimension = 1", "dimension = 2")
 
 
 @pytest.mark.parametrize("subcommand, text, added, lineno, message", [
@@ -247,7 +248,9 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
     ("solve", SOLVE_ALL.replace("f = constant", "f = gaussian"), "f_sigma = 0.3", "f_sigma = 0",
      "[problem] f_sigma: f_sigma must be finite and > 0, got 0.0"),
     ("verify-lemmas", LEMMAS_ALL, "claims_N = 2", "claims_N = 4",
-     "[lemmas] claims_N: claims_N must be 1, 2 or 3, got 4"),
+     "[lemmas] claims_N: N must be 1, 2 or 3, got 4"),
+    ("verify-lemmas", LEMMAS_ALL.replace("claims_M = 10.0", "claims_M = 0.5"), "claims_N = 2",
+     "claims_N = 4", "[lemmas] claims_N: N must be 1, 2 or 3, got 4"),
     ("verify-lemmas", LEMMAS_ALL, "claims_M = 10.0", "claims_M = 0.5",
      "[lemmas] claims_M: claims_M must be > 1, got 0.5"),
     ("verify-lemmas", LEMMAS_ALL, "claims_M = 10.0", "claims_M = 1000",
@@ -266,7 +269,7 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
     ("verify-lemmas", LEMMAS_ALL, "barrier_nodes = 33", "barrier_nodes = 10",
      "[lemmas] barrier_nodes: nodes_per_axis must be odd and >= 9, got 10"),
     ("verify-lemmas", LEMMAS_ALL, "barrier_p_list = 3", "barrier_p_list = 1.5",
-     "[lemmas] barrier_p_list: every p must be > 2, got 1.5"),
+     "[lemmas] barrier_p_list: p must be > 2, got 1.5"),
     ("verify-lemmas", LEMMAS_ALL, "barrier_N_list = 1, 2", "barrier_N_list = 4",
      "[lemmas] barrier_N_list: every N must be 1, 2 or 3, got 4"),
     ("verify-lemmas", LEMMAS_ALL, "barrier_N_list = 1, 2", "barrier_N_list =",
@@ -286,23 +289,31 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
     ("measure-regularity", REGULARITY_TINY, "scaling_lambdas = 10", "scaling_lambdas =",
      "[regularity] scaling_lambdas: the list is empty"),
     ("solve", SOLVE_ALL.replace("f = constant", "f = separable"), "f_value = 1.0",
-     "f_value = -1", "[problem] f_value: f_value must be finite and > 0 for f = separable, "
-     "got -1.0"),
+     "f_value = -1", "[problem] f_value: c must be positive, got -1.0"),
     ("solve", SOLVE_ALL.replace("boundary = zero", "boundary = separable_trace"),
      "boundary_value = 0.0", "boundary_value = -1",
-     "[problem] boundary_value: boundary_value must be finite and > 0 for "
-     "boundary = separable_trace, got -1.0"),
+     "[problem] boundary_value: c must be positive, got -1.0"),
     # non-finite values that pass "> 0" or "> 2" and would fail, or pass, only later
     ("solve", SOLVE_TINY, "grad_tol = 1e-7", "grad_tol = inf",
      "[solver] grad_tol: grad_tol must be positive and finite"),
     ("solve", SOLVE_TINY, "p = 3.0", "p = inf", "[problem] p: p must be finite, got inf"),
     ("verify-lemmas", LEMMAS_ALL, "barrier_p_list = 3", "barrier_p_list = 3, inf",
-     "[lemmas] barrier_p_list: p must be finite, got [3.0, inf]"),
+     "[lemmas] barrier_p_list: p must be finite, got inf"),
     ("verify-lemmas", LEMMAS_ALL, "comparison_p = 3.0", "comparison_p = inf",
      "[lemmas] comparison_p: p must be finite, got inf"),
+    # finite values whose f or boundary data is not finite on some node
+    ("solve", SOLVE_2D.replace("f_sigma = 0.3", "f_sigma = 1e-170"), "f = constant",
+     "f = gaussian", "[problem] f: right-hand side not finite on all interior nodes"),
+    ("solve", SOLVE_2D.replace("f_value = 1.0", "f_value = 1e308"), "f = constant",
+     "f = separable", "[problem] f: right-hand side not finite on all interior nodes"),
+    ("solve", SOLVE_2D.replace("nodes = 33", "nodes = 33\nshape = cube").replace(
+        "boundary_value = 0.0", "boundary_value = 1e308"), "boundary = zero",
+     "boundary = separable_trace",
+     "[problem] boundary: boundary data must be finite on every boundary node"),
 ], ids=["reg-p", "conv-p", "conv-even-nodes", "conv-one-node-count", "conv-no-node-count",
         "conv-decreasing-nodes", "conv-negative-order", "conv-nan-order", "solve-dimension",
         "solve-nan-f", "solve-inf-boundary", "solve-zero-sigma", "lemmas-claims-N",
+        "lemmas-claims-N-before-M",
         "lemmas-claims-M", "lemmas-claims-M-cap", "lemmas-zero-scale", "lemmas-scale-2",
         "lemmas-repeated-scale", "lemmas-one-scale",
         "lemmas-even-nodes",
@@ -310,7 +321,9 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
         "lemmas-zt-samples", "lemmas-comparison-pairs", "lemmas-pair-samples",
         "lemmas-nothing-to-check", "conv-plots",
         "reg-empty-lambdas", "solve-separable-f-value", "solve-trace-boundary-value",
-        "solve-inf-grad-tol", "solve-inf-p", "lemmas-inf-barrier-p", "lemmas-inf-comparison-p"])
+        "solve-inf-grad-tol", "solve-inf-p", "lemmas-inf-barrier-p", "lemmas-inf-comparison-p",
+        "solve-gaussian-sigma-underflow", "solve-separable-f-overflow",
+        "solve-trace-boundary-overflow"])
 def test_bad_config_value_exit_2(tmp_path, no_work, capsys, subcommand, text, old, new, message):
     # every value is checked before the first solve, lemma sampler or output
     lineno = text.splitlines().index(old) + 1
@@ -598,8 +611,7 @@ def _flat_unconverged_solve(prob, cfg):
     u = ScalarField(prob.grid, np.where(nonexterior_mask(prob.grid), 0.0, np.nan))
     return u, SolveReport(converged=False, reason="max_iters", iterations=cfg.max_iters,
                           inner_iterations=0, backtracks=0, final_energy=0.0,
-                          final_grad_sup=float("inf"), wall_time=0.0,
-                          mirror_axes=())
+                          final_grad_sup=float("inf"), mirror_axes=())
 
 
 def test_regularity_zero_base_ratio_fails_check(tmp_path, monkeypatch):

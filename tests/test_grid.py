@@ -11,7 +11,6 @@ from pseudoplap.grid import (
     GridSpec,
     ScalarField,
     boundary_mask,
-    interior_ball_nodes,
     interior_mask,
     mirror_axes,
     node_coordinates,
@@ -145,34 +144,6 @@ def test_disk_area_fraction():
     # the strict interior count converges to the same limit from below
     frac_int = interior_mask(g).mean()
     assert frac_int < in_ball < np.pi / 4.0 + 0.02
-
-
-def test_interior_ball_nodes_1d():
-    g = GridSpec(1, 9)
-    pts = node_coordinates(g, interior_ball_nodes(g, 0.5)).ravel()
-    assert np.allclose(sorted(pts), [-0.5, -0.25, 0.0, 0.25, 0.5])
-
-
-def test_interior_ball_nodes_monotone_in_r():
-    g = GridSpec(1, 9)
-    small = {tuple(i) for i in interior_ball_nodes(g, 0.5)}
-    big = {tuple(i) for i in interior_ball_nodes(g, 1.0 - g.spacing)}
-    assert small <= big
-
-
-def test_interior_ball_nodes_disk_count():
-    g = GridSpec(2, 65)
-    count = len(interior_ball_nodes(g, 0.5))
-    expected = np.pi * 0.25 / g.spacing**2
-    assert abs(count - expected) / expected < 0.05
-
-
-def test_interior_ball_nodes_rejects_bad_radius():
-    g = GridSpec(2, 17)
-    with pytest.raises(ValueError):
-        interior_ball_nodes(g, 1.0)
-    with pytest.raises(ValueError):
-        interior_ball_nodes(g, 1.5)
 
 
 def test_field_roundtrip_bitwise(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import pair_scan_reference as reference
 from pseudoplap import regularity
-from pseudoplap.grid import GridSpec, ScalarField, interior_ball_nodes, node_coordinates
+from pseudoplap.grid import GridSpec, ScalarField, interior_mask
 from pseudoplap.manufactured import closed_form_1d, constant_field, sweep_presets
 from pseudoplap.manufactured import zero_boundary
 from pseudoplap.regularity import (
@@ -55,12 +55,11 @@ def test_per_pair_quotient_identity():
     g = GridSpec(2, 17)
     rng = np.random.default_rng(1)
     u = ScalarField.from_function(g, lambda pts: rng.standard_normal(len(pts)))
-    idx = interior_ball_nodes(g, 0.4)
-    pts = node_coordinates(g, idx)
-    vals = u.values[tuple(idx.T)]
+    index, axes = regularity.scan_nodes(g, 0.4)
+    pts, vals = axes.T, u.values[index]
     gamma = 0.6
-    for i in range(0, len(idx), 7):
-        for j in range(i + 1, len(idx), 11):
+    for i in range(0, len(pts), 7):
+        for j in range(i + 1, len(pts), 11):
             d = np.linalg.norm(pts[i] - pts[j])
             lip_q = abs(vals[i] - vals[j]) / d
             hol_q = abs(vals[i] - vals[j]) / d**gamma
@@ -81,6 +80,39 @@ def test_pair_scan_input_validation():
         lipschitz_seminorm(u, 0.99)
     with pytest.raises(ValueError):
         holder_seminorm(u, 0.5, 1.5)
+
+
+def test_scan_nodes_1d():
+    g = GridSpec(1, 17)
+    index, axes = regularity.scan_nodes(g, 0.5)
+    assert index[0].tolist() == list(range(4, 13))  # lexicographic
+    assert np.allclose(axes, [np.linspace(-0.5, 0.5, 9)])
+
+
+@pytest.mark.parametrize("dim, nodes, shape", [(1, 17, "ball"), (2, 17, "ball"),
+                                               (2, 17, "cube"), (3, 17, "cube")])
+def test_scan_nodes_monotone_in_r(dim, nodes, shape):
+    # up to one ulp below 1 - 2h, each ball holds the smaller ones, and every
+    # node it selects is interior
+    g = GridSpec(dim, nodes, shape)
+    r_max = np.nextafter(1.0 - 2.0 * g.spacing, 0.0)
+    balls = [set(zip(*regularity.scan_nodes(g, r)[0])) for r in (0.3, 0.5, r_max)]
+    assert balls[0] <= balls[1] <= balls[2]
+    assert interior_mask(g)[regularity.scan_nodes(g, r_max)[0]].all()
+
+
+def test_scan_nodes_disk_count():
+    g = GridSpec(2, 65)
+    count = regularity.scan_nodes(g, 0.5)[1].shape[1]
+    expected = np.pi * 0.25 / g.spacing**2
+    assert abs(count - expected) / expected < 0.05
+
+
+def test_scan_nodes_rejects_bad_radius():
+    g = GridSpec(2, 17)
+    for r in (0.0, -0.1, 1.0 - 2.0 * g.spacing, 1.0, 1.5):
+        with pytest.raises(ValueError, match="radius must be in"):
+            regularity.scan_nodes(g, r)
 
 
 def assert_matches_reference(fields, r, gammas):
@@ -125,7 +157,7 @@ def mixed_stack(g, seed):
                                            (3, 17, 0.6), (3, 25, 0.4)])
 def test_seminorms_match_reference_on_random_fields(monkeypatch, dim, nodes, r):
     g = GridSpec(dim, nodes)
-    K = len(interior_ball_nodes(g, r))
+    K = regularity.scan_nodes(g, r)[1].shape[1]
     fields = mixed_stack(g, dim)
     assert_matches_reference(fields, r, [0.1, 0.5, 0.9])
     for rows in block_rows_cases(K):
@@ -177,8 +209,8 @@ def test_block_distances_keep_axis_order():
     # one flipped rounding rarely moves a max, so pin the distances themselves;
     # n - 1 = 24 makes about 1 in 10 of them depend on the order of the sum
     g = GridSpec(3, 25)
-    pts = node_coordinates(g, interior_ball_nodes(g, 0.6))
-    axes = pts.T.copy()
+    axes = regularity.scan_nodes(g, 0.6)[1]
+    pts = axes.T
     for lo, hi in ((0, 50), (200, 263), (len(pts) - 7, len(pts))):
         full = np.sqrt(((pts[lo:hi, None, :] - pts[None, lo:, :]) ** 2).sum(-1))
         assert np.array_equal(regularity._distances(axes, lo, hi), full)
@@ -189,10 +221,10 @@ def test_seminorms_max_pair_in_last_row_block(monkeypatch):
     # at distance h, and both lie in the last row block
     g = GridSpec(2, 33)
     r = 0.5
-    idx = interior_ball_nodes(g, r)
-    K = len(idx)
+    index, axes = regularity.scan_nodes(g, r)
+    K = axes.shape[1]
     u = ScalarField.from_function(g, lambda pts: np.zeros(len(pts)))
-    u.values[tuple(idx[-1])] = 1.0
+    u.values[tuple(i[-1] for i in index)] = 1.0
     for rows in [None, *block_rows_cases(K)[:3]]:
         if rows is not None:
             monkeypatch.setattr(regularity, "_BLOCK_ELEMENTS", rows * K)
