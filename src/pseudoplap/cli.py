@@ -32,7 +32,7 @@ from .config import ConfigError, RawConfig, parse_config
 from .grid import GridSpec, ScalarField, nonexterior_mask, write_field
 from .lemmas import barrier_rows, claims_rows, comparison_rows, min_eig_rows, pair_rows
 from .lemmas import uncovered_pairs, zt_rows
-from .manufactured import make_boundary, make_f_field, separable_reference
+from .manufactured import check_sigma, make_boundary, make_f_field, separable_reference
 from .operators import check_exponent
 from .regularity import estimate_constant, preset_sweep, records_to_csv, scaling_factors
 from .regularity import scan_exponents, scan_nodes
@@ -79,8 +79,8 @@ def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
     preset = cfg.get("problem", "f", "constant")
     value = cfg.get_float("problem", "f_value", 1.0, valid=np.isfinite,
                           rule="f_value must be finite")
-    sigma = cfg.get_float("problem", "f_sigma", 0.3, valid=lambda s: np.isfinite(s) and s > 0.0,
-                          rule="f_sigma must be finite and > 0")
+    sigma = cfg.get_float("problem", "f_sigma", 0.3,
+                          valid=lambda s: _checked(cfg, "problem", "f_sigma", check_sigma, s) is None)
     f = _checked(cfg, "problem", "f_value" if preset == "separable" else "f", make_f_field,
                  grid, preset, value=value, p=p, sigma=sigma)
     bpreset = cfg.get("problem", "boundary", "zero")
@@ -113,10 +113,10 @@ def run_solve(cfg: RawConfig) -> Callable:
         bound, ok_bound = linf_bound_check(u, prob, solver_tol=10 * solver_cfg.grad_tol)
         write_csv(outdir / "solve_report.csv",
                   ["converged", "reason", "iterations", "inner_iterations", "final_energy",
-                   "final_grad_sup", "sup_norm", "linf_bound", "mirror_axes"],
+                   "final_grad_sup", "sup_norm", "linf_bound", "mirror_axes", "float64_reruns"],
                   [[rep.converged, rep.reason, rep.iterations, rep.inner_iterations,
                     rep.final_energy, rep.final_grad_sup, u.sup_norm(), bound,
-                    " ".join(map(str, rep.mirror_axes)) or "none"]], chash)
+                    " ".join(map(str, rep.mirror_axes)) or "none", rep.float64_reruns]], chash)
         return [("solver_converged", rep.converged,
                  f"{rep.reason}: residual {rep.final_grad_sup:.3e}"),
                 ("linf_bound", ok_bound, f"sup|u| = {u.sup_norm():.6g} <= {bound:.6g}")]

@@ -25,6 +25,8 @@ def closed_form_1d(p: float, c: float = 1.0):
         raise ValueError(f"c must be positive, got {c}")
     q = p / (p - 1.0)
     amp = ((p - 1.0) * c) ** (1.0 / (p - 1.0))
+    if not np.isfinite(amp):  # u would be inf * 0 = NaN at |x| = 1
+        raise ValueError(f"c = {c} is too large: ((p-1) c)^(1/(p-1)) overflows")
 
     def u(x):
         x = np.asarray(x, dtype=float)
@@ -70,7 +72,15 @@ def constant_field(grid: GridSpec, value: float) -> ScalarField:
     return ScalarField.from_function(grid, lambda pts: np.full(len(pts), float(value)))
 
 
+def check_sigma(sigma: float) -> None:
+    """A Gaussian's width: sigma > 0 with 2 sigma^2 a finite normal float,
+    so that exp(-d^2 / (2 sigma^2)) is 1 at the centre, not 0/0."""
+    if not np.finfo(float).tiny <= 2.0 * sigma * sigma < np.inf or not sigma > 0:
+        raise ValueError(f"sigma must be > 0 with 2 sigma^2 a finite normal float, got {sigma}")
+
+
 def gaussian_field(grid: GridSpec, amp: float = 1.0, center=None, sigma: float = 0.3) -> ScalarField:
+    check_sigma(sigma)
     if center is None:
         center = np.zeros(grid.dimension)
     center = np.asarray(center, dtype=float)

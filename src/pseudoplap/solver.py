@@ -15,12 +15,25 @@ H s = r for the residual r = A_div(u) - (p-1) f, where
     H s = -div((p-1) (|D_i u|^(p-2) + reg) D_i s)      per link
 
 is the energy Hessian per unit volume with its degenerate link weights lifted
-by reg = clip(sup|r|, 1e-12, 1e-2).  Conjugate gradients solve it to the
-relative tolerance min(0.5, sqrt(sup|r|)), an Eisenstat-Walker forcing term,
-so far-off steps stay cheap and the last ones converge superlinearly.  They
-are preconditioned by the diagonal of H in 2D and 3D, and in 1D, where H is
-tridiagonal, by its exact inverse, so that each Newton step takes one CG
-iteration.  The step is taken with Armijo backtracking on J from unit step.
+by reg = clip(sup|r|, 1e-12, 1e-2).  Conjugate gradients solve it until
+|r - H s| <= max(rtol |r|, grad_tol / 2) in the 2-norm, rtol = min(0.5,
+sqrt(sup|r|)) being an Eisenstat-Walker forcing term, so far-off steps stay
+cheap and the last ones converge superlinearly; the absolute floor stops the
+last steps once the linearized residual is below what sup|r| <= grad_tol
+needs (the 2-norm bounds the sup-norm).  They are preconditioned by the
+diagonal of H in 2D and 3D, and in 1D, where H is tridiagonal, by its exact
+inverse, so that each Newton step takes one CG iteration.
+
+In 2D and 3D, CG runs in float32 on copies of H's link weights and of r,
+each scaled by a power of 2 so that its largest entry is near 1; the step
+is scaled back into float64.  Everything that certifies the solve stays
+float64: the energy, the residual, the Armijo test, the slope s.Hs and the
+check r.s > 0 (both from the float64 step and H), the curvature guard and
+the stop rule sup|r| <= grad_tol.  A step reruns through the same CG loop
+in float64, and is counted in `SolveReport.float64_reruns`, when H's
+weights do not fit float32's normal range, or when a float32 curvature, the
+float64 r.s or s.Hs is not positive and finite.  1D steps are float64.
+The step is taken with Armijo backtracking on J from unit step.
 Accepted iterates have non-increasing energy up to a floating-point rounding
 slack of a few ulps of J, which keeps the line search honest when the target
 residual sits near the arithmetic floor.
@@ -42,6 +55,8 @@ bit for bit, and the result is unfolded.  With no such axis it is the grid.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +67,7 @@ from .grid import off_links, unfold
 from .operators import add_divergence, check_exponent, link_differences
 
 _EPS = float(np.finfo(float).eps)
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 # Armijo line search: sufficient decrease, step shrink, halvings before "stalled".
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -105,9 +121,17 @@ class SolveReport:
     iterations: int  # Newton steps
     inner_iterations: int  # PCG iterations over all Newton steps
     backtracks: int  # step halvings over all line searches
+    float64_reruns: int  # 2D/3D Newton steps whose CG reran in float64 (module docstring)
     final_energy: float
     final_grad_sup: float  # sup |gradient| / h^N == sup |A_div(u) - (p-1) f|
     mirror_axes: tuple  # the axes the solve was reduced along (module docstring)
+
+
+# CG's data in one precision: H's link weights, the padded link buffer
+# (zeros before the first link), the divergence scratch, the preconditioner's
+# inverse diagonal (None in 1D), CG's residual, direction, H d / z and step,
+# and on a box the inverse multiplicities
+_CG = namedtuple("_CG", "weights flux div inv_diag res d work s inv_mult")
 
 
 class _Workspace:
@@ -126,13 +150,21 @@ class _Workspace:
       the flux before the first link;
     * `scratch`: one more, for divergences, the energy's row gathers and the
       f-term;
-    * `resid`: the last `residual()`, and CG's residual in `newton_step`;
+    * `resid`: the last `residual()`, and the float64 CG's residual;
     * `step`, `cg_dir`, `spare`: the Newton step, CG's search direction, and
       `spare`, which holds H d and then the preconditioned residual and,
       between Newton steps, serves the line search as its trial point;
     * the preconditioner's data: in 2D and 3D `inv_diag`, the inverse of H's
       diagonal, for `_jacobi`; in 1D the link arrays `inv_link` and `flow`
       of `_exact_1d`.
+
+    In 2D and 3D the float32 CG's buffers (`_cg32`) are views into the
+    float64 ones that it leaves idle: the two halves of `step`, `cg_dir`,
+    `inv_diag` and `scratch`, and the two of the padded `flux`.  `scratch`
+    carries only CG's step and H d, which are first written once the scaled
+    weights and residual have passed through it; `step` only data that is
+    dead before the float32 step is copied into it.  So float32 CG costs no
+    memory.  `resid`, the float64 weights and `spare` are never shared.
 
     `outside_at` holds the flat indices of the nodes off the interior, which
     every kernel zeroes, and on a box `inv_mult` the inverse multiplicities.
@@ -146,7 +178,7 @@ class _Workspace:
     array.
     """
 
-    def __init__(self, prob: EnergyProblem, axes: tuple = ()):
+    def __init__(self, prob: EnergyProblem, axes: tuple = (), cg_floor: float = 0.0):
         g = prob.grid
         self.p = prob.p
         self.h = g.spacing
@@ -166,28 +198,33 @@ class _Workspace:
         self.strides = axis_strides(shape)
         self.off_links = off_links(g, axes)
         size = self.inside.size
-        # the preconditioner's refresh and apply, as functions: bound methods
-        # would make a reference cycle, which keeps a dropped workspace's
-        # buffers alive until the garbage collector runs
-        if g.dimension == 1:  # _exact_1d: every link on, interior nodes 0 (box) or 1 .. size - 2
-            assert not self.off_links[0].any() and np.array_equal(
-                np.flatnonzero(self.inside), np.arange(0 if axes else 1, size - 1)), "1D grid"
-            self.flow, self.inv_link = np.empty((2, size - 1))
-            self._preconditioner = _Workspace._exact_1d_weights, _Workspace._exact_1d
-        else:
-            self.inv_diag = np.zeros(size)
-            self._preconditioner = _Workspace._jacobi_diagonal, _Workspace._jacobi
+        self.cg_floor = cg_floor  # CG's absolute stop floor: grad_tol / 2 in a solve
+        self.float64_reruns = 0
         self.v = None
         self.weights = [np.empty(size) for _ in self.off_links]
         pad = self.strides[0]
         self._flux = np.empty(pad + size)
-        # the head stays 0, the flux before the first link; the tail is zeroed
-        # only so that the first Hessian product reads no uninitialised memory
-        # (later links overwrite it; the last plane along axis 0 reads it, masked)
-        self._flux[:pad] = self._flux[size:] = 0.0
+        self._flux[:pad] = 0.0  # the flux before the first link; never written again
         self.flux = self._flux[pad:]
         self.scratch, self.resid = np.empty(size), np.empty(size)
         self.step, self.cg_dir, self.spare = (np.zeros(size) for _ in range(3))
+        self._cg32 = None
+        if g.dimension == 1:  # _exact_1d: every link on, interior nodes 0 (box) or 1 .. size - 2
+            assert not self.off_links[0].any() and np.array_equal(
+                np.flatnonzero(self.inside), np.arange(0 if axes else 1, size - 1)), "1D grid"
+            self.flow, self.inv_link = np.empty((2, size - 1))
+            self.inv_diag = None
+        else:
+            self.inv_diag = np.zeros(size)
+            halves = [h for a in (self.step, self.cg_dir, self.inv_diag)
+                      for h in (a.view(np.float32)[:size], a.view(np.float32)[size:])]
+            weights32, (inv_diag32, res32, d32) = halves[:g.dimension], halves[g.dimension:][:3]
+            s32, work32 = self.scratch.view(np.float32)[:size], self.scratch.view(np.float32)[size:]
+            # float32 flux: its pad is the float64 pad's upper half, so it starts out 0
+            flux32 = self._flux.view(np.float32)[pad:]
+            self._cg32 = _CG(weights32, flux32[:pad + size], flux32[pad + size:], inv_diag32,
+                             res32, d32, work32, s32,
+                             None if self.inv_mult is None else self.inv_mult.astype(np.float32))
         # The energy sums each axis' link terms in rows of its extent - 1,
         # the compact layout of the sliced kernels (tests/stencil_reference.py):
         # a BLAS dot groups its terms by position, so the wrap links' zeros
@@ -254,27 +291,38 @@ class _Workspace:
         np.abs(self.resid, out=self.scratch)
         return float(self.scratch.max())
 
-    def _hess_slices(self, s: np.ndarray, out: np.ndarray) -> list:
-        """Per axis, the slices of s, `out` and the shared buffers that
-        `_hess_apply` works on; taken once per Newton step, so that the CG
-        loop makes none."""
+    def _cg64(self) -> _CG:
+        """CG's float64 data; made per step, as `spare` changes hands."""
+        return _CG(self.weights, self._flux, self.scratch, self.inv_diag, self.resid,
+                   self.cg_dir, self.spare, self.step, self.inv_mult)
+
+    def _hess_slices(self, s: np.ndarray, out: np.ndarray, cg: _CG = None) -> tuple:
+        """Per axis, the slices of s, `out` and cg's link weights and flux
+        that `_hess_apply` works on, and cg's divergence scratch (cg: the
+        float64 data by default); taken once per product set-up, so that the
+        CG loop makes none."""
+        cg = cg or self._cg64()
         slices = []
         size, pad = out.size, self.strides[0]
-        for stride, c in zip(self.strides, self.weights):
+        # the flux's tail: no link of axis 0 writes it, and its old contents
+        # may be the other precision's bits; only masked nodes read it
+        cg.flux[size:] = 0.0
+        for stride, c in zip(self.strides, cg.weights):
             # flux[k] is link k - stride: zeros before the first link, which
             # the mirror plane's nodes of a box read (add_divergence)
-            flux = self._flux[pad - stride:pad + size]
+            flux = cg.flux[pad - stride:pad + size]
             slices.append((s[stride:], s[:-stride], flux[stride:size], c[:size - stride],
                            flux[stride:], flux[:size]))
-        return slices
+        return slices, cg.div
 
-    def _hess_apply(self, slices: list, out: np.ndarray) -> None:
+    def _hess_apply(self, slices: tuple, out: np.ndarray) -> None:
         """out = H s per unit volume for the s and out of `_hess_slices`.
 
         The first axis writes every node of `out` outright; the last nodes
         read flux beyond the links, but lie on the end planes along axis 0
         and are zeroed with every other node off the interior."""
-        div, subtract = self.scratch, np.subtract
+        slices, div = slices
+        subtract = np.subtract
         for ax, (s_hi, s_lo, links, c, flux_at, flux_before) in enumerate(slices):
             subtract(s_hi, s_lo, out=links)  # operators.axis_difference, on fixed slices
             links *= c
@@ -285,25 +333,17 @@ class _Workspace:
                 subtract(flux_before, flux_at, out=out)
         out[self.outside_at] = 0.0
 
-    def _jacobi_diagonal(self) -> None:
-        """`inv_diag` = 1 / diag(H) on the interior, 0 elsewhere, for H's link
-        weights in `weights`."""
-        diag = self.inv_diag
+    def _jacobi_diagonal(self, cg: _CG) -> None:
+        """cg's `inv_diag` = 1 / diag(H) on the interior, 0 elsewhere, for
+        H's link weights in cg's `weights`."""
+        diag = cg.inv_diag
         diag.fill(0.0)
-        for s, off, c in zip(self.strides, self.off_links, self.weights):
+        for s, off, c in zip(self.strides, self.off_links, cg.weights):
             c = c[:off.size]
             diag[:s] += c[:s]  # no link before these along the axis
-            diag[s:off.size] += np.add(c[:-s], c[s:], out=self.scratch[:off.size - s])
+            diag[s:off.size] += np.add(c[:-s], c[s:], out=cg.div[:off.size - s])
         np.divide(1.0, diag, out=diag, where=self.inside)
         diag[self.outside_at] = 0.0
-
-    def _jacobi(self, r: np.ndarray, out: np.ndarray) -> None:
-        """out = r / diag(H) on the interior, 0 elsewhere."""
-        np.multiply(r, self.inv_diag, out=out)
-
-    def _exact_1d_weights(self) -> None:
-        """`inv_link` = 1/c for H's link weights c in `weights[0]` (1D)."""
-        np.divide(1.0, self.weights[0][:self.inv_link.size], out=self.inv_link)
 
     def _exact_1d(self, r: np.ndarray, out: np.ndarray) -> None:
         """out = z = H^-1 r in 1D, r being 0 off the interior.  The flux
@@ -322,22 +362,114 @@ class _Workspace:
         out -= out[-1]
         out[self.outside_at] = 0.0
 
+    def _pcg(self, cg: _CG, rtol: float, floor: float) -> tuple:
+        """Preconditioned CG on H s = r in cg's buffers, r being cg's `res`
+        (over the multiplicities on a box) and H its link weights, with the
+        preconditioner refreshed; returns (iterations, last curvature d.Hd).
+        Starts from s = 0 and stops once |r - H s| <= max(rtol |r|, floor) in
+        the 2-norm (weighted by the inverse multiplicities on a box), after
+        one iteration per interior node, or at a curvature that is not
+        positive and finite."""
+        # work holds H d, then (on a box) r over the multiplicities, then the
+        # preconditioned residual z
+        s, res, d, work, inv_mult = cg.s, cg.res, cg.d, cg.work, cg.inv_mult
+        hess_d = self._hess_slices(d, work, cg)
+        s.fill(0.0)
+        # names bound once: each iteration is a few small numpy calls, whose
+        # lookups would cost about as much as the stop test's weighting
+        vdot, multiply, hess = np.vdot, np.multiply, self._hess_apply
+        if cg.inv_diag is None:
+            precondition = self._exact_1d
+        else:
+            inv_diag = cg.inv_diag
+            precondition = lambda r, out: multiply(r, inv_diag, out=out)  # noqa: E731
+        weigh = inv_mult is not None  # on a box, the stop norm is r.(r / mult)
+        weighted = work if weigh else res
+        if weigh:
+            multiply(res, inv_mult, out=work)
+        precondition(res, d)
+        rz = float(vdot(res, d))
+        stop = max(rtol * rtol * float(vdot(res, weighted)), floor * floor)
+        k, most, curv = 0, self.n_interior, math.nan
+        while k < most:
+            k += 1
+            hess(hess_d, work)
+            curv = float(vdot(d, work))
+            if not 0.0 < curv < math.inf:
+                break
+            alpha = rz / curv
+            work *= alpha
+            res -= work
+            multiply(d, alpha, out=work)
+            s += work
+            if weigh:
+                multiply(res, inv_mult, out=work)
+            if float(vdot(res, weighted)) <= stop:
+                break
+            precondition(res, work)
+            rz_next = float(vdot(res, work))
+            d *= rz_next / rz
+            d += work
+            rz = rz_next
+        return k, curv
+
+    def _float32_step(self, reg: float, scale: float, rtol: float):
+        """`newton_step` by float32 CG, into `self.step`; returns (CG
+        iterations, s.Hs), or (iterations, None) when the step must rerun in
+        float64.  H's float64 weights and r are scaled by powers of 2, a and b,
+        that bring their largest entries into [1/2, 1): H's weights must then
+        stay at or above float32's least normal number, which reg bounds
+        from below (reg scale is H's least weight on a link that carries
+        flux).  CG solves (a H) s' = b r, so s = (a / b) s', exactly."""
+        cg, tmp = self._cg32, self.scratch
+        top = max(float(c[:off.size].max()) for c, off in zip(self.weights, self.off_links))
+        sup_r = float(np.abs(self.resid, out=tmp).max())
+        if not (top < math.inf and 0.0 < sup_r < math.inf):
+            return 0, None
+        a, b = math.ldexp(1.0, -math.frexp(top)[1]), math.ldexp(1.0, -math.frexp(sup_r)[1])
+        if not reg * scale * a >= _FLOAT32_TINY:
+            return 0, None
+        for c, c32, off in zip(self.weights, cg.weights, self.off_links):
+            n = off.size
+            np.multiply(c[:n], a, out=tmp[:n])
+            np.copyto(c32[:n], tmp[:n])
+        np.multiply(self.resid, b, out=tmp)
+        if self.mult is not None:
+            tmp *= self.mult
+        np.copyto(cg.res, tmp)
+        self._jacobi_diagonal(cg)
+        k, curv = self._pcg(cg, rtol, self.cg_floor * b)
+        if not 0.0 < curv < math.inf:
+            return k, None
+        step = self.step
+        np.copyto(step, cg.s)
+        step *= a / b
+        self._hess_apply(self._hess_slices(step, self.spare), self.spare)
+        s_hs = float(np.vdot(step, self.spare))
+        r = self.resid
+        if self.mult is not None:
+            r = np.multiply(r, self.mult, out=tmp)
+        r_s = float(np.vdot(r, step))
+        return k, s_hs if 0.0 < s_hs < math.inf and 0.0 < r_s < math.inf else None
+
     def newton_step(self, reg: float, rtol: float) -> tuple:
         """Solve H s = r into `self.step` by preconditioned CG, r being the
-        last `residual()`; returns (CG iterations, r.s).
+        last `residual()`; returns (CG iterations, s.Hs).
 
         H is the Hessian per unit volume at the v of the last `energy` call,
         with reg added to every link weight; the weights are overwritten by
-        H's, and `self.resid` by CG's residual.  On a box, H
-        and r count by the multiplicities, so r.s, d.Hd and r.z are the whole
-        grid's sums, and so is the 2-norm, weighted by their inverses.  H is
-        symmetric positive definite on the interior, so a curvature that is
-        not positive means non-finite input and raises.  CG starts from s = 0
-        and stops once |r - H s| <= rtol |r| in the 2-norm, or after one
-        iteration per interior node.  Every CG iterate s has r.s = s.H s > 0,
-        so it is a descent direction for J.  The preconditioner, chosen in
-        `__init__`, is Jacobi in 2D and 3D and exact in 1D (`_exact_1d`): one
-        iteration solves it.
+        H's.  On a box, H and r count by the multiplicities, so r.s, d.Hd
+        and r.z are the whole grid's sums, and so is the 2-norm, weighted by
+        their inverses.  CG stops once |r - H s| <= max(rtol |r|, cg_floor)
+        in the 2-norm, or after one iteration per interior node.  In 2D and 3D
+        it runs in float32 (`_float32_step`), and reruns in float64 only
+        when that fails, counted in `float64_reruns`; the float64 loop
+        overwrites `self.resid` by CG's residual.  H is symmetric positive
+        definite on the interior, so a float64 curvature that is not
+        positive means non-finite input and raises.  Every exact CG iterate
+        s has r.s = s.H s > 0, so it is a descent direction for J.  The
+        preconditioner is Jacobi in 2D and 3D and exact in 1D
+        (`_exact_1d`): one iteration solves it.
         """
         scale = (self.p - 1.0) / (self.h * self.h)
         for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
@@ -348,48 +480,25 @@ class _Workspace:
                 c += reg
                 np.copyto(c, 0.0, where=off)
             c *= scale
-        refresh, precondition = self._preconditioner
-        refresh(self)
+        k32 = 0
+        if self._cg32 is not None:
+            k32, s_hs = self._float32_step(reg, scale, rtol)
+            if s_hs is not None:
+                return k32, s_hs
+            self.float64_reruns += 1
 
-        # work holds H d, then (on a box) r over the multiplicities, then the
-        # preconditioned residual z
-        s, res, d, work = self.step, self.resid, self.cg_dir, self.spare
-        hess_d = self._hess_slices(d, work)
-        s.fill(0.0)
-        # names bound once: each iteration is a few small numpy calls, whose
-        # lookups would cost about as much as the stop test's weighting
-        vdot, multiply, hess, inv_mult = np.vdot, np.multiply, self._hess_apply, self.inv_mult
-        weigh = inv_mult is not None  # on a box, the stop norm is r.(r / mult)
-        weighted = work if weigh else res
-        if weigh:
-            res *= self.mult
-            multiply(res, inv_mult, out=work)
-        precondition(self, res, d)
-        rz = float(vdot(res, d))
-        stop = rtol * rtol * float(vdot(res, weighted))
-        k, most = 0, self.n_interior
-        while k < most:
-            k += 1
-            hess(hess_d, work)
-            curv = float(vdot(d, work))
-            if not curv > 0.0:
-                raise RuntimeError(f"PCG: curvature {curv!r} is not positive")
-            alpha = rz / curv
-            work *= alpha
-            res -= work
-            multiply(d, alpha, out=work)
-            s += work
-            if weigh:
-                multiply(res, inv_mult, out=work)
-            if float(vdot(res, weighted)) <= stop:
-                break
-            precondition(self, res, work)
-            rz_next = float(vdot(res, work))
-            d *= rz_next / rz
-            d += work
-            rz = rz_next
-        self._hess_apply(self._hess_slices(s, work), work)
-        return k, float(np.vdot(s, work))
+        cg = self._cg64()
+        if cg.inv_diag is None:
+            np.divide(1.0, self.weights[0][:self.inv_link.size], out=self.inv_link)
+        else:
+            self._jacobi_diagonal(cg)
+        if self.mult is not None:
+            np.multiply(cg.res, self.mult, out=cg.res)
+        k, curv = self._pcg(cg, rtol, self.cg_floor)
+        if not 0.0 < curv < math.inf:
+            raise RuntimeError(f"PCG: curvature {curv!r} is not positive and finite")
+        self._hess_apply(self._hess_slices(cg.s, cg.work), cg.work)
+        return k32 + k, float(np.vdot(cg.s, cg.work))
 
 
 def _whole_grid_workspace(prob: EnergyProblem) -> _Workspace:
@@ -445,7 +554,7 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
     cfg = cfg or SolveConfig()
     start = _initial_values(prob)
     axes = mirror_axes(prob.grid, prob.f.values, start)
-    ws = _Workspace(prob, axes)
+    ws = _Workspace(prob, axes, cg_floor=0.5 * cfg.grad_tol)
     u = start[ws.box].reshape(-1)
 
     J_u = ws.energy(u)
@@ -493,6 +602,7 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         backtracks=backtracks,
         final_energy=J_u,
         final_grad_sup=sup_r,
+        float64_reruns=ws.float64_reruns,
         mirror_axes=axes,
     )
     return ScalarField(prob.grid, unfold(axes, u.reshape(ws.interior.shape))), report

@@ -8,6 +8,8 @@ they are backward differences, which land on the nodes a[core].  Each kernel
 allocates its temporaries, as the flat ones do not.
 """
 
+import math
+
 import numpy as np
 
 from pseudoplap.grid import GridSpec, ScalarField, interior_mask, nonexterior_mask
@@ -92,7 +94,8 @@ def apply_nondivergence(u: ScalarField, p: float) -> ScalarField:
 
 
 class Workspace:
-    """The sliced `_Workspace`: energy, residual, Hessian product and Newton step."""
+    """The sliced `_Workspace` on the whole grid: energy, residual, Hessian
+    product and Newton step."""
 
     def __init__(self, prob):
         g = prob.grid
@@ -106,8 +109,8 @@ class Workspace:
         self.off_links = tuple(~m for m in link_masks(g))
         self.v = None
         self.weights = [np.empty(m.shape) for m in self.off_links]
-        self.resid, self.step, self.inv_diag, self.cg_dir, self.spare = (
-            np.zeros(g.node_shape) for _ in range(5))
+        self.resid, self.step = np.zeros(g.node_shape), np.zeros(g.node_shape)
+        self.float64_reruns = 0
 
     def fill_weights(self, v):
         self.v = v
@@ -139,9 +142,9 @@ class Workspace:
         out[self.outside] = 0.0
         return out
 
-    def _hess_apply(self, s, out):
+    def _hess_apply(self, s, out, weights=None):
         out.fill(0.0)
-        for ax, c in enumerate(self.weights):
+        for ax, c in enumerate(self.weights if weights is None else weights):
             _, _, core = axis_slices(out.ndim, ax)
             flux = axis_difference(s, ax)
             flux *= c
@@ -163,39 +166,30 @@ class Workspace:
         out -= out[-1]
         np.copyto(out, 0.0, where=self.outside)
 
-    def newton_step(self, reg, rtol):
-        scale = (self.p - 1.0) / (self.h * self.h)
-        diag = self.inv_diag
-        diag.fill(0.0)
-        for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
+    def _inverse_diagonal(self, weights):
+        diag = np.zeros(self.interior.shape, weights[0].dtype)
+        for ax, c in enumerate(weights):
             lo, hi, core = axis_slices(diag.ndim, ax)
-            c += reg
-            c *= scale
-            np.copyto(c, 0.0, where=off)
             diag[core] += c[lo] + c[hi]
         np.divide(1.0, diag, out=diag, where=self.interior)
         np.copyto(diag, 0.0, where=self.outside)
-        if diag.ndim == 1:  # the exact inverse of H, from its link weights
-            t = 1.0 / self.weights[0]
+        return diag
 
-            def precondition(r, out):
-                self._exact_1d(r, t, out)
-        else:
-            def precondition(r, out):
-                np.multiply(r, diag, out=out)
-
-        s, res, d, work = self.step, self.resid, self.cg_dir, self.spare
-        s.fill(0.0)
+    def _pcg(self, weights, res, precondition, rtol, floor):
+        """CG from s = 0 on H s = res, H of link weights `weights`, in res's
+        dtype; returns (s, iterations, last curvature)."""
+        s, work = np.zeros_like(res), np.empty_like(res)
+        d = np.empty_like(res)
         precondition(res, d)
         rz = float(np.vdot(res, d))
-        stop = rtol * rtol * float(np.vdot(res, res))
-        k = 0
+        stop = max(rtol * rtol * float(np.vdot(res, res)), floor * floor)
+        k, curv = 0, math.nan
         while k < self.n_interior:
             k += 1
-            self._hess_apply(d, work)
+            self._hess_apply(d, work, weights)
             curv = float(np.vdot(d, work))
-            if not curv > 0.0:
-                raise RuntimeError(f"PCG: curvature {curv!r} is not positive")
+            if not 0.0 < curv < math.inf:
+                break
             alpha = rz / curv
             work *= alpha
             res -= work
@@ -208,5 +202,62 @@ class Workspace:
             d *= rz_next / rz
             d += work
             rz = rz_next
+        return s, k, curv
+
+    def _float32_step(self, reg, scale, rtol, floor):
+        """(iterations, s.Hs) of float32 CG on H and r scaled by powers of 2,
+        or (iterations, None) when the step must rerun in float64."""
+        top = max(float(c.max()) for c in self.weights)
+        sup_r = float(np.abs(self.resid).max())
+        if not (top < math.inf and 0.0 < sup_r < math.inf):
+            return 0, None
+        a, b = math.ldexp(1.0, -math.frexp(top)[1]), math.ldexp(1.0, -math.frexp(sup_r)[1])
+        if not reg * scale * a >= float(np.finfo(np.float32).tiny):
+            return 0, None
+        weights = [(c * a).astype(np.float32) for c in self.weights]
+        diag = self._inverse_diagonal(weights)
+        res = (self.resid * b).astype(np.float32)
+        s, k, curv = self._pcg(weights, res, lambda r, out: np.multiply(r, diag, out=out),
+                               rtol, floor * b)
+        if not 0.0 < curv < math.inf:
+            return k, None
+        self.step[...] = s
+        self.step *= a / b
+        hs = np.empty_like(self.step)
+        self._hess_apply(self.step, hs)
+        s_hs, r_s = float(np.vdot(self.step, hs)), float(np.vdot(self.resid, self.step))
+        return k, s_hs if 0.0 < s_hs < math.inf and 0.0 < r_s < math.inf else None
+
+    def newton_step(self, reg, rtol, floor=0.0):
+        """The flat `newton_step` on the whole grid: float32 CG in 2D and 3D,
+        float64 CG (counted in `float64_reruns` there) when that fails, and
+        in 1D, preconditioned by H's exact inverse."""
+        scale = (self.p - 1.0) / (self.h * self.h)
+        for off, c in zip(self.off_links, self.weights):
+            c += reg
+            c *= scale
+            np.copyto(c, 0.0, where=off)
+        k32 = 0
+        if self.interior.ndim > 1:
+            k32, s_hs = self._float32_step(reg, scale, rtol, floor)
+            if s_hs is not None:
+                return k32, s_hs
+            self.float64_reruns += 1
+        if self.interior.ndim == 1:  # the exact inverse of H, from its link weights
+            t = 1.0 / self.weights[0]
+
+            def precondition(r, out):
+                self._exact_1d(r, t, out)
+        else:
+            diag = self._inverse_diagonal(self.weights)
+
+            def precondition(r, out):
+                np.multiply(r, diag, out=out)
+
+        s, k, curv = self._pcg(self.weights, self.resid, precondition, rtol, floor)
+        if not 0.0 < curv < math.inf:
+            raise RuntimeError(f"PCG: curvature {curv!r} is not positive and finite")
+        self.step[...] = s
+        work = np.empty_like(s)
         self._hess_apply(s, work)
-        return k, float(np.vdot(s, work))
+        return k32 + k, float(np.vdot(s, work))

@@ -6,6 +6,7 @@ import gc
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import field_writer_reference
 import jacobi_reference
 import min_eig_reference
 import pair_scan_reference
-from pseudoplap import claims, cli, jets, regularity
+from pseudoplap import claims, cli, jets, regularity, solver
 from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
 from pseudoplap.grid import ScalarField, nonexterior_mask
@@ -246,7 +247,7 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
     ("solve", SOLVE_ALL, "boundary_value = 0.0", "boundary_value = inf",
      "[problem] boundary_value: boundary_value must be finite, got inf"),
     ("solve", SOLVE_ALL.replace("f = constant", "f = gaussian"), "f_sigma = 0.3", "f_sigma = 0",
-     "[problem] f_sigma: f_sigma must be finite and > 0, got 0.0"),
+     "[problem] f_sigma: sigma must be > 0 with 2 sigma^2 a finite normal float, got 0.0"),
     ("verify-lemmas", LEMMAS_ALL, "claims_N = 2", "claims_N = 4",
      "[lemmas] claims_N: N must be 1, 2 or 3, got 4"),
     ("verify-lemmas", LEMMAS_ALL.replace("claims_M = 10.0", "claims_M = 0.5"), "claims_N = 2",
@@ -301,15 +302,16 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
      "[lemmas] barrier_p_list: p must be finite, got inf"),
     ("verify-lemmas", LEMMAS_ALL, "comparison_p = 3.0", "comparison_p = inf",
      "[lemmas] comparison_p: p must be finite, got inf"),
-    # finite values whose f or boundary data is not finite on some node
-    ("solve", SOLVE_2D.replace("f_sigma = 0.3", "f_sigma = 1e-170"), "f = constant",
-     "f = gaussian", "[problem] f: right-hand side not finite on all interior nodes"),
-    ("solve", SOLVE_2D.replace("f_value = 1.0", "f_value = 1e308"), "f = constant",
-     "f = separable", "[problem] f: right-hand side not finite on all interior nodes"),
+    # finite values whose f or boundary data would not be finite on some node
+    ("solve", SOLVE_2D.replace("f = constant", "f = gaussian"), "f_sigma = 0.3",
+     "f_sigma = 1e-170",
+     "[problem] f_sigma: sigma must be > 0 with 2 sigma^2 a finite normal float, got 1e-170"),
+    ("solve", SOLVE_2D.replace("f = constant", "f = separable"), "f_value = 1.0",
+     "f_value = 1e308", "[problem] f_value: c = 1e+308 is too large: ((p-1) c)^(1/(p-1)) overflows"),
     ("solve", SOLVE_2D.replace("nodes = 33", "nodes = 33\nshape = cube").replace(
-        "boundary_value = 0.0", "boundary_value = 1e308"), "boundary = zero",
-     "boundary = separable_trace",
-     "[problem] boundary: boundary data must be finite on every boundary node"),
+        "boundary = zero", "boundary = separable_trace"), "boundary_value = 0.0",
+     "boundary_value = 1e308",
+     "[problem] boundary_value: c = 1e+308 is too large: ((p-1) c)^(1/(p-1)) overflows"),
 ], ids=["reg-p", "conv-p", "conv-even-nodes", "conv-one-node-count", "conv-no-node-count",
         "conv-decreasing-nodes", "conv-negative-order", "conv-nan-order", "solve-dimension",
         "solve-nan-f", "solve-inf-boundary", "solve-zero-sigma", "lemmas-claims-N",
@@ -382,6 +384,32 @@ def test_solve_roundtrip_and_exit_zero(tmp_path, capsys):
         report = list(csv.DictReader(fh.readlines()[1:]))[0]
     assert report["reason"] == "converged" and int(report["inner_iterations"]) > 0
     assert report["mirror_axes"] == "0"  # f = 1 and zero data on n = 2^5 + 1: the half line
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("solve", SOLVE_2D.replace("f_value = 1.0", "f_value = 1e300")),
+    ("measure-regularity", REGULARITY_33.format(max_iters=1000, lambdas="1e150")),
+    ("measure-regularity", REGULARITY_33.format(max_iters=1000, lambdas="1e-150")),
+], ids=["solve-f-1e300", "reg-lambda-1e150", "reg-lambda-1e-150"])
+def test_overflowing_solve_fails_fast(tmp_path, monkeypatch, subcommand, text):
+    # data that overflow the first Newton step (f = 1e300, or f and grad_tol
+    # scaled by lambda^(p-1) = 1e300 or 1e-300) must end in a failure,
+    # within seconds: no Newton step, float32 or float64, may run CG to its
+    # cap of one iteration per interior node
+    capped = []
+    real = solver._Workspace._pcg
+
+    def pcg(ws, cg, rtol, floor):
+        k, curv = real(ws, cg, rtol, floor)
+        capped.append(k >= ws.n_interior)
+        return k, curv
+
+    monkeypatch.setattr(solver._Workspace, "_pcg", pcg)
+    path = write(tmp_path, "big.ini", text)
+    start = time.perf_counter()
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) in (1, 3)
+    assert capped and not any(capped)
+    assert time.perf_counter() - start < 20.0
 
 
 def test_solve_constant_boundary_without_source_is_that_constant(tmp_path):
@@ -611,7 +639,8 @@ def _flat_unconverged_solve(prob, cfg):
     u = ScalarField(prob.grid, np.where(nonexterior_mask(prob.grid), 0.0, np.nan))
     return u, SolveReport(converged=False, reason="max_iters", iterations=cfg.max_iters,
                           inner_iterations=0, backtracks=0, final_energy=0.0,
-                          final_grad_sup=float("inf"), mirror_axes=())
+                          final_grad_sup=float("inf"), float64_reruns=0,
+                          mirror_axes=())
 
 
 def test_regularity_zero_base_ratio_fails_check(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from pseudoplap.manufactured import (
     closed_form_1d,
+    gaussian_field,
     make_boundary,
     make_f_field,
     separable_reference,
@@ -32,6 +33,19 @@ def test_separable_reference_rhs():
     trace = separable_trace(3.0)
     pts = np.array([[1.0, 0.3], [0.5, 1.0]])
     assert np.allclose(trace(pts), u_star(pts))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.3, 1e-170, 1e-300, 1e160, float("inf"), float("nan")])
+def test_gaussian_rejects_sigma_whose_variance_is_not_normal(sigma):
+    # 2 sigma^2 must be a finite normal float: at 1e-170 it underflows, and
+    # the centre node's exp(-0/0) would be NaN behind two numpy warnings
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="sigma"):
+        gaussian_field(GridSpec(2, 9), sigma=sigma)
+
+
+def test_closed_form_rejects_c_whose_amplitude_overflows():
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="c = 1e"):
+        closed_form_1d(3.0, 1e308)
 
 
 def test_presets_reject_unknown():

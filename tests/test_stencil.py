@@ -48,6 +48,7 @@ def test_workspace_matches_sliced_reference(dim, shape, nodes, p):
     # product with the Hessian's weights it left behind
     got, want = ws.newton_step(1e-3, 0.1), ref.newton_step(1e-3, 0.1)
     assert got == want
+    assert ws.float64_reruns == ref.float64_reruns == 0  # float32 CG in 2D and 3D
     assert_bitwise(ws.step.reshape(prob.grid.node_shape), ref.step)
     s = np.random.default_rng(5).standard_normal(prob.grid.node_shape)
     # out starts as NaN, so a node that the product leaves unwritten shows
@@ -116,3 +117,60 @@ def test_newton_step_allocates_no_node_array():
             tracemalloc.stop()
         assert iterations >= min_iterations
         assert peak - before < 8 * u.size
+
+
+def float64_residual_gap(ws, r):
+    """|r - H s|, |r| and |H| |s| in the 2-norm, in float64, for the step and
+    the Hessian's weights that `newton_step` left behind; |H| <= 2 diag(H)."""
+    hs = np.empty(r.size)
+    ws._hess_apply(ws._hess_slices(ws.step, hs), hs)
+    h_norm = 2.0 * 2 * len(ws.weights) * max(float(c[:off.size].max())
+                                             for c, off in zip(ws.weights, ws.off_links))
+    return (float(np.linalg.norm(r - hs)), float(np.linalg.norm(r)),
+            h_norm * float(np.linalg.norm(ws.step)))
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+@pytest.mark.parametrize("p", P_LIST)
+@pytest.mark.parametrize("dim, nodes", [(2, 35), (3, 19)])
+def test_float32_step_meets_its_tolerance_in_float64(dim, nodes, p, floor):
+    # the float32 step solves H s = r to rtol |r| (or to the absolute floor,
+    # here a share of |r|) when r - H s is measured in float64, up to
+    # float32's rounding: of H's weights and r once, and of each iteration
+    prob, u = random_problem(dim, nodes, "ball", p)
+    ws = _Workspace(prob)
+    ws.energy(u)
+    r = ws.residual().reshape(-1).copy()
+    ws.cg_floor = floor * float(np.linalg.norm(r))
+    rtol = 1e-2
+    iterations, s_hs = ws.newton_step(1e-3, rtol)
+    assert ws.float64_reruns == 0 and 1 <= iterations < ws.n_interior
+    gap, r_norm, hs_bound = float64_residual_gap(ws, r)
+    eps32 = float(np.finfo(np.float32).eps)
+    assert gap <= max(rtol * r_norm, ws.cg_floor) + iterations * eps32 * (r_norm + hs_bound)
+    # the rounding allowance is far below the tolerance itself
+    assert iterations * eps32 * (r_norm + hs_bound) < 0.1 * rtol * r_norm
+    assert s_hs == pytest.approx(float(np.vdot(r, ws.step)), rel=1e-3)
+
+
+def test_step_beyond_float32_range_reruns_in_float64():
+    # with u of order 1e12 at p = 5.7, H's weights |D u|^3.7 reach 1e50 while
+    # reg keeps its least ones near 1e-9: no power of 2 brings both into
+    # float32's normal range, so the step takes the float64 loop, bit for
+    # bit as the sliced one, and is counted
+    prob, u = random_problem(2, 19, "ball", 5.7)
+    u *= 1e12
+    ws, ref = _Workspace(prob), stencil_reference.Workspace(prob)
+    ws.energy(u)
+    ref.energy(u)
+    ws.residual()
+    ref.residual()
+    got, want = ws.newton_step(1e-12, 0.1), ref.newton_step(1e-12, 0.1)
+    assert ws.float64_reruns == ref.float64_reruns == 1
+    assert got == want
+    assert_bitwise(ws.step.reshape(prob.grid.node_shape), ref.step)
+    # the same weights scaled down fit float32, and its step is not the float64 one
+    ws.energy(u * 1e-12)
+    ws.residual()
+    ws.newton_step(1e-3, 0.1)
+    assert ws.float64_reruns == 1
