@@ -158,7 +158,7 @@ class _Workspace:
       diagonal, for `_jacobi`; in 1D the link arrays `inv_link` and `flow`
       of `_exact_1d`.
 
-    In 2D and 3D the float32 CG's buffers (`_cg32`) are views into the
+    In 2D and 3D the float32 CG's buffers (`_cg32()`) are views into the
     float64 ones that it leaves idle: the two halves of `step`, `cg_dir`,
     `inv_diag` and `scratch`, and the two of the padded `flux`.  `scratch`
     carries only CG's step and H d, which are first written once the scaled
@@ -208,7 +208,7 @@ class _Workspace:
         self.flux = self._flux[pad:]
         self.scratch, self.resid = np.empty(size), np.empty(size)
         self.step, self.cg_dir, self.spare = (np.zeros(size) for _ in range(3))
-        self._cg32 = None
+        self.inv_mult32 = None if self.inv_mult is None else self.inv_mult.astype(np.float32)
         if g.dimension == 1:  # _exact_1d: every link on, interior nodes 0 (box) or 1 .. size - 2
             assert not self.off_links[0].any() and np.array_equal(
                 np.flatnonzero(self.inside), np.arange(0 if axes else 1, size - 1)), "1D grid"
@@ -216,15 +216,6 @@ class _Workspace:
             self.inv_diag = None
         else:
             self.inv_diag = np.zeros(size)
-            halves = [h for a in (self.step, self.cg_dir, self.inv_diag)
-                      for h in (a.view(np.float32)[:size], a.view(np.float32)[size:])]
-            weights32, (inv_diag32, res32, d32) = halves[:g.dimension], halves[g.dimension:][:3]
-            s32, work32 = self.scratch.view(np.float32)[:size], self.scratch.view(np.float32)[size:]
-            # float32 flux: its pad is the float64 pad's upper half, so it starts out 0
-            flux32 = self._flux.view(np.float32)[pad:]
-            self._cg32 = _CG(weights32, flux32[:pad + size], flux32[pad + size:], inv_diag32,
-                             res32, d32, work32, s32,
-                             None if self.inv_mult is None else self.inv_mult.astype(np.float32))
         # The energy sums each axis' link terms in rows of its extent - 1,
         # the compact layout of the sliced kernels (tests/stencil_reference.py):
         # a BLAS dot groups its terms by position, so the wrap links' zeros
@@ -290,6 +281,17 @@ class _Workspace:
         self.residual()
         np.abs(self.resid, out=self.scratch)
         return float(self.scratch.max())
+
+    def _cg32(self) -> _CG:
+        """CG's float32 data (class docstring), made per step like `_cg64`'s."""
+        size, pad, n = self.inside.size, self.strides[0], len(self.weights)
+        halves = [a.view(np.float32)[i * size:(i + 1) * size]
+                  for a in (self.step, self.cg_dir, self.inv_diag) for i in (0, 1)]
+        s32, work32 = (self.scratch.view(np.float32)[i * size:(i + 1) * size] for i in (0, 1))
+        # its padded flux starts at the float64 pad's upper half, which stays 0
+        flux32 = self._flux.view(np.float32)[pad:]
+        return _CG(tuple(halves[:n]), flux32[:pad + size], flux32[pad + size:], *halves[n:n + 3],
+                   work32, s32, self.inv_mult32)
 
     def _cg64(self) -> _CG:
         """CG's float64 data; made per step, as `spare` changes hands."""
@@ -378,16 +380,15 @@ class _Workspace:
         # names bound once: each iteration is a few small numpy calls, whose
         # lookups would cost about as much as the stop test's weighting
         vdot, multiply, hess = np.vdot, np.multiply, self._hess_apply
-        if cg.inv_diag is None:
-            precondition = self._exact_1d
-        else:
-            inv_diag = cg.inv_diag
-            precondition = lambda r, out: multiply(r, inv_diag, out=out)  # noqa: E731
+        inv_diag, exact = cg.inv_diag, self._exact_1d  # Jacobi, or in 1D (no inv_diag) exact
         weigh = inv_mult is not None  # on a box, the stop norm is r.(r / mult)
         weighted = work if weigh else res
         if weigh:
             multiply(res, inv_mult, out=work)
-        precondition(res, d)
+        if inv_diag is None:
+            exact(res, d)
+        else:
+            multiply(res, inv_diag, out=d)
         rz = float(vdot(res, d))
         stop = max(rtol * rtol * float(vdot(res, weighted)), floor * floor)
         k, most, curv = 0, self.n_interior, math.nan
@@ -406,29 +407,33 @@ class _Workspace:
                 multiply(res, inv_mult, out=work)
             if float(vdot(res, weighted)) <= stop:
                 break
-            precondition(res, work)
+            if inv_diag is None:
+                exact(res, work)
+            else:
+                multiply(res, inv_diag, out=work)
             rz_next = float(vdot(res, work))
             d *= rz_next / rz
             d += work
             rz = rz_next
         return k, curv
 
-    def _float32_step(self, reg: float, scale: float, rtol: float):
-        """`newton_step` by float32 CG, into `self.step`; returns (CG
-        iterations, s.Hs), or (iterations, None) when the step must rerun in
-        float64.  H's float64 weights and r are scaled by powers of 2, a and b,
+    def _float32_step(self, reg: float, scale: float, rtol: float) -> tuple:
+        """`newton_step`'s CG in float32, its step written into `self.step`;
+        returns (CG iterations, whether it wrote one).  It writes none when
+        the data do not fit float32 or a curvature is not positive and
+        finite.  H's float64 weights and r are scaled by powers of 2, a and b,
         that bring their largest entries into [1/2, 1): H's weights must then
         stay at or above float32's least normal number, which reg bounds
         from below (reg scale is H's least weight on a link that carries
         flux).  CG solves (a H) s' = b r, so s = (a / b) s', exactly."""
-        cg, tmp = self._cg32, self.scratch
+        cg, tmp = self._cg32(), self.scratch
         top = max(float(c[:off.size].max()) for c, off in zip(self.weights, self.off_links))
         sup_r = float(np.abs(self.resid, out=tmp).max())
         if not (top < math.inf and 0.0 < sup_r < math.inf):
-            return 0, None
+            return 0, False
         a, b = math.ldexp(1.0, -math.frexp(top)[1]), math.ldexp(1.0, -math.frexp(sup_r)[1])
         if not reg * scale * a >= _FLOAT32_TINY:
-            return 0, None
+            return 0, False
         for c, c32, off in zip(self.weights, cg.weights, self.off_links):
             n = off.size
             np.multiply(c[:n], a, out=tmp[:n])
@@ -440,17 +445,22 @@ class _Workspace:
         self._jacobi_diagonal(cg)
         k, curv = self._pcg(cg, rtol, self.cg_floor * b)
         if not 0.0 < curv < math.inf:
-            return k, None
-        step = self.step
-        np.copyto(step, cg.s)
-        step *= a / b
-        self._hess_apply(self._hess_slices(step, self.spare), self.spare)
-        s_hs = float(np.vdot(step, self.spare))
-        r = self.resid
-        if self.mult is not None:
-            r = np.multiply(r, self.mult, out=tmp)
-        r_s = float(np.vdot(r, step))
-        return k, s_hs if 0.0 < s_hs < math.inf and 0.0 < r_s < math.inf else None
+            return k, False
+        np.copyto(self.step, cg.s)
+        self.step *= a / b
+        return k, True
+
+    def _hessian_weights(self, reg: float, scale: float) -> None:
+        """Turns the weights into H's: (w + reg) scale on each link that
+        carries flux, times its multiplicity on a box, and 0 on the others."""
+        for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
+            c = c[:off.size]
+            if self.link_mult is not None:  # 0 on the off links
+                c += np.multiply(self.link_mult[ax], reg, out=self.scratch[:off.size])
+            else:
+                c += reg
+                np.copyto(c, 0.0, where=off)
+            c *= scale
 
     def newton_step(self, reg: float, rtol: float) -> tuple:
         """Solve H s = r into `self.step` by preconditioned CG, r being the
@@ -472,19 +482,18 @@ class _Workspace:
         (`_exact_1d`): one iteration solves it.
         """
         scale = (self.p - 1.0) / (self.h * self.h)
-        for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
-            c = c[:off.size]
-            if self.link_mult is not None:  # 0 on the off links
-                c += np.multiply(self.link_mult[ax], reg, out=self.scratch[:off.size])
-            else:
-                c += reg
-                np.copyto(c, 0.0, where=off)
-            c *= scale
+        self._hessian_weights(reg, scale)
         k32 = 0
-        if self._cg32 is not None:
-            k32, s_hs = self._float32_step(reg, scale, rtol)
-            if s_hs is not None:
-                return k32, s_hs
+        if self.inv_diag is not None:  # 2D and 3D
+            k32, stepped = self._float32_step(reg, scale, rtol)
+            if stepped:  # certified by s.Hs and r.s, from the float64 step and H
+                step, hs, r = self.step, self.spare, self.resid
+                self._hess_apply(self._hess_slices(step, hs), hs)
+                s_hs = float(np.vdot(step, hs))
+                if self.mult is not None:
+                    r = np.multiply(r, self.mult, out=self.scratch)
+                if 0.0 < s_hs < math.inf and 0.0 < float(np.vdot(r, step)) < math.inf:
+                    return k32, s_hs
             self.float64_reruns += 1
 
         cg = self._cg64()
