@@ -79,8 +79,8 @@ def _build_problem(cfg: RawConfig, grid: GridSpec) -> EnergyProblem:
     preset = cfg.get("problem", "f", "constant")
     value = cfg.get_float("problem", "f_value", 1.0, valid=np.isfinite,
                           rule="f_value must be finite")
-    sigma = cfg.get_float("problem", "f_sigma", 0.3,
-                          valid=lambda s: _checked(cfg, "problem", "f_sigma", check_sigma, s) is None)
+    sigma = cfg.get_float("problem", "f_sigma", 0.3, valid=lambda sigma: _checked(
+        cfg, "problem", "f_sigma", check_sigma, sigma) is None)
     f = _checked(cfg, "problem", "f_value" if preset == "separable" else "f", make_f_field,
                  grid, preset, value=value, p=p, sigma=sigma)
     bpreset = cfg.get("problem", "boundary", "zero")

@@ -155,7 +155,7 @@ class _Workspace:
       `spare`, which holds H d and then the preconditioned residual and,
       between Newton steps, serves the line search as its trial point;
     * the preconditioner's data: in 2D and 3D `inv_diag`, the inverse of H's
-      diagonal, for `_jacobi`; in 1D the link arrays `inv_link` and `flow`
+      diagonal, for Jacobi preconditioning; in 1D the link arrays `inv_link` and `flow`
       of `_exact_1d`.
 
     In 2D and 3D the float32 CG's buffers (`_cg32()`) are views into the

@@ -307,7 +307,8 @@ def test_key_of_another_subcommand_exit_2(tmp_path, no_work, capsys, subcommand,
      "f_sigma = 1e-170",
      "[problem] f_sigma: sigma must be > 0 with 2 sigma^2 a finite normal float, got 1e-170"),
     ("solve", SOLVE_2D.replace("f = constant", "f = separable"), "f_value = 1.0",
-     "f_value = 1e308", "[problem] f_value: c = 1e+308 is too large: ((p-1) c)^(1/(p-1)) overflows"),
+     "f_value = 1e308",
+     "[problem] f_value: c = 1e+308 is too large: ((p-1) c)^(1/(p-1)) overflows"),
     ("solve", SOLVE_2D.replace("nodes = 33", "nodes = 33\nshape = cube").replace(
         "boundary = zero", "boundary = separable_trace"), "boundary_value = 0.0",
      "boundary_value = 1e308",
