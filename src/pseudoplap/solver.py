@@ -26,11 +26,11 @@ inverse, so that each Newton step takes one CG iteration.
 
 In 2D and 3D, CG runs in float32 on copies of H's link weights and of r,
 each scaled by a power of 2 so that its largest entry is near 1; the step
-is scaled back into float64.  Everything that certifies the solve stays
-float64: the energy, the residual, the Armijo test, the slope s.Hs and the
-check r.s > 0 (both from the float64 step and H), the curvature guard and
-the stop rule sup|r| <= grad_tol.  A step reruns through the same CG loop
-in float64, and is counted in `SolveReport.float64_reruns`, when H's
+is scaled back into float64 and certified there before it is returned: its
+slope s.Hs and the check r.s > 0 come from the float64 step and H.  The
+energy, the residual, the Armijo test, the curvature guard and the stop
+rule sup|r| <= grad_tol stay float64 too.  A step reruns through the same
+CG loop in float64, counted in `SolveReport.float64_reruns`, when H's
 weights do not fit float32's normal range, or when a float32 curvature, the
 float64 r.s or s.Hs is not positive and finite.  1D steps are float64.
 The step is taken with Armijo backtracking on J from unit step.
@@ -151,26 +151,31 @@ class _Workspace:
     * `scratch`: one more, for divergences, the energy's row gathers and the
       f-term;
     * `resid`: the last `residual()`, and the float64 CG's residual;
-    * `step`, `cg_dir`, `spare`: the Newton step, CG's search direction, and
-      `spare`, which holds H d and then the preconditioned residual and,
-      between Newton steps, serves the line search as its trial point;
+    * `step`, `cg_dir`: the Newton step and CG's search direction;
+    * `spare`: the float64 CG's H d and preconditioned residual, then H s
+      for the step's s.Hs, and between Newton steps the line search's trial
+      point;
     * the preconditioner's data: in 2D and 3D `inv_diag`, the inverse of H's
       diagonal, for Jacobi preconditioning; in 1D the link arrays `inv_link` and `flow`
       of `_exact_1d`.
 
-    In 2D and 3D the float32 CG's buffers (`_cg32()`) are views into the
-    float64 ones that it leaves idle: the two halves of `step`, `cg_dir`,
-    `inv_diag` and `scratch`, and the two of the padded `flux`.  `scratch`
-    carries only CG's step and H d, which are first written once the scaled
-    weights and residual have passed through it; `step` only data that is
-    dead before the float32 step is copied into it.  So float32 CG costs no
-    memory.  `resid`, the float64 weights and `spare` are never shared.
+    Each buffer keeps that role, and CG's data in each precision are fixed
+    here: `cg64` names the float64 buffers, and in 2D and 3D `cg32` the
+    float32 halves of those that the float32 loop leaves idle.  `step`,
+    `cg_dir`, `inv_diag` and `scratch` are the four rows of one block; its
+    eight float32 rows hold H's weights (one per axis), then `inv_diag`,
+    `res` and `d`, and in row 6 CG's step `s`, in row 7 `work`.  The padded
+    `flux` holds the float32 flux and divergence scratch.  `scratch` carries
+    only `s` and `work`, first written once the scaled weights and residual
+    have passed through it, and `step` only data that are dead before the
+    float32 step is copied into it.  So float32 CG costs no memory.
+    `resid`, the float64 weights and `spare` are never shared.
 
     `outside_at` holds the flat indices of the nodes off the interior, which
-    every kernel zeroes, and on a box `inv_mult` the inverse multiplicities.
-    On the whole grid (no axis) the multiplicities are 1: `mult`,
-    `link_mult` and `inv_mult` are None, and no array of them is made or
-    applied.
+    every kernel zeroes, and on a box `inv_mult` the inverse multiplicities
+    (`cg32` has their float32 copy).  On the whole grid (no axis) the
+    multiplicities are 1: `mult`, `link_mult` and `inv_mult` are None, and
+    no array of them is made or applied.
 
     `residual()` reuses the weights, and `newton_step` turns them into the
     Hessian's, so the power is taken once per evaluated field.  Everything
@@ -206,16 +211,22 @@ class _Workspace:
         self._flux = np.empty(pad + size)
         self._flux[:pad] = 0.0  # the flux before the first link; never written again
         self.flux = self._flux[pad:]
-        self.scratch, self.resid = np.empty(size), np.empty(size)
-        self.step, self.cg_dir, self.spare = (np.zeros(size) for _ in range(3))
-        self.inv_mult32 = None if self.inv_mult is None else self.inv_mult.astype(np.float32)
+        self.resid, self.spare = np.empty(size), np.zeros(size)
+        block = np.zeros((4 if g.dimension > 1 else 3, size))
+        self.step, self.cg_dir, self.scratch = block[0], block[1], block[-1]
+        self.inv_diag = self.cg32 = None
         if g.dimension == 1:  # _exact_1d: every link on, interior nodes 0 (box) or 1 .. size - 2
             assert not self.off_links[0].any() and np.array_equal(
                 np.flatnonzero(self.inside), np.arange(0 if axes else 1, size - 1)), "1D grid"
             self.flow, self.inv_link = np.empty((2, size - 1))
-            self.inv_diag = None
-        else:
-            self.inv_diag = np.zeros(size)
+        else:  # the float32 CG in the halves of block's rows and of the padded flux
+            self.inv_diag, rows = block[2], block.view(np.float32).reshape(8, size)
+            flux32, n = self._flux.view(np.float32)[pad:], len(self.weights)  # pad's top half: 0
+            self.cg32 = _CG(tuple(rows[:n]), flux32[:pad + size], flux32[pad + size:],
+                            *rows[n:n + 3], rows[7], rows[6],
+                            None if self.inv_mult is None else self.inv_mult.astype(np.float32))
+        self.cg64 = _CG(self.weights, self._flux, self.scratch, self.inv_diag, self.resid,
+                        self.cg_dir, self.spare, self.step, self.inv_mult)
         # The energy sums each axis' link terms in rows of its extent - 1,
         # the compact layout of the sliced kernels (tests/stencil_reference.py):
         # a BLAS dot groups its terms by position, so the wrap links' zeros
@@ -282,28 +293,12 @@ class _Workspace:
         np.abs(self.resid, out=self.scratch)
         return float(self.scratch.max())
 
-    def _cg32(self) -> _CG:
-        """CG's float32 data (class docstring), made per step like `_cg64`'s."""
-        size, pad, n = self.inside.size, self.strides[0], len(self.weights)
-        halves = [a.view(np.float32)[i * size:(i + 1) * size]
-                  for a in (self.step, self.cg_dir, self.inv_diag) for i in (0, 1)]
-        s32, work32 = (self.scratch.view(np.float32)[i * size:(i + 1) * size] for i in (0, 1))
-        # its padded flux starts at the float64 pad's upper half, which stays 0
-        flux32 = self._flux.view(np.float32)[pad:]
-        return _CG(tuple(halves[:n]), flux32[:pad + size], flux32[pad + size:], *halves[n:n + 3],
-                   work32, s32, self.inv_mult32)
-
-    def _cg64(self) -> _CG:
-        """CG's float64 data; made per step, as `spare` changes hands."""
-        return _CG(self.weights, self._flux, self.scratch, self.inv_diag, self.resid,
-                   self.cg_dir, self.spare, self.step, self.inv_mult)
-
     def _hess_slices(self, s: np.ndarray, out: np.ndarray, cg: _CG = None) -> tuple:
         """Per axis, the slices of s, `out` and cg's link weights and flux
         that `_hess_apply` works on, and cg's divergence scratch (cg: the
         float64 data by default); taken once per product set-up, so that the
         CG loop makes none."""
-        cg = cg or self._cg64()
+        cg = cg or self.cg64
         slices = []
         size, pad = out.size, self.strides[0]
         # the flux's tail: no link of axis 0 writes it, and its old contents
@@ -372,6 +367,10 @@ class _Workspace:
         the 2-norm (weighted by the inverse multiplicities on a box), after
         one iteration per interior node, or at a curvature that is not
         positive and finite."""
+        if cg.inv_diag is None:
+            np.divide(1.0, cg.weights[0][:self.inv_link.size], out=self.inv_link)
+        else:
+            self._jacobi_diagonal(cg)
         # work holds H d, then (on a box) r over the multiplicities, then the
         # preconditioned residual z
         s, res, d, work, inv_mult = cg.s, cg.res, cg.d, cg.work, cg.inv_mult
@@ -419,21 +418,23 @@ class _Workspace:
 
     def _float32_step(self, reg: float, scale: float, rtol: float) -> tuple:
         """`newton_step`'s CG in float32, its step written into `self.step`;
-        returns (CG iterations, whether it wrote one).  It writes none when
-        the data do not fit float32 or a curvature is not positive and
-        finite.  H's float64 weights and r are scaled by powers of 2, a and b,
-        that bring their largest entries into [1/2, 1): H's weights must then
-        stay at or above float32's least normal number, which reg bounds
-        from below (reg scale is H's least weight on a link that carries
-        flux).  CG solves (a H) s' = b r, so s = (a / b) s', exactly."""
-        cg, tmp = self._cg32(), self.scratch
+        returns (CG iterations, s.Hs), or (CG iterations, None) when the step
+        must rerun in float64: when the data do not fit float32, when a
+        curvature is not positive and finite, or when the float64 s.Hs or r.s
+        of the float64 step is not.  H's float64 weights and r are scaled by
+        powers of 2, a and b, that bring their largest entries into [1/2, 1):
+        H's weights must then stay at or above float32's least normal number,
+        which reg bounds from below (reg scale is H's least weight on a link
+        that carries flux).  CG solves (a H) s' = b r, so s = (a / b) s',
+        exactly."""
+        cg, tmp = self.cg32, self.scratch
         top = max(float(c[:off.size].max()) for c, off in zip(self.weights, self.off_links))
         sup_r = float(np.abs(self.resid, out=tmp).max())
         if not (top < math.inf and 0.0 < sup_r < math.inf):
-            return 0, False
+            return 0, None
         a, b = math.ldexp(1.0, -math.frexp(top)[1]), math.ldexp(1.0, -math.frexp(sup_r)[1])
         if not reg * scale * a >= _FLOAT32_TINY:
-            return 0, False
+            return 0, None
         for c, c32, off in zip(self.weights, cg.weights, self.off_links):
             n = off.size
             np.multiply(c[:n], a, out=tmp[:n])
@@ -442,13 +443,21 @@ class _Workspace:
         if self.mult is not None:
             tmp *= self.mult
         np.copyto(cg.res, tmp)
-        self._jacobi_diagonal(cg)
         k, curv = self._pcg(cg, rtol, self.cg_floor * b)
         if not 0.0 < curv < math.inf:
-            return k, False
+            return k, None
         np.copyto(self.step, cg.s)
         self.step *= a / b
-        return k, True
+        r = self.resid if self.mult is None else np.multiply(self.resid, self.mult, out=tmp)
+        r_s, s_hs = float(np.vdot(r, self.step)), self._step_curvature()
+        return k, s_hs if 0.0 < s_hs < math.inf and 0.0 < r_s < math.inf else None
+
+    def _step_curvature(self) -> float:
+        """s.Hs in float64 for the step s in `self.step` and H's weights,
+        H s written into `self.spare`."""
+        step, hs = self.step, self.spare
+        self._hess_apply(self._hess_slices(step, hs), hs)
+        return float(np.vdot(step, hs))
 
     def _hessian_weights(self, reg: float, scale: float) -> None:
         """Turns the weights into H's: (w + reg) scale on each link that
@@ -484,30 +493,17 @@ class _Workspace:
         scale = (self.p - 1.0) / (self.h * self.h)
         self._hessian_weights(reg, scale)
         k32 = 0
-        if self.inv_diag is not None:  # 2D and 3D
-            k32, stepped = self._float32_step(reg, scale, rtol)
-            if stepped:  # certified by s.Hs and r.s, from the float64 step and H
-                step, hs, r = self.step, self.spare, self.resid
-                self._hess_apply(self._hess_slices(step, hs), hs)
-                s_hs = float(np.vdot(step, hs))
-                if self.mult is not None:
-                    r = np.multiply(r, self.mult, out=self.scratch)
-                if 0.0 < s_hs < math.inf and 0.0 < float(np.vdot(r, step)) < math.inf:
-                    return k32, s_hs
+        if self.cg32 is not None:  # 2D and 3D
+            k32, s_hs = self._float32_step(reg, scale, rtol)
+            if s_hs is not None:
+                return k32, s_hs
             self.float64_reruns += 1
-
-        cg = self._cg64()
-        if cg.inv_diag is None:
-            np.divide(1.0, self.weights[0][:self.inv_link.size], out=self.inv_link)
-        else:
-            self._jacobi_diagonal(cg)
         if self.mult is not None:
-            np.multiply(cg.res, self.mult, out=cg.res)
-        k, curv = self._pcg(cg, rtol, self.cg_floor)
+            self.resid *= self.mult
+        k, curv = self._pcg(self.cg64, rtol, self.cg_floor)
         if not 0.0 < curv < math.inf:
             raise RuntimeError(f"PCG: curvature {curv!r} is not positive and finite")
-        self._hess_apply(self._hess_slices(cg.s, cg.work), cg.work)
-        return k32 + k, float(np.vdot(cg.s, cg.work))
+        return k32 + k, self._step_curvature()
 
 
 def _whole_grid_workspace(prob: EnergyProblem) -> _Workspace:
@@ -578,7 +574,7 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         cg_iters, r_dot_s = ws.newton_step(min(max(sup_r, 1e-12), 1e-2), min(0.5, np.sqrt(sup_r)))
         inner += cg_iters
         slope = -ws.hN * r_dot_s  # <grad J, s>, negative
-        z = ws.spare  # the trial point; swapped with u when accepted
+        z = ws.spare  # the trial point; copied into u when accepted
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             np.multiply(ws.step, alpha, out=z)
@@ -598,7 +594,7 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
         if J_u - J_z <= slack and not sup_z < sup_r:
             reason = "stalled"  # no progress above rounding level: keep u
             break
-        u, ws.spare = z, u
+        np.copyto(u, z)
         J_u, sup_r = J_z, sup_z
         if sup_r <= cfg.grad_tol:
             reason = "converged"
