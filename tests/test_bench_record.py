@@ -79,3 +79,38 @@ def test_paired_summary_rejects_unpaired_runs():
         bench_record.paired_summary([result(0.1, 1.0)], [], {})
     with pytest.raises(ValueError, match="as many"):
         bench_record.paired_summary([], [], {})
+
+
+def test_paired_summary_gives_the_no_regression_verdict_within_the_bound():
+    # bound 0.25 of the parent's median 0.40: a change median of 0.49 is
+    # within it, 0.51 is not; the parent's spread, 0.05, is narrower
+    parent = [result(w, 50.0) for w in (0.38, 0.40, 0.43, 0.39, 0.42)]
+    bounds = {"wall_s": 0.25, "peak_rss_mb": 0.1}
+    for change_median, within in ((0.49, True), (0.51, False)):
+        change = [result(change_median + d, 50.0) for d in (-0.01, 0.0, 0.01, 0.0, 0.02)]
+        wall = bench_record.paired_summary(parent, change, {}, bounds)["metrics"]["wall_s"]
+        assert wall["bound"] == 0.25
+        assert wall["within_bound"] is within and wall["unresolved"] is False
+    # a metric without a bound gets no verdict
+    summary = bench_record.paired_summary(parent, parent, {}, {"wall_s": 0.25})
+    assert "within_bound" not in summary["metrics"]["peak_rss_mb"]
+    assert "within_bound" not in bench_record.paired_summary(parent, parent, {})["metrics"]["wall_s"]
+
+
+def test_paired_summary_marks_a_spread_wider_than_the_bound_unresolved():
+    # the parent's quartiles 40 and 60 are 0.4 of its median 50, wider than
+    # the bound 0.1; only a change whose every run beats every parent run
+    # is resolved, in the metric's `better` direction
+    parent = [result(0.1, m) for m in (30.0, 40.0, 50.0, 60.0, 70.0)]
+    bounds = {"peak_rss_mb": 0.1}
+    overlapping = [result(0.1, m) for m in (25.0, 35.0, 45.0, 55.0, 65.0)]
+    below = [result(0.1, m) for m in (20.0, 22.0, 24.0, 26.0, 29.0)]
+    above = [result(0.1, m) for m in (71.0, 75.0, 80.0, 85.0, 90.0)]
+    for change, better, within, unresolved in ((overlapping, "lower", True, True),
+                                               (below, "lower", True, False),
+                                               (above, "lower", False, True),
+                                               (above, "higher", True, False),
+                                               (below, "higher", False, True)):
+        rss = bench_record.paired_summary(parent, change, {"peak_rss_mb": better},
+                                          bounds)["metrics"]["peak_rss_mb"]
+        assert (rss["within_bound"], rss["unresolved"]) == (within, unresolved), (better, change)

@@ -4,11 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descent_reference import descent_solve
 from pseudoplap.grid import GridSpec, ScalarField, boundary_mask, interior_mask
 from pseudoplap.grid import mirror_axes, node_coordinates, nonexterior_mask
-from pseudoplap.manufactured import closed_form_1d, constant_field, separable_trace
+from pseudoplap.manufactured import closed_form_1d, constant_boundary, constant_field
+from pseudoplap.manufactured import separable_trace
 from pseudoplap.manufactured import sweep_presets, zero_boundary
 from pseudoplap.operators import apply_divergence
 from pseudoplap.solver import EnergyProblem, SolveConfig, _Workspace, energy
@@ -326,6 +329,52 @@ def test_solver_stationarity_matches_divergence_form():
     mask = interior_mask(g)
     res = np.abs(out.values[mask] - 2.0 * f.values[mask]).max()
     assert res <= rep.final_grad_sup * (1 + 1e-12)
+
+
+@st.composite
+def random_problems(draw):
+    """(problem, whether it is mirror-exact, the constant boundary value c):
+    p in (2, 8]; 2D n = 9 or 17, or 3D n = 9; the ball or the cube; f of
+    amplitude at most 4 (0 for some draws), symmetrised along every axis or
+    not; zero or constant boundary data."""
+    dim = draw(st.sampled_from([2, 3]))
+    g = GridSpec(dim, draw(st.sampled_from([9, 17] if dim == 2 else [9])),
+                 draw(st.sampled_from(["ball", "cube"])))
+    p = draw(st.floats(2.0, 8.0, exclude_min=True))
+    amp = draw(st.one_of(st.just(0.0), st.floats(0.25, 4.0)))
+    symmetric = draw(st.booleans())
+    c = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    f = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-amp, amp, g.node_shape)
+    if symmetric:  # a + flip(a) equals its flip bit for bit; 1/2 is exact
+        for ax in range(dim):
+            f = 0.5 * (f + np.flip(f, ax))
+    return EnergyProblem(g, p, ScalarField(g, f), constant_boundary(c)), symmetric, c
+
+
+@given(random_problems())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_solve_is_certified_on_random_problems(drawn):
+    # every solve converges with no float64 rerun, its sup|r| bounds the
+    # divergence-form residual of the unfolded field, a mirror-exact draw is
+    # solved on its box and unfolds to a field equal to its flips, and with
+    # f = 0 the constant boundary data are the solution from the start
+    prob, symmetric, c = drawn
+    tol = 1e-8
+    u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=tol))
+    assert rep.converged and rep.float64_reruns == 0
+    g, f = prob.grid, prob.f.values
+    mask = interior_mask(g)
+    res = np.abs(apply_divergence(u, prob.p).values[mask] - (prob.p - 1.0) * f[mask]).max()
+    assert res <= rep.final_grad_sup * (1 + 1e-12)
+    if symmetric or not f.any():
+        assert rep.mirror_axes == tuple(range(g.dimension))
+        for ax in rep.mirror_axes:
+            assert np.array_equal(u.values, np.flip(u.values, ax), equal_nan=True)
+    else:
+        assert rep.mirror_axes == ()
+    if not f.any():
+        assert rep.iterations == 0
+        assert (u.values[nonexterior_mask(g)] == c).all()
 
 
 def test_energy_problem_validation():

@@ -153,6 +153,29 @@ def test_float32_step_meets_its_tolerance_in_float64(dim, nodes, p, floor):
     assert s_hs == pytest.approx(float(np.vdot(r, ws.step)), rel=1e-3)
 
 
+@pytest.mark.parametrize("dim, nodes, box", [(2, 17, False), (2, 17, True),
+                                             (3, 9, False), (3, 9, True)])
+def test_float32_buffers_share_no_certified_data(dim, nodes, box):
+    # the float32 CG lives in idle halves of float64 buffers: none of it may
+    # overlap the residual, H's float64 weights or `spare`, so a float32
+    # step leaves r and H's weights, which certify it, bit for bit as they were
+    prob, u = random_problem(dim, nodes, "ball", 3.0)
+    ws = _Workspace(prob, tuple(range(dim)) if box else ())
+    kept = [ws.resid, ws.spare, *ws.weights]
+    float32 = [a for a in (*ws.cg32.weights, *ws.cg32) if isinstance(a, np.ndarray)]
+    assert float32 and all(a.dtype == np.float32 for a in float32)
+    assert not any(np.shares_memory(a, b) for a in float32 for b in kept)
+    ws.energy(u[ws.box])
+    ws.residual()
+    reg, scale = 1e-3, (ws.p - 1.0) / (ws.h * ws.h)
+    ws._hessian_weights(reg, scale)
+    before = [a.copy() for a in (ws.resid, *ws.weights)]
+    iterations, s_hs = ws._float32_step(reg, scale, 0.1)
+    assert iterations >= 1 and s_hs is not None
+    for got, want in zip((ws.resid, *ws.weights), before):
+        assert_bitwise(got, want)
+
+
 def test_step_beyond_float32_range_reruns_in_float64():
     # with u of order 1e12 at p = 5.7, H's weights |D u|^3.7 reach 1e50 while
     # reg keeps its least ones near 1e-9: no power of 2 brings both into

@@ -22,7 +22,11 @@ phases alike.  It writes BENCH_<a>_vs_<b>.json (a and b the short commits;
 `_traced` appended with --trace 1): per workload and metric, each side's
 median and quartiles, the median and quartiles of the per-pair ratio B/A,
 and the number of pairs that B won, by the metric's `better` direction in
-BENCHMARK.json.
+BENCHMARK.json.  Each end-to-end metric also gets a no-regression verdict
+against its `bound` there, a share of the parent's median: `within_bound`
+when B's median is no worse than A's by more than the bound, and
+`unresolved` when A's quartile spread is wider than the bound and not
+every run of B beats every run of A.
 """
 
 import argparse
@@ -69,7 +73,7 @@ def _quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def paired_summary(parent: list, change: list, better: dict) -> dict:
+def paired_summary(parent: list, change: list, better: dict, bounds: dict = None) -> dict:
     """Per metric of the result lines of `perfbench/run.py` run in pairs
     (parent[i] and change[i] one pair), each side's median and quartiles,
     those of the per-pair ratio change/parent, and the pairs the change won:
@@ -77,7 +81,13 @@ def paired_summary(parent: list, change: list, better: dict) -> dict:
     `better` is "higher"; plus each side's counts of runs, correct runs and
     attempted and failed operations.  The ratio leaves out the pairs whose
     parent value is 0 (a per-layer metric of a layer the workload does not
-    run), and is None when no pair is left."""
+    run), and is None when no pair is left.
+
+    A metric with a bound in `bounds` (a share of the parent's median) also
+    gets the no-regression verdict: `within_bound` when the change's median
+    is no worse than the parent's by more than the bound, and `unresolved`
+    when the parent's quartile spread is wider than the bound and not every
+    change run beats every parent run."""
     if not parent or len(parent) != len(change):
         raise ValueError("need as many change runs as parent runs, at least one")
     metrics = {}
@@ -85,10 +95,18 @@ def paired_summary(parent: list, change: list, better: dict) -> dict:
         a = np.array([res["metrics"][name]["value"] for res in parent], dtype=float)
         b = np.array([res["metrics"][name]["value"] for res in change], dtype=float)
         ratio = b[a != 0] / a[a != 0]
-        won = b > a if better.get(name, "lower") == "higher" else b < a
+        higher = better.get(name, "lower") == "higher"
+        won = b > a if higher else b < a
         metrics[name] = {"unit": first["unit"], "parent": _quartiles(a), "change": _quartiles(b),
                          "ratio": _quartiles(ratio) if ratio.size else None,
                          "change_won": int(won.sum()), "pairs": len(a)}
+        if bounds and name in bounds:
+            bound, pa, ch = bounds[name], metrics[name]["parent"], metrics[name]["change"]
+            allowed = bound * abs(pa["median"])
+            worse = pa["median"] - ch["median"] if higher else ch["median"] - pa["median"]
+            beats_all = b.min() > a.max() if higher else b.max() < a.min()
+            metrics[name].update(bound=bound, within_bound=bool(worse <= allowed),
+                                 unresolved=bool(pa["q3"] - pa["q1"] > allowed and not beats_all))
     counts = {side: {"runs": len(runs),
                      "correct_runs": sum(bool(res["correct"]) for res in runs),
                      "attempted": sum(res["attempted"] for res in runs),
@@ -130,6 +148,7 @@ def _pair(spec: dict, rev_a: str, rev_b: str, trace: int) -> Path:
     if not (a and b):
         raise SystemExit(f"unknown revision: {rev_a if not a else rev_b}")
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     tmp = Path(tempfile.mkdtemp(prefix="bench_pair_"))
     trees = {"parent": tmp / "parent", "change": tmp / "change"}
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))  # so that `finally` removes the trees
@@ -146,7 +165,7 @@ def _pair(spec: dict, rev_a: str, rev_b: str, trace: int) -> Path:
                     runs[side].append(_bench(workload, PAIR_SEED + i, spec["run_seconds"], trace,
                                              cwd=trees[side]))
                 print(f"{workload} pair {i + 1} of {PAIRS} done", file=sys.stderr)
-            workloads[workload] = paired_summary(runs["parent"], runs["change"], better)
+            workloads[workload] = paired_summary(runs["parent"], runs["change"], better, bounds)
     finally:
         for tree in trees.values():
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
