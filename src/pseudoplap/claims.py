@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import jacobi_eigvals, spectral_norms, vector_norm
-from .jets import feasible_pairs, jet_scalars
+from .eig import spectral_norms, vector_norm
+from .jets import feasible_pairs, jet_scalars, theta_spectra
 from .moduli import HolderModulus, LipschitzModulus, Modulus
 
 REGIMES = ("holder_small_p", "holder_large_p", "lipschitz_small_p", "lipschitz_large_p")
@@ -204,8 +204,8 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     a doubled maximum (_check_cap).  Every point is checked before
     jet_scalars takes the scalars of all the jets at xbar - ybar as one
     stack and feasible_pairs, which requires M > 1, draws their pairs; one
-    jacobi_eigvals call takes every spectrum of M^{p-2} Th (X+Y) Th, and
-    one spectral_norms call every |X| (= |Y|).
+    jets.theta_spectra call takes every spectrum of M^{p-2} Th (X+Y) Th,
+    and one spectral_norms call every |X| (= |Y|).
     """
     p, n = params.p, params.N
     points = [tuple(np.asarray(v, dtype=float) for v in point) for point in points]
@@ -230,7 +230,7 @@ def claims_checks(points, M: float, params: RegimeParams, rng) -> list:
     jm, X, _ = feasible_pairs(jets, rng)
 
     mp2 = M ** (p - 2.0)
-    lams = jacobi_eigvals(mp2 * jm.Theta @ (X + X) @ jm.Theta)
+    lams = theta_spectra(jm, X + X)
     x_norms = spectral_norms(X)
     reports = []
     for s, (q, qx, qy), lam, x_norm, theta_sq, ok in zip(ss, grads, lams, x_norms,

@@ -420,20 +420,26 @@ def _pair_squeeze_checks(X: np.ndarray, jm: JetMatrices):
     return ok, (lower, upper, scale), b_norm + b_norm
 
 
+def theta_spectra(jm: JetMatrices, Z: np.ndarray) -> np.ndarray:
+    """The spectrum of M^(p-2) Theta Z[k] Theta at each jet k of jm, each
+    row ascending, by one jacobi_eigvals call: with Z = X + Y, the matrix
+    of the pair conclusions and of the claims ratios."""
+    jets = jm.jets
+    mp2 = np.array([M ** (p - 2.0) for M, p in zip(jets.M.tolist(), jets.p.tolist())])
+    return jacobi_eigvals(mp2[:, None, None] * jm.Theta @ Z @ jm.Theta)
+
+
 def _pair_conclusions_checks(X: np.ndarray, jm: JetMatrices, norm_sum) -> list:
     """The conclusions of the pairs (X[k], X[k]) at the jets of jm, one
-    jacobi_eigvals call per matrix set.  Raises the ValueErrors of the
+    theta_spectra call per matrix set.  Raises the ValueErrors of the
     large-branch conclusion (Jets.large_branch) first."""
     jets = jm.jets
     axes, ok = jets.large_branch()
     _reject_large_branch(axes, ok)
     c = 2.0 * jets.M + 1.0
-    mp2 = np.array([M ** (p - 2.0) for M, p in zip(jets.M.tolist(), jets.p.tolist())])
-    weighted = mp2[:, None, None] * jm.Theta
     sums = X + X
-    lam_max = jacobi_eigvals(weighted @ sums @ jm.Theta)[:, -1]
-    shifted = sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1])
-    lam1 = jacobi_eigvals(weighted @ shifted @ jm.Theta)[:, 0]
+    lam_max = theta_spectra(jm, sums)[:, -1]
+    lam1 = theta_spectra(jm, sums - (2.0 * c)[:, None, None] * np.eye(X.shape[1]))[:, 0]
     return [_conclusions(*args) for args in zip(
         jets.M.tolist(), jets.N.tolist(), jets.s.tolist(), jets.wp.tolist(), jets.wpp.tolist(),
         jets.p.tolist(), jm.h1_norm.tolist(), jm.theta_norm_sq(), jets.eps.tolist(),
@@ -482,7 +488,7 @@ def feasible_pair_conclusions(jets: Jets, rng) -> list:
 
     The jets of each N, in order of first appearance, share one stack:
     feasible_pairs gives each its first feasible pair, and one
-    jacobi_eigvals call per matrix set takes the eigenvalues of the
+    theta_spectra call per matrix set takes the eigenvalues of the
     conclusions.  Raises RuntimeError when a jet has no feasible pair in
     _PAIR_DRAWS draws.
     """

@@ -1,10 +1,11 @@
 """Reference eigensolver for cross-checks: cyclic Jacobi on numpy row and column slices.
 
-One matrix at a time, it makes the floating-point operations of the stacked
-sweep in `pseudoplap.eig` in the same order, so `eig.jacobi_eigh` and every
-member of an `eig.jacobi_eigvals` stack must agree with it bit for bit.  Its stop
-test is the kernel's: the off-diagonal norm is summed directly, entry by
-entry in row-major order, not taken as sqrt(|A|_F^2 - sum a_ii^2), which
+It is the tests' independent oracle for `pseudoplap.eig`, which takes its
+eigenvalues from LAPACK (numpy.linalg.eigvalsh and eigh).  It stops once the
+off-diagonal norm is at most tol |A|_F, so by Weyl's theorem its diagonal is
+within that of the spectrum, and the tests compare `eig`'s eigenvalues with
+its own within 1e-13 |A|_F.  The off-diagonal norm is summed directly, entry
+by entry in row-major order, not taken as sqrt(|A|_F^2 - sum a_ii^2), which
 cancels below about sqrt(eps) |A|_F.
 """
 

@@ -9,6 +9,7 @@ from pseudoplap import claims
 from pseudoplap.claims import (
     DEFAULT_REGIME_P,
     REGIMES,
+    ClaimsReport,
     check_sweep_cap,
     claims_checks,
     claims_scale_sweep,
@@ -242,6 +243,22 @@ def test_claims_sweep_passes_for_regime(regime):
     verdict = evaluate_claims_sweep(reports)
     assert verdict["sign_ok"], verdict["detail"]
     assert verdict["ok"], verdict["detail"]
+
+
+def test_claims_ratio2_cap_slack_is_relative_1e9():
+    # a ratio2 within 1e-9 of its cap, relatively, passes; 2e-9 beyond fails,
+    # with every other part of the verdict passing
+    def report(s, ratio2, cap):
+        return ClaimsReport(regime="holder_small_p", p=3.0, N=2, M=10.0, s=s, ratio1=-1.0,
+                            ratio2=ratio2, ratio2_cap=cap, ratio3=0.5, in_delta=True,
+                            eq_n_epsilon_ok=None)
+
+    cap = -3.0
+    for excess, ok in ((0.5e-9, True), (2e-9, False)):
+        ratio2 = cap + excess * abs(cap)
+        verdict = evaluate_claims_sweep([report(1e-2, -4.0, cap), report(1e-3, ratio2, cap)])
+        assert verdict["ok"] is ok and verdict["sign_ok"]
+        assert verdict["detail"].endswith(f"ratio2_cap_ok={ok}")
 
 
 def test_claims_report_flags():

@@ -515,10 +515,38 @@ def test_verify_lemmas_names_uncovered_pair_cases(tmp_path):
     assert ok == "true" and detail.endswith(" uncovered=lipschitz_large_p:N1")
 
 
+@pytest.mark.parametrize("family, sampler, check, gate", [
+    ("min_eig", "min_eig_rows", "min_eig_bound", 1e-9),
+    ("pair", "pair_rows", "pair_conclusions", 1e-9),
+    ("zt", "zt_rows", "zt_inequality", 1e-12)])
+def test_verify_lemmas_gates_decide_at_their_thresholds(tmp_path, monkeypatch, family, sampler,
+                                                        check, gate):
+    # each sampled gate passes a worst relative slack of exactly -gate and
+    # fails one a millionth of it beyond
+    runs = "".join(f"run_{other} = {str(other == family).lower()}\n"
+                   for other in ("barrier", "min_eig", "pair", "zt", "claims"))
+    path = write(tmp_path, "gate.ini", "[lemmas]\n" + runs)
+    for worst, code in ((-gate, 0), (-gate * (1.0 + 1e-6), 1)):
+        monkeypatch.setattr(cli, sampler, lambda rng, samples, worst=worst: ([], worst))
+        out = tmp_path / f"out{code}"
+        assert main(["verify-lemmas", "--config", path, "--seed", "1", "--out", str(out)]) == code
+        ok, detail = read_summary(out)[check]
+        assert ok == ("true" if code == 0 else "false")
+        assert detail.startswith(f"worst rel slack {worst:.3e}")
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
-    # the vectorised Jacobi kernel must leave every sampled row unchanged: the
-    # reference run takes every eigenvalue of the jets and the claims with the
-    # reference kernel, one matrix at a time
+    # the reference run takes every eigenvalue of the jets and the claims with
+    # the reference Jacobi kernel, one matrix at a time: it must give the
+    # same exit code, files and summary.csv, and the same draws; the cells
+    # derived from eigenvalues may differ only by rounding, 1e-12 in each
+    # rel_slack (three orders below the -1e-9 gate) and relatively in each
+    # ratio.  The other slack columns enter the verdicts through rel_slack.
     config = str(CONFIGS / "verify_lemmas_small.ini")
     args = ["verify-lemmas", "--config", config, "--seed", "42", "--out"]
     code = main(args + [str(tmp_path / "shipped")])
@@ -528,16 +556,25 @@ def test_verify_lemmas_csvs_match_reference_kernel(tmp_path, monkeypatch):
         calls.append(len(a))
         return np.array([jacobi_reference.jacobi_eigh(m)[0] for m in a]).reshape(a.shape[:2])
 
-    for module in (jets, claims):
-        monkeypatch.setattr(module, "jacobi_eigvals", reference_stack)
+    monkeypatch.setattr(jets, "jacobi_eigvals", reference_stack)  # claims' spectra too
     assert main(args + [str(tmp_path / "reference")]) == code
     assert calls
     shipped = sorted(p.name for p in (tmp_path / "shipped").glob("*.csv"))
     assert shipped == sorted(p.name for p in (tmp_path / "reference").glob("*.csv"))
-    assert {"pair_samples.csv", "claims_ratios.csv"} <= set(shipped)
+    assert {"min_eig_samples.csv", "pair_samples.csv", "claims_ratios.csv"} <= set(shipped)
+    assert (tmp_path / "shipped" / "summary.csv").read_bytes() \
+        == (tmp_path / "reference" / "summary.csv").read_bytes()
     for name in shipped:
-        assert (tmp_path / "shipped" / name).read_bytes() \
-            == (tmp_path / "reference" / name).read_bytes(), name
+        (header, *ours), (ref_header, *refs) = (_csv_rows(tmp_path / side / name)
+                                                for side in ("shipped", "reference"))
+        assert header == ref_header and len(ours) == len(refs), name
+        for row, ref in zip(ours, refs):
+            for column, cell, ref_cell in zip(header, row, ref):
+                if cell == ref_cell or column.startswith("slack"):
+                    continue
+                assert column == "rel_slack" or column.startswith("ratio"), (name, column, row)
+                scale = 1.0 if column == "rel_slack" else abs(float(ref_cell))
+                assert abs(float(cell) - float(ref_cell)) <= 1e-12 * scale, (name, column, row)
 
 
 def test_verify_lemmas_csvs_match_reference_samplers(tmp_path, monkeypatch):

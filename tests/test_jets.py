@@ -414,6 +414,28 @@ def test_feasible_pair_sample_properties():
         assert norm_sum <= 6 * M * spectral_norm(h1_of(jm)) * (1 + 1e-10)
 
 
+def test_feasible_pairs_cap_the_norm_sum_at_6_M_h1(monkeypatch):
+    # with every squeeze test passing, a pair whose |X - cI| + |Y - cI| is
+    # just beyond 6 M |H1| (1 + 1e-12) is drawn again, and one exactly at
+    # that cap is kept
+    rng = np.random.default_rng(12)
+    x = np.array([random_point(rng, 2, 0.01) for _ in range(3)])
+    stack = jet_scalars(x, None, 10.0, 3.0, None, HolderModulus(0.5))
+    squeeze_checks, rounds = jets._pair_squeeze_checks, []
+
+    def at_the_cap(X, jm):
+        ok, margins, _ = squeeze_checks(X, jm)
+        cap = 6.0 * jm.jets.M * jm.h1_norm * (1.0 + 1e-12)
+        norms = cap if rounds else cap * (1.0 + 1e-9)
+        rounds.append(len(X))
+        return np.ones_like(ok), margins, norms
+
+    monkeypatch.setattr(jets, "_pair_squeeze_checks", at_the_cap)
+    jm, _, norm_sum = feasible_pairs(stack, rng)
+    assert rounds == [3, 3]
+    assert np.array_equal(norm_sum, 6.0 * jm.jets.M * jm.h1_norm * (1.0 + 1e-12))
+
+
 def test_pair_conclusions_example():
     rng = np.random.default_rng(10)
     mod = HolderModulus(0.5)
@@ -477,10 +499,20 @@ def _pair_candidates(rng):
     return out
 
 
+def eigvals_near_reference(a):
+    """jacobi_eigvals of the one matrix a, checked to be within 1e-13 |a|_F,
+    the reference kernel's stop target, of the reference's eigenvalues."""
+    w = jacobi_eigvals(a[None])[0]
+    assert np.abs(w - jacobi_reference.jacobi_eigh(a)[0]).max() <= 1e-13 * np.linalg.norm(a)
+    return w
+
+
 def test_stacked_pair_checks_match_scalar_path():
     # the pair points, squeeze margins and conclusions of a stack that mixes
     # regimes and exponents must equal, bit for bit, what one-jet calls give
-    # each jet on the same S; and every eigenvalue must be the reference's
+    # each jet on the same S, and the arithmetic around each eigen call is
+    # checked exactly through one-matrix jacobi_eigvals calls; every
+    # eigenvalue must be within the reference's stop target of its own
     rng = np.random.default_rng(41)
     cands = _pair_candidates(rng)
     # 1D lipschitz_large_p fails eq_n_epsilon on every draw
@@ -506,8 +538,8 @@ def test_stacked_pair_checks_match_scalar_path():
             assert (X[k] == c * np.eye(N) - 2.0 * M * ht_norm * np.eye(N) + Sk).all()
             assert squeeze(X[k], jm) == (ok[k], (lower[k], upper[k], scale[k]), norm_sum[k])
             B = X[k] - c * np.eye(N)
-            wb = jacobi_reference.jacobi_eigh(B)[0]
-            upper_ref = jacobi_reference.jacobi_eigh(2.0 * M * jm.Htilde[0] - B)[0][0]
+            wb = eigvals_near_reference(B)
+            upper_ref = eigvals_near_reference(2.0 * M * jm.Htilde[0] - B)[0]
             assert lower[k] == wb[0] + 6.0 * M * h1_norm
             assert upper[k] == min(-wb[-1], upper_ref)
             assert norm_sum[k] == 2.0 * np.abs(wb).max()
@@ -516,9 +548,9 @@ def test_stacked_pair_checks_match_scalar_path():
                 assert reps[k] == rep
                 Theta = jm.Theta[0]
                 weighted = M ** (p - 2.0) * Theta
-                lam = jacobi_reference.jacobi_eigh(weighted @ (X[k] + X[k]) @ Theta)[0]
-                lam1 = jacobi_reference.jacobi_eigh(
-                    weighted @ (X[k] + X[k] - 2.0 * c * np.eye(N)) @ Theta)[0][0]
+                lam = eigvals_near_reference(weighted @ (X[k] + X[k]) @ Theta)
+                lam1 = eigvals_near_reference(
+                    weighted @ (X[k] + X[k] - 2.0 * c * np.eye(N)) @ Theta)[0]
                 assert rep.lambda_all_max == lam[-1]
                 assert rep.slack_small is not None or rep.slack_large is not None
                 for bound, slack in ((rep.bound_small, rep.slack_small),

@@ -242,12 +242,12 @@ def test_claims_one_stack_per_regime(work, monkeypatch, pair_rounds, regime, N):
     spectra = []
 
     def counted(fn):
-        def counted_fn(a):
-            spectra.append(a.shape)
-            return fn(a)
+        def counted_fn(*args):
+            spectra.append(args[-1].shape)  # the matrix stack, theta_spectra's second argument
+            return fn(*args)
         return counted_fn
 
-    for name in ("jacobi_eigvals", "spectral_norms"):
+    for name in ("theta_spectra", "spectral_norms"):
         monkeypatch.setattr(claims, name, counted(getattr(claims, name)))
     rows, _, _ = lemmas.claims_rows(np.random.default_rng(5), regime, N, 10.0, [1e-2, 1e-3])
     # the sweep's ten checks are one stack of jets, built once; each pair is

@@ -268,6 +268,15 @@ def test_estimate_constant_single_and_mixed():
         estimate_constant([])
 
 
+def test_estimate_constant_takes_the_largest_ratio():
+    # distinct ratios 2/3, 2 and 1: the constant is the largest, wherever it is
+    recs = [ExperimentRecord(3.0, 2, 0.5, label, u_sup=1.0, f_sup=4.0, lip_seminorm=lip)
+            for label, lip in (("a", 2.0), ("b", 6.0), ("c", 3.0))]
+    assert [rec.ratio for rec in recs] == [2.0 / 3.0, 2.0, 1.0]
+    assert estimate_constant(recs) == 2.0
+    assert estimate_constant(recs[::-1]) == 2.0
+
+
 def test_scaled_records_share_ratio():
     g = GridSpec(2, 33)
     p, r = 3.0, 0.5

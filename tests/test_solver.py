@@ -320,6 +320,26 @@ def test_pcg_raises_on_nan():
         ws.newton_step(1e-2, 0.5)
 
 
+def test_float32_step_with_negative_r_s_reruns_in_float64(monkeypatch):
+    # every float32 step is turned into its negative, which keeps s.Hs > 0
+    # but has r.s < 0, so no step is a descent direction: each must rerun in
+    # float64, and the solve still converges
+    pcg = _Workspace._pcg
+
+    def negated(self, cg, rtol, floor):
+        k, curv = pcg(self, cg, rtol, floor)
+        if cg is self.cg32:
+            np.negative(cg.s, out=cg.s)
+        return k, curv
+
+    g = GridSpec(2, 17)
+    prob = EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary)
+    monkeypatch.setattr(_Workspace, "_pcg", negated)
+    u, rep = solve_dirichlet(prob, SolveConfig(grad_tol=1e-8))
+    assert rep.converged and rep.iterations > 1
+    assert rep.float64_reruns == rep.iterations
+
+
 def test_solver_stationarity_matches_divergence_form():
     g = GridSpec(2, 33)
     f = constant_field(g, 2.0)
