@@ -17,7 +17,7 @@ import field_writer_reference
 import jacobi_reference
 import min_eig_reference
 import pair_scan_reference
-from pseudoplap import claims, cli, jets, regularity, solver
+from pseudoplap import cli, jets, regularity, solver
 from pseudoplap.cli import main
 from pseudoplap.config import ConfigError, parse_config
 from pseudoplap.grid import ScalarField, nonexterior_mask

@@ -108,8 +108,9 @@ def _tier1(repo: Path, extra: list) -> tuple:
         return False, ["timeout"]
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1]
-    return proc.returncode == 0, failed or ([] if proc.returncode == 0 else
-                                            [f"exit {proc.returncode}"])
+    if proc.returncode and not failed:
+        failed = [f"exit {proc.returncode}"]
+    return proc.returncode == 0, failed
 
 
 def main() -> int:
