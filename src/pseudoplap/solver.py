@@ -15,14 +15,14 @@ H s = r for the residual r = A_div(u) - (p-1) f, where
     H s = -div((p-1) (|D_i u|^(p-2) + reg) D_i s)      per link
 
 is the energy Hessian per unit volume with its degenerate link weights lifted
-by reg = clip(sup|r|, 1e-12, 1e-2).  Conjugate gradients solve it until
+by reg = clip(sup|r|, 1e-12, 1e-2).  In 1D, where H is tridiagonal, the step
+is H's exact inverse applied to r, by two running sums.  In 2D and 3D
+conjugate gradients, preconditioned by the diagonal of H, solve it until
 |r - H s| <= max(rtol |r|, grad_tol / 2) in the 2-norm, rtol = min(0.5,
 sqrt(sup|r|)) being an Eisenstat-Walker forcing term, so far-off steps stay
 cheap and the last ones converge superlinearly; the absolute floor stops the
 last steps once the linearized residual is below what sup|r| <= grad_tol
-needs (the 2-norm bounds the sup-norm).  They are preconditioned by the
-diagonal of H in 2D and 3D, and in 1D, where H is tridiagonal, by its exact
-inverse, so that each Newton step takes one CG iteration.
+needs (the 2-norm bounds the sup-norm).
 
 In 2D and 3D, CG runs in float32 on copies of H's link weights and of r,
 each scaled by a power of 2 so that its largest entry is near 1; the step
@@ -119,7 +119,7 @@ class SolveReport:
     converged: bool
     reason: str  # "converged", "max_iters" or "stalled"
     iterations: int  # Newton steps
-    inner_iterations: int  # PCG iterations over all Newton steps
+    inner_iterations: int  # CG iterations over all Newton steps, one per 1D step
     backtracks: int  # step halvings over all line searches
     float64_reruns: int  # 2D/3D Newton steps whose CG reran in float64 (module docstring)
     final_energy: float
@@ -128,9 +128,9 @@ class SolveReport:
 
 
 # CG's data in one precision: H's link weights, the padded link buffer
-# (zeros before the first link), the divergence scratch, the preconditioner's
-# inverse diagonal (None in 1D), CG's residual, direction, H d / z and step,
-# and on a box the inverse multiplicities
+# (zeros before the first link), the divergence scratch, the inverse of H's
+# diagonal (None in 1D, which runs no CG), CG's residual, direction, H d / z
+# and step, and on a box the inverse multiplicities
 _CG = namedtuple("_CG", "weights flux div inv_diag res d work s inv_mult")
 
 
@@ -155,9 +155,9 @@ class _Workspace:
     * `spare`: the float64 CG's H d and preconditioned residual, then H s
       for the step's s.Hs, and between Newton steps the line search's trial
       point;
-    * the preconditioner's data: in 2D and 3D `inv_diag`, the inverse of H's
-      diagonal, for Jacobi preconditioning; in 1D the link arrays `inv_link` and `flow`
-      of `_exact_1d`.
+    * in 2D and 3D `inv_diag`, the inverse of H's diagonal, CG's Jacobi
+      preconditioner; in 1D, which runs no CG, the link arrays `inv_link`
+      and `flow` of `_exact_1d`, which gives the step.
 
     Each buffer keeps that role, and CG's data in each precision are fixed
     here: `cg64` names the float64 buffers, and in 2D and 3D `cg32` the
@@ -360,34 +360,27 @@ class _Workspace:
         out[self.outside_at] = 0.0
 
     def _pcg(self, cg: _CG, rtol: float, floor: float) -> tuple:
-        """Preconditioned CG on H s = r in cg's buffers, r being cg's `res`
-        (over the multiplicities on a box) and H its link weights, with the
-        preconditioner refreshed; returns (iterations, last curvature d.Hd).
-        Starts from s = 0 and stops once |r - H s| <= max(rtol |r|, floor) in
-        the 2-norm (weighted by the inverse multiplicities on a box), after
-        one iteration per interior node, or at a curvature that is not
-        positive and finite."""
-        if cg.inv_diag is None:
-            np.divide(1.0, cg.weights[0][:self.inv_link.size], out=self.inv_link)
-        else:
-            self._jacobi_diagonal(cg)
+        """Jacobi-preconditioned CG on H s = r in cg's buffers (2D and 3D), r
+        being cg's `res` (times the multiplicities on a box) and H its link
+        weights, with cg's `inv_diag` refreshed; returns (iterations, last
+        curvature d.Hd).  Starts from s = 0 and stops once |r - H s| <=
+        max(rtol |r|, floor) in the 2-norm (weighted by the inverse
+        multiplicities on a box), after one iteration per interior node, or
+        at a curvature that is not positive and finite."""
+        self._jacobi_diagonal(cg)
         # work holds H d, then (on a box) r over the multiplicities, then the
         # preconditioned residual z
-        s, res, d, work, inv_mult = cg.s, cg.res, cg.d, cg.work, cg.inv_mult
+        s, res, d, work, inv_diag, inv_mult = cg.s, cg.res, cg.d, cg.work, cg.inv_diag, cg.inv_mult
         hess_d = self._hess_slices(d, work, cg)
         s.fill(0.0)
         # names bound once: each iteration is a few small numpy calls, whose
         # lookups would cost about as much as the stop test's weighting
         vdot, multiply, hess = np.vdot, np.multiply, self._hess_apply
-        inv_diag, exact = cg.inv_diag, self._exact_1d  # Jacobi, or in 1D (no inv_diag) exact
         weigh = inv_mult is not None  # on a box, the stop norm is r.(r / mult)
         weighted = work if weigh else res
         if weigh:
             multiply(res, inv_mult, out=work)
-        if inv_diag is None:
-            exact(res, d)
-        else:
-            multiply(res, inv_diag, out=d)
+        multiply(res, inv_diag, out=d)
         rz = float(vdot(res, d))
         stop = max(rtol * rtol * float(vdot(res, weighted)), floor * floor)
         k, most, curv = 0, self.n_interior, math.nan
@@ -406,10 +399,7 @@ class _Workspace:
                 multiply(res, inv_mult, out=work)
             if float(vdot(res, weighted)) <= stop:
                 break
-            if inv_diag is None:
-                exact(res, work)
-            else:
-                multiply(res, inv_diag, out=work)
+            multiply(res, inv_diag, out=work)
             rz_next = float(vdot(res, work))
             d *= rz_next / rz
             d += work
@@ -472,32 +462,41 @@ class _Workspace:
             c *= scale
 
     def newton_step(self, reg: float, rtol: float) -> tuple:
-        """Solve H s = r into `self.step` by preconditioned CG, r being the
-        last `residual()`; returns (CG iterations, s.Hs).
+        """Solve H s = r into `self.step`, r being the last `residual()`;
+        returns (CG iterations, s.Hs), one iteration for a 1D step.
 
         H is the Hessian per unit volume at the v of the last `energy` call,
         with reg added to every link weight; the weights are overwritten by
         H's.  On a box, H and r count by the multiplicities, so r.s, d.Hd
         and r.z are the whole grid's sums, and so is the 2-norm, weighted by
-        their inverses.  CG stops once |r - H s| <= max(rtol |r|, cg_floor)
-        in the 2-norm, or after one iteration per interior node.  In 2D and 3D
-        it runs in float32 (`_float32_step`), and reruns in float64 only
-        when that fails, counted in `float64_reruns`; the float64 loop
-        overwrites `self.resid` by CG's residual.  H is symmetric positive
-        definite on the interior, so a float64 curvature that is not
-        positive means non-finite input and raises.  Every exact CG iterate
-        s has r.s = s.H s > 0, so it is a descent direction for J.  The
-        preconditioner is Jacobi in 2D and 3D and exact in 1D
-        (`_exact_1d`): one iteration solves it.
+        their inverses; `self.resid` is then left holding r times them.  H
+        is symmetric positive definite on the interior, so an s.Hs or a
+        float64 curvature that is not positive and finite means non-finite
+        input and raises.
+
+        In 1D the step is H's exact inverse applied to r (`_exact_1d`).  In
+        2D and 3D Jacobi-preconditioned CG solves H s = r until |r - H s| <=
+        max(rtol |r|, cg_floor) in the 2-norm, or for one iteration per
+        interior node.  It runs in float32 (`_float32_step`), and reruns in
+        float64 only when that fails, counted in `float64_reruns`; the
+        float64 loop overwrites `self.resid` by CG's residual.  Every exact
+        CG iterate s has r.s = s.H s > 0, so it is a descent direction for J.
         """
         scale = (self.p - 1.0) / (self.h * self.h)
         self._hessian_weights(reg, scale)
-        k32 = 0
-        if self.cg32 is not None:  # 2D and 3D
-            k32, s_hs = self._float32_step(reg, scale, rtol)
-            if s_hs is not None:
-                return k32, s_hs
-            self.float64_reruns += 1
+        if self.cg32 is None:  # 1D
+            if self.mult is not None:
+                self.resid *= self.mult
+            np.divide(1.0, self.weights[0][:self.inv_link.size], out=self.inv_link)
+            self._exact_1d(self.resid, self.step)
+            s_hs = self._step_curvature()
+            if not 0.0 < s_hs < math.inf:
+                raise RuntimeError(f"exact 1D step: s.Hs {s_hs!r} is not positive and finite")
+            return 1, s_hs
+        k32, s_hs = self._float32_step(reg, scale, rtol)
+        if s_hs is not None:
+            return k32, s_hs
+        self.float64_reruns += 1
         if self.mult is not None:
             self.resid *= self.mult
         k, curv = self._pcg(self.cg64, rtol, self.cg_floor)
@@ -571,9 +570,9 @@ def solve_dirichlet(prob: EnergyProblem, cfg: SolveConfig | None = None):
 
     while reason == "max_iters" and iterations < cfg.max_iters:
         iterations += 1
-        cg_iters, r_dot_s = ws.newton_step(min(max(sup_r, 1e-12), 1e-2), min(0.5, np.sqrt(sup_r)))
+        cg_iters, s_hs = ws.newton_step(min(max(sup_r, 1e-12), 1e-2), min(0.5, np.sqrt(sup_r)))
         inner += cg_iters
-        slope = -ws.hN * r_dot_s  # <grad J, s>, negative
+        slope = -ws.hN * s_hs  # <grad J, s>, negative
         z = ws.spare  # the trial point; copied into u when accepted
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):

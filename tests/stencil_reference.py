@@ -229,30 +229,30 @@ class Workspace:
         return k, s_hs if 0.0 < s_hs < math.inf and 0.0 < r_s < math.inf else None
 
     def newton_step(self, reg, rtol, floor=0.0):
-        """The flat `newton_step` on the whole grid: float32 CG in 2D and 3D,
-        float64 CG (counted in `float64_reruns` there) when that fails, and
-        in 1D, preconditioned by H's exact inverse."""
+        """The flat `newton_step` on the whole grid: in 1D the step is H's
+        exact inverse applied to r, one iteration; in 2D and 3D float32 CG,
+        and float64 CG (counted in `float64_reruns`) when that fails."""
         scale = (self.p - 1.0) / (self.h * self.h)
         for off, c in zip(self.off_links, self.weights):
             c += reg
             c *= scale
             np.copyto(c, 0.0, where=off)
-        k32 = 0
-        if self.interior.ndim > 1:
-            k32, s_hs = self._float32_step(reg, scale, rtol, floor)
-            if s_hs is not None:
-                return k32, s_hs
-            self.float64_reruns += 1
-        if self.interior.ndim == 1:  # the exact inverse of H, from its link weights
-            t = 1.0 / self.weights[0]
+        if self.interior.ndim == 1:
+            self._exact_1d(self.resid, 1.0 / self.weights[0], self.step)
+            work = np.empty_like(self.step)
+            self._hess_apply(self.step, work)
+            s_hs = float(np.vdot(self.step, work))
+            if not 0.0 < s_hs < math.inf:
+                raise RuntimeError(f"exact 1D step: s.Hs {s_hs!r} is not positive and finite")
+            return 1, s_hs
+        k32, s_hs = self._float32_step(reg, scale, rtol, floor)
+        if s_hs is not None:
+            return k32, s_hs
+        self.float64_reruns += 1
+        diag = self._inverse_diagonal(self.weights)
 
-            def precondition(r, out):
-                self._exact_1d(r, t, out)
-        else:
-            diag = self._inverse_diagonal(self.weights)
-
-            def precondition(r, out):
-                np.multiply(r, diag, out=out)
+        def precondition(r, out):
+            np.multiply(r, diag, out=out)
 
         s, k, curv = self._pcg(self.weights, self.resid, precondition, rtol, floor)
         if not 0.0 < curv < math.inf:

@@ -97,7 +97,7 @@ def test_first_newton_step_allocates_no_node_array(dim, nodes, box):
 def test_newton_step_allocates_no_node_array():
     # a later step, to a tight tolerance, may allocate Python scalars and
     # views but no array of the grid's size.
-    # In 1D the preconditioner is exact, so CG takes one iteration, and the
+    # In 1D the step is H's exact inverse applied to r, one iteration, and the
     # grid is long enough that the step's views and scalars (about 2 KB)
     # stay below one node array.
     for dim, nodes, min_iterations in ((3, 17, 11), (1, 1025, 1)):

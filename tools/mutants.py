@@ -2,6 +2,8 @@
 
     python3 tools/mutants.py [--only NAME ...] [--list]
 
+`--list` names the mutants, once each one's old text is found exactly once.
+
 Run from anywhere; it copies the checkout that holds this file (without
 .git and build outputs) into a temporary directory, which it removes
 afterwards.  It first runs the Tier-1 suite on the unmutated copy and
@@ -73,6 +75,8 @@ MUTANTS = (
            "s_hs if 0.0 < s_hs < math.inf else None"),
     Mutant("float32_no_range_rerun", "src/pseudoplap/solver.py",
            "if not reg * scale * a >= _FLOAT32_TINY:", "if False:"),
+    Mutant("exact_1d_no_s_hs_check", "src/pseudoplap/solver.py",
+           "if not 0.0 < s_hs < math.inf:", "if False:"),
     Mutant("armijo_slack_8e4_eps", "src/pseudoplap/solver.py",
            "slack = 8.0 * _EPS * max(", "slack = 8e4 * _EPS * max("),
     Mutant("stall_test_or", "src/pseudoplap/solver.py",
@@ -121,15 +125,15 @@ def main() -> int:
     chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
     if args.only and len(chosen) != len(set(args.only)):
         ap.error(f"unknown mutant in {args.only}; --list names them")
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}: {m.path}: {m.old!r} -> {m.new!r}")
-        return 0
     for m in chosen:
         count = (ROOT / m.path).read_text().count(m.old)
         if count != 1:
             print(f"{m.name}: its old text occurs {count} times in {m.path}", file=sys.stderr)
             return 2
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}: {m.path}: {m.old!r} -> {m.new!r}")
+        return 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         repo = _copy(Path(tmp))
         _, baseline = _tier1(repo, [])
