@@ -395,8 +395,8 @@ def random_problems(draw):
     or 33, 2D n = 9, 11, 15, 17 or 19, or 3D n = 9 or 11 (n = 11, 15 and 19
     are not 2^k + 1, so they never take a mirror box); the ball or the cube;
     f of amplitude at most 4 (0 for some draws), symmetrised along every
-    axis or not; zero or constant boundary data, or, for a quarter of the
-    draws, separable_trace data of some c > 0."""
+    axis or not; zero or constant boundary data, or, for some draws,
+    separable_trace data of some c > 0."""
     dim = draw(st.sampled_from([1, 2, 3]))
     nodes = {1: [9, 17, 33], 2: [9, 11, 15, 17, 19], 3: [9, 11]}[dim]
     g = GridSpec(dim, draw(st.sampled_from(nodes)), draw(st.sampled_from(["ball", "cube"])))
