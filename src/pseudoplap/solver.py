@@ -127,10 +127,10 @@ class SolveReport:
     mirror_axes: tuple  # the axes the solve was reduced along (module docstring)
 
 
-# CG's data in one precision: H's link weights, the padded link buffer
-# (zeros before the first link), the divergence scratch, the inverse of H's
-# diagonal (None in 1D, which runs no CG), CG's residual, direction, H d / z
-# and step, and on a box the inverse multiplicities
+# CG's data in one precision, in 2D and 3D only: H's link weights, the
+# padded link buffer (zeros before the first link), the divergence scratch,
+# the inverse of H's diagonal, CG's residual, direction, H d / z and step,
+# and on a box the inverse multiplicities
 _CG = namedtuple("_CG", "weights flux div inv_diag res d work s inv_mult")
 
 
@@ -151,25 +151,25 @@ class _Workspace:
     * `scratch`: one more, for divergences, the energy's row gathers and the
       f-term;
     * `resid`: the last `residual()`, and the float64 CG's residual;
-    * `step`, `cg_dir`: the Newton step and CG's search direction;
+    * `step`: the Newton step;
     * `spare`: the float64 CG's H d and preconditioned residual, then H s
       for the step's s.Hs, and between Newton steps the line search's trial
       point;
-    * in 2D and 3D `inv_diag`, the inverse of H's diagonal, CG's Jacobi
-      preconditioner; in 1D, which runs no CG, the link arrays `inv_link`
-      and `flow` of `_exact_1d`, which gives the step.
+    * in 1D the link arrays `inv_link` and `flow` of `_exact_1d`, which
+      gives the step; in 2D and 3D CG's search direction `cg_dir` and its
+      Jacobi preconditioner `inv_diag`, the inverse of H's diagonal.
 
-    Each buffer keeps that role, and CG's data in each precision are fixed
-    here: `cg64` names the float64 buffers, and in 2D and 3D `cg32` the
-    float32 halves of those that the float32 loop leaves idle.  `step`,
-    `cg_dir`, `inv_diag` and `scratch` are the four rows of one block; its
-    eight float32 rows hold H's weights (one per axis), then `inv_diag`,
-    `res` and `d`, and in row 6 CG's step `s`, in row 7 `work`.  The padded
-    `flux` holds the float32 flux and divergence scratch.  `scratch` carries
-    only `s` and `work`, first written once the scaled weights and residual
-    have passed through it, and `step` only data that are dead before the
-    float32 step is copied into it.  So float32 CG costs no memory.
-    `resid`, the float64 weights and `spare` are never shared.
+    Each buffer keeps that role.  A 1D workspace runs no CG: `cg64` and
+    `cg32` are None.  In 2D and 3D `cg64` names CG's float64 buffers and
+    `cg32` the float32 halves of those that the float32 loop leaves idle.
+    `step`, `cg_dir`, `inv_diag` and `scratch` are the four rows of one
+    block; its eight float32 rows hold H's weights (one per axis), then
+    `inv_diag`, `res` and `d`, and in row 6 CG's step `s`, in row 7 `work`.
+    The padded `flux` holds the float32 flux and divergence scratch.
+    `scratch` carries only `s` and `work`, first written once the scaled
+    weights and residual have passed through it, and `step` only data that
+    are dead before the float32 step is copied into it.  So float32 CG costs
+    no memory.  `resid`, the float64 weights and `spare` are never shared.
 
     `outside_at` holds the flat indices of the nodes off the interior, which
     every kernel zeroes, and on a box `inv_mult` the inverse multiplicities
@@ -212,21 +212,21 @@ class _Workspace:
         self._flux[:pad] = 0.0  # the flux before the first link; never written again
         self.flux = self._flux[pad:]
         self.resid, self.spare = np.empty(size), np.zeros(size)
-        block = np.zeros((4 if g.dimension > 1 else 3, size))
-        self.step, self.cg_dir, self.scratch = block[0], block[1], block[-1]
-        self.inv_diag = self.cg32 = None
+        self.cg64 = self.cg32 = None
         if g.dimension == 1:  # _exact_1d: every link on, interior nodes 0 (box) or 1 .. size - 2
             assert not self.off_links[0].any() and np.array_equal(
                 np.flatnonzero(self.inside), np.arange(0 if axes else 1, size - 1)), "1D grid"
+            self.step, self.scratch = np.zeros((2, size))
             self.flow, self.inv_link = np.empty((2, size - 1))
-        else:  # the float32 CG in the halves of block's rows and of the padded flux
-            self.inv_diag, rows = block[2], block.view(np.float32).reshape(8, size)
+        else:  # CG's block, and the float32 CG in the halves of its rows and of the padded flux
+            self.step, self.cg_dir, self.inv_diag, self.scratch = block = np.zeros((4, size))
+            rows = block.view(np.float32).reshape(8, size)
             flux32, n = self._flux.view(np.float32)[pad:], len(self.weights)  # pad's top half: 0
             self.cg32 = _CG(tuple(rows[:n]), flux32[:pad + size], flux32[pad + size:],
                             *rows[n:n + 3], rows[7], rows[6],
                             None if self.inv_mult is None else self.inv_mult.astype(np.float32))
-        self.cg64 = _CG(self.weights, self._flux, self.scratch, self.inv_diag, self.resid,
-                        self.cg_dir, self.spare, self.step, self.inv_mult)
+            self.cg64 = _CG(self.weights, self._flux, self.scratch, self.inv_diag, self.resid,
+                            self.cg_dir, self.spare, self.step, self.inv_mult)
         # The energy sums each axis' link terms in rows of its extent - 1,
         # the compact layout of the sliced kernels (tests/stencil_reference.py):
         # a BLAS dot groups its terms by position, so the wrap links' zeros
@@ -293,24 +293,23 @@ class _Workspace:
         np.abs(self.resid, out=self.scratch)
         return float(self.scratch.max())
 
-    def _hess_slices(self, s: np.ndarray, out: np.ndarray, cg: _CG = None) -> tuple:
-        """Per axis, the slices of s, `out` and cg's link weights and flux
-        that `_hess_apply` works on, and cg's divergence scratch (cg: the
-        float64 data by default); taken once per product set-up, so that the
-        CG loop makes none."""
-        cg = cg or self.cg64
+    def _hess_slices(self, s: np.ndarray, out: np.ndarray, weights, padded, div) -> tuple:
+        """Per axis, the slices of s, `out`, H's link `weights` and the padded
+        link buffer that `_hess_apply` works on, and the divergence scratch
+        `div`, all of one precision; taken once per product set-up, so that
+        the CG loop makes none."""
         slices = []
         size, pad = out.size, self.strides[0]
         # the flux's tail: no link of axis 0 writes it, and its old contents
         # may be the other precision's bits; only masked nodes read it
-        cg.flux[size:] = 0.0
-        for stride, c in zip(self.strides, cg.weights):
+        padded[size:] = 0.0
+        for stride, c in zip(self.strides, weights):
             # flux[k] is link k - stride: zeros before the first link, which
             # the mirror plane's nodes of a box read (add_divergence)
-            flux = cg.flux[pad - stride:pad + size]
+            flux = padded[pad - stride:pad + size]
             slices.append((s[stride:], s[:-stride], flux[stride:size], c[:size - stride],
                            flux[stride:], flux[:size]))
-        return slices, cg.div
+        return slices, div
 
     def _hess_apply(self, slices: tuple, out: np.ndarray) -> None:
         """out = H s per unit volume for the s and out of `_hess_slices`.
@@ -360,18 +359,18 @@ class _Workspace:
         out[self.outside_at] = 0.0
 
     def _pcg(self, cg: _CG, rtol: float, floor: float) -> tuple:
-        """Jacobi-preconditioned CG on H s = r in cg's buffers (2D and 3D), r
-        being cg's `res` (times the multiplicities on a box) and H its link
-        weights, with cg's `inv_diag` refreshed; returns (iterations, last
-        curvature d.Hd).  Starts from s = 0 and stops once |r - H s| <=
-        max(rtol |r|, floor) in the 2-norm (weighted by the inverse
-        multiplicities on a box), after one iteration per interior node, or
-        at a curvature that is not positive and finite."""
+        """Jacobi-preconditioned CG on H s = r in cg's buffers, which only a
+        2D or 3D workspace has, r being cg's `res` (times the multiplicities
+        on a box) and H its link weights, with cg's `inv_diag` refreshed;
+        returns (iterations, last curvature d.Hd).  Starts from s = 0 and
+        stops once |r - H s| <= max(rtol |r|, floor) in the 2-norm (weighted
+        by the inverse multiplicities on a box), after one iteration per
+        interior node, or at a curvature that is not positive and finite."""
         self._jacobi_diagonal(cg)
         # work holds H d, then (on a box) r over the multiplicities, then the
         # preconditioned residual z
         s, res, d, work, inv_diag, inv_mult = cg.s, cg.res, cg.d, cg.work, cg.inv_diag, cg.inv_mult
-        hess_d = self._hess_slices(d, work, cg)
+        hess_d = self._hess_slices(d, work, cg.weights, cg.flux, cg.div)
         s.fill(0.0)
         # names bound once: each iteration is a few small numpy calls, whose
         # lookups would cost about as much as the stop test's weighting
@@ -446,7 +445,7 @@ class _Workspace:
         """s.Hs in float64 for the step s in `self.step` and H's weights,
         H s written into `self.spare`."""
         step, hs = self.step, self.spare
-        self._hess_apply(self._hess_slices(step, hs), hs)
+        self._hess_apply(self._hess_slices(step, hs, self.weights, self._flux, self.scratch), hs)
         return float(np.vdot(step, hs))
 
     def _hessian_weights(self, reg: float, scale: float) -> None:
@@ -474,17 +473,18 @@ class _Workspace:
         float64 curvature that is not positive and finite means non-finite
         input and raises.
 
-        In 1D the step is H's exact inverse applied to r (`_exact_1d`).  In
-        2D and 3D Jacobi-preconditioned CG solves H s = r until |r - H s| <=
-        max(rtol |r|, cg_floor) in the 2-norm, or for one iteration per
-        interior node.  It runs in float32 (`_float32_step`), and reruns in
-        float64 only when that fails, counted in `float64_reruns`; the
-        float64 loop overwrites `self.resid` by CG's residual.  Every exact
-        CG iterate s has r.s = s.H s > 0, so it is a descent direction for J.
+        In 1D, where the workspace has no CG state, the step is H's exact
+        inverse applied to r (`_exact_1d`).  In 2D and 3D Jacobi-
+        preconditioned CG solves H s = r until |r - H s| <= max(rtol |r|,
+        cg_floor) in the 2-norm, or for one iteration per interior node.  It
+        runs in float32 (`_float32_step`), and reruns in float64 (`cg64`)
+        only when that fails, counted in `float64_reruns`; the float64 loop
+        overwrites `self.resid` by CG's residual.  Every exact CG iterate s
+        has r.s = s.H s > 0, so it is a descent direction for J.
         """
         scale = (self.p - 1.0) / (self.h * self.h)
         self._hessian_weights(reg, scale)
-        if self.cg32 is None:  # 1D
+        if self.cg64 is None:  # 1D: no CG state
             if self.mult is not None:
                 self.resid *= self.mult
             np.divide(1.0, self.weights[0][:self.inv_link.size], out=self.inv_link)

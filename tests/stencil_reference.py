@@ -175,12 +175,13 @@ class Workspace:
         np.copyto(diag, 0.0, where=self.outside)
         return diag
 
-    def _pcg(self, weights, res, precondition, rtol, floor):
-        """CG from s = 0 on H s = res, H of link weights `weights`, in res's
-        dtype; returns (s, iterations, last curvature)."""
+    def _pcg(self, weights, res, rtol, floor):
+        """Jacobi-preconditioned CG from s = 0 on H s = res, H of link
+        weights `weights`, in res's dtype; returns (s, iterations, last
+        curvature)."""
+        diag = self._inverse_diagonal(weights)
         s, work = np.zeros_like(res), np.empty_like(res)
-        d = np.empty_like(res)
-        precondition(res, d)
+        d = res * diag
         rz = float(np.vdot(res, d))
         stop = max(rtol * rtol * float(np.vdot(res, res)), floor * floor)
         k, curv = 0, math.nan
@@ -197,7 +198,7 @@ class Workspace:
             s += work
             if float(np.vdot(res, res)) <= stop:
                 break
-            precondition(res, work)
+            np.multiply(res, diag, out=work)
             rz_next = float(np.vdot(res, work))
             d *= rz_next / rz
             d += work
@@ -215,10 +216,8 @@ class Workspace:
         if not reg * scale * a >= float(np.finfo(np.float32).tiny):
             return 0, None
         weights = [(c * a).astype(np.float32) for c in self.weights]
-        diag = self._inverse_diagonal(weights)
         res = (self.resid * b).astype(np.float32)
-        s, k, curv = self._pcg(weights, res, lambda r, out: np.multiply(r, diag, out=out),
-                               rtol, floor * b)
+        s, k, curv = self._pcg(weights, res, rtol, floor * b)
         if not 0.0 < curv < math.inf:
             return k, None
         self.step[...] = s
@@ -249,12 +248,7 @@ class Workspace:
         if s_hs is not None:
             return k32, s_hs
         self.float64_reruns += 1
-        diag = self._inverse_diagonal(self.weights)
-
-        def precondition(r, out):
-            np.multiply(r, diag, out=out)
-
-        s, k, curv = self._pcg(self.weights, self.resid, precondition, rtol, floor)
+        s, k, curv = self._pcg(self.weights, self.resid, rtol, floor)
         if not 0.0 < curv < math.inf:
             raise RuntimeError(f"PCG: curvature {curv!r} is not positive and finite")
         self.step[...] = s

@@ -247,7 +247,7 @@ def test_exact_1d_preconditioner_inverts_the_hessian(nodes, shape, p):
     r = np.where(ws.inside, rng.standard_normal(ws.inside.size), 0.0)
     z, hz = np.empty(r.size), np.full(r.size, np.nan)
     ws._exact_1d(r, z)
-    ws._hess_apply(ws._hess_slices(z, hz), hz)
+    ws._hess_apply(ws._hess_slices(z, hz, ws.weights, ws._flux, ws.scratch), hz)
     assert np.linalg.norm(hz - r) <= 1e-12 * np.linalg.norm(r)
 
 
@@ -341,6 +341,16 @@ def test_workspace_is_freed_without_the_garbage_collector(dim, axes):
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("axes", [(), (0,)], ids=["grid", "box"])
+def test_1d_workspace_builds_no_cg_state(axes):
+    # the 1D step is H's exact inverse applied to r, so a 1D workspace, on
+    # the whole grid or on a mirror box, has neither CG set nor CG's direction
+    g = GridSpec(1, 17)
+    ws = _Workspace(EnergyProblem(g, 3.0, constant_field(g, 1.0), zero_boundary), axes)
+    assert ws.cg64 is None and ws.cg32 is None
+    assert not hasattr(ws, "cg_dir")
 
 
 @pytest.mark.parametrize("dim, message", [(1, "exact 1D step: s.Hs nan"),

@@ -53,7 +53,7 @@ def test_workspace_matches_sliced_reference(dim, shape, nodes, p):
     s = np.random.default_rng(5).standard_normal(prob.grid.node_shape)
     # out starts as NaN, so a node that the product leaves unwritten shows
     out, ref_out = np.full(s.size, np.nan), np.empty(s.shape)
-    ws._hess_apply(ws._hess_slices(s.reshape(-1), out), out)
+    ws._hess_apply(ws._hess_slices(s.reshape(-1), out, ws.weights, ws._flux, ws.scratch), out)
     ref._hess_apply(s, ref_out)
     assert_bitwise(out.reshape(s.shape), ref_out)
     assert np.array_equal(np.signbit(out.reshape(s.shape)), np.signbit(ref_out))
@@ -123,7 +123,7 @@ def float64_residual_gap(ws, r):
     """|r - H s|, |r| and |H| |s| in the 2-norm, in float64, for the step and
     the Hessian's weights that `newton_step` left behind; |H| <= 2 diag(H)."""
     hs = np.empty(r.size)
-    ws._hess_apply(ws._hess_slices(ws.step, hs), hs)
+    ws._hess_apply(ws._hess_slices(ws.step, hs, ws.weights, ws._flux, ws.scratch), hs)
     h_norm = 2.0 * 2 * len(ws.weights) * max(float(c[:off.size].max())
                                              for c, off in zip(ws.weights, ws.off_links))
     return (float(np.linalg.norm(r - hs)), float(np.linalg.norm(r)),
