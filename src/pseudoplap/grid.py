@@ -151,21 +151,18 @@ def unfold(axes: tuple, box_values: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def multiplicities(grid: GridSpec, axes: tuple) -> tuple:
-    """(nodes, links): how many nodes or links of the whole grid each one of
-    the mirror box of `axes` stands for, read-only and flat like off_links.
-    A node counts 2 for each of the axes off whose mirror plane it lies, and
-    a link as its upper node (m -> m+1 along a reduced axis stands for
-    m-1 -> m too), but 0 if off.  Powers of 2, so scaling by them is exact."""
+def multiplicities(grid: GridSpec, axes: tuple) -> np.ndarray:
+    """How many nodes of the whole grid each node of the mirror box of
+    `axes` stands for, read-only and flat: 2 for each of the axes off whose
+    mirror plane it lies.  A flat link j -> j + s that is on counts as its
+    upper node j + s (m -> m+1 along a reduced axis stands for m-1 -> m
+    too).  Powers of 2, so scaling by them is exact."""
     nodes = np.ones(nonexterior_mask(grid)[mirror_box(grid, axes)].shape)
     for ax in axes:
         nodes[(slice(None),) * ax + (slice(1, None),)] *= 2.0
-    links = [np.where(off, 0.0, nodes.reshape(-1)[s:])
-             for s, off in zip(axis_strides(nodes.shape), off_links(grid, axes))]
     nodes = nodes.reshape(-1)
-    for m in [nodes] + links:
-        m.setflags(write=False)
-    return nodes, tuple(links)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def interior_mask(grid: GridSpec) -> np.ndarray:

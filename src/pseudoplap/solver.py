@@ -144,12 +144,12 @@ class _Workspace:
     operation into one of these buffers, each one node array long:
 
     * `weights[ax]`: the link weights |D_ax v|^(p-2) of the last field given
-      to `energy`, times the links' multiplicities on a box; `newton_step`
+      to `energy`, times their upper nodes' counts on a box; `newton_step`
       turns them into H's;
     * `flux`: one link array, shared by the axes in turn, behind zeros for
       the flux before the first link;
-    * `scratch`: one more, for divergences, the energy's row gathers and the
-      f-term;
+    * `scratch`: one more, for divergences, reg times the links' counts and
+      the f-term;
     * `resid`: the last `residual()`, and the float64 CG's residual;
     * `step`: the Newton step;
     * `spare`: the float64 CG's H d and preconditioned residual, then H s
@@ -172,10 +172,11 @@ class _Workspace:
     no memory.  `resid`, the float64 weights and `spare` are never shared.
 
     `outside_at` holds the flat indices of the nodes off the interior, which
-    every kernel zeroes, and on a box `inv_mult` the inverse multiplicities
-    (`cg32` has their float32 copy).  On the whole grid (no axis) the
-    multiplicities are 1: `mult`, `link_mult` and `inv_mult` are None, and
-    no array of them is made or applied.
+    every kernel zeroes, and on a box `mult` the nodes' multiplicities, of
+    which the links of stride s read `mult[s:]`, and `inv_mult` their
+    inverses (`cg32` has their float32 copy).  On the whole grid (no axis)
+    the multiplicities are 1: `mult` and `inv_mult` are None, and no array
+    of them is made or applied.
 
     `residual()` reuses the weights, and `newton_step` turns them into the
     Hessian's, so the power is taken once per evaluated field.  Everything
@@ -194,13 +195,12 @@ class _Workspace:
         self.outside_at = np.flatnonzero(~self.inside)
         self.n_interior = int(self.inside.sum())
         self.f = prob.f.values[self.box].reshape(-1)  # finite on the interior; may be NaN elsewhere
-        self.mult = self.link_mult = self.inv_mult = None
+        self.mult = self.inv_mult = None
         if axes:
-            self.mult, self.link_mult = multiplicities(g, axes)
+            self.mult = multiplicities(g, axes)
             self.f = self.f * self.mult
             self.inv_mult = 1.0 / self.mult
-        shape = self.interior.shape
-        self.strides = axis_strides(shape)
+        self.strides = axis_strides(self.interior.shape)
         self.off_links = off_links(g, axes)
         size = self.inside.size
         self.cg_floor = cg_floor  # CG's absolute stop floor: grad_tol / 2 in a solve
@@ -227,39 +227,22 @@ class _Workspace:
                             None if self.inv_mult is None else self.inv_mult.astype(np.float32))
             self.cg64 = _CG(self.weights, self._flux, self.scratch, self.inv_diag, self.resid,
                             self.cg_dir, self.spare, self.step, self.inv_mult)
-        # The energy sums each axis' link terms in rows of its extent - 1,
-        # the compact layout of the sliced kernels (tests/stencil_reference.py):
-        # a BLAS dot groups its terms by position, so the wrap links' zeros
-        # would change its bits.  Per axis > 0: the rows of D v (in `flux`)
-        # and of the weights, and the contiguous buffers they are gathered
-        # into, `scratch` and then `flux`.
-        self._rows = [None]
-        for ax, w in enumerate(self.weights[1:], start=1):
-            n = shape[ax]
-            n_links = size // n * (n - 1)
-            keep = (slice(None),) * ax + (slice(0, n - 1),)
-            rows = shape[:ax] + (n - 1,) + shape[ax + 1:]
-            self._rows.append((self.flux.reshape(shape)[keep], self.scratch[:n_links].reshape(rows),
-                               w.reshape(shape)[keep], self.flux[:n_links].reshape(rows)))
 
     def energy(self, v: np.ndarray) -> float:
-        """J(v); keeps v and writes its link weights |D_i v|^(p-2), times the
-        multiplicities, for `residual` and `newton_step`."""
+        """J(v); keeps v and writes its link weights |D_i v|^(p-2), times
+        their upper nodes' counts on a box, for `residual` and `newton_step`.
+        Each axis' link terms are summed by one dot over its flat links, 0 on
+        the off ones."""
         p = self.p
         self.v = v.reshape(-1)
         link_sum = 0.0
-        for ax, (s, off, w, rows) in enumerate(zip(self.strides, self.off_links, self.weights,
-                                                   self._rows)):
+        for s, off, w in zip(self.strides, self.off_links, self.weights):
             d = link_differences(self.v, s, self.h, off, self.flux[:off.size])
             w = w[:off.size]
             np.abs(d, out=w)
-            w **= p - 2.0
-            if self.link_mult is not None:
-                w *= self.link_mult[ax]
-            if rows is not None:  # D v is gathered before the weights overwrite it
-                d_rows, d, w_rows, w = rows
-                np.copyto(d, d_rows)
-                np.copyto(w, w_rows)
+            w **= p - 2.0  # 0 on the off links, where d = 0 and p > 2
+            if self.mult is not None:
+                w *= self.mult[s:]
             d *= d
             link_sum += float(np.vdot(w, d))  # |d|^(p-2) d^2 = |d|^p
         fv = self.scratch
@@ -450,14 +433,12 @@ class _Workspace:
 
     def _hessian_weights(self, reg: float, scale: float) -> None:
         """Turns the weights into H's: (w + reg) scale on each link that
-        carries flux, times its multiplicity on a box, and 0 on the others."""
-        for ax, (off, c) in enumerate(zip(self.off_links, self.weights)):
+        carries flux, times its count on a box, and 0 on the others."""
+        for s, off, c in zip(self.strides, self.off_links, self.weights):
             c = c[:off.size]
-            if self.link_mult is not None:  # 0 on the off links
-                c += np.multiply(self.link_mult[ax], reg, out=self.scratch[:off.size])
-            else:
-                c += reg
-                np.copyto(c, 0.0, where=off)
+            c += reg if self.mult is None else np.multiply(self.mult[s:], reg,
+                                                           out=self.scratch[:off.size])
+            np.copyto(c, 0.0, where=off)
             c *= scale
 
     def newton_step(self, reg: float, rtol: float) -> tuple:

@@ -44,6 +44,16 @@ def link_differences(v, ax, h, off):
     return d
 
 
+def flat_links(a, ax):
+    """A compact link array along ax in the flat layout of grid.axis_strides:
+    each link j -> j + s at index j, 0 on the links that wrap across a row."""
+    lo, _, _ = axis_slices(a.ndim, ax)
+    nodes = np.zeros(a.shape[:ax] + (a.shape[ax] + 1,) + a.shape[ax + 1:])
+    nodes[lo] = a
+    s = math.prod(nodes.shape[ax + 1:])
+    return nodes.reshape(-1)[:nodes.size - s]
+
+
 def add_divergence(out, flux, ax, h):
     _, _, core = axis_slices(out.ndim, ax)
     div = axis_difference(flux, ax)
@@ -125,9 +135,9 @@ class Workspace:
     def energy(self, v):
         p = self.p
         link_sum = 0.0
-        for d, w in zip(self.fill_weights(v), self.weights):
+        for ax, (d, w) in enumerate(zip(self.fill_weights(v), self.weights)):
             d *= d
-            link_sum += float(np.vdot(w, d))
+            link_sum += float(np.vdot(flat_links(w, ax), flat_links(d, ax)))
         fu = float(np.where(self.interior, self.f * v, 0.0).sum())
         return (link_sum / p + (p - 1.0) * fu) * self.hN
 

@@ -353,6 +353,28 @@ def test_1d_workspace_builds_no_cg_state(axes):
     assert not hasattr(ws, "cg_dir")
 
 
+@pytest.mark.parametrize("shape", ["ball", "cube"])
+@pytest.mark.parametrize("dim, axes", [(2, ()), (2, (0, 1)), (3, ()), (3, (0,))],
+                         ids=["2d-grid", "2d-box", "3d-grid", "3d-box"])
+def test_hessian_weights_are_zero_on_off_links(dim, axes, shape):
+    # newton_step leaves H's link weights behind: 0 on every off link (the
+    # wraps across rows, and the links to exterior nodes), and (w + reg)
+    # scale on the others, w's count being its upper node's on a box
+    g = GridSpec(dim, 17, shape)
+    p, reg = 3.0, 1e-3
+    ws = _Workspace(EnergyProblem(g, p, constant_field(g, 1.0), zero_boundary), axes)
+    ws.energy(shared_boundary_field(g, 7).values[ws.box])
+    w = [c[:off.size].copy() for c, off in zip(ws.weights, ws.off_links)]
+    ws.residual()
+    ws.newton_step(reg, 0.1)
+    counts = ws.mult if axes else np.ones(ws.inside.size)
+    assert any(off.any() for off in ws.off_links)
+    for s, off, w, c in zip(ws.strides, ws.off_links, w, ws.weights):
+        c, on = c[:off.size], ~off
+        assert (c[off] == 0).all()
+        assert np.array_equal(c[on], (w[on] + counts[s:][on] * reg) * ((p - 1.0) / g.spacing**2))
+
+
 @pytest.mark.parametrize("dim, message", [(1, "exact 1D step: s.Hs nan"),
                                           (2, "PCG: curvature nan")], ids=["1d", "2d"])
 def test_pcg_raises_on_nan(dim, message):
@@ -454,6 +476,66 @@ def test_solve_is_certified_on_random_problems(drawn):
     assert (rep.iterations == 0) == constant_start
     if constant_start:
         assert (u.values[nonexterior_mask(g)] == bvals[0]).all()
+
+
+def hessian_inverse_sup(u: ScalarField, p: float) -> float:
+    """sup(H^-1 1) for the unlifted Hessian per unit volume at u, whose link
+    weights are (p-1) |D u|^(p-2) / h^2, assembled and inverted densely on
+    the interior nodes (the boundary values are fixed)."""
+    g, h = u.grid, u.grid.spacing
+    interior, ok = interior_mask(g), nonexterior_mask(g)
+    index = np.full(g.node_shape, -1)
+    index[interior] = np.arange(interior.sum())
+    H = np.zeros((interior.sum(),) * 2)
+    for ax in range(g.dimension):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        on = ok[lo] & ok[hi]
+        c = (p - 1.0) * np.abs((u.values[hi] - u.values[lo])[on] / h) ** (p - 2.0) / (h * h)
+        for a, b in ((index[lo][on], index[hi][on]), (index[hi][on], index[lo][on])):
+            row = a >= 0
+            np.add.at(H, (a[row], a[row]), c[row])
+            row &= b >= 0
+            np.add.at(H, (a[row], b[row]), -c[row])
+    return float(np.linalg.solve(H, np.ones(len(H))).max())
+
+
+@st.composite
+def descent_problems(draw):
+    """(problem, whether f is mirror-symmetrised): 2D n = 9, 11, 15 or 17,
+    or 3D n = 9, on the ball; p in (2, 8]; f of amplitude in [0.25, 4],
+    symmetrised along every axis or not, so that n = 9 and 17 take the
+    mirror box or the whole grid; zero or constant boundary data."""
+    dim = draw(st.sampled_from([2, 3]))
+    g = GridSpec(dim, draw(st.sampled_from([9, 11, 15, 17] if dim == 2 else [9])))
+    p = draw(st.floats(2.0, 8.0, exclude_min=True))
+    amp = draw(st.floats(0.25, 4.0))
+    symmetric = draw(st.booleans())
+    boundary = constant_boundary(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))))
+    f = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-amp, amp, g.node_shape)
+    if symmetric:
+        for ax in range(dim):
+            f = 0.5 * (f + np.flip(f, ax))
+    return EnergyProblem(g, p, ScalarField(g, f), boundary), symmetric
+
+
+@given(descent_problems())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_solve_matches_descent_reference_on_random_problems(drawn):
+    # test_solve_matches_descent_reference's first-order bound, with
+    # sup(H^-1 1) computed per case at the Newton solution in place of 0.25
+    prob, symmetric = drawn
+    cfg = SolveConfig(grad_tol=1e-8)
+    u, rep = solve_dirichlet(prob, cfg)
+    n = prob.grid.nodes_per_axis
+    assert rep.converged
+    assert rep.mirror_axes == (tuple(range(prob.grid.dimension)) if symmetric and n in (9, 17)
+                               else ())
+    ref, _, ref_converged = descent_solve(prob, dataclasses.replace(cfg, max_iters=200_000))
+    assert ref_converged
+    mask = nonexterior_mask(prob.grid)
+    bound = 2.0 * cfg.grad_tol * hessian_inverse_sup(u, prob.p)
+    assert np.abs(u.values - ref)[mask].max() <= bound
 
 
 def test_energy_problem_validation():

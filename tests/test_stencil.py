@@ -1,10 +1,11 @@
 """The flat-stride stencil kernels against the sliced ones of stencil_reference.py.
 
 Every comparison is `==`: each node sees the reference's operations in its
-order, and the energy sums its links in the reference's compact layout.  The
-cube matters most: its face nodes are finite boundary nodes, so a link that
-wraps across a row joins two real values and must still be off.  A spacing
-that is no power of 2 (n = 19, 35) makes a reordered division by h show.
+order, and the reference puts the energy's link terms into the flat layout
+before its dot, as the workspace sums them.  The cube matters most: its face
+nodes are finite boundary nodes, so a link that wraps across a row joins two
+real values and must still be off.  A spacing that is no power of 2 (n = 19,
+35) makes a reordered division by h show.
 """
 
 import tracemalloc

@@ -77,6 +77,11 @@ MUTANTS = (
            "if not reg * scale * a >= _FLOAT32_TINY:", "if False:"),
     Mutant("exact_1d_no_s_hs_check", "src/pseudoplap/solver.py",
            "if not 0.0 < s_hs < math.inf:", "if False:"),
+    # the mirror box's counts in the energy, and H's zeros on the off links
+    Mutant("box_energy_no_counts", "src/pseudoplap/solver.py",
+           "w *= self.mult[s:]", "pass"),
+    Mutant("hessian_off_links_kept", "src/pseudoplap/solver.py",
+           "np.copyto(c, 0.0, where=off)", "pass"),
     Mutant("armijo_slack_8e4_eps", "src/pseudoplap/solver.py",
            "slack = 8.0 * _EPS * max(", "slack = 8e4 * _EPS * max("),
     Mutant("stall_test_or", "src/pseudoplap/solver.py",
